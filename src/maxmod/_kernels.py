@@ -1,36 +1,23 @@
-"""Hot numeric kernels: trigonometric term sums over theta grids.
+"""Hot numeric kernels over theta grids, in NumPy.
 
-Two interchangeable backends:
-
-* ``numba`` -- @njit compiled loops (default when numba imports cleanly);
-* ``numpy`` -- vectorized per-term loop, no compilation.
-
-Select explicitly with the ``MAXMOD_BACKEND`` environment variable
-(``numba`` | ``numpy`` | ``auto``).  Both backends accumulate terms in the
-given order with Neumaier compensation for the value sum, so results agree
-to the last few ulps; ``benchmarks/bench_backends.py`` compares their speed.
+``osc_horner`` and ``d1d2_horner`` evaluate the theta-dependent part of
+``|1 + q(z)|^2`` and its theta-derivatives, for ``q = sum_{j>=1} c_j z^j``
+and ``z = r e^{i theta}``, by one Horner pass: O(deg) work per angle.
+``osc_sum`` is the compensated cosine-term sum of the paper's expansion,
+O(deg^2) per angle; it evaluates ``mod2`` and is the oracle the Horner
+kernels are tested against.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = [
-    "BACKEND",
-    "HAVE_NUMBA",
-    "osc_sum",
-    "d1d2_sum",
-    "osc_sum_numpy",
-    "d1d2_sum_numpy",
-    "osc_sum_numba",
-    "d1d2_sum_numba",
-    "warmup",
-]
+__all__ = ["BACKEND", "osc_sum", "osc_horner", "d1d2_horner"]
+
+BACKEND = "numpy"
 
 
-def osc_sum_numpy(ap: np.ndarray, freqs: np.ndarray, phas: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+def osc_sum(ap: np.ndarray, freqs: np.ndarray, phas: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """Compensated sum of ``ap[t] * cos(freqs[t]*theta + phas[t])`` per theta."""
     s = np.zeros(thetas.shape[0])
     comp = np.zeros_like(s)
@@ -42,89 +29,39 @@ def osc_sum_numpy(ap: np.ndarray, freqs: np.ndarray, phas: np.ndarray, thetas: n
     return s + comp
 
 
-def d1d2_sum_numpy(ap: np.ndarray, freqs: np.ndarray, phas: np.ndarray, thetas: np.ndarray):
-    """First and second theta-derivatives of the cosine term sum."""
-    d1 = np.zeros(thetas.shape[0])
-    d2 = np.zeros_like(d1)
-    for t in range(ap.shape[0]):
-        w = freqs[t]
-        arg = w * thetas + phas[t]
-        d1 -= (ap[t] * w) * np.sin(arg)
-        d2 -= (ap[t] * w * w) * np.cos(arg)
+def _horner(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``sum_{j=1}^{D} rows[j-1] z^j`` for ``rows`` of shape (D, k, 1), D >= 1."""
+    acc = rows[-1] * z
+    for c in rows[-2::-1]:
+        acc += c
+        acc *= z
+    return acc
+
+
+def osc_horner(rows: np.ndarray, r: float, scale: float, thetas: np.ndarray) -> np.ndarray:
+    """``scale * (2 Re q + (|q|^2 - sum_j |c_j|^2 r^{2j}))`` per theta.
+
+    ``rows[j-1, 0, 0]`` is ``c_j``.  This is ``scale * |1 + q|^2`` minus its
+    theta-free part; nothing is compared against the constant 1, so the
+    result keeps its relative accuracy as ``r -> 0``.
+    """
+    c = rows[:, 0, 0]
+    q = _horner(rows[:, :1], r * np.exp(1j * thetas))[0]
+    diag = float(np.sum((c.real**2 + c.imag**2) * r ** (2.0 * np.arange(1, c.size + 1))))
+    return scale * (2.0 * q.real + ((q.real**2 + q.imag**2) - diag))
+
+
+def d1d2_horner(rows: np.ndarray, r: float, scale: float, thetas: np.ndarray):
+    """First and second theta-derivatives of ``scale * |1 + q|^2`` per theta.
+
+    ``rows[j-1]`` holds ``c_j``, ``j c_j`` and ``j^2 c_j``, giving ``q``,
+    ``s = sum j c_j z^j`` and ``t = sum j^2 c_j z^j`` in one pass; then
+    ``d1 = -2 Im(conj(1+q) s)`` and ``d2 = 2 (|s|^2 - Re(conj(1+q) t))``.
+    """
+    q, s, t = _horner(rows, r * np.exp(1j * thetas))
+    conj_p = np.conj(q)
+    conj_p += 1.0
+    k = 2.0 * scale
+    d1 = (conj_p * s).imag * -k
+    d2 = ((s.real**2 + s.imag**2) - (conj_p * t).real) * k
     return d1, d2
-
-
-_env = os.environ.get("MAXMOD_BACKEND", "auto").strip().lower() or "auto"
-if _env not in ("auto", "numba", "numpy"):
-    raise RuntimeError(f"MAXMOD_BACKEND must be 'numba', 'numpy' or 'auto', got {_env!r}")
-
-HAVE_NUMBA = False
-osc_sum_numba = None
-d1d2_sum_numba = None
-
-if _env != "numpy":
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        if _env == "numba":
-            raise RuntimeError("MAXMOD_BACKEND=numba but numba is not importable")
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _osc_sum_nb(ap, freqs, phas, thetas):  # pragma: no cover - compiled
-        n = thetas.shape[0]
-        m = ap.shape[0]
-        out = np.empty(n)
-        for i in range(n):
-            th = thetas[i]
-            s = 0.0
-            comp = 0.0
-            for t in range(m):
-                x = ap[t] * np.cos(freqs[t] * th + phas[t])
-                tot = s + x
-                if abs(s) >= abs(x):
-                    comp += (s - tot) + x
-                else:
-                    comp += (x - tot) + s
-                s = tot
-            out[i] = s + comp
-        return out
-
-    @njit(cache=True, nogil=True)
-    def _d1d2_sum_nb(ap, freqs, phas, thetas):  # pragma: no cover - compiled
-        n = thetas.shape[0]
-        m = ap.shape[0]
-        d1 = np.zeros(n)
-        d2 = np.zeros(n)
-        for i in range(n):
-            th = thetas[i]
-            s1 = 0.0
-            s2 = 0.0
-            for t in range(m):
-                w = freqs[t]
-                arg = w * th + phas[t]
-                s1 -= (ap[t] * w) * np.sin(arg)
-                s2 -= (ap[t] * w * w) * np.cos(arg)
-            d1[i] = s1
-            d2[i] = s2
-        return d1, d2
-
-    osc_sum_numba = _osc_sum_nb
-    d1d2_sum_numba = _d1d2_sum_nb
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
-osc_sum = osc_sum_numba if HAVE_NUMBA else osc_sum_numpy
-d1d2_sum = d1d2_sum_numba if HAVE_NUMBA else d1d2_sum_numpy
-
-
-def warmup() -> None:
-    """Trigger JIT compilation (no-op on the numpy backend)."""
-    ap = np.array([1.0, 0.5])
-    fr = np.array([1.0, 2.0])
-    ph = np.array([0.0, 0.1])
-    th = np.array([0.0, 0.5])
-    osc_sum(ap, fr, ph, th)
-    d1d2_sum(ap, fr, ph, th)

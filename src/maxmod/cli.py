@@ -1,8 +1,7 @@
 """Command-line interface: classify, trace, hunt.
 
-Exit codes: 0 success/CONFIRMED, 2 parse error, 3 monomial input,
+Exit codes: 0 success/CONFIRMED, 2 parse or option error, 3 monomial input,
 4 DISCREPANT trace, 5 radius below the numerical floor, 6 I/O failure.
-``MAXMOD_THREADS`` caps worker threads for trace scans and hunt batches.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -36,7 +34,6 @@ from .tracer import (
     trace_at_infinity,
     write_csv,
 )
-from .tracer import _n_threads
 from .util import canonical_json
 
 CONFIRMED = "CONFIRMED"
@@ -49,7 +46,11 @@ def _load_poly(args) -> Polynomial:
         p = parse_poly(args.poly)
     elif getattr(args, "poly_file", None):
         with open(args.poly_file, "r", encoding="utf-8") as fh:
-            p = poly_from_json(json.load(fh))
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as ex:
+                raise PolyParseError(args.poly_file, ex.pos, f"invalid JSON: {ex.msg}") from ex
+        p = poly_from_json(data)
     else:
         raise PolyParseError("<missing>", 0, "provide --poly or --poly-file")
     if getattr(args, "truncated", False):
@@ -100,7 +101,11 @@ def cmd_classify(args) -> int:
 
 def cmd_trace(args) -> int:
     p = _load_poly(args)
-    cfg = TraceConfig(r_min=args.rmin, r_max=args.rmax, n_radii=args.radii, grid=args.grid)
+    try:
+        cfg = TraceConfig(r_min=args.rmin, r_max=args.rmax, n_radii=args.radii, grid=args.grid)
+    except ValueError as ex:
+        print(f"error[Config]: {ex}", file=sys.stderr)
+        return 2
     if args.infinity:
         target = normalize(reciprocal(p))
         if isinstance(target, MonomialVerdict):
@@ -243,12 +248,7 @@ def _hunt_one(family: str, p: Polynomial, on_locus: bool) -> dict:
 def cmd_hunt(args) -> int:
     rng = np.random.default_rng(args.seed)
     members = [_sample_member(args.family, rng, on_locus=(i % 2 == 1)) for i in range(args.samples)]
-    n_threads = _n_threads()
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            records = list(pool.map(lambda m: _hunt_one(args.family, *m), members))
-    else:
-        records = [_hunt_one(args.family, p, locus) for p, locus in members]
+    records = [_hunt_one(args.family, p, locus) for p, locus in members]
     with open(args.out, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(canonical_json(rec) + "\n")

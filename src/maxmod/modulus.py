@@ -7,10 +7,18 @@ finite trigonometric sum
                      + sum_{j<l} 2|a_j||a_l| r^{j+l} cos((l-j) t + arg a_l - arg a_j).
 
 The diagonal part is independent of theta; the cross part carries all the
-angular structure, and comparing cross sums directly (method :meth:`osc`)
-avoids the cancellation against the constant 1 that would otherwise drown
-signals of order r^n near the origin.  Terms are stored in ascending power
-of r and accumulated with compensated summation.
+angular structure.  This term sum is the paper's formula: :meth:`mod2`
+evaluates it (terms in ascending power of r, compensated summation) and
+:meth:`osc_terms` is the oracle for the fast path.
+
+The tracer's hot evaluations, :meth:`osc` and :meth:`d1d2`, use the factored
+form ``p = a_m z^m (1 + q)`` with ``q = sum_{j>=1} c_j z^j`` instead: one
+Horner pass per angle, O(deg) rather than O(deg^2) cosines, and
+
+    osc = |a_m|^2 r^{2m} (2 Re q + (|q|^2 - sum_j |c_j|^2 r^{2j})).
+
+Comparing this cross part directly avoids the cancellation against the
+constant 1 that would otherwise drown signals of order r^n near the origin.
 """
 
 from __future__ import annotations
@@ -40,6 +48,9 @@ class ModulusExpansion:
     all_amps: np.ndarray
     all_freqs: np.ndarray  # 0 for diagonal terms
     all_phas: np.ndarray
+    m: int  # lowest exponent with a nonzero coefficient
+    lead_abs2: float  # |a_m|^2
+    q_rows: np.ndarray  # row j-1: c_j, j c_j, j^2 c_j for c_j = a_{m+j} / a_m
 
     @property
     def diagonal(self) -> list[tuple[float, float]]:
@@ -75,34 +86,37 @@ class ModulusExpansion:
         return float(np.sum(self.diag_amps * r ** self.diag_pows))
 
     def osc(self, r: float, theta):
-        """Theta-dependent cross part; ``mod2 = base + osc``."""
+        """Theta-dependent cross part; ``mod2 = base + osc`` (Horner)."""
+        th = np.atleast_1d(np.asarray(theta, dtype=float))
+        out = _kernels.osc_horner(self.q_rows, r, self.lead_abs2 * r ** (2 * self.m), th)
+        if np.ndim(theta) == 0:
+            return float(out[0])
+        return out
+
+    def osc_terms(self, r: float, theta):
+        """:meth:`osc` as the paper's cross-term sum; the oracle, O(deg^2)."""
         return self._eval(self.cross_pows, self.cross_amps, self.cross_freqs, self.cross_phas, r, theta)
 
     def d1d2(self, r: float, theta):
-        """First and second theta-derivative arrays of :meth:`mod2`."""
-        th = np.atleast_1d(np.asarray(reduce_angle(theta), dtype=float))
-        ap = self.cross_amps * r ** self.cross_pows
-        return _kernels.d1d2_sum(ap, self.cross_freqs, self.cross_phas, th)
+        """First and second theta-derivative arrays of :meth:`mod2` (Horner)."""
+        th = np.atleast_1d(np.asarray(theta, dtype=float))
+        return _kernels.d1d2_horner(self.q_rows, r, self.lead_abs2 * r ** (2 * self.m), th)
 
     def dmod2_dtheta(self, r: float, theta):
-        """Exact termwise d/dtheta of :meth:`mod2` (diagonal terms drop out)."""
+        """Exact d/dtheta of :meth:`mod2`, from :meth:`d1d2`."""
         d1, _ = self.d1d2(r, theta)
         if np.ndim(theta) == 0:
             return float(d1[0])
         return d1
 
     def d2mod2_dtheta2(self, r: float, theta):
-        """Exact termwise second theta-derivative of :meth:`mod2`."""
+        """Exact second theta-derivative of :meth:`mod2`, from :meth:`d1d2`."""
         _, d2 = self.d1d2(r, theta)
         if np.ndim(theta) == 0:
             return float(d2[0])
         return d2
 
     # -- magnitude bounds used by the tracer -----------------------------
-
-    def osc_spread_bound(self, r: float) -> float:
-        """Upper bound for max-min of :meth:`osc` over a circle."""
-        return 2.0 * float(np.sum(self.cross_amps * r ** self.cross_pows))
 
     def d1_bound(self, r: float) -> float:
         """Upper bound for |dmod2_dtheta| over a circle."""
@@ -116,7 +130,8 @@ def expand(p: Polynomial) -> ModulusExpansion:
     """Build the trigonometric expansion of ``|p|^2`` from the coefficients.
 
     One diagonal term per nonzero coefficient and one cross term per
-    unordered pair of distinct nonzero coefficients.
+    unordered pair of distinct nonzero coefficients, plus the factored form
+    ``a_m z^m (1 + q)`` that :meth:`ModulusExpansion.osc` evaluates.
     """
     if p.is_zero:
         raise ZeroPolynomialError("cannot expand the zero polynomial")
@@ -158,9 +173,13 @@ def expand(p: Polynomial) -> ModulusExpansion:
         all_freqs[order],
         all_phas[order],
     )
-    for a in arrays:
+    m = int(exps[0])
+    c = np.asarray(p.coeffs[m + 1 :] or (0j,), dtype=complex) / cs[0]  # a monomial has q = 0
+    j = np.arange(1.0, c.size + 1)
+    q_rows = np.stack([c, j * c, j * j * c], axis=1)[:, :, None]
+    for a in arrays + (q_rows,):
         a.setflags(write=False)
-    return ModulusExpansion(*arrays)
+    return ModulusExpansion(*arrays, m=m, lead_abs2=float(mags[0] ** 2), q_rows=q_rows)
 
 
 def direct_mod2(p: Polynomial, r: float, theta: float) -> float:

@@ -15,9 +15,7 @@ an argmax, and dropping it keeps co-maximality decisions accurate at the
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -131,7 +129,6 @@ class CircleScan:
     thetas: np.ndarray
     osc: np.ndarray
     mod2: np.ndarray
-    d2: np.ndarray
     comax: np.ndarray
     spread: float
     tie_threshold: float
@@ -229,7 +226,6 @@ def _scan_circle(e: ModulusExpansion, r: float, cfg: TraceConfig) -> CircleScan:
     order = np.argsort(theta)
     theta = reduce_angle(theta[order])
     osc = osc[order]
-    d2 = d2[order]
 
     # merge refined duplicates closer than 2 pi / (8 grid)
     keep = np.ones(theta.size, dtype=bool)
@@ -239,7 +235,7 @@ def _scan_circle(e: ModulusExpansion, r: float, cfg: TraceConfig) -> CircleScan:
         if i != j and keep[i] and keep[j] and circ_dist(theta[i], theta[j]) < merge_dist:
             drop = i if osc[i] < osc[j] else j
             keep[drop] = False
-    theta, osc, d2 = theta[keep], osc[keep], d2[keep]
+    theta, osc = theta[keep], osc[keep]
 
     spread = float(x_grid.max() - x_grid.min())
     tie_threshold = cfg.tie_tol * spread
@@ -250,7 +246,6 @@ def _scan_circle(e: ModulusExpansion, r: float, cfg: TraceConfig) -> CircleScan:
         thetas=theta,
         osc=osc,
         mod2=base + osc,
-        d2=d2,
         comax=comax,
         spread=spread,
         tie_threshold=tie_threshold,
@@ -276,11 +271,12 @@ def brute_force_mset(p: Polynomial, r: float, grid: int, tie_tol: float = 1e-12)
     """Oracle: dense-scan maximizer angles, no refinement.
 
     Returns the grid angles whose value is within ``tie_tol * spread`` of
-    the grid maximum.
+    the grid maximum.  Evaluates the expansion's cross-term sum, so it stays
+    independent of the Horner path the tracer uses.
     """
     e = expand(p)
     th_grid = -math.pi + TWO_PI * np.arange(grid) / grid
-    x = e.osc(r, th_grid)
+    x = e.osc_terms(r, th_grid)
     spread = x.max() - x.min()
     return th_grid[x >= x.max() - tie_tol * spread]
 
@@ -308,16 +304,6 @@ def ambiguity_radius(h: HaymanForm, tie_tol: float = 1e-12, safety: float = 100.
                     r_amb = max(r_amb, (thresh_coeff / gap) ** (1.0 / (tf.n - h.k)))
         alive = set(tf.retained)
     return r_amb
-
-
-def _n_threads() -> int:
-    raw = os.environ.get("MAXMOD_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _fit_tangent(rs: np.ndarray, thetas: np.ndarray):
@@ -455,12 +441,7 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig(), on_anomaly: str = "wa
     e = expand(p)
     omega = omega_angles(h)
     radii = radius_schedule(cfg)
-    n_threads = _n_threads()
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            scans = list(pool.map(lambda r: _scan_circle(e, float(r), cfg), radii))
-    else:
-        scans = [_scan_circle(e, float(r), cfg) for r in radii]
+    scans = [_scan_circle(e, float(r), cfg) for r in radii]
 
     # -- link maximizer trajectories across radii (descending) ----------
     trajs: dict[int, dict] = {}

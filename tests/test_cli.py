@@ -127,6 +127,23 @@ class TestTraceCommand:
         assert doc["trace"]["inverted"] is True
         assert doc["trace"]["n_components"] == 2
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--poly", "1,0,1,1i", "--rmin", "0.5", "--rmax", "0.3"),
+            ("--poly", "1,0,1,1i", "--grid", "10"),
+            ("--poly", "1,0,1,1i", "--radii", "1"),
+            ("--poly-file", "{file}"),
+        ],
+        ids=["rmin-above-rmax", "grid", "radii", "truncated-json"],
+    )
+    def test_bad_input_exit_2(self, capsys, tmp_path, extra):
+        f = tmp_path / "p.json"
+        f.write_text('{"coeffs": [[1,0],[0,')
+        argv = [a.replace("{file}", str(f)) for a in extra]
+        code, _, err = run(capsys, "trace", *argv)
+        assert code == 2 and err.startswith("error[")
+
     def test_report_round_trip(self, capsys):
         _, out, _ = run(
             capsys, "trace", "--poly", "1,0,1", "--radii", "30", "--rmin", "1e-2", "--json"

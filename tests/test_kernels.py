@@ -1,10 +1,6 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
-import pytest
 
 from maxmod import _kernels
 
@@ -20,7 +16,7 @@ def test_numpy_kernel_matches_fsum():
     rng = np.random.default_rng(3)
     ap, freqs, phas = random_terms(rng, 40)
     thetas = rng.uniform(-math.pi, math.pi, 16)
-    out = _kernels.osc_sum_numpy(ap, freqs, phas, thetas)
+    out = _kernels.osc_sum(ap, freqs, phas, thetas)
     for i, th in enumerate(thetas):
         want = math.fsum(a * math.cos(f * th + p) for a, f, p in zip(ap, freqs, phas))
         assert abs(out[i] - want) <= 8 * np.finfo(float).eps * np.sum(ap)
@@ -33,56 +29,6 @@ def test_compensation_beats_plain_sum():
     freqs = np.zeros(n)
     phas = np.zeros(n)  # cos(0) = 1: exact total known
     thetas = np.array([0.25])
-    out = _kernels.osc_sum_numpy(ap, freqs, phas, thetas)
+    out = _kernels.osc_sum(ap, freqs, phas, thetas)
     want = 1e9 + (n - 1) * 1e-7
     assert out[0] == want
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba backend unavailable")
-def test_backends_agree():
-    rng = np.random.default_rng(11)
-    for n in (1, 3, 40):
-        ap, freqs, phas = random_terms(rng, n)
-        thetas = rng.uniform(-math.pi, math.pi, 257)
-        a = _kernels.osc_sum_numpy(ap, freqs, phas, thetas)
-        b = _kernels.osc_sum_numba(ap, freqs, phas, thetas)
-        assert np.allclose(a, b, rtol=1e-13, atol=1e-15)
-        d1a, d2a = _kernels.d1d2_sum_numpy(ap, freqs, phas, thetas)
-        d1b, d2b = _kernels.d1d2_sum_numba(ap, freqs, phas, thetas)
-        scale = float(np.sum(ap * freqs**2)) + 1.0
-        assert np.allclose(d1a, d1b, atol=1e-13 * scale)
-        assert np.allclose(d2a, d2b, atol=1e-13 * scale)
-
-
-def test_env_flag_selects_numpy():
-    code = (
-        "from maxmod import _kernels; "
-        "assert _kernels.BACKEND == 'numpy', _kernels.BACKEND; "
-        "assert _kernels.osc_sum is _kernels.osc_sum_numpy"
-    )
-    env = dict(os.environ, MAXMOD_BACKEND="numpy")
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
-
-
-def test_env_flag_rejects_garbage():
-    code = "import maxmod._kernels"
-    env = dict(os.environ, MAXMOD_BACKEND="cuda")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
-    assert proc.returncode != 0
-
-
-def test_trace_identical_across_backends():
-    code = (
-        "import json\n"
-        "from maxmod import parse_poly, trace, TraceConfig\n"
-        "res = trace(parse_poly('1,0,1,1i'), TraceConfig(r_min=1e-2, r_max=0.2, n_radii=40))\n"
-        "print(json.dumps([res.n_components, len(res.samples)]))\n"
-    )
-    outs = []
-    for backend in ("numpy", "numba") if _kernels.HAVE_NUMBA else ("numpy",):
-        env = dict(os.environ, MAXMOD_BACKEND=backend)
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        outs.append(proc.stdout)
-    assert len(set(outs)) == 1

@@ -163,3 +163,46 @@ class TestReflectionIdentity:
                 lhs = e.mod2(r, th) - e.mod2(r, math.pi - th)
                 rhs = 4 * r**3 * abs(b) * math.cos(phi) * (math.cos(3 * th) + r * r * math.cos(th))
                 assert abs(lhs - rhs) <= 1e-12
+
+
+@st.composite
+def horner_cases(draw):
+    # moduli within a factor 100 of each other: either evaluation's rounding
+    # error scales with (sum |a_l| r^l)^2, the spread with products of the
+    # moduli, so the ratio of the two stays bounded on the drawn inputs
+    nonzero = st.builds(cmath.rect, st.floats(0.1, 10), st.floats(-math.pi, math.pi))
+    coeff = st.one_of(st.just(0j), nonzero)
+    deg = draw(st.integers(1, 10))
+    cs = [draw(coeff) for _ in range(deg)] + [draw(nonzero)]  # a_0 = 0 allowed
+    return Polynomial(tuple(cs)), draw(st.floats(1e-3, 1.0))
+
+
+def term_d1d2(e, r, th):
+    """Termwise theta-derivatives of the expansion's cross sum."""
+    ap = e.cross_amps * r**e.cross_pows
+    arg = np.outer(e.cross_freqs, th) + e.cross_phas[:, None]
+    d1 = -np.sum((ap * e.cross_freqs)[:, None] * np.sin(arg), axis=0)
+    d2 = -np.sum((ap * e.cross_freqs**2)[:, None] * np.cos(arg), axis=0)
+    return d1, d2
+
+
+class TestHorner:
+    @settings(max_examples=300, deadline=None)
+    @given(horner_cases())
+    def test_horner_matches_expansion_and_oracle(self, case):
+        p, r = case
+        e = expand(p)
+        th = np.linspace(-math.pi, math.pi, 256, endpoint=False) + 0.01
+        terms = e.osc_terms(r, th)
+        spread = float(terms.max() - terms.min())
+        assert np.max(np.abs(e.osc(r, th) - terms)) <= 1e-13 * spread
+
+        d1, d2 = e.d1d2(r, th)
+        t1, t2 = term_d1d2(e, r, th)
+        assert np.max(np.abs(d1 - t1)) <= 1e-13 * e.d1_bound(r)
+        assert np.max(np.abs(d2 - t2)) <= 1e-13 * e.d2_bound(r)
+
+        mass2 = sum(abs(c) * r**l for l, c in enumerate(p.coeffs)) ** 2
+        for t in th[::17]:
+            got = e.base(r) + e.osc(r, float(t))
+            assert abs(got - direct_mod2(p, r, float(t))) <= 1e-13 * mass2

@@ -186,8 +186,7 @@ class TestTrace:
         res2 = trace(p, TraceConfig(r_min=3 * amb, r_max=0.3, n_radii=60))
         assert res2.n_components == 1 and not res2.events
 
-    def test_trace_mu_two_with_threads(self, monkeypatch):
-        monkeypatch.setenv("MAXMOD_THREADS", "4")
+    def test_trace_mu_two(self):
         res = trace(parse_poly("1,0,0,0,1,0,1"), TraceConfig(r_min=1e-2, r_max=0.3, n_radii=40))
         assert res.n_components == 2
 
