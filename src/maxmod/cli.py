@@ -50,6 +50,8 @@ def _load_poly(args) -> Polynomial:
                 data = json.load(fh)
             except json.JSONDecodeError as ex:
                 raise PolyParseError(args.poly_file, ex.pos, f"invalid JSON: {ex.msg}") from ex
+            except ValueError as ex:  # not UTF-8, or an integer too long to convert
+                raise PolyParseError(args.poly_file, 0, str(ex)) from ex
         p = poly_from_json(data)
     else:
         raise PolyParseError("<missing>", 0, "provide --poly or --poly-file")

@@ -8,6 +8,7 @@ the canonical form ``1 + a z^k + higher order terms``.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -167,14 +168,19 @@ def parse_coeff(token: str, position: int = 0) -> complex:
     if m.group("i"):
         if m.group("s2") is None and m.group("n2") is None:
             # the leading part is the imaginary magnitude: "1i", "-i", "i"
-            return complex(0.0, _signed(m.group("s1"), m.group("n1") or "1"))
-        if m.group("n1") is None:
+            z = complex(0.0, _signed(m.group("s1"), m.group("n1") or "1"))
+        elif m.group("n1") is None:
             raise PolyParseError(token, position, "imaginary part follows an empty real part")
-        real = _signed(m.group("s1"), m.group("n1"))
-        return complex(real, _signed(m.group("s2"), m.group("n2") or "1"))
-    if m.group("n1") is None:
+        else:
+            real = _signed(m.group("s1"), m.group("n1"))
+            z = complex(real, _signed(m.group("s2"), m.group("n2") or "1"))
+    elif m.group("n1") is None:
         raise PolyParseError(token, position)
-    return complex(_signed(m.group("s1"), m.group("n1")), 0.0)
+    else:
+        z = complex(_signed(m.group("s1"), m.group("n1")), 0.0)
+    if not cmath.isfinite(z):
+        raise PolyParseError(token, position, "coefficient is not finite")
+    return z
 
 
 def parse_poly(text: str) -> Polynomial:
@@ -189,11 +195,20 @@ def poly_from_json(data) -> Polynomial:
     """
     if not isinstance(data, dict) or "coeffs" not in data:
         raise PolyParseError(repr(data), 0, 'expected an object with a "coeffs" array')
+    if not isinstance(data["coeffs"], (list, tuple)):
+        raise PolyParseError(repr(data["coeffs"]), 0, '"coeffs" must be an array')
     coeffs = []
     for i, pair in enumerate(data["coeffs"]):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise PolyParseError(repr(pair), i, "expected a [re, im] pair")
-        coeffs.append(complex(float(pair[0]), float(pair[1])))
+        try:
+            z = complex(float(pair[0]), float(pair[1]))
+            finite = cmath.isfinite(z)
+        except (TypeError, ValueError, OverflowError):
+            finite = False
+        if not finite:
+            raise PolyParseError(repr(pair), i, "expected a [re, im] pair of finite numbers")
+        coeffs.append(z)
     return Polynomial(tuple(coeffs), truncated=bool(data.get("truncated", False)))
 
 

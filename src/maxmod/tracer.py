@@ -6,6 +6,11 @@ by Newton refinement (bisection-guarded) on the exact theta-derivative.
 Per-radius maximizer sets are linked into curves, counted, fitted for
 tangent direction and exponent, and checked for rotational symmetry.
 
+The tangent fit rests on the implicit function theorem: for
+``p = 1 + a z^k + ...`` the function ``r^-k d/dtheta |p|^2`` is
+``-2k|a| sin(k theta + arg a) + O(r)``, whose zeros omega_j are simple, so
+each maximizer branch is a power series ``theta(r) = omega_j + c_1 r + ...``.
+
 All angular comparisons are made on the theta-dependent part of ``|p|^2``
 (method ``osc`` of the expansion): the theta-free diagonal never influences
 an argmax, and dropping it keeps co-maximality decisions accurate at the
@@ -15,7 +20,6 @@ an argmax, and dropping it keeps co-maximality decisions accurate at the
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,6 +37,7 @@ from .poly import HaymanForm, MonomialVerdict, Polynomial, inner_degree, normali
 from .util import TWO_PI, circ_dist, reduce_angle
 
 EPS = float(np.finfo(float).eps)
+FIT_DEGREE = 6  # degree of the polynomial theta(r) fitted by _fit_tangent
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,6 @@ class TangentFit:
     omega_hat: float
     alpha_hat: float | None  # None when the curve sits exactly on its ray
     on_ray: bool
-    resid: float
     matched_j: int
     matched_omega: float
     omega_error: float
@@ -307,18 +311,19 @@ def ambiguity_radius(h: HaymanForm, tie_tol: float = 1e-12, safety: float = 100.
 
 
 def _fit_tangent(rs: np.ndarray, thetas: np.ndarray):
-    """Fit theta(r) ~ omega + C r^alpha over the smallest decade of radii.
+    """Fit theta(r) over the smallest decade of radii.
 
-    Returns (omega_hat, alpha_hat | None, on_ray, resid).  Candidate omegas
-    are scored by the theta-space SSE of the log-log linear fit of
-    log|theta - omega| against log r (scoring in log space is degenerate:
-    omega far from the data makes the log nearly constant).  Direct
-    power-law fits with polynomial correction factors refine the answer;
-    the lowest theta-space SSE wins and alpha is re-read from the log-log
-    slope at the winning omega.
+    ``r^-k d/dtheta |p|^2 = -2k|a| sin(k theta + arg a) + O(r)`` has simple
+    zeros omega_j, so by the implicit function theorem every maximizer
+    branch is real-analytic in r: ``theta = omega_j + c_1 r + c_2 r^2 + ...``.
+    One linear least-squares fit of a polynomial of degree ``FIT_DEGREE`` in
+    r therefore gives omega_hat as its intercept.  alpha_hat is the log-log
+    slope of ``|theta - omega_hat|`` against r; where ``theta - omega_hat``
+    changes sign inside the window it is the dominant power
+    ``argmax_n |c_n| r_max^n``.
+
+    Returns (omega_hat, alpha_hat | None, on_ray).
     """
-    from scipy.optimize import curve_fit, minimize_scalar
-
     order = np.argsort(rs)
     rs = np.asarray(rs, dtype=float)[order]
     th = np.unwrap(np.asarray(thetas, dtype=float)[order])
@@ -329,93 +334,18 @@ def _fit_tangent(rs: np.ndarray, thetas: np.ndarray):
     r_w = rs[window]
     t_w = th[window]
 
-    span = float(t_w.max() - t_w.min())
-    if span < 1e-12:
-        return float(reduce_angle(np.mean(t_w))), None, True, span
+    if t_w.max() - t_w.min() < 1e-12:
+        return float(reduce_angle(np.mean(t_w))), None, True
 
-    log_r = np.log(r_w)
-    t_end = t_w[0]  # smallest radius
-    t_start = t_w[-1]
-    travel = t_end - t_start  # signed motion as r decreases
-
-    def loglog_alpha(omega: float) -> float | None:
-        ee = t_w - omega
-        if not (np.all(ee > 0) or np.all(ee < 0)):
-            return None
-        coef = np.polyfit(log_r, np.log(np.abs(ee)), 1)
-        return float(coef[0])
-
-    def sse_theta(omega: float) -> float:
-        ee = t_w - omega
-        if not (np.all(ee > 0) or np.all(ee < 0)):
-            return 1e300
-        y = np.log(np.abs(ee))
-        coef = np.polyfit(log_r, y, 1)
-        pred = omega + math.copysign(1.0, ee[0]) * np.exp(np.polyval(coef, log_r))
-        return float(np.sum((t_w - pred) ** 2))
-
-    # seed: best pure power law, omega searched between the last sample and
-    # the extrapolated limit of the motion
-    seed = t_end + 1e-3 * (travel if travel else span)
-    best_seed_sse = sse_theta(seed)
-    if travel != 0.0:
-        res = minimize_scalar(
-            sse_theta,
-            bounds=tuple(sorted((t_end + 1e-9 * travel, t_end + 3.0 * travel))),
-            method="bounded",
-            options={"xatol": 1e-15},
-        )
-        if res.fun < best_seed_sse:
-            seed, best_seed_sse = float(res.x), float(res.fun)
-
-    omega0 = seed
-    alpha0 = loglog_alpha(omega0) or 1.0
-    al0 = max(0.1, min(alpha0, 12.0))
-    c0 = (t_end - omega0) / r_w[0] ** al0
-
-    def model3(r, w, c, al):
-        return w + c * r**al
-
-    def model4(r, w, c, al, d):
-        return w + c * r**al * (1.0 + d * r)
-
-    def model5(r, w, c, al, d, e2):
-        return w + c * r**al * (1.0 + d * r + e2 * r * r)
-
-    def model6(r, w, c, al, d, e2, f3):
-        return w + c * r**al * (1.0 + d * r + e2 * r * r + f3 * r * r * r)
-
-    # each candidate scored by its own model's prediction error; the data is
-    # essentially noise-free, so richer models win until machine precision.
-    # alpha is bounded away from 0 where r^alpha degenerates to an affine
-    # function of log r and the fit loses all sensitivity to omega.
-    scored: list[tuple[float, float, float]] = [(best_seed_sse, omega0, alpha0)]
-    big = np.inf
-    for model, p0, n_extra in (
-        (model3, (omega0, c0, al0), 0),
-        (model4, (omega0, c0, al0, 0.0), 1),
-        (model5, (omega0, c0, al0, 0.0, 0.0), 2),
-        (model6, (omega0, c0, al0, 0.0, 0.0, 0.0), 3),
-    ):
-        lo_b = [-big, -big, 0.05] + [-big] * n_extra
-        hi_b = [big, big, 14.0] + [big] * n_extra
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                popt, _ = curve_fit(
-                    model, r_w, t_w, p0=p0, bounds=(lo_b, hi_b),
-                    maxfev=20000, ftol=1e-15, xtol=1e-15, gtol=1e-15,
-                )
-        except Exception:
-            continue
-        sse = float(np.sum((model(r_w, *popt) - t_w) ** 2))
-        scored.append((sse, float(popt[0]), float(popt[2])))
-
-    resid, omega_hat, alpha_model = min(scored)
-    alpha_hat = loglog_alpha(omega_hat)
-    if alpha_hat is None:
-        alpha_hat = alpha_model
-    return float(reduce_angle(omega_hat)), float(alpha_hat), False, resid
+    coef = np.polyfit(r_w, t_w, FIT_DEGREE)[::-1]  # c_0, c_1, ..., c_6
+    omega_hat = float(coef[0])
+    ee = t_w - omega_hat
+    if np.all(ee > 0) or np.all(ee < 0):
+        alpha_hat = float(np.polyfit(np.log(r_w), np.log(np.abs(ee)), 1)[0])
+    else:
+        n = np.arange(1, FIT_DEGREE + 1)
+        alpha_hat = float(n[np.argmax(np.abs(coef[1:]) * r_w[-1] ** n)])
+    return float(reduce_angle(omega_hat)), alpha_hat, False
 
 
 def trace(p: Polynomial, cfg: TraceConfig = TraceConfig(), on_anomaly: str = "warn") -> TraceResult:
@@ -562,7 +492,7 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig(), on_anomaly: str = "wa
             continue
         rs = np.array([s.r for s in samples])
         ths = np.array([s.theta for s in samples])
-        omega_hat, alpha_hat, on_ray, resid = _fit_tangent(rs, ths)
+        omega_hat, alpha_hat, on_ray = _fit_tangent(rs, ths)
         devs = circ_dist(omega_hat, omega)
         j = int(np.argmin(devs))
         tangents.append(
@@ -571,7 +501,6 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig(), on_anomaly: str = "wa
                 omega_hat=omega_hat,
                 alpha_hat=alpha_hat,
                 on_ray=on_ray,
-                resid=resid,
                 matched_j=j,
                 matched_omega=float(omega[j]),
                 omega_error=float(devs[j]),

@@ -236,7 +236,7 @@ def test_criterion_07_tangency():
                 continue
             n_curves += 1
             assert t.on_ray or t.alpha_hat >= 0.45, (t.curve_id, t.alpha_hat)
-            assert t.omega_error <= 1e-6, (t.curve_id, t.omega_error)
+            assert t.omega_error <= 1e-9, (t.curve_id, t.omega_error)
             worst_omega = max(worst_omega, t.omega_error)
     assert n_curves >= 52
     report(7, f"{n_curves} curves: alpha >= 0.45, worst |omega_hat - omega_j| {worst_omega:.1e}")

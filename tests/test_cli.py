@@ -128,20 +128,45 @@ class TestTraceCommand:
         assert doc["trace"]["n_components"] == 2
 
     @pytest.mark.parametrize(
-        "extra",
+        "argv,content",
         [
-            ("--poly", "1,0,1,1i", "--rmin", "0.5", "--rmax", "0.3"),
-            ("--poly", "1,0,1,1i", "--grid", "10"),
-            ("--poly", "1,0,1,1i", "--radii", "1"),
-            ("--poly-file", "{file}"),
+            (("trace", "--poly", "1,0,1,1i", "--rmin", "0.5", "--rmax", "0.3"), None),
+            (("trace", "--poly", "1,0,1,1i", "--grid", "10"), None),
+            (("trace", "--poly", "1,0,1,1i", "--radii", "1"), None),
+            (("trace", "--poly-file", "{file}"), b'{"coeffs": [[1,0],[0,'),
+            (("trace", "--poly-file", "{file}"), b'{"coeffs": 5}'),
+            (("trace", "--poly-file", "{file}"), b'{"coeffs": [["a",1],[1,0]]}'),
+            (("trace", "--poly-file", "{file}"), b'{"coeffs": [[null,0],[1,0]]}'),
+            (("trace", "--poly-file", "{file}"), b'{"coeffs": [[{"a":1},0]]}'),
+            (("trace", "--poly-file", "{file}"), b"\xff\xfe\x00"),
+            (("trace", "--poly-file", "{file}"), b'{"coeffs": [[1,0],[1' + b"0" * 400 + b',0]]}'),
+            (("trace", "--poly-file", "{file}"), b'{"coeffs": [[1,0],[1' + b"0" * 5000 + b',0]]}'),
+            (("classify", "--poly", "1,1e999"), None),
+            (("classify", "--poly-file", "{file}"), b'{"coeffs": [[1,0],[NaN,0]]}'),
+            (("classify", "--poly-file", "{file}"), b'{"coeffs": [[1e999,0],[1,0]]}'),
         ],
-        ids=["rmin-above-rmax", "grid", "radii", "truncated-json"],
+        ids=[
+            "rmin-above-rmax",
+            "grid",
+            "radii",
+            "truncated-json",
+            "coeffs-not-array",
+            "coeff-string",
+            "coeff-null",
+            "coeff-object",
+            "not-utf8",
+            "coeff-int-overflow",
+            "coeff-int-too-long",
+            "poly-inf",
+            "json-nan",
+            "json-inf",
+        ],
     )
-    def test_bad_input_exit_2(self, capsys, tmp_path, extra):
+    def test_bad_input_exit_2(self, capsys, tmp_path, argv, content):
         f = tmp_path / "p.json"
-        f.write_text('{"coeffs": [[1,0],[0,')
-        argv = [a.replace("{file}", str(f)) for a in extra]
-        code, _, err = run(capsys, "trace", *argv)
+        if content is not None:
+            f.write_bytes(content)
+        code, _, err = run(capsys, *(a.replace("{file}", str(f)) for a in argv))
         assert code == 2 and err.startswith("error[")
 
     def test_report_round_trip(self, capsys):

@@ -1,8 +1,14 @@
+import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import maxmod
 from maxmod import (
     CurveBirthDeathError,
     FloorViolationError,
@@ -22,7 +28,7 @@ from maxmod import (
     trace_at_infinity,
     write_csv,
 )
-from maxmod.tracer import radius_schedule
+from maxmod.tracer import _fit_tangent, radius_schedule
 from maxmod.util import circ_dist
 
 CFG = TraceConfig()
@@ -195,6 +201,73 @@ class TestTrace:
         eps = np.finfo(float).eps
         want = math.sqrt(1e6 * eps * 9.0 / 2.0)
         assert floor_radius(h) == pytest.approx(want, rel=1e-12)
+
+
+def theory_alpha(text: str, omega_j: float) -> int | None:
+    """Approach exponent n* - k, where n* is the first tail exponent whose
+    term moves the curve off its ray: sin(n omega_j + arg b_n) != 0."""
+    h = normalize(parse_poly(text))
+    for n, b in enumerate(h.tail.coeffs):
+        if n > h.k and b != 0 and abs(math.sin(n * omega_j + cmath.phase(b))) > 1e-9:
+            return n - h.k
+    return None
+
+
+class TestFitTangent:
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
+    def test_known_curves(self, alpha):
+        rs = np.geomspace(0.3, 1e-3, 200)
+        rng = np.random.default_rng(alpha)
+        for _ in range(10):
+            omega = rng.uniform(-math.pi, math.pi)
+            c = rng.uniform(0.5, 2.0, 4) * rng.choice([-1.0, 1.0], 4)
+            thetas = omega + sum(cn * rs ** (alpha + i) for i, cn in enumerate(c))
+            omega_hat, alpha_hat, on_ray = _fit_tangent(rs, thetas)
+            assert not on_ray
+            assert circ_dist(omega_hat, omega) <= 1e-9
+            assert abs(alpha_hat - alpha) <= 0.05
+
+    def test_constant_is_on_ray(self):
+        rs = np.geomspace(0.3, 1e-3, 200)
+        omega_hat, alpha_hat, on_ray = _fit_tangent(rs, np.full(rs.size, 0.7))
+        assert on_ray and alpha_hat is None
+        assert omega_hat == pytest.approx(0.7, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "text,alpha",
+        [
+            ("1,0,1,1i", 1),
+            ("1,1i,0.3,0,0,1", 4),
+            ("1,0,1,0,0,1i", 3),
+            ("1,0,0,1,0,0,0,1i", 4),
+            ("1,1,0,0,1i", 3),
+        ],
+    )
+    def test_traced_alpha_matches_theory(self, text, alpha):
+        h = normalize(parse_poly(text))
+        r_min = max(1e-3, 1.5 * floor_radius(h), 3.0 * ambiguity_radius(h))
+        res = trace(parse_poly(text), TraceConfig(r_min=r_min, r_max=0.3, n_radii=200))
+        fits = [t for t in res.tangents if t.curve_id in res.component_ids]
+        assert fits
+        for t in fits:
+            assert theory_alpha(text, t.matched_omega) == alpha
+            assert abs(t.alpha_hat - alpha) <= 0.05, (t.curve_id, t.alpha_hat)
+
+    def test_trace_imports_only_numpy(self):
+        # the tangent fit is one numpy least-squares solve: a trace in a fresh
+        # interpreter loads no third-party package besides numpy
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "from maxmod import TraceConfig, parse_poly, trace\n"
+            "trace(parse_poly('1,0,1,1i'), TraceConfig(n_radii=20))\n"
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "extra = new - set(sys.stdlib_module_names) - {'maxmod', 'numpy'}\n"
+            "assert not extra, sorted(extra)\n"
+        )
+        src = str(Path(maxmod.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 class TestAtInfinity:
