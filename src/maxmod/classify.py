@@ -193,16 +193,17 @@ def predict_J(h: HaymanForm) -> PredictedJ:
         if n <= k:
             continue
         b = h.tail.coeffs[n]
-        two_abs_b = 2.0 * abs(b)
         arg_b = cmath.phase(b)
-        t = {j: two_abs_b * math.cos(n * omega[j] + arg_b) for j in j_set}
-        t_max = max(t.values())
-        retained = [j for j in j_set if t[j] >= t_max - EPS_T * two_abs_b]
+        # compare cosines: the positive factor 2|b| may overflow to inf
+        cos = [math.cos(n * omega[j] + arg_b) for j in j_set]
+        cos_max = max(cos)
+        retained = [j for j, c in zip(j_set, cos) if c >= cos_max - EPS_T]
+        two_abs_b = 2.0 * abs(b)
         history.append(
             TermFilter(
                 n=n,
                 coeff=b,
-                t_values=tuple(sorted(t.items())),
+                t_values=tuple((j, two_abs_b * c) for j, c in zip(j_set, cos)),
                 retained=tuple(retained),
             )
         )

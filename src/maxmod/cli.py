@@ -42,9 +42,9 @@ DISCREPANT = "DISCREPANT"
 
 
 def _load_poly(args) -> Polynomial:
-    if getattr(args, "poly", None):
+    if args.poly:
         p = parse_poly(args.poly)
-    elif getattr(args, "poly_file", None):
+    elif args.poly_file:
         with open(args.poly_file, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
@@ -55,7 +55,7 @@ def _load_poly(args) -> Polynomial:
         p = poly_from_json(data)
     else:
         raise PolyParseError("<missing>", 0, "provide --poly or --poly-file")
-    if getattr(args, "truncated", False):
+    if args.truncated:
         p = Polynomial(p.coeffs, truncated=True)
     return p
 
@@ -299,11 +299,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_tr.set_defaults(func=cmd_trace)
 
-    p_h = sub.add_parser("hunt", parents=[common], help="batch exploration of the doubling conjecture")
+    p_h = sub.add_parser("hunt", help="batch exploration of the doubling conjecture")
     p_h.add_argument("--family", choices=("cubic", "quartic"), required=True)
     p_h.add_argument("--samples", type=int, default=100)
     p_h.add_argument("--seed", type=int, default=0)
     p_h.add_argument("--out", required=True, help="findings file (one JSON object per line)")
+    p_h.add_argument("--quiet", action="store_true", help="suppress the summary line")
     p_h.set_defaults(func=cmd_hunt)
     return parser
 

@@ -50,16 +50,6 @@ class RefinementFailureError(MaxmodError):
         super().__init__(f"maximizer refinement failed at r={r!r}, seed theta={theta_seed!r}")
 
 
-class CurveBirthDeathError(MaxmodError):
-    code = "CurveBirthDeath"
-
-    def __init__(self, kind: str, r: float, curve_id: int):
-        self.kind = kind
-        self.r = r
-        self.curve_id = curve_id
-        super().__init__(f"curve {curve_id} {kind} mid-schedule at r={r!r}")
-
-
 class FloorViolationError(MaxmodError):
     code = "FloorViolation"
 

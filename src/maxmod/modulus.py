@@ -7,9 +7,10 @@ finite trigonometric sum
                      + sum_{j<l} 2|a_j||a_l| r^{j+l} cos((l-j) t + arg a_l - arg a_j).
 
 The diagonal part is independent of theta; the cross part carries all the
-angular structure.  This term sum is the paper's formula: :meth:`mod2`
-evaluates it (terms in ascending power of r, compensated summation) and
-:meth:`osc_terms` is the oracle for the fast path.
+angular structure.  This term sum is the paper's formula: :meth:`osc_terms`
+evaluates the cross part (terms in ascending power of r, compensated
+summation) and is the oracle for the fast path; :meth:`mod2` is
+:meth:`base` plus :meth:`osc_terms`.
 
 The tracer's hot evaluations, :meth:`osc` and :meth:`d1d2`, use the factored
 form ``p = a_m z^m (1 + q)`` with ``q = sum_{j>=1} c_j z^j`` instead: one
@@ -44,10 +45,6 @@ class ModulusExpansion:
     cross_amps: np.ndarray  # 2|a_j||a_l|
     cross_freqs: np.ndarray  # l-j
     cross_phas: np.ndarray  # arg a_l - arg a_j
-    all_pows: np.ndarray  # diagonal and cross merged, ascending power
-    all_amps: np.ndarray
-    all_freqs: np.ndarray  # 0 for diagonal terms
-    all_phas: np.ndarray
     m: int  # lowest exponent with a nonzero coefficient
     lead_abs2: float  # |a_m|^2
     q_rows: np.ndarray  # row j-1: c_j, j c_j, j^2 c_j for c_j = a_{m+j} / a_m
@@ -69,17 +66,9 @@ class ModulusExpansion:
 
     # -- evaluation -----------------------------------------------------
 
-    def _eval(self, pows, amps, freqs, phas, r: float, theta):
-        th = np.atleast_1d(np.asarray(reduce_angle(theta), dtype=float))
-        ap = amps * r ** pows
-        out = _kernels.osc_sum(ap, freqs, phas, th)
-        if np.ndim(theta) == 0:
-            return float(out[0])
-        return out
-
     def mod2(self, r: float, theta):
         """``|p(r e^{i theta})|^2``; theta may be a scalar or an array."""
-        return self._eval(self.all_pows, self.all_amps, self.all_freqs, self.all_phas, r, theta)
+        return self.base(r) + self.osc_terms(r, theta)
 
     def base(self, r: float) -> float:
         """Theta-independent diagonal part of :meth:`mod2`."""
@@ -95,7 +84,12 @@ class ModulusExpansion:
 
     def osc_terms(self, r: float, theta):
         """:meth:`osc` as the paper's cross-term sum; the oracle, O(deg^2)."""
-        return self._eval(self.cross_pows, self.cross_amps, self.cross_freqs, self.cross_phas, r, theta)
+        th = np.atleast_1d(np.asarray(reduce_angle(theta), dtype=float))
+        ap = self.cross_amps * r**self.cross_pows
+        out = _kernels.osc_sum(ap, self.cross_freqs, self.cross_phas, th)
+        if np.ndim(theta) == 0:
+            return float(out[0])
+        return out
 
     def d1d2(self, r: float, theta):
         """First and second theta-derivative arrays of :meth:`mod2` (Horner)."""
@@ -155,24 +149,7 @@ def expand(p: Polynomial) -> ModulusExpansion:
     cross_freqs = cross_freqs[order]
     cross_phas = cross_phas[order]
 
-    all_pows = np.concatenate([diag_pows, cross_pows])
-    all_amps = np.concatenate([diag_amps, cross_amps])
-    all_freqs = np.concatenate([np.zeros_like(diag_pows), cross_freqs])
-    all_phas = np.concatenate([np.zeros_like(diag_pows), cross_phas])
-    order = np.lexsort((all_freqs, all_pows))
-
-    arrays = (
-        diag_pows,
-        diag_amps,
-        cross_pows,
-        cross_amps,
-        cross_freqs,
-        cross_phas,
-        all_pows[order],
-        all_amps[order],
-        all_freqs[order],
-        all_phas[order],
-    )
+    arrays = (diag_pows, diag_amps, cross_pows, cross_amps, cross_freqs, cross_phas)
     m = int(exps[0])
     c = np.asarray(p.coeffs[m + 1 :] or (0j,), dtype=complex) / cs[0]  # a monomial has q = 0
     j = np.arange(1.0, c.size + 1)

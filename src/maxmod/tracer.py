@@ -26,7 +26,6 @@ import numpy as np
 
 from .classify import omega_angles, predict_J
 from .errors import (
-    CurveBirthDeathError,
     FloorViolationError,
     MonomialAllPlaneError,
     RefinementFailureError,
@@ -38,38 +37,36 @@ from .util import TWO_PI, circ_dist, reduce_angle
 
 EPS = float(np.finfo(float).eps)
 FIT_DEGREE = 6  # degree of the polynomial theta(r) fitted by _fit_tangent
+# Co-maximality: a maximizer ties with the best one when its value lies within
+# TIE_TOL times the per-circle spread (max - min) of the squared modulus.
+TIE_TOL = 1e-12
+# Newton stops when |d/dtheta| is below NEWTON_TOL times an upper bound for
+# the theta-derivative on the circle, or after NEWTON_MAX_ITER steps.
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 60
+# Linking across consecutive radii accepts LINK_TOL times the per-step drift
+# estimate, floored at one grid step.
+LINK_TOL = 3.0
+# Grid doubling, which separates close seeds, stops at MAX_GRID points.
+MAX_GRID = 1 << 16
 
 
 @dataclass(frozen=True)
 class TraceConfig:
-    """Radius schedule, grid resolution and tolerances for a trace run.
-
-    ``tie_tol`` is relative to the per-circle spread (max - min) of the
-    squared modulus; ``newton_tol`` is relative to an upper bound for the
-    theta-derivative on the circle; ``link_tol`` multiplies the per-step
-    drift estimate (floored at one grid step) when linking curves across
-    consecutive radii.
-    """
+    """Radius schedule and starting grid resolution for a trace run."""
 
     r_min: float = 1e-3
     r_max: float = 0.3
     n_radii: int = 200
     grid: int = 4096
-    tie_tol: float = 1e-12
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 60
-    link_tol: float = 3.0
-    max_grid: int = 1 << 16
 
     def __post_init__(self):
         if not (0 < self.r_min < self.r_max):
             raise ValueError("need 0 < r_min < r_max")
         if self.n_radii < 2:
             raise ValueError("need n_radii >= 2")
-        if self.grid < 64:
-            raise ValueError("need grid >= 64")
-        if min(self.tie_tol, self.newton_tol) <= 0 or self.link_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (64 <= self.grid <= MAX_GRID):
+            raise ValueError(f"need 64 <= grid <= {MAX_GRID}")
 
 
 @dataclass(frozen=True)
@@ -161,13 +158,13 @@ def _grid_local_maxima(x: np.ndarray) -> np.ndarray:
     return np.flatnonzero((x >= left) & (x >= right) & ((x > left) | (x > right)))
 
 
-def _refine_maxima(e: ModulusExpansion, r: float, seeds: np.ndarray, step: float, cfg: TraceConfig):
+def _refine_maxima(e: ModulusExpansion, r: float, seeds: np.ndarray, step: float):
     """Hybrid Newton/bisection on d/dtheta of the cross sum, vectorized.
 
     Brackets are the grid neighbors of each seed; the derivative must be
     nonnegative at the left edge and nonpositive at the right edge.
     """
-    tol = cfg.newton_tol * max(e.d1_bound(r), 1e-300)
+    tol = NEWTON_TOL * max(e.d1_bound(r), 1e-300)
     lo = seeds - step
     hi = seeds + step
     for _ in range(3):
@@ -185,7 +182,7 @@ def _refine_maxima(e: ModulusExpansion, r: float, seeds: np.ndarray, step: float
 
     x = seeds.astype(float).copy()
     conv = np.zeros(x.shape, dtype=bool)
-    for _ in range(cfg.newton_max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         f, d2 = e.d1d2(r, x)
         lo = np.where(~conv & (f > 0), x, lo)
         hi = np.where(~conv & (f <= 0), x, hi)
@@ -209,7 +206,7 @@ def _scan_circle(e: ModulusExpansion, r: float, cfg: TraceConfig) -> CircleScan:
         seeds = _grid_local_maxima(x_grid)
         if seeds.size == 0:  # flat circle; cannot happen for >= 2 terms
             raise RefinementFailureError(r, 0.0)
-        if grid < cfg.max_grid and seeds.size > 1:
+        if grid < MAX_GRID and seeds.size > 1:
             gaps = np.diff(np.concatenate([seeds, [seeds[0] + grid]]))
             if gaps.min() <= 3:
                 grid *= 2
@@ -217,12 +214,12 @@ def _scan_circle(e: ModulusExpansion, r: float, cfg: TraceConfig) -> CircleScan:
         break
     step = TWO_PI / grid
 
-    theta = _refine_maxima(e, r, th_grid[seeds], step, cfg)
+    theta = _refine_maxima(e, r, th_grid[seeds], step)
     osc = e.osc(r, theta)
     _, d2 = e.d1d2(r, theta)
 
     # guard: a refined point must be a (weak) maximum
-    d2_tol = cfg.newton_tol * max(e.d2_bound(r), 1e-300)
+    d2_tol = NEWTON_TOL * max(e.d2_bound(r), 1e-300)
     if (d2 > d2_tol).any():
         bad = int(np.argmax(d2))
         raise RefinementFailureError(r, float(theta[bad]))
@@ -242,7 +239,7 @@ def _scan_circle(e: ModulusExpansion, r: float, cfg: TraceConfig) -> CircleScan:
     theta, osc = theta[keep], osc[keep]
 
     spread = float(x_grid.max() - x_grid.min())
-    tie_threshold = cfg.tie_tol * spread
+    tie_threshold = TIE_TOL * spread
     comax = osc >= osc.max() - tie_threshold
     base = e.base(r)
     return CircleScan(
@@ -261,7 +258,7 @@ def circle_argmax(e: ModulusExpansion, r: float, cfg: TraceConfig) -> list[tuple
     """Newton-refined global maximizers of ``|p|^2`` on the circle |z| = r.
 
     Returns ``(theta, mod2)`` pairs for every maximizer whose value lies
-    within ``tie_tol * (max - min)`` of the refined global maximum.
+    within ``TIE_TOL * (max - min)`` of the refined global maximum.
     """
     scan = _scan_circle(e, r, cfg)
     return [
@@ -271,10 +268,10 @@ def circle_argmax(e: ModulusExpansion, r: float, cfg: TraceConfig) -> list[tuple
     ]
 
 
-def brute_force_mset(p: Polynomial, r: float, grid: int, tie_tol: float = 1e-12) -> np.ndarray:
+def brute_force_mset(p: Polynomial, r: float, grid: int) -> np.ndarray:
     """Oracle: dense-scan maximizer angles, no refinement.
 
-    Returns the grid angles whose value is within ``tie_tol * spread`` of
+    Returns the grid angles whose value is within ``TIE_TOL * spread`` of
     the grid maximum.  Evaluates the expansion's cross-term sum, so it stays
     independent of the Horner path the tracer uses.
     """
@@ -282,19 +279,20 @@ def brute_force_mset(p: Polynomial, r: float, grid: int, tie_tol: float = 1e-12)
     th_grid = -math.pi + TWO_PI * np.arange(grid) / grid
     x = e.osc_terms(r, th_grid)
     spread = x.max() - x.min()
-    return th_grid[x >= x.max() - tie_tol * spread]
+    return th_grid[x >= x.max() - TIE_TOL * spread]
 
 
-def ambiguity_radius(h: HaymanForm, tie_tol: float = 1e-12, safety: float = 100.0) -> float:
+def ambiguity_radius(h: HaymanForm) -> float:
     """Radius below which excluded candidates fall inside the tie tolerance.
 
     The deficit of a candidate excluded by the term ``b z^n`` scales like
-    ``gap * r^n`` while the tie threshold scales like ``tie_tol * 4|a| r^k``;
-    counting components below the crossover would see phantom curves.
-    Returns 0.0 when no candidate is ever excluded.
+    ``gap * r^n`` while the tie threshold scales like ``TIE_TOL * 4|a| r^k``;
+    counting components below the crossover would see phantom curves.  The
+    threshold carries a safety factor of 100.  Returns 0.0 when no candidate
+    is ever excluded.
     """
     pj = predict_J(h)
-    thresh_coeff = safety * tie_tol * 4.0 * abs(h.a)
+    thresh_coeff = 100.0 * TIE_TOL * 4.0 * abs(h.a)
     r_amb = 0.0
     alive: set[int] = set(range(h.k))
     for tf in pj.t_history:
@@ -348,17 +346,14 @@ def _fit_tangent(rs: np.ndarray, thetas: np.ndarray):
     return float(reduce_angle(omega_hat)), alpha_hat, False
 
 
-def trace(p: Polynomial, cfg: TraceConfig = TraceConfig(), on_anomaly: str = "warn") -> TraceResult:
+def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
     """Trace the maximum modulus set of ``p`` over the radius schedule.
 
     Runs :func:`circle_argmax` at every radius (largest first), links
     co-maximal points into curves by nearest angle, and reports component
-    count, tangent fits, rotational symmetry and birth/death events.
-    ``on_anomaly="raise"`` escalates mid-schedule curve births and
-    non-monotone deaths to :class:`CurveBirthDeathError`.
+    count, tangent fits, rotational symmetry and birth/death events; a
+    mid-schedule birth or a non-monotone death is marked not legitimate.
     """
-    if on_anomaly not in ("warn", "raise"):
-        raise ValueError("on_anomaly must be 'warn' or 'raise'")
     if p.truncated:
         raise TruncatedSeriesError("tracing needs the full polynomial, not a truncation")
     h = normalize(p)
@@ -407,7 +402,7 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig(), on_anomaly: str = "wa
             dev = float(np.min(circ_dist(trajs[t]["theta"], omega)))
             thr = min(
                 gap_cap,
-                max(cfg.link_tol * max(abs(trajs[t]["drift"]), step), 1.2 * dev),
+                max(LINK_TOL * max(abs(trajs[t]["drift"]), step), 1.2 * dev),
             )
             if d < thr:
                 t_to_m[t] = m
@@ -438,7 +433,7 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig(), on_anomaly: str = "wa
                 if tr["curve"] is None:
                     cid = next_curve
                     next_curve += 1
-                    curves[cid] = {"samples": [], "first_idx": idx, "last_idx": idx}
+                    curves[cid] = {"samples": [], "last_idx": idx}
                     tr["curve"] = cid
                     if idx > 0:
                         raw_events.append({"kind": "birth", "r": r, "curve": cid, "idx": idx, "traj": t})
@@ -469,8 +464,6 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig(), on_anomaly: str = "wa
                 arr = np.asarray(defs)
                 legitimate = bool(np.all(np.diff(arr) > -0.1 * float(np.max(np.abs(arr)))))
         events.append(TraceEvent(kind=ev["kind"], r=ev["r"], curve_id=ev["curve"], legitimate=legitimate))
-        if on_anomaly == "raise" and legitimate is False:
-            raise CurveBirthDeathError(ev["kind"], ev["r"], ev["curve"])
 
     last_idx = len(scans) - 1
     component_ids = tuple(sorted(c for c, cu in curves.items() if cu["last_idx"] == last_idx))
@@ -551,7 +544,7 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig(), on_anomaly: str = "wa
     )
 
 
-def trace_at_infinity(p: Polynomial, cfg: TraceConfig = TraceConfig(), on_anomaly: str = "warn") -> TraceResult:
+def trace_at_infinity(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
     """Trace the structure of the maximum modulus set of ``p`` near infinity.
 
     Equals the near-origin trace of the normalized reciprocal polynomial
@@ -561,7 +554,7 @@ def trace_at_infinity(p: Polynomial, cfg: TraceConfig = TraceConfig(), on_anomal
     q = normalize(reciprocal(p))
     if isinstance(q, MonomialVerdict):
         raise MonomialAllPlaneError("reciprocal polynomial is a monomial")
-    result = trace(q.tail, cfg, on_anomaly=on_anomaly)
+    result = trace(q.tail, cfg)
     return replace(result, inverted=True)
 
 

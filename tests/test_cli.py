@@ -28,6 +28,10 @@ class TestClassifyCommand:
         code, out, _ = run(capsys, "classify", "--poly", "1,0,1")
         doc = json.loads(out)
         assert code == 0 and doc["mu"] == 2 and doc["predicted_count"] == 2
+        # finite coefficients whose survivor weight 2|b| overflows to inf
+        code, out, _ = run(capsys, "classify", "--poly", "1,1e308,1e308")
+        doc = json.loads(out)
+        assert code == 0 and doc["mu"] == 1 and doc["magic"] == "NOT_MAGIC"
 
     def test_round_trip_bytes(self, capsys):
         _, out, _ = run(capsys, "classify", "--poly", "1,0,1,1i")
@@ -132,6 +136,7 @@ class TestTraceCommand:
         [
             (("trace", "--poly", "1,0,1,1i", "--rmin", "0.5", "--rmax", "0.3"), None),
             (("trace", "--poly", "1,0,1,1i", "--grid", "10"), None),
+            (("trace", "--poly", "1,0,1,1i", "--grid", "131072"), None),
             (("trace", "--poly", "1,0,1,1i", "--radii", "1"), None),
             (("trace", "--poly-file", "{file}"), b'{"coeffs": [[1,0],[0,'),
             (("trace", "--poly-file", "{file}"), b'{"coeffs": 5}'),
@@ -144,10 +149,13 @@ class TestTraceCommand:
             (("classify", "--poly", "1,1e999"), None),
             (("classify", "--poly-file", "{file}"), b'{"coeffs": [[1,0],[NaN,0]]}'),
             (("classify", "--poly-file", "{file}"), b'{"coeffs": [[1e999,0],[1,0]]}'),
+            (("hunt", "--family", "cubic", "--samples", "1", "--out", "{file}", "--poly", "1,2"), None),
+            (("hunt", "--family", "cubic", "--samples", "1", "--out", "{file}", "--json"), None),
         ],
         ids=[
             "rmin-above-rmax",
             "grid",
+            "grid-above-max",
             "radii",
             "truncated-json",
             "coeffs-not-array",
@@ -160,14 +168,19 @@ class TestTraceCommand:
             "poly-inf",
             "json-nan",
             "json-inf",
+            "hunt-poly",
+            "hunt-json",
         ],
     )
     def test_bad_input_exit_2(self, capsys, tmp_path, argv, content):
         f = tmp_path / "p.json"
         if content is not None:
             f.write_bytes(content)
-        code, _, err = run(capsys, *(a.replace("{file}", str(f)) for a in argv))
-        assert code == 2 and err.startswith("error[")
+        try:
+            code, _, err = run(capsys, *(a.replace("{file}", str(f)) for a in argv))
+        except SystemExit as ex:  # argparse rejects an unknown option itself
+            code, err = ex.code, capsys.readouterr().err
+        assert code == 2 and (err.startswith("error[") or "error: unrecognized arguments" in err)
 
     def test_report_round_trip(self, capsys):
         _, out, _ = run(

@@ -51,7 +51,6 @@ class TestExpand:
 
     def test_ascending_power_order(self):
         e = expand(parse_poly("1,2,0,1i,4"))
-        assert np.all(np.diff(e.all_pows) >= 0)
         assert np.all(np.diff(e.cross_pows) >= 0)
 
 

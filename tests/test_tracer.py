@@ -10,7 +10,6 @@ import pytest
 
 import maxmod
 from maxmod import (
-    CurveBirthDeathError,
     FloorViolationError,
     MonomialAllPlaneError,
     Polynomial,
@@ -50,6 +49,8 @@ class TestConfig:
             TraceConfig(n_radii=1)
         with pytest.raises(ValueError):
             TraceConfig(grid=32)
+        with pytest.raises(ValueError):
+            TraceConfig(grid=131072)
 
     def test_schedule_geometric(self):
         cfg = TraceConfig(r_min=1e-3, r_max=0.3, n_radii=50)
@@ -129,8 +130,8 @@ class TestTrace:
         for s in res.samples:
             d1 = e.dmod2_dtheta(s.r, s.theta)
             d2 = e.d2mod2_dtheta2(s.r, s.theta)
-            assert abs(d1) <= cfg.newton_tol * max(e.d1_bound(s.r), 1e-300)
-            assert d2 <= cfg.newton_tol * e.d2_bound(s.r)
+            assert abs(d1) <= maxmod.tracer.NEWTON_TOL * max(e.d1_bound(s.r), 1e-300)
+            assert d2 <= maxmod.tracer.NEWTON_TOL * e.d2_bound(s.r)
             assert abs(s.mod2 - e.mod2(s.r, s.theta)) <= 1e-12 * max(1.0, s.mod2)
 
     def test_one_sample_per_radius_per_curve(self):
@@ -184,9 +185,7 @@ class TestTrace:
         amb = ambiguity_radius(normalize(p))
         assert 1e-4 < amb < 1e-2
         cfg = TraceConfig(r_min=5e-5, r_max=0.3, n_radii=120)
-        with pytest.raises(CurveBirthDeathError):
-            trace(p, cfg, on_anomaly="raise")
-        res = trace(p, cfg, on_anomaly="warn")
+        res = trace(p, cfg)
         assert any(e.kind == "birth" and e.legitimate is False for e in res.events)
         # tracing only above the ambiguity radius is clean
         res2 = trace(p, TraceConfig(r_min=3 * amb, r_max=0.3, n_radii=60))
