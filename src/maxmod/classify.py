@@ -160,7 +160,8 @@ def cubic_magic(h: HaymanForm) -> str:
     Quadratics and cubics with k in {1, 3} are never magic.  A cubic with
     k = 2, i.e. ``1 + a z^2 + b z^3``, is magic iff ``Re(b a^{-3/2}) = 0``;
     either square-root branch gives the same verdict since the branches
-    negate ``b a^{-3/2}``.
+    negate ``b a^{-3/2}``.  Only the phase matters, so ``a`` and ``b`` are
+    divided by their moduli first and ``a^{-3/2}`` cannot overflow.
     """
     deg = h.tail.degree
     if deg == 2:
@@ -169,7 +170,8 @@ def cubic_magic(h: HaymanForm) -> str:
         raise NotCubicFamilyError(f"tail degree {deg} is outside the quadratic/cubic family")
     if h.k in (1, 3):
         return NOT_MAGIC
-    b_prime = h.tail.coeffs[3] * h.a ** -1.5
+    b = h.tail.coeffs[3]
+    b_prime = b / abs(b) * (h.a / abs(h.a)) ** -1.5
     return MAGIC if abs(b_prime.real) <= EPS_MAG * abs(b_prime) else NOT_MAGIC
 
 

@@ -1,7 +1,9 @@
 """Command-line interface: classify, trace, hunt.
 
-Exit codes: 0 success/CONFIRMED, 2 parse or option error, 3 monomial input,
-4 DISCREPANT trace, 5 radius below the numerical floor, 6 I/O failure.
+Exit codes: 0 success/CONFIRMED, 1 any other failure (such as a maximizer
+refinement that does not converge), 2 parse or option error or a coefficient
+ratio outside the float range, 3 monomial input, 4 DISCREPANT trace, 5 radius
+below the numerical floor, 6 I/O failure.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from . import __version__
 from .classify import MAGIC, Classification, classify
 from .errors import (
+    CoefficientRangeError,
     FloorViolationError,
     MaxmodError,
     MonomialAllPlaneError,
@@ -313,7 +316,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PolyParseError, ZeroPolynomialError, TruncatedSeriesError) as ex:
+    except (PolyParseError, ZeroPolynomialError, TruncatedSeriesError, CoefficientRangeError) as ex:
         print(f"error[{ex.code}]: {ex}", file=sys.stderr)
         return 2
     except MonomialAllPlaneError as ex:

@@ -25,6 +25,12 @@ class ZeroPolynomialError(MaxmodError):
     code = "ZeroPolynomial"
 
 
+class CoefficientRangeError(MaxmodError):
+    """A coefficient ratio of the normalized form is not a finite nonzero float."""
+
+    code = "CoefficientRange"
+
+
 class MonomialAllPlaneError(MaxmodError):
     """The maximum modulus set of c*z^n is the whole plane; nothing to do."""
 

@@ -70,15 +70,23 @@ class ModulusExpansion:
         """``|p(r e^{i theta})|^2``; theta may be a scalar or an array."""
         return self.base(r) + self.osc_terms(r, theta)
 
-    def base(self, r: float) -> float:
-        """Theta-independent diagonal part of :meth:`mod2`."""
-        return float(np.sum(self.diag_amps * r ** self.diag_pows))
+    def base(self, r):
+        """Theta-independent diagonal part of :meth:`mod2`, per radius."""
+        return _kernels.radial_sum(self.diag_amps, self.diag_pows, r)
 
-    def osc(self, r: float, theta):
-        """Theta-dependent cross part; ``mod2 = base + osc`` (Horner)."""
+    def _scale(self, r):
+        return self.lead_abs2 * r ** (2 * self.m)
+
+    def osc(self, r, theta):
+        """Theta-dependent cross part; ``mod2 = base + osc`` (Horner).
+
+        ``r`` is a scalar or an array that broadcasts against ``theta``:
+        shape (R, 1) against (G,) scans R circles on one grid, and equal
+        shapes give one radius per angle.
+        """
         th = np.atleast_1d(np.asarray(theta, dtype=float))
-        out = _kernels.osc_horner(self.q_rows, r, self.lead_abs2 * r ** (2 * self.m), th)
-        if np.ndim(theta) == 0:
+        out = _kernels.osc_horner(self.q_rows, r, self._scale(r), th)
+        if np.ndim(theta) == 0 and np.ndim(r) == 0:
             return float(out[0])
         return out
 
@@ -91,10 +99,11 @@ class ModulusExpansion:
             return float(out[0])
         return out
 
-    def d1d2(self, r: float, theta):
-        """First and second theta-derivative arrays of :meth:`mod2` (Horner)."""
+    def d1d2(self, r, theta):
+        """First and second theta-derivative arrays of :meth:`mod2` (Horner);
+        ``r`` broadcasts against ``theta`` as in :meth:`osc`."""
         th = np.atleast_1d(np.asarray(theta, dtype=float))
-        return _kernels.d1d2_horner(self.q_rows, r, self.lead_abs2 * r ** (2 * self.m), th)
+        return _kernels.d1d2_horner(self.q_rows, r, self._scale(r), th)
 
     def dmod2_dtheta(self, r: float, theta):
         """Exact d/dtheta of :meth:`mod2`, from :meth:`d1d2`."""
@@ -112,12 +121,12 @@ class ModulusExpansion:
 
     # -- magnitude bounds used by the tracer -----------------------------
 
-    def d1_bound(self, r: float) -> float:
-        """Upper bound for |dmod2_dtheta| over a circle."""
-        return float(np.sum(self.cross_amps * self.cross_freqs * r ** self.cross_pows))
+    def d1_bound(self, r):
+        """Upper bound for |dmod2_dtheta| over a circle, per radius."""
+        return _kernels.radial_sum(self.cross_amps * self.cross_freqs, self.cross_pows, r)
 
-    def d2_bound(self, r: float) -> float:
-        return float(np.sum(self.cross_amps * self.cross_freqs**2 * r ** self.cross_pows))
+    def d2_bound(self, r):
+        return _kernels.radial_sum(self.cross_amps * self.cross_freqs**2, self.cross_pows, r)
 
 
 def expand(p: Polynomial) -> ModulusExpansion:
@@ -153,7 +162,7 @@ def expand(p: Polynomial) -> ModulusExpansion:
     m = int(exps[0])
     c = np.asarray(p.coeffs[m + 1 :] or (0j,), dtype=complex) / cs[0]  # a monomial has q = 0
     j = np.arange(1.0, c.size + 1)
-    q_rows = np.stack([c, j * c, j * j * c], axis=1)[:, :, None]
+    q_rows = np.stack([c, j * c, j * j * c], axis=1)
     for a in arrays + (q_rows,):
         a.setflags(write=False)
     return ModulusExpansion(*arrays, m=m, lead_abs2=float(mags[0] ** 2), q_rows=q_rows)

@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import PolyParseError, TruncatedSeriesError, ZeroPolynomialError
+from .errors import CoefficientRangeError, PolyParseError, TruncatedSeriesError, ZeroPolynomialError
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,9 @@ def normalize(p: Polynomial) -> HaymanForm | MonomialVerdict:
     """Factor out ``c * z^m`` so the remaining tail starts ``1 + a z^k + ...``.
 
     Returns a :class:`MonomialVerdict` when ``p`` has a single nonzero term.
-    Raises :class:`ZeroPolynomialError` on the zero polynomial.
+    Raises :class:`ZeroPolynomialError` on the zero polynomial and
+    :class:`CoefficientRangeError` when a nonzero coefficient divided by
+    ``c`` is not a finite nonzero float.
     """
     if p.is_zero:
         raise ZeroPolynomialError("cannot normalize the zero polynomial")
@@ -102,11 +104,16 @@ def normalize(p: Polynomial) -> HaymanForm | MonomialVerdict:
         return MonomialVerdict()
     m = nz[0]
     c = p.coeffs[m]
+    ratios = tuple(ci / c for ci in p.coeffs[m + 1 :])
+    # every nonzero coefficient must stay a finite nonzero ratio
+    if len(ratios) - ratios.count(0j) != len(nz) - 1 or not all(map(cmath.isfinite, ratios)):
+        raise CoefficientRangeError(
+            f"a coefficient divided by coefficient {m} ({c!r}) is not a finite "
+            "nonzero float"
+        )
     # the leading tail coefficient is analytically 1; complex division c/c
     # rounds, so set it exactly
-    tail = Polynomial(
-        (1.0 + 0j,) + tuple(ci / c for ci in p.coeffs[m + 1 :]), truncated=p.truncated
-    )
+    tail = Polynomial((1.0 + 0j,) + ratios, truncated=p.truncated)
     k = nz[1] - m
     return HaymanForm(prefactor_scalar=c, prefactor_power=m, k=k, a=tail.coeffs[k], tail=tail)
 

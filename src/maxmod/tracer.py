@@ -1,8 +1,9 @@
 """Numerical computation of the maximum modulus set on a punctured disc.
 
-For each radius of a geometric schedule the global maximizers of
-``theta -> |p(r e^{i theta})|^2`` are located by a dense grid scan followed
-by Newton refinement (bisection-guarded) on the exact theta-derivative.
+The global maximizers of ``theta -> |p(r e^{i theta})|^2`` are located on
+every circle of a geometric radius schedule at once: one dense grid scan of
+all circles, then one Newton solve (bisection-guarded) on the exact
+theta-derivative for the grid maxima of all circles.
 Per-radius maximizer sets are linked into curves, counted, fitted for
 tangent direction and exponent, and checked for rotational symmetry.
 
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .modulus import ModulusExpansion, expand
 from .poly import HaymanForm, MonomialVerdict, Polynomial, inner_degree, normalize, reciprocal
-from .util import TWO_PI, circ_dist, reduce_angle
+from .util import TWO_PI, circ_dist, reduce_angle, scalar_circ_dist, scalar_reduce_angle
 
 EPS = float(np.finfo(float).eps)
 FIT_DEGREE = 6  # degree of the polynomial theta(r) fitted by _fit_tangent
@@ -49,6 +50,9 @@ NEWTON_MAX_ITER = 60
 LINK_TOL = 3.0
 # Grid doubling, which separates close seeds, stops at MAX_GRID points.
 MAX_GRID = 1 << 16
+# The grid scan evaluates whole circles in blocks of at most SCAN_BLOCK points,
+# which bounds its working memory whatever the number of radii.
+SCAN_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -146,112 +150,179 @@ def floor_radius(h: HaymanForm) -> float:
 
     The theta-dependent signal scales like ``2|a| r^k`` while evaluation
     noise scales with the square of the coefficient mass, hence the floor
-    ``2|a| r^k >= 1e6 * eps * (sum |a_l|)^2``.
+    ``2|a| r^k >= 1e6 * eps * (sum |a_l|)^2``.  The mass is scaled by its
+    largest modulus so that no intermediate overflows; a floor beyond the
+    float range is ``inf``.
     """
-    mass = float(sum(abs(c) for c in h.tail.coeffs))
-    return float((1e6 * EPS * mass**2 / (2.0 * abs(h.a))) ** (1.0 / h.k))
+    mags = [abs(c) for c in h.tail.coeffs]
+    big = max(mags)
+    mass = sum(m / big for m in mags)
+    return float((1e6 * EPS * mass * mass / 2.0 * (big / abs(h.a)) * big) ** (1.0 / h.k))
 
 
-def _grid_local_maxima(x: np.ndarray) -> np.ndarray:
-    left = np.roll(x, 1)
-    right = np.roll(x, -1)
-    return np.flatnonzero((x >= left) & (x >= right) & ((x > left) | (x > right)))
+def _grid_maxima(x: np.ndarray) -> np.ndarray:
+    """Mask of the circular local maxima along the last axis of ``x``."""
+    left = np.roll(x, 1, axis=-1)
+    right = np.roll(x, -1, axis=-1)
+    return (x >= left) & (x >= right) & ((x > left) | (x > right))
 
 
-def _refine_maxima(e: ModulusExpansion, r: float, seeds: np.ndarray, step: float):
-    """Hybrid Newton/bisection on d/dtheta of the cross sum, vectorized.
+def _grid_scan(e: ModulusExpansion, radii: np.ndarray, grid: int):
+    """Grid maxima of every circle, as flat seed arrays grouped by radius.
+
+    Circles are evaluated as ``(radii x grid)`` blocks of at most
+    ``SCAN_BLOCK`` points.  A circle whose maxima lie within 3 grid steps
+    of each other is scanned again at twice the grid, up to ``MAX_GRID``.
+
+    Returns ``(seed_radius_index, seed_theta, grid_used, spread)``, where
+    the last two hold one value per radius.
+    """
+    grid_used = np.empty(radii.size, dtype=np.int64)
+    spread = np.empty(radii.size)
+    seed_idx, seed_theta = [], []
+    pending = np.arange(radii.size)
+    while pending.size:
+        th_grid = -math.pi + TWO_PI * np.arange(grid) / grid
+        rows = max(1, SCAN_BLOCK // grid)
+        crowded = []
+        for lo in range(0, pending.size, rows):
+            blk = pending[lo : lo + rows]
+            x = e.osc(radii[blk, None], th_grid)
+            row, col = np.nonzero(_grid_maxima(x))
+            counts = np.bincount(row, minlength=blk.size)
+            if not counts.all():  # flat circle; cannot happen for >= 2 terms
+                raise RefinementFailureError(float(radii[blk[np.argmin(counts)]]), 0.0)
+            # forward gap from each maximum to the next one on its circle
+            first = np.cumsum(counts) - counts
+            last = first + counts - 1
+            gap = np.empty_like(col)
+            gap[:-1] = np.diff(col)
+            gap[last] = col[first] + grid - col[last]
+            redo = np.zeros(blk.size, dtype=bool)
+            if grid < MAX_GRID:
+                redo[row[gap <= 3]] = True
+            crowded.append(blk[redo])
+            done = ~redo
+            grid_used[blk[done]] = grid
+            spread[blk[done]] = x[done].max(axis=1) - x[done].min(axis=1)
+            seeded = done[row]
+            seed_idx.append(blk[row[seeded]])
+            seed_theta.append(th_grid[col[seeded]])
+        pending = np.concatenate(crowded)
+        grid *= 2
+    seed_idx = np.concatenate(seed_idx)
+    order = np.argsort(seed_idx, kind="stable")
+    return seed_idx[order], np.concatenate(seed_theta)[order], grid_used, spread
+
+
+def _refine_maxima(e: ModulusExpansion, r: np.ndarray, seeds: np.ndarray, step: np.ndarray):
+    """Hybrid Newton/bisection on d/dtheta of the cross sum, one solve for
+    all seeds; seed i lies on the circle of radius ``r[i]``, with grid step
+    ``step[i]``.
 
     Brackets are the grid neighbors of each seed; the derivative must be
-    nonnegative at the left edge and nonpositive at the right edge.
+    nonnegative at the left edge and nonpositive at the right edge.  Only
+    unconverged seeds are evaluated again.
     """
-    tol = NEWTON_TOL * max(e.d1_bound(r), 1e-300)
+    tol = NEWTON_TOL * np.maximum(e.d1_bound(r), 1e-300)
     lo = seeds - step
     hi = seeds + step
+    chk = np.arange(seeds.size)  # seeds whose bracket is not yet verified
     for _ in range(3):
-        f_lo, _ = e.d1d2(r, lo)
-        f_hi, _ = e.d1d2(r, hi)
-        bad_lo = f_lo < 0
-        bad_hi = f_hi > 0
+        f, _ = e.d1d2(np.concatenate([r[chk], r[chk]]), np.concatenate([lo[chk], hi[chk]]))
+        bad_lo = f[: chk.size] < 0
+        bad_hi = f[chk.size :] > 0
         if not bad_lo.any() and not bad_hi.any():
             break
-        lo = np.where(bad_lo, lo - step, lo)
-        hi = np.where(bad_hi, hi + step, hi)
+        lo[chk[bad_lo]] -= step[chk[bad_lo]]
+        hi[chk[bad_hi]] += step[chk[bad_hi]]
+        chk = chk[bad_lo | bad_hi]
     else:
-        bad = np.flatnonzero(bad_lo | bad_hi)
-        raise RefinementFailureError(r, float(seeds[bad[0]]))
+        raise RefinementFailureError(float(r[chk[0]]), float(seeds[chk[0]]))
 
     x = seeds.astype(float).copy()
-    conv = np.zeros(x.shape, dtype=bool)
+    act = np.arange(x.size)  # unconverged seeds
     for _ in range(NEWTON_MAX_ITER):
-        f, d2 = e.d1d2(r, x)
-        lo = np.where(~conv & (f > 0), x, lo)
-        hi = np.where(~conv & (f <= 0), x, hi)
-        conv |= (np.abs(f) <= tol) | ((hi - lo) <= 16 * EPS)
-        if conv.all():
+        xa = x[act]
+        f, d2 = e.d1d2(r[act], xa)
+        la = np.where(f > 0, xa, lo[act])
+        ha = np.where(f <= 0, xa, hi[act])
+        conv = (np.abs(f) <= tol[act]) | ((ha - la) <= 16 * EPS)
+        newt = xa - f / np.where(d2 != 0.0, d2, 1.0)
+        ok = (d2 < 0.0) & (newt > la) & (newt < ha) & np.isfinite(newt)
+        x[act] = np.where(conv, xa, np.where(ok, newt, 0.5 * (la + ha)))
+        lo[act] = la
+        hi[act] = ha
+        act = act[~conv]
+        if act.size == 0:
             break
-        newt = x - f / np.where(d2 != 0.0, d2, 1.0)
-        ok = (d2 < 0.0) & (newt > lo) & (newt < hi) & np.isfinite(newt)
-        x = np.where(conv, x, np.where(ok, newt, 0.5 * (lo + hi)))
     else:
-        bad = np.flatnonzero(~conv)
-        raise RefinementFailureError(r, float(seeds[bad[0]]))
+        raise RefinementFailureError(float(r[act[0]]), float(seeds[act[0]]))
     return x
 
 
-def _scan_circle(e: ModulusExpansion, r: float, cfg: TraceConfig) -> CircleScan:
-    grid = cfg.grid
-    while True:
-        th_grid = -math.pi + TWO_PI * np.arange(grid) / grid
-        x_grid = e.osc(r, th_grid)
-        seeds = _grid_local_maxima(x_grid)
-        if seeds.size == 0:  # flat circle; cannot happen for >= 2 terms
-            raise RefinementFailureError(r, 0.0)
-        if grid < MAX_GRID and seeds.size > 1:
-            gaps = np.diff(np.concatenate([seeds, [seeds[0] + grid]]))
-            if gaps.min() <= 3:
-                grid *= 2
-                continue
-        break
-    step = TWO_PI / grid
+def _scan_circles(e: ModulusExpansion, radii: np.ndarray, cfg: TraceConfig) -> list[CircleScan]:
+    """All refined local maxima of every circle ``|z| = r`` for r in ``radii``.
 
-    theta = _refine_maxima(e, r, th_grid[seeds], step)
+    One blocked grid pass finds the seeds of all circles, one vectorized
+    Newton/bisection solve refines them, and the per-circle post-processing
+    (maximum guard, duplicate merge, co-maximality) runs on the flat arrays.
+    """
+    ridx, seeds, grid_used, spread = _grid_scan(e, radii, cfg.grid)
+    r = radii[ridx]
+    theta = _refine_maxima(e, r, seeds, TWO_PI / grid_used[ridx])
     osc = e.osc(r, theta)
     _, d2 = e.d1d2(r, theta)
 
     # guard: a refined point must be a (weak) maximum
-    d2_tol = NEWTON_TOL * max(e.d2_bound(r), 1e-300)
-    if (d2 > d2_tol).any():
-        bad = int(np.argmax(d2))
-        raise RefinementFailureError(r, float(theta[bad]))
+    d2_tol = NEWTON_TOL * np.maximum(e.d2_bound(radii), 1e-300)
+    bad = d2 > d2_tol[ridx]
+    if bad.any():
+        on_circle = np.flatnonzero(ridx == ridx[np.argmax(bad)])
+        worst = on_circle[np.argmax(d2[on_circle])]
+        raise RefinementFailureError(float(r[worst]), float(theta[worst]))
 
-    order = np.argsort(theta)
-    theta = reduce_angle(theta[order])
-    osc = osc[order]
+    order = np.lexsort((theta, ridx))
+    theta, osc, ridx = reduce_angle(theta[order]), osc[order], ridx[order]
 
-    # merge refined duplicates closer than 2 pi / (8 grid)
+    # merge refined duplicates closer than 2 pi / (8 grid); the sequential
+    # pass runs only on circles that have such a pair
+    counts = np.bincount(ridx, minlength=radii.size)
+    starts = np.cumsum(counts) - counts
+    nxt = np.arange(1, theta.size + 1)
+    nxt[starts + counts - 1] = starts
+    merge_dist = TWO_PI / (8.0 * grid_used)
+    close = (circ_dist(theta, theta[nxt]) < merge_dist[ridx]) & (counts[ridx] > 1)
     keep = np.ones(theta.size, dtype=bool)
-    merge_dist = TWO_PI / (8.0 * grid)
-    for i in range(theta.size):
-        j = (i + 1) % theta.size
-        if i != j and keep[i] and keep[j] and circ_dist(theta[i], theta[j]) < merge_dist:
-            drop = i if osc[i] < osc[j] else j
-            keep[drop] = False
-    theta, osc = theta[keep], osc[keep]
+    for c in sorted(set(ridx[close].tolist())):
+        ths = theta[starts[c] : starts[c] + counts[c]].tolist()
+        xs = osc[starts[c] : starts[c] + counts[c]].tolist()
+        kc = keep[starts[c] : starts[c] + counts[c]]  # a view: writes reach keep
+        for i in range(len(ths)):
+            j = (i + 1) % len(ths)
+            if kc[i] and kc[j] and scalar_circ_dist(ths[i], ths[j]) < merge_dist[c]:
+                kc[i if xs[i] < xs[j] else j] = False
+    theta, osc, ridx = theta[keep], osc[keep], ridx[keep]
 
-    spread = float(x_grid.max() - x_grid.min())
+    bounds = np.flatnonzero(np.diff(ridx)) + 1
     tie_threshold = TIE_TOL * spread
-    comax = osc >= osc.max() - tie_threshold
-    base = e.base(r)
-    return CircleScan(
-        r=r,
-        thetas=theta,
-        osc=osc,
-        mod2=base + osc,
-        comax=comax,
-        spread=spread,
-        tie_threshold=tie_threshold,
-        grid_used=grid,
-    )
+    top = np.maximum.reduceat(osc, np.concatenate([[0], bounds]))
+    comax = osc >= top[ridx] - tie_threshold[ridx]
+    mod2 = e.base(radii)[ridx] + osc
+    ends = np.concatenate([bounds, [theta.size]]).tolist()
+    return [
+        CircleScan(
+            r=float(radii[i]),
+            thetas=theta[a:b],
+            osc=osc[a:b],
+            mod2=mod2[a:b],
+            comax=comax[a:b],
+            spread=float(spread[i]),
+            tie_threshold=float(tie_threshold[i]),
+            grid_used=int(grid_used[i]),
+        )
+        for i, a, b in zip(range(radii.size), [0] + ends[:-1], ends)
+    ]
 
 
 def circle_argmax(e: ModulusExpansion, r: float, cfg: TraceConfig) -> list[tuple[float, float]]:
@@ -260,7 +331,7 @@ def circle_argmax(e: ModulusExpansion, r: float, cfg: TraceConfig) -> list[tuple
     Returns ``(theta, mod2)`` pairs for every maximizer whose value lies
     within ``TIE_TOL * (max - min)`` of the refined global maximum.
     """
-    scan = _scan_circle(e, r, cfg)
+    scan = _scan_circles(e, np.array([r], dtype=float), cfg)[0]
     return [
         (float(t), float(m))
         for t, m, c in zip(scan.thetas, scan.mod2, scan.comax)
@@ -349,8 +420,9 @@ def _fit_tangent(rs: np.ndarray, thetas: np.ndarray):
 def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
     """Trace the maximum modulus set of ``p`` over the radius schedule.
 
-    Runs :func:`circle_argmax` at every radius (largest first), links
-    co-maximal points into curves by nearest angle, and reports component
+    Finds the co-maximal points of every radius in one batched scan (the
+    points :func:`circle_argmax` gives radius by radius), links them into
+    curves by nearest angle, largest radius first, and reports component
     count, tangent fits, rotational symmetry and birth/death events; a
     mid-schedule birth or a non-monotone death is marked not legitimate.
     """
@@ -366,7 +438,7 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
     e = expand(p)
     omega = omega_angles(h)
     radii = radius_schedule(cfg)
-    scans = [_scan_circle(e, float(r), cfg) for r in radii]
+    scans = _scan_circles(e, radii, cfg)
 
     # -- link maximizer trajectories across radii (descending) ----------
     trajs: dict[int, dict] = {}
@@ -374,20 +446,24 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
     raw_events: list[dict] = []
     next_traj = 0
     next_curve = 0
+    omega_list = omega.tolist()
     for idx, scan in enumerate(scans):
         r = float(radii[idx])
         step = TWO_PI / scan.grid_used
-        m_count = scan.thetas.size
+        thetas = scan.thetas.tolist()
+        oscs = scan.osc.tolist()
+        mod2s = scan.mod2.tolist()
+        comaxs = scan.comax.tolist()
+        m_count = len(thetas)
         # cap: distinct same-radius maximizers must never share a trajectory
         if m_count > 1:
-            ths = np.sort(scan.thetas)
-            gaps = np.diff(np.concatenate([ths, [ths[0] + TWO_PI]]))
-            gap_cap = 0.45 * float(gaps.min())
+            ths = sorted(thetas)
+            gap_cap = 0.45 * min(b - a for a, b in zip(ths, ths[1:] + [ths[0] + TWO_PI]))
         else:
             gap_cap = math.pi
         alive = [t for t, tr in trajs.items() if tr["alive"]]
         pairs = sorted(
-            (circ_dist(trajs[t]["theta"], float(scan.thetas[m])), t, m)
+            (scalar_circ_dist(trajs[t]["theta"], thetas[m]), t, m)
             for t in alive
             for m in range(m_count)
         )
@@ -399,7 +475,7 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
             # a maximizer approaches its limiting ray monotonically, so one
             # step moves at most the current deviation from the nearest
             # candidate angle; the drift term covers the settled regime
-            dev = float(np.min(circ_dist(trajs[t]["theta"], omega)))
+            dev = min(scalar_circ_dist(trajs[t]["theta"], w) for w in omega_list)
             thr = min(
                 gap_cap,
                 max(LINK_TOL * max(abs(trajs[t]["drift"]), step), 1.2 * dev),
@@ -416,20 +492,20 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
                         {"kind": "death", "r": r, "curve": tr["curve"], "idx": idx, "traj": t}
                     )
                     tr["curve"] = None
-        x_top = float(scan.osc.max())
+        x_top = max(oscs)
         for m in range(m_count):
-            theta_m = float(scan.thetas[m])
+            theta_m = thetas[m]
             if m in m_to_t:
                 t = m_to_t[m]
                 tr = trajs[t]
-                tr["drift"] = reduce_angle(theta_m - tr["theta"])
+                tr["drift"] = scalar_reduce_angle(theta_m - tr["theta"])
                 tr["theta"] = theta_m
             else:
                 t = next_traj
                 next_traj += 1
                 tr = {"theta": theta_m, "drift": 0.0, "alive": True, "curve": None, "deficits": []}
                 trajs[t] = tr
-            if scan.comax[m]:
+            if comaxs[m]:
                 if tr["curve"] is None:
                     cid = next_curve
                     next_curve += 1
@@ -439,7 +515,7 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
                         raw_events.append({"kind": "birth", "r": r, "curve": cid, "idx": idx, "traj": t})
                 cid = tr["curve"]
                 curves[cid]["samples"].append(
-                    CurveSample(r=r, theta=theta_m, mod2=float(scan.mod2[m]), curve_id=cid)
+                    CurveSample(r=r, theta=theta_m, mod2=mod2s[m], curve_id=cid)
                 )
                 curves[cid]["last_idx"] = idx
             else:
@@ -448,7 +524,7 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
                         {"kind": "death", "r": r, "curve": tr["curve"], "idx": idx, "traj": t}
                     )
                     tr["curve"] = None
-                tr["deficits"].append((idx, x_top - float(scan.osc[m])))
+                tr["deficits"].append((idx, x_top - oscs[m]))
 
     # -- event legitimacy ------------------------------------------------
     events = []
@@ -515,7 +591,7 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
                     pb = curve_thetas[cb]
                     n = min(len(pa), len(pb))
                     devs = [
-                        circ_dist(ta + rot, tb)
+                        scalar_circ_dist(ta + rot, tb)
                         for (ra, ta), (rb, tb) in zip(pa[-n:], pb[-n:])
                     ]
                     dev = max(devs)

@@ -103,6 +103,11 @@ class TestCubicMagic:
     def test_real_not_magic(self):
         assert cubic_magic(normalize(parse_poly("1,0,1,1"))) == NOT_MAGIC
 
+    def test_tiny_a_does_not_overflow(self):
+        # a = 1e-308, so a^(-3/2) is not a float; only the phase of b a^(-3/2) matters
+        assert cubic_magic(normalize(parse_poly("1e300,0,1e-8,1e200i"))) == MAGIC
+        assert cubic_magic(normalize(parse_poly("1e300,0,1e-8,1e200"))) == NOT_MAGIC
+
     def test_quadratic_never_magic(self):
         assert cubic_magic(normalize(parse_poly("1,0.5i,2"))) == NOT_MAGIC
         assert cubic_magic(normalize(parse_poly("1,0,2i"))) == NOT_MAGIC

@@ -1,6 +1,13 @@
+import cmath
+import contextlib
+import io
 import json
+import math
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxmod.cli import agreement_verdict, main
 from maxmod.classify import classify
@@ -92,6 +99,14 @@ class TestTraceCommand:
         code, _, err = run(capsys, "trace", "--poly", "1,0,1,1i", "--rmin", "1e-9")
         assert code == 5 and "minimum admissible" in err
 
+    @pytest.mark.parametrize("poly", ["1,1e200,1e200", "1,1e308,1e308"])
+    def test_huge_coefficients_exit_5(self, capsys, poly):
+        # the squared coefficient mass is beyond the float range; the floor is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "trace", "--poly", poly)
+        assert code == 5 and err.startswith("error[FloorViolation]")
+
     def test_phantom_discrepancy_exit_4(self, capsys):
         # below the ambiguity radius of the weak odd separator the count is
         # inflated and disagrees with the proven value
@@ -149,6 +164,8 @@ class TestTraceCommand:
             (("classify", "--poly", "1,1e999"), None),
             (("classify", "--poly-file", "{file}"), b'{"coeffs": [[1,0],[NaN,0]]}'),
             (("classify", "--poly-file", "{file}"), b'{"coeffs": [[1e999,0],[1,0]]}'),
+            (("classify", "--poly", "1e-300,1e200"), None),
+            (("trace", "--poly", "1e200,0,1e-300"), None),
             (("hunt", "--family", "cubic", "--samples", "1", "--out", "{file}", "--poly", "1,2"), None),
             (("hunt", "--family", "cubic", "--samples", "1", "--out", "{file}", "--json"), None),
         ],
@@ -168,6 +185,8 @@ class TestTraceCommand:
             "poly-inf",
             "json-nan",
             "json-inf",
+            "ratio-overflow",
+            "ratio-underflow",
             "hunt-poly",
             "hunt-json",
         ],
@@ -188,6 +207,28 @@ class TestTraceCommand:
         )
         text = out.strip()
         assert canonical_json(json.loads(text)) == text
+
+
+# every exit code documented in the cli module docstring
+EXIT_CODES = {0, 1, 2, 3, 4, 5, 6}
+MAGNITUDES = (0.0, 1e-300, 1e-8, 1.0, 1e8, 1e200, 1e308)
+coefficients = st.lists(
+    st.builds(cmath.rect, st.sampled_from(MAGNITUDES), st.floats(-math.pi, math.pi)),
+    min_size=1,
+    max_size=7,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["classify", "trace"]), coefficients)
+def test_cli_ends_in_documented_exit_code(command, coeffs):
+    poly = ",".join(f"{c.real!r}{c.imag:+}i" for c in coeffs)
+    argv = [command, f"--poly={poly}"] + (["--radii", "16"] if command == "trace" else [])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in EXIT_CODES
+    assert "Traceback" not in err.getvalue()
 
 
 class TestHuntCommand:

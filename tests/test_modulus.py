@@ -186,6 +186,28 @@ def term_d1d2(e, r, th):
 
 
 class TestHorner:
+    def test_array_radius_matches_scalar_bitwise(self):
+        e = expand(parse_poly("1,1,1i,1,-1,1i,0.5,1,2"))
+        radii = np.geomspace(0.3, 1e-3, 7)
+        th = np.linspace(-math.pi, math.pi, 64, endpoint=False)
+        # one row per radius: every row, not only the first, is its radius's
+        grid = e.osc(radii[:, None], th)
+        assert grid.shape == (7, 64)
+        for row, r in zip(grid, radii):
+            assert np.array_equal(row, e.osc(float(r), th))
+        # one radius per angle, against one-point calls
+        rs = np.repeat(radii, 3)
+        ts = th[: rs.size]
+        osc = e.osc(rs, ts)
+        d1, d2 = e.d1d2(rs, ts)
+        for i, (r, t) in enumerate(zip(rs, ts)):
+            assert osc[i] == e.osc(float(r), float(t))
+            p1, p2 = e.d1d2(float(r), np.array([t]))
+            assert (d1[i], d2[i]) == (p1[0], p2[0])
+        for name in ("base", "d1_bound", "d2_bound"):
+            got = getattr(e, name)(radii)
+            assert got.tolist() == [getattr(e, name)(float(r)) for r in radii]
+
     @settings(max_examples=300, deadline=None)
     @given(horner_cases())
     def test_horner_matches_expansion_and_oracle(self, case):

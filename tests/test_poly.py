@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxmod import (
+    CoefficientRangeError,
     HaymanForm,
     MonomialVerdict,
     Polynomial,
@@ -125,6 +126,12 @@ class TestNormalize:
     def test_zero_rejected(self):
         with pytest.raises(ZeroPolynomialError):
             normalize(Polynomial(()))
+
+    @pytest.mark.parametrize("coeffs", [(1e-300, 1e200), (1e200, 0, 1e-300), (1e308, 1e-300, 1)])
+    def test_ratio_out_of_float_range_rejected(self, coeffs):
+        # a = 1e500 overflows; 1e-500 underflows to 0 and would drop the term
+        with pytest.raises(CoefficientRangeError):
+            normalize(Polynomial(coeffs))
 
     @settings(max_examples=60, deadline=None)
     @given(poly_strategy())

@@ -27,7 +27,8 @@ from maxmod import (
     trace_at_infinity,
     write_csv,
 )
-from maxmod.tracer import _fit_tangent, radius_schedule
+from maxmod.modulus import ModulusExpansion
+from maxmod.tracer import NEWTON_MAX_ITER, _fit_tangent, _scan_circles, radius_schedule
 from maxmod.util import circ_dist
 
 CFG = TraceConfig()
@@ -109,6 +110,79 @@ class TestCircleArgmax:
         bf = brute_force_mset(parse_poly("1,1"), 0.5, 4096)
         assert cluster_count(bf, 4096) == 1
         assert np.all(np.abs(bf) < 0.01)
+
+
+# 1 + z^2 + z^24: one pair of maxima near 0, 24 crowded ones near |z| = 1,
+# so a 64-point grid doubles on the outer circles only
+CROWDED = ",".join(["1", "0", "1"] + ["0"] * 21 + ["1"])
+
+
+class TestBatchedScan:
+    @pytest.mark.parametrize(
+        "text,cfg",
+        [
+            ("1,0,1,1i", TraceConfig()),
+            ("1,1,1i,1,-1,1i,0.5,1,2", TraceConfig()),
+            ("1,1,1i,1,-1,1i,0.5,1,2", TraceConfig(grid=64)),
+            (CROWDED, TraceConfig(r_min=0.05, r_max=0.95, n_radii=40, grid=64)),
+        ],
+        ids=["fig1-cubic", "degree-8", "degree-8-grid-64", "grid-doubling"],
+    )
+    def test_trace_matches_single_radius_scans(self, text, cfg):
+        # one batched scan of all radii gives bit for bit the co-maximal
+        # points that a scan of each radius alone gives
+        p = parse_poly(text)
+        e = expand(p)
+        res = trace(p, cfg)
+        for r in res.radii:
+            got = sorted((s.theta, s.mod2) for s in res.samples if s.r == r)
+            assert got == sorted(circle_argmax(e, r, cfg)), r
+
+    def test_grid_doubling_is_per_radius(self):
+        cfg = TraceConfig(r_min=0.05, r_max=0.95, n_radii=40, grid=64)
+        e = expand(parse_poly(CROWDED))
+        radii = radius_schedule(cfg)
+        scans = _scan_circles(e, radii, cfg)
+        used = [s.grid_used for s in scans]
+        assert set(used) == {64, 128}
+        assert used == [_scan_circles(e, np.array([r]), cfg)[0].grid_used for r in radii]
+
+    def test_duplicate_refinements_merge(self, monkeypatch):
+        # a second seed one grid step past each grid maximum refines to the
+        # same maximizer; every circle keeps each maximizer once
+        cfg = TraceConfig(n_radii=2)
+        e = expand(parse_poly("1,0,1,1i"))
+        radii = np.array([0.1, 0.05])
+        plain = _scan_circles(e, radii, cfg)
+        grid_scan = maxmod.tracer._grid_scan
+
+        def twice(e, radii, grid):
+            ridx, seeds, grid_used, spread = grid_scan(e, radii, grid)
+            step = 2 * math.pi / grid_used[ridx]
+            both = np.column_stack([seeds, seeds + step]).ravel()
+            return np.repeat(ridx, 2), both, grid_used, spread
+
+        monkeypatch.setattr(maxmod.tracer, "_grid_scan", twice)
+        for a, b in zip(plain, _scan_circles(e, radii, cfg)):
+            assert b.thetas.size == a.thetas.size == 2
+            assert np.max(np.abs(b.thetas - a.thetas)) <= 1e-12
+            assert b.comax.tolist() == a.comax.tolist()
+
+    def test_d1d2_calls_do_not_grow_with_radii(self, monkeypatch):
+        calls = []
+        d1d2 = ModulusExpansion.d1d2
+
+        def counted(self, r, theta):
+            calls.append(np.size(theta))
+            return d1d2(self, r, theta)
+
+        monkeypatch.setattr(ModulusExpansion, "d1d2", counted)
+        counts = {}
+        for n in (20, 200):
+            calls.clear()
+            trace(parse_poly("1,0,1,1i"), TraceConfig(n_radii=n))
+            counts[n] = len(calls)
+        assert counts[200] <= counts[20] <= NEWTON_MAX_ITER + 5
 
 
 class TestTrace:
@@ -194,6 +268,15 @@ class TestTrace:
     def test_trace_mu_two(self):
         res = trace(parse_poly("1,0,0,0,1,0,1"), TraceConfig(r_min=1e-2, r_max=0.3, n_radii=40))
         assert res.n_components == 2
+
+    @pytest.mark.parametrize("text", ["1,1e200,1e200", "1,1e308,1e308"])
+    def test_floor_radius_without_overflow(self, text):
+        # the squared coefficient mass overflows, the floor itself does not
+        h = normalize(parse_poly(text))
+        assert h.k == 1
+        mass_over_a = 1.0 / abs(h.a) + 2.0  # (1 + 2|a|) / |a|
+        want = 1e6 * np.finfo(float).eps * mass_over_a**2 * abs(h.a) / 2.0
+        assert floor_radius(h) == pytest.approx(want, rel=1e-12)
 
     def test_floor_radius_formula(self):
         h = normalize(parse_poly("1,0,1,1i"))
