@@ -51,8 +51,12 @@ LINK_TOL = 3.0
 # Grid doubling, which separates close seeds, stops at MAX_GRID points.
 MAX_GRID = 1 << 16
 # The grid scan evaluates whole circles in blocks of at most SCAN_BLOCK points,
-# which bounds its working memory whatever the number of radii.
-SCAN_BLOCK = 1 << 14
+# which bounds its working memory whatever the number of radii.  At 2^13 points
+# a block's complex temporaries are 128 KiB, the size up to which glibc malloc
+# keeps serving them from the heap; at 2^14 it mapped and unmapped them on every
+# block, about 2300 page faults per 200-radius trace, whose cost swings with the
+# host's load.
+SCAN_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
