@@ -294,7 +294,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--rmin", type=float, default=1e-3)
     p_tr.add_argument("--rmax", type=float, default=0.3)
     p_tr.add_argument("--radii", type=int, default=200)
-    p_tr.add_argument("--grid", type=int, default=4096)
+    p_tr.add_argument(
+        "--grid",
+        type=int,
+        default=4096,
+        help="linking tolerance floor across radii: angular step 2 pi/GRID (64-65536)",
+    )
     p_tr.add_argument("--csv", help="write per-sample CSV here")
     p_tr.add_argument("--svg", help="write curve plot here")
     p_tr.add_argument(

@@ -74,7 +74,8 @@ class ModulusExpansion:
         """Theta-independent diagonal part of :meth:`mod2`, per radius."""
         return _kernels.radial_sum(self.diag_amps, self.diag_pows, r)
 
-    def _scale(self, r):
+    def scale(self, r):
+        """``|a_m|^2 r^{2m}``, the factor of ``|1 + q|^2`` in :meth:`mod2`."""
         return self.lead_abs2 * r ** (2 * self.m)
 
     def osc(self, r, theta):
@@ -85,7 +86,7 @@ class ModulusExpansion:
         shapes give one radius per angle.
         """
         th = np.atleast_1d(np.asarray(theta, dtype=float))
-        out = _kernels.osc_horner(self.q_rows, r, self._scale(r), th)
+        out = _kernels.osc_horner(self.q_rows, r, self.scale(r), th)
         if np.ndim(theta) == 0 and np.ndim(r) == 0:
             return float(out[0])
         return out
@@ -103,7 +104,7 @@ class ModulusExpansion:
         """First and second theta-derivative arrays of :meth:`mod2` (Horner);
         ``r`` broadcasts against ``theta`` as in :meth:`osc`."""
         th = np.atleast_1d(np.asarray(theta, dtype=float))
-        return _kernels.d1d2_horner(self.q_rows, r, self._scale(r), th)
+        return _kernels.d1d2_horner(self.q_rows, r, self.scale(r), th)
 
     def dmod2_dtheta(self, r: float, theta):
         """Exact d/dtheta of :meth:`mod2`, from :meth:`d1d2`."""

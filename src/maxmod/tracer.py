@@ -1,9 +1,12 @@
 """Numerical computation of the maximum modulus set on a punctured disc.
 
 The global maximizers of ``theta -> |p(r e^{i theta})|^2`` are located on
-every circle of a geometric radius schedule at once: one dense grid scan of
-all circles, then one Newton solve (bisection-guarded) on the exact
-theta-derivative for the grid maxima of all circles.
+every circle of a geometric radius schedule at once.  The paper's
+trigonometric expansion makes the theta-derivative of ``|p|^2`` a
+trigonometric polynomial, so the critical points of every circle are the
+unit-circle roots of one polynomial per circle, found by batched companion
+eigenvalue solves; one Newton solve (bisection-guarded) on the exact
+theta-derivative then polishes the maxima of all circles.
 Per-radius maximizer sets are linked into curves, counted, fitted for
 tangent direction and exponent, and checked for rotational symmetry.
 
@@ -46,22 +49,24 @@ TIE_TOL = 1e-12
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 60
 # Linking across consecutive radii accepts LINK_TOL times the per-step drift
-# estimate, floored at one grid step.
+# estimate, floored at the step 2 pi / TraceConfig.grid.
 LINK_TOL = 3.0
-# Grid doubling, which separates close seeds, stops at MAX_GRID points.
+# TraceConfig.grid lies in 64..MAX_GRID.
 MAX_GRID = 1 << 16
-# The grid scan evaluates whole circles in blocks of at most SCAN_BLOCK points,
-# which bounds its working memory whatever the number of radii.  At 2^13 points
-# a block's complex temporaries are 128 KiB, the size up to which glibc malloc
-# keeps serving them from the heap; at 2^14 it mapped and unmapped them on every
-# block, about 2300 page faults per 200-radius trace, whose cost swings with the
-# host's load.
-SCAN_BLOCK = 1 << 13
+# A root w of the critical-point polynomial (see _derivative_roots) is a
+# critical point of its circle when |abs(w) - 1| < ON_CIRCLE.  Simple roots on
+# the circle come back within about 1e-12 of it.  A max-min pair that has met
+# at a fold and left the circle, with |d/dtheta| >= delta between the two, sits
+# at w and 1/conj(w) with |abs(w) - 1| ~ sqrt(2 delta / |d^3/dtheta^3|); the
+# bound accepts it only for delta below about 5e-13 |d^3/dtheta^3|, on a circle
+# within roundoff of the fold.
+ON_CIRCLE = 1e-6
 
 
 @dataclass(frozen=True)
 class TraceConfig:
-    """Radius schedule and starting grid resolution for a trace run."""
+    """Radius schedule of a trace run; ``grid`` sets the linker's angular
+    floor ``2 pi / grid``."""
 
     r_min: float = 1e-3
     r_max: float = 0.3
@@ -141,7 +146,6 @@ class CircleScan:
     comax: np.ndarray
     spread: float
     tie_threshold: float
-    grid_used: int
 
 
 def radius_schedule(cfg: TraceConfig) -> np.ndarray:
@@ -164,88 +168,87 @@ def floor_radius(h: HaymanForm) -> float:
     return float((1e6 * EPS * mass * mass / 2.0 * (big / abs(h.a)) * big) ** (1.0 / h.k))
 
 
-def _grid_maxima(x: np.ndarray) -> np.ndarray:
-    """Mask of the circular local maxima along the last axis of ``x``."""
-    left = np.roll(x, 1, axis=-1)
-    right = np.roll(x, -1, axis=-1)
-    return (x >= left) & (x >= right) & ((x > left) | (x > right))
+def _derivative_roots(e: ModulusExpansion, radii: np.ndarray):
+    """Roots ``w`` of ``w^D d/dtheta |1 + q(r w)|^2`` for every circle.
 
+    With ``p = a_m z^m (1 + q)``, ``c_0 = 1``, ``c_j`` the coefficients of
+    ``q`` and ``w = e^{i theta}``, the squared modulus is the trigonometric sum
+    ``|1 + q|^2 = C_0 + sum_{n=1}^{D} (C_n w^n + conj(C_n) w^-n)`` with
+    ``C_n(r) = sum_j c_{j+n} conj(c_j) r^{2j+n}``.  Hence ``w^D d/dtheta / i``
+    is the polynomial of degree 2D with ``n C_n`` at ``w^{D+n}`` and
+    ``-n conj(C_n)`` at ``w^{D-n}``, and its roots on the unit circle are the
+    critical points.  Per circle, the top orders whose ``n |C_n|`` is at most
+    ``EPS`` times the largest are dropped: they move no critical point and
+    would overflow the companion matrix.  Circles of equal remaining degree
+    d share one batched eigenvalue solve.
 
-def _grid_scan(e: ModulusExpansion, radii: np.ndarray, grid: int):
-    """Grid maxima of every circle, as flat seed arrays grouped by radius.
-
-    Circles are evaluated as ``(radii x grid)`` blocks of at most
-    ``SCAN_BLOCK`` points.  A circle whose maxima lie within 3 grid steps
-    of each other is scanned again at twice the grid, up to ``MAX_GRID``.
-
-    Returns ``(seed_radius_index, seed_theta, grid_used, spread)``, where
-    the last two hold one value per radius.
+    Returns one ``(radius_indices, roots)`` pair per degree, ``roots`` of
+    shape ``(len(radius_indices), 2d)``.
     """
-    grid_used = np.empty(radii.size, dtype=np.int64)
-    spread = np.empty(radii.size)
-    seed_idx, seed_theta = [], []
-    pending = np.arange(radii.size)
-    while pending.size:
-        th_grid = -math.pi + TWO_PI * np.arange(grid) / grid
-        rows = max(1, SCAN_BLOCK // grid)
-        crowded = []
-        for lo in range(0, pending.size, rows):
-            blk = pending[lo : lo + rows]
-            x = e.osc(radii[blk, None], th_grid)
-            row, col = np.nonzero(_grid_maxima(x))
-            counts = np.bincount(row, minlength=blk.size)
-            if not counts.all():  # flat circle; cannot happen for >= 2 terms
-                raise RefinementFailureError(float(radii[blk[np.argmin(counts)]]), 0.0)
-            # forward gap from each maximum to the next one on its circle
-            first = np.cumsum(counts) - counts
-            last = first + counts - 1
-            gap = np.empty_like(col)
-            gap[:-1] = np.diff(col)
-            gap[last] = col[first] + grid - col[last]
-            redo = np.zeros(blk.size, dtype=bool)
-            if grid < MAX_GRID:
-                redo[row[gap <= 3]] = True
-            crowded.append(blk[redo])
-            done = ~redo
-            grid_used[blk[done]] = grid
-            spread[blk[done]] = x[done].max(axis=1) - x[done].min(axis=1)
-            seeded = done[row]
-            seed_idx.append(blk[row[seeded]])
-            seed_theta.append(th_grid[col[seeded]])
-        pending = np.concatenate(crowded)
-        grid *= 2
-    seed_idx = np.concatenate(seed_idx)
-    order = np.argsort(seed_idx, kind="stable")
-    return seed_idx[order], np.concatenate(seed_theta)[order], grid_used, spread
+    c = np.concatenate([[1.0 + 0j], e.q_rows[:, 0]])
+    deg = c.size - 1
+    rp = radii[:, None] ** np.arange(2 * deg)
+    nc = np.empty((radii.size, deg), dtype=complex)  # column n-1: n C_n
+    for n in range(1, deg + 1):
+        acc = np.zeros(radii.size, dtype=complex)
+        for j in range(deg - n + 1):  # a fixed order keeps each circle's bits
+            acc += (c[j + n] * np.conj(c[j])) * rp[:, 2 * j + n]
+        nc[:, n - 1] = n * acc
+    mag = np.abs(nc)
+    top = mag.max(axis=1)
+    flat = ~((0.0 < top) & (top < np.inf))  # also NaN
+    if flat.any():
+        raise RefinementFailureError(float(radii[np.argmax(flat)]), 0.0)
+    kept = deg - np.argmax((mag > EPS * top[:, None])[:, ::-1], axis=1)
+
+    out = []
+    for d in sorted(set(kept.tolist())):
+        rows = np.flatnonzero(kept == d)
+        # descending powers w^{2d} .. w^0, divided by the leading one
+        desc = np.concatenate(
+            [nc[rows, d - 1 :: -1], np.zeros((rows.size, 1)), -np.conj(nc[rows, :d])], axis=1
+        )
+        comp = np.zeros((rows.size, 2 * d, 2 * d), dtype=complex)
+        comp[:, 0, :] = -desc[:, 1:] / desc[:, :1]
+        comp[:, np.arange(1, 2 * d), np.arange(2 * d - 1)] = 1.0
+        out.append((rows, np.linalg.eigvals(comp)))
+    return out
 
 
-def _refine_maxima(e: ModulusExpansion, r: np.ndarray, seeds: np.ndarray, step: np.ndarray):
+def _critical_points(e: ModulusExpansion, radii: np.ndarray):
+    """Every critical point of ``theta -> |p(r e^{i theta})|^2`` on every
+    circle: the roots of :func:`_derivative_roots` within ``ON_CIRCLE`` of
+    the unit circle.
+
+    Returns ``(radius_index, theta)``, sorted by radius index, then angle.
+    """
+    ridx, theta = [], []
+    for rows, w in _derivative_roots(e, radii):
+        row, col = np.nonzero(np.abs(np.abs(w) - 1.0) < ON_CIRCLE)
+        ridx.append(rows[row])
+        theta.append(np.angle(w[row, col]))
+    ridx = np.concatenate(ridx)
+    theta = np.concatenate(theta)
+    order = np.lexsort((theta, ridx))
+    return ridx[order], theta[order]
+
+
+def _refine_maxima(
+    e: ModulusExpansion, r: np.ndarray, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray
+):
     """Hybrid Newton/bisection on d/dtheta of the cross sum, one solve for
-    all seeds; seed i lies on the circle of radius ``r[i]``, with grid step
-    ``step[i]``.
-
-    Brackets are the grid neighbors of each seed; the derivative must be
-    nonnegative at the left edge and nonpositive at the right edge.  Only
-    unconverged seeds are evaluated again.
+    all maxima; maximum i starts at ``x0[i]`` on the circle of radius
+    ``r[i]``, inside the bracket ``[lo[i], hi[i]]`` on whose left edge the
+    derivative is nonnegative and on whose right edge it is nonpositive.
+    Only unconverged maxima are evaluated again.  Returns the refined angles
+    and the second derivative at each.
     """
     tol = NEWTON_TOL * np.maximum(e.d1_bound(r), 1e-300)
-    lo = seeds - step
-    hi = seeds + step
-    chk = np.arange(seeds.size)  # seeds whose bracket is not yet verified
-    for _ in range(3):
-        f, _ = e.d1d2(np.concatenate([r[chk], r[chk]]), np.concatenate([lo[chk], hi[chk]]))
-        bad_lo = f[: chk.size] < 0
-        bad_hi = f[chk.size :] > 0
-        if not bad_lo.any() and not bad_hi.any():
-            break
-        lo[chk[bad_lo]] -= step[chk[bad_lo]]
-        hi[chk[bad_hi]] += step[chk[bad_hi]]
-        chk = chk[bad_lo | bad_hi]
-    else:
-        raise RefinementFailureError(float(r[chk[0]]), float(seeds[chk[0]]))
-
-    x = seeds.astype(float).copy()
-    act = np.arange(x.size)  # unconverged seeds
+    lo = lo.copy()
+    hi = hi.copy()
+    x = x0.copy()
+    d2_x = np.empty_like(x)
+    act = np.arange(x.size)  # unconverged maxima
     for _ in range(NEWTON_MAX_ITER):
         xa = x[act]
         f, d2 = e.d1d2(r[act], xa)
@@ -257,85 +260,102 @@ def _refine_maxima(e: ModulusExpansion, r: np.ndarray, seeds: np.ndarray, step: 
         x[act] = np.where(conv, xa, np.where(ok, newt, 0.5 * (la + ha)))
         lo[act] = la
         hi[act] = ha
+        d2_x[act] = d2
         act = act[~conv]
         if act.size == 0:
             break
     else:
-        raise RefinementFailureError(float(r[act[0]]), float(seeds[act[0]]))
-    return x
+        raise RefinementFailureError(float(r[act[0]]), float(x0[act[0]]))
+    return x, d2_x
 
 
-def _scan_circles(e: ModulusExpansion, radii: np.ndarray, cfg: TraceConfig) -> list[CircleScan]:
+def _scan_circles(e: ModulusExpansion, radii: np.ndarray) -> list[CircleScan]:
     """All refined local maxima of every circle ``|z| = r`` for r in ``radii``.
 
-    One blocked grid pass finds the seeds of all circles, one vectorized
-    Newton/bisection solve refines them, and the per-circle post-processing
-    (maximum guard, duplicate merge, co-maximality) runs on the flat arrays.
+    The critical points of all circles come from :func:`_critical_points`.
+    One ``d1d2`` call at the critical points and at the midpoints between
+    circular neighbours sorts them into maxima (``d2 < 0``) and minima and
+    checks the bracket of each maximum, whose ends are the midpoints to its
+    two neighbours.  One vectorized Newton/bisection solve then polishes the
+    maxima of all circles.  The spread of a circle is its largest ``osc`` at
+    a maximum minus its smallest at a minimum.
     """
-    ridx, seeds, grid_used, spread = _grid_scan(e, radii, cfg.grid)
+    # the roots see only q; the factor |a_m|^2 r^{2m} of |p|^2 must be a float too
+    bad = ~np.isfinite(e.scale(radii))
+    if bad.any():
+        raise RefinementFailureError(float(radii[np.argmax(bad)]), 0.0)
+    ridx, theta = _critical_points(e, radii)
+    counts = np.bincount(ridx, minlength=radii.size)
+    if counts.min() < 2:  # a smooth periodic function has a maximum and a minimum
+        raise RefinementFailureError(float(radii[np.argmin(counts)]), 0.0)
+    first = np.cumsum(counts) - counts
+    last = first + counts - 1
+    nxt = np.arange(1, theta.size + 1)
+    nxt[last] = first
+    prv = np.arange(-1, theta.size - 1)
+    prv[first] = last
+    after = theta[nxt]
+    after[last] += TWO_PI
+    mid = 0.5 * (theta + after)  # midpoint to the next critical point
+    mid_before = mid[prv]
+    mid_before[first] -= TWO_PI
     r = radii[ridx]
-    theta = _refine_maxima(e, r, seeds, TWO_PI / grid_used[ridx])
-    osc = e.osc(r, theta)
-    _, d2 = e.d1d2(r, theta)
+    f, d2 = e.d1d2(np.concatenate([r, r]), np.concatenate([theta, mid]))
+    f_mid = f[theta.size :]
+    d2 = d2[: theta.size]
+    is_max = d2 < 0.0
+    n_max = np.bincount(ridx[is_max], minlength=radii.size)
+    n_min = np.bincount(ridx[d2 >= 0.0], minlength=radii.size)  # NaN is neither
+    bad = (n_max == 0) | (n_min == 0) | (n_max + n_min < counts)
+    if bad.any():
+        raise RefinementFailureError(float(radii[np.argmax(bad)]), 0.0)
+
+    mx = np.flatnonzero(is_max)
+    mn = np.flatnonzero(~is_max)  # every other point is a minimum now
+    bad = (f_mid[prv[mx]] < 0) | (f_mid[mx] > 0)
+    if bad.any():
+        worst = mx[np.argmax(bad)]
+        raise RefinementFailureError(float(r[worst]), float(theta[worst]))
+    theta_mx, d2 = _refine_maxima(e, r[mx], theta[mx], mid_before[mx], mid[mx])
+    ridx_mx = ridx[mx]
 
     # guard: a refined point must be a (weak) maximum
     d2_tol = NEWTON_TOL * np.maximum(e.d2_bound(radii), 1e-300)
-    bad = d2 > d2_tol[ridx]
+    bad = d2 > d2_tol[ridx_mx]
     if bad.any():
-        on_circle = np.flatnonzero(ridx == ridx[np.argmax(bad)])
-        worst = on_circle[np.argmax(d2[on_circle])]
-        raise RefinementFailureError(float(r[worst]), float(theta[worst]))
+        i = np.argmax(bad)
+        raise RefinementFailureError(float(r[mx[i]]), float(theta_mx[i]))
 
-    order = np.lexsort((theta, ridx))
-    theta, osc, ridx = reduce_angle(theta[order]), osc[order], ridx[order]
-
-    # merge refined duplicates closer than 2 pi / (8 grid); the sequential
-    # pass runs only on circles that have such a pair
-    counts = np.bincount(ridx, minlength=radii.size)
-    starts = np.cumsum(counts) - counts
-    nxt = np.arange(1, theta.size + 1)
-    nxt[starts + counts - 1] = starts
-    merge_dist = TWO_PI / (8.0 * grid_used)
-    close = (circ_dist(theta, theta[nxt]) < merge_dist[ridx]) & (counts[ridx] > 1)
-    keep = np.ones(theta.size, dtype=bool)
-    for c in sorted(set(ridx[close].tolist())):
-        ths = theta[starts[c] : starts[c] + counts[c]].tolist()
-        xs = osc[starts[c] : starts[c] + counts[c]].tolist()
-        kc = keep[starts[c] : starts[c] + counts[c]]  # a view: writes reach keep
-        for i in range(len(ths)):
-            j = (i + 1) % len(ths)
-            if kc[i] and kc[j] and scalar_circ_dist(ths[i], ths[j]) < merge_dist[c]:
-                kc[i if xs[i] < xs[j] else j] = False
-    theta, osc, ridx = theta[keep], osc[keep], ridx[keep]
-
-    bounds = np.flatnonzero(np.diff(ridx)) + 1
+    osc = e.osc(np.concatenate([r[mx], r[mn]]), np.concatenate([theta_mx, theta[mn]]))
+    osc, osc_mn = osc[: mx.size], osc[mx.size :]
+    starts = np.cumsum(n_max) - n_max
+    top = np.maximum.reduceat(osc, starts)
+    spread = top - np.minimum.reduceat(osc_mn, np.cumsum(n_min) - n_min)
     tie_threshold = TIE_TOL * spread
-    top = np.maximum.reduceat(osc, np.concatenate([[0], bounds]))
-    comax = osc >= top[ridx] - tie_threshold[ridx]
-    mod2 = e.base(radii)[ridx] + osc
-    ends = np.concatenate([bounds, [theta.size]]).tolist()
+    comax = osc >= top[ridx_mx] - tie_threshold[ridx_mx]
+    mod2 = e.base(radii)[ridx_mx] + osc
+    theta_mx = reduce_angle(theta_mx)
     return [
         CircleScan(
             r=float(radii[i]),
-            thetas=theta[a:b],
+            thetas=theta_mx[a:b],
             osc=osc[a:b],
             mod2=mod2[a:b],
             comax=comax[a:b],
             spread=float(spread[i]),
             tie_threshold=float(tie_threshold[i]),
-            grid_used=int(grid_used[i]),
         )
-        for i, a, b in zip(range(radii.size), [0] + ends[:-1], ends)
+        for i, a, b in zip(range(radii.size), starts.tolist(), (starts + n_max).tolist())
     ]
 
 
-def circle_argmax(e: ModulusExpansion, r: float, cfg: TraceConfig) -> list[tuple[float, float]]:
+def circle_argmax(e: ModulusExpansion, r: float) -> list[tuple[float, float]]:
     """Newton-refined global maximizers of ``|p|^2`` on the circle |z| = r.
 
     Returns ``(theta, mod2)`` pairs for every maximizer whose value lies
     within ``TIE_TOL * (max - min)`` of the refined global maximum.
     """
-    scan = _scan_circles(e, np.array([r], dtype=float), cfg)[0]
+    scan = _scan_circles(e, np.array([r], dtype=float))[0]
     return [
         (float(t), float(m))
         for t, m, c in zip(scan.thetas, scan.mod2, scan.comax)
@@ -442,7 +462,7 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
     e = expand(p)
     omega = omega_angles(h)
     radii = radius_schedule(cfg)
-    scans = _scan_circles(e, radii, cfg)
+    scans = _scan_circles(e, radii)
 
     # -- link maximizer trajectories across radii (descending) ----------
     trajs: dict[int, dict] = {}
@@ -451,9 +471,9 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
     next_traj = 0
     next_curve = 0
     omega_list = omega.tolist()
+    step = TWO_PI / cfg.grid  # the linker's angular floor
     for idx, scan in enumerate(scans):
         r = float(radii[idx])
-        step = TWO_PI / scan.grid_used
         thetas = scan.thetas.tolist()
         oscs = scan.osc.tolist()
         mod2s = scan.mod2.tolist()

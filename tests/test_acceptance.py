@@ -260,13 +260,12 @@ def test_criterion_09_reciprocal_duality():
     q = normalize(reciprocal(p)).tail
     assert q.coeffs == (1, 0, 1, 1j)
     ep, eq = expand(p), expand(q)
-    cfg = TraceConfig()
     rng = np.random.default_rng(99)
     worst = 0.0
     for _ in range(20):
         r = float(rng.uniform(3.0, 10.0))
-        angles_p = sorted(reduce_angle(t) for t, _ in circle_argmax(ep, r, cfg))
-        angles_q = sorted(reduce_angle(-t) for t, _ in circle_argmax(eq, 1.0 / r, cfg))
+        angles_p = sorted(reduce_angle(t) for t, _ in circle_argmax(ep, r))
+        angles_q = sorted(reduce_angle(-t) for t, _ in circle_argmax(eq, 1.0 / r))
         assert len(angles_p) == len(angles_q)
         worst = max(
             worst, max(circ_dist(x, y) for x, y in zip(angles_p, angles_q))

@@ -107,6 +107,34 @@ class TestTraceCommand:
             code, _, err = run(capsys, "trace", "--poly", poly)
         assert code == 5 and err.startswith("error[FloorViolation]")
 
+    def test_negligible_top_coefficient_exit_4(self, capsys):
+        # n C_n of the z^3 term underflows against the rest; the root solve
+        # drops that order instead of dividing by it, and the tie of the two
+        # z^2 maxima stays visible as a discrepancy
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, "trace", "--poly", "1,0,1,1e-300")
+        assert code == 4 and not err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_coarse_grid_traces(self, capsys):
+        # --grid sets only the linking floor; the critical points do not
+        # depend on it
+        code, out, _ = run(
+            capsys,
+            "trace",
+            "--poly=1,1,1i,1,-1,1i,0.5,1,2",
+            "--grid",
+            "64",
+            "--rmax",
+            "0.9",
+            "--radii",
+            "50",
+            "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["trace"]["n_components"] == 1
+
     def test_phantom_discrepancy_exit_4(self, capsys):
         # below the ambiguity radius of the weak odd separator the count is
         # inflated and disagrees with the proven value

@@ -28,10 +28,16 @@ from maxmod import (
     write_csv,
 )
 from maxmod.modulus import ModulusExpansion
-from maxmod.tracer import NEWTON_MAX_ITER, _fit_tangent, _scan_circles, radius_schedule
+from maxmod.tracer import (
+    NEWTON_MAX_ITER,
+    ON_CIRCLE,
+    _critical_points,
+    _derivative_roots,
+    _fit_tangent,
+    _scan_circles,
+    radius_schedule,
+)
 from maxmod.util import circ_dist
-
-CFG = TraceConfig()
 
 
 def cluster_count(angles: np.ndarray, grid: int) -> int:
@@ -72,7 +78,7 @@ class TestCircleArgmax:
 
         omega = omega_angles(h)
         for r in (0.05, 0.2):
-            pts = circle_argmax(e, r, CFG)
+            pts = circle_argmax(e, r)
             assert len(pts) == k
             got = sorted(t for t, _ in pts)
             want = sorted(float(w) for w in omega)
@@ -81,7 +87,7 @@ class TestCircleArgmax:
 
     def test_magic_cubic_two_symmetric(self):
         e = expand(parse_poly("1,0,1,1i"))
-        pts = circle_argmax(e, 0.1, CFG)
+        pts = circle_argmax(e, 0.1)
         assert len(pts) == 2
         (t1, m1), (t2, m2) = sorted(pts)
         assert circ_dist(t1, math.pi - t2) < 1e-12
@@ -89,7 +95,7 @@ class TestCircleArgmax:
 
     def test_real_cubic_single_max(self):
         e = expand(parse_poly("1,0,1,1"))
-        pts = circle_argmax(e, 0.1, CFG)
+        pts = circle_argmax(e, 0.1)
         assert len(pts) == 1
         assert abs(pts[0][0]) < 0.2
 
@@ -100,7 +106,7 @@ class TestCircleArgmax:
             p = parse_poly(text)
             e = expand(p)
             for r in (0.05, 0.1, 0.25):
-                refined = circle_argmax(e, r, CFG)
+                refined = circle_argmax(e, r)
                 bf = brute_force_mset(p, r, grid)
                 assert cluster_count(bf, grid) == len(refined)
                 for t, _ in refined:
@@ -112,9 +118,9 @@ class TestCircleArgmax:
         assert np.all(np.abs(bf) < 0.01)
 
 
-# 1 + z^2 + z^24: one pair of maxima near 0, 24 crowded ones near |z| = 1,
-# so a 64-point grid doubles on the outer circles only
+# 1 + z^2 + z^24: one pair of maxima near 0, 24 crowded ones near |z| = 1
 CROWDED = ",".join(["1", "0", "1"] + ["0"] * 21 + ["1"])
+DEGREE_8 = "1,1,1i,1,-1,1i,0.5,1,2"
 
 
 class TestBatchedScan:
@@ -122,11 +128,11 @@ class TestBatchedScan:
         "text,cfg",
         [
             ("1,0,1,1i", TraceConfig()),
-            ("1,1,1i,1,-1,1i,0.5,1,2", TraceConfig()),
-            ("1,1,1i,1,-1,1i,0.5,1,2", TraceConfig(grid=64)),
-            (CROWDED, TraceConfig(r_min=0.05, r_max=0.95, n_radii=40, grid=64)),
+            (DEGREE_8, TraceConfig()),
+            (DEGREE_8, TraceConfig(r_max=0.9)),
+            (CROWDED, TraceConfig(r_min=0.05, r_max=0.95, n_radii=40)),
         ],
-        ids=["fig1-cubic", "degree-8", "degree-8-grid-64", "grid-doubling"],
+        ids=["fig1-cubic", "degree-8", "degree-8-rmax-0.9", "crowded"],
     )
     def test_trace_matches_single_radius_scans(self, text, cfg):
         # one batched scan of all radii gives bit for bit the co-maximal
@@ -136,37 +142,7 @@ class TestBatchedScan:
         res = trace(p, cfg)
         for r in res.radii:
             got = sorted((s.theta, s.mod2) for s in res.samples if s.r == r)
-            assert got == sorted(circle_argmax(e, r, cfg)), r
-
-    def test_grid_doubling_is_per_radius(self):
-        cfg = TraceConfig(r_min=0.05, r_max=0.95, n_radii=40, grid=64)
-        e = expand(parse_poly(CROWDED))
-        radii = radius_schedule(cfg)
-        scans = _scan_circles(e, radii, cfg)
-        used = [s.grid_used for s in scans]
-        assert set(used) == {64, 128}
-        assert used == [_scan_circles(e, np.array([r]), cfg)[0].grid_used for r in radii]
-
-    def test_duplicate_refinements_merge(self, monkeypatch):
-        # a second seed one grid step past each grid maximum refines to the
-        # same maximizer; every circle keeps each maximizer once
-        cfg = TraceConfig(n_radii=2)
-        e = expand(parse_poly("1,0,1,1i"))
-        radii = np.array([0.1, 0.05])
-        plain = _scan_circles(e, radii, cfg)
-        grid_scan = maxmod.tracer._grid_scan
-
-        def twice(e, radii, grid):
-            ridx, seeds, grid_used, spread = grid_scan(e, radii, grid)
-            step = 2 * math.pi / grid_used[ridx]
-            both = np.column_stack([seeds, seeds + step]).ravel()
-            return np.repeat(ridx, 2), both, grid_used, spread
-
-        monkeypatch.setattr(maxmod.tracer, "_grid_scan", twice)
-        for a, b in zip(plain, _scan_circles(e, radii, cfg)):
-            assert b.thetas.size == a.thetas.size == 2
-            assert np.max(np.abs(b.thetas - a.thetas)) <= 1e-12
-            assert b.comax.tolist() == a.comax.tolist()
+            assert got == sorted(circle_argmax(e, r)), r
 
     def test_d1d2_calls_do_not_grow_with_radii(self, monkeypatch):
         calls = []
@@ -183,6 +159,82 @@ class TestBatchedScan:
             trace(parse_poly("1,0,1,1i"), TraceConfig(n_radii=n))
             counts[n] = len(calls)
         assert counts[200] <= counts[20] <= NEWTON_MAX_ITER + 5
+
+
+def oracle_maxima(e: ModulusExpansion, r: float, grid: int) -> np.ndarray:
+    """Circular local maxima of the cross-term sum on a uniform grid."""
+    th = -math.pi + 2 * math.pi * np.arange(grid) / grid
+    x = e.osc_terms(r, th)
+    return th[(x > np.roll(x, 1)) & (x >= np.roll(x, -1))]
+
+
+class TestCriticalPoints:
+    def test_maxima_match_dense_oracle(self):
+        # random polynomials of degree 2-12 on circles in [1e-2, 0.9]: the
+        # root solve finds exactly the local maxima of a 2^16-point scan,
+        # each within one grid step, and maxima alternate with minima
+        grid = 1 << 16
+        step = 2 * math.pi / grid
+        rng = np.random.default_rng(20261018)
+        checked = 0
+        for _ in range(24):
+            deg = int(rng.integers(2, 13))
+            c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+            c[1:-1] *= rng.random(deg - 1) > 0.3
+            c[0] = 1.0
+            p = Polynomial(tuple(complex(x) for x in c))
+            e = expand(p)
+            lo = max(1e-2, 2 * floor_radius(normalize(p)))
+            radii = np.exp(rng.uniform(math.log(lo), math.log(0.9), 3))
+            scans = _scan_circles(e, radii)
+            ridx, theta = _critical_points(e, radii)
+            _, d2 = e.d1d2(radii[ridx], theta)
+            for i, (r, scan) in enumerate(zip(radii, scans)):
+                is_max = d2[ridx == i] < 0
+                assert np.all(is_max != np.roll(is_max, 1)), (p, r)
+                bf = oracle_maxima(e, r, grid)
+                gaps = np.diff(np.concatenate([bf, [bf[0] + 2 * math.pi]]))
+                if bf.size > 1 and gaps.min() <= 4 * step:
+                    continue
+                assert scan.thetas.size == bf.size, (p, r)
+                for t in scan.thetas:
+                    assert circ_dist(t, bf).min() <= step, (p, r, t)
+                checked += 1
+        assert checked >= 60
+
+    @pytest.mark.parametrize(
+        "text,cfg",
+        [
+            ("1,0,1,0,0,0.5", TraceConfig(r_min=5e-5, n_radii=120)),
+            (DEGREE_8, TraceConfig(r_max=0.9)),
+            (CROWDED, TraceConfig(r_min=0.05, r_max=0.95, n_radii=40)),
+        ],
+        ids=["event-trace", "degree-8-rmax-0.9", "crowded"],
+    )
+    def test_on_circle_margin(self, text, cfg):
+        # roots on the unit circle come back far inside ON_CIRCLE, and every
+        # other root stays far outside it, even across folds
+        e = expand(parse_poly(text))
+        roots = _derivative_roots(e, radius_schedule(cfg))
+        dist = np.concatenate([np.abs(np.abs(w) - 1.0).ravel() for _, w in roots])
+        on = dist < ON_CIRCLE
+        assert on.any() and np.all(dist[on] <= 1e-10)
+        assert np.all(dist[~on] >= 1e-3)
+
+    def test_circle_without_maximum_fails_cleanly(self, monkeypatch):
+        # a circle whose critical points hold no maximum is a refinement
+        # failure, not an IndexError
+        e = expand(parse_poly("1,0,1,1i"))
+        radii = np.array([0.2, 0.1])
+        ridx, theta = _critical_points(e, radii)
+        _, d2 = e.d1d2(radii[ridx], theta)
+        keep = (ridx == 0) | (d2 >= 0)
+        monkeypatch.setattr(
+            maxmod.tracer, "_critical_points", lambda e, radii: (ridx[keep], theta[keep])
+        )
+        with pytest.raises(maxmod.RefinementFailureError) as exc:
+            _scan_circles(e, radii)
+        assert exc.value.r == 0.1
 
 
 class TestTrace:
