@@ -2,10 +2,11 @@
 
 The global maximizers of ``theta -> |p(r e^{i theta})|^2`` are located on
 every circle of a geometric radius schedule at once.  The paper's
-trigonometric expansion makes the theta-derivative of ``|p|^2`` a
-trigonometric polynomial, so the critical points of every circle are the
-unit-circle roots of one polynomial per circle, found by batched companion
-eigenvalue solves; one Newton solve (bisection-guarded) on the exact
+trigonometric expansion makes the theta-derivative of ``|p|^2`` a real
+trigonometric polynomial; in the half-angle variable ``t = tan(theta / 2)``
+it becomes one real polynomial per circle, whose real roots are the
+circle's critical points, found by batched eigenvalue solves of real
+companion matrices.  One Newton solve (bisection-guarded) on the exact
 theta-derivative then polishes the maxima of all circles.
 Per-radius maximizer sets are linked into curves, counted, fitted for
 tangent direction and exponent, and checked for rotational symmetry.
@@ -23,6 +24,7 @@ an argmax, and dropping it keeps co-maximality decisions accurate at the
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -53,13 +55,14 @@ NEWTON_MAX_ITER = 60
 LINK_TOL = 3.0
 # TraceConfig.grid lies in 64..MAX_GRID.
 MAX_GRID = 1 << 16
-# A root w of the critical-point polynomial (see _derivative_roots) is a
-# critical point of its circle when |abs(w) - 1| < ON_CIRCLE.  Simple roots on
-# the circle come back within about 1e-12 of it.  A max-min pair that has met
-# at a fold and left the circle, with |d/dtheta| >= delta between the two, sits
-# at w and 1/conj(w) with |abs(w) - 1| ~ sqrt(2 delta / |d^3/dtheta^3|); the
-# bound accepts it only for delta below about 5e-13 |d^3/dtheta^3|, on a circle
-# within roundoff of the fold.
+# A root t of the half-angle polynomial (see _derivative_roots), mapped to
+# w = (1+it)/(1-it), is a critical point of its circle when
+# |abs(w) - 1| < ON_CIRCLE.  Real roots land within a few ulps of the
+# circle.  A max-min pair that has met at a fold and left the circle, with
+# |d/dtheta| >= delta between the two, is a complex pair t, conj(t), which
+# maps to w and 1/conj(w) with |abs(w) - 1| ~ sqrt(2 delta / |d^3/dtheta^3|);
+# the bound accepts it only for delta below about 5e-13 |d^3/dtheta^3|, on a
+# circle within roundoff of the fold.
 ON_CIRCLE = 1e-6
 
 
@@ -86,7 +89,7 @@ class TraceConfig:
 class CurveSample:
     r: float
     theta: float
-    mod2: float
+    mod: float  # |p(r e^{i theta})|; inf only where |p| exceeds the float range
     curve_id: int
 
 
@@ -144,8 +147,6 @@ class CircleScan:
     osc: np.ndarray
     mod2: np.ndarray
     comax: np.ndarray
-    spread: float
-    tie_threshold: float
 
 
 def radius_schedule(cfg: TraceConfig) -> np.ndarray:
@@ -168,21 +169,55 @@ def floor_radius(h: HaymanForm) -> float:
     return float((1e6 * EPS * mass * mass / 2.0 * (big / abs(h.a)) * big) ** (1.0 / h.k))
 
 
+@functools.cache
+def _half_angle_table(d: int) -> np.ndarray:
+    """Row n-1, column k: the real factor ``(-1)^(k//2) e_nk`` that takes
+    ``Im x`` (k even) or ``Re x`` (k odd) to the coefficient of ``t^k`` in
+    ``Im(x (1+it)^{d+n} (1-it)^{d-n})``, where
+    ``(1+it)^{d+n} (1-it)^{d-n} = sum_k i^k e_nk t^k``."""
+    table = np.empty((d, 2 * d + 1))
+    for n in range(1, d + 1):
+        for k in range(2 * d + 1):
+            e_nk = sum(
+                math.comb(d + n, j) * math.comb(d - n, k - j) * (-1) ** (k - j)
+                for j in range(max(0, k - d + n), min(k, d + n) + 1)
+            )
+            table[n - 1, k] = (-1) ** (k // 2) * e_nk
+    table.setflags(write=False)
+    return table
+
+
 def _derivative_roots(e: ModulusExpansion, radii: np.ndarray):
     """Roots ``w`` of ``w^D d/dtheta |1 + q(r w)|^2`` for every circle.
 
     With ``p = a_m z^m (1 + q)``, ``c_0 = 1``, ``c_j`` the coefficients of
     ``q`` and ``w = e^{i theta}``, the squared modulus is the trigonometric sum
     ``|1 + q|^2 = C_0 + sum_{n=1}^{D} (C_n w^n + conj(C_n) w^-n)`` with
-    ``C_n(r) = sum_j c_{j+n} conj(c_j) r^{2j+n}``.  Hence ``w^D d/dtheta / i``
-    is the polynomial of degree 2D with ``n C_n`` at ``w^{D+n}`` and
-    ``-n conj(C_n)`` at ``w^{D-n}``, and its roots on the unit circle are the
-    critical points.  Per circle, the top orders whose ``n |C_n|`` is at most
-    ``EPS`` times the largest are dropped: they move no critical point and
-    would overflow the companion matrix.  Circles of equal remaining degree
-    d share one batched eigenvalue solve.
+    ``C_n(r) = sum_j c_{j+n} conj(c_j) r^{2j+n}``, so
+    ``d/dtheta |1 + q|^2 = -2 sum_n n Im(C_n w^n)``.  Per circle, the top
+    orders whose ``n |C_n|`` is at most ``EPS`` times the largest are
+    dropped: they move no critical point and would overflow the companion
+    matrix.  With the remaining degree d and the half-angle variable
+    ``t = tan(theta / 2)``, ``w = (1+it)/(1-it)``, the derivative times
+    ``-(1+t^2)^d / 2`` is the real polynomial of degree 2d
 
-    Returns one ``(radius_indices, roots)`` pair per degree, ``roots`` of
+        ``R(t) = sum_{n=1}^{d} n Im(C_n (1+it)^{d+n} (1-it)^{d-n})``,
+
+    whose real roots are the critical points; a complex pair ``t, conj(t)``
+    maps to ``w, 1/conj(w)`` off the circle.  ``t = inf`` is ``theta = pi``:
+    the top coefficient of R is ``sum_n n (-1)^n Im C_n``, zero for every
+    polynomial with real coefficients.  A top order j of R is dropped, and
+    gives the root ``w = -1`` (as ``theta = -pi``), when its coefficient is
+    below ``EPS^(j-k)`` times that of some lower order k: by the Newton
+    polygon a root then lies beyond ``1 / EPS``, where ``w = -1`` to
+    rounding, and the companion matrix could overflow.  The test is against
+    each lower order, not against the largest coefficient, because the
+    binomial factors make R's coefficients span about ``4^d``: ``EPS`` times
+    the largest drops genuine top orders from about ``d = 28`` on.  Circles
+    of equal d and equal remaining degree of R share one batched eigenvalue
+    solve of real companion matrices.
+
+    Returns one ``(radius_indices, roots)`` pair per group, ``roots`` of
     shape ``(len(radius_indices), 2d)``.
     """
     c = np.concatenate([[1.0 + 0j], e.q_rows[:, 0]])
@@ -204,14 +239,33 @@ def _derivative_roots(e: ModulusExpansion, radii: np.ndarray):
     out = []
     for d in sorted(set(kept.tolist())):
         rows = np.flatnonzero(kept == d)
-        # descending powers w^{2d} .. w^0, divided by the leading one
-        desc = np.concatenate(
-            [nc[rows, d - 1 :: -1], np.zeros((rows.size, 1)), -np.conj(nc[rows, :d])], axis=1
-        )
-        comp = np.zeros((rows.size, 2 * d, 2 * d), dtype=complex)
-        comp[:, 0, :] = -desc[:, 1:] / desc[:, :1]
-        comp[:, np.arange(1, 2 * d), np.arange(2 * d - 1)] = 1.0
-        out.append((rows, np.linalg.eigvals(comp)))
+        table = _half_angle_table(d)
+        coef = np.zeros((rows.size, 2 * d + 1))  # column k: t^k
+        for n in range(1, d + 1):  # a fixed order keeps each circle's bits
+            coef[:, 0::2] += table[n - 1, 0::2] * nc[rows, n - 1, None].imag
+            coef[:, 1::2] += table[n - 1, 1::2] * nc[rows, n - 1, None].real
+        # top order j goes when |coef_j| < EPS^(j-k) |coef_k| for some k < j
+        with np.errstate(divide="ignore"):  # an exact zero has height -inf
+            height = np.log2(np.abs(coef)) - math.log2(EPS) * np.arange(2 * d + 1)
+        at_inf = height[:, 1:] < np.maximum.accumulate(height, axis=1)[:, :-1]
+        kept_r = 2 * d - np.argmax(~at_inf[:, ::-1], axis=1)
+        for m in sorted(set(kept_r.tolist())):
+            sub = rows[kept_r == m]
+            lead = coef[kept_r == m]
+            comp = np.zeros((sub.size, m, m))
+            comp[:, 0, :] = -lead[:, m - 1 :: -1] / lead[:, m, None]
+            comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+            t = np.linalg.eigvals(comp)
+            # w = (1+it)/(1-it) in real arithmetic, the same bits in any batch;
+            # no root exceeds about 2 / EPS, so no square overflows
+            a, b = t.real, t.imag
+            den = (1.0 + b) ** 2 + a**2
+            # each dropped order is w = -1 - 0i, at the angle -pi that sorts
+            # first on its circle; curve ids follow that order
+            w = np.full((sub.size, 2 * d), complex(-1.0, -0.0))
+            w.real[:, :m] = (1.0 - a**2 - b**2) / den
+            w.imag[:, :m] = 2.0 * a / den
+            out.append((sub, w))
     return out
 
 
@@ -342,8 +396,6 @@ def _scan_circles(e: ModulusExpansion, radii: np.ndarray) -> list[CircleScan]:
             osc=osc[a:b],
             mod2=mod2[a:b],
             comax=comax[a:b],
-            spread=float(spread[i]),
-            tie_threshold=float(tie_threshold[i]),
         )
         for i, a, b in zip(range(radii.size), starts.tolist(), (starts + n_max).tolist())
     ]
@@ -459,7 +511,16 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
     if cfg.r_min < required:
         raise FloorViolationError(cfg.r_min, required)
 
-    e = expand(p)
+    # |p|^2 leaves the float range long before p does.  The trace is exactly
+    # equivariant under p -> 2^s p, so expand 2^-shift p, whose largest
+    # coefficient component lies in [0.5, 1) (the abs() of a complex can
+    # overflow where its components do not); samples carry |p| rescaled.
+    shift = math.frexp(max(max(abs(c.real), abs(c.imag)) for c in p.coeffs))[1]
+    e = expand(
+        Polynomial(
+            tuple(complex(math.ldexp(c.real, -shift), math.ldexp(c.imag, -shift)) for c in p.coeffs)
+        )
+    )
     omega = omega_angles(h)
     radii = radius_schedule(cfg)
     scans = _scan_circles(e, radii)
@@ -538,8 +599,12 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
                     if idx > 0:
                         raw_events.append({"kind": "birth", "r": r, "curve": cid, "idx": idx, "traj": t})
                 cid = tr["curve"]
+                try:
+                    mod = math.ldexp(math.sqrt(max(mod2s[m], 0.0)), shift)  # exact
+                except OverflowError:  # |p| itself is beyond the float range
+                    mod = math.inf
                 curves[cid]["samples"].append(
-                    CurveSample(r=r, theta=theta_m, mod2=mod2s[m], curve_id=cid)
+                    CurveSample(r=r, theta=theta_m, mod=mod, curve_id=cid)
                 )
                 curves[cid]["last_idx"] = idx
             else:
@@ -667,7 +732,6 @@ def write_csv(result: TraceResult, path: str) -> None:
         for s in rows:
             re_ = s.r * math.cos(s.theta)
             im = s.r * math.sin(s.theta)
-            mod = math.sqrt(max(s.mod2, 0.0))
             fh.write(
-                f"{s.r:.17g},{s.theta:.17g},{re_:.17g},{im:.17g},{mod:.17g},{s.curve_id}\n"
+                f"{s.r:.17g},{s.theta:.17g},{re_:.17g},{im:.17g},{s.mod:.17g},{s.curve_id}\n"
             )

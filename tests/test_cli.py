@@ -117,6 +117,42 @@ class TestTraceCommand:
         assert code == 4 and not err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize(
+        "poly,reference,factor",
+        [
+            ("1e200,1e200,1e200", "1,1,1", 1e200),
+            ("0,1e-300,1e-300", "0,1,1", 1e-300),
+            ("1e308,1.5e308+1.5e308i", "1,1.5+1.5i", 1e308),
+        ],
+    )
+    def test_extreme_magnitudes_trace(self, capsys, tmp_path, poly, reference, factor):
+        # |p|^2 is outside the float range but p is not: the trace is that of
+        # the reference, and the CSV moduli are scaled by the factor
+        docs, rows = [], []
+        for i, text in enumerate((poly, reference)):
+            csv = tmp_path / f"{i}.csv"
+            code, out, err = run(capsys, "trace", f"--poly={text}", "--json", "--csv", str(csv))
+            assert code == 0 and not err
+            docs.append(json.loads(out)["trace"])
+            rows.append([line.split(",") for line in csv.read_text().splitlines()[1:]])
+        assert docs[0]["n_components"] == docs[1]["n_components"]
+        assert len(rows[0]) == len(rows[1])
+        for a, b in zip(*rows):
+            assert a[:4] + a[5:] == b[:4] + b[5:]
+            assert math.isfinite(float(a[4]))
+            assert float(a[4]) == pytest.approx(factor * float(b[4]), rel=1e-14)
+
+    def test_modulus_beyond_float_range_is_inf(self, capsys, tmp_path):
+        # near |z| = 0.9, |p| exceeds the largest float: those samples carry
+        # an infinite modulus, the others a finite one
+        csv = tmp_path / "p.csv"
+        code, _, err = run(
+            capsys, "trace", "--poly=1e308,1e308,1e308", "--rmax", "0.9", "--csv", str(csv)
+        )
+        assert code == 0 and not err
+        mods = [float(line.split(",")[4]) for line in csv.read_text().splitlines()[1:]]
+        assert math.inf in mods and math.isfinite(min(mods))
+
     def test_coarse_grid_traces(self, capsys):
         # --grid sets only the linking floor; the critical points do not
         # depend on it

@@ -121,6 +121,14 @@ class TestCircleArgmax:
 # 1 + z^2 + z^24: one pair of maxima near 0, 24 crowded ones near |z| = 1
 CROWDED = ",".join(["1", "0", "1"] + ["0"] * 21 + ["1"])
 DEGREE_8 = "1,1,1i,1,-1,1i,0.5,1,2"
+# real coefficients; at degree 32 the coefficients of the half-angle
+# polynomial span about 4^32, far beyond 1 / eps
+REAL_POLYS = (
+    "1,1,0,-1,0.5",
+    "1,0,1,1",
+    "1,-2,0,0,0,0.5,3",
+    "1,0,1,0,0,0.5," + "0," * 23 + "-0.7,0,0,1",
+)
 
 
 class TestBatchedScan:
@@ -141,8 +149,8 @@ class TestBatchedScan:
         e = expand(p)
         res = trace(p, cfg)
         for r in res.radii:
-            got = sorted((s.theta, s.mod2) for s in res.samples if s.r == r)
-            assert got == sorted(circle_argmax(e, r)), r
+            got = sorted((s.theta, s.mod) for s in res.samples if s.r == r)
+            assert got == sorted((t, math.sqrt(m2)) for t, m2 in circle_argmax(e, r)), r
 
     def test_d1d2_calls_do_not_grow_with_radii(self, monkeypatch):
         calls = []
@@ -170,22 +178,28 @@ def oracle_maxima(e: ModulusExpansion, r: float, grid: int) -> np.ndarray:
 
 class TestCriticalPoints:
     def test_maxima_match_dense_oracle(self):
-        # random polynomials of degree 2-12 on circles in [1e-2, 0.9]: the
-        # root solve finds exactly the local maxima of a 2^16-point scan,
-        # each within one grid step, and maxima alternate with minima
+        # random polynomials of degree 2-12 on circles in [1e-2, 0.9], real
+        # polynomials (theta = pi is the root t = inf) and one with its
+        # maximum near theta = pi (a large root t): the root solve finds
+        # exactly the local maxima of a 2^16-point scan, each within one grid
+        # step, and maxima alternate with minima
         grid = 1 << 16
         step = 2 * math.pi / grid
         rng = np.random.default_rng(20261018)
-        checked = 0
+        cases = []
         for _ in range(24):
             deg = int(rng.integers(2, 13))
             c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
             c[1:-1] *= rng.random(deg - 1) > 0.3
             c[0] = 1.0
             p = Polynomial(tuple(complex(x) for x in c))
-            e = expand(p)
             lo = max(1e-2, 2 * floor_radius(normalize(p)))
-            radii = np.exp(rng.uniform(math.log(lo), math.log(0.9), 3))
+            cases.append((p, np.exp(rng.uniform(math.log(lo), math.log(0.9), 3))))
+        for text in REAL_POLYS + ("1,-1,0,0.3i",):
+            cases.append((parse_poly(text), np.array([0.02, 0.1, 0.3, 0.8])))
+        checked = 0
+        for p, radii in cases:
+            e = expand(p)
             scans = _scan_circles(e, radii)
             ridx, theta = _critical_points(e, radii)
             _, d2 = e.d1d2(radii[ridx], theta)
@@ -200,7 +214,17 @@ class TestCriticalPoints:
                 for t in scan.thetas:
                     assert circ_dist(t, bf).min() <= step, (p, r, t)
                 checked += 1
-        assert checked >= 60
+        assert checked >= 75
+
+    @pytest.mark.parametrize("text", REAL_POLYS)
+    def test_real_coefficients_have_theta_pi(self, text):
+        # |p|^2 of a real polynomial is even about theta = pi, so the top
+        # coefficient of the half-angle polynomial is exactly 0 and every
+        # circle gets theta = pi itself (as -pi) from the dropped order
+        e = expand(parse_poly(text))
+        radii = radius_schedule(TraceConfig(r_min=1e-2, r_max=0.9, n_radii=60))
+        ridx, theta = _critical_points(e, radii)
+        assert np.all(np.bincount(ridx[theta == -math.pi], minlength=radii.size) == 1)
 
     @pytest.mark.parametrize(
         "text,cfg",
@@ -220,6 +244,19 @@ class TestCriticalPoints:
         on = dist < ON_CIRCLE
         assert on.any() and np.all(dist[on] <= 1e-10)
         assert np.all(dist[~on] >= 1e-3)
+
+    @pytest.mark.parametrize("text", ["1,1,1e-200i", "1,1,1e-316i"])
+    def test_root_near_infinity(self, text):
+        # the z^2 term moves the minimum of |1 + z| off theta = pi by about
+        # its coefficient, to a half-angle root t near 1e200 or 1e316, which
+        # neither the companion matrix nor w = (1+it)/(1-it) holds in floats;
+        # the root solve puts it at theta = pi
+        e = expand(parse_poly(text))
+        radii = np.array([0.3, 0.1])
+        ridx, theta = _critical_points(e, radii)
+        for i in range(radii.size):
+            got = np.sort(np.abs(theta[ridx == i]))
+            assert np.allclose(got, [0.0, math.pi], rtol=0, atol=1e-15)
 
     def test_circle_without_maximum_fails_cleanly(self, monkeypatch):
         # a circle whose critical points hold no maximum is a refinement
@@ -258,7 +295,7 @@ class TestTrace:
             d2 = e.d2mod2_dtheta2(s.r, s.theta)
             assert abs(d1) <= maxmod.tracer.NEWTON_TOL * max(e.d1_bound(s.r), 1e-300)
             assert d2 <= maxmod.tracer.NEWTON_TOL * e.d2_bound(s.r)
-            assert abs(s.mod2 - e.mod2(s.r, s.theta)) <= 1e-12 * max(1.0, s.mod2)
+            assert abs(s.mod**2 - e.mod2(s.r, s.theta)) <= 1e-12 * max(1.0, s.mod**2)
 
     def test_one_sample_per_radius_per_curve(self):
         res = trace(parse_poly("1,0,1,1i"), TraceConfig(r_min=1e-3, r_max=0.3, n_radii=60))
@@ -316,6 +353,21 @@ class TestTrace:
         # tracing only above the ambiguity radius is clean
         res2 = trace(p, TraceConfig(r_min=3 * amb, r_max=0.3, n_radii=60))
         assert res2.n_components == 1 and not res2.events
+
+    @pytest.mark.parametrize("shift", [-1000, -64, 64, 900])
+    def test_power_of_two_scaling_is_exact(self, shift):
+        # the trace of 2^shift p is the trace of p, with every modulus scaled
+        # by exactly 2^shift, even where |p|^2 leaves the float range
+        p = parse_poly("1,0,1,0,0,0.5")
+        q = Polynomial(
+            tuple(complex(math.ldexp(c.real, shift), math.ldexp(c.imag, shift)) for c in p.coeffs)
+        )
+        cfg = TraceConfig(r_min=5e-5, r_max=0.3, n_radii=120)
+        a, b = trace(p, cfg), trace(q, cfg)
+        assert [(s.r, s.theta, math.ldexp(s.mod, shift), s.curve_id) for s in a.samples] == [
+            (s.r, s.theta, s.mod, s.curve_id) for s in b.samples
+        ]
+        assert (a.n_components, a.events, a.tangents) == (b.n_components, b.events, b.tangents)
 
     def test_trace_mu_two(self):
         res = trace(parse_poly("1,0,0,0,1,0,1"), TraceConfig(r_min=1e-2, r_max=0.3, n_radii=40))
