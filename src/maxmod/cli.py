@@ -251,6 +251,9 @@ def _hunt_one(family: str, p: Polynomial, on_locus: bool) -> dict:
 
 
 def cmd_hunt(args) -> int:
+    if args.seed < 0:
+        print(f"error[Config]: need --seed >= 0, got {args.seed}", file=sys.stderr)
+        return 2
     rng = np.random.default_rng(args.seed)
     members = [_sample_member(args.family, rng, on_locus=(i % 2 == 1)) for i in range(args.samples)]
     records = [_hunt_one(args.family, p, locus) for p, locus in members]
@@ -298,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--grid",
         type=int,
         default=4096,
-        help="linking tolerance floor across radii: angular step 2 pi/GRID (64-65536)",
+        help="no effect on the trace; accepted for compatibility (64-65536)",
     )
     p_tr.add_argument("--csv", help="write per-sample CSV here")
     p_tr.add_argument("--svg", help="write curve plot here")
@@ -318,7 +321,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    # argparse before Python 3.12 parses "--opt=--" as [], skipping type and choices
+    for key, value in vars(args).items():
+        if isinstance(value, list):
+            parser.error(f"argument --{key.replace('_', '-')}: expected one argument")
     try:
         return args.func(args)
     except (PolyParseError, ZeroPolynomialError, TruncatedSeriesError, CoefficientRangeError) as ex:

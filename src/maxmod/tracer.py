@@ -8,7 +8,10 @@ it becomes one real polynomial per circle, whose real roots are the
 circle's critical points, found by batched eigenvalue solves of real
 companion matrices.  One Newton solve (bisection-guarded) on the exact
 theta-derivative then polishes the maxima of all circles.
-Per-radius maximizer sets are linked into curves, counted, fitted for
+Between folds a circle's maxima move analytically in r and never cross, so
+their cyclic order links the maxima of neighbouring circles into
+trajectories, on flat arrays of all circles at once.  The co-maximal runs
+along the trajectories are the curves, which are counted, fitted for
 tangent direction and exponent, and checked for rotational symmetry.
 
 The tangent fit rests on the implicit function theorem: for
@@ -37,9 +40,10 @@ from .errors import (
     RefinementFailureError,
     TruncatedSeriesError,
 )
+from . import _kernels
 from .modulus import ModulusExpansion, expand
 from .poly import HaymanForm, MonomialVerdict, Polynomial, inner_degree, normalize, reciprocal
-from .util import TWO_PI, circ_dist, reduce_angle, scalar_circ_dist, scalar_reduce_angle
+from .util import TWO_PI, circ_dist, reduce_angle
 
 EPS = float(np.finfo(float).eps)
 FIT_DEGREE = 6  # degree of the polynomial theta(r) fitted by _fit_tangent
@@ -50,9 +54,6 @@ TIE_TOL = 1e-12
 # the theta-derivative on the circle, or after NEWTON_MAX_ITER steps.
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 60
-# Linking across consecutive radii accepts LINK_TOL times the per-step drift
-# estimate, floored at the step 2 pi / TraceConfig.grid.
-LINK_TOL = 3.0
 # TraceConfig.grid lies in 64..MAX_GRID.
 MAX_GRID = 1 << 16
 # A root t of the half-angle polynomial (see _derivative_roots), mapped to
@@ -68,8 +69,8 @@ ON_CIRCLE = 1e-6
 
 @dataclass(frozen=True)
 class TraceConfig:
-    """Radius schedule of a trace run; ``grid`` sets the linker's angular
-    floor ``2 pi / grid``."""
+    """Radius schedule of a trace run.  ``grid`` has no effect on the trace:
+    it is only checked to lie in 64..``MAX_GRID``."""
 
     r_min: float = 1e-3
     r_max: float = 0.3
@@ -77,8 +78,8 @@ class TraceConfig:
     grid: int = 4096
 
     def __post_init__(self):
-        if not (0 < self.r_min < self.r_max):
-            raise ValueError("need 0 < r_min < r_max")
+        if not (0 < self.r_min < self.r_max < math.inf):
+            raise ValueError("need 0 < r_min < r_max < inf")
         if self.n_radii < 2:
             raise ValueError("need n_radii >= 2")
         if not (64 <= self.grid <= MAX_GRID):
@@ -136,17 +137,6 @@ class TraceResult:
 
     def curve_samples(self, curve_id: int) -> list[CurveSample]:
         return [s for s in self.samples if s.curve_id == curve_id]
-
-
-@dataclass(frozen=True)
-class CircleScan:
-    """All refined local maxima of one circle (internal)."""
-
-    r: float
-    thetas: np.ndarray
-    osc: np.ndarray
-    mod2: np.ndarray
-    comax: np.ndarray
 
 
 def radius_schedule(cfg: TraceConfig) -> np.ndarray:
@@ -323,7 +313,7 @@ def _refine_maxima(
     return x, d2_x
 
 
-def _scan_circles(e: ModulusExpansion, radii: np.ndarray) -> list[CircleScan]:
+def _scan_circles(e: ModulusExpansion, radii: np.ndarray):
     """All refined local maxima of every circle ``|z| = r`` for r in ``radii``.
 
     The critical points of all circles come from :func:`_critical_points`.
@@ -333,9 +323,19 @@ def _scan_circles(e: ModulusExpansion, radii: np.ndarray) -> list[CircleScan]:
     two neighbours.  One vectorized Newton/bisection solve then polishes the
     maxima of all circles.  The spread of a circle is its largest ``osc`` at
     a maximum minus its smallest at a minimum.
+
+    Returns flat arrays ``(n_max, theta, osc, mod2, comax)``: ``n_max[i]``
+    maxima of circle i, followed by those of circle i + 1, each circle's in
+    counterclockwise order from about -pi; ``comax`` marks the co-maximal
+    ones.
     """
-    # the roots see only q; the factor |a_m|^2 r^{2m} of |p|^2 must be a float too
-    bad = ~np.isfinite(e.scale(radii))
+    # |p|^2 = |a_m|^2 r^{2m} |1 + q|^2, and the evaluations of |1 + q|^2 and
+    # its theta-derivatives multiply two factors of modulus at most
+    # 1 + sum_j j^2 |c_j| r^j; all of it must stay a float
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN is rejected
+        j = np.arange(1.0, e.q_rows.shape[0] + 1)
+        mass = 1.0 + _kernels.radial_sum(np.abs(e.q_rows[:, 2]), j, radii)
+        bad = ~np.isfinite(4.0 * mass * mass * np.maximum(e.scale(radii), 1.0))
     if bad.any():
         raise RefinementFailureError(float(radii[np.argmax(bad)]), 0.0)
     ridx, theta = _critical_points(e, radii)
@@ -388,17 +388,7 @@ def _scan_circles(e: ModulusExpansion, radii: np.ndarray) -> list[CircleScan]:
     tie_threshold = TIE_TOL * spread
     comax = osc >= top[ridx_mx] - tie_threshold[ridx_mx]
     mod2 = e.base(radii)[ridx_mx] + osc
-    theta_mx = reduce_angle(theta_mx)
-    return [
-        CircleScan(
-            r=float(radii[i]),
-            thetas=theta_mx[a:b],
-            osc=osc[a:b],
-            mod2=mod2[a:b],
-            comax=comax[a:b],
-        )
-        for i, a, b in zip(range(radii.size), starts.tolist(), (starts + n_max).tolist())
-    ]
+    return n_max, reduce_angle(theta_mx), osc, mod2, comax
 
 
 def circle_argmax(e: ModulusExpansion, r: float) -> list[tuple[float, float]]:
@@ -407,12 +397,8 @@ def circle_argmax(e: ModulusExpansion, r: float) -> list[tuple[float, float]]:
     Returns ``(theta, mod2)`` pairs for every maximizer whose value lies
     within ``TIE_TOL * (max - min)`` of the refined global maximum.
     """
-    scan = _scan_circles(e, np.array([r], dtype=float))[0]
-    return [
-        (float(t), float(m))
-        for t, m, c in zip(scan.thetas, scan.mod2, scan.comax)
-        if c
-    ]
+    _, theta, _, mod2, comax = _scan_circles(e, np.array([r], dtype=float))
+    return [(float(t), float(m)) for t, m in zip(theta[comax], mod2[comax])]
 
 
 def brute_force_mset(p: Polynomial, r: float, grid: int) -> np.ndarray:
@@ -493,14 +479,92 @@ def _fit_tangent(rs: np.ndarray, thetas: np.ndarray):
     return float(reduce_angle(omega_hat)), alpha_hat, False
 
 
+def _match_cyclic(a: np.ndarray, b: np.ndarray):
+    """Order-preserving matching of the maxima ``a`` of one circle with the
+    maxima ``b`` of the next, both in counterclockwise order, that pairs
+    every maximum of the shorter side and has the least total circular
+    displacement.
+
+    The shorter side's first maximum goes to some start j0 on the longer
+    side, and the others follow in cyclic order at increasing steps t from
+    j0.  One dynamic programme over the shorter side finds the best steps
+    for all starts at once.  Returns index arrays ``(ia, ib)`` of the pairs.
+    """
+    swap = a.size > b.size
+    short, long_ = (b, a) if swap else (a, b)
+    k, n = short.size, long_.size
+    step = np.arange(n)
+    pos = (step[:, None] + step) % n  # pos[j0, t]: t steps after the start j0
+    cost = circ_dist(short[:, None], long_)[:, pos]
+    best = np.full((k, n, n), np.inf)  # best[i, j0, t]: short[i] at pos[j0, t]
+    best[0, :, 0] = cost[0, :, 0]
+    for i in range(1, k):
+        best[i, :, 1:] = cost[i, :, 1:] + np.minimum.accumulate(best[i - 1], axis=1)[:, :-1]
+    j0, t = np.unravel_index(np.argmin(best[-1]), (n, n))
+    steps = [t]
+    for i in range(k - 1, 0, -1):
+        t = np.argmin(best[i - 1, j0, :t])
+        steps.append(t)
+    matched = pos[j0, steps[::-1]]
+    return (matched, np.arange(k)) if swap else (np.arange(k), matched)
+
+
+def _link(n_max: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Link every maximum to one on the circle before it (the next larger
+    radius) by cyclic order.
+
+    Between folds the maxima of a circle move analytically in r and never
+    cross, so their counterclockwise order carries them from one circle to
+    the next.  Where both circles have M maxima, maximum i of the first
+    links to maximum ``(i + s) mod M`` of the second, with the rotation s
+    of least total circular displacement; all steps of equal M are solved
+    at once.  Where the count changes, :func:`_match_cyclic` links
+    ``min(M_prev, M_cur)`` pairs and the other maxima are born or die.
+    ``n_max`` and ``theta`` are the flat arrays of :func:`_scan_circles`.
+
+    Returns the flat index of the linked maximum on the circle before, or -1.
+    """
+    starts = np.cumsum(n_max) - n_max
+    prev = np.full(theta.size, -1)
+    steps = np.arange(1, n_max.size)
+    same = n_max[1:] == n_max[:-1]
+    for m in np.unique(n_max[1:][same]).tolist():
+        at = steps[same & (n_max[1:] == m)]
+        i = np.arange(m)
+        a = theta[starts[at - 1, None] + i]
+        b = theta[starts[at, None] + i]
+        cost = np.stack(
+            [circ_dist(a, np.roll(b, -s, axis=1)).sum(axis=1) for s in range(m)], axis=1
+        )
+        s = np.argmin(cost, axis=1)
+        prev[starts[at, None] + (i + s[:, None]) % m] = starts[at - 1, None] + i
+    for k in steps[~same].tolist():
+        a0, b0 = starts[k - 1], starts[k]
+        ia, ib = _match_cyclic(theta[a0 : a0 + n_max[k - 1]], theta[b0 : b0 + n_max[k]])
+        prev[b0 + ib] = a0 + ia
+    return prev
+
+
+def _chain_heads(ptr: np.ndarray) -> np.ndarray:
+    """Pointer jumping: the head of every chain, where ``ptr`` points one
+    step back along the chain and a head points to itself."""
+    while True:
+        nxt = ptr[ptr]
+        if np.array_equal(nxt, ptr):
+            return ptr
+        ptr = nxt
+
+
 def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
     """Trace the maximum modulus set of ``p`` over the radius schedule.
 
     Finds the co-maximal points of every radius in one batched scan (the
-    points :func:`circle_argmax` gives radius by radius), links them into
-    curves by nearest angle, largest radius first, and reports component
-    count, tangent fits, rotational symmetry and birth/death events; a
-    mid-schedule birth or a non-monotone death is marked not legitimate.
+    points :func:`circle_argmax` gives radius by radius), links the maxima
+    of neighbouring circles by cyclic order (:func:`_link`), largest radius
+    first, and reports the co-maximal runs along each linked trajectory as
+    curves: component count, tangent fits, rotational symmetry and
+    birth/death events.  A mid-schedule birth or a non-monotone death is
+    marked not legitimate.
     """
     if p.truncated:
         raise TruncatedSeriesError("tracing needs the full polynomial, not a truncation")
@@ -523,134 +587,87 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
     )
     omega = omega_angles(h)
     radii = radius_schedule(cfg)
-    scans = _scan_circles(e, radii)
+    n_max, theta, osc, mod2, comax = _scan_circles(e, radii)
 
-    # -- link maximizer trajectories across radii (descending) ----------
-    trajs: dict[int, dict] = {}
-    curves: dict[int, dict] = {}
-    raw_events: list[dict] = []
-    next_traj = 0
-    next_curve = 0
-    omega_list = omega.tolist()
-    step = TWO_PI / cfg.grid  # the linker's angular floor
-    for idx, scan in enumerate(scans):
-        r = float(radii[idx])
-        thetas = scan.thetas.tolist()
-        oscs = scan.osc.tolist()
-        mod2s = scan.mod2.tolist()
-        comaxs = scan.comax.tolist()
-        m_count = len(thetas)
-        # cap: distinct same-radius maximizers must never share a trajectory
-        if m_count > 1:
-            ths = sorted(thetas)
-            gap_cap = 0.45 * min(b - a for a, b in zip(ths, ths[1:] + [ths[0] + TWO_PI]))
-        else:
-            gap_cap = math.pi
-        alive = [t for t, tr in trajs.items() if tr["alive"]]
-        pairs = sorted(
-            (scalar_circ_dist(trajs[t]["theta"], thetas[m]), t, m)
-            for t in alive
-            for m in range(m_count)
+    # -- link maxima across radii (descending) into trajectories and curves --
+    prev = _link(n_max, theta)
+    flat = np.arange(theta.size)
+    ridx = np.repeat(np.arange(radii.size), n_max)
+    last = radii.size - 1
+    linked = prev >= 0
+    nxt = np.full(theta.size, -1)
+    nxt[prev[linked]] = flat[linked]
+    traj = _chain_heads(np.where(linked, prev, flat))  # first maximum of the trajectory
+    # a curve is a run of co-maximal points along one trajectory; curve ids
+    # count the runs' first points in (radius, angle) order
+    was_comax = np.zeros_like(comax)
+    was_comax[linked] = comax[prev[linked]]
+    born = comax & ~was_comax
+    curve = (np.cumsum(born) - 1)[_chain_heads(np.where(comax & was_comax, prev, flat))]
+
+    # -- events: per radius, curves of ended trajectories die first (by
+    # trajectory), then births and deaths in angle order --------------------
+    deficit = np.maximum.reduceat(osc, np.cumsum(n_max) - n_max)[ridx] - osc
+    raw = []  # (radius index, 0 | 1, order key, kind, curve id, legitimate)
+    for j in np.flatnonzero(comax & (nxt < 0) & (ridx < last)).tolist():
+        raw.append((int(ridx[j]) + 1, 0, int(traj[j]), "death", int(curve[j]), None))
+    for k in np.flatnonzero(born & (ridx > 0)).tolist():
+        raw.append((int(ridx[k]), 1, k, "birth", int(curve[k]), False))
+    for k in np.flatnonzero(was_comax & ~comax).tolist():
+        # a death is legitimate when the deficits of the trajectory over the
+        # next 6 radii do not fall back
+        defs = []
+        j = k
+        for _ in range(6):
+            if j < 0:
+                break
+            if not comax[j]:
+                defs.append(deficit[j])
+            j = nxt[j]
+        legitimate: bool | None = None
+        if len(defs) >= 3:
+            arr = np.asarray(defs)
+            legitimate = bool(np.all(np.diff(arr) > -0.1 * float(np.max(np.abs(arr)))))
+        raw.append((int(ridx[k]), 1, k, "death", int(curve[prev[k]]), legitimate))
+    events = tuple(
+        TraceEvent(kind=kind, r=float(radii[i]), curve_id=cid, legitimate=leg)
+        for i, _, _, kind, cid, leg in sorted(raw)
+    )
+
+    # -- samples, by curve id, then descending radius ----------------------
+    sel = np.flatnonzero(comax)
+    sel = sel[np.argsort(curve[sel], kind="stable")]
+    sample_curve = curve[sel]
+    sample_r = radii[ridx[sel]]
+    sample_theta = theta[sel]
+    with np.errstate(over="ignore"):  # inf only where |p| is beyond the float range
+        sample_mod = np.ldexp(np.sqrt(np.maximum(mod2[sel], 0.0)), shift)  # exact
+    samples = tuple(
+        map(
+            CurveSample,
+            sample_r.tolist(),
+            sample_theta.tolist(),
+            sample_mod.tolist(),
+            sample_curve.tolist(),
         )
-        t_to_m: dict[int, int] = {}
-        m_to_t: dict[int, int] = {}
-        for d, t, m in pairs:
-            if t in t_to_m or m in m_to_t:
-                continue
-            # a maximizer approaches its limiting ray monotonically, so one
-            # step moves at most the current deviation from the nearest
-            # candidate angle; the drift term covers the settled regime
-            dev = min(scalar_circ_dist(trajs[t]["theta"], w) for w in omega_list)
-            thr = min(
-                gap_cap,
-                max(LINK_TOL * max(abs(trajs[t]["drift"]), step), 1.2 * dev),
-            )
-            if d < thr:
-                t_to_m[t] = m
-                m_to_t[m] = t
-        for t in alive:
-            if t not in t_to_m:
-                tr = trajs[t]
-                tr["alive"] = False
-                if tr["curve"] is not None:
-                    raw_events.append(
-                        {"kind": "death", "r": r, "curve": tr["curve"], "idx": idx, "traj": t}
-                    )
-                    tr["curve"] = None
-        x_top = max(oscs)
-        for m in range(m_count):
-            theta_m = thetas[m]
-            if m in m_to_t:
-                t = m_to_t[m]
-                tr = trajs[t]
-                tr["drift"] = scalar_reduce_angle(theta_m - tr["theta"])
-                tr["theta"] = theta_m
-            else:
-                t = next_traj
-                next_traj += 1
-                tr = {"theta": theta_m, "drift": 0.0, "alive": True, "curve": None, "deficits": []}
-                trajs[t] = tr
-            if comaxs[m]:
-                if tr["curve"] is None:
-                    cid = next_curve
-                    next_curve += 1
-                    curves[cid] = {"samples": [], "last_idx": idx}
-                    tr["curve"] = cid
-                    if idx > 0:
-                        raw_events.append({"kind": "birth", "r": r, "curve": cid, "idx": idx, "traj": t})
-                cid = tr["curve"]
-                try:
-                    mod = math.ldexp(math.sqrt(max(mod2s[m], 0.0)), shift)  # exact
-                except OverflowError:  # |p| itself is beyond the float range
-                    mod = math.inf
-                curves[cid]["samples"].append(
-                    CurveSample(r=r, theta=theta_m, mod=mod, curve_id=cid)
-                )
-                curves[cid]["last_idx"] = idx
-            else:
-                if tr["curve"] is not None:
-                    raw_events.append(
-                        {"kind": "death", "r": r, "curve": tr["curve"], "idx": idx, "traj": t}
-                    )
-                    tr["curve"] = None
-                tr["deficits"].append((idx, x_top - oscs[m]))
+    )
+    per_curve = np.bincount(sample_curve)
+    first = np.cumsum(per_curve) - per_curve
 
-    # -- event legitimacy ------------------------------------------------
-    events = []
-    for ev in raw_events:
-        legitimate: bool | None
-        if ev["kind"] == "birth":
-            legitimate = False
-        else:
-            defs = [d for i, d in trajs[ev["traj"]]["deficits"] if ev["idx"] <= i < ev["idx"] + 6]
-            if len(defs) < 3:
-                legitimate = None
-            else:
-                arr = np.asarray(defs)
-                legitimate = bool(np.all(np.diff(arr) > -0.1 * float(np.max(np.abs(arr)))))
-        events.append(TraceEvent(kind=ev["kind"], r=ev["r"], curve_id=ev["curve"], legitimate=legitimate))
-
-    last_idx = len(scans) - 1
-    component_ids = tuple(sorted(c for c, cu in curves.items() if cu["last_idx"] == last_idx))
+    component_ids = tuple(np.flatnonzero(np.bincount(curve[comax & (ridx == last)])).tolist())
     n_components = len(component_ids)
-
-    counts = np.array([int(s.comax.sum()) for s in scans])
-    i0 = last_idx
-    while i0 > 0 and counts[i0 - 1] == n_components:
-        i0 -= 1
-    stable_radius = float(radii[i0])
+    counts = np.bincount(ridx[comax], minlength=radii.size)
+    off = np.flatnonzero(counts[:last] != n_components)
+    stable_radius = float(radii[off[-1] + 1 if off.size else 0])
 
     mu = inner_degree(h)
 
     # -- tangent fits ------------------------------------------------------
     tangents = []
-    for cid in sorted(curves):
-        samples = curves[cid]["samples"]
-        if len(samples) < 8:
+    for cid, (a, n) in enumerate(zip(first.tolist(), per_curve.tolist())):
+        if n < 8:
             continue
-        rs = np.array([s.r for s in samples])
-        ths = np.array([s.theta for s in samples])
-        omega_hat, alpha_hat, on_ray = _fit_tangent(rs, ths)
+        omega_hat, alpha_hat, on_ray = _fit_tangent(sample_r[a : a + n], sample_theta[a : a + n])
         devs = circ_dist(omega_hat, omega)
         j = int(np.argmin(devs))
         tangents.append(
@@ -669,7 +686,7 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
     symmetry = []
     if mu > 1:
         curve_thetas = {
-            cid: [(s.r, s.theta) for s in curves[cid]["samples"]] for cid in component_ids
+            cid: sample_theta[first[cid] : first[cid] + per_curve[cid]] for cid in component_ids
         }
         for m in range(1, mu):
             rot = TWO_PI * m / mu
@@ -678,32 +695,24 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
                 for cb in component_ids:
                     pa = curve_thetas[ca]
                     pb = curve_thetas[cb]
-                    n = min(len(pa), len(pb))
-                    devs = [
-                        scalar_circ_dist(ta + rot, tb)
-                        for (ra, ta), (rb, tb) in zip(pa[-n:], pb[-n:])
-                    ]
-                    dev = max(devs)
+                    n = min(pa.size, pb.size)
+                    dev = float(circ_dist(pa[-n:] + rot, pb[-n:]).max())
                     if best is None or dev < best[1]:
                         best = (cb, dev)
                 symmetry.append(
-                    SymmetryPair(curve_a=ca, curve_b=best[0], rotation_m=m, max_dev=float(best[1]))
+                    SymmetryPair(curve_a=ca, curve_b=best[0], rotation_m=m, max_dev=best[1])
                 )
 
-    all_samples = []
-    for cid in sorted(curves):
-        all_samples.extend(curves[cid]["samples"])
-
     return TraceResult(
-        samples=tuple(all_samples),
+        samples=samples,
         n_components=n_components,
         component_ids=component_ids,
         tangents=tuple(tangents),
         symmetry=tuple(symmetry),
-        events=tuple(events),
+        events=events,
         stable_radius=stable_radius,
-        radii=tuple(float(r) for r in radii),
-        omega=tuple(float(w) for w in omega),
+        radii=tuple(radii.tolist()),
+        omega=tuple(omega.tolist()),
         mu=mu,
         inverted=False,
     )

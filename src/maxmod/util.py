@@ -27,18 +27,6 @@ def circ_dist(a, b):
     return d
 
 
-def scalar_reduce_angle(theta: float) -> float:
-    """:func:`reduce_angle` for one Python float, bit for bit: float ``%``
-    and ``np.remainder`` round alike."""
-    th = theta % TWO_PI
-    return th - TWO_PI if th > math.pi else th
-
-
-def scalar_circ_dist(a: float, b: float) -> float:
-    """:func:`circ_dist` for two Python floats, bit for bit."""
-    return abs(scalar_reduce_angle(a - b))
-
-
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, no spaces, round-trip float repr."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)

@@ -153,9 +153,16 @@ class TestTraceCommand:
         mods = [float(line.split(",")[4]) for line in csv.read_text().splitlines()[1:]]
         assert math.inf in mods and math.isfinite(min(mods))
 
+    @pytest.mark.parametrize("rmax", ["1e60", "1e308"])
+    def test_radius_far_beyond_one_fails_cleanly(self, capsys, rmax):
+        # |1 + q|^2 or the C_n of the root solve leave the float range: a
+        # refinement failure, not an overflow warning
+        code, _, err = run(capsys, "trace", "--poly", "1,0,1,1i", "--rmax", rmax, "--radii", "4")
+        assert code == 1 and err.startswith("error[RefinementFailure]")
+
     def test_coarse_grid_traces(self, capsys):
-        # --grid sets only the linking floor; the critical points do not
-        # depend on it
+        # --grid has no effect on the trace: a coarse value traces like the
+        # default
         code, out, _ = run(
             capsys,
             "trace",
@@ -232,6 +239,9 @@ class TestTraceCommand:
             (("trace", "--poly", "1e200,0,1e-300"), None),
             (("hunt", "--family", "cubic", "--samples", "1", "--out", "{file}", "--poly", "1,2"), None),
             (("hunt", "--family", "cubic", "--samples", "1", "--out", "{file}", "--json"), None),
+            (("hunt", "--family", "cubic", "--samples", "1", "--out", "{file}", "--seed", "-1"), None),
+            (("trace", "--poly", "1,0,1,1i", "--rmax", "inf"), None),
+            (("trace", "--poly", "1,0,1,1i", "--grid=--"), None),
         ],
         ids=[
             "rmin-above-rmax",
@@ -253,6 +263,9 @@ class TestTraceCommand:
             "ratio-underflow",
             "hunt-poly",
             "hunt-json",
+            "hunt-negative-seed",
+            "rmax-inf",
+            "option-double-dash",
         ],
     )
     def test_bad_input_exit_2(self, capsys, tmp_path, argv, content):
@@ -263,7 +276,8 @@ class TestTraceCommand:
             code, _, err = run(capsys, *(a.replace("{file}", str(f)) for a in argv))
         except SystemExit as ex:  # argparse rejects an unknown option itself
             code, err = ex.code, capsys.readouterr().err
-        assert code == 2 and (err.startswith("error[") or "error: unrecognized arguments" in err)
+        argparse_errors = ("error: unrecognized arguments", "expected one argument")
+        assert code == 2 and (err.startswith("error[") or any(e in err for e in argparse_errors))
 
     def test_report_round_trip(self, capsys):
         _, out, _ = run(
@@ -293,6 +307,63 @@ def test_cli_ends_in_documented_exit_code(command, coeffs):
         code = main(argv)
     assert code in EXIT_CODES
     assert "Traceback" not in err.getvalue()
+
+
+PATHS = st.sampled_from(["{tmp}/p.json", "{tmp}/out", "{tmp}", "{tmp}/missing/f", ""])
+NUMBERS = st.sampled_from(["0", "-1", "1e-3", "0.3", "0.9", "2", "1e308", "nan", "inf", "-inf"])
+JUNK = st.sampled_from(["", "x", "--", "1,0,1", "0x10", "1e", "\u00e9"])
+OPTION_VALUES = {
+    "--poly": st.sampled_from(["1,0,1,1i", "1,0,1", "0,0,3", "0", "1,nan", "1,bogus"]) | JUNK,
+    "--poly-file": PATHS,
+    "--rmin": NUMBERS | JUNK,
+    "--rmax": NUMBERS | JUNK,
+    "--radii": st.sampled_from(["2", "16", "32", "1", "0", "-3"]) | JUNK,
+    "--grid": st.sampled_from(["64", "4096", "65536", "63", "65537", "0"]) | JUNK,
+    "--csv": PATHS,
+    "--svg": PATHS,
+    "--out": PATHS,
+    "--family": st.sampled_from(["cubic", "quartic"]) | JUNK,
+    "--samples": st.sampled_from(["0", "1", "2", "-1"]) | JUNK,
+    "--seed": st.sampled_from(["0", "3", "-1", "-99999999999999999999", str(2**70)]) | JUNK,
+}
+SWITCHES = ("--json", "--quiet", "--truncated", "--infinity", "--bogus", "-q")
+
+
+def _option(flag):
+    value = OPTION_VALUES[flag]
+    return value.map(lambda v: [flag, v]) | value.map(lambda v: [f"{flag}={v}"])
+
+
+tokens = st.lists(
+    st.sampled_from(SWITCHES).map(lambda f: [f])
+    | st.sampled_from(sorted(OPTION_VALUES)).flatmap(_option),
+    max_size=6,
+)
+# small defaults that the drawn options may repeat and so override
+COMMAND_PREFIX = {
+    "classify": ["--poly=1,0,1,1i"],
+    "trace": ["--poly=1,0,1,1i", "--radii", "16"],
+    "hunt": ["--family", "cubic", "--samples", "1", "--out", "{tmp}/out"],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(COMMAND_PREFIX)), tokens)
+def test_cli_options_end_in_documented_exit_code(tmp_path_factory, command, drawn):
+    tmp = tmp_path_factory.getbasetemp() / "cli-fuzz"
+    tmp.mkdir(exist_ok=True)
+    (tmp / "p.json").write_text('{"coeffs": [[1,0],[0,0],[1,0],[0,1]]}')
+    argv = [command] + COMMAND_PREFIX[command] + [t for pair in drawn for t in pair]
+    argv = [a.replace("{tmp}", str(tmp)) for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as ex:  # argparse rejects the command line itself
+            code = ex.code
+            assert code == 2, argv
+    assert code in EXIT_CODES, argv
+    assert "Traceback" not in err.getvalue(), argv
 
 
 class TestHuntCommand:

@@ -34,6 +34,7 @@ from maxmod.tracer import (
     _critical_points,
     _derivative_roots,
     _fit_tangent,
+    _link,
     _scan_circles,
     radius_schedule,
 )
@@ -200,7 +201,8 @@ class TestCriticalPoints:
         checked = 0
         for p, radii in cases:
             e = expand(p)
-            scans = _scan_circles(e, radii)
+            n_max, thetas, _, _, _ = _scan_circles(e, radii)
+            scans = np.split(thetas, np.cumsum(n_max)[:-1])
             ridx, theta = _critical_points(e, radii)
             _, d2 = e.d1d2(radii[ridx], theta)
             for i, (r, scan) in enumerate(zip(radii, scans)):
@@ -210,8 +212,8 @@ class TestCriticalPoints:
                 gaps = np.diff(np.concatenate([bf, [bf[0] + 2 * math.pi]]))
                 if bf.size > 1 and gaps.min() <= 4 * step:
                     continue
-                assert scan.thetas.size == bf.size, (p, r)
-                for t in scan.thetas:
+                assert scan.size == bf.size, (p, r)
+                for t in scan:
                     assert circ_dist(t, bf).min() <= step, (p, r, t)
                 checked += 1
         assert checked >= 75
@@ -387,6 +389,106 @@ class TestTrace:
         eps = np.finfo(float).eps
         want = math.sqrt(1e6 * eps * 9.0 / 2.0)
         assert floor_radius(h) == pytest.approx(want, rel=1e-12)
+
+
+def fake_scan(monkeypatch, circles, oscs=None):
+    """Make trace() see the given maxima, one list of angles per radius from
+    r_max down, instead of scanning its circles.  ``oscs`` gives their
+    values (all 1 by default); the largest of each circle are co-maximal."""
+    n_max = np.array([len(c) for c in circles])
+    theta = np.array([t for c in circles for t in c], dtype=float)
+    oscs = oscs or [[1.0] * len(c) for c in circles]
+    osc = np.array([x for c in oscs for x in c], dtype=float)
+    comax = np.concatenate([np.array(c) == max(c) for c in oscs])
+    scan = (n_max, theta, osc, osc + 1.0, comax)
+    monkeypatch.setattr(maxmod.tracer, "_scan_circles", lambda e, radii: scan)
+    return TraceConfig(r_min=1e-2, r_max=0.3, n_radii=len(circles))
+
+
+class TestLink:
+    def test_crossing_pi_keeps_curve_id(self, monkeypatch):
+        # the maximum near -pi steps past -pi to +3.13, which moves it to the
+        # end of its circle's counterclockwise order, and back again
+        circles = [[-3.12, 0.0], [0.01, 3.13], [-3.13, 0.02], [0.03, 3.12]]
+        theta = np.array([t for c in circles for t in c])
+        assert _link(np.array([2, 2, 2, 2]), theta).tolist() == [-1, -1, 1, 0, 3, 2, 5, 4]
+        res = trace(parse_poly("1,0,1"), fake_scan(monkeypatch, circles))
+        assert not res.events and res.component_ids == (0, 1)
+        near_pi = {s.curve_id for s in res.samples if abs(s.theta) > 3}
+        assert near_pi == {0} and len(res.curve_samples(0)) == 4
+
+    def test_fold_three_to_two(self, monkeypatch):
+        # the middle maximum of three has no partner on the next circle: the
+        # outer two keep their curve ids and the middle curve dies there
+        n_max = np.array([3, 2, 2])
+        theta = np.array([-2.0, 0.0, 2.0, -1.98, 2.02, -1.96, 2.04])
+        assert _link(n_max, theta).tolist() == [-1, -1, -1, 0, 2, 3, 4]
+        circles = [[-2.0, 0.0, 2.0], [-1.98, 2.02], [-1.96, 2.04]]
+        cfg = fake_scan(monkeypatch, circles)
+        res = trace(parse_poly("1,0,1"), cfg)
+        assert res.component_ids == (0, 2)
+        assert [s.theta for s in res.curve_samples(2)] == [2.0, 2.02, 2.04]
+        radii = radius_schedule(cfg)
+        assert res.events == (maxmod.tracer.TraceEvent("death", float(radii[1]), 1, None),)
+
+    def test_event_order_at_a_fold(self, monkeypatch):
+        # on one circle the curve of an ended trajectory dies before a curve
+        # is born
+        circles = [[-2.0, 0.0, 2.0], [-1.98, 2.02]]
+        cfg = fake_scan(monkeypatch, circles, [[1.0, 1.0, 0.5], [1.0, 1.0]])
+        res = trace(parse_poly("1,0,1"), cfg)
+        r = float(radius_schedule(cfg)[1])
+        TraceEvent = maxmod.tracer.TraceEvent
+        assert res.events == (TraceEvent("death", r, 1, None), TraceEvent("birth", r, 2, False))
+
+    def test_ended_trajectories_die_in_trajectory_order(self, monkeypatch):
+        # the maximum at 0.0 is born on the second circle, after the one at
+        # 1.0; both end on the third, and their curves die in that order
+        circles = [[-2.0, 1.0], [-1.98, 0.0, 1.02], [-1.96]]
+        cfg = fake_scan(monkeypatch, circles)
+        res = trace(parse_poly("1,0,1"), cfg)
+        r1, r2 = radius_schedule(cfg)[1:].tolist()
+        TraceEvent = maxmod.tracer.TraceEvent
+        assert res.events == (
+            TraceEvent("birth", r1, 2, False),
+            TraceEvent("death", r2, 1, None),
+            TraceEvent("death", r2, 2, None),
+        )
+
+    @pytest.mark.parametrize("last,legitimate", [(0.1, False), (0.6, True)])
+    def test_death_legitimacy_window(self, monkeypatch, last, legitimate):
+        # a death is legitimate when the deficits of its trajectory over the
+        # 6 radii from the death on do not fall back; the 7th does not count
+        deficits = [0.1, 0.2, 0.3, 0.4, 0.5, last, 0.05]
+        oscs = [[1.0, 1.0]] + [[1.0, 1.0 - d] for d in deficits]
+        cfg = fake_scan(monkeypatch, [[0.0, 3.0]] * len(oscs), oscs)
+        res = trace(parse_poly("1,0,1"), cfg)
+        r = float(radius_schedule(cfg)[1])
+        assert res.events == (maxmod.tracer.TraceEvent("death", r, 1, legitimate),)
+
+    def test_fold_two_to_three(self):
+        # a maximum born between two others leaves their links alone
+        n_max = np.array([2, 3])
+        theta = np.array([-2.0, 2.0, -1.98, 0.0, 2.02])
+        assert _link(n_max, theta).tolist() == [-1, -1, 0, -1, 1]
+
+    def test_crowded_curve_ids(self):
+        # the count of maxima drops 24 -> 12 -> 2 across two steps; the two
+        # co-maximal curves, at theta = pi and theta = 0, are never cut
+        res = trace(parse_poly(CROWDED), TraceConfig(r_min=0.05, r_max=0.95, n_radii=40))
+        assert not res.events and res.component_ids == (0, 1)
+        assert [len(res.curve_samples(c)) for c in (0, 1)] == [40, 40]
+        assert all(abs(s.theta) == math.pi for s in res.curve_samples(0))
+        assert all(abs(s.theta) < 0.5 for s in res.curve_samples(1))
+
+    @pytest.mark.parametrize("n_radii", [200, 8])
+    def test_continuous_curve_is_not_split(self, n_radii):
+        # one branch whose maximum moves 0.0054 -> -0.0052 -> -0.0164 rad over
+        # three radii near 0.87 (200 radii) while the count of maxima stays
+        # 6: one curve, no death/birth pair, on a coarse schedule too
+        res = trace(parse_poly(DEGREE_8), TraceConfig(r_max=0.9, n_radii=n_radii))
+        assert {s.curve_id for s in res.samples} == {0}
+        assert res.component_ids == (0,) and not res.events
 
 
 def theory_alpha(text: str, omega_j: float) -> int | None:
