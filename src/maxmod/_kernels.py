@@ -5,17 +5,19 @@
 and ``z = r e^{i theta}``, by one Horner pass: O(deg) work per angle.
 ``osc_sum`` is the compensated cosine-term sum of the paper's expansion,
 O(deg^2) per angle; it evaluates ``mod2`` and is the oracle the Horner
-kernels are tested against.  ``radial_sum`` evaluates the theta-free sums
-``sum_t a_t r^{p_t}`` for one radius or many.
+kernels are tested against.  ``radial_sum`` and ``radial_sum_sq`` evaluate
+the theta-free sums ``sum_t a_t r^{p_t}`` and ``sum_t (a_t r^{p_t})^2`` for
+one radius or many.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BACKEND", "osc_sum", "osc_horner", "d1d2_horner", "radial_sum"]
+__all__ = ["BACKEND", "osc_sum", "osc_horner", "d1d2_horner", "radial_sum", "radial_sum_sq"]
 
 BACKEND = "numpy"
+_SQRT_HALF = 0.5**0.5
 
 
 def osc_sum(ap: np.ndarray, freqs: np.ndarray, phas: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -57,10 +59,32 @@ def _unit_scaled(r, thetas: np.ndarray) -> np.ndarray:
     return np.asarray(r, dtype=complex) * np.exp(1j * thetas)
 
 
+def _radial_terms(amps: np.ndarray, pows: np.ndarray, r) -> np.ndarray:
+    """``amps[t] r^pows[t]`` for integral ``pows``, along a last axis added to
+    ``r``.  The binary exponents of ``amps`` and ``r`` are summed apart from
+    their mantissas, so a term that is a float is formed without overflow or
+    underflow on the way, even where ``r^pows[t]`` alone is not a float.
+    The mantissa of ``r`` is taken in ``[sqrt(1/2), sqrt(2))``, so its powers
+    stay normal up to ``pows`` of about 2000."""
+    ma, ea = np.frexp(amps)
+    mr, er = np.frexp(np.asarray(r, dtype=float)[..., None])
+    low = mr < _SQRT_HALF
+    mr = np.where(low, 2.0 * mr, mr)  # exact
+    return np.ldexp(ma * mr**pows, ea + (er - low) * pows.astype(int))
+
+
 def radial_sum(amps: np.ndarray, pows: np.ndarray, r):
-    """``sum_t amps[t] r^pows[t]``: a float for scalar ``r``, else one value
-    per element of ``r``."""
-    out = np.sum(amps * np.asarray(r, dtype=float)[..., None] ** pows, axis=-1)
+    """``sum_t amps[t] r^pows[t]``, terms as in :func:`_radial_terms`: a float
+    for scalar ``r``, else one value per element of ``r``."""
+    out = np.sum(_radial_terms(amps, pows, r), axis=-1)
+    return float(out) if np.ndim(r) == 0 else out
+
+
+def radial_sum_sq(amps: np.ndarray, pows: np.ndarray, r):
+    """``sum_t (amps[t] r^pows[t])^2``, shaped as :func:`radial_sum`; the
+    squares are taken last, so ``amps[t]^2`` may lie below the float range."""
+    terms = _radial_terms(amps, pows, r)
+    out = np.sum(terms * terms, axis=-1)
     return float(out) if np.ndim(r) == 0 else out
 
 
@@ -75,7 +99,7 @@ def osc_horner(rows: np.ndarray, r, scale, thetas: np.ndarray) -> np.ndarray:
     """
     c = rows[:, 0]
     q = _horner(rows[:, :1], _unit_scaled(r, thetas))[0]
-    diag = radial_sum(c.real**2 + c.imag**2, 2.0 * np.arange(1, c.size + 1), r)
+    diag = radial_sum_sq(np.abs(c), np.arange(1.0, c.size + 1), r)
     return scale * (2.0 * q.real + ((q.real**2 + q.imag**2) - diag))
 
 

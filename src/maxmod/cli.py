@@ -29,6 +29,7 @@ from .errors import (
 from .poly import MonomialVerdict, Polynomial, format_poly, normalize, parse_poly, poly_from_json, reciprocal
 from .svg import write_svg
 from .tracer import (
+    MAX_RADII,
     TraceConfig,
     TraceResult,
     ambiguity_radius,
@@ -38,6 +39,9 @@ from .tracer import (
     write_csv,
 )
 from .util import canonical_json
+
+# hunt --samples is at most MAX_SAMPLES; its records are built in memory
+MAX_SAMPLES = 100_000
 
 CONFIRMED = "CONFIRMED"
 CONJECTURE_CONSISTENT = "CONJECTURE_CONSISTENT"
@@ -254,6 +258,11 @@ def cmd_hunt(args) -> int:
     if args.seed < 0:
         print(f"error[Config]: need --seed >= 0, got {args.seed}", file=sys.stderr)
         return 2
+    if args.samples > MAX_SAMPLES:
+        print(
+            f"error[Config]: need --samples <= {MAX_SAMPLES}, got {args.samples}", file=sys.stderr
+        )
+        return 2
     rng = np.random.default_rng(args.seed)
     members = [_sample_member(args.family, rng, on_locus=(i % 2 == 1)) for i in range(args.samples)]
     records = [_hunt_one(args.family, p, locus) for p, locus in members]
@@ -296,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tr = sub.add_parser("trace", parents=[common], help="trace the maximum modulus set")
     p_tr.add_argument("--rmin", type=float, default=1e-3)
     p_tr.add_argument("--rmax", type=float, default=0.3)
-    p_tr.add_argument("--radii", type=int, default=200)
+    p_tr.add_argument("--radii", type=int, default=200, help=f"number of radii (2-{MAX_RADII})")
     p_tr.add_argument(
         "--grid",
         type=int,
@@ -312,7 +321,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_h = sub.add_parser("hunt", help="batch exploration of the doubling conjecture")
     p_h.add_argument("--family", choices=("cubic", "quartic"), required=True)
-    p_h.add_argument("--samples", type=int, default=100)
+    p_h.add_argument(
+        "--samples",
+        type=int,
+        default=100,
+        help=f"number of sampled polynomials (at most {MAX_SAMPLES})",
+    )
     p_h.add_argument("--seed", type=int, default=0)
     p_h.add_argument("--out", required=True, help="findings file (one JSON object per line)")
     p_h.add_argument("--quiet", action="store_true", help="suppress the summary line")

@@ -39,8 +39,8 @@ from .util import reduce_angle
 class ModulusExpansion:
     """Precomputed trigonometric expansion of ``|p(r e^{i theta})|^2``."""
 
-    diag_pows: np.ndarray  # 2*l per nonzero coefficient
-    diag_amps: np.ndarray  # |a_l|^2
+    diag_pows: np.ndarray  # l per nonzero coefficient
+    diag_amps: np.ndarray  # |a_l|, the diagonal term is (|a_l| r^l)^2
     cross_pows: np.ndarray  # j+l per unordered pair j < l
     cross_amps: np.ndarray  # 2|a_j||a_l|
     cross_freqs: np.ndarray  # l-j
@@ -51,7 +51,9 @@ class ModulusExpansion:
 
     @property
     def diagonal(self) -> list[tuple[float, float]]:
-        return list(zip(self.diag_pows.tolist(), self.diag_amps.tolist()))
+        """``(2l, |a_l|^2)`` per nonzero coefficient: the terms
+        ``|a_l|^2 r^{2l}``."""
+        return list(zip((2.0 * self.diag_pows).tolist(), (self.diag_amps**2).tolist()))
 
     @property
     def cross(self) -> list[tuple[float, float, float, float]]:
@@ -71,8 +73,10 @@ class ModulusExpansion:
         return self.base(r) + self.osc_terms(r, theta)
 
     def base(self, r):
-        """Theta-independent diagonal part of :meth:`mod2`, per radius."""
-        return _kernels.radial_sum(self.diag_amps, self.diag_pows, r)
+        """Theta-independent diagonal part of :meth:`mod2`, per radius, as
+        ``sum_l (|a_l| r^l)^2``: no ``|a_l|^2`` is formed alone, so a tiny
+        coefficient still counts at a radius that makes its term a float."""
+        return _kernels.radial_sum_sq(self.diag_amps, self.diag_pows, r)
 
     def scale(self, r):
         """``|a_m|^2 r^{2m}``, the factor of ``|1 + q|^2`` in :meth:`mod2`."""
@@ -144,8 +148,8 @@ def expand(p: Polynomial) -> ModulusExpansion:
     mags = np.abs(cs)
     args = np.angle(cs)
 
-    diag_pows = 2.0 * exps
-    diag_amps = mags**2
+    diag_pows = exps
+    diag_amps = mags
 
     jj, ll = np.triu_indices(len(exps), k=1)
     cross_pows = exps[jj] + exps[ll]

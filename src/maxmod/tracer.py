@@ -5,8 +5,11 @@ every circle of a geometric radius schedule at once.  The paper's
 trigonometric expansion makes the theta-derivative of ``|p|^2`` a real
 trigonometric polynomial; in the half-angle variable ``t = tan(theta / 2)``
 it becomes one real polynomial per circle, whose real roots are the
-circle's critical points, found by batched eigenvalue solves of real
-companion matrices.  One Newton solve (bisection-guarded) on the exact
+circle's critical points.  A batched eigenvalue solve of real companion
+matrices finds them on a few anchor circles; every other circle carries its
+nearest anchor's roots over by an Aberth iteration, whose roots are kept
+only under a backward-error certificate and are otherwise solved for like
+an anchor's.  One Newton solve (bisection-guarded) on the exact
 theta-derivative then polishes the maxima of all circles.
 Between folds a circle's maxima move analytically in r and never cross, so
 their cyclic order links the maxima of neighbouring circles into
@@ -54,8 +57,9 @@ TIE_TOL = 1e-12
 # the theta-derivative on the circle, or after NEWTON_MAX_ITER steps.
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 60
-# TraceConfig.grid lies in 64..MAX_GRID.
+# TraceConfig.grid lies in 64..MAX_GRID and n_radii in 2..MAX_RADII.
 MAX_GRID = 1 << 16
+MAX_RADII = 100_000
 # A root t of the half-angle polynomial (see _derivative_roots), mapped to
 # w = (1+it)/(1-it), is a critical point of its circle when
 # |abs(w) - 1| < ON_CIRCLE.  Real roots land within a few ulps of the
@@ -65,11 +69,20 @@ MAX_GRID = 1 << 16
 # the bound accepts it only for delta below about 5e-13 |d^3/dtheta^3|, on a
 # circle within roundoff of the fold.
 ON_CIRCLE = 1e-6
+# Only anchor circles get an eigenvalue solve (see _derivative_roots): in each
+# group of circles with one half-angle degree, every ANCHOR_STEP-th circle and
+# the last.  Every other circle starts from its nearest anchor's roots and
+# takes at most ABERTH_MAX_ITER Aberth steps, in blocks of circles whose
+# pairwise (circles x m x m) temporaries hold at most ABERTH_BLOCK elements.
+ANCHOR_STEP = 16
+ABERTH_MAX_ITER = 8
+ABERTH_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
 class TraceConfig:
-    """Radius schedule of a trace run.  ``grid`` has no effect on the trace:
+    """Radius schedule of a trace run: ``n_radii`` radii, 2..``MAX_RADII``,
+    from ``r_max`` down to ``r_min``.  ``grid`` has no effect on the trace:
     it is only checked to lie in 64..``MAX_GRID``."""
 
     r_min: float = 1e-3
@@ -80,8 +93,8 @@ class TraceConfig:
     def __post_init__(self):
         if not (0 < self.r_min < self.r_max < math.inf):
             raise ValueError("need 0 < r_min < r_max < inf")
-        if self.n_radii < 2:
-            raise ValueError("need n_radii >= 2")
+        if not (2 <= self.n_radii <= MAX_RADII):
+            raise ValueError(f"need 2 <= n_radii <= {MAX_RADII}")
         if not (64 <= self.grid <= MAX_GRID):
             raise ValueError(f"need 64 <= grid <= {MAX_GRID}")
 
@@ -177,6 +190,79 @@ def _half_angle_table(d: int) -> np.ndarray:
     return table
 
 
+def _companion_roots(coef: np.ndarray) -> np.ndarray:
+    """All roots of the real polynomials ``coef`` (row i: coefficients of
+    ``t^0 .. t^m``, ``coef[i, m] != 0``), by one batched eigenvalue solve of
+    their companion matrices; shape ``(rows, m)``."""
+    m = coef.shape[1] - 1
+    comp = np.zeros((coef.shape[0], m, m))
+    comp[:, 0, :] = -coef[:, m - 1 :: -1] / coef[:, m, None]
+    comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+    return np.linalg.eigvals(comp)
+
+
+def _aberth(coef: np.ndarray, t: np.ndarray):
+    """Aberth-Ehrlich iteration on the real polynomials ``coef`` (as in
+    :func:`_companion_roots`), row i started from the m approximations
+    ``t[i]``; only rows not yet certified iterate again, at most
+    ``ABERTH_MAX_ITER`` times.
+
+    A row is certified when every root is finite and has the backward error
+    ``|R(t_k)| <= 4 m EPS sum_j |R_j| |t_k|^j`` (by Horner on ``|t_k|``):
+    ``t_k`` is then an exact root of R with each coefficient perturbed by at
+    most ``4 m EPS`` relative.  A step-size test cannot stand in for this,
+    since ill-conditioned roots stall at steps of 1e-12 to 1e-8.  The Aberth
+    step is ``t_k -= N_k / (1 - N_k sum_{j != k} 1 / (t_k - t_j))``, with
+    the Newton step ``N_k = R(t_k) / R'(t_k)``.
+
+    Returns the roots, shape ``(rows, m)``, and the certified rows.
+    """
+    m = coef.shape[1] - 1
+    acoef = np.abs(coef)
+    tol = 4.0 * m * EPS
+    diag = np.arange(m)
+    t = t.astype(complex)
+    ok = np.zeros(t.shape[0], dtype=bool)
+    act = np.arange(t.shape[0])  # rows not yet certified
+    # a root far out or a zero derivative overflows or divides by 0; such a
+    # row fails the certificate and gets the eigenvalue solve instead
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for it in range(ABERTH_MAX_ITER + 1):
+            z = t[act]
+            c = coef[act, :, None]
+            ac = acoef[act, :, None]
+            # R, R' and the bound sum_j |R_j| |z|^j by one Horner pass
+            p = np.repeat(c[:, m], m, axis=1).astype(complex)
+            dp = np.zeros_like(p)
+            az = np.abs(z)
+            bound = np.repeat(ac[:, m], m, axis=1)
+            for k in range(m - 1, -1, -1):
+                dp *= z
+                dp += p
+                p *= z
+                p += c[:, k]
+                bound *= az
+                bound += ac[:, k]
+            conv = ((np.abs(p) <= tol * bound) & (bound < np.inf)).all(axis=1)
+            ok[act[conv]] = True
+            if it == ABERTH_MAX_ITER or conv.all():
+                break
+            act, z, p, dp = act[~conv], z[~conv], p[~conv], dp[~conv]
+            # sum_{j != k} 1 / (z_k - z_j) in real arithmetic; the infinite
+            # diagonal adds 0
+            zr, zi = np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)
+            dr = zr[:, :, None] - zr[:, None, :]
+            di = zi[:, :, None] - zi[:, None, :]
+            inv = dr * dr
+            inv += di * di
+            inv[:, diag, diag] = np.inf
+            np.reciprocal(inv, out=inv)
+            pull = np.einsum("bij,bij->bi", dr, inv) - 1j * np.einsum("bij,bij->bi", di, inv)
+            newton = p / dp
+            t[act] = z - newton / (1.0 - newton * pull)
+    return t, ok
+
+
 def _derivative_roots(e: ModulusExpansion, radii: np.ndarray):
     """Roots ``w`` of ``w^D d/dtheta |1 + q(r w)|^2`` for every circle.
 
@@ -203,9 +289,18 @@ def _derivative_roots(e: ModulusExpansion, radii: np.ndarray):
     rounding, and the companion matrix could overflow.  The test is against
     each lower order, not against the largest coefficient, because the
     binomial factors make R's coefficients span about ``4^d``: ``EPS`` times
-    the largest drops genuine top orders from about ``d = 28`` on.  Circles
-    of equal d and equal remaining degree of R share one batched eigenvalue
-    solve of real companion matrices.
+    the largest drops genuine top orders from about ``d = 28`` on.
+
+    Circles of equal d and equal remaining degree m of R form a group, in
+    radius order.  Between folds a circle's critical points move
+    analytically in r, so only the group's anchors, every
+    ``ANCHOR_STEP``-th circle and the last, get a batched eigenvalue solve
+    of real companion matrices (:func:`_companion_roots`).  Every other
+    circle starts from its nearest anchor's roots and runs the Aberth
+    iteration of :func:`_aberth`; a circle whose roots it cannot certify
+    within ``ABERTH_MAX_ITER`` steps, for instance where a max-min pair has
+    left the circle between the anchor and it, gets the eigenvalue solve
+    too, so every root passed on is certified.
 
     Returns one ``(radius_indices, roots)`` pair per group, ``roots`` of
     shape ``(len(radius_indices), 2d)``.
@@ -241,11 +336,24 @@ def _derivative_roots(e: ModulusExpansion, radii: np.ndarray):
         kept_r = 2 * d - np.argmax(~at_inf[:, ::-1], axis=1)
         for m in sorted(set(kept_r.tolist())):
             sub = rows[kept_r == m]
-            lead = coef[kept_r == m]
-            comp = np.zeros((sub.size, m, m))
-            comp[:, 0, :] = -lead[:, m - 1 :: -1] / lead[:, m, None]
-            comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
-            t = np.linalg.eigvals(comp)
+            lead = coef[kept_r == m, : m + 1]
+            # anchors: every ANCHOR_STEP-th circle of the group and the last;
+            # each other circle starts from its nearest anchor's roots
+            anchor = np.zeros(sub.size, dtype=bool)
+            anchor[::ANCHOR_STEP] = True
+            anchor[-1] = True
+            at = np.flatnonzero(anchor)
+            t = np.empty((sub.size, m), dtype=complex)
+            t[at] = _companion_roots(lead[at])
+            follow = np.flatnonzero(~anchor)
+            right = np.searchsorted(at, follow)  # at[right - 1] < follower < at[right]
+            near = np.where(follow - at[right - 1] <= at[right] - follow, at[right - 1], at[right])
+            block = max(1, ABERTH_BLOCK // (m * m))
+            for s in range(0, follow.size, block):
+                i = follow[s : s + block]
+                t[i], ok = _aberth(lead[i], t[near[s : s + block]])
+                if not ok.all():  # no uncertified root goes on
+                    t[i[~ok]] = _companion_roots(lead[i[~ok]])
             # w = (1+it)/(1-it) in real arithmetic, the same bits in any batch;
             # no root exceeds about 2 / EPS, so no square overflows
             a, b = t.real, t.imag

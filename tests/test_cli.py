@@ -153,6 +153,17 @@ class TestTraceCommand:
         mods = [float(line.split(",")[4]) for line in csv.read_text().splitlines()[1:]]
         assert math.inf in mods and math.isfinite(min(mods))
 
+    def test_tiny_coefficient_at_huge_radii(self, capsys):
+        # under z -> 1e300 z this is 1 + z on [1e-9, 1]: r^j leaves the float
+        # range and |c_j|^2 underflows, but no term of |p|^2 does
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "trace", "--poly", "1,1e-300", "--rmin", "1e291", "--rmax", "1e300",
+                "--radii", "8",
+            )
+        assert code == 0 and not err and "CONFIRMED" in out
+
     @pytest.mark.parametrize("rmax", ["1e60", "1e308"])
     def test_radius_far_beyond_one_fails_cleanly(self, capsys, rmax):
         # |1 + q|^2 or the C_n of the root solve leave the float range: a
@@ -242,6 +253,8 @@ class TestTraceCommand:
             (("hunt", "--family", "cubic", "--samples", "1", "--out", "{file}", "--seed", "-1"), None),
             (("trace", "--poly", "1,0,1,1i", "--rmax", "inf"), None),
             (("trace", "--poly", "1,0,1,1i", "--grid=--"), None),
+            (("trace", "--poly", "1,0,1,1i", "--radii", "100001"), None),
+            (("hunt", "--family", "cubic", "--samples", "100001", "--out", "{file}"), None),
         ],
         ids=[
             "rmin-above-rmax",
@@ -266,6 +279,8 @@ class TestTraceCommand:
             "hunt-negative-seed",
             "rmax-inf",
             "option-double-dash",
+            "radii-above-max",
+            "hunt-samples-above-max",
         ],
     )
     def test_bad_input_exit_2(self, capsys, tmp_path, argv, content):
@@ -317,13 +332,13 @@ OPTION_VALUES = {
     "--poly-file": PATHS,
     "--rmin": NUMBERS | JUNK,
     "--rmax": NUMBERS | JUNK,
-    "--radii": st.sampled_from(["2", "16", "32", "1", "0", "-3"]) | JUNK,
+    "--radii": st.sampled_from(["2", "16", "32", "1", "0", "-3", "1000000000"]) | JUNK,
     "--grid": st.sampled_from(["64", "4096", "65536", "63", "65537", "0"]) | JUNK,
     "--csv": PATHS,
     "--svg": PATHS,
     "--out": PATHS,
     "--family": st.sampled_from(["cubic", "quartic"]) | JUNK,
-    "--samples": st.sampled_from(["0", "1", "2", "-1"]) | JUNK,
+    "--samples": st.sampled_from(["0", "1", "2", "-1", "1000000000"]) | JUNK,
     "--seed": st.sampled_from(["0", "3", "-1", "-99999999999999999999", str(2**70)]) | JUNK,
 }
 SWITCHES = ("--json", "--quiet", "--truncated", "--infinity", "--bogus", "-q")

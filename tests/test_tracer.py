@@ -56,6 +56,8 @@ class TestConfig:
         with pytest.raises(ValueError):
             TraceConfig(n_radii=1)
         with pytest.raises(ValueError):
+            TraceConfig(n_radii=maxmod.tracer.MAX_RADII + 1)
+        with pytest.raises(ValueError):
             TraceConfig(grid=32)
         with pytest.raises(ValueError):
             TraceConfig(grid=131072)
@@ -144,14 +146,23 @@ class TestBatchedScan:
         ids=["fig1-cubic", "degree-8", "degree-8-rmax-0.9", "crowded"],
     )
     def test_trace_matches_single_radius_scans(self, text, cfg):
-        # one batched scan of all radii gives bit for bit the co-maximal
-        # points that a scan of each radius alone gives
+        # one batched scan of all radii gives the co-maximal points that a
+        # scan of each radius alone gives.  A batched circle's Newton seed
+        # may come from its neighbours' roots, so the angles agree to the
+        # Newton tolerance and the moduli to a few ulps, not bit for bit
         p = parse_poly(text)
         e = expand(p)
         res = trace(p, cfg)
+        eps = np.finfo(float).eps
         for r in res.radii:
-            got = sorted((s.theta, s.mod) for s in res.samples if s.r == r)
-            assert got == sorted((t, math.sqrt(m2)) for t, m2 in circle_argmax(e, r)), r
+            got = [(s.theta, s.mod) for s in res.samples if s.r == r]
+            alone = circle_argmax(e, r)
+            assert len(got) == len(alone), r
+            want_theta = np.array([t for t, _ in alone])
+            for theta, mod in got:
+                j = np.argmin(circ_dist(theta, want_theta))
+                assert circ_dist(theta, want_theta[j]) <= 1e-12, (r, theta)
+                assert abs(mod - math.sqrt(alone[j][1])) <= 4 * eps * mod, (r, mod)
 
     def test_d1d2_calls_do_not_grow_with_radii(self, monkeypatch):
         calls = []
@@ -169,12 +180,54 @@ class TestBatchedScan:
             counts[n] = len(calls)
         assert counts[200] <= counts[20] <= NEWTON_MAX_ITER + 5
 
+    def test_eigen_solves_only_anchor_circles(self, monkeypatch):
+        # the roots of most circles are carried over from an anchor circle;
+        # only anchors and rejected followers reach the eigenvalue solve
+        solved = []
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            solved.append(a.shape[0])
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        for text in ("1,0,1,1i", DEGREE_8):
+            solved.clear()
+            trace(parse_poly(text), TraceConfig(n_radii=200))
+            assert 0 < sum(solved) <= 50, text
+
+    def test_uncertified_followers_fall_back(self, monkeypatch):
+        # near |z| = 0.9 max-min pairs of the degree-8 input leave the circle
+        # between anchors: the Aberth roots of some followers fail the
+        # certificate, and their eigenvalue solve keeps the trace whole
+        rejected = []
+        aberth = maxmod.tracer._aberth
+
+        def counted(coef, t):
+            roots, ok = aberth(coef, t)
+            rejected.append(int(np.count_nonzero(~ok)))
+            return roots, ok
+
+        monkeypatch.setattr(maxmod.tracer, "_aberth", counted)
+        res = trace(parse_poly(DEGREE_8), TraceConfig(r_max=0.9))
+        assert sum(rejected) >= 1
+        assert {s.curve_id for s in res.samples} == {0}
+        assert res.component_ids == (0,) and not res.events
+
 
 def oracle_maxima(e: ModulusExpansion, r: float, grid: int) -> np.ndarray:
     """Circular local maxima of the cross-term sum on a uniform grid."""
     th = -math.pi + 2 * math.pi * np.arange(grid) / grid
     x = e.osc_terms(r, th)
     return th[(x > np.roll(x, 1)) & (x >= np.roll(x, -1))]
+
+
+def close_gap(theta: np.ndarray) -> float:
+    """Least circular distance between two of the angles ``theta``."""
+    if theta.size < 2:
+        return math.inf
+    th = np.sort(theta)
+    return float(np.diff(np.concatenate([th, [th[0] + 2 * math.pi]])).min())
 
 
 class TestCriticalPoints:
@@ -217,6 +270,33 @@ class TestCriticalPoints:
                     assert circ_dist(t, bf).min() <= step, (p, r, t)
                 checked += 1
         assert checked >= 75
+
+    def test_followers_match_circles_solved_alone(self):
+        # a schedule's followers, whose roots are carried over from an anchor
+        # circle, give the critical points that an eigenvalue solve of each
+        # circle alone gives; circles with two critical points within 1e-3,
+        # near a fold, are skipped
+        rng = np.random.default_rng(20261018)
+        checked = 0
+        for case in range(24):
+            deg = int(rng.integers(2, 17))
+            c = rng.normal(size=deg + 1) + (case % 3 != 0) * 1j * rng.normal(size=deg + 1)
+            c[1:-1] *= rng.random(deg - 1) > 0.3
+            c[0] = 1.0
+            p = Polynomial(tuple(complex(x) for x in c))
+            lo = max(1e-2, 2 * floor_radius(normalize(p)))
+            radii = np.geomspace(0.9, lo, 100)
+            e = expand(p)
+            ridx, theta = _critical_points(e, radii)
+            for i in range(radii.size):
+                got = theta[ridx == i]
+                _, alone = _critical_points(e, radii[i : i + 1])
+                if min(close_gap(got), close_gap(alone)) <= 1e-3:
+                    continue
+                assert got.size == alone.size, (p, radii[i])
+                assert circ_dist(got[:, None], alone).min(axis=1).max() <= 1e-9, (p, radii[i])
+                checked += 1
+        assert checked >= 1500
 
     @pytest.mark.parametrize("text", REAL_POLYS)
     def test_real_coefficients_have_theta_pi(self, text):
