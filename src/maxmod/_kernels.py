@@ -1,20 +1,20 @@
 """Hot numeric kernels over theta grids, in NumPy.
 
-``osc_horner`` and ``d1d2_horner`` evaluate the theta-dependent part of
-``|1 + q(z)|^2`` and its theta-derivatives, for ``q = sum_{j>=1} c_j z^j``
-and ``z = r e^{i theta}``, by one Horner pass: O(deg) work per angle.
-``osc_sum`` is the compensated cosine-term sum of the paper's expansion,
-O(deg^2) per angle; it evaluates ``mod2`` and is the oracle the Horner
-kernels are tested against.  ``radial_sum`` and ``radial_sum_sq`` evaluate
-the theta-free sums ``sum_t a_t r^{p_t}`` and ``sum_t (a_t r^{p_t})^2`` for
-one radius or many.
+``fourier_sum`` evaluates ``sum_{n=1}^{D} C_n e^{i n theta}`` by one Horner
+pass in ``w = e^{i theta}``, O(deg) work per angle; with the Fourier
+coefficients ``C_n`` of ``|1 + q|^2`` it gives the theta-dependent part of
+the squared modulus and its theta-derivatives.  ``osc_sum`` is the
+compensated cosine-term sum of the paper's expansion, O(deg^2) per angle;
+it evaluates ``mod2`` and is the oracle the Fourier path is tested
+against.  ``radial_sum`` and ``radial_sum_sq`` evaluate the theta-free sums
+``sum_t a_t r^{p_t}`` and ``sum_t (a_t r^{p_t})^2`` for one radius or many.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BACKEND", "osc_sum", "osc_horner", "d1d2_horner", "radial_sum", "radial_sum_sq"]
+__all__ = ["BACKEND", "osc_sum", "fourier_sum", "radial_sum", "radial_sum_sq"]
 
 BACKEND = "numpy"
 _SQRT_HALF = 0.5**0.5
@@ -32,31 +32,18 @@ def osc_sum(ap: np.ndarray, freqs: np.ndarray, phas: np.ndarray, thetas: np.ndar
     return s + comp
 
 
-def _horner(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``sum_{j=1}^{D} rows[j-1] z^j`` for ``rows`` of shape (D, k), D >= 1.
+def fourier_sum(coef: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """``sum_{n=1}^{D} coef[..., n-1] w^n`` with ``w = e^{i theta}``, by Horner.
 
-    Each of the k columns is one polynomial; the result has shape
-    ``(k,) + z.shape``, so a 2-D ``z`` (radii x angles) keeps every row.
+    The leading axes of ``coef`` broadcast against ``thetas``, so ``coef``
+    of shape (R, 1, D) against (G,) gives R rows of G angles.
     """
-    if z.size == 1:
-        # numpy rounds a broadcast complex scalar times a one-element array
-        # unlike times a longer one; two copies keep a point's value
-        # independent of how many points share the call
-        return _horner(rows, np.repeat(z.reshape(-1), 2))[:, :1].reshape(rows.shape[1:] + z.shape)
-    rows = rows.reshape(rows.shape + (1,) * z.ndim)
-    acc = rows[-1] * z
-    for c in rows[-2::-1]:
-        acc += c
-        acc *= z
+    w = np.exp(1j * thetas)
+    acc = coef[..., -1] * w
+    for n in range(coef.shape[-1] - 2, -1, -1):
+        acc += coef[..., n]
+        acc *= w
     return acc
-
-
-def _unit_scaled(r, thetas: np.ndarray) -> np.ndarray:
-    """``r e^{i theta}``; ``r`` is made complex first because numpy casts a
-    broadcast float operand element by element, about 20x slower.  The
-    imaginary part of ``r`` is 0, so every product is the correctly rounded
-    one either way."""
-    return np.asarray(r, dtype=complex) * np.exp(1j * thetas)
 
 
 def _radial_terms(amps: np.ndarray, pows: np.ndarray, r) -> np.ndarray:
@@ -86,35 +73,3 @@ def radial_sum_sq(amps: np.ndarray, pows: np.ndarray, r):
     terms = _radial_terms(amps, pows, r)
     out = np.sum(terms * terms, axis=-1)
     return float(out) if np.ndim(r) == 0 else out
-
-
-def osc_horner(rows: np.ndarray, r, scale, thetas: np.ndarray) -> np.ndarray:
-    """``scale * (2 Re q + (|q|^2 - sum_j |c_j|^2 r^{2j}))`` per theta.
-
-    ``rows[j-1, 0]`` is ``c_j``.  This is ``scale * |1 + q|^2`` minus its
-    theta-free part; nothing is compared against the constant 1, so the
-    result keeps its relative accuracy as ``r -> 0``.  ``r`` and ``scale``
-    are scalars or arrays that broadcast against ``thetas``, one radius per
-    row or per angle.
-    """
-    c = rows[:, 0]
-    q = _horner(rows[:, :1], _unit_scaled(r, thetas))[0]
-    diag = radial_sum_sq(np.abs(c), np.arange(1.0, c.size + 1), r)
-    return scale * (2.0 * q.real + ((q.real**2 + q.imag**2) - diag))
-
-
-def d1d2_horner(rows: np.ndarray, r, scale, thetas: np.ndarray):
-    """First and second theta-derivatives of ``scale * |1 + q|^2`` per theta.
-
-    ``rows[j-1]`` holds ``c_j``, ``j c_j`` and ``j^2 c_j``, giving ``q``,
-    ``s = sum j c_j z^j`` and ``t = sum j^2 c_j z^j`` in one pass; then
-    ``d1 = -2 Im(conj(1+q) s)`` and ``d2 = 2 (|s|^2 - Re(conj(1+q) t))``.
-    ``r`` and ``scale`` broadcast against ``thetas`` as in :func:`osc_horner`.
-    """
-    q, s, t = _horner(rows, _unit_scaled(r, thetas))
-    conj_p = np.conj(q)
-    conj_p += 1.0
-    k = 2.0 * scale
-    d1 = (conj_p * s).imag * -k
-    d2 = ((s.real**2 + s.imag**2) - (conj_p * t).real) * k
-    return d1, d2

@@ -26,7 +26,7 @@ from .errors import (
     TruncatedSeriesError,
     ZeroPolynomialError,
 )
-from .poly import MonomialVerdict, Polynomial, format_poly, normalize, parse_poly, poly_from_json, reciprocal
+from .poly import Polynomial, format_poly, normalize, parse_poly, poly_from_json, reciprocal
 from .svg import write_svg
 from .tracer import (
     MAX_RADII,
@@ -116,11 +116,12 @@ def cmd_trace(args) -> int:
         print(f"error[Config]: {ex}", file=sys.stderr)
         return 2
     if args.infinity:
-        target = normalize(reciprocal(p))
-        if isinstance(target, MonomialVerdict):
-            raise MonomialAllPlaneError("reciprocal polynomial is a monomial")
-        c = classify(target.tail)
+        # trace_at_infinity rejects a monomial reciprocal.  Classify the tail
+        # it traces, not reciprocal(p): normalizing that tail again can flip
+        # the sign of a zero imaginary part, which reorders omega, and the
+        # trace's matched_j indexes the reordered list
         result = trace_at_infinity(p, cfg)
+        c = classify(normalize(reciprocal(p)).tail)
     else:
         c = classify(p)
         result = trace(p, cfg)

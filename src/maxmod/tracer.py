@@ -2,14 +2,16 @@
 
 The global maximizers of ``theta -> |p(r e^{i theta})|^2`` are located on
 every circle of a geometric radius schedule at once.  The paper's
-trigonometric expansion makes the theta-derivative of ``|p|^2`` a real
-trigonometric polynomial; in the half-angle variable ``t = tan(theta / 2)``
-it becomes one real polynomial per circle, whose real roots are the
-circle's critical points.  A batched eigenvalue solve of real companion
-matrices finds them on a few anchor circles; every other circle carries its
-nearest anchor's roots over by an Aberth iteration, whose roots are kept
-only under a backward-error certificate and are otherwise solved for like
-an anchor's.  One Newton solve (bisection-guarded) on the exact
+trigonometric expansion, grouped by frequency, gives each circle's Fourier
+coefficients ``C_n(r)`` of ``|p|^2`` (``ModulusExpansion.fourier``), from
+which every evaluation of the trace is made.  They make the
+theta-derivative of ``|p|^2`` a real trigonometric polynomial; in the
+half-angle variable ``t = tan(theta / 2)`` it becomes one real polynomial
+per circle, whose real roots are the circle's critical points.  A batched
+eigenvalue solve of real companion matrices finds them on a few anchor
+circles; every other circle carries its nearest anchor's roots over by an
+Aberth iteration, whose roots are kept only under a backward-error
+certificate and are otherwise solved for like an anchor's.  One Newton solve (bisection-guarded) on the exact
 theta-derivative then polishes the maxima of all circles.
 Between folds a circle's maxima move analytically in r and never cross, so
 their cyclic order links the maxima of neighbouring circles into
@@ -269,8 +271,8 @@ def _derivative_roots(e: ModulusExpansion, radii: np.ndarray):
     With ``p = a_m z^m (1 + q)``, ``c_0 = 1``, ``c_j`` the coefficients of
     ``q`` and ``w = e^{i theta}``, the squared modulus is the trigonometric sum
     ``|1 + q|^2 = C_0 + sum_{n=1}^{D} (C_n w^n + conj(C_n) w^-n)`` with
-    ``C_n(r) = sum_j c_{j+n} conj(c_j) r^{2j+n}``, so
-    ``d/dtheta |1 + q|^2 = -2 sum_n n Im(C_n w^n)``.  Per circle, the top
+    ``C_n(r) = sum_j c_{j+n} conj(c_j) r^{2j+n}`` (:meth:`ModulusExpansion.fourier`),
+    so ``d/dtheta |1 + q|^2 = -2 sum_n n Im(C_n w^n)``.  Per circle, the top
     orders whose ``n |C_n|`` is at most ``EPS`` times the largest are
     dropped: they move no critical point and would overflow the companion
     matrix.  With the remaining degree d and the half-angle variable
@@ -305,15 +307,9 @@ def _derivative_roots(e: ModulusExpansion, radii: np.ndarray):
     Returns one ``(radius_indices, roots)`` pair per group, ``roots`` of
     shape ``(len(radius_indices), 2d)``.
     """
-    c = np.concatenate([[1.0 + 0j], e.q_rows[:, 0]])
-    deg = c.size - 1
-    rp = radii[:, None] ** np.arange(2 * deg)
-    nc = np.empty((radii.size, deg), dtype=complex)  # column n-1: n C_n
-    for n in range(1, deg + 1):
-        acc = np.zeros(radii.size, dtype=complex)
-        for j in range(deg - n + 1):  # a fixed order keeps each circle's bits
-            acc += (c[j + n] * np.conj(c[j])) * rp[:, 2 * j + n]
-        nc[:, n - 1] = n * acc
+    cn = e.fourier(radii)
+    deg = cn.shape[1]
+    nc = np.arange(1, deg + 1) * cn  # column n-1: n C_n
     mag = np.abs(nc)
     top = mag.max(axis=1)
     flat = ~((0.0 < top) & (top < np.inf))  # also NaN
@@ -326,7 +322,7 @@ def _derivative_roots(e: ModulusExpansion, radii: np.ndarray):
         rows = np.flatnonzero(kept == d)
         table = _half_angle_table(d)
         coef = np.zeros((rows.size, 2 * d + 1))  # column k: t^k
-        for n in range(1, d + 1):  # a fixed order keeps each circle's bits
+        for n in range(1, d + 1):
             coef[:, 0::2] += table[n - 1, 0::2] * nc[rows, n - 1, None].imag
             coef[:, 1::2] += table[n - 1, 1::2] * nc[rows, n - 1, None].real
         # top order j goes when |coef_j| < EPS^(j-k) |coef_k| for some k < j
@@ -438,11 +434,11 @@ def _scan_circles(e: ModulusExpansion, radii: np.ndarray):
     ones.
     """
     # |p|^2 = |a_m|^2 r^{2m} |1 + q|^2, and the evaluations of |1 + q|^2 and
-    # its theta-derivatives multiply two factors of modulus at most
+    # its theta-derivatives sum the n^2 |C_n| <= mass^2, with the mass
     # 1 + sum_j j^2 |c_j| r^j; all of it must stay a float
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN is rejected
-        j = np.arange(1.0, e.q_rows.shape[0] + 1)
-        mass = 1.0 + _kernels.radial_sum(np.abs(e.q_rows[:, 2]), j, radii)
+        j = np.arange(float(e.c.size))
+        mass = 1.0 + _kernels.radial_sum(j * j * np.abs(e.c), j, radii)
         bad = ~np.isfinite(4.0 * mass * mass * np.maximum(e.scale(radii), 1.0))
     if bad.any():
         raise RefinementFailureError(float(radii[np.argmax(bad)]), 0.0)
@@ -514,7 +510,7 @@ def brute_force_mset(p: Polynomial, r: float, grid: int) -> np.ndarray:
 
     Returns the grid angles whose value is within ``TIE_TOL * spread`` of
     the grid maximum.  Evaluates the expansion's cross-term sum, so it stays
-    independent of the Horner path the tracer uses.
+    independent of the Fourier-coefficient path the tracer uses.
     """
     e = expand(p)
     th_grid = -math.pi + TWO_PI * np.arange(grid) / grid

@@ -228,6 +228,10 @@ class TestTraceCommand:
         assert doc["trace"]["inverted"] is True
         assert doc["trace"]["n_components"] == 2
 
+    def test_monomial_at_infinity_exit_3(self, capsys):
+        code, _, err = run(capsys, "trace", "--infinity", "--poly", "0,0,3")
+        assert code == 3 and "MonomialAllPlane" in err
+
     @pytest.mark.parametrize(
         "argv,content",
         [

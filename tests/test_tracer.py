@@ -373,8 +373,7 @@ class TestTrace:
         res = trace(p, cfg)
         e = expand(p)
         for s in res.samples:
-            d1 = e.dmod2_dtheta(s.r, s.theta)
-            d2 = e.d2mod2_dtheta2(s.r, s.theta)
+            (d1,), (d2,) = e.d1d2(s.r, s.theta)
             assert abs(d1) <= maxmod.tracer.NEWTON_TOL * max(e.d1_bound(s.r), 1e-300)
             assert d2 <= maxmod.tracer.NEWTON_TOL * e.d2_bound(s.r)
             assert abs(s.mod**2 - e.mod2(s.r, s.theta)) <= 1e-12 * max(1.0, s.mod**2)
