@@ -9,6 +9,7 @@ below the numerical floor, 6 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -116,12 +117,8 @@ def cmd_trace(args) -> int:
         print(f"error[Config]: {ex}", file=sys.stderr)
         return 2
     if args.infinity:
-        # trace_at_infinity rejects a monomial reciprocal.  Classify the tail
-        # it traces, not reciprocal(p): normalizing that tail again can flip
-        # the sign of a zero imaginary part, which reorders omega, and the
-        # trace's matched_j indexes the reordered list
-        result = trace_at_infinity(p, cfg)
-        c = classify(normalize(reciprocal(p)).tail)
+        result = trace_at_infinity(p, cfg)  # rejects a monomial reciprocal
+        c = classify(reciprocal(p))
     else:
         c = classify(p)
         result = trace(p, cfg)
@@ -280,6 +277,7 @@ def cmd_hunt(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxmod",

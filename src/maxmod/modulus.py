@@ -19,11 +19,13 @@ The tracer's hot evaluations group the same terms by frequency.  With
     |1 + q|^2 = C_0 + 2 Re sum_{n=1}^{D} C_n w^n,
     C_n(r) = sum_j c_{j+n} conj(c_j) r^{2j+n},
 
-so :meth:`fourier` gives every ``C_n`` of a circle by one matrix product,
-and :meth:`osc` and :meth:`d1d2` are one Horner pass in ``w``: O(deg) per
-angle.  ``osc = 2 |a_m|^2 r^{2m} Re sum_n C_n w^n`` holds no constant
-term, so nothing cancels against 1 and signals of order r^n near the
-origin keep their relative accuracy.
+so :meth:`fourier` gives every ``C_n`` of a circle by one matrix product
+(and :meth:`fourier_dr` their radius-derivatives), and :meth:`osc` and
+:meth:`d1d2` are one Horner pass in ``w``: O(deg) per angle once the
+``C_n`` of the angle's circle are formed.
+``osc = 2 |a_m|^2 r^{2m} Re sum_n C_n w^n`` holds no constant term, so
+nothing cancels against 1 and signals of order r^n near the origin keep
+their relative accuracy.
 """
 
 from __future__ import annotations
@@ -96,17 +98,28 @@ class ModulusExpansion:
         rp = np.asarray(r, dtype=float)[..., None] ** np.arange(self.c_pairs.shape[0])
         return (rp @ self.c_pairs.view(float)).view(complex)
 
-    def osc(self, r, theta):
+    def fourier_dr(self, r):
+        """``dC_n/dr``, shaped as :meth:`fourier`: the derivatives
+        ``k r^{k-1}`` of the radius powers times :attr:`c_pairs`."""
+        k = np.arange(1, self.c_pairs.shape[0])
+        drp = k * np.asarray(r, dtype=float)[..., None] ** (k - 1)
+        return (drp @ self.c_pairs[1:].view(float)).view(complex)
+
+    def osc(self, r, theta, cn=None):
         """Theta-dependent cross part; ``mod2 = base + osc``.
 
         ``r`` is a scalar or an array that broadcasts against ``theta``:
         shape (R, 1) against (G,) evaluates R circles at G angles, and equal
-        shapes give one radius per angle.
+        shapes give one radius per angle.  ``cn``, if given, holds
+        ``fourier(r)`` (one row per radius, already formed), so only the
+        O(deg) Horner pass is left per angle.
         """
         scalar = np.ndim(r) == 0 and np.ndim(theta) == 0
         r = np.atleast_1d(np.asarray(r, dtype=float))
         th = np.atleast_1d(np.asarray(theta, dtype=float))
-        out = 2.0 * self.scale(r) * _kernels.fourier_sum(self.fourier(r), th).real
+        if cn is None:
+            cn = self.fourier(r)
+        out = 2.0 * self.scale(r) * _kernels.fourier_sum(cn, th).real
         return float(out[0]) if scalar else out
 
     def osc_terms(self, r: float, theta):
@@ -118,14 +131,14 @@ class ModulusExpansion:
             return float(out[0])
         return out
 
-    def d1d2(self, r, theta):
+    def d1d2(self, r, theta, cn=None):
         """First and second theta-derivative arrays of :meth:`mod2`,
         ``-2 scale Im sum_n n C_n w^n`` and ``-2 scale Re sum_n n^2 C_n w^n``
-        by one Horner pass; ``r`` broadcasts against ``theta`` as in
-        :meth:`osc`."""
+        by one Horner pass; ``r`` and ``cn`` are as in :meth:`osc`."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
         th = np.atleast_1d(np.asarray(theta, dtype=float))
-        cn = self.fourier(r)
+        if cn is None:
+            cn = self.fourier(r)
         n = np.arange(1.0, cn.shape[-1] + 1)
         s1, s2 = _kernels.fourier_sum(np.stack([n * cn, n * n * cn]), th)
         k = -2.0 * self.scale(r)

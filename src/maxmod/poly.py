@@ -104,7 +104,10 @@ def normalize(p: Polynomial) -> HaymanForm | MonomialVerdict:
         return MonomialVerdict()
     m = nz[0]
     c = p.coeffs[m]
-    ratios = tuple(ci / c for ci in p.coeffs[m + 1 :])
+    # + 0j turns a -0.0 part, which complex division leaves for instance
+    # when c is a negative real, into +0.0: a sign-flipped p and the tail
+    # itself then normalize to the same bits
+    ratios = tuple(ci / c + 0j for ci in p.coeffs[m + 1 :])
     # every nonzero coefficient must stay a finite nonzero ratio
     if len(ratios) - ratios.count(0j) != len(nz) - 1 or not all(map(cmath.isfinite, ratios)):
         raise CoefficientRangeError(

@@ -9,10 +9,13 @@ theta-derivative of ``|p|^2`` a real trigonometric polynomial; in the
 half-angle variable ``t = tan(theta / 2)`` it becomes one real polynomial
 per circle, whose real roots are the circle's critical points.  A batched
 eigenvalue solve of real companion matrices finds them on a few anchor
-circles; every other circle carries its nearest anchor's roots over by an
-Aberth iteration, whose roots are kept only under a backward-error
-certificate and are otherwise solved for like an anchor's.  One Newton solve (bisection-guarded) on the exact
-theta-derivative then polishes the maxima of all circles.
+circles.  Every other circle is a predictor-corrector step off its nearest
+anchor: one Euler step in r predicts its roots, and a few Aberth steps
+correct them, which are kept only under a backward-error certificate and
+are otherwise solved for like an anchor's.  One Newton solve
+(bisection-guarded) on the exact theta-derivative then polishes the maxima
+of all circles; like every evaluation at a point, it reads the point's
+``C_n`` from its circle's row, formed once per radius.
 Between folds a circle's maxima move analytically in r and never cross, so
 their cyclic order links the maxima of neighbouring circles into
 trajectories, on flat arrays of all circles at once.  The co-maximal runs
@@ -73,11 +76,12 @@ MAX_RADII = 100_000
 ON_CIRCLE = 1e-6
 # Only anchor circles get an eigenvalue solve (see _derivative_roots): in each
 # group of circles with one half-angle degree, every ANCHOR_STEP-th circle and
-# the last.  Every other circle starts from its nearest anchor's roots and
-# takes at most ABERTH_MAX_ITER Aberth steps, in blocks of circles whose
-# pairwise (circles x m x m) temporaries hold at most ABERTH_BLOCK elements.
+# the last.  Every other circle starts from an Euler step off its nearest
+# anchor's roots and takes at most ABERTH_MAX_ITER Aberth steps, in blocks of
+# circles whose pairwise (circles x m x m) temporaries hold at most
+# ABERTH_BLOCK elements.  A circle not certified by then is eigen-solved.
 ANCHOR_STEP = 16
-ABERTH_MAX_ITER = 8
+ABERTH_MAX_ITER = 3
 ABERTH_BLOCK = 1 << 15
 
 
@@ -192,6 +196,27 @@ def _half_angle_table(d: int) -> np.ndarray:
     return table
 
 
+def _half_angle_coef(nc: np.ndarray, d: int) -> np.ndarray:
+    """The real polynomials ``sum_{n=1}^{d} Im(nc[:, n-1] (1+it)^{d+n}
+    (1-it)^{d-n})``, row i from the first d columns of ``nc[i]``: column k
+    holds the coefficient of ``t^k``, k = 0..2d."""
+    table = _half_angle_table(d)
+    coef = np.empty((nc.shape[0], 2 * d + 1))
+    coef[:, 0::2] = nc[:, :d].imag @ table[:, 0::2]
+    coef[:, 1::2] = nc[:, :d].real @ table[:, 1::2]
+    return coef
+
+
+def _polyval(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The real polynomials ``coef[..., i, :]`` (column k: ``t^k``) at every
+    entry of ``t[i]``, by Horner; shape ``coef.shape[:-1] + t.shape[1:]``."""
+    out = np.zeros(coef.shape[:-1] + t.shape[1:], dtype=t.dtype)
+    for k in range(coef.shape[-1] - 1, -1, -1):
+        out *= t
+        out += coef[..., k, None]
+    return out
+
+
 def _companion_roots(coef: np.ndarray) -> np.ndarray:
     """All roots of the real polynomials ``coef`` (row i: coefficients of
     ``t^0 .. t^m``, ``coef[i, m] != 0``), by one batched eigenvalue solve of
@@ -207,7 +232,11 @@ def _aberth(coef: np.ndarray, t: np.ndarray):
     """Aberth-Ehrlich iteration on the real polynomials ``coef`` (as in
     :func:`_companion_roots`), row i started from the m approximations
     ``t[i]``; only rows not yet certified iterate again, at most
-    ``ABERTH_MAX_ITER`` times.
+    ``ABERTH_MAX_ITER`` times.  From the Euler starts of
+    :func:`_derivative_roots` a row is mostly certified after 1-2 steps; a
+    row that is not after 3 is mostly one whose roots cannot be reached
+    from its start (a max-min pair has left the circle), and is better
+    eigen-solved at once than iterated on with its whole block.
 
     A row is certified when every root is finite and has the backward error
     ``|R(t_k)| <= 4 m EPS sum_j |R_j| |t_k|^j`` (by Horner on ``|t_k|``):
@@ -298,11 +327,13 @@ def _derivative_roots(e: ModulusExpansion, radii: np.ndarray):
     analytically in r, so only the group's anchors, every
     ``ANCHOR_STEP``-th circle and the last, get a batched eigenvalue solve
     of real companion matrices (:func:`_companion_roots`).  Every other
-    circle starts from its nearest anchor's roots and runs the Aberth
-    iteration of :func:`_aberth`; a circle whose roots it cannot certify
-    within ``ABERTH_MAX_ITER`` steps, for instance where a max-min pair has
-    left the circle between the anchor and it, gets the eigenvalue solve
-    too, so every root passed on is certified.
+    circle is a predictor-corrector step off its nearest anchor: the
+    predictor is one Euler step of the anchor's roots along
+    ``dt/dr = -R_r(t) / R'(t)`` (:func:`_euler_start`), and the corrector
+    is the Aberth iteration of :func:`_aberth`.  A circle whose roots it
+    cannot certify within ``ABERTH_MAX_ITER`` steps, for instance where a
+    max-min pair has left the circle between the anchor and it, gets the
+    eigenvalue solve too, so every root passed on is certified.
 
     Returns one ``(radius_indices, roots)`` pair per group, ``roots`` of
     shape ``(len(radius_indices), 2d)``.
@@ -320,11 +351,7 @@ def _derivative_roots(e: ModulusExpansion, radii: np.ndarray):
     out = []
     for d in sorted(set(kept.tolist())):
         rows = np.flatnonzero(kept == d)
-        table = _half_angle_table(d)
-        coef = np.zeros((rows.size, 2 * d + 1))  # column k: t^k
-        for n in range(1, d + 1):
-            coef[:, 0::2] += table[n - 1, 0::2] * nc[rows, n - 1, None].imag
-            coef[:, 1::2] += table[n - 1, 1::2] * nc[rows, n - 1, None].real
+        coef = _half_angle_coef(nc[rows], d)  # column k: t^k
         # top order j goes when |coef_j| < EPS^(j-k) |coef_k| for some k < j
         with np.errstate(divide="ignore"):  # an exact zero has height -inf
             height = np.log2(np.abs(coef)) - math.log2(EPS) * np.arange(2 * d + 1)
@@ -334,7 +361,8 @@ def _derivative_roots(e: ModulusExpansion, radii: np.ndarray):
             sub = rows[kept_r == m]
             lead = coef[kept_r == m, : m + 1]
             # anchors: every ANCHOR_STEP-th circle of the group and the last;
-            # each other circle starts from its nearest anchor's roots
+            # each other circle starts from its nearest anchor's roots, moved
+            # by one Euler step along dt/dr = -R_r(t) / R'(t)
             anchor = np.zeros(sub.size, dtype=bool)
             anchor[::ANCHOR_STEP] = True
             anchor[-1] = True
@@ -343,11 +371,12 @@ def _derivative_roots(e: ModulusExpansion, radii: np.ndarray):
             t[at] = _companion_roots(lead[at])
             follow = np.flatnonzero(~anchor)
             right = np.searchsorted(at, follow)  # at[right - 1] < follower < at[right]
-            near = np.where(follow - at[right - 1] <= at[right] - follow, at[right - 1], at[right])
+            near = np.where(follow - at[right - 1] <= at[right] - follow, right - 1, right)
+            start = _euler_start(e, d, lead[at], t[at], radii[sub[at]], near, radii[sub[follow]])
             block = max(1, ABERTH_BLOCK // (m * m))
             for s in range(0, follow.size, block):
                 i = follow[s : s + block]
-                t[i], ok = _aberth(lead[i], t[near[s : s + block]])
+                t[i], ok = _aberth(lead[i], start[s : s + block])
                 if not ok.all():  # no uncertified root goes on
                     t[i[~ok]] = _companion_roots(lead[i[~ok]])
             # w = (1+it)/(1-it) in real arithmetic, the same bits in any batch;
@@ -361,6 +390,26 @@ def _derivative_roots(e: ModulusExpansion, radii: np.ndarray):
             w.imag[:, :m] = 2.0 * a / den
             out.append((sub, w))
     return out
+
+
+def _euler_start(e: ModulusExpansion, d: int, lead_a, t_a, r_a, near, r) -> np.ndarray:
+    """Aberth starts of the followers of one group of :func:`_derivative_roots`:
+    follower i takes the roots ``t_a[near[i]]`` of its anchor's polynomial
+    ``lead_a[near[i]]`` (of degree m, from ``d`` orders ``C_n``) at radius
+    ``r_a[near[i]]`` one Euler step along ``dt/dr = -R_r(t) / R'(t)`` to its
+    radius ``r[i]``.  ``R_r`` is R with every ``C_n`` replaced by
+    ``dC_n/dr`` (:meth:`ModulusExpansion.fourier_dr`); it and ``R'`` are
+    evaluated by Horner at the anchors' roots only.  A start that is not
+    finite, as where a root near ``t = inf`` overflows, is the anchor's root.
+    """
+    m = lead_a.shape[1] - 1
+    both = np.zeros((2,) + lead_a.shape)  # R_r and R' (of degree m - 1)
+    both[0] = _half_angle_coef(np.arange(1, d + 1) * e.fourier_dr(r_a)[:, :d], d)[:, : m + 1]
+    both[1, :, :m] = lead_a[:, 1:] * np.arange(1, m + 1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r_r, r_t = _polyval(both, t_a)
+        start = t_a[near] - (r - r_a[near])[:, None] * (r_r / r_t)[near]
+    return np.where(np.isfinite(start), start, t_a[near])
 
 
 def _critical_points(e: ModulusExpansion, radii: np.ndarray):
@@ -382,12 +431,18 @@ def _critical_points(e: ModulusExpansion, radii: np.ndarray):
 
 
 def _refine_maxima(
-    e: ModulusExpansion, r: np.ndarray, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    e: ModulusExpansion,
+    r: np.ndarray,
+    cn: np.ndarray,
+    x0: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
 ):
     """Hybrid Newton/bisection on d/dtheta of the cross sum, one solve for
     all maxima; maximum i starts at ``x0[i]`` on the circle of radius
-    ``r[i]``, inside the bracket ``[lo[i], hi[i]]`` on whose left edge the
-    derivative is nonnegative and on whose right edge it is nonpositive.
+    ``r[i]``, whose ``C_n`` are ``cn[i]``, inside the bracket
+    ``[lo[i], hi[i]]`` on whose left edge the derivative is nonnegative and
+    on whose right edge it is nonpositive.
     Only unconverged maxima are evaluated again.  Returns the refined angles
     and the second derivative at each.
     """
@@ -399,7 +454,7 @@ def _refine_maxima(
     act = np.arange(x.size)  # unconverged maxima
     for _ in range(NEWTON_MAX_ITER):
         xa = x[act]
-        f, d2 = e.d1d2(r[act], xa)
+        f, d2 = e.d1d2(r[act], xa, cn=cn[act])
         la = np.where(f > 0, xa, lo[act])
         ha = np.where(f <= 0, xa, hi[act])
         conv = (np.abs(f) <= tol[act]) | ((ha - la) <= 16 * EPS)
@@ -421,12 +476,14 @@ def _scan_circles(e: ModulusExpansion, radii: np.ndarray):
     """All refined local maxima of every circle ``|z| = r`` for r in ``radii``.
 
     The critical points of all circles come from :func:`_critical_points`.
-    One ``d1d2`` call at the critical points and at the midpoints between
-    circular neighbours sorts them into maxima (``d2 < 0``) and minima and
-    checks the bracket of each maximum, whose ends are the midpoints to its
-    two neighbours.  One vectorized Newton/bisection solve then polishes the
-    maxima of all circles.  The spread of a circle is its largest ``osc`` at
-    a maximum minus its smallest at a minimum.
+    Each circle's ``C_n`` are formed once, and every evaluation below reads
+    a point's from its circle's row.  One ``d1d2`` call at the critical
+    points and at the midpoints between circular neighbours sorts them into
+    maxima (``d2 < 0``) and minima and checks the bracket of each maximum,
+    whose ends are the midpoints to its two neighbours.  One vectorized
+    Newton/bisection solve then polishes the maxima of all circles.  The
+    spread of a circle is its largest ``osc`` at a maximum minus its
+    smallest at a minimum.
 
     Returns flat arrays ``(n_max, theta, osc, mod2, comax)``: ``n_max[i]``
     maxima of circle i, followed by those of circle i + 1, each circle's in
@@ -458,7 +515,10 @@ def _scan_circles(e: ModulusExpansion, radii: np.ndarray):
     mid_before = mid[prv]
     mid_before[first] -= TWO_PI
     r = radii[ridx]
-    f, d2 = e.d1d2(np.concatenate([r, r]), np.concatenate([theta, mid]))
+    cn = e.fourier(radii)[ridx]
+    f, d2 = e.d1d2(
+        np.concatenate([r, r]), np.concatenate([theta, mid]), cn=np.concatenate([cn, cn])
+    )
     f_mid = f[theta.size :]
     d2 = d2[: theta.size]
     is_max = d2 < 0.0
@@ -474,7 +534,7 @@ def _scan_circles(e: ModulusExpansion, radii: np.ndarray):
     if bad.any():
         worst = mx[np.argmax(bad)]
         raise RefinementFailureError(float(r[worst]), float(theta[worst]))
-    theta_mx, d2 = _refine_maxima(e, r[mx], theta[mx], mid_before[mx], mid[mx])
+    theta_mx, d2 = _refine_maxima(e, r[mx], cn[mx], theta[mx], mid_before[mx], mid[mx])
     ridx_mx = ridx[mx]
 
     # guard: a refined point must be a (weak) maximum
@@ -484,7 +544,11 @@ def _scan_circles(e: ModulusExpansion, radii: np.ndarray):
         i = np.argmax(bad)
         raise RefinementFailureError(float(r[mx[i]]), float(theta_mx[i]))
 
-    osc = e.osc(np.concatenate([r[mx], r[mn]]), np.concatenate([theta_mx, theta[mn]]))
+    osc = e.osc(
+        np.concatenate([r[mx], r[mn]]),
+        np.concatenate([theta_mx, theta[mn]]),
+        cn=np.concatenate([cn[mx], cn[mn]]),
+    )
     osc, osc_mn = osc[: mx.size], osc[mx.size :]
     starts = np.cumsum(n_max) - n_max
     top = np.maximum.reduceat(osc, starts)

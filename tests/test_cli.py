@@ -40,6 +40,15 @@ class TestClassifyCommand:
         doc = json.loads(out)
         assert code == 0 and doc["mu"] == 1 and doc["magic"] == "NOT_MAGIC"
 
+    @pytest.mark.parametrize("poly,flipped", [("1,0,-1", "-1,0,1"), ("2,0,0,-1", "-2,0,0,1")])
+    def test_sign_flip_same_json(self, capsys, poly, flipped):
+        # p and -p have one maximum modulus set and one classification,
+        # omega in the same order
+        _, out, _ = run(capsys, "classify", f"--poly={poly}", "--json")
+        _, out_flipped, _ = run(capsys, "classify", f"--poly={flipped}", "--json")
+        assert out == out_flipped
+        assert json.loads(out)["omega"][0] < 0
+
     def test_round_trip_bytes(self, capsys):
         _, out, _ = run(capsys, "classify", "--poly", "1,0,1,1i")
         text = out.strip()

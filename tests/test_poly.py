@@ -153,6 +153,29 @@ class TestNormalize:
         assert h.tail.coeffs[h.k] == h.a != 0
         assert all(h.tail.coeffs[i] == 0 for i in range(1, h.k))
 
+    @settings(max_examples=60, deadline=None)
+    @given(poly_strategy())
+    def test_canonical_tail(self, p):
+        # no -0.0 part, whatever the sign of p, and the tail normalizes to
+        # itself bit for bit
+        def bits(q):
+            return [(math.copysign(1, c.real), c.real, math.copysign(1, c.imag), c.imag) for c in q]
+
+        for q in (p, Polynomial(tuple(-c for c in p.coeffs))):
+            tail = normalize(q).tail.coeffs
+            assert all(math.copysign(1, x) > 0 for c in tail for x in (c.real, c.imag) if x == 0)
+            assert bits(normalize(Polynomial(tail)).tail.coeffs) == bits(tail)
+
+    @pytest.mark.parametrize("coeffs", [(1, 0, -1), (2, 0, 0, -1), (1, -0.5, 0, 1j)])
+    def test_sign_flip_gives_same_tail(self, coeffs):
+        # complex division by a negative real leaves -0.0 imaginary parts,
+        # which atan2 would read as angles of the opposite sign
+        a = normalize(Polynomial(tuple(complex(c) for c in coeffs))).tail.coeffs
+        b = normalize(Polynomial(tuple(-complex(c) for c in coeffs))).tail.coeffs
+        assert [(c.real, math.copysign(1, c.imag)) for c in a] == [
+            (c.real, math.copysign(1, c.imag)) for c in b
+        ]
+
 
 class TestInnerDegree:
     @pytest.mark.parametrize(

@@ -34,6 +34,7 @@ from maxmod.tracer import (
     _critical_points,
     _derivative_roots,
     _fit_tangent,
+    _half_angle_coef,
     _link,
     _scan_circles,
     radius_schedule,
@@ -168,9 +169,9 @@ class TestBatchedScan:
         calls = []
         d1d2 = ModulusExpansion.d1d2
 
-        def counted(self, r, theta):
+        def counted(self, r, theta, **kw):
             calls.append(np.size(theta))
-            return d1d2(self, r, theta)
+            return d1d2(self, r, theta, **kw)
 
         monkeypatch.setattr(ModulusExpansion, "d1d2", counted)
         counts = {}
@@ -178,7 +179,31 @@ class TestBatchedScan:
             calls.clear()
             trace(parse_poly("1,0,1,1i"), TraceConfig(n_radii=n))
             counts[n] = len(calls)
-        assert counts[200] <= counts[20] <= NEWTON_MAX_ITER + 5
+        assert 0 < counts[200] <= counts[20] <= NEWTON_MAX_ITER + 5
+
+    def test_fourier_rows_once_per_radius(self, monkeypatch):
+        # the root solve and the scan each form C_n once per radius, and
+        # every evaluation at a point reads its circle's row; dC_n/dr is
+        # formed for anchor circles only
+        rows = {"fourier": 0, "fourier_dr": 0, "eigen": 0}
+        for name in ("fourier", "fourier_dr"):
+            method = getattr(ModulusExpansion, name)
+
+            def counted(self, r, _name=name, _method=method):
+                rows[_name] += np.size(r)
+                return _method(self, r)
+
+            monkeypatch.setattr(ModulusExpansion, name, counted)
+        companion_roots = maxmod.tracer._companion_roots
+
+        def solved(coef):
+            rows["eigen"] += coef.shape[0]
+            return companion_roots(coef)
+
+        monkeypatch.setattr(maxmod.tracer, "_companion_roots", solved)
+        trace(parse_poly(DEGREE_8), TraceConfig(n_radii=200))
+        assert rows["fourier"] == 2 * 200
+        assert 0 < rows["fourier_dr"] <= rows["eigen"] <= 50
 
     def test_eigen_solves_only_anchor_circles(self, monkeypatch):
         # the roots of most circles are carried over from an anchor circle;
@@ -213,6 +238,69 @@ class TestBatchedScan:
         assert sum(rejected) >= 1
         assert {s.curve_id for s in res.samples} == {0}
         assert res.component_ids == (0,) and not res.events
+
+
+class TestPredictor:
+    def test_euler_start_beats_anchor_roots(self, monkeypatch):
+        # the Euler step off the anchor lands closer to the follower's
+        # certified roots than the anchor's roots themselves, for most roots
+        # of seeded polynomials of degree 2-16, a third of them real
+        groups = []
+        euler_start = maxmod.tracer._euler_start
+        aberth = maxmod.tracer._aberth
+
+        def record_start(e, d, lead_a, t_a, r_a, near, r):
+            start = euler_start(e, d, lead_a, t_a, r_a, near, r)
+            groups.append((t_a[near], start, []))
+            return start
+
+        def record_roots(coef, t):
+            roots, ok = aberth(coef, t)
+            groups[-1][2].append((roots, ok))
+            return roots, ok
+
+        monkeypatch.setattr(maxmod.tracer, "_euler_start", record_start)
+        monkeypatch.setattr(maxmod.tracer, "_aberth", record_roots)
+        rng = np.random.default_rng(20261019)
+        for case in range(18):
+            deg = int(rng.integers(2, 17))
+            c = rng.normal(size=deg + 1) + (case % 3 != 0) * 1j * rng.normal(size=deg + 1)
+            c[1:-1] *= rng.random(deg - 1) > 0.3
+            c[0] = 1.0
+            p = Polynomial(tuple(complex(x) for x in c))
+            lo = max(1e-2, 2 * floor_radius(normalize(p)))
+            _derivative_roots(expand(p), np.geomspace(0.9, lo, 100))
+        closer = moved = 0
+        for anchor, start, blocks in groups:
+            if not blocks:
+                continue
+            roots = np.concatenate([b[0] for b in blocks])
+            ok = np.concatenate([b[1] for b in blocks])
+            d_anchor = np.abs(anchor - roots)[ok]
+            d_start = np.abs(start - roots)[ok]
+            # a root that does not move (theta = 0 of a real polynomial) is
+            # no test of the step
+            keep = d_anchor > 1e-12 * (1.0 + np.abs(roots[ok]))
+            moved += int(keep.sum())
+            closer += int((d_start[keep] < d_anchor[keep]).sum())
+        assert moved >= 2000
+        assert closer >= 0.75 * moved
+
+    @pytest.mark.parametrize("n_radii,bound", [(40, 16), (200, 26)])
+    def test_crowded_eigen_solved_rows(self, monkeypatch, n_radii, bound):
+        # the degree-47 half-angle polynomials of CROWDED are where Aberth
+        # followers fail most; anchors plus fallbacks stay few
+        rows = []
+        companion_roots = maxmod.tracer._companion_roots
+
+        def solved(coef):
+            rows.append(coef.shape[0])
+            return companion_roots(coef)
+
+        monkeypatch.setattr(maxmod.tracer, "_companion_roots", solved)
+        e = expand(parse_poly(CROWDED))
+        _derivative_roots(e, np.geomspace(0.95, 0.05, n_radii))
+        assert 0 < sum(rows) <= bound
 
 
 def oracle_maxima(e: ModulusExpansion, r: float, grid: int) -> np.ndarray:
@@ -297,6 +385,22 @@ class TestCriticalPoints:
                 assert circ_dist(got[:, None], alone).min(axis=1).max() <= 1e-9, (p, radii[i])
                 checked += 1
         assert checked >= 1500
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 12, 24])
+    def test_half_angle_coefficients(self, d):
+        # R(t) = sum_n Im(nc_n (1+it)^{d+n} (1-it)^{d-n}), expanded term by
+        # term with numpy's polynomial products, against the table product
+        rng = np.random.default_rng(d)
+        nc = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
+        P = np.polynomial.polynomial
+        want = np.zeros((3, 2 * d + 1))
+        scale = np.zeros((3, 2 * d + 1))
+        for n in range(1, d + 1):
+            poly = P.polymul(P.polypow([1, 1j], d + n), P.polypow([1, -1j], d - n))
+            want += (nc[:, n - 1, None] * poly).imag
+            scale += np.abs(nc[:, n - 1, None]) * np.abs(poly)
+        got = _half_angle_coef(nc, d)
+        assert np.all(np.abs(got - want) <= 8 * d * np.finfo(float).eps * scale)
 
     @pytest.mark.parametrize("text", REAL_POLYS)
     def test_real_coefficients_have_theta_pi(self, text):
