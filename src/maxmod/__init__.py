@@ -7,7 +7,6 @@ from .classify import (
     PredictedJ,
     classify,
     cubic_magic,
-    is_exceptional,
     omega_angles,
     predict_J,
 )
@@ -27,9 +26,7 @@ from .poly import (
     HaymanForm,
     MonomialVerdict,
     Polynomial,
-    core_polynomial,
     format_poly,
-    inner_degree,
     normalize,
     parse_poly,
     poly_from_json,
@@ -74,14 +71,11 @@ __all__ = [
     "brute_force_mset",
     "circle_argmax",
     "classify",
-    "core_polynomial",
     "cubic_magic",
     "direct_mod2",
     "expand",
     "floor_radius",
     "format_poly",
-    "inner_degree",
-    "is_exceptional",
     "normalize",
     "omega_angles",
     "parse_poly",

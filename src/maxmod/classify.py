@@ -6,7 +6,9 @@ a maximum curve is decided by an argument-resonance test on the
 coefficients (the *exceptional* condition) and, term by term, by the
 survivor weights ``t_j = 2|b| cos(n omega_j + arg b)``.  For non-exceptional
 inputs the survivor recursion is exact and the number of curves equals the
-inner degree; for exceptional ones it is reported as a heuristic.
+inner degree; for exceptional ones it is a heuristic.  The inner degree and
+the core degree, up to which the resonance test scans, are read from the
+normalized form (:func:`~maxmod.poly.normalize`).
 """
 
 from __future__ import annotations
@@ -18,14 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MonomialAllPlaneError, NotCubicFamilyError
-from .poly import (
-    HaymanForm,
-    MonomialVerdict,
-    Polynomial,
-    core_polynomial,
-    inner_degree,
-    normalize,
-)
+from .poly import HaymanForm, MonomialVerdict, Polynomial, normalize
 from .util import reduce_angle
 
 # Tolerances for the exact algebraic tests.  Doubles lose ~1e-16 per arg;
@@ -40,8 +35,6 @@ EPS_MAG = 1e-9
 MAGIC = "MAGIC"
 NOT_MAGIC = "NOT_MAGIC"
 UNKNOWN = "UNKNOWN"
-PROVEN = "PROVEN"
-HEURISTIC = "HEURISTIC"
 
 
 @dataclass(frozen=True)
@@ -67,7 +60,6 @@ class TermFilter:
 @dataclass(frozen=True)
 class PredictedJ:
     j_set: tuple[int, ...]
-    validity: str  # PROVEN | HEURISTIC
     t_history: tuple[TermFilter, ...]
 
 
@@ -120,14 +112,15 @@ def omega_angles(h: HaymanForm) -> np.ndarray:
 
 
 def _exceptional_scan(h: HaymanForm):
-    """All resonance triples (m, m', sigma) plus near-miss warnings."""
-    n_core, core = core_polynomial(h)
+    """All resonance triples (m, m', sigma), sigma up to the core degree,
+    plus near-miss warnings.  Empty m-range for k = 1, so such inputs are
+    never exceptional."""
     k = h.k
     arg_a = cmath.phase(h.a)
     witnesses = []
     near = []
-    for sigma in range(k + 1, n_core + 1):
-        b = core.coeffs[sigma]
+    for sigma in range(k + 1, h.N + 1):
+        b = h.tail.coeffs[sigma]
         if b == 0:
             continue
         arg_b = cmath.phase(b)
@@ -143,15 +136,6 @@ def _exceptional_scan(h: HaymanForm):
                     f"near-exceptional: m={m} sigma={sigma} residual={residual:.3e}"
                 )
     return bool(witnesses), tuple(witnesses), tuple(near)
-
-
-def is_exceptional(h: HaymanForm) -> tuple[bool, list[ExceptionalWitness]]:
-    """Resonance test on the coefficient arguments, scanned up to the core.
-
-    Empty m-range for k = 1, so such inputs are never exceptional.
-    """
-    flag, witnesses, _ = _exceptional_scan(h)
-    return flag, list(witnesses)
 
 
 def cubic_magic(h: HaymanForm) -> str:
@@ -181,14 +165,12 @@ def predict_J(h: HaymanForm) -> PredictedJ:
     Starts from the full candidate set {0,...,k-1} (exact for two-term
     inputs) and, for each term ``b z^n`` in ascending degree, keeps the
     candidates maximizing ``t_j = 2|b| cos(n omega_j + arg b)`` up to a tie
-    tolerance.  Exact for non-exceptional inputs (validity PROVEN), where
-    the result is one residue class mod k/mu with mu elements.
+    tolerance.  Exact for non-exceptional inputs, where the result is one
+    residue class mod k/mu with mu elements (:func:`classify` checks it);
+    a heuristic for exceptional ones.
     """
     k = h.k
     omega = omega_angles(h)
-    mu = inner_degree(h)
-    exceptional, _, _ = _exceptional_scan(h)
-
     j_set = list(range(k))
     history = []
     for n in h.tail.nonzero_exponents():
@@ -210,9 +192,28 @@ def predict_J(h: HaymanForm) -> PredictedJ:
             )
         )
         j_set = retained
+    return PredictedJ(j_set=tuple(j_set), t_history=tuple(history))
 
-    validity = HEURISTIC if exceptional else PROVEN
-    if validity == PROVEN:
+
+def classify(p: Polynomial) -> Classification:
+    """Full coefficient-level report for a polynomial.
+
+    ``mu`` and ``N`` come from :func:`~maxmod.poly.normalize`; the resonance
+    scan and the survivor recursion (:func:`predict_J`) run once each.  For
+    a non-exceptional input the survivor set is proven to be one residue
+    class mod k/mu with mu elements, and any other set is an internal error.
+    Monomial inputs are rejected: their maximum modulus set is the whole
+    plane and there is nothing to classify.
+    """
+    h = normalize(p)
+    if isinstance(h, MonomialVerdict):
+        raise MonomialAllPlaneError("the maximum modulus set of a monomial is the whole plane")
+    k, mu = h.k, h.mu
+    omega = omega_angles(h)
+    exceptional, witnesses, near = _exceptional_scan(h)
+    pj = predict_J(h)
+    if not exceptional:
+        j_set = list(pj.j_set)
         step = k // mu
         expected = set(range(min(j_set), k, step)) if j_set else set()
         if len(j_set) != mu or set(j_set) != expected:
@@ -220,23 +221,6 @@ def predict_J(h: HaymanForm) -> PredictedJ:
                 "internal error: proven survivor set is not one residue class "
                 f"of size mu: J={j_set}, mu={mu}, k={k}"
             )
-    return PredictedJ(j_set=tuple(j_set), validity=validity, t_history=tuple(history))
-
-
-def classify(p: Polynomial) -> Classification:
-    """Full coefficient-level report for a polynomial.
-
-    Monomial inputs are rejected: their maximum modulus set is the whole
-    plane and there is nothing to classify.
-    """
-    h = normalize(p)
-    if isinstance(h, MonomialVerdict):
-        raise MonomialAllPlaneError("the maximum modulus set of a monomial is the whole plane")
-    mu = inner_degree(h)
-    n_core, _ = core_polynomial(h)
-    omega = omega_angles(h)
-    exceptional, witnesses, near = _exceptional_scan(h)
-    pj = predict_J(h)
     if p.truncated:
         near = near + (
             "truncated series: exact only if the omitted terms lie above the core degree",
@@ -244,7 +228,7 @@ def classify(p: Polynomial) -> Classification:
 
     if h.tail.degree in (2, 3):
         magic = cubic_magic(h)
-    elif pj.validity == PROVEN:
+    elif not exceptional:
         magic = NOT_MAGIC
     else:
         # identifying magic inputs beyond the cubic family is an open
@@ -255,13 +239,13 @@ def classify(p: Polynomial) -> Classification:
     if not exceptional:
         predicted_count = mu
     else:
-        predicted_count = tuple(range(mu, h.k + 1, mu))
+        predicted_count = tuple(range(mu, k + 1, mu))
     conjecture_count = 2 * mu if magic == MAGIC else None
 
     return Classification(
         mu=mu,
-        N=n_core,
-        k=h.k,
+        N=h.N,
+        k=k,
         a=h.a,
         omega=tuple(float(w) for w in omega),
         exceptional=exceptional,

@@ -3,7 +3,8 @@
 Exit codes: 0 success/CONFIRMED, 1 any other failure (such as a maximizer
 refinement that does not converge), 2 parse or option error or a coefficient
 ratio outside the float range, 3 monomial input, 4 DISCREPANT trace, 5 radius
-below the numerical floor, 6 I/O failure.
+below the numerical floor, 6 I/O failure.  Each error class of
+:mod:`maxmod.errors` carries its own code.
 """
 
 from __future__ import annotations
@@ -18,15 +19,7 @@ import numpy as np
 
 from . import __version__
 from .classify import MAGIC, Classification, classify
-from .errors import (
-    CoefficientRangeError,
-    FloorViolationError,
-    MaxmodError,
-    MonomialAllPlaneError,
-    PolyParseError,
-    TruncatedSeriesError,
-    ZeroPolynomialError,
-)
+from .errors import MaxmodError, PolyParseError
 from .poly import Polynomial, format_poly, normalize, parse_poly, poly_from_json, reciprocal
 from .svg import write_svg
 from .tracer import (
@@ -342,21 +335,12 @@ def main(argv=None) -> int:
             parser.error(f"argument --{key.replace('_', '-')}: expected one argument")
     try:
         return args.func(args)
-    except (PolyParseError, ZeroPolynomialError, TruncatedSeriesError, CoefficientRangeError) as ex:
+    except MaxmodError as ex:
         print(f"error[{ex.code}]: {ex}", file=sys.stderr)
-        return 2
-    except MonomialAllPlaneError as ex:
-        print(f"error[{ex.code}]: {ex}", file=sys.stderr)
-        return 3
-    except FloorViolationError as ex:
-        print(f"error[{ex.code}]: {ex}", file=sys.stderr)
-        return 5
+        return ex.exit_code
     except OSError as ex:
         print(f"error[IO]: {ex}", file=sys.stderr)
         return 6
-    except MaxmodError as ex:
-        print(f"error[{ex.code}]: {ex}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

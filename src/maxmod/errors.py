@@ -1,16 +1,19 @@
 """Exception types shared across the package.
 
-Each error carries a short machine-readable ``code`` used by the CLI to
-select exit codes and by tests to match error categories.
+Each error carries a short machine-readable ``code``, printed by the CLI as
+``error[code]`` and matched by tests, and the ``exit_code`` the CLI
+returns for it.
 """
 
 
 class MaxmodError(Exception):
     code = "Error"
+    exit_code = 1
 
 
 class PolyParseError(MaxmodError):
     code = "ParseError"
+    exit_code = 2
 
     def __init__(self, token: str, position: int, reason: str = ""):
         self.token = token
@@ -23,18 +26,21 @@ class PolyParseError(MaxmodError):
 
 class ZeroPolynomialError(MaxmodError):
     code = "ZeroPolynomial"
+    exit_code = 2
 
 
 class CoefficientRangeError(MaxmodError):
     """A coefficient ratio of the normalized form is not a finite nonzero float."""
 
     code = "CoefficientRange"
+    exit_code = 2
 
 
 class MonomialAllPlaneError(MaxmodError):
     """The maximum modulus set of c*z^n is the whole plane; nothing to do."""
 
     code = "MonomialAllPlane"
+    exit_code = 3
 
 
 class NotCubicFamilyError(MaxmodError):
@@ -45,6 +51,7 @@ class TruncatedSeriesError(MaxmodError):
     """Operation needs a genuine polynomial, not a truncated series."""
 
     code = "TruncatedSeries"
+    exit_code = 2
 
 
 class RefinementFailureError(MaxmodError):
@@ -58,6 +65,7 @@ class RefinementFailureError(MaxmodError):
 
 class FloorViolationError(MaxmodError):
     code = "FloorViolation"
+    exit_code = 5
 
     def __init__(self, r_min: float, required: float):
         self.r_min = r_min

@@ -95,15 +95,20 @@ class ModulusExpansion:
         are real, so the product is taken on the real and imaginary parts
         side by side (a float view of ``c_pairs``), about 5x faster than a
         complex one."""
-        rp = np.asarray(r, dtype=float)[..., None] ** np.arange(self.c_pairs.shape[0])
-        return (rp @ self.c_pairs.view(float)).view(complex)
+        pows = np.arange(self.c_pairs.shape[0])
+        r = np.asarray(r, dtype=float)
+        with np.errstate(over="ignore"):  # see _power_product
+            rp = r[..., None] ** pows
+        return _power_product(rp, r, pows, self.c_pairs)
 
     def fourier_dr(self, r):
         """``dC_n/dr``, shaped as :meth:`fourier`: the derivatives
         ``k r^{k-1}`` of the radius powers times :attr:`c_pairs`."""
         k = np.arange(1, self.c_pairs.shape[0])
-        drp = k * np.asarray(r, dtype=float)[..., None] ** (k - 1)
-        return (drp @ self.c_pairs[1:].view(float)).view(complex)
+        r = np.asarray(r, dtype=float)
+        with np.errstate(over="ignore"):  # see _power_product
+            drp = k * r[..., None] ** (k - 1)
+        return _power_product(drp, r, k - 1, self.c_pairs[1:], k)
 
     def osc(self, r, theta, cn=None):
         """Theta-dependent cross part; ``mod2 = base + osc``.
@@ -153,6 +158,27 @@ class ModulusExpansion:
 
     def d2_bound(self, r):
         return _kernels.radial_sum(self.cross_amps * self.cross_freqs**2, self.cross_pows, r)
+
+
+def _power_product(rp, r, pows, c, mult=1):
+    """``rp @ c`` for ``rp[..., i] = mult_i r^pows[i]``, complex ``c``.
+
+    At a radius where some ``r^pows[i]`` is not a float, the plain product
+    would meet ``inf * 0`` or ``inf * tiny`` although every term
+    ``r^pows[i] c[i, n]`` may be one.  That radius's row is formed term by
+    term instead (``_kernels._radial_terms``, which sums binary exponents
+    apart from mantissas), so only a genuinely huge ``C_n`` is ``inf``;
+    every other radius keeps the plain product and its bits.
+    """
+    ok = np.isfinite(rp).all(axis=-1)
+    if ok.all():
+        return (rp @ c.view(float)).view(complex)
+    out = (np.where(ok[..., None], rp, 0.0) @ c.view(float)).view(complex)
+    amps = (np.reshape(mult, (-1, 1)) * c).view(float)  # (rows, 2 cols)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN is rejected
+        terms = _kernels._radial_terms(amps.ravel(), np.repeat(pows, amps.shape[1]), r[~ok])
+        out[~ok] = terms.reshape((-1,) + amps.shape).sum(axis=-2).view(complex)
+    return out
 
 
 def expand(p: Polynomial) -> ModulusExpansion:

@@ -9,6 +9,7 @@ the canonical form ``1 + a z^k + higher order terms``.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -80,17 +81,27 @@ class MonomialVerdict:
 @dataclass(frozen=True)
 class HaymanForm:
     """Factored form ``prefactor_scalar * z^prefactor_power * tail`` where
-    ``tail = 1 + a z^k + ...`` with ``a != 0`` and ``k >= 1``."""
+    ``tail = 1 + a z^k + ...`` with ``a != 0`` and ``k >= 1``.
+
+    ``mu`` is the inner degree, the gcd of the positive exponents that carry
+    a nonzero tail coefficient.  ``N`` is the core degree, the least such
+    exponent up to which their gcd is already ``mu``; the tail up to
+    ``z^N`` is the core polynomial.
+    """
 
     prefactor_scalar: complex
     prefactor_power: int
     k: int
     a: complex
+    mu: int
+    N: int
     tail: Polynomial
 
 
 def normalize(p: Polynomial) -> HaymanForm | MonomialVerdict:
-    """Factor out ``c * z^m`` so the remaining tail starts ``1 + a z^k + ...``.
+    """Factor out ``c * z^m`` so the remaining tail starts ``1 + a z^k + ...``,
+    and record the tail's inner degree ``mu`` and core degree ``N`` from one
+    walk over its nonzero exponents.
 
     Returns a :class:`MonomialVerdict` when ``p`` has a single nonzero term.
     Raises :class:`ZeroPolynomialError` on the zero polynomial and
@@ -117,31 +128,10 @@ def normalize(p: Polynomial) -> HaymanForm | MonomialVerdict:
     # the leading tail coefficient is analytically 1; complex division c/c
     # rounds, so set it exactly
     tail = Polynomial((1.0 + 0j,) + ratios, truncated=p.truncated)
-    k = nz[1] - m
-    return HaymanForm(prefactor_scalar=c, prefactor_power=m, k=k, a=tail.coeffs[k], tail=tail)
-
-
-def inner_degree(h: HaymanForm) -> int:
-    """gcd of all positive exponents carrying a nonzero tail coefficient."""
-    exps = [e for e in h.tail.nonzero_exponents() if e > 0]
-    return math.gcd(*exps)
-
-
-def core_polynomial(h: HaymanForm) -> tuple[int, Polynomial]:
-    """Shortest truncation of the tail whose inner degree equals the tail's.
-
-    Returns ``(N, core)`` where ``N`` is the least index ``>= k`` such that
-    the gcd of nonzero exponents up to ``N`` equals ``inner_degree(h)``.
-    """
-    mu = inner_degree(h)
-    g = 0
-    for e in h.tail.nonzero_exponents():
-        if e == 0:
-            continue
-        g = math.gcd(g, e)
-        if g == mu:
-            return e, Polynomial(h.tail.coeffs[: e + 1], truncated=h.tail.truncated)
-    raise AssertionError("unreachable: gcd of all exponents is the inner degree")
+    exps = [e - m for e in nz[1:]]  # the tail's positive exponents
+    gcds = list(itertools.accumulate(exps, math.gcd))
+    k, mu = exps[0], gcds[-1]
+    return HaymanForm(c, m, k=k, a=tail.coeffs[k], mu=mu, N=exps[gcds.index(mu)], tail=tail)
 
 
 def reciprocal(p: Polynomial) -> Polynomial:

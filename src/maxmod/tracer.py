@@ -50,7 +50,7 @@ from .errors import (
 )
 from . import _kernels
 from .modulus import ModulusExpansion, expand
-from .poly import HaymanForm, MonomialVerdict, Polynomial, inner_degree, normalize, reciprocal
+from .poly import HaymanForm, MonomialVerdict, Polynomial, normalize, reciprocal
 from .util import TWO_PI, circ_dist, reduce_angle
 
 EPS = float(np.finfo(float).eps)
@@ -294,8 +294,9 @@ def _aberth(coef: np.ndarray, t: np.ndarray):
     return t, ok
 
 
-def _derivative_roots(e: ModulusExpansion, radii: np.ndarray):
-    """Roots ``w`` of ``w^D d/dtheta |1 + q(r w)|^2`` for every circle.
+def _derivative_roots(e: ModulusExpansion, radii: np.ndarray, cn: np.ndarray):
+    """Roots ``w`` of ``w^D d/dtheta |1 + q(r w)|^2`` for every circle; row
+    i of ``cn`` holds the ``C_n`` of radius ``radii[i]``.
 
     With ``p = a_m z^m (1 + q)``, ``c_0 = 1``, ``c_j`` the coefficients of
     ``q`` and ``w = e^{i theta}``, the squared modulus is the trigonometric sum
@@ -338,7 +339,6 @@ def _derivative_roots(e: ModulusExpansion, radii: np.ndarray):
     Returns one ``(radius_indices, roots)`` pair per group, ``roots`` of
     shape ``(len(radius_indices), 2d)``.
     """
-    cn = e.fourier(radii)
     deg = cn.shape[1]
     nc = np.arange(1, deg + 1) * cn  # column n-1: n C_n
     mag = np.abs(nc)
@@ -412,15 +412,15 @@ def _euler_start(e: ModulusExpansion, d: int, lead_a, t_a, r_a, near, r) -> np.n
     return np.where(np.isfinite(start), start, t_a[near])
 
 
-def _critical_points(e: ModulusExpansion, radii: np.ndarray):
+def _critical_points(e: ModulusExpansion, radii: np.ndarray, cn: np.ndarray):
     """Every critical point of ``theta -> |p(r e^{i theta})|^2`` on every
-    circle: the roots of :func:`_derivative_roots` within ``ON_CIRCLE`` of
-    the unit circle.
+    circle: the roots of :func:`_derivative_roots` (``cn`` as there) within
+    ``ON_CIRCLE`` of the unit circle.
 
     Returns ``(radius_index, theta)``, sorted by radius index, then angle.
     """
     ridx, theta = [], []
-    for rows, w in _derivative_roots(e, radii):
+    for rows, w in _derivative_roots(e, radii, cn):
         row, col = np.nonzero(np.abs(np.abs(w) - 1.0) < ON_CIRCLE)
         ridx.append(rows[row])
         theta.append(np.angle(w[row, col]))
@@ -475,15 +475,15 @@ def _refine_maxima(
 def _scan_circles(e: ModulusExpansion, radii: np.ndarray):
     """All refined local maxima of every circle ``|z| = r`` for r in ``radii``.
 
-    The critical points of all circles come from :func:`_critical_points`.
-    Each circle's ``C_n`` are formed once, and every evaluation below reads
-    a point's from its circle's row.  One ``d1d2`` call at the critical
-    points and at the midpoints between circular neighbours sorts them into
-    maxima (``d2 < 0``) and minima and checks the bracket of each maximum,
-    whose ends are the midpoints to its two neighbours.  One vectorized
-    Newton/bisection solve then polishes the maxima of all circles.  The
-    spread of a circle is its largest ``osc`` at a maximum minus its
-    smallest at a minimum.
+    Each circle's ``C_n`` are formed once: the critical points of all
+    circles come from them (:func:`_critical_points`), and every evaluation
+    below reads a point's from its circle's row.  One ``d1d2`` call at the
+    critical points and at the midpoints between circular neighbours sorts
+    them into maxima (``d2 < 0``) and minima and checks the bracket of each
+    maximum, whose ends are the midpoints to its two neighbours.  One
+    vectorized Newton/bisection solve then polishes the maxima of all
+    circles.  The spread of a circle is its largest ``osc`` at a maximum
+    minus its smallest at a minimum.
 
     Returns flat arrays ``(n_max, theta, osc, mod2, comax)``: ``n_max[i]``
     maxima of circle i, followed by those of circle i + 1, each circle's in
@@ -499,7 +499,8 @@ def _scan_circles(e: ModulusExpansion, radii: np.ndarray):
         bad = ~np.isfinite(4.0 * mass * mass * np.maximum(e.scale(radii), 1.0))
     if bad.any():
         raise RefinementFailureError(float(radii[np.argmax(bad)]), 0.0)
-    ridx, theta = _critical_points(e, radii)
+    cn_rows = e.fourier(radii)
+    ridx, theta = _critical_points(e, radii, cn_rows)
     counts = np.bincount(ridx, minlength=radii.size)
     if counts.min() < 2:  # a smooth periodic function has a maximum and a minimum
         raise RefinementFailureError(float(radii[np.argmin(counts)]), 0.0)
@@ -515,7 +516,7 @@ def _scan_circles(e: ModulusExpansion, radii: np.ndarray):
     mid_before = mid[prv]
     mid_before[first] -= TWO_PI
     r = radii[ridx]
-    cn = e.fourier(radii)[ridx]
+    cn = cn_rows[ridx]
     f, d2 = e.d1d2(
         np.concatenate([r, r]), np.concatenate([theta, mid]), cn=np.concatenate([cn, cn])
     )
@@ -827,8 +828,7 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
     counts = np.bincount(ridx[comax], minlength=radii.size)
     off = np.flatnonzero(counts[:last] != n_components)
     stable_radius = float(radii[off[-1] + 1 if off.size else 0])
-
-    mu = inner_degree(h)
+    mu = h.mu
 
     # -- tangent fits ------------------------------------------------------
     tangents = []

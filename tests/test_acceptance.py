@@ -21,7 +21,6 @@ from maxmod import (
     direct_mod2,
     expand,
     floor_radius,
-    is_exceptional,
     normalize,
     parse_poly,
     predict_J,
@@ -135,8 +134,7 @@ def test_criterion_03_cubic_criterion_cross_validation():
         else:
             phi_b = rng.uniform(-math.pi, math.pi)
         a, b = polar(rho_a, phi_a), polar(rho_b, phi_b)
-        h = normalize(Polynomial((1, 0, a, b)))
-        flag, _ = is_exceptional(h)
+        flag = classify(Polynomial((1, 0, a, b))).exceptional
         b_prime = b * a**-1.5
         closed_form = abs(b_prime.real) <= 1e-9 * abs(b_prime)
         assert flag == closed_form, (a, b, flag, closed_form)

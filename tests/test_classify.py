@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,13 +14,12 @@ from maxmod import (
     Polynomial,
     classify,
     cubic_magic,
-    is_exceptional,
     normalize,
     omega_angles,
     parse_poly,
     predict_J,
 )
-from maxmod.classify import HEURISTIC, MAGIC, NOT_MAGIC, PROVEN, UNKNOWN
+from maxmod.classify import MAGIC, NOT_MAGIC, UNKNOWN
 from maxmod.util import canonical_json, circ_dist
 
 
@@ -58,31 +58,32 @@ class TestOmegaAngles:
 
 class TestExceptional:
     def test_magic_cubic_witness(self):
-        flag, wits = is_exceptional(normalize(parse_poly("1,0,1,1i")))
+        c = classify(parse_poly("1,0,1,1i"))
+        flag, wits = c.exceptional, c.witnesses
         assert flag
         assert [(w.m, w.m_prime, w.sigma) for w in wits] == [(1, 2, 3)]
         assert wits[0].residual <= 1e-9
 
     def test_real_cubic_not_exceptional(self):
         # m' = 3/2 is not an integer
-        flag, wits = is_exceptional(normalize(parse_poly("1,0,1,1")))
-        assert not flag and wits == []
+        c = classify(parse_poly("1,0,1,1"))
+        flag, wits = c.exceptional, c.witnesses
+        assert not flag and wits == ()
 
     def test_two_term_never_exceptional(self):
         for text in ("1,0,3i", "1,0,0,0,-2"):
-            flag, _ = is_exceptional(normalize(parse_poly(text)))
-            assert not flag
+            assert not classify(parse_poly(text)).exceptional
 
     def test_k1_never_exceptional(self):
-        flag, _ = is_exceptional(normalize(parse_poly("1,2,3i,0.1,5")))
-        assert not flag
+        assert not classify(parse_poly("1,2,3i,0.1,5")).exceptional
 
     def test_even_pair_resonates(self):
         # 1 + z^4 + z^6: m pi = (k/sigma)(m' pi - arg b) + arg a holds at
         # (m, m', sigma) = (2, 3, 6), so the resonance test fires even
         # though the survivor set is untouched (the tied candidates share a
         # residue class).
-        flag, wits = is_exceptional(normalize(parse_poly("1,0,0,0,1,0,1")))
+        c = classify(parse_poly("1,0,0,0,1,0,1"))
+        flag, wits = c.exceptional, c.witnesses
         assert flag
         assert (2, 3, 6) in [(w.m, w.m_prime, w.sigma) for w in wits]
 
@@ -137,22 +138,23 @@ class TestCubicMagic:
     @given(st.floats(0.5, 2), unit_arg(), st.floats(0.5, 2), unit_arg())
     def test_exceptional_matches_closed_form(self, rho_a, phi_a, rho_b, phi_b):
         a, b = polar(rho_a, phi_a), polar(rho_b, phi_b)
-        h = normalize(Polynomial((1, 0, a, b)))
-        flag, _ = is_exceptional(h)
+        flag = classify(Polynomial((1, 0, a, b))).exceptional
         b_prime = b * a**-1.5
         assert flag == (abs(b_prime.real) <= 1e-9 * abs(b_prime))
 
 
 class TestPredictJ:
     def test_two_term_full_set(self):
-        pj = predict_J(normalize(parse_poly("1,0,0,2i")))
-        assert pj.j_set == (0, 1, 2) and pj.validity == PROVEN
+        p = parse_poly("1,0,0,2i")
+        pj = predict_J(normalize(p))
+        assert pj.j_set == (0, 1, 2) and not classify(p).exceptional
         assert pj.t_history == ()
 
     def test_real_cubic_single_survivor(self):
         # t_0 = 2 cos 0 = 2, t_1 = 2 cos(3 pi) = -2
-        pj = predict_J(normalize(parse_poly("1,0,1,1")))
-        assert pj.j_set == (0,) and pj.validity == PROVEN
+        p = parse_poly("1,0,1,1")
+        pj = predict_J(normalize(p))
+        assert pj.j_set == (0,) and not classify(p).exceptional
         (tf,) = pj.t_history
         assert tf.n == 3
         t = dict(tf.t_values)
@@ -160,8 +162,9 @@ class TestPredictJ:
         assert math.isclose(t[1], -2.0, abs_tol=1e-12)
 
     def test_magic_tie_kept(self):
-        pj = predict_J(normalize(parse_poly("1,0,1,1i")))
-        assert pj.j_set == (0, 1) and pj.validity == HEURISTIC
+        p = parse_poly("1,0,1,1i")
+        pj = predict_J(normalize(p))
+        assert pj.j_set == (0, 1) and classify(p).exceptional
 
     def test_even_sextic(self):
         pj = predict_J(normalize(parse_poly("1,0,0,0,1,0,1")))
@@ -181,15 +184,11 @@ class TestPredictJ:
         for rho, phi in terms:
             n += gap
             coeffs[n] = polar(rho, phi)
-        h = normalize(Polynomial(tuple(coeffs)))
-        flag, _ = is_exceptional(h)
-        if flag:
+        c = classify(Polynomial(tuple(coeffs)))
+        if c.exceptional:
             return  # recursion only proven for non-exceptional inputs
-        pj = predict_J(h)
-        assert pj.validity == PROVEN
-        from maxmod import inner_degree
-
-        mu = inner_degree(h)
+        pj = c.predicted_j
+        mu = c.mu
         assert len(pj.j_set) == mu
         step = k // mu
         assert set(pj.j_set) == {pj.j_set[0] + i * step for i in range(mu)}
@@ -264,3 +263,32 @@ class TestTruncatedClassification:
         c = classify(p)
         assert c.mu == 1 and c.magic == MAGIC
         assert any("truncated" in w for w in c.warnings)
+
+
+class TestCoefficientFactsOnce:
+    def test_one_scan_per_classify(self, monkeypatch):
+        # normalize derives mu and N; classify runs the resonance scan and
+        # the survivor recursion once each, and walks the exponents at most
+        # twice (once in normalize, once in predict_J)
+        module = sys.modules["maxmod.classify"]
+        calls = {"_exceptional_scan": 0, "predict_J": 0, "nonzero_exponents": 0}
+        for name in ("_exceptional_scan", "predict_J"):
+            func = getattr(module, name)
+
+            def counted(*args, _name=name, _func=func):
+                calls[_name] += 1
+                return _func(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        exponents = Polynomial.nonzero_exponents
+
+        def counted_exponents(self):
+            calls["nonzero_exponents"] += 1
+            return exponents(self)
+
+        monkeypatch.setattr(Polynomial, "nonzero_exponents", counted_exponents)
+        c = classify(parse_poly("1,0,1,1i,0,2,0,0.5,1"))
+        assert c.exceptional and (c.mu, c.N) == (1, 3)
+        assert calls["_exceptional_scan"] == 1
+        assert calls["predict_J"] == 1
+        assert calls["nonzero_exponents"] <= 2

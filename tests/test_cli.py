@@ -173,6 +173,18 @@ class TestTraceCommand:
             )
         assert code == 0 and not err and "CONFIRMED" in out
 
+    def test_tiny_top_coefficient_at_huge_radii(self, capsys):
+        # 1 + 1e-300 z^2 on [2e145, 1e150]: its only C_n, 1e-300 r^2, is
+        # about 1, but r^3 of the radius powers is not a float, and the
+        # product must not turn inf * 0 into NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "trace", "--poly", "1,0,1e-300", "--rmin", "2e145", "--rmax", "1e150",
+                "--radii", "8",
+            )
+        assert code == 0 and not err and "CONFIRMED" in out
+
     @pytest.mark.parametrize("rmax", ["1e60", "1e308"])
     def test_radius_far_beyond_one_fails_cleanly(self, capsys, rmax):
         # |1 + q|^2 or the C_n of the root solve leave the float range: a

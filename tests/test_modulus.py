@@ -257,3 +257,20 @@ class TestFourier:
                     assert got.shape == (deg,)
                     bound = 64 * EPS * float(np.sum(np.abs(c) * r ** np.arange(deg + 1))) ** 2
                     assert np.max(np.abs(got - want)) <= bound, (deg, real, r)
+
+    def test_fourier_where_radius_powers_overflow(self):
+        # at r = 1e160, r^2 and r^3 are not floats, yet every C_n and
+        # dC_n/dr of 1 + 0.5 z + 1e-300i z^2 is; a radius whose powers are
+        # floats keeps the plain product's bits
+        e = expand(Polynomial((1, 0.5, 1e-300j)))
+        big = 1e160
+        r = np.array([0.5, big])
+        with np.errstate(over="raise", invalid="raise"):
+            cn, dr = e.fourier(r), e.fourier_dr(r)
+        assert np.array_equal(cn[0], e.fourier(0.5))
+        assert np.array_equal(dr[0], e.fourier_dr(0.5))
+        b = 1e-300 * big  # c_2 r, a float
+        want = [0.5 * big + 0.5j * b * big * big, 1j * b * big]
+        want_dr = [0.5 + 1.5j * b * big, 2j * b]
+        assert np.allclose(cn[1], want, rtol=8 * EPS, atol=0)
+        assert np.allclose(dr[1], want_dr, rtol=8 * EPS, atol=0)

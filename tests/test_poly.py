@@ -13,9 +13,8 @@ from maxmod import (
     Polynomial,
     PolyParseError,
     ZeroPolynomialError,
-    core_polynomial,
+    classify,
     format_poly,
-    inner_degree,
     normalize,
     parse_poly,
     poly_from_json,
@@ -187,42 +186,47 @@ class TestInnerDegree:
         ],
     )
     def test_examples(self, coeffs, mu):
-        assert inner_degree(normalize(Polynomial(coeffs))) == mu
+        assert normalize(Polynomial(coeffs)).mu == mu
 
     @settings(max_examples=60, deadline=None)
     @given(poly_strategy())
     def test_divides_all_exponents(self, p):
         h = normalize(p)
-        mu = inner_degree(h)
+        mu = h.mu
         assert h.k % mu == 0
         for e in h.tail.nonzero_exponents():
             if e > 0:
                 assert e % mu == 0
 
 
+def core(h: HaymanForm) -> tuple[int, Polynomial]:
+    """The core degree N and the core polynomial, the tail up to z^N."""
+    return h.N, Polynomial(h.tail.coeffs[: h.N + 1])
+
+
 class TestCorePolynomial:
     def test_whole_cubic(self):
-        n, core = core_polynomial(normalize(Polynomial((1, 0, 1, 1j))))
-        assert n == 3 and core.coeffs == (1, 0, 1, 1j)
+        n, core_p = core(normalize(Polynomial((1, 0, 1, 1j))))
+        assert n == 3 and core_p.coeffs == (1, 0, 1, 1j)
 
     def test_two_term(self):
-        n, core = core_polynomial(normalize(Polynomial((1, 0, 0, 5))))
-        assert n == 3 and core.coeffs == (1, 0, 0, 5)
+        n, core_p = core(normalize(Polynomial((1, 0, 0, 5))))
+        assert n == 3 and core_p.coeffs == (1, 0, 0, 5)
 
     def test_prefix_scan(self):
         # gcd(4)=4, gcd(4,6)=2, gcd(4,6,7)=1 = inner degree
         p = Polynomial((1, 0, 0, 0, 1, 0, 1, 1, 0, 1))
-        n, core = core_polynomial(normalize(p))
+        n, core_p = core(normalize(p))
         assert n == 7
-        assert core.coeffs == (1, 0, 0, 0, 1, 0, 1, 1)
+        assert core_p.coeffs == (1, 0, 0, 0, 1, 0, 1, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(poly_strategy())
     def test_minimality_of_n(self, p):
         h = normalize(p)
-        mu = inner_degree(h)
-        n, core = core_polynomial(h)
-        assert inner_degree(normalize(core)) == mu
+        mu = h.mu
+        n, core_p = core(h)
+        assert normalize(core_p).mu == mu
         for n_prime in range(h.k, n):
             exps = [e for e in h.tail.nonzero_exponents() if 0 < e <= n_prime]
             assert math.gcd(*exps) > mu
@@ -246,10 +250,11 @@ class TestReciprocal:
 class TestTruncatedFlag:
     def test_flag_propagates_through_normalize_and_core(self):
         p = Polynomial((1, 0, 1, 1j, 0.5), truncated=True)
+        # the core is the tail's prefix; classify reads its degree from h
         h = normalize(p)
         assert h.tail.truncated
-        _, core = core_polynomial(h)
-        assert core.truncated
+        c = classify(p)
+        assert c.N == h.N == 3 and any("core degree" in w for w in c.warnings)
 
     def test_reciprocal_refuses_truncations(self):
         from maxmod import TruncatedSeriesError

@@ -182,8 +182,8 @@ class TestBatchedScan:
         assert 0 < counts[200] <= counts[20] <= NEWTON_MAX_ITER + 5
 
     def test_fourier_rows_once_per_radius(self, monkeypatch):
-        # the root solve and the scan each form C_n once per radius, and
-        # every evaluation at a point reads its circle's row; dC_n/dr is
+        # the scan forms C_n once per radius for the root solve and every
+        # evaluation at a point, which reads its circle's row; dC_n/dr is
         # formed for anchor circles only
         rows = {"fourier": 0, "fourier_dr": 0, "eigen": 0}
         for name in ("fourier", "fourier_dr"):
@@ -202,7 +202,7 @@ class TestBatchedScan:
 
         monkeypatch.setattr(maxmod.tracer, "_companion_roots", solved)
         trace(parse_poly(DEGREE_8), TraceConfig(n_radii=200))
-        assert rows["fourier"] == 2 * 200
+        assert rows["fourier"] == 200
         assert 0 < rows["fourier_dr"] <= rows["eigen"] <= 50
 
     def test_eigen_solves_only_anchor_circles(self, monkeypatch):
@@ -269,7 +269,8 @@ class TestPredictor:
             c[0] = 1.0
             p = Polynomial(tuple(complex(x) for x in c))
             lo = max(1e-2, 2 * floor_radius(normalize(p)))
-            _derivative_roots(expand(p), np.geomspace(0.9, lo, 100))
+            e, radii = expand(p), np.geomspace(0.9, lo, 100)
+            _derivative_roots(e, radii, e.fourier(radii))
         closer = moved = 0
         for anchor, start, blocks in groups:
             if not blocks:
@@ -299,7 +300,8 @@ class TestPredictor:
 
         monkeypatch.setattr(maxmod.tracer, "_companion_roots", solved)
         e = expand(parse_poly(CROWDED))
-        _derivative_roots(e, np.geomspace(0.95, 0.05, n_radii))
+        radii = np.geomspace(0.95, 0.05, n_radii)
+        _derivative_roots(e, radii, e.fourier(radii))
         assert 0 < sum(rows) <= bound
 
 
@@ -344,7 +346,7 @@ class TestCriticalPoints:
             e = expand(p)
             n_max, thetas, _, _, _ = _scan_circles(e, radii)
             scans = np.split(thetas, np.cumsum(n_max)[:-1])
-            ridx, theta = _critical_points(e, radii)
+            ridx, theta = _critical_points(e, radii, e.fourier(radii))
             _, d2 = e.d1d2(radii[ridx], theta)
             for i, (r, scan) in enumerate(zip(radii, scans)):
                 is_max = d2[ridx == i] < 0
@@ -375,10 +377,11 @@ class TestCriticalPoints:
             lo = max(1e-2, 2 * floor_radius(normalize(p)))
             radii = np.geomspace(0.9, lo, 100)
             e = expand(p)
-            ridx, theta = _critical_points(e, radii)
+            ridx, theta = _critical_points(e, radii, e.fourier(radii))
             for i in range(radii.size):
                 got = theta[ridx == i]
-                _, alone = _critical_points(e, radii[i : i + 1])
+                one = radii[i : i + 1]
+                _, alone = _critical_points(e, one, e.fourier(one))
                 if min(close_gap(got), close_gap(alone)) <= 1e-3:
                     continue
                 assert got.size == alone.size, (p, radii[i])
@@ -409,7 +412,7 @@ class TestCriticalPoints:
         # circle gets theta = pi itself (as -pi) from the dropped order
         e = expand(parse_poly(text))
         radii = radius_schedule(TraceConfig(r_min=1e-2, r_max=0.9, n_radii=60))
-        ridx, theta = _critical_points(e, radii)
+        ridx, theta = _critical_points(e, radii, e.fourier(radii))
         assert np.all(np.bincount(ridx[theta == -math.pi], minlength=radii.size) == 1)
 
     @pytest.mark.parametrize(
@@ -425,7 +428,8 @@ class TestCriticalPoints:
         # roots on the unit circle come back far inside ON_CIRCLE, and every
         # other root stays far outside it, even across folds
         e = expand(parse_poly(text))
-        roots = _derivative_roots(e, radius_schedule(cfg))
+        radii = radius_schedule(cfg)
+        roots = _derivative_roots(e, radii, e.fourier(radii))
         dist = np.concatenate([np.abs(np.abs(w) - 1.0).ravel() for _, w in roots])
         on = dist < ON_CIRCLE
         assert on.any() and np.all(dist[on] <= 1e-10)
@@ -439,7 +443,7 @@ class TestCriticalPoints:
         # the root solve puts it at theta = pi
         e = expand(parse_poly(text))
         radii = np.array([0.3, 0.1])
-        ridx, theta = _critical_points(e, radii)
+        ridx, theta = _critical_points(e, radii, e.fourier(radii))
         for i in range(radii.size):
             got = np.sort(np.abs(theta[ridx == i]))
             assert np.allclose(got, [0.0, math.pi], rtol=0, atol=1e-15)
@@ -449,11 +453,11 @@ class TestCriticalPoints:
         # failure, not an IndexError
         e = expand(parse_poly("1,0,1,1i"))
         radii = np.array([0.2, 0.1])
-        ridx, theta = _critical_points(e, radii)
+        ridx, theta = _critical_points(e, radii, e.fourier(radii))
         _, d2 = e.d1d2(radii[ridx], theta)
         keep = (ridx == 0) | (d2 >= 0)
         monkeypatch.setattr(
-            maxmod.tracer, "_critical_points", lambda e, radii: (ridx[keep], theta[keep])
+            maxmod.tracer, "_critical_points", lambda e, radii, cn: (ridx[keep], theta[keep])
         )
         with pytest.raises(maxmod.RefinementFailureError) as exc:
             _scan_circles(e, radii)
