@@ -12,15 +12,29 @@ eigenvalue solve of real companion matrices finds them on a few anchor
 circles.  Every other circle is a predictor-corrector step off its nearest
 anchor: one Euler step in r predicts its roots, and a few Aberth steps
 correct them, which are kept only under a backward-error certificate and
-are otherwise solved for like an anchor's.  One Newton solve
-(bisection-guarded) on the exact theta-derivative then polishes the maxima
-of all circles; like every evaluation at a point, it reads the point's
-``C_n`` from its circle's row, formed once per radius.
+are otherwise solved for like an anchor's.  Where that polynomial has
+degree at most ``EIGEN_DEGREE``, every circle is an anchor.  One Newton
+solve (bisection-guarded) on the exact theta-derivative then polishes the
+maxima of all circles; like every evaluation at a point, it reads the
+point's ``C_n`` from its circle's row, formed once per radius.
 Between folds a circle's maxima move analytically in r and never cross, so
 their cyclic order links the maxima of neighbouring circles into
 trajectories, on flat arrays of all circles at once.  The co-maximal runs
 along the trajectories are the curves, which are counted, fitted for
 tangent direction and exponent, and checked for rotational symmetry.
+
+A polynomial whose coefficients have a reflection axis psi (every
+``c_l e^{i l psi}`` real, as for every real polynomial with psi = 0 and
+every magic cubic) is traced on its symmetry quotient: the scan runs on
+``p(e^{i psi} z)`` with its ``c_j`` made exactly real
+(:func:`~maxmod.modulus.on_axis`).  Every ``C_n`` is then real and the
+half-angle polynomial is odd, ``R(t) = t S(t^2)``; the root solve runs on
+S, of half the degree in ``u = t^2``, and returns the critical points as
+exact mirror pairs ``+-sqrt(u)`` plus the axis points ``t = 0`` and
+``t = inf``.  The maxima are linked in that frame, where mirror maxima
+meeting at a fold on the axis tie exactly and :func:`_match_cyclic`'s tie
+rule decides which goes on, and are then turned back by psi and sorted by
+angle again, so curve ids follow the same order as without the quotient.
 
 The tangent fit rests on the implicit function theorem: for
 ``p = 1 + a z^k + ...`` the function ``r^-k d/dtheta |p|^2`` is
@@ -49,7 +63,7 @@ from .errors import (
     TruncatedSeriesError,
 )
 from . import _kernels
-from .modulus import ModulusExpansion, expand
+from .modulus import ModulusExpansion, expand, on_axis
 from .poly import HaymanForm, MonomialVerdict, Polynomial, normalize, reciprocal
 from .util import TWO_PI, circ_dist, reduce_angle
 
@@ -74,7 +88,7 @@ MAX_RADII = 100_000
 # the bound accepts it only for delta below about 5e-13 |d^3/dtheta^3|, on a
 # circle within roundoff of the fold.
 ON_CIRCLE = 1e-6
-# Only anchor circles get an eigenvalue solve (see _derivative_roots): in each
+# Only anchor circles get an eigenvalue solve (see _group_roots): in each
 # group of circles with one half-angle degree, every ANCHOR_STEP-th circle and
 # the last.  Every other circle starts from an Euler step off its nearest
 # anchor's roots and takes at most ABERTH_MAX_ITER Aberth steps, in blocks of
@@ -83,6 +97,11 @@ ON_CIRCLE = 1e-6
 ANCHOR_STEP = 16
 ABERTH_MAX_ITER = 3
 ABERTH_BLOCK = 1 << 15
+# A group whose polynomial has degree at most EIGEN_DEGREE is eigen-solved on
+# every circle: up to degree 3 a batched solve of all its companion matrices
+# costs less than the anchors' solve plus the Euler starts and Aberth passes
+# of the followers, and at degree 4 both cost the same.
+EIGEN_DEGREE = 3
 
 
 @dataclass(frozen=True)
@@ -225,7 +244,7 @@ def _companion_roots(coef: np.ndarray) -> np.ndarray:
     comp = np.zeros((coef.shape[0], m, m))
     comp[:, 0, :] = -coef[:, m - 1 :: -1] / coef[:, m, None]
     comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
-    return np.linalg.eigvals(comp)
+    return np.linalg.eigvals(comp).astype(complex, copy=False)
 
 
 def _aberth(coef: np.ndarray, t: np.ndarray):
@@ -313,29 +332,30 @@ def _derivative_roots(e: ModulusExpansion, radii: np.ndarray, cn: np.ndarray):
 
     whose real roots are the critical points; a complex pair ``t, conj(t)``
     maps to ``w, 1/conj(w)`` off the circle.  ``t = inf`` is ``theta = pi``:
-    the top coefficient of R is ``sum_n n (-1)^n Im C_n``, zero for every
-    polynomial with real coefficients.  A top order j of R is dropped, and
-    gives the root ``w = -1`` (as ``theta = -pi``), when its coefficient is
-    below ``EPS^(j-k)`` times that of some lower order k: by the Newton
-    polygon a root then lies beyond ``1 / EPS``, where ``w = -1`` to
-    rounding, and the companion matrix could overflow.  The test is against
-    each lower order, not against the largest coefficient, because the
-    binomial factors make R's coefficients span about ``4^d``: ``EPS`` times
-    the largest drops genuine top orders from about ``d = 28`` on.
+    the top coefficient of R is ``sum_n n (-1)^n Im C_n``.  A top order j of
+    R is dropped, and gives the root ``w = -1`` (as ``theta = -pi``), when
+    its coefficient is below ``EPS^(j-k)`` times that of some lower order k:
+    by the Newton polygon a root then lies beyond ``1 / EPS``, where
+    ``w = -1`` to rounding, and the companion matrix could overflow.  The
+    test is against each lower order, not against the largest coefficient,
+    because the binomial factors make R's coefficients span about ``4^d``:
+    ``EPS`` times the largest drops genuine top orders from about ``d = 28``
+    on.
 
-    Circles of equal d and equal remaining degree m of R form a group, in
-    radius order.  Between folds a circle's critical points move
-    analytically in r, so only the group's anchors, every
-    ``ANCHOR_STEP``-th circle and the last, get a batched eigenvalue solve
-    of real companion matrices (:func:`_companion_roots`).  Every other
-    circle is a predictor-corrector step off its nearest anchor: the
-    predictor is one Euler step of the anchor's roots along
-    ``dt/dr = -R_r(t) / R'(t)`` (:func:`_euler_start`), and the corrector
-    is the Aberth iteration of :func:`_aberth`.  A circle whose roots it
-    cannot certify within ``ABERTH_MAX_ITER`` steps, for instance where a
-    max-min pair has left the circle between the anchor and it, gets the
-    eigenvalue solve too, so every root passed on is certified.
+    Where the ``c_j`` are real, as for a real polynomial or one turned onto
+    its reflection axis (:func:`~maxmod.modulus.on_axis`), every ``C_n`` is
+    real and R is odd: ``R(t) = t S(t^2)``, ``S`` of degree ``d - 1`` in
+    ``u = t^2`` holding R's odd coefficients.  Then S is solved in place of
+    R, with the drop test at ``EPS^(2(j-k))`` (a root beyond ``1 / EPS`` in
+    t is one beyond ``1 / EPS^2`` in u), and the roots are ``t = +-sqrt(u)``
+    and the exact axis points ``t = 0`` (``w = 1``) and ``t = inf``
+    (``w = -1``, from R's top order, exactly 0).  The mirror root
+    ``-sqrt(u)`` is returned as ``conj(w)``: on the circle that is
+    ``1/w = w(-t)``, with the exactly negated angle, and off it both fail
+    the ``ON_CIRCLE`` test alike.
 
+    Circles of equal d and equal remaining degree m of the solved
+    polynomial form a group, in radius order (:func:`_group_roots`).
     Returns one ``(radius_indices, roots)`` pair per group, ``roots`` of
     shape ``(len(radius_indices), 2d)``.
     """
@@ -347,64 +367,117 @@ def _derivative_roots(e: ModulusExpansion, radii: np.ndarray, cn: np.ndarray):
     if flat.any():
         raise RefinementFailureError(float(radii[np.argmax(flat)]), 0.0)
     kept = deg - np.argmax((mag > EPS * top[:, None])[:, ::-1], axis=1)
+    odd = not e.c.imag.any()  # real c_j: R(t) = t S(t^2), solve S in u = t^2
+    step = 2.0 if odd else 1.0
 
     out = []
     for d in sorted(set(kept.tolist())):
         rows = np.flatnonzero(kept == d)
-        coef = _half_angle_coef(nc[rows], d)  # column k: t^k
-        # top order j goes when |coef_j| < EPS^(j-k) |coef_k| for some k < j
+        coef = _solve_coef(nc[rows], d, odd)  # column k: t^k, or u^k for S
+        # top order j goes when |coef_j| < EPS^(step (j-k)) |coef_k| for some
+        # k < j; order 0 always stays
         with np.errstate(divide="ignore"):  # an exact zero has height -inf
-            height = np.log2(np.abs(coef)) - math.log2(EPS) * np.arange(2 * d + 1)
-        at_inf = height[:, 1:] < np.maximum.accumulate(height, axis=1)[:, :-1]
-        kept_r = 2 * d - np.argmax(~at_inf[:, ::-1], axis=1)
+            height = np.log2(np.abs(coef)) - step * math.log2(EPS) * np.arange(coef.shape[1])
+        stays = np.ones(coef.shape, dtype=bool)
+        stays[:, 1:] = height[:, 1:] >= np.maximum.accumulate(height, axis=1)[:, :-1]
+        kept_r = coef.shape[1] - 1 - np.argmax(stays[:, ::-1], axis=1)
         for m in sorted(set(kept_r.tolist())):
             sub = rows[kept_r == m]
-            lead = coef[kept_r == m, : m + 1]
-            # anchors: every ANCHOR_STEP-th circle of the group and the last;
-            # each other circle starts from its nearest anchor's roots, moved
-            # by one Euler step along dt/dr = -R_r(t) / R'(t)
-            anchor = np.zeros(sub.size, dtype=bool)
-            anchor[::ANCHOR_STEP] = True
-            anchor[-1] = True
-            at = np.flatnonzero(anchor)
-            t = np.empty((sub.size, m), dtype=complex)
-            t[at] = _companion_roots(lead[at])
-            follow = np.flatnonzero(~anchor)
-            right = np.searchsorted(at, follow)  # at[right - 1] < follower < at[right]
-            near = np.where(follow - at[right - 1] <= at[right] - follow, right - 1, right)
-            start = _euler_start(e, d, lead[at], t[at], radii[sub[at]], near, radii[sub[follow]])
-            block = max(1, ABERTH_BLOCK // (m * m))
-            for s in range(0, follow.size, block):
-                i = follow[s : s + block]
-                t[i], ok = _aberth(lead[i], start[s : s + block])
-                if not ok.all():  # no uncertified root goes on
-                    t[i[~ok]] = _companion_roots(lead[i[~ok]])
-            # w = (1+it)/(1-it) in real arithmetic, the same bits in any batch;
-            # no root exceeds about 2 / EPS, so no square overflows
-            a, b = t.real, t.imag
-            den = (1.0 + b) ** 2 + a**2
-            # each dropped order is w = -1 - 0i, at the angle -pi that sorts
-            # first on its circle; curve ids follow that order
+            t = _group_roots(e, d, odd, coef[kept_r == m, : m + 1], radii[sub])
+            # each root at t = inf (a dropped order; on the quotient also R's
+            # top order) is w = -1 - 0i, at the angle -pi that sorts first on
+            # its circle; curve ids follow that order
             w = np.full((sub.size, 2 * d), complex(-1.0, -0.0))
-            w.real[:, :m] = (1.0 - a**2 - b**2) / den
-            w.imag[:, :m] = 2.0 * a / den
+            if odd:
+                w[:, :m] = _on_circle(np.sqrt(t))
+                w[:, m : 2 * m] = np.conj(w[:, :m])
+                w[:, 2 * m] = 1.0
+            else:
+                w[:, :m] = _on_circle(t)
             out.append((sub, w))
     return out
 
 
-def _euler_start(e: ModulusExpansion, d: int, lead_a, t_a, r_a, near, r) -> np.ndarray:
-    """Aberth starts of the followers of one group of :func:`_derivative_roots`:
+def _solve_coef(nc: np.ndarray, d: int, odd: bool) -> np.ndarray:
+    """The polynomials :func:`_derivative_roots` solves for the rows ``nc``
+    (``n C_n`` or ``n dC_n/dr``) of d orders: R as in
+    :func:`_half_angle_coef`, or, where R is ``odd`` (every ``C_n`` real),
+    S, whose column j holds R's coefficient of ``t^(2j+1)``."""
+    if odd:
+        return nc[:, :d].real @ _half_angle_table(d)[:, 1::2]
+    return _half_angle_coef(nc, d)
+
+
+def _on_circle(t: np.ndarray) -> np.ndarray:
+    """``w = (1+it)/(1-it)`` in real arithmetic, the same bits in any batch;
+    no root exceeds about 2 / EPS, so no square overflows."""
+    a, b = t.real, t.imag
+    den = (1.0 + b) ** 2 + a**2
+    return ((1.0 - a**2 - b**2) / den) + 1j * (2.0 * a / den)
+
+
+def _group_roots(
+    e: ModulusExpansion, d: int, odd: bool, lead: np.ndarray, r: np.ndarray
+) -> np.ndarray:
+    """All roots of the polynomials ``lead`` (as in :func:`_companion_roots`,
+    of degree m, from d orders ``C_n``; S where ``odd``) of one group of
+    :func:`_derivative_roots`, row i at radius ``r[i]``, in radius order;
+    shape ``(rows, m)``.
+
+    Between folds a circle's critical points move analytically in r, so
+    only the group's anchors, every ``ANCHOR_STEP``-th circle and the last,
+    get a batched eigenvalue solve of real companion matrices
+    (:func:`_companion_roots`).  Every other circle is a predictor-corrector
+    step off its nearest anchor: the predictor is one Euler step of the
+    anchor's roots along ``dt/dr = -R_r(t) / R'(t)`` (:func:`_euler_start`),
+    and the corrector is the Aberth iteration of :func:`_aberth`.  A circle
+    whose roots it cannot certify within ``ABERTH_MAX_ITER`` steps, for
+    instance where a max-min pair has left the circle between the anchor and
+    it, gets the eigenvalue solve too, so every root passed on is certified.
+    Where m is at most ``EIGEN_DEGREE``, every circle is an anchor.
+    """
+    m = lead.shape[1] - 1
+    if m == 0:
+        return np.empty((lead.shape[0], 0), dtype=complex)
+    if m <= EIGEN_DEGREE:
+        return _companion_roots(lead)
+    # anchors: every ANCHOR_STEP-th circle of the group and the last; each
+    # other circle starts from its nearest anchor's roots, moved by one
+    # Euler step along dt/dr = -R_r(t) / R'(t)
+    anchor = np.zeros(lead.shape[0], dtype=bool)
+    anchor[::ANCHOR_STEP] = True
+    anchor[-1] = True
+    at = np.flatnonzero(anchor)
+    t = np.empty((lead.shape[0], m), dtype=complex)
+    t[at] = _companion_roots(lead[at])
+    follow = np.flatnonzero(~anchor)
+    right = np.searchsorted(at, follow)  # at[right - 1] < follower < at[right]
+    near = np.where(follow - at[right - 1] <= at[right] - follow, right - 1, right)
+    start = _euler_start(e, d, odd, lead[at], t[at], r[at], near, r[follow])
+    block = max(1, ABERTH_BLOCK // (m * m))
+    for s in range(0, follow.size, block):
+        i = follow[s : s + block]
+        t[i], ok = _aberth(lead[i], start[s : s + block])
+        if not ok.all():  # no uncertified root goes on
+            t[i[~ok]] = _companion_roots(lead[i[~ok]])
+    return t
+
+
+def _euler_start(
+    e: ModulusExpansion, d: int, odd: bool, lead_a, t_a, r_a, near, r
+) -> np.ndarray:
+    """Aberth starts of the followers of one group of :func:`_group_roots`:
     follower i takes the roots ``t_a[near[i]]`` of its anchor's polynomial
     ``lead_a[near[i]]`` (of degree m, from ``d`` orders ``C_n``) at radius
     ``r_a[near[i]]`` one Euler step along ``dt/dr = -R_r(t) / R'(t)`` to its
-    radius ``r[i]``.  ``R_r`` is R with every ``C_n`` replaced by
+    radius ``r[i]``.  ``R_r`` is R (S where ``odd``) with every ``C_n`` replaced by
     ``dC_n/dr`` (:meth:`ModulusExpansion.fourier_dr`); it and ``R'`` are
     evaluated by Horner at the anchors' roots only.  A start that is not
     finite, as where a root near ``t = inf`` overflows, is the anchor's root.
     """
     m = lead_a.shape[1] - 1
     both = np.zeros((2,) + lead_a.shape)  # R_r and R' (of degree m - 1)
-    both[0] = _half_angle_coef(np.arange(1, d + 1) * e.fourier_dr(r_a)[:, :d], d)[:, : m + 1]
+    both[0] = _solve_coef(np.arange(1, d + 1) * e.fourier_dr(r_a)[:, :d], d, odd)[:, : m + 1]
     both[1, :, :m] = lead_a[:, 1:] * np.arange(1, m + 1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         r_r, r_t = _polyval(both, t_a)
@@ -658,6 +731,16 @@ def _match_cyclic(a: np.ndarray, b: np.ndarray):
     side, and the others follow in cyclic order at increasing steps t from
     j0.  One dynamic programme over the shorter side finds the best steps
     for all starts at once.  Returns index arrays ``(ia, ib)`` of the pairs.
+
+    A tie in total displacement goes to the smallest start j0, then to the
+    smallest steps.  Mirror maxima ``-x, x`` of a trace on its reflection
+    axis that meet at a fold on the axis (``theta = 0`` or ``pi`` there)
+    tie exactly: the quotient makes them exact negatives,
+    :func:`~maxmod.util.circ_dist` is mirror-exact, and the two matchings
+    add the same displacements in the same order, differing only in which
+    of the two the maximum on the axis takes.  So the maximum at ``-x``,
+    with x in (0, pi) and first in counterclockwise order from -pi, is
+    linked, and the one at ``x`` ends or is born.
     """
     swap = a.size > b.size
     short, long_ = (b, a) if swap else (a, b)
@@ -733,7 +816,8 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
     first, and reports the co-maximal runs along each linked trajectory as
     curves: component count, tangent fits, rotational symmetry and
     birth/death events.  A mid-schedule birth or a non-monotone death is
-    marked not legitimate.
+    marked not legitimate.  A polynomial with a reflection axis is scanned
+    and linked on its axis and turned back before the curves are formed.
     """
     if p.truncated:
         raise TruncatedSeriesError("tracing needs the full polynomial, not a truncation")
@@ -756,12 +840,22 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
     )
     omega = omega_angles(h)
     radii = radius_schedule(cfg)
+    psi, e = on_axis(e)  # trace p(e^{i psi} z), whose c_j are real, if p has an axis
     n_max, theta, osc, mod2, comax = _scan_circles(e, radii)
 
     # -- link maxima across radii (descending) into trajectories and curves --
     prev = _link(n_max, theta)
     flat = np.arange(theta.size)
     ridx = np.repeat(np.arange(radii.size), n_max)
+    if psi:
+        # back from the axis frame, where mirror maxima tie exactly in _link;
+        # each circle's maxima are sorted by angle again and the links follow
+        theta = reduce_angle(theta + psi)
+        order = np.lexsort((theta, ridx))
+        theta, osc, mod2, comax, prev = (x[order] for x in (theta, osc, mod2, comax, prev))
+        moved = np.empty_like(order)
+        moved[order] = flat
+        prev = np.where(prev >= 0, moved[prev], -1)
     last = radii.size - 1
     linked = prev >= 0
     nxt = np.full(theta.size, -1)

@@ -27,8 +27,10 @@ from maxmod import (
     trace_at_infinity,
     write_csv,
 )
-from maxmod.modulus import ModulusExpansion
+from maxmod.cli import _sample_member
+from maxmod.modulus import ModulusExpansion, on_axis
 from maxmod.tracer import (
+    EIGEN_DEGREE,
     NEWTON_MAX_ITER,
     ON_CIRCLE,
     _critical_points,
@@ -39,7 +41,7 @@ from maxmod.tracer import (
     _scan_circles,
     radius_schedule,
 )
-from maxmod.util import circ_dist
+from maxmod.util import circ_dist, reduce_angle
 
 
 def cluster_count(angles: np.ndarray, grid: int) -> int:
@@ -134,6 +136,9 @@ REAL_POLYS = (
     "1,0,1,0,0,0.5," + "0," * 23 + "-0.7,0,0,1",
 )
 
+# a real quartic whose two mirror pairs of maxima meet at theta = 0 and pi
+MIRROR_FOLD = "1,0,0.06992531489516031,0,-1.7647331544330163"
+
 
 class TestBatchedScan:
     @pytest.mark.parametrize(
@@ -207,19 +212,23 @@ class TestBatchedScan:
 
     def test_eigen_solves_only_anchor_circles(self, monkeypatch):
         # the roots of most circles are carried over from an anchor circle;
-        # only anchors and rejected followers reach the eigenvalue solve
-        solved = []
+        # only anchors and rejected followers reach the eigenvalue solve.  The
+        # magic cubic is traced on its reflection axis, where the solved
+        # polynomial S(u) is quadratic: there every circle is eigen-solved,
+        # as a 2 x 2 companion matrix, which costs less than following it
+        solved = []  # (matrices, order) per call
         eigvals = np.linalg.eigvals
 
         def counted(a):
-            solved.append(a.shape[0])
+            solved.append(a.shape[:2])
             return eigvals(a)
 
         monkeypatch.setattr(np.linalg, "eigvals", counted)
-        for text in ("1,0,1,1i", DEGREE_8):
-            solved.clear()
-            trace(parse_poly(text), TraceConfig(n_radii=200))
-            assert 0 < sum(solved) <= 50, text
+        trace(parse_poly("1,0,1,1i"), TraceConfig(n_radii=200))
+        assert solved == [(200, 2)]
+        solved.clear()
+        trace(parse_poly(DEGREE_8), TraceConfig(n_radii=200))
+        assert 0 < sum(rows for rows, _ in solved) <= 50
 
     def test_uncertified_followers_fall_back(self, monkeypatch):
         # near |z| = 0.9 max-min pairs of the degree-8 input leave the circle
@@ -249,8 +258,8 @@ class TestPredictor:
         euler_start = maxmod.tracer._euler_start
         aberth = maxmod.tracer._aberth
 
-        def record_start(e, d, lead_a, t_a, r_a, near, r):
-            start = euler_start(e, d, lead_a, t_a, r_a, near, r)
+        def record_start(e, d, odd, lead_a, t_a, r_a, near, r):
+            start = euler_start(e, d, odd, lead_a, t_a, r_a, near, r)
             groups.append((t_a[near], start, []))
             return start
 
@@ -289,13 +298,16 @@ class TestPredictor:
 
     @pytest.mark.parametrize("n_radii,bound", [(40, 16), (200, 26)])
     def test_crowded_eigen_solved_rows(self, monkeypatch, n_radii, bound):
-        # the degree-47 half-angle polynomials of CROWDED are where Aberth
-        # followers fail most; anchors plus fallbacks stay few
+        # the degree-23 polynomials S(u) of the real CROWDED (R(t) = t S(t^2)
+        # of degree 47) are where Aberth followers fail most; anchors plus
+        # fallbacks stay few.  Near r = 0.05 only C_2 is kept and S is
+        # linear: those circles are all eigen-solved by design and not counted
         rows = []
         companion_roots = maxmod.tracer._companion_roots
 
         def solved(coef):
-            rows.append(coef.shape[0])
+            if coef.shape[1] - 1 > EIGEN_DEGREE:
+                rows.append(coef.shape[0])
             return companion_roots(coef)
 
         monkeypatch.setattr(maxmod.tracer, "_companion_roots", solved)
@@ -303,6 +315,208 @@ class TestPredictor:
         radii = np.geomspace(0.95, 0.05, n_radii)
         _derivative_roots(e, radii, e.fourier(radii))
         assert 0 < sum(rows) <= bound
+
+
+def full_solve(e: ModulusExpansion, radii: np.ndarray) -> list[np.ndarray]:
+    """Test oracle: each circle's critical angles, sorted, from numpy's
+    companion solve of the full half-angle polynomial R(t) of degree 2d,
+    circle by circle, with the tracer's rules for dropped orders but no
+    quotient."""
+    eps = np.finfo(float).eps
+    cn = e.fourier(radii)
+    nc = np.arange(1, cn.shape[1] + 1) * cn
+    out = []
+    for row in nc:
+        d = int(np.flatnonzero(np.abs(row) > eps * np.abs(row).max())[-1]) + 1
+        coef = _half_angle_coef(row[None, :d], d)[0]
+        j = 2 * d
+        while j > 0 and any(abs(coef[j]) < eps ** (j - k) * abs(coef[k]) for k in range(j)):
+            j -= 1
+        t = np.polynomial.polynomial.polyroots(coef[: j + 1]) if j else np.empty(0)
+        w = (1 + 1j * t) / (1 - 1j * t)
+        theta = np.angle(w[np.abs(np.abs(w) - 1) < ON_CIRCLE])
+        out.append(np.sort(np.concatenate([theta, np.full(2 * d - j, -math.pi)])))
+    return out
+
+
+def symmetric_poly(rng, deg: int) -> Polynomial:
+    """A random polynomial of degree ``deg`` whose coefficients have a
+    random reflection axis, rounded to floats; about 30% of the middle
+    coefficients are 0, and the whole is turned by a random phase."""
+    psi = rng.uniform(-math.pi, math.pi)
+    s = rng.normal(size=deg + 1)
+    s[1:-1] *= rng.random(deg - 1) > 0.3
+    s[0] = 1.0
+    a0 = rng.uniform(0.5, 2.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+    c = a0 * s * np.exp(-1j * np.arange(deg + 1) * psi)
+    return Polynomial(tuple(complex(x) for x in c))
+
+
+def mirror(theta: np.ndarray) -> np.ndarray:
+    """The angles -theta, sorted, with -pi as pi."""
+    m = -np.asarray(theta)
+    return np.sort(np.where(m == -math.pi, math.pi, m))
+
+
+class TestQuotient:
+    @pytest.mark.parametrize(
+        "case",
+        ["real", "symmetric-quartic", "symmetric-quintic", "linear"],
+    )
+    def test_quotient_matches_full_solve(self, case):
+        # the roots t = +-sqrt(u) of S(u), with t = 0 and t = inf, are the
+        # critical points that a companion solve of the full R(t) gives on the
+        # same circles, and the scan's polished maxima are those of R's roots
+        # after Newton steps on the exact derivative; circles with two
+        # critical points within 1e-3, near a fold, are skipped.  Above
+        # r = 0.75 the coefficients of S and R of the degree-32 input span up
+        # to 1e18, and the unpolished roots agree to only 1e-7 (5.1e-8
+        # measured at r = 0.9); only the maxima are polished
+        rng = np.random.default_rng(20261020)
+        if case == "real":
+            polys = [parse_poly(text) for text in REAL_POLYS]
+        elif case == "linear":
+            polys = [parse_poly(text) for text in ("1,0.5", "1,-3", "1,1+1i", "2i,0.3-0.1i")]
+        else:
+            deg = 4 if case == "symmetric-quartic" else 5
+            polys = [symmetric_poly(rng, deg) for _ in range(8)]
+        checked = 0
+        for p in polys:
+            e = expand(p)
+            psi, quotient = on_axis(e)
+            assert not quotient.c.imag.any(), p
+            lo = max(1e-2, 2 * floor_radius(normalize(p)))
+            radii = np.geomspace(0.9, lo, 60)
+            ridx, theta = _critical_points(quotient, radii, quotient.fourier(radii))
+            theta = reduce_angle(theta + psi)
+            n_max, maxima, _, _, _ = _scan_circles(quotient, radii)
+            maxima = reduce_angle(maxima + psi)
+            mr = np.repeat(np.arange(radii.size), n_max)
+            for i, want in enumerate(full_solve(e, radii)):
+                got = np.sort(theta[ridx == i])
+                if min(close_gap(got), close_gap(want)) <= 1e-3:
+                    continue
+                assert got.size == want.size, (p, radii[i])
+                tol = 1e-9 if radii[i] <= 0.75 else 1e-7
+                assert circ_dist(got[:, None], want).min(axis=1).max() <= tol, (p, radii[i])
+                r = np.full(want.size, radii[i])
+                for _ in range(4):
+                    f, d2 = e.d1d2(r, want)
+                    want = want - f / d2
+                want = want[e.d1d2(r, want)[1] < 0.0]
+                got = maxima[mr == i]
+                assert got.size == want.size, (p, radii[i])
+                assert circ_dist(got[:, None], want).min(axis=1).max() <= 1e-12, (p, radii[i])
+                checked += 1
+        assert checked >= 0.9 * 60 * len(polys)
+
+    def test_axis_maxima_within_their_conditioning(self):
+        # on_axis changes each c_l by up to 8 (l + 1) eps relative.  A
+        # maximum is fixed in floats only to about eps d1_bound / |d2|, the
+        # rounding of d/dtheta over the curvature there; next to a pitchfork
+        # on the axis |d2| is small.  On this seeded symmetric quartic, at
+        # r = 0.2915, two co-maximal maxima 0.0063 rad apart have
+        # d2 = -1.45e-5 and that bound is 5.3e-11: the trace is 8.7e-12 from
+        # the exact maximizers, the full solve without the quotient 2.9e-12.
+        # Every other sample is within 1e-12
+        mp = pytest.importorskip("mpmath")
+        coeffs = (
+            -1.3594339861938087 + 1.2590402188828085j,
+            1.6180143744748101 - 0.241273402018569j,
+            1.5932789161103047 + 0.7716544679266436j,
+            0.5108229365537796 + 0.8906782207967866j,
+            -0.05382095967737926 + 0.6857184298464637j,
+        )
+        p = Polynomial(coeffs)
+        e = expand(p)
+        assert on_axis(e)[0] != 0.0
+        res = trace(p, TraceConfig(r_max=0.3))
+        c = [mp.mpc(z.real, z.imag) for z in coeffs]
+        dc = [k * c[k] for k in range(1, len(c))]
+
+        def d1(r, t):  # -(1/2) d/dtheta |p(r e^{i t})|^2
+            z = mp.mpf(r) * mp.expj(t)
+            return mp.im(mp.conj(mp.polyval(c[::-1], z)) * z * mp.polyval(dc[::-1], z))
+
+        eps = np.finfo(float).eps
+        off_by = []
+        with mp.workdps(30):
+            for s in res.samples:
+                want = float(mp.findroot(lambda t: d1(s.r, t), mp.mpf(s.theta)))
+                d2 = e.d1d2(np.array([s.r]), np.array([s.theta]))[1][0]
+                err = abs(s.theta - want)
+                assert err <= 1e-12 + eps * e.d1_bound(s.r) / abs(d2), (s.r, s.theta, err)
+                off_by.append(err)
+        assert max(off_by) <= 1e-11
+        assert sum(err > 1e-12 for err in off_by) == 2
+
+    @pytest.mark.parametrize("text", REAL_POLYS + (MIRROR_FOLD, "1,0.3,-0.5,0.1,0.3,0.2"))
+    def test_real_inputs_give_exact_mirror_pairs(self, text):
+        # |p|^2 of a real polynomial is even in theta; the quotient returns
+        # each critical point with its exact negative, and the maxima and
+        # co-maximal samples of the trace keep the pairs bit for bit
+        p = parse_poly(text)
+        e = expand(p)
+        cfg = TraceConfig(r_min=max(1e-3, 2 * floor_radius(normalize(p))), r_max=0.6)
+        radii = radius_schedule(cfg)
+        ridx, theta = _critical_points(e, radii, e.fourier(radii))
+        n_max, maxima, _, _, _ = _scan_circles(e, radii)
+        for i, scan in enumerate(np.split(maxima, np.cumsum(n_max)[:-1])):
+            crit = np.where(theta[ridx == i] == -math.pi, math.pi, theta[ridx == i])
+            assert np.array_equal(np.sort(crit), mirror(crit))
+            assert np.array_equal(np.sort(scan), mirror(scan))
+        res = trace(p, cfg)
+        for r in res.radii:
+            got = np.array([s.theta for s in res.samples if s.r == r])
+            assert np.array_equal(np.sort(got), mirror(got)), r
+
+    def test_axis_found_and_snapped(self):
+        # a polynomial whose coefficients have a reflection axis, rounded to
+        # floats, is turned onto it: its c_j become real within the bound,
+        # and |p|^2 turned back by psi is the same function
+        rng = np.random.default_rng(7)
+        eps = np.finfo(float).eps
+        for deg in (1, 2, 3, 5, 12):
+            p = symmetric_poly(rng, deg)
+            e = expand(p)
+            psi, q = on_axis(e)
+            assert psi != 0.0 and not q.c.imag.any()
+            ls = np.arange(deg + 1)
+            want = e.c * np.exp(1j * ls * psi)
+            assert np.all(np.abs(q.c.real - want.real) <= 8 * eps * (ls + 1) * np.abs(e.c))
+            th = np.linspace(-math.pi, math.pi, 17)
+            for r in (0.1, 0.7):
+                scale = e.d1_bound(r)
+                assert np.allclose(q.osc(r, th), e.osc(r, th + psi), rtol=0, atol=1e-13 * scale)
+                assert np.allclose(q.osc_terms(r, th), e.osc_terms(r, th + psi), atol=1e-13 * scale)
+
+    @pytest.mark.parametrize(
+        "text,turn",
+        [
+            ("1,0,1,1i", 1e-12),
+            ("1,0,1,0.001+1i", 0.0),
+            ("1,1,1e-200i", 0.0),
+            ("1,1i,0.3,0,0,1", 0.0),
+        ],
+    )
+    def test_no_axis_no_snap(self, text, turn):
+        # the magic cubic with its top coefficient turned 1e-12 off the axis,
+        # fig1's second cubic and inputs without an axis keep their c_j and
+        # the full solve
+        p = parse_poly(text)
+        p = Polynomial(p.coeffs[:-1] + (p.coeffs[-1] * cmath.exp(1j * turn),))
+        e = expand(p)
+        psi, q = on_axis(e)
+        assert psi == 0.0 and q is e
+
+    def test_hunt_cubics_are_traced_on_the_axis(self):
+        # every magic-locus cubic of the hunt has a reflection axis, as does
+        # fig1's magic cubic
+        rng = np.random.default_rng(20260809)
+        assert on_axis(expand(parse_poly("1,0,1,1i")))[0] != 0.0
+        for _ in range(200):
+            p, _ = _sample_member("cubic", rng, on_locus=True)
+            assert not on_axis(expand(p))[1].c.imag.any(), p
 
 
 def oracle_maxima(e: ModulusExpansion, r: float, grid: int) -> np.ndarray:
@@ -658,6 +872,73 @@ class TestLink:
         n_max = np.array([2, 3])
         theta = np.array([-2.0, 2.0, -1.98, 0.0, 2.02])
         assert _link(n_max, theta).tolist() == [-1, -1, 0, -1, 1]
+
+    def test_mirror_tie_continues_the_first_member(self):
+        # mirror maxima -x and x that meet on the axis tie exactly in
+        # displacement; the one at -x, first in counterclockwise order from
+        # -pi, continues, and the one at x ends or is born
+        assert _link(np.array([2, 1]), np.array([-0.1, 0.1, 0.0])).tolist() == [-1, -1, 0]
+        assert _link(np.array([1, 2]), np.array([0.0, -0.1, 0.1])).tolist() == [-1, 0, -1]
+        theta = np.array([-3.0, 0.0, 3.0, math.pi, 0.0])
+        assert _link(np.array([3, 2]), theta).tolist() == [-1, -1, -1, 0, 1]
+
+    def test_mirror_tie_at_a_pitchfork(self):
+        # the two mirror pairs of this real quartic meet at theta = 0 and pi
+        # on one circle: the maxima at -x continue as curves 0 and 1, and the
+        # curves 2 and 3 at x, their exact mirror images, die
+        res = trace(parse_poly(MIRROR_FOLD), TraceConfig(r_max=0.3))
+        assert res.component_ids == (0, 1)
+        assert [(ev.kind, ev.curve_id) for ev in res.events] == [("death", 2), ("death", 3)]
+        assert res.events[0].r == res.events[1].r
+        for kept, ended in ((1, 2), (0, 3)):
+            mirrored = {s.r: -s.theta for s in res.curve_samples(kept)}
+            assert all(mirrored[s.r] == s.theta > 0 for s in res.curve_samples(ended))
+            assert len(res.curve_samples(kept)) == 200
+
+    def test_mirror_tie_turned_off_the_real_axis(self):
+        # the same quartic turned by 0.7 rad is traced on its axis psi = 0.7,
+        # where the mirror maxima tie exactly again: its curves are those of
+        # the real quartic turned by 0.7, and the turned images of the same
+        # two curves die
+        p = parse_poly(MIRROR_FOLD)
+        q = Polynomial(tuple(c * cmath.exp(-0.7j * l) for l, c in enumerate(p.coeffs)))
+        assert on_axis(expand(q))[0] == pytest.approx(0.7, abs=1e-15)
+        cfg = TraceConfig(r_max=0.3)
+        a, b = trace(p, cfg), trace(q, cfg)
+        assert len(b.events) == 2 and b.events[0].r == a.events[0].r
+        died = [ev.curve_id for ev in b.events]
+        for ids_a, ids_b in ((a.component_ids, b.component_ids), ((2, 3), died)):
+            turned = ((s.r, reduce_angle(s.theta + 0.7)) for s in a.samples if s.curve_id in ids_a)
+            want = sorted(turned)
+            got = sorted((s.r, s.theta) for s in b.samples if s.curve_id in ids_b)
+            assert [r for r, _ in got] == [r for r, _ in want]
+            assert max(circ_dist(x, y) for (_, x), (_, y) in zip(got, want)) <= 1e-12
+
+    def test_mirror_tie_of_a_symmetric_quintic(self):
+        # a quintic with the reflection axis psi = 0.483, rounded to floats:
+        # linked in the axis frame, the mirror maxima meeting on the axis near
+        # r = 0.785 tie exactly, and the one at psi - x goes on (linked after
+        # turning back by psi, the one at psi + x went on)
+        p = Polynomial(
+            (
+                complex(-0.1927881065181064, -0.9527691610883715),
+                0j,
+                complex(-0.557193793171743, -0.238472551209384),
+                complex(1.0725103538135958, -0.08487763869388705),
+                0j,
+                complex(-0.3277147424095459, 0.5656897223253656),
+            )
+        )
+        psi = on_axis(expand(p))[0]
+        r_min = max(1e-3, 2 * floor_radius(normalize(p)))
+        res = trace(p, TraceConfig(r_min=r_min, r_max=0.9))
+        (death,) = res.events
+        assert death.kind == "death" and res.component_ids == (1 - death.curve_id,)
+        ended = res.curve_samples(death.curve_id)[-1]
+        (kept,) = [s for s in res.samples if s.r == ended.r and s.curve_id != death.curve_id]
+        x = reduce_angle(ended.theta - psi)
+        assert 0 < x < math.pi
+        assert circ_dist(kept.theta - psi, -x) <= 1e-12
 
     def test_crowded_curve_ids(self):
         # the count of maxima drops 24 -> 12 -> 2 across two steps; the two
