@@ -52,7 +52,6 @@ class TermFilter:
     """Effect of one tail term ``b z^n`` on the survivor set."""
 
     n: int
-    coeff: complex
     t_values: tuple[tuple[int, float], ...]  # (j, t_j) over the entering set
     retained: tuple[int, ...]
 
@@ -67,38 +66,20 @@ class PredictedJ:
 class Classification:
     mu: int
     N: int
-    k: int
-    a: complex
     omega: tuple[float, ...]
     exceptional: bool
     witnesses: tuple[ExceptionalWitness, ...]
-    minimal: bool
     magic: str  # MAGIC | NOT_MAGIC | UNKNOWN
     predicted_count: int | tuple[int, ...]
     conjecture_count: int | None
-    predicted_j: PredictedJ
     warnings: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
-        """Fixed external field set; see the CLI docs."""
-        return {
-            "mu": self.mu,
-            "N": self.N,
-            "omega": list(self.omega),
-            "exceptional": self.exceptional,
-            "witnesses": [
-                {"m": w.m, "m_prime": w.m_prime, "sigma": w.sigma, "residual": w.residual}
-                for w in self.witnesses
-            ],
-            "magic": self.magic,
-            "predicted_count": (
-                self.predicted_count
-                if isinstance(self.predicted_count, int)
-                else list(self.predicted_count)
-            ),
-            "conjecture_count": self.conjecture_count,
-            "warnings": list(self.warnings),
-        }
+        """Every field as ``classify --json`` prints it: tuples become lists
+        and witnesses dicts, so the result equals its own JSON round trip."""
+        out = {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
+        out["witnesses"] = [dict(vars(w)) for w in self.witnesses]
+        return out
 
 
 def omega_angles(h: HaymanForm) -> np.ndarray:
@@ -186,7 +167,6 @@ def predict_J(h: HaymanForm) -> PredictedJ:
         history.append(
             TermFilter(
                 n=n,
-                coeff=b,
                 t_values=tuple((j, two_abs_b * c) for j, c in zip(j_set, cos)),
                 retained=tuple(retained),
             )
@@ -245,15 +225,11 @@ def classify(p: Polynomial) -> Classification:
     return Classification(
         mu=mu,
         N=h.N,
-        k=k,
-        a=h.a,
         omega=tuple(float(w) for w in omega),
         exceptional=exceptional,
         witnesses=witnesses,
-        minimal=not exceptional,
         magic=magic,
         predicted_count=predicted_count,
         conjecture_count=conjecture_count,
-        predicted_j=pj,
         warnings=near,
     )

@@ -19,13 +19,12 @@ import numpy as np
 
 from . import __version__
 from .classify import MAGIC, Classification, classify
-from .errors import MaxmodError, PolyParseError
+from .errors import ConfigError, MaxmodError, PolyParseError
 from .poly import Polynomial, format_poly, normalize, parse_poly, poly_from_json, reciprocal
 from .svg import write_svg
 from .tracer import (
     MAX_RADII,
     TraceConfig,
-    TraceResult,
     ambiguity_radius,
     floor_radius,
     trace,
@@ -80,21 +79,6 @@ def agreement_verdict(c: Classification, n_components: int) -> str:
     return DISCREPANT
 
 
-def _tangent_rows(result: TraceResult) -> list[dict]:
-    return [
-        {
-            "curve_id": t.curve_id,
-            "omega_hat": t.omega_hat,
-            "alpha_hat": None if t.on_ray else t.alpha_hat,
-            "on_ray": t.on_ray,
-            "matched_j": t.matched_j,
-            "matched_omega": t.matched_omega,
-            "omega_error": t.omega_error,
-        }
-        for t in result.tangents
-    ]
-
-
 def cmd_classify(args) -> int:
     p = _load_poly(args)
     c = classify(p)
@@ -104,11 +88,7 @@ def cmd_classify(args) -> int:
 
 def cmd_trace(args) -> int:
     p = _load_poly(args)
-    try:
-        cfg = TraceConfig(r_min=args.rmin, r_max=args.rmax, n_radii=args.radii, grid=args.grid)
-    except ValueError as ex:
-        print(f"error[Config]: {ex}", file=sys.stderr)
-        return 2
+    cfg = TraceConfig(r_min=args.rmin, r_max=args.rmax, n_radii=args.radii, grid=args.grid)
     if args.infinity:
         result = trace_at_infinity(p, cfg)  # rejects a monomial reciprocal
         c = classify(reciprocal(p))
@@ -136,20 +116,9 @@ def cmd_trace(args) -> int:
             "r_max": cfg.r_max,
             "n_radii": cfg.n_radii,
             "inverted": result.inverted,
-            "tangents": _tangent_rows(result),
-            "symmetry": [
-                {
-                    "curve_a": s.curve_a,
-                    "curve_b": s.curve_b,
-                    "rotation_m": s.rotation_m,
-                    "max_dev": s.max_dev,
-                }
-                for s in result.symmetry
-            ],
-            "events": [
-                {"kind": e.kind, "r": e.r, "curve_id": e.curve_id, "legitimate": e.legitimate}
-                for e in result.events
-            ],
+            "tangents": [vars(t) for t in result.tangents],
+            "symmetry": [vars(s) for s in result.symmetry],
+            "events": [vars(e) for e in result.events],
         },
         "agreement": verdict,
         "artifacts": artifacts,
@@ -166,12 +135,11 @@ def cmd_trace(args) -> int:
             f"traced components: {result.n_components} "
             f"(stable below r={result.stable_radius:.6g})  ->  {verdict}"
         )
-        for row in _tangent_rows(result):
-            alpha = "on ray" if row["on_ray"] else f"alpha={row['alpha_hat']:.3f}"
+        for t in result.tangents:
+            alpha = "on ray" if t.on_ray else f"alpha={t.alpha_hat:.3f}"
             print(
-                f"  curve {row['curve_id']}: omega_hat={row['omega_hat']: .10f} "
-                f"({alpha}), matches omega_{row['matched_j']} "
-                f"within {row['omega_error']:.2e}"
+                f"  curve {t.curve_id}: omega_hat={t.omega_hat: .10f} "
+                f"({alpha}), matches omega_{t.matched_j} within {t.omega_error:.2e}"
             )
         for key, val in artifacts.items():
             if val:
@@ -236,24 +204,16 @@ def _hunt_one(family: str, p: Polynomial, on_locus: bool) -> dict:
     r_min = max(2e-4, 1.5 * floor_radius(h), 3.0 * ambiguity_radius(h))
     r_min = min(r_min, 0.02)
     result = trace(p, TraceConfig(r_min=r_min, r_max=0.3, n_radii=160))
-    n = result.n_components
-    record["n_components"] = n
-    if c.magic == MAGIC:
-        record["conjecture_holds"] = n == 2 * c.mu
-    else:
-        record["conjecture_holds"] = n in (c.mu, 2 * c.mu)
+    record["n_components"] = result.n_components
+    record["conjecture_holds"] = agreement_verdict(c, result.n_components) != DISCREPANT
     return record
 
 
 def cmd_hunt(args) -> int:
     if args.seed < 0:
-        print(f"error[Config]: need --seed >= 0, got {args.seed}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"need --seed >= 0, got {args.seed}")
     if args.samples > MAX_SAMPLES:
-        print(
-            f"error[Config]: need --samples <= {MAX_SAMPLES}, got {args.samples}", file=sys.stderr
-        )
-        return 2
+        raise ConfigError(f"need --samples <= {MAX_SAMPLES}, got {args.samples}")
     rng = np.random.default_rng(args.seed)
     members = [_sample_member(args.family, rng, on_locus=(i % 2 == 1)) for i in range(args.samples)]
     records = [_hunt_one(args.family, p, locus) for p, locus in members]

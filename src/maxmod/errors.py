@@ -24,6 +24,13 @@ class PolyParseError(MaxmodError):
         super().__init__(msg)
 
 
+class ConfigError(MaxmodError, ValueError):
+    """An option value outside its documented range."""
+
+    code = "Config"
+    exit_code = 2
+
+
 class ZeroPolynomialError(MaxmodError):
     code = "ZeroPolynomial"
     exit_code = 2

@@ -232,9 +232,10 @@ def _c_pairs(c: np.ndarray) -> np.ndarray:
     """:attr:`ModulusExpansion.c_pairs` of the coefficients ``c``."""
     deg = c.size - 1
     c_pairs = np.zeros((2 * deg, deg), dtype=complex)
-    for n in range(1, deg + 1):
-        j = np.arange(deg - n + 1)
-        c_pairs[2 * j + n, n - 1] = c[j + n] * np.conj(c[j])
+    with np.errstate(over="ignore"):  # an inf product fails the trace's mass check
+        for n in range(1, deg + 1):
+            j = np.arange(deg - n + 1)
+            c_pairs[2 * j + n, n - 1] = c[j + n] * np.conj(c[j])
     c_pairs.setflags(write=False)
     return c_pairs
 

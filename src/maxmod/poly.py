@@ -59,17 +59,6 @@ class Polynomial:
             acc = acc * z + c
         return acc
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            term = "" if i == 0 else ("z" if i == 1 else f"z^{i}")
-            parts.append(f"({_fmt_complex(c)}){term}" if term else _fmt_complex(c))
-        return " + ".join(parts)
-
 
 @dataclass(frozen=True)
 class MonomialVerdict:

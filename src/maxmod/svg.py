@@ -55,13 +55,14 @@ def render_svg(result: TraceResult, r_max: float) -> str:
             f'stroke="#999999" stroke-width="{axis_stroke}"/>'
         )
 
-    for cid in result.component_ids:
-        pts = [
-            (s2.r * math.cos(s2.theta), -s2.r * math.sin(s2.theta))
-            for s2 in result.samples
-            if s2.curve_id == cid
-        ]
-        data = "M " + " L ".join(f"{_f(x)} {_f(y)}" for x, y in pts)
+    curves: dict[int, list[str]] = {cid: [] for cid in result.component_ids}
+    for s2 in result.samples:
+        if s2.curve_id in curves:
+            curves[s2.curve_id].append(
+                f"{_f(s2.r * math.cos(s2.theta))} {_f(-s2.r * math.sin(s2.theta))}"
+            )
+    for cid, pts in curves.items():
+        data = "M " + " L ".join(pts)
         color = PALETTE[cid % len(PALETTE)]
         parts.append(
             f'<path d="{data}" fill="none" stroke="{color}" stroke-width="{curve_stroke}" '

@@ -57,6 +57,7 @@ import numpy as np
 
 from .classify import omega_angles, predict_J
 from .errors import (
+    ConfigError,
     FloorViolationError,
     MonomialAllPlaneError,
     RefinementFailureError,
@@ -117,11 +118,11 @@ class TraceConfig:
 
     def __post_init__(self):
         if not (0 < self.r_min < self.r_max < math.inf):
-            raise ValueError("need 0 < r_min < r_max < inf")
+            raise ConfigError("need 0 < r_min < r_max < inf")
         if not (2 <= self.n_radii <= MAX_RADII):
-            raise ValueError(f"need 2 <= n_radii <= {MAX_RADII}")
+            raise ConfigError(f"need 2 <= n_radii <= {MAX_RADII}")
         if not (64 <= self.grid <= MAX_GRID):
-            raise ValueError(f"need 64 <= grid <= {MAX_GRID}")
+            raise ConfigError(f"need 64 <= grid <= {MAX_GRID}")
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,7 @@ class TraceEvent:
 
 @dataclass(frozen=True)
 class TraceResult:
-    samples: tuple[CurveSample, ...]
+    samples: tuple[CurveSample, ...]  # by curve id, then descending r
     n_components: int
     component_ids: tuple[int, ...]
     tangents: tuple[TangentFit, ...]
@@ -169,7 +170,6 @@ class TraceResult:
     events: tuple[TraceEvent, ...]
     stable_radius: float
     radii: tuple[float, ...]
-    omega: tuple[float, ...]
     mu: int
     inverted: bool = False  # samples refer to 1/z in the original plane
 
@@ -974,7 +974,6 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
         events=events,
         stable_radius=stable_radius,
         radii=tuple(radii.tolist()),
-        omega=tuple(omega.tolist()),
         mu=mu,
         inverted=False,
     )
@@ -996,11 +995,11 @@ def trace_at_infinity(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceR
 
 def write_csv(result: TraceResult, path: str) -> None:
     """One row per sample: ``r,theta,re,im,mod,curve_id`` (17 significant
-    digits), sorted by (curve_id, descending r)."""
-    rows = sorted(result.samples, key=lambda s: (s.curve_id, -s.r))
+    digits), in the order of ``result.samples``: by curve id, then
+    descending r."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("r,theta,re,im,mod,curve_id\n")
-        for s in rows:
+        for s in result.samples:
             re_ = s.r * math.cos(s.theta)
             im = s.r * math.sin(s.theta)
             fh.write(

@@ -28,3 +28,13 @@ def test_mu_and_core_degree_live_on_the_normal_form():
     h = maxmod.normalize(maxmod.parse_poly("1,0,0,0,1,0,1,1,0,1"))
     assert (h.k, h.mu, h.N) == (4, 1, 7)
     assert "validity" not in maxmod.PredictedJ.__dataclass_fields__
+
+
+def test_unread_fields_are_absent():
+    # fields no report printed: Classification.k and .a live on the normal
+    # form, .minimal was ``not exceptional``, .predicted_j is predict_J's
+    fields = maxmod.Classification.__dataclass_fields__
+    assert not {"k", "a", "minimal", "predicted_j"} & set(fields)
+    assert "omega" not in maxmod.TraceResult.__dataclass_fields__
+    assert "coeff" not in sys.modules["maxmod.classify"].TermFilter.__dataclass_fields__
+    assert maxmod.Polynomial.__str__ is object.__str__

@@ -15,6 +15,19 @@ from maxmod.poly import parse_poly
 from maxmod.util import canonical_json
 
 
+CLASSIFY_KEYS = {
+    "mu",
+    "N",
+    "omega",
+    "exceptional",
+    "witnesses",
+    "magic",
+    "predicted_count",
+    "conjecture_count",
+    "warnings",
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -53,6 +66,24 @@ class TestClassifyCommand:
         _, out, _ = run(capsys, "classify", "--poly", "1,0,1,1i")
         text = out.strip()
         assert canonical_json(json.loads(text)) == text
+
+    def test_json_key_set(self, capsys):
+        _, out, _ = run(capsys, "classify", "--poly", "1,0,1,1i", "--json")
+        doc = json.loads(out)
+        assert set(doc) == CLASSIFY_KEYS
+        assert [set(w) for w in doc["witnesses"]] == [{"m", "m_prime", "sigma", "residual"}]
+
+    def test_no_poly_exit_2(self, capsys):
+        code, out, err = run(capsys, "classify")
+        assert code == 2 and not out
+        assert err.startswith("error[ParseError]") and "provide --poly or --poly-file" in err
+
+    def test_poly_file_entry_not_a_pair_exit_2(self, capsys, tmp_path):
+        f = tmp_path / "p.json"
+        f.write_text('{"coeffs": [[1]]}')
+        code, _, err = run(capsys, "classify", "--poly-file", str(f))
+        assert code == 2
+        assert err.startswith("error[ParseError]") and "expected a [re, im] pair" in err
 
     def test_zero_exit_2(self, capsys):
         code, _, err = run(capsys, "classify", "--poly", "0")
@@ -184,6 +215,58 @@ class TestTraceCommand:
                 "--radii", "8",
             )
         assert code == 0 and not err and "CONFIRMED" in out
+
+    def test_coefficient_product_overflow_fails_cleanly(self, capsys):
+        # r_min is above the floor (2.1e75), but a product c_{j+n} conj(c_j)
+        # of the expansion overflows: the mass check rejects the radii,
+        # without an overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(
+                capsys, "trace", "--poly", "1e-160,0,1,1", "--rmin", "1e81", "--rmax", "1e84",
+                "--radii", "8",
+            )
+        assert code == 1 and err.startswith("error[RefinementFailure]")
+
+    def test_json_key_sets(self, capsys):
+        # one input with tangent and symmetry rows (mu = 2), one with an event
+        rows = {"tangents": [], "symmetry": [], "events": []}
+        for argv in (
+            ("--poly", "1,0,1,0,0.3+0.2i"),
+            ("--poly", "1,0,1,0,0,0.5", "--rmin", "5e-5", "--radii", "100"),
+        ):
+            _, out, _ = run(capsys, "trace", *argv, "--json")
+            doc = json.loads(out)
+            assert set(doc) == {"poly", "coeffs", "classification", "trace", "agreement", "artifacts"}
+            assert set(doc["classification"]) == CLASSIFY_KEYS
+            assert set(doc["artifacts"]) == {"csv", "svg"}
+            assert set(doc["trace"]) == {
+                "n_components",
+                "stable_radius",
+                "r_min",
+                "r_max",
+                "n_radii",
+                "inverted",
+                "tangents",
+                "symmetry",
+                "events",
+            }
+            for key, val in rows.items():
+                val += doc["trace"][key]
+        tangent_keys = {
+            "curve_id",
+            "omega_hat",
+            "alpha_hat",
+            "on_ray",
+            "matched_j",
+            "matched_omega",
+            "omega_error",
+        }
+        assert rows["tangents"] and all(set(t) == tangent_keys for t in rows["tangents"])
+        symmetry_keys = {"curve_a", "curve_b", "rotation_m", "max_dev"}
+        assert rows["symmetry"] and all(set(s) == symmetry_keys for s in rows["symmetry"])
+        event_keys = {"kind", "r", "curve_id", "legitimate"}
+        assert rows["events"] and all(set(e) == event_keys for e in rows["events"])
 
     @pytest.mark.parametrize("rmax", ["1e60", "1e308"])
     def test_radius_far_beyond_one_fails_cleanly(self, capsys, rmax):
@@ -318,6 +401,26 @@ class TestTraceCommand:
             code, err = ex.code, capsys.readouterr().err
         argparse_errors = ("error: unrecognized arguments", "expected one argument")
         assert code == 2 and (err.startswith("error[") or any(e in err for e in argparse_errors))
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("trace", "--poly", "1,0,1,1i", "--rmin", "0"), "need 0 < r_min < r_max < inf"),
+            (("trace", "--poly", "1,0,1,1i", "--radii", "1"), "need 2 <= n_radii <= 100000"),
+            (("trace", "--poly", "1,0,1,1i", "--grid", "10"), "need 64 <= grid <= 65536"),
+            (("hunt", "--family", "cubic", "--seed", "-1"), "need --seed >= 0, got -1"),
+            (
+                ("hunt", "--family", "cubic", "--samples", "100001"),
+                "need --samples <= 100000, got 100001",
+            ),
+        ],
+        ids=["rmin", "radii", "grid", "hunt-seed", "hunt-samples"],
+    )
+    def test_config_error_text(self, capsys, tmp_path, argv, message):
+        if argv[0] == "hunt":
+            argv += ("--out", str(tmp_path / "h.jsonl"))
+        assert run(capsys, *argv) == (2, "", f"error[Config]: {message}\n")
+        assert not (tmp_path / "h.jsonl").exists()
 
     def test_report_round_trip(self, capsys):
         _, out, _ = run(

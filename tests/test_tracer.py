@@ -10,6 +10,7 @@ import pytest
 
 import maxmod
 from maxmod import (
+    ConfigError,
     FloorViolationError,
     MonomialAllPlaneError,
     Polynomial,
@@ -64,6 +65,12 @@ class TestConfig:
             TraceConfig(grid=32)
         with pytest.raises(ValueError):
             TraceConfig(grid=131072)
+
+    def test_config_error_is_a_value_error(self):
+        with pytest.raises(ConfigError) as info:
+            TraceConfig(r_min=0.0)
+        assert isinstance(info.value, ValueError)
+        assert (info.value.code, info.value.exit_code) == ("Config", 2)
 
     def test_schedule_geometric(self):
         cfg = TraceConfig(r_min=1e-3, r_max=0.3, n_radii=50)
@@ -688,6 +695,21 @@ class TestTrace:
             assert t.omega_error < 1e-12
         for s in res.samples:
             assert min(circ_dist(s.theta, 0.0), circ_dist(s.theta, math.pi)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "text,r_min",
+        [
+            ("1,0,1,1i", 1e-3),  # traced on its reflection axis
+            ("1,0,1,0,0.3+0.2i", 1e-3),  # mu = 2
+            ("1,0,1,0,0,0.5", 5e-5),  # a birth below the ambiguity radius
+            ("1,1i,0.3,0,0,1", 1e-3),
+        ],
+    )
+    def test_samples_by_curve_then_descending_radius(self, text, r_min):
+        # write_csv and render_svg take the samples in this order
+        res = trace(parse_poly(text), TraceConfig(r_min=r_min, r_max=0.3, n_radii=60))
+        keys = [(s.curve_id, -s.r) for s in res.samples]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
     def test_sample_invariants(self):
         p = parse_poly("1,0,1,1i")
