@@ -7,14 +7,15 @@ the squared modulus and its theta-derivatives.  ``osc_sum`` is the
 compensated cosine-term sum of the paper's expansion, O(deg^2) per angle;
 it evaluates ``mod2`` and is the oracle the Fourier path is tested
 against.  ``radial_sum`` and ``radial_sum_sq`` evaluate the theta-free sums
-``sum_t a_t r^{p_t}`` and ``sum_t (a_t r^{p_t})^2`` for one radius or many.
+``sum_t a_t r^{p_t}`` and ``sum_t (a_t r^{p_t})^2`` for one radius or many,
+and ``power_terms`` the products ``a r^p 2^s`` they sum, one by one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BACKEND", "osc_sum", "fourier_sum", "radial_sum", "radial_sum_sq"]
+__all__ = ["BACKEND", "osc_sum", "fourier_sum", "power_terms", "radial_sum", "radial_sum_sq"]
 
 BACKEND = "numpy"
 _SQRT_HALF = 0.5**0.5
@@ -46,30 +47,30 @@ def fourier_sum(coef: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _radial_terms(amps: np.ndarray, pows: np.ndarray, r) -> np.ndarray:
-    """``amps[t] r^pows[t]`` for integral ``pows``, along a last axis added to
-    ``r``.  The binary exponents of ``amps`` and ``r`` are summed apart from
-    their mantissas, so a term that is a float is formed without overflow or
-    underflow on the way, even where ``r^pows[t]`` alone is not a float.
-    The mantissa of ``r`` is taken in ``[sqrt(1/2), sqrt(2))``, so its powers
-    stay normal up to ``pows`` of about 2000."""
+def power_terms(amps, pows, r, shift=0) -> np.ndarray:
+    """``amps r^pows 2^shift`` elementwise for integral ``pows``.  The binary
+    exponents are summed apart from the mantissas, so a result that is a
+    float is formed without overflow or underflow on the way, even where
+    ``r^pows`` alone is not a float.  The mantissa of ``r`` is taken in
+    ``[sqrt(1/2), sqrt(2))``, so its powers stay normal up to ``pows`` of
+    about 2000."""
     ma, ea = np.frexp(amps)
-    mr, er = np.frexp(np.asarray(r, dtype=float)[..., None])
+    mr, er = np.frexp(r)
     low = mr < _SQRT_HALF
     mr = np.where(low, 2.0 * mr, mr)  # exact
-    return np.ldexp(ma * mr**pows, ea + (er - low) * pows.astype(int))
+    return np.ldexp(ma * mr**pows, ea + (er - low) * np.asarray(pows, dtype=int) + shift)
 
 
 def radial_sum(amps: np.ndarray, pows: np.ndarray, r):
-    """``sum_t amps[t] r^pows[t]``, terms as in :func:`_radial_terms`: a float
-    for scalar ``r``, else one value per element of ``r``."""
-    out = np.sum(_radial_terms(amps, pows, r), axis=-1)
+    """``sum_t amps[t] r^pows[t]``, terms by :func:`power_terms`: a float for
+    scalar ``r``, else one value per element of ``r``."""
+    out = np.sum(power_terms(amps, pows, np.asarray(r, dtype=float)[..., None]), axis=-1)
     return float(out) if np.ndim(r) == 0 else out
 
 
 def radial_sum_sq(amps: np.ndarray, pows: np.ndarray, r):
     """``sum_t (amps[t] r^pows[t])^2``, shaped as :func:`radial_sum`; the
     squares are taken last, so ``amps[t]^2`` may lie below the float range."""
-    terms = _radial_terms(amps, pows, r)
+    terms = power_terms(amps, pows, np.asarray(r, dtype=float)[..., None])
     out = np.sum(terms * terms, axis=-1)
     return float(out) if np.ndim(r) == 0 else out

@@ -1,31 +1,28 @@
 """Exact evaluation of |p(r e^{i theta})|^2 and its theta-derivatives.
 
-Writing ``p = sum a_l z^l``, the squared modulus on a circle expands into a
-finite trigonometric sum
-
-    |p(r e^{i t})|^2 = sum_l |a_l|^2 r^{2l}
-                     + sum_{j<l} 2|a_j||a_l| r^{j+l} cos((l-j) t + arg a_l - arg a_j).
-
-The diagonal part is independent of theta; the cross part carries all the
-angular structure.  This term sum is the paper's formula: :meth:`osc_terms`
-evaluates the cross part (terms in ascending power of r, compensated
-summation) and is the oracle for the fast path; :meth:`mod2` is
-:meth:`base` plus :meth:`osc_terms`.
-
-The tracer's hot evaluations group the same terms by frequency.  With
-``p = a_m z^m (1 + q)``, ``c_0 = 1``, ``c_j = a_{m+j} / a_m`` and
+With ``p = a_m z^m (1 + q)``, ``c_0 = 1``, ``c_j = a_{m+j} / a_m`` and
 ``w = e^{i theta}``,
 
-    |1 + q|^2 = C_0 + 2 Re sum_{n=1}^{D} C_n w^n,
-    C_n(r) = sum_j c_{j+n} conj(c_j) r^{2j+n},
+    |p|^2 = |a_m|^2 r^{2m} (C_0 + 2 Re sum_{n=1}^{D} C_n w^n),
+    C_n(r) = sum_j c_{j+n} conj(c_j) r^{2j+n}.
 
-so :meth:`fourier` gives every ``C_n`` of a circle by one matrix product
-(and :meth:`fourier_dr` their radius-derivatives), and :meth:`osc` and
-:meth:`d1d2` are one Horner pass in ``w``: O(deg) per angle once the
-``C_n`` of the angle's circle are formed.
-``osc = 2 |a_m|^2 r^{2m} Re sum_n C_n w^n`` holds no constant term, so
-nothing cancels against 1 and signals of order r^n near the origin keep
-their relative accuracy.
+An expansion holds only these Fourier data.  :meth:`fourier` gives every
+``C_n`` of a circle by one matrix product (and :meth:`fourier_dr` their
+radius-derivatives), and :meth:`osc` and :meth:`d1d2` are one Horner pass
+in ``w``: O(deg) per angle once the ``C_n`` of the angle's circle are
+formed.  ``osc`` holds no constant term, so nothing cancels against 1 and
+signals of order r^n near the origin keep their relative accuracy.  The
+tracer expands the normalized tail ``1 + q``, whose scale
+``|a_m|^2 r^{2m}`` is 1.
+
+The paper's formula is the same sum term by term,
+
+    |p|^2 = sum_l |a_l|^2 r^{2l}
+          + sum_{j<l} 2|a_j||a_l| r^{j+l} cos((l-j) theta + arg a_l - arg a_j).
+
+Its terms are derived from the ``c_j`` on demand and serve only as the
+oracle: :meth:`osc_terms` sums the cross terms (in ascending power of r,
+compensated), and :meth:`mod2` is :meth:`base` plus :meth:`osc_terms`.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ZeroPolynomialError
-from .poly import Polynomial
+from .poly import Polynomial, lead_ratios
 from .util import reduce_angle
 
 EPS = float(np.finfo(float).eps)
@@ -49,35 +46,41 @@ AXIS_ULPS = 8
 
 @dataclass(frozen=True)
 class ModulusExpansion:
-    """Precomputed trigonometric expansion of ``|p(r e^{i theta})|^2``."""
+    """Fourier data of ``|p(r e^{i theta})|^2`` for ``p = a_m z^m (1 + q)``."""
 
-    diag_pows: np.ndarray  # l per nonzero coefficient
-    diag_amps: np.ndarray  # |a_l|, the diagonal term is (|a_l| r^l)^2
-    cross_pows: np.ndarray  # j+l per unordered pair j < l
-    cross_amps: np.ndarray  # 2|a_j||a_l|
-    cross_freqs: np.ndarray  # l-j
-    cross_phas: np.ndarray  # arg a_l - arg a_j
     m: int  # lowest exponent with a nonzero coefficient
     lead_abs2: float  # |a_m|^2
     c: np.ndarray  # c_0 = 1, then c_j = a_{m+j} / a_m for j = 1..D
     c_pairs: np.ndarray  # (2D, D): c_{j+n} conj(c_j) at row 2j+n, column n-1
 
+    # -- the paper's terms, derived for the oracle -----------------------
+
     @property
     def diagonal(self) -> list[tuple[float, float]]:
-        """``(2l, |a_l|^2)`` per nonzero coefficient: the terms
-        ``|a_l|^2 r^{2l}``."""
-        return list(zip((2.0 * self.diag_pows).tolist(), (self.diag_amps**2).tolist()))
+        """``(2l, |a_l|^2)`` per nonzero coefficient, the terms ``|a_l|^2 r^{2l}``."""
+        j = np.flatnonzero(self.c)
+        amps = self.lead_abs2 * np.abs(self.c[j]) ** 2
+        return list(zip((2.0 * (j + self.m)).tolist(), amps.tolist()))
+
+    def _cross_terms(self) -> np.ndarray:
+        """Rows ``(j + l, 2|a_j||a_l|, l - j, arg a_l - arg a_j)``, one column
+        per pair j < l of nonzero coefficients, by power, then frequency."""
+        j = np.flatnonzero(self.c)
+        mag, arg = np.abs(self.c[j]), np.angle(self.c[j])
+        lo, hi = np.triu_indices(j.size, k=1)
+        amps = 2.0 * self.lead_abs2 * mag[lo] * mag[hi]
+        terms = np.array([j[lo] + j[hi] + 2.0 * self.m, amps, j[hi] - j[lo], arg[hi] - arg[lo]])
+        return terms[:, np.lexsort((terms[2], terms[0]))]
+
+    cross_pows = property(lambda self: self._cross_terms()[0])  # j+l
+    cross_amps = property(lambda self: self._cross_terms()[1])  # 2|a_j||a_l|
+    cross_freqs = property(lambda self: self._cross_terms()[2])  # l-j
+    cross_phas = property(lambda self: self._cross_terms()[3])  # arg a_l - arg a_j
 
     @property
     def cross(self) -> list[tuple[float, float, float, float]]:
-        return list(
-            zip(
-                self.cross_pows.tolist(),
-                self.cross_amps.tolist(),
-                self.cross_freqs.tolist(),
-                self.cross_phas.tolist(),
-            )
-        )
+        """``(j + l, 2|a_j||a_l|, l - j, arg a_l - arg a_j)`` per cross term."""
+        return list(zip(*self._cross_terms().tolist()))
 
     # -- evaluation -----------------------------------------------------
 
@@ -86,10 +89,11 @@ class ModulusExpansion:
         return self.base(r) + self.osc_terms(r, theta)
 
     def base(self, r):
-        """Theta-independent diagonal part of :meth:`mod2`, per radius, as
-        ``sum_l (|a_l| r^l)^2``: no ``|a_l|^2`` is formed alone, so a tiny
-        coefficient still counts at a radius that makes its term a float."""
-        return _kernels.radial_sum_sq(self.diag_amps, self.diag_pows, r)
+        """Theta-independent part of :meth:`mod2`, per radius, as
+        ``scale(r) sum_j (|c_j| r^j)^2``: no ``|c_j|^2`` is formed alone, so a
+        tiny coefficient counts at a radius that makes its term a float."""
+        j = np.flatnonzero(self.c)
+        return self.scale(r) * _kernels.radial_sum_sq(np.abs(self.c[j]), j, r)
 
     def scale(self, r):
         """``|a_m|^2 r^{2m}``, the factor of ``|1 + q|^2`` in :meth:`mod2`."""
@@ -136,8 +140,8 @@ class ModulusExpansion:
     def osc_terms(self, r: float, theta):
         """:meth:`osc` as the paper's cross-term sum; the oracle, O(deg^2)."""
         th = np.atleast_1d(np.asarray(reduce_angle(theta), dtype=float))
-        ap = self.cross_amps * r**self.cross_pows
-        out = _kernels.osc_sum(ap, self.cross_freqs, self.cross_phas, th)
+        pows, amps, freqs, phas = self._cross_terms()
+        out = _kernels.osc_sum(amps * r**pows, freqs, phas, th)
         if np.ndim(theta) == 0:
             return float(out[0])
         return out
@@ -159,11 +163,17 @@ class ModulusExpansion:
 
     def d1_bound(self, r):
         """Upper bound for the first theta-derivative of :meth:`mod2` over a
-        circle, per radius."""
-        return _kernels.radial_sum(self.cross_amps * self.cross_freqs, self.cross_pows, r)
+        circle, per radius: ``2 scale(r) sum_{n,j} n |c_{j+n} c_j| r^{2j+n}``."""
+        return self._pair_bound(1, r)
 
     def d2_bound(self, r):
-        return _kernels.radial_sum(self.cross_amps * self.cross_freqs**2, self.cross_pows, r)
+        """:meth:`d1_bound` with ``n^2`` for n: the second derivative's bound."""
+        return self._pair_bound(2, r)
+
+    def _pair_bound(self, k, r):
+        row, col = np.nonzero(self.c_pairs)  # row 2j+n, column n-1
+        amps = (col + 1.0) ** k * np.abs(self.c_pairs[row, col])
+        return 2.0 * self.scale(r) * _kernels.radial_sum(amps, row, r)
 
 
 def _power_product(rp, r, pows, c, mult=1):
@@ -172,7 +182,7 @@ def _power_product(rp, r, pows, c, mult=1):
     At a radius where some ``r^pows[i]`` is not a float, the plain product
     would meet ``inf * 0`` or ``inf * tiny`` although every term
     ``r^pows[i] c[i, n]`` may be one.  That radius's row is formed term by
-    term instead (``_kernels._radial_terms``, which sums binary exponents
+    term instead (``_kernels.power_terms``, which sums binary exponents
     apart from mantissas), so only a genuinely huge ``C_n`` is ``inf``;
     every other radius keeps the plain product and its bits.
     """
@@ -182,50 +192,28 @@ def _power_product(rp, r, pows, c, mult=1):
     out = (np.where(ok[..., None], rp, 0.0) @ c.view(float)).view(complex)
     amps = (np.reshape(mult, (-1, 1)) * c).view(float)  # (rows, 2 cols)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN is rejected
-        terms = _kernels._radial_terms(amps.ravel(), np.repeat(pows, amps.shape[1]), r[~ok])
+        terms = _kernels.power_terms(amps.ravel(), np.repeat(pows, amps.shape[1]), r[~ok][:, None])
         out[~ok] = terms.reshape((-1,) + amps.shape).sum(axis=-2).view(complex)
     return out
 
 
 def expand(p: Polynomial) -> ModulusExpansion:
-    """Build the trigonometric expansion of ``|p|^2`` from the coefficients.
-
-    One diagonal term per nonzero coefficient and one cross term per
-    unordered pair of distinct nonzero coefficients, plus the coefficients
-    ``c_j`` of the factored form ``a_m z^m (1 + q)`` and their products
-    ``c_{j+n} conj(c_j)``, from which :meth:`ModulusExpansion.fourier`
-    forms the ``C_n``.
+    """The Fourier data of ``|p|^2``: the coefficients ``c_j`` of the
+    factored form ``a_m z^m (1 + q)`` (divided out by
+    :func:`~maxmod.poly.lead_ratios`, as in
+    :func:`~maxmod.poly.normalize`) and their products
+    ``c_{j+n} conj(c_j)``, from which :meth:`ModulusExpansion.fourier` forms
+    the ``C_n``.  ``|a_m|^2`` is ``inf`` where it is not a float.
     """
     if p.is_zero:
         raise ZeroPolynomialError("cannot expand the zero polynomial")
-    exps = np.array(p.nonzero_exponents(), dtype=float)
-    cs = np.array([p.coeffs[int(e)] for e in exps], dtype=complex)
-    mags = np.abs(cs)
-    args = np.angle(cs)
-
-    diag_pows = exps
-    diag_amps = mags
-
-    jj, ll = np.triu_indices(len(exps), k=1)
-    cross_pows = exps[jj] + exps[ll]
-    cross_amps = 2.0 * mags[jj] * mags[ll]
-    cross_freqs = exps[ll] - exps[jj]
-    cross_phas = args[ll] - args[jj]
-
-    order = np.lexsort((cross_freqs, cross_pows))
-    cross_pows = cross_pows[order]
-    cross_amps = cross_amps[order]
-    cross_freqs = cross_freqs[order]
-    cross_phas = cross_phas[order]
-
-    arrays = (diag_pows, diag_amps, cross_pows, cross_amps, cross_freqs, cross_phas)
-    m = int(exps[0])
-    q = np.asarray(p.coeffs[m + 1 :] or (0j,), dtype=complex) / cs[0]  # a monomial has q = 0
-    c = np.concatenate([[1.0 + 0j], q])
-    c_pairs = _c_pairs(c)
-    for a in arrays + (c,):
-        a.setflags(write=False)
-    return ModulusExpansion(*arrays, m=m, lead_abs2=float(mags[0] ** 2), c=c, c_pairs=c_pairs)
+    m = p.nonzero_exponents()[0]
+    # a monomial has q = 0
+    c = np.array((1.0,) + lead_ratios(p.coeffs[m + 1 :] or (0j,), p.coeffs[m]), dtype=complex)
+    c.setflags(write=False)
+    with np.errstate(over="ignore"):
+        lead_abs2 = float(np.abs(p.coeffs[m]) ** 2)
+    return ModulusExpansion(m=m, lead_abs2=lead_abs2, c=c, c_pairs=_c_pairs(c))
 
 
 def _c_pairs(c: np.ndarray) -> np.ndarray:
@@ -258,8 +246,8 @@ def on_axis(e: ModulusExpansion) -> tuple[float, ModulusExpansion]:
     axis by 1e-12 (about 4500 ``EPS``) is rejected for every l below 560,
     and keeps its ``c_j``: snapping it would trace a different polynomial.
     The accepted ``c_j`` become ``Re(c_l e^{i l psi})``, a change within
-    that bound; the diagonal and cross magnitudes are unchanged, and the
-    cross phases turn by ``(l - j) psi``.
+    that bound.  Every evaluation, the oracle's terms included, reads the
+    new ``c_j``, so nothing else turns.
     """
     if not e.c.imag.any():
         return 0.0, e
@@ -279,9 +267,7 @@ def on_axis(e: ModulusExpansion) -> tuple[float, ModulusExpansion]:
             real[0] = 1.0
             real[tail] = rot
             real.setflags(write=False)
-            phas = e.cross_phas + e.cross_freqs * psi
-            phas.setflags(write=False)
-            return psi, replace(e, c=real, c_pairs=_c_pairs(real), cross_phas=phas)
+            return psi, replace(e, c=real, c_pairs=_c_pairs(real))
     return 0.0, e
 
 

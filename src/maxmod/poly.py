@@ -104,10 +104,7 @@ def normalize(p: Polynomial) -> HaymanForm | MonomialVerdict:
         return MonomialVerdict()
     m = nz[0]
     c = p.coeffs[m]
-    # + 0j turns a -0.0 part, which complex division leaves for instance
-    # when c is a negative real, into +0.0: a sign-flipped p and the tail
-    # itself then normalize to the same bits
-    ratios = tuple(ci / c + 0j for ci in p.coeffs[m + 1 :])
+    ratios = lead_ratios(p.coeffs[m + 1 :], c)
     # every nonzero coefficient must stay a finite nonzero ratio
     if len(ratios) - ratios.count(0j) != len(nz) - 1 or not all(map(cmath.isfinite, ratios)):
         raise CoefficientRangeError(
@@ -121,6 +118,27 @@ def normalize(p: Polynomial) -> HaymanForm | MonomialVerdict:
     gcds = list(itertools.accumulate(exps, math.gcd))
     k, mu = exps[0], gcds[-1]
     return HaymanForm(c, m, k=k, a=tail.coeffs[k], mu=mu, N=exps[gcds.index(mu)], tail=tail)
+
+
+def frexp_complex(z: complex) -> tuple[complex, int]:
+    """``(w, e)`` with ``z = w 2^e`` exactly and the larger component of ``w``
+    in [1, 2) for a normal z."""
+    e = max(math.frexp(max(abs(z.real), abs(z.imag)))[1] - 1, -1022)
+    return complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)), e
+
+
+def lead_ratios(coeffs, lead: complex) -> tuple[complex, ...]:
+    """``c / lead`` per ``c`` of ``coeffs``: complex division after scaling
+    both by the power of two of :func:`frexp_complex` (none for a lead in
+    [1, 2)), exact for normal floats, so ``|lead|^2`` cannot overflow inside
+    it.  ``+ 0j`` turns a -0.0 part, which the division leaves for instance
+    when ``lead`` is a negative real, into +0.0: a sign-flipped p and the
+    tail itself then normalize to the same bits."""
+    if not 1.0 <= max(abs(lead.real), abs(lead.imag)) < 2.0:  # there e would be 0
+        lead, e = frexp_complex(lead)
+        s = math.ldexp(1.0, -e)
+        coeffs = [complex(c.real * s, c.imag * s) for c in coeffs]
+    return tuple(c / lead + 0j for c in coeffs)
 
 
 def reciprocal(p: Polynomial) -> Polynomial:

@@ -1,11 +1,14 @@
 """Numerical computation of the maximum modulus set on a punctured disc.
 
 The global maximizers of ``theta -> |p(r e^{i theta})|^2`` are located on
-every circle of a geometric radius schedule at once.  The paper's
-trigonometric expansion, grouped by frequency, gives each circle's Fourier
-coefficients ``C_n(r)`` of ``|p|^2`` (``ModulusExpansion.fourier``), from
-which every evaluation of the trace is made.  They make the
-theta-derivative of ``|p|^2`` a real trigonometric polynomial; in the
+every circle of a geometric radius schedule at once.  The factor ``c z^m``
+of ``p = c z^m (1 + q)`` moves no maximizer, so a trace expands only the
+normalized tail: every comparison is one of ``|1 + q|^2``, the same for
+``p`` and ``z^m p``, and only the sample moduli carry ``|c| r^m``.  The
+paper's trigonometric expansion, grouped by frequency, gives each circle's
+Fourier coefficients ``C_n(r)`` of ``|1 + q|^2``
+(``ModulusExpansion.fourier``), from which every evaluation of the trace is
+made.  They make its theta-derivative a real trigonometric polynomial; in the
 half-angle variable ``t = tan(theta / 2)`` it becomes one real polynomial
 per circle, whose real roots are the circle's critical points.  A batched
 eigenvalue solve of real companion matrices finds them on a few anchor
@@ -27,23 +30,20 @@ A polynomial whose coefficients have a reflection axis psi (every
 ``c_l e^{i l psi}`` real, as for every real polynomial with psi = 0 and
 every magic cubic) is traced on its symmetry quotient: the scan runs on
 ``p(e^{i psi} z)`` with its ``c_j`` made exactly real
-(:func:`~maxmod.modulus.on_axis`).  Every ``C_n`` is then real and the
-half-angle polynomial is odd, ``R(t) = t S(t^2)``; the root solve runs on
-S, of half the degree in ``u = t^2``, and returns the critical points as
-exact mirror pairs ``+-sqrt(u)`` plus the axis points ``t = 0`` and
-``t = inf``.  The maxima are linked in that frame, where mirror maxima
-meeting at a fold on the axis tie exactly and :func:`_match_cyclic`'s tie
-rule decides which goes on, and are then turned back by psi and sorted by
-angle again, so curve ids follow the same order as without the quotient.
+(:func:`~maxmod.modulus.on_axis`), where the root solve halves its degree
+(:func:`_derivative_roots`) and mirror maxima meeting at a fold on the axis
+tie exactly (:func:`_match_cyclic`).  The maxima are then turned back by
+psi and sorted by angle again, so curve ids follow the same order as
+without the quotient.
 
 The tangent fit rests on the implicit function theorem: for
 ``p = 1 + a z^k + ...`` the function ``r^-k d/dtheta |p|^2`` is
 ``-2k|a| sin(k theta + arg a) + O(r)``, whose zeros omega_j are simple, so
 each maximizer branch is a power series ``theta(r) = omega_j + c_1 r + ...``.
 
-All angular comparisons are made on the theta-dependent part of ``|p|^2``
-(method ``osc`` of the expansion): the theta-free diagonal never influences
-an argmax, and dropping it keeps co-maximality decisions accurate at the
+All angular comparisons are made on the theta-dependent part (method
+``osc`` of the expansion): the theta-free diagonal never influences an
+argmax, and dropping it keeps co-maximality decisions accurate at the
 ``1e-12 * spread`` level even where the full value is dominated by 1.
 """
 
@@ -65,7 +65,7 @@ from .errors import (
 )
 from . import _kernels
 from .modulus import ModulusExpansion, expand, on_axis
-from .poly import HaymanForm, MonomialVerdict, Polynomial, normalize, reciprocal
+from .poly import HaymanForm, MonomialVerdict, Polynomial, frexp_complex, normalize, reciprocal
 from .util import TWO_PI, circ_dist, reduce_angle
 
 EPS = float(np.finfo(float).eps)
@@ -563,9 +563,9 @@ def _scan_circles(e: ModulusExpansion, radii: np.ndarray):
     counterclockwise order from about -pi; ``comax`` marks the co-maximal
     ones.
     """
-    # |p|^2 = |a_m|^2 r^{2m} |1 + q|^2, and the evaluations of |1 + q|^2 and
-    # its theta-derivatives sum the n^2 |C_n| <= mass^2, with the mass
-    # 1 + sum_j j^2 |c_j| r^j; all of it must stay a float
+    # the evaluations of |1 + q|^2 and its theta-derivatives sum the
+    # n^2 |C_n| <= mass^2, mass = 1 + sum_j j^2 |c_j| r^j, times the scale
+    # (1 on a trace's tail); all of it must stay a float
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN is rejected
         j = np.arange(float(e.c.size))
         mass = 1.0 + _kernels.radial_sum(j * j * np.abs(e.c), j, radii)
@@ -816,8 +816,10 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
     first, and reports the co-maximal runs along each linked trajectory as
     curves: component count, tangent fits, rotational symmetry and
     birth/death events.  A mid-schedule birth or a non-monotone death is
-    marked not legitimate.  A polynomial with a reflection axis is scanned
-    and linked on its axis and turned back before the curves are formed.
+    marked not legitimate.  The scan runs on the normalized tail
+    ``1 + q`` of ``p = c z^m (1 + q)``; a polynomial with a reflection axis
+    is scanned and linked on its axis and turned back before the curves are
+    formed.
     """
     if p.truncated:
         raise TruncatedSeriesError("tracing needs the full polynomial, not a truncation")
@@ -828,16 +830,7 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
     if cfg.r_min < required:
         raise FloorViolationError(cfg.r_min, required)
 
-    # |p|^2 leaves the float range long before p does.  The trace is exactly
-    # equivariant under p -> 2^s p, so expand 2^-shift p, whose largest
-    # coefficient component lies in [0.5, 1) (the abs() of a complex can
-    # overflow where its components do not); samples carry |p| rescaled.
-    shift = math.frexp(max(max(abs(c.real), abs(c.imag)) for c in p.coeffs))[1]
-    e = expand(
-        Polynomial(
-            tuple(complex(math.ldexp(c.real, -shift), math.ldexp(c.imag, -shift)) for c in p.coeffs)
-        )
-    )
+    e = expand(h.tail)  # c z^m moves no maximizer; |1 + q|^2 is a float where |p|^2 may not be
     omega = omega_angles(h)
     radii = radius_schedule(cfg)
     psi, e = on_axis(e)  # trace p(e^{i psi} z), whose c_j are real, if p has an axis
@@ -903,8 +896,11 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
     sample_curve = curve[sel]
     sample_r = radii[ridx[sel]]
     sample_theta = theta[sel]
+    # |p| = |c| r^m |1 + q| with c = w 2^s, binary exponents summed apart
+    w, s = frexp_complex(h.prefactor_scalar)
+    amp = abs(w) * np.sqrt(np.maximum(mod2[sel], 0.0))
     with np.errstate(over="ignore"):  # inf only where |p| is beyond the float range
-        sample_mod = np.ldexp(np.sqrt(np.maximum(mod2[sel], 0.0)), shift)  # exact
+        sample_mod = _kernels.power_terms(amp, h.prefactor_power, sample_r, s)
     samples = tuple(
         map(
             CurveSample,
@@ -922,7 +918,6 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
     counts = np.bincount(ridx[comax], minlength=radii.size)
     off = np.flatnonzero(counts[:last] != n_components)
     stable_radius = float(radii[off[-1] + 1 if off.size else 0])
-    mu = h.mu
 
     # -- tangent fits ------------------------------------------------------
     tangents = []
@@ -946,12 +941,12 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
 
     # -- rotational symmetry pairing --------------------------------------
     symmetry = []
-    if mu > 1:
+    if h.mu > 1:
         curve_thetas = {
             cid: sample_theta[first[cid] : first[cid] + per_curve[cid]] for cid in component_ids
         }
-        for m in range(1, mu):
-            rot = TWO_PI * m / mu
+        for m in range(1, h.mu):
+            rot = TWO_PI * m / h.mu
             for ca in component_ids:
                 best = None
                 for cb in component_ids:
@@ -974,8 +969,7 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
         events=events,
         stable_radius=stable_radius,
         radii=tuple(radii.tolist()),
-        mu=mu,
-        inverted=False,
+        mu=h.mu,
     )
 
 

@@ -38,3 +38,9 @@ def test_unread_fields_are_absent():
     assert "omega" not in maxmod.TraceResult.__dataclass_fields__
     assert "coeff" not in sys.modules["maxmod.classify"].TermFilter.__dataclass_fields__
     assert maxmod.Polynomial.__str__ is object.__str__
+
+
+def test_expansion_holds_only_fourier_data():
+    # the paper's term arrays are derived for the oracle, not stored
+    fields = set(maxmod.ModulusExpansion.__dataclass_fields__)
+    assert fields == {"m", "lead_abs2", "c", "c_pairs"}

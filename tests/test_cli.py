@@ -182,6 +182,40 @@ class TestTraceCommand:
             assert math.isfinite(float(a[4]))
             assert float(a[4]) == pytest.approx(factor * float(b[4]), rel=1e-14)
 
+    def test_huge_complex_lead(self, capsys, tmp_path):
+        # |lead|^2 overflows inside complex division although every ratio
+        # c_j / c_0 is a float (0.5-0.5i here): normalize scales before it
+        # divides.  |p| is beyond the float range on every traced circle, so
+        # the CSV carries inf, without an overflow warning
+        csv = tmp_path / "p.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "classify", "--poly=1e308+1e308i,1e308,1")
+            assert code == 0 and not err and json.loads(out)["mu"] == 1
+            code, _, err = run(capsys, "trace", "--poly=1.5e308+1.5e308i,1e308", "--csv", str(csv))
+        assert code == 0 and not err
+        mods = {line.split(",")[4] for line in csv.read_text().splitlines()[1:]}
+        assert mods == {"inf"}
+
+    def test_lead_monomial_at_huge_radii(self, capsys, tmp_path):
+        # z (1 + 1e-300 z^2) on [2e150, 1e155]: |a_m|^2 r^{2m} is not a float
+        # there, but the factor z moves no maximizer, and the scan runs on
+        # the tail alone.  The samples are those of 1 + 1e-300 z^2, angle for
+        # angle, with every modulus multiplied by r
+        rows = []
+        for i, poly in enumerate(("0,1,0,1e-300", "1,0,1e-300")):
+            csv = tmp_path / f"{i}.csv"
+            code, out, err = run(
+                capsys, "trace", "--poly", poly, "--rmin", "2e150", "--rmax", "1e155",
+                "--radii", "8", "--csv", str(csv),
+            )
+            assert code == 0 and not err and "CONFIRMED" in out
+            rows.append([line.split(",") for line in csv.read_text().splitlines()[1:]])
+        assert len(rows[0]) == len(rows[1]) > 0
+        for a, b in zip(*rows):
+            assert a[:2] + a[5:] == b[:2] + b[5:]
+            assert float(a[4]) == pytest.approx(float(a[0]) * float(b[4]), rel=1e-15)
+
     def test_modulus_beyond_float_range_is_inf(self, capsys, tmp_path):
         # near |z| = 0.9, |p| exceeds the largest float: those samples carry
         # an infinite modulus, the others a finite one

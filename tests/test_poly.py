@@ -14,6 +14,7 @@ from maxmod import (
     PolyParseError,
     ZeroPolynomialError,
     classify,
+    expand,
     format_poly,
     normalize,
     parse_poly,
@@ -131,6 +132,28 @@ class TestNormalize:
         # a = 1e500 overflows; 1e-500 underflows to 0 and would drop the term
         with pytest.raises(CoefficientRangeError):
             normalize(Polynomial(coeffs))
+
+    def test_huge_complex_lead(self):
+        # |1e308+1e308i|^2 overflows inside complex division, which then
+        # returns -0j; the ratios are divided after an exact power-of-two
+        # scaling, and expand divides by the same helper, without a warning
+        h = normalize(Polynomial((1e308 + 1e308j, 1e308, 1)))
+        assert h.tail.coeffs[1] == 0.5 - 0.5j
+        p = Polynomial((1.5e308 + 1.5e308j, 1))
+        e = expand(p)
+        assert e.lead_abs2 == math.inf
+        assert e.c.tolist() == list(normalize(p).tail.coeffs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(poly_strategy(), st.integers(-1000, 1000))
+    def test_scaled_division_keeps_its_bits(self, p, s):
+        # on normal floats the scaling is exact: the ratios are those of
+        # plain complex division, and those of 2^s p
+        h = normalize(p)
+        c = p.coeffs[h.prefactor_power]
+        assert h.tail.coeffs[1:] == tuple(a / c + 0j for a in p.coeffs[h.prefactor_power + 1 :])
+        scaled = (complex(math.ldexp(a.real, s), math.ldexp(a.imag, s)) for a in p.coeffs)
+        assert normalize(Polynomial(tuple(scaled))).tail == h.tail
 
     @settings(max_examples=60, deadline=None)
     @given(poly_strategy())

@@ -497,6 +497,21 @@ class TestQuotient:
                 assert np.allclose(q.osc(r, th), e.osc(r, th + psi), rtol=0, atol=1e-13 * scale)
                 assert np.allclose(q.osc_terms(r, th), e.osc_terms(r, th + psi), atol=1e-13 * scale)
 
+    def test_oracle_follows_the_snapped_coefficients(self):
+        # the oracle's terms are derived from the c_j of the expansion, so
+        # after the snap its phases are exact multiples of pi and its cross
+        # sum agrees with the Fourier path of the same c_j
+        rng = np.random.default_rng(8)
+        th = np.linspace(-math.pi, math.pi, 64, endpoint=False)
+        for deg in (1, 2, 3, 5, 12):
+            psi, q = on_axis(expand(symmetric_poly(rng, deg)))
+            assert psi != 0.0
+            assert set(np.abs(q.cross_phas).tolist()) <= {0.0, math.pi}
+            for r in (0.1, 0.7):
+                fast = q.osc(r, th)
+                spread = fast.max() - fast.min()
+                assert np.max(np.abs(q.osc_terms(r, th) - fast)) <= 1e-13 * spread
+
     @pytest.mark.parametrize(
         "text,turn",
         [
@@ -793,6 +808,24 @@ class TestTrace:
             (s.r, s.theta, s.mod, s.curve_id) for s in b.samples
         ]
         assert (a.n_components, a.events, a.tangents) == (b.n_components, b.events, b.tangents)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_monomial_factor_moves_nothing(self, m):
+        # z^m p has the maximum modulus set of p, and the scan runs on the
+        # normalized tail: curves, events and their legitimacy are those of
+        # p bit for bit, and every modulus is multiplied by r^m.  Judged on
+        # |z^m p|^2, whose deficits shrink by a further r^{2m}, the two
+        # deaths at r = 0.73 read as not legitimate
+        p = parse_poly("1,-0.46371007639487644,0,0.4168358932402857,0.6057947718694515")
+        cfg = TraceConfig(r_min=1e-3, r_max=0.9, n_radii=99)
+        a, b = trace(p, cfg), trace(Polynomial((0j,) * m + p.coeffs), cfg)
+        assert (a.component_ids, a.events) == (b.component_ids, b.events)
+        assert sum(ev.legitimate is True for ev in a.events) == 2
+        assert [(s.r, s.theta, s.curve_id) for s in a.samples] == [
+            (s.r, s.theta, s.curve_id) for s in b.samples
+        ]
+        for s, t in zip(a.samples, b.samples):
+            assert t.mod == pytest.approx(s.r**m * s.mod, rel=4 * np.finfo(float).eps)
 
     def test_trace_mu_two(self):
         res = trace(parse_poly("1,0,0,0,1,0,1"), TraceConfig(r_min=1e-2, r_max=0.3, n_radii=40))
