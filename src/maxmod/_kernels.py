@@ -1,12 +1,12 @@
-"""Hot numeric kernels over theta grids, in NumPy.
+"""Numeric kernels of the modulus evaluations, in NumPy.
 
 ``fourier_sum`` evaluates ``sum_{n=1}^{D} C_n e^{i n theta}`` by one Horner
 pass in ``w = e^{i theta}``, O(deg) work per angle; with the Fourier
 coefficients ``C_n`` of ``|1 + q|^2`` it gives the theta-dependent part of
 the squared modulus and its theta-derivatives.  ``osc_sum`` is the
-compensated cosine-term sum of the paper's expansion, O(deg^2) per angle;
-it evaluates ``mod2`` and is the oracle the Fourier path is tested
-against.  ``radial_sum`` and ``radial_sum_sq`` evaluate the theta-free sums
+compensated cosine-term sum of the paper's expansion, O(deg^2) per angle,
+used only as the oracle the Fourier path is tested against.
+``radial_sum`` and ``radial_sum_sq`` evaluate the theta-free sums
 ``sum_t a_t r^{p_t}`` and ``sum_t (a_t r^{p_t})^2`` for one radius or many,
 and ``power_terms`` the products ``a r^p 2^s`` they sum, one by one.
 """

@@ -36,9 +36,8 @@ import numpy as np
 from . import _kernels
 from .errors import ZeroPolynomialError
 from .poly import Polynomial, lead_ratios
-from .util import reduce_angle
+from .util import EPS, reduce_angle
 
-EPS = float(np.finfo(float).eps)
 # on_axis accepts a reflection axis psi when every |Im(c_l e^{i l psi})| is at
 # most AXIS_ULPS (l + 1) EPS |c_l|
 AXIS_ULPS = 8

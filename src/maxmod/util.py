@@ -1,4 +1,4 @@
-"""Small shared helpers: angle reduction and canonical JSON."""
+"""Small shared helpers: machine epsilon, angle reduction and canonical JSON."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 
+EPS = float(np.finfo(float).eps)
 TWO_PI = 2.0 * math.pi
 _FOLD_EDGES = np.array([-math.pi, math.pi])
 _FOLD = np.array([-TWO_PI, 0.0, TWO_PI])

@@ -19,6 +19,7 @@ from maxmod import (
     brute_force_mset,
     circle_argmax,
     classify,
+    direct_mod2,
     expand,
     floor_radius,
     normalize,
@@ -30,18 +31,8 @@ from maxmod import (
 )
 from maxmod.cli import _sample_member
 from maxmod.modulus import ModulusExpansion, on_axis
-from maxmod.tracer import (
-    EIGEN_DEGREE,
-    NEWTON_MAX_ITER,
-    ON_CIRCLE,
-    _critical_points,
-    _derivative_roots,
-    _fit_tangent,
-    _half_angle_coef,
-    _link,
-    _scan_circles,
-    radius_schedule,
-)
+from maxmod.roots import EIGEN_DEGREE, ON_CIRCLE, _derivative_roots, _solve_coef, critical_points
+from maxmod.tracer import NEWTON_MAX_ITER, _fit_tangent, _link, _scan_circles, radius_schedule
 from maxmod.util import circ_dist, reduce_angle
 
 
@@ -206,13 +197,13 @@ class TestBatchedScan:
                 return _method(self, r)
 
             monkeypatch.setattr(ModulusExpansion, name, counted)
-        companion_roots = maxmod.tracer._companion_roots
+        companion_roots = maxmod.roots._companion_roots
 
         def solved(coef):
             rows["eigen"] += coef.shape[0]
             return companion_roots(coef)
 
-        monkeypatch.setattr(maxmod.tracer, "_companion_roots", solved)
+        monkeypatch.setattr(maxmod.roots, "_companion_roots", solved)
         trace(parse_poly(DEGREE_8), TraceConfig(n_radii=200))
         assert rows["fourier"] == 200
         assert 0 < rows["fourier_dr"] <= rows["eigen"] <= 50
@@ -242,14 +233,14 @@ class TestBatchedScan:
         # between anchors: the Aberth roots of some followers fail the
         # certificate, and their eigenvalue solve keeps the trace whole
         rejected = []
-        aberth = maxmod.tracer._aberth
+        aberth = maxmod.roots._aberth
 
         def counted(coef, t):
             roots, ok = aberth(coef, t)
             rejected.append(int(np.count_nonzero(~ok)))
             return roots, ok
 
-        monkeypatch.setattr(maxmod.tracer, "_aberth", counted)
+        monkeypatch.setattr(maxmod.roots, "_aberth", counted)
         res = trace(parse_poly(DEGREE_8), TraceConfig(r_max=0.9))
         assert sum(rejected) >= 1
         assert {s.curve_id for s in res.samples} == {0}
@@ -262,11 +253,11 @@ class TestPredictor:
         # certified roots than the anchor's roots themselves, for most roots
         # of seeded polynomials of degree 2-16, a third of them real
         groups = []
-        euler_start = maxmod.tracer._euler_start
-        aberth = maxmod.tracer._aberth
+        euler_start = maxmod.roots._euler_start
+        aberth = maxmod.roots._aberth
 
-        def record_start(e, d, odd, lead_a, t_a, r_a, near, r):
-            start = euler_start(e, d, odd, lead_a, t_a, r_a, near, r)
+        def record_start(fourier_dr, d, odd, lead_a, t_a, r_a, near, r):
+            start = euler_start(fourier_dr, d, odd, lead_a, t_a, r_a, near, r)
             groups.append((t_a[near], start, []))
             return start
 
@@ -275,8 +266,8 @@ class TestPredictor:
             groups[-1][2].append((roots, ok))
             return roots, ok
 
-        monkeypatch.setattr(maxmod.tracer, "_euler_start", record_start)
-        monkeypatch.setattr(maxmod.tracer, "_aberth", record_roots)
+        monkeypatch.setattr(maxmod.roots, "_euler_start", record_start)
+        monkeypatch.setattr(maxmod.roots, "_aberth", record_roots)
         rng = np.random.default_rng(20261019)
         for case in range(18):
             deg = int(rng.integers(2, 17))
@@ -286,7 +277,7 @@ class TestPredictor:
             p = Polynomial(tuple(complex(x) for x in c))
             lo = max(1e-2, 2 * floor_radius(normalize(p)))
             e, radii = expand(p), np.geomspace(0.9, lo, 100)
-            _derivative_roots(e, radii, e.fourier(radii))
+            _derivative_roots(e.fourier(radii), radii, e.fourier_dr)
         closer = moved = 0
         for anchor, start, blocks in groups:
             if not blocks:
@@ -310,17 +301,17 @@ class TestPredictor:
         # fallbacks stay few.  Near r = 0.05 only C_2 is kept and S is
         # linear: those circles are all eigen-solved by design and not counted
         rows = []
-        companion_roots = maxmod.tracer._companion_roots
+        companion_roots = maxmod.roots._companion_roots
 
         def solved(coef):
             if coef.shape[1] - 1 > EIGEN_DEGREE:
                 rows.append(coef.shape[0])
             return companion_roots(coef)
 
-        monkeypatch.setattr(maxmod.tracer, "_companion_roots", solved)
+        monkeypatch.setattr(maxmod.roots, "_companion_roots", solved)
         e = expand(parse_poly(CROWDED))
         radii = np.geomspace(0.95, 0.05, n_radii)
-        _derivative_roots(e, radii, e.fourier(radii))
+        _derivative_roots(e.fourier(radii), radii, e.fourier_dr)
         assert 0 < sum(rows) <= bound
 
 
@@ -335,7 +326,7 @@ def full_solve(e: ModulusExpansion, radii: np.ndarray) -> list[np.ndarray]:
     out = []
     for row in nc:
         d = int(np.flatnonzero(np.abs(row) > eps * np.abs(row).max())[-1]) + 1
-        coef = _half_angle_coef(row[None, :d], d)[0]
+        coef = _solve_coef(row[None, :d], d, False)[0]
         j = 2 * d
         while j > 0 and any(abs(coef[j]) < eps ** (j - k) * abs(coef[k]) for k in range(j)):
             j -= 1
@@ -394,7 +385,7 @@ class TestQuotient:
             assert not quotient.c.imag.any(), p
             lo = max(1e-2, 2 * floor_radius(normalize(p)))
             radii = np.geomspace(0.9, lo, 60)
-            ridx, theta = _critical_points(quotient, radii, quotient.fourier(radii))
+            ridx, theta = critical_points(quotient.fourier(radii), radii, quotient.fourier_dr)
             theta = reduce_angle(theta + psi)
             n_max, maxima, _, _, _ = _scan_circles(quotient, radii)
             maxima = reduce_angle(maxima + psi)
@@ -466,7 +457,7 @@ class TestQuotient:
         e = expand(p)
         cfg = TraceConfig(r_min=max(1e-3, 2 * floor_radius(normalize(p))), r_max=0.6)
         radii = radius_schedule(cfg)
-        ridx, theta = _critical_points(e, radii, e.fourier(radii))
+        ridx, theta = critical_points(e.fourier(radii), radii, e.fourier_dr)
         n_max, maxima, _, _, _ = _scan_circles(e, radii)
         for i, scan in enumerate(np.split(maxima, np.cumsum(n_max)[:-1])):
             crit = np.where(theta[ridx == i] == -math.pi, math.pi, theta[ridx == i])
@@ -582,7 +573,7 @@ class TestCriticalPoints:
             e = expand(p)
             n_max, thetas, _, _, _ = _scan_circles(e, radii)
             scans = np.split(thetas, np.cumsum(n_max)[:-1])
-            ridx, theta = _critical_points(e, radii, e.fourier(radii))
+            ridx, theta = critical_points(e.fourier(radii), radii, e.fourier_dr)
             _, d2 = e.d1d2(radii[ridx], theta)
             for i, (r, scan) in enumerate(zip(radii, scans)):
                 is_max = d2[ridx == i] < 0
@@ -613,11 +604,11 @@ class TestCriticalPoints:
             lo = max(1e-2, 2 * floor_radius(normalize(p)))
             radii = np.geomspace(0.9, lo, 100)
             e = expand(p)
-            ridx, theta = _critical_points(e, radii, e.fourier(radii))
+            ridx, theta = critical_points(e.fourier(radii), radii, e.fourier_dr)
             for i in range(radii.size):
                 got = theta[ridx == i]
                 one = radii[i : i + 1]
-                _, alone = _critical_points(e, one, e.fourier(one))
+                _, alone = critical_points(e.fourier(one), one, e.fourier_dr)
                 if min(close_gap(got), close_gap(alone)) <= 1e-3:
                     continue
                 assert got.size == alone.size, (p, radii[i])
@@ -638,7 +629,7 @@ class TestCriticalPoints:
             poly = P.polymul(P.polypow([1, 1j], d + n), P.polypow([1, -1j], d - n))
             want += (nc[:, n - 1, None] * poly).imag
             scale += np.abs(nc[:, n - 1, None]) * np.abs(poly)
-        got = _half_angle_coef(nc, d)
+        got = _solve_coef(nc, d, False)
         assert np.all(np.abs(got - want) <= 8 * d * np.finfo(float).eps * scale)
 
     @pytest.mark.parametrize("text", REAL_POLYS)
@@ -648,7 +639,7 @@ class TestCriticalPoints:
         # circle gets theta = pi itself (as -pi) from the dropped order
         e = expand(parse_poly(text))
         radii = radius_schedule(TraceConfig(r_min=1e-2, r_max=0.9, n_radii=60))
-        ridx, theta = _critical_points(e, radii, e.fourier(radii))
+        ridx, theta = critical_points(e.fourier(radii), radii, e.fourier_dr)
         assert np.all(np.bincount(ridx[theta == -math.pi], minlength=radii.size) == 1)
 
     @pytest.mark.parametrize(
@@ -665,7 +656,7 @@ class TestCriticalPoints:
         # other root stays far outside it, even across folds
         e = expand(parse_poly(text))
         radii = radius_schedule(cfg)
-        roots = _derivative_roots(e, radii, e.fourier(radii))
+        roots = _derivative_roots(e.fourier(radii), radii, e.fourier_dr)
         dist = np.concatenate([np.abs(np.abs(w) - 1.0).ravel() for _, w in roots])
         on = dist < ON_CIRCLE
         assert on.any() and np.all(dist[on] <= 1e-10)
@@ -679,7 +670,7 @@ class TestCriticalPoints:
         # the root solve puts it at theta = pi
         e = expand(parse_poly(text))
         radii = np.array([0.3, 0.1])
-        ridx, theta = _critical_points(e, radii, e.fourier(radii))
+        ridx, theta = critical_points(e.fourier(radii), radii, e.fourier_dr)
         for i in range(radii.size):
             got = np.sort(np.abs(theta[ridx == i]))
             assert np.allclose(got, [0.0, math.pi], rtol=0, atol=1e-15)
@@ -689,11 +680,11 @@ class TestCriticalPoints:
         # failure, not an IndexError
         e = expand(parse_poly("1,0,1,1i"))
         radii = np.array([0.2, 0.1])
-        ridx, theta = _critical_points(e, radii, e.fourier(radii))
+        ridx, theta = critical_points(e.fourier(radii), radii, e.fourier_dr)
         _, d2 = e.d1d2(radii[ridx], theta)
         keep = (ridx == 0) | (d2 >= 0)
         monkeypatch.setattr(
-            maxmod.tracer, "_critical_points", lambda e, radii, cn: (ridx[keep], theta[keep])
+            maxmod.roots, "critical_points", lambda cn, radii, dr: (ridx[keep], theta[keep])
         )
         with pytest.raises(maxmod.RefinementFailureError) as exc:
             _scan_circles(e, radii)
@@ -1096,6 +1087,15 @@ class TestAtInfinity:
         cfg = TraceConfig(r_min=1e-3, r_max=0.2, n_radii=60)
         res = trace_at_infinity(parse_poly("1i,1,0,1"), cfg)
         assert res.inverted and res.n_components == 2
+
+    @pytest.mark.parametrize("text", ["2,0,0,4", "1,0.3,-0.2i,0.5,2"])
+    def test_mod_is_that_of_the_reciprocal(self, text):
+        # an inverted sample w stands for 1/w and carries |w^n p(1/w)|, the
+        # modulus of the traced reciprocal, not that of its normalized tail
+        q = reciprocal(parse_poly(text))
+        res = trace_at_infinity(parse_poly(text), TraceConfig(r_min=1e-3, r_max=0.3, n_radii=20))
+        for s in res.samples:
+            assert s.mod == pytest.approx(math.sqrt(direct_mod2(q, s.r, s.theta)), rel=1e-13)
 
     def test_involution_revisits(self):
         p = parse_poly("1,0,1,1i")
