@@ -82,12 +82,25 @@ class Classification:
         return out
 
 
-def omega_angles(h: HaymanForm) -> np.ndarray:
-    """Candidate tangent angles ``(2 j pi - arg a)/k`` reduced to (-pi, pi]."""
+def _omega_list(h: HaymanForm) -> list[float]:
+    """The k candidate angles as Python floats, each folded by the scalar
+    path of :func:`~maxmod.util.reduce_angle`."""
     arg_a = cmath.phase(h.a)
-    j = np.arange(h.k, dtype=float)
-    out = reduce_angle((2.0 * j * math.pi - arg_a) / h.k)
-    out = np.atleast_1d(out)
+    k = h.k
+    return [reduce_angle((2.0 * j * math.pi - arg_a) / k) for j in range(k)]
+
+
+def omega_angles(h: HaymanForm) -> np.ndarray:
+    """Candidate tangent angles ``(2 j pi - arg a)/k`` reduced to (-pi, pi],
+    as a read-only array.
+
+    Each angle is formed and folded on Python floats.  The operations and
+    their order are those of the array formula
+    ``reduce_angle((2 pi j - arg a)/k)`` over ``j = 0, ..., k-1``, and the
+    scalar fold agrees with the array fold bit for bit, so the angles are
+    the array formula's bits.
+    """
+    out = np.array(_omega_list(h))
     out.setflags(write=False)
     return out
 
@@ -151,7 +164,7 @@ def predict_J(h: HaymanForm) -> PredictedJ:
     a heuristic for exceptional ones.
     """
     k = h.k
-    omega = omega_angles(h)
+    omega = _omega_list(h)
     j_set = list(range(k))
     history = []
     for n in h.tail.nonzero_exponents():
@@ -178,22 +191,23 @@ def predict_J(h: HaymanForm) -> PredictedJ:
 def classify(p: Polynomial) -> Classification:
     """Full coefficient-level report for a polynomial.
 
-    ``mu`` and ``N`` come from :func:`~maxmod.poly.normalize`; the resonance
-    scan and the survivor recursion (:func:`predict_J`) run once each.  For
-    a non-exceptional input the survivor set is proven to be one residue
-    class mod k/mu with mu elements, and any other set is an internal error.
-    Monomial inputs are rejected: their maximum modulus set is the whole
-    plane and there is nothing to classify.
+    ``mu`` and ``N`` come from :func:`~maxmod.poly.normalize`, and the
+    resonance scan runs once.  The survivor recursion (:func:`predict_J`)
+    runs once for a non-exceptional input and not at all for an exceptional
+    one, whose report does not read it.  For a non-exceptional input the
+    survivor set is proven to be one residue class mod k/mu with mu
+    elements, and any other set is an internal error.  ``omega`` holds the
+    bits of :func:`omega_angles`, folded on Python floats.  Monomial inputs
+    are rejected: their maximum modulus set is the whole plane and there is
+    nothing to classify.
     """
     h = normalize(p)
     if isinstance(h, MonomialVerdict):
         raise MonomialAllPlaneError("the maximum modulus set of a monomial is the whole plane")
     k, mu = h.k, h.mu
-    omega = omega_angles(h)
     exceptional, witnesses, near = _exceptional_scan(h)
-    pj = predict_J(h)
     if not exceptional:
-        j_set = list(pj.j_set)
+        j_set = list(predict_J(h).j_set)
         step = k // mu
         expected = set(range(min(j_set), k, step)) if j_set else set()
         if len(j_set) != mu or set(j_set) != expected:
@@ -225,7 +239,7 @@ def classify(p: Polynomial) -> Classification:
     return Classification(
         mu=mu,
         N=h.N,
-        omega=tuple(float(w) for w in omega),
+        omega=tuple(_omega_list(h)),
         exceptional=exceptional,
         witnesses=witnesses,
         magic=magic,

@@ -20,7 +20,15 @@ import numpy as np
 from . import __version__
 from .classify import MAGIC, Classification, classify
 from .errors import ConfigError, MaxmodError, PolyParseError
-from .poly import Polynomial, format_poly, normalize, parse_poly, poly_from_json, reciprocal
+from .poly import (
+    Polynomial,
+    format_poly,
+    json_float,
+    normalize,
+    parse_poly,
+    poly_from_json,
+    reciprocal,
+)
 from .svg import write_svg
 from .tracer import (
     MAX_RADII,
@@ -47,10 +55,10 @@ def _load_poly(args) -> Polynomial:
     elif args.poly_file:
         with open(args.poly_file, "r", encoding="utf-8") as fh:
             try:
-                data = json.load(fh)
+                data = json.load(fh, parse_float=json_float)
             except json.JSONDecodeError as ex:
                 raise PolyParseError(args.poly_file, ex.pos, f"invalid JSON: {ex.msg}") from ex
-            except ValueError as ex:  # not UTF-8, or an integer too long to convert
+            except ValueError as ex:  # not UTF-8, a too long integer, an underflowing float
                 raise PolyParseError(args.poly_file, 0, str(ex)) from ex
         p = poly_from_json(data)
     else:
@@ -212,6 +220,8 @@ def _hunt_one(family: str, p: Polynomial, on_locus: bool) -> dict:
 def cmd_hunt(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"need --seed >= 0, got {args.seed}")
+    if args.samples < 0:
+        raise ConfigError(f"need --samples >= 0, got {args.samples}")
     if args.samples > MAX_SAMPLES:
         raise ConfigError(f"need --samples <= {MAX_SAMPLES}, got {args.samples}")
     rng = np.random.default_rng(args.seed)
@@ -277,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=int,
         default=100,
-        help=f"number of sampled polynomials (at most {MAX_SAMPLES})",
+        help=f"number of sampled polynomials (0-{MAX_SAMPLES})",
     )
     p_h.add_argument("--seed", type=int, default=0)
     p_h.add_argument("--out", required=True, help="findings file (one JSON object per line)")

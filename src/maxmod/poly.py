@@ -35,7 +35,7 @@ class Polynomial:
     truncated: bool = False
 
     def __post_init__(self):
-        cs = tuple(complex(c) for c in self.coeffs)
+        cs = tuple(map(complex, self.coeffs))
         end = len(cs)
         while end > 0 and cs[end - 1] == 0:
             end -= 1
@@ -161,6 +161,17 @@ def reciprocal(p: Polynomial) -> Polynomial:
 
 _NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _COEFF_RE = re.compile(rf"^(?P<s1>[+-])?(?P<n1>{_NUM})?(?:(?P<s2>[+-])?(?P<n2>{_NUM})?(?P<i>i))?$")
+# a nonzero digit before the exponent: the literal names a nonzero number
+_NONZERO_MANTISSA = re.compile(r"[^eE]*[1-9]")
+
+
+def _underflows(literal: str) -> bool:
+    """Whether a float literal names a nonzero number that rounds to 0.0.
+
+    ``Polynomial`` trims only exact zeros, because the classification is
+    discontinuous at 0, so such a literal would silently drop its term.
+    Subnormals such as ``1e-320`` are nonzero floats and pass."""
+    return float(literal) == 0.0 and _NONZERO_MANTISSA.match(literal) is not None
 
 
 def _signed(sign: str | None, digits: str) -> float:
@@ -172,6 +183,8 @@ def parse_coeff(token: str, position: int = 0) -> complex:
     m = _COEFF_RE.fullmatch(text)
     if not m or not text:
         raise PolyParseError(token, position)
+    if any(g is not None and _underflows(g) for g in m.group("n1", "n2")):
+        raise PolyParseError(token, position, "nonzero literal underflows to 0.0")
     if m.group("i"):
         if m.group("s2") is None and m.group("n2") is None:
             # the leading part is the imaginary magnitude: "1i", "-i", "i"
@@ -193,6 +206,15 @@ def parse_coeff(token: str, position: int = 0) -> complex:
 def parse_poly(text: str) -> Polynomial:
     tokens = text.split(",")
     return Polynomial(tuple(parse_coeff(tok, i) for i, tok in enumerate(tokens)))
+
+
+def json_float(literal: str) -> float:
+    """``parse_float`` hook for ``json.load`` of a polynomial file: the
+    float of ``literal``.  A nonzero literal that underflows raises
+    ``ValueError``, as ``float`` does on a literal it cannot read."""
+    if _underflows(literal):
+        raise ValueError(f"nonzero literal {literal} underflows to 0.0")
+    return float(literal)
 
 
 def poly_from_json(data) -> Polynomial:

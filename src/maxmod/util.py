@@ -20,8 +20,19 @@ def reduce_angle(theta):
     ``reduce_angle(-x) == -reduce_angle(x)`` unless the result is pi, the
     image of -pi.  ``fmod`` by the float 2 pi is exact and odd, and folding
     its result into (-pi, pi] adds or subtracts 2 pi once, exactly by
-    Sterbenz's lemma.
+    Sterbenz's lemma.  A finite float (``float`` or ``np.float64``) is
+    folded with ``math.fmod`` and one comparison chain, an array or a
+    non-finite scalar with ``np.fmod`` and ``searchsorted``; both pick the
+    same fold for the same ``fmod`` result, so they agree bit for bit,
+    the sign of a zero included.
     """
+    if isinstance(theta, float) and math.isfinite(theta):
+        r = math.fmod(theta, TWO_PI)
+        if r <= -math.pi:
+            return r - -TWO_PI
+        if r > math.pi:
+            return r - TWO_PI
+        return r  # the array path's r - 0.0, which is r, -0.0 included
     r = np.fmod(theta, TWO_PI)
     # r <= -pi, -pi < r <= pi and pi < r subtract -2 pi, 0.0 and 2 pi;
     # r - 0.0 keeps the sign of a zero

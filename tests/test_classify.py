@@ -20,7 +20,7 @@ from maxmod import (
     predict_J,
 )
 from maxmod.classify import MAGIC, NOT_MAGIC, UNKNOWN
-from maxmod.util import canonical_json, circ_dist
+from maxmod.util import canonical_json, circ_dist, reduce_angle
 
 
 def unit_arg():
@@ -54,6 +54,23 @@ class TestOmegaAngles:
         raw = (2 * np.arange(k) * math.pi - cmath.phase(polar(rho, phi))) / k
         assert np.allclose(np.diff(raw), 2 * math.pi / k)
         assert np.allclose(circ_dist(w, raw), 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", range(1, 41))
+    def test_bits_of_the_array_formula(self, k):
+        # the angles are folded on Python floats, yet carry the bits of the
+        # array formula reduce_angle((2 pi j - arg a)/k) over an array of j
+        rng = np.random.default_rng(k)
+        leads = [1, -1, 1j, -1j] + [polar(rng.uniform(0.1, 10), rng.uniform(-4, 4)) for _ in range(3)]
+        for a in leads:
+            h = normalize(Polynomial((1,) + (0,) * (k - 1) + (a,)))
+            j = np.arange(k, dtype=float)
+            want = np.atleast_1d(reduce_angle((2.0 * j * math.pi - cmath.phase(h.a)) / k))
+            w = omega_angles(h)
+            assert w.dtype == np.float64 and not w.flags.writeable
+            assert w.tobytes() == want.tobytes()
+            omega = classify(h.tail).omega
+            assert omega == tuple(w.tolist())
+            assert np.array(omega).tobytes() == want.tobytes()
 
 
 class TestExceptional:
@@ -265,10 +282,10 @@ class TestTruncatedClassification:
 
 
 class TestCoefficientFactsOnce:
-    def test_one_scan_per_classify(self, monkeypatch):
-        # normalize derives mu and N; classify runs the resonance scan and
-        # the survivor recursion once each, and walks the exponents at most
-        # twice (once in normalize, once in predict_J)
+    @staticmethod
+    def count_calls(monkeypatch, poly):
+        """Classify ``poly`` and count the resonance scans, survivor
+        recursions and exponent walks it makes."""
         module = sys.modules["maxmod.classify"]
         calls = {"_exceptional_scan": 0, "predict_J": 0, "nonzero_exponents": 0}
         for name in ("_exceptional_scan", "predict_J"):
@@ -286,8 +303,23 @@ class TestCoefficientFactsOnce:
             return exponents(self)
 
         monkeypatch.setattr(Polynomial, "nonzero_exponents", counted_exponents)
-        c = classify(parse_poly("1,0,1,1i,0,2,0,0.5,1"))
+        return classify(parse_poly(poly)), calls
+
+    def test_one_scan_per_classify(self, monkeypatch):
+        # normalize derives mu and N; classify runs the resonance scan once
+        # and, on an exceptional input, whose report does not read the
+        # survivors, no survivor recursion
+        c, calls = self.count_calls(monkeypatch, "1,0,1,1i,0,2,0,0.5,1")
         assert c.exceptional and (c.mu, c.N) == (1, 3)
+        assert calls["_exceptional_scan"] == 1
+        assert calls["predict_J"] == 0
+        assert calls["nonzero_exponents"] <= 2
+
+    def test_one_recursion_when_not_exceptional(self, monkeypatch):
+        # a non-exceptional input runs the recursion once, and the exponents
+        # are walked at most twice (once in normalize, once in predict_J)
+        c, calls = self.count_calls(monkeypatch, "1,0,1,1,0,2,0,0.5,1")
+        assert not c.exceptional and (c.mu, c.N) == (1, 3)
         assert calls["_exceptional_scan"] == 1
         assert calls["predict_J"] == 1
         assert calls["nonzero_exponents"] <= 2

@@ -397,6 +397,9 @@ class TestTraceCommand:
             (("trace", "--poly", "1,0,1,1i", "--grid=--"), None),
             (("trace", "--poly", "1,0,1,1i", "--radii", "100001"), None),
             (("hunt", "--family", "cubic", "--samples", "100001", "--out", "{file}"), None),
+            (("hunt", "--family", "cubic", "--samples", "-1", "--out", "{file}"), None),
+            (("classify", "--poly", "1,1e-400"), None),
+            (("classify", "--poly-file", "{file}"), b'{"coeffs": [[1,0],[1e-400,0]]}'),
         ],
         ids=[
             "rmin-above-rmax",
@@ -423,6 +426,9 @@ class TestTraceCommand:
             "option-double-dash",
             "radii-above-max",
             "hunt-samples-above-max",
+            "hunt-negative-samples",
+            "coeff-underflow",
+            "json-underflow",
         ],
     )
     def test_bad_input_exit_2(self, capsys, tmp_path, argv, content):
@@ -447,8 +453,9 @@ class TestTraceCommand:
                 ("hunt", "--family", "cubic", "--samples", "100001"),
                 "need --samples <= 100000, got 100001",
             ),
+            (("hunt", "--family", "cubic", "--samples", "-1"), "need --samples >= 0, got -1"),
         ],
-        ids=["rmin", "radii", "grid", "hunt-seed", "hunt-samples"],
+        ids=["rmin", "radii", "grid", "hunt-seed", "hunt-samples", "hunt-negative-samples"],
     )
     def test_config_error_text(self, capsys, tmp_path, argv, message):
         if argv[0] == "hunt":

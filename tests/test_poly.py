@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from maxmod import (
     poly_from_json,
     reciprocal,
 )
+from maxmod.poly import json_float
 
 
 def coeff_strategy():
@@ -80,6 +82,26 @@ class TestParsing:
             parse_poly("1,0,@@")
         assert exc.value.position == 2
         assert "@@" in str(exc.value)
+
+    @pytest.mark.parametrize("literal", ["1e-400", "1e-400i", "1e-400+1i", "1-1e-400i", ".5e-999"])
+    def test_underflowing_literal_rejected(self, literal):
+        # Polynomial trims only exact zeros, so a nonzero literal read as 0.0
+        # would silently drop its term
+        with pytest.raises(PolyParseError, match="underflows") as exc:
+            parse_poly(f"1,0,{literal}")
+        assert exc.value.position == 2
+
+    @pytest.mark.parametrize("literal", ["1e-400", "-2.5E-999", "0.001e-330"])
+    def test_underflowing_json_literal_rejected(self, literal):
+        with pytest.raises(ValueError, match="underflows"):
+            json.loads(f'{{"coeffs": [[1, 0], [0, {literal}]]}}', parse_float=json_float)
+
+    @pytest.mark.parametrize("literal", ["1e-320", "0e-400", "0.000e-999", "-0.0", "5e-324"])
+    def test_subnormal_and_zero_literals_accepted(self, literal):
+        value = float(literal)
+        assert parse_poly(f"1,0,{literal}").coeffs[2:] == ((value,) if value else ())
+        doc = json.loads(f'{{"coeffs": [[1, 0], [0, 0], [{literal}, 0]]}}', parse_float=json_float)
+        assert poly_from_json(doc).coeffs == parse_poly(f"1,0,{literal}").coeffs
 
     def test_json_format(self):
         p = poly_from_json({"coeffs": [[1, 0], [0, 0], [1, 0], [0, 1]]})

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -8,6 +9,27 @@ from maxmod.util import TWO_PI, circ_dist, reduce_angle
 
 in_range = st.floats(min_value=-math.pi, max_value=math.pi).filter(lambda x: x != -math.pi)
 angles = st.floats(min_value=-1e6, max_value=1e6)
+huge = st.floats(min_value=-1e300, max_value=1e300)
+# the fold's edges and the zeros: where the scalar and the array path could
+# first part ways
+EDGES = [
+    0.0,
+    -0.0,
+    math.pi,
+    -math.pi,
+    math.nextafter(math.pi, 0.0),
+    math.nextafter(math.pi, math.inf),
+    math.nextafter(-math.pi, 0.0),
+    math.nextafter(-math.pi, -math.inf),
+    TWO_PI,
+    -TWO_PI,
+    3 * math.pi,
+    -3 * math.pi,
+]
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
 
 
 class TestReduceAngle:
@@ -32,6 +54,38 @@ class TestReduceAngle:
         assert reduce_angle(-0.3) == -0.3
         assert reduce_angle(-math.pi) == reduce_angle(math.pi) == math.pi
         assert reduce_angle(np.array([3 * math.pi, -3 * math.pi])).tolist() == [math.pi] * 2
+
+
+class TestScalarFold:
+    """A finite float is folded on Python floats; an array with NumPy.  The
+    two must agree bit for bit, the sign of a zero included."""
+
+    @staticmethod
+    def assert_same_bits(x):
+        y = reduce_angle(x)
+        assert type(y) is float
+        assert bits(y) == bits(reduce_angle(np.array([x]))[0])
+
+    @given(angles | huge)
+    def test_moderate_and_huge_angles(self, x):
+        self.assert_same_bits(x)
+
+    @pytest.mark.parametrize("x", EDGES)
+    def test_edges(self, x):
+        self.assert_same_bits(x)
+        self.assert_same_bits(np.float64(x))
+
+    def test_zero_keeps_its_sign(self):
+        assert bits(reduce_angle(-0.0)) == bits(-0.0)
+        assert bits(reduce_angle(0.0)) == bits(0.0)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_gives_nan(self, x):
+        # math.fmod raises ValueError on inf, so inf must take the array path
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(reduce_angle(x))
+            assert math.isnan(reduce_angle(np.float64(x)))
+            assert np.isnan(reduce_angle(np.array([x]))).all()
 
 
 class TestCircDist:
