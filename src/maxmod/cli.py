@@ -57,12 +57,15 @@ def _load_poly(args) -> Polynomial:
             try:
                 data = json.load(fh, parse_float=json_float)
             except json.JSONDecodeError as ex:
-                raise PolyParseError(args.poly_file, ex.pos, f"invalid JSON: {ex.msg}") from ex
+                where = f"line {ex.lineno}, column {ex.colno}"
+                raise PolyParseError(
+                    f"file {args.poly_file!r}", None, f"invalid JSON at {where}: {ex.msg}"
+                ) from ex
             except ValueError as ex:  # not UTF-8, a too long integer, an underflowing float
-                raise PolyParseError(args.poly_file, 0, str(ex)) from ex
+                raise PolyParseError(f"file {args.poly_file!r}", None, str(ex)) from ex
         p = poly_from_json(data)
     else:
-        raise PolyParseError("<missing>", 0, "provide --poly or --poly-file")
+        raise PolyParseError("the input", None, "none given; provide --poly or --poly-file")
     if args.truncated:
         p = Polynomial(p.coeffs, truncated=True)
     return p

@@ -12,13 +12,20 @@ class MaxmodError(Exception):
 
 
 class PolyParseError(MaxmodError):
+    """The coefficient ``token`` at index ``position`` cannot be read; with
+    ``position`` None, ``token`` names the whole input that cannot be read,
+    such as a file or the JSON document."""
+
     code = "ParseError"
     exit_code = 2
 
-    def __init__(self, token: str, position: int, reason: str = ""):
+    def __init__(self, token: str, position: int | None, reason: str = ""):
         self.token = token
         self.position = position
-        msg = f"cannot parse coefficient {token!r} at position {position}"
+        if position is None:
+            msg = f"cannot parse {token}"
+        else:
+            msg = f"cannot parse coefficient {token!r} at position {position}"
         if reason:
             msg += f": {reason}"
         super().__init__(msg)

@@ -12,6 +12,7 @@ import cmath
 import itertools
 import math
 import re
+import reprlib
 from dataclasses import dataclass
 
 from .errors import CoefficientRangeError, PolyParseError, TruncatedSeriesError, ZeroPolynomialError
@@ -223,20 +224,21 @@ def poly_from_json(data) -> Polynomial:
     An optional ``"truncated": true`` marks a truncated Taylor series.
     """
     if not isinstance(data, dict) or "coeffs" not in data:
-        raise PolyParseError(repr(data), 0, 'expected an object with a "coeffs" array')
+        raise PolyParseError("the JSON document", None, 'expected an object with a "coeffs" array')
     if not isinstance(data["coeffs"], (list, tuple)):
-        raise PolyParseError(repr(data["coeffs"]), 0, '"coeffs" must be an array')
+        raise PolyParseError("the JSON document", None, '"coeffs" must be an array')
     coeffs = []
     for i, pair in enumerate(data["coeffs"]):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise PolyParseError(repr(pair), i, "expected a [re, im] pair")
+            raise PolyParseError(reprlib.repr(pair), i, "expected a [re, im] pair")
         try:
             z = complex(float(pair[0]), float(pair[1]))
             finite = cmath.isfinite(z)
         except (TypeError, ValueError, OverflowError):
             finite = False
         if not finite:
-            raise PolyParseError(repr(pair), i, "expected a [re, im] pair of finite numbers")
+            reason = "expected a [re, im] pair of finite numbers"
+            raise PolyParseError(reprlib.repr(pair), i, reason)
         coeffs.append(z)
     return Polynomial(tuple(coeffs), truncated=bool(data.get("truncated", False)))
 

@@ -56,11 +56,9 @@ def render_svg(result: TraceResult, r_max: float) -> str:
         )
 
     curves: dict[int, list[str]] = {cid: [] for cid in result.component_ids}
-    for s2 in result.samples:
-        if s2.curve_id in curves:
-            curves[s2.curve_id].append(
-                f"{_f(s2.r * math.cos(s2.theta))} {_f(-s2.r * math.sin(s2.theta))}"
-            )
+    for r, t, cid in zip(result.sample_r, result.sample_theta, result.sample_curve):
+        if cid in curves:
+            curves[cid].append("%.6g %.6g" % (r * math.cos(t), -r * math.sin(t)))
     for cid, pts in curves.items():
         data = "M " + " L ".join(pts)
         color = PALETTE[cid % len(PALETTE)]

@@ -41,7 +41,9 @@ argmax, and dropping it keeps co-maximality decisions accurate at the
 
 from __future__ import annotations
 
+import functools
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -129,7 +131,11 @@ class TraceEvent:
 
 @dataclass(frozen=True)
 class TraceResult:
-    samples: tuple[CurveSample, ...]  # by curve id, then descending r
+    # the samples as columns, by curve id, then descending r
+    sample_r: tuple[float, ...]
+    sample_theta: tuple[float, ...]
+    sample_mod: tuple[float, ...]
+    sample_curve: tuple[int, ...]
     n_components: int
     component_ids: tuple[int, ...]
     tangents: tuple[TangentFit, ...]
@@ -140,8 +146,14 @@ class TraceResult:
     mu: int
     inverted: bool = False  # samples w stand for 1/w, with mod |w^n p(1/w)|
 
-    def curve_samples(self, curve_id: int) -> list[CurveSample]:
-        return [s for s in self.samples if s.curve_id == curve_id]
+    @functools.cached_property
+    def samples(self) -> tuple[CurveSample, ...]:
+        """The sample columns as :class:`CurveSample` rows, in their order;
+        built on first read, so a caller that reads only counts and tangents
+        builds none."""
+        return tuple(
+            map(CurveSample, self.sample_r, self.sample_theta, self.sample_mod, self.sample_curve)
+        )
 
 
 def radius_schedule(cfg: TraceConfig) -> np.ndarray:
@@ -171,16 +183,17 @@ def _refine_maxima(
     x0: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
+    tol: np.ndarray,
 ):
     """Hybrid Newton/bisection on d/dtheta of the cross sum, one solve for
     all maxima; maximum i starts at ``x0[i]`` on the circle of radius
     ``r[i]``, whose ``C_n`` are ``cn[i]``, inside the bracket
     ``[lo[i], hi[i]]`` on whose left edge the derivative is nonnegative and
-    on whose right edge it is nonpositive.
+    on whose right edge it is nonpositive.  It has converged where
+    ``|d/dtheta| <= tol[i]`` or the bracket is a few ulps wide.
     Only unconverged maxima are evaluated again.  Returns the refined angles
     and the second derivative at each.
     """
-    tol = NEWTON_TOL * np.maximum(e.d1_bound(r), 1e-300)
     lo = lo.copy()
     hi = hi.copy()
     x = x0.copy()
@@ -269,8 +282,11 @@ def _scan_circles(e: ModulusExpansion, radii: np.ndarray):
     if bad.any():
         worst = mx[np.argmax(bad)]
         raise RefinementFailureError(float(r[worst]), float(theta[worst]))
-    theta_mx, d2 = _refine_maxima(e, r[mx], cn[mx], theta[mx], mid_before[mx], mid[mx])
     ridx_mx = ridx[mx]
+    d1_tol = NEWTON_TOL * np.maximum(e.d1_bound(radii), 1e-300)
+    theta_mx, d2 = _refine_maxima(
+        e, r[mx], cn[mx], theta[mx], mid_before[mx], mid[mx], d1_tol[ridx_mx]
+    )
 
     # guard: a refined point must be a (weak) maximum
     d2_tol = NEWTON_TOL * np.maximum(e.d2_bound(radii), 1e-300)
@@ -360,7 +376,7 @@ def _fit_tangent(rs: np.ndarray, thetas: np.ndarray):
     """
     order = np.argsort(rs)
     rs = np.asarray(rs, dtype=float)[order]
-    th = np.unwrap(np.asarray(thetas, dtype=float)[order])
+    th = _unwrap(np.asarray(thetas, dtype=float)[order])
     window = rs <= 10.0 * rs[0]
     if window.sum() < 8:
         window = np.zeros_like(window)
@@ -371,15 +387,41 @@ def _fit_tangent(rs: np.ndarray, thetas: np.ndarray):
     if t_w.max() - t_w.min() < 1e-12:
         return float(reduce_angle(np.mean(t_w))), None, True
 
-    coef = np.polyfit(r_w, t_w, FIT_DEGREE)[::-1]  # c_0, c_1, ..., c_6
+    coef = _polyfit(r_w, t_w, FIT_DEGREE)[::-1]  # c_0, c_1, ..., c_6
     omega_hat = float(coef[0])
     ee = t_w - omega_hat
     if np.all(ee > 0) or np.all(ee < 0):
-        alpha_hat = float(np.polyfit(np.log(r_w), np.log(np.abs(ee)), 1)[0])
+        alpha_hat = float(_polyfit(np.log(r_w), np.log(np.abs(ee)), 1)[0])
     else:
         n = np.arange(1, FIT_DEGREE + 1)
         alpha_hat = float(n[np.argmax(np.abs(coef[1:]) * r_w[-1] ** n)])
     return float(reduce_angle(omega_hat)), alpha_hat, False
+
+
+def _unwrap(th: np.ndarray) -> np.ndarray:
+    """``np.unwrap(th)``, bit for bit.  Where no step reaches pi, as on
+    nearly every curve, ``np.unwrap`` only adds a zero correction to each
+    angle after the first, turning -0.0 into 0.0; that addition is all
+    that is done then."""
+    if not (np.abs(th[1:] - th[:-1]) < math.pi).all():
+        return np.unwrap(th)
+    th = th.copy()
+    th[1:] += 0.0
+    return th
+
+
+def _polyfit(x: np.ndarray, y: np.ndarray, deg: int) -> np.ndarray:
+    """``np.polyfit(x, y, deg)`` on float vectors, bit for bit, without its
+    argument checks: the Vandermonde columns scaled to unit norm, one
+    ``lstsq`` solve with ``rcond = len(x) eps``, and the scale divided out.
+    A rank-deficient fit warns as ``np.polyfit`` does."""
+    lhs = np.vander(x, deg + 1)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    c, _, rank, _ = np.linalg.lstsq(lhs, y, x.size * EPS)
+    if rank != deg + 1:
+        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
+    return c / scale
 
 
 def _match_cyclic(a: np.ndarray, b: np.ndarray):
@@ -446,9 +488,8 @@ def _link(n_max: np.ndarray, theta: np.ndarray) -> np.ndarray:
         i = np.arange(m)
         a = theta[starts[at - 1, None] + i]
         b = theta[starts[at, None] + i]
-        cost = np.stack(
-            [circ_dist(a, np.roll(b, -s, axis=1)).sum(axis=1) for s in range(m)], axis=1
-        )
+        # cost[step, s]: the displacement of the rotation by s, all s at once
+        cost = circ_dist(a[:, None, :], b[:, (i[:, None] + i) % m]).sum(axis=2)
         s = np.argmin(cost, axis=1)
         prev[starts[at, None] + (i + s[:, None]) % m] = starts[at - 1, None] + i
     for k in steps[~same].tolist():
@@ -460,12 +501,13 @@ def _link(n_max: np.ndarray, theta: np.ndarray) -> np.ndarray:
 
 def _chain_heads(ptr: np.ndarray) -> np.ndarray:
     """Pointer jumping: the head of every chain, where ``ptr`` points one
-    step back along the chain and a head points to itself."""
-    while True:
-        nxt = ptr[ptr]
-        if np.array_equal(nxt, ptr):
-            return ptr
-        ptr = nxt
+    step back along the chain and a head points to itself.  After j jumps
+    every pointer points 2^j steps back or to its head, and no chain is
+    longer than ``ptr.size``, so ``ptr.size.bit_length()`` jumps reach
+    every head."""
+    for _ in range(ptr.size.bit_length()):
+        ptr = ptr[ptr]
+    return ptr
 
 
 def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
@@ -562,15 +604,6 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
     amp = abs(w) * np.sqrt(np.maximum(mod2[sel], 0.0))
     with np.errstate(over="ignore"):  # inf only where |p| is beyond the float range
         sample_mod = _kernels.power_terms(amp, h.prefactor_power, sample_r, s)
-    samples = tuple(
-        map(
-            CurveSample,
-            sample_r.tolist(),
-            sample_theta.tolist(),
-            sample_mod.tolist(),
-            sample_curve.tolist(),
-        )
-    )
     per_curve = np.bincount(sample_curve)
     first = np.cumsum(per_curve) - per_curve
 
@@ -622,7 +655,10 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
                 )
 
     return TraceResult(
-        samples=samples,
+        sample_r=tuple(sample_r.tolist()),
+        sample_theta=tuple(sample_theta.tolist()),
+        sample_mod=tuple(sample_mod.tolist()),
+        sample_curve=tuple(sample_curve.tolist()),
         n_components=n_components,
         component_ids=component_ids,
         tangents=tuple(tangents),
@@ -646,13 +682,12 @@ def trace_at_infinity(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceR
 
 def write_csv(result: TraceResult, path: str) -> None:
     """One row per sample: ``r,theta,re,im,mod,curve_id`` (17 significant
-    digits), in the order of ``result.samples``: by curve id, then
+    digits), in the order of the sample columns: by curve id, then
     descending r."""
+    columns = (result.sample_r, result.sample_theta, result.sample_mod, result.sample_curve)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("r,theta,re,im,mod,curve_id\n")
-        for s in result.samples:
-            re_ = s.r * math.cos(s.theta)
-            im = s.r * math.sin(s.theta)
-            fh.write(
-                f"{s.r:.17g},{s.theta:.17g},{re_:.17g},{im:.17g},{s.mod:.17g},{s.curve_id}\n"
-            )
+        fh.writelines(
+            "%.17g,%.17g,%.17g,%.17g,%.17g,%d\n" % (r, t, r * math.cos(t), r * math.sin(t), m, cid)
+            for r, t, m, cid in zip(*columns)
+        )

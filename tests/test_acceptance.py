@@ -95,7 +95,7 @@ def test_criterion_01_figure_reproduction():
     res_a, t_a, res_b, t_b = fig1_traces()
     assert res_a.n_components == 2
     by_curve = [
-        {round(math.log(s.r), 9): s.theta for s in res_a.curve_samples(cid)}
+        {round(math.log(s.r), 9): s.theta for s in res_a.samples if s.curve_id == cid}
         for cid in res_a.component_ids
     ]
     shared = sorted(set(by_curve[0]) & set(by_curve[1]))

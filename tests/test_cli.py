@@ -463,6 +463,54 @@ class TestTraceCommand:
         assert run(capsys, *argv) == (2, "", f"error[Config]: {message}\n")
         assert not (tmp_path / "h.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            (
+                b'{"coeffs": [[1,0],[1e-400,0]]}',
+                "cannot parse file '{file}': nonzero literal 1e-400 underflows to 0.0",
+            ),
+            (
+                b'{"coeffs": [[1,0],[0,',
+                "cannot parse file '{file}': invalid JSON at line 1, column 22: Expecting value",
+            ),
+            (
+                b'{"coeffs": [[1,0],\n [1,0]\n x]}',
+                "cannot parse file '{file}': invalid JSON at line 3, column 2: "
+                "Expecting ',' delimiter",
+            ),
+            (
+                json.dumps(list(range(3000))).encode(),
+                'cannot parse the JSON document: expected an object with a "coeffs" array',
+            ),
+            (b'{"coeffs": 5}', 'cannot parse the JSON document: "coeffs" must be an array'),
+            (None, "cannot parse the input: none given; provide --poly or --poly-file"),
+            (
+                json.dumps({"coeffs": [list(range(3000))]}).encode(),
+                "cannot parse coefficient '[0, 1, 2, 3, 4, 5, ...]' at position 0: "
+                "expected a [re, im] pair",
+            ),
+        ],
+        ids=[
+            "json-underflow",
+            "truncated-json",
+            "json-line-column",
+            "long-list",
+            "coeffs-5",
+            "none",
+            "long-pair",
+        ],
+    )
+    def test_input_error_text(self, capsys, tmp_path, content, message):
+        # an error of the whole input names the file or the JSON document,
+        # never a coefficient position, and no error echoes a long document
+        f = tmp_path / "p.json"
+        argv = ("classify",)
+        if content is not None:
+            f.write_bytes(content)
+            argv += ("--poly-file", str(f))
+        assert run(capsys, *argv) == (2, "", f"error[ParseError]: {message.format(file=f)}\n")
+
     def test_report_round_trip(self, capsys):
         _, out, _ = run(
             capsys, "trace", "--poly", "1,0,1", "--radii", "30", "--rmin", "1e-2", "--json"

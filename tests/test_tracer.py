@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+import re
 import os
 import subprocess
 import sys
@@ -29,11 +31,25 @@ from maxmod import (
     trace_at_infinity,
     write_csv,
 )
-from maxmod.cli import _sample_member
+from maxmod.cli import _sample_member, main
 from maxmod.modulus import ModulusExpansion, on_axis
 from maxmod.roots import EIGEN_DEGREE, ON_CIRCLE, _derivative_roots, _solve_coef, critical_points
-from maxmod.tracer import NEWTON_MAX_ITER, _fit_tangent, _link, _scan_circles, radius_schedule
+from maxmod.svg import render_svg
+from maxmod.tracer import (
+    NEWTON_MAX_ITER,
+    CurveSample,
+    _fit_tangent,
+    _link,
+    _polyfit,
+    _scan_circles,
+    _unwrap,
+    radius_schedule,
+)
 from maxmod.util import circ_dist, reduce_angle
+
+
+def curve_samples(res, curve_id: int) -> list:
+    return [s for s in res.samples if s.curve_id == curve_id]
 
 
 def cluster_count(angles: np.ndarray, grid: int) -> int:
@@ -731,7 +747,7 @@ class TestTrace:
     def test_one_sample_per_radius_per_curve(self):
         res = trace(parse_poly("1,0,1,1i"), TraceConfig(r_min=1e-3, r_max=0.3, n_radii=60))
         for cid in res.component_ids:
-            rs = [s.r for s in res.curve_samples(cid)]
+            rs = [s.r for s in curve_samples(res, cid)]
             assert len(rs) == len(set(rs)) == 60
 
     def test_count_consistency_non_exceptional(self):
@@ -853,6 +869,23 @@ def fake_scan(monkeypatch, circles, oscs=None):
 
 
 class TestLink:
+    def test_rotations_match_one_roll_per_rotation(self):
+        # steps of equal count pick the rotation of least total displacement,
+        # as a sum over np.roll per rotation does, on random circles
+        rng = np.random.default_rng(9)
+        for m in range(1, 13):
+            n_max = np.full(40, m)
+            theta = np.sort(rng.uniform(-math.pi, math.pi, (40, m)), axis=1)
+            theta[rng.random(theta.shape) < 0.05] = math.pi
+            theta = np.sort(theta, axis=1)
+            prev = _link(n_max, theta.ravel())
+            for k in range(1, 40):
+                a, b = theta[k - 1], theta[k]
+                cost = [circ_dist(a, np.roll(b, -s)).sum() for s in range(m)]
+                s = int(np.argmin(cost))
+                want = (k - 1) * m + np.arange(m)
+                assert prev[k * m + (np.arange(m) + s) % m].tolist() == want.tolist()
+
     def test_crossing_pi_keeps_curve_id(self, monkeypatch):
         # the maximum near -pi steps past -pi to +3.13, which moves it to the
         # end of its circle's counterclockwise order, and back again
@@ -862,7 +895,7 @@ class TestLink:
         res = trace(parse_poly("1,0,1"), fake_scan(monkeypatch, circles))
         assert not res.events and res.component_ids == (0, 1)
         near_pi = {s.curve_id for s in res.samples if abs(s.theta) > 3}
-        assert near_pi == {0} and len(res.curve_samples(0)) == 4
+        assert near_pi == {0} and len(curve_samples(res, 0)) == 4
 
     def test_fold_three_to_two(self, monkeypatch):
         # the middle maximum of three has no partner on the next circle: the
@@ -874,7 +907,7 @@ class TestLink:
         cfg = fake_scan(monkeypatch, circles)
         res = trace(parse_poly("1,0,1"), cfg)
         assert res.component_ids == (0, 2)
-        assert [s.theta for s in res.curve_samples(2)] == [2.0, 2.02, 2.04]
+        assert [s.theta for s in curve_samples(res, 2)] == [2.0, 2.02, 2.04]
         radii = radius_schedule(cfg)
         assert res.events == (maxmod.tracer.TraceEvent("death", float(radii[1]), 1, None),)
 
@@ -937,9 +970,9 @@ class TestLink:
         assert [(ev.kind, ev.curve_id) for ev in res.events] == [("death", 2), ("death", 3)]
         assert res.events[0].r == res.events[1].r
         for kept, ended in ((1, 2), (0, 3)):
-            mirrored = {s.r: -s.theta for s in res.curve_samples(kept)}
-            assert all(mirrored[s.r] == s.theta > 0 for s in res.curve_samples(ended))
-            assert len(res.curve_samples(kept)) == 200
+            mirrored = {s.r: -s.theta for s in curve_samples(res, kept)}
+            assert all(mirrored[s.r] == s.theta > 0 for s in curve_samples(res, ended))
+            assert len(curve_samples(res, kept)) == 200
 
     def test_mirror_tie_turned_off_the_real_axis(self):
         # the same quartic turned by 0.7 rad is traced on its axis psi = 0.7,
@@ -980,7 +1013,7 @@ class TestLink:
         res = trace(p, TraceConfig(r_min=r_min, r_max=0.9))
         (death,) = res.events
         assert death.kind == "death" and res.component_ids == (1 - death.curve_id,)
-        ended = res.curve_samples(death.curve_id)[-1]
+        ended = curve_samples(res, death.curve_id)[-1]
         (kept,) = [s for s in res.samples if s.r == ended.r and s.curve_id != death.curve_id]
         x = reduce_angle(ended.theta - psi)
         assert 0 < x < math.pi
@@ -991,9 +1024,9 @@ class TestLink:
         # co-maximal curves, at theta = pi and theta = 0, are never cut
         res = trace(parse_poly(CROWDED), TraceConfig(r_min=0.05, r_max=0.95, n_radii=40))
         assert not res.events and res.component_ids == (0, 1)
-        assert [len(res.curve_samples(c)) for c in (0, 1)] == [40, 40]
-        assert all(abs(s.theta) == math.pi for s in res.curve_samples(0))
-        assert all(abs(s.theta) < 0.5 for s in res.curve_samples(1))
+        assert [len(curve_samples(res, c)) for c in (0, 1)] == [40, 40]
+        assert all(abs(s.theta) == math.pi for s in curve_samples(res, 0))
+        assert all(abs(s.theta) < 0.5 for s in curve_samples(res, 1))
 
     @pytest.mark.parametrize("n_radii", [200, 8])
     def test_continuous_curve_is_not_split(self, n_radii):
@@ -1123,6 +1156,141 @@ class TestCsv:
         assert float(re_) == pytest.approx(float(r) * math.cos(float(th)), rel=1e-15)
         assert float(im) == pytest.approx(float(r) * math.sin(float(th)), rel=1e-15)
         assert float(mod) > 0
+
+
+def row_by_row_csv(res) -> str:
+    """The CSV as built from ``res.samples`` one row at a time."""
+    lines = ["r,theta,re,im,mod,curve_id\n"]
+    for s in res.samples:
+        re_, im = s.r * math.cos(s.theta), s.r * math.sin(s.theta)
+        lines.append(f"{s.r:.17g},{s.theta:.17g},{re_:.17g},{im:.17g},{s.mod:.17g},{s.curve_id}\n")
+    return "".join(lines)
+
+
+def row_by_row_paths(res) -> list[str]:
+    """The ``d`` attribute of each SVG path, built from ``res.samples``."""
+    points: dict[int, list[str]] = {cid: [] for cid in res.component_ids}
+    for s in res.samples:
+        if s.curve_id in points:
+            x, y = s.r * math.cos(s.theta), -s.r * math.sin(s.theta)
+            points[s.curve_id].append(f"{x:.6g} {y:.6g}")
+    return ["M " + " L ".join(pts) for pts in points.values()]
+
+
+RANDOM_COUNT = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+class TestSampleColumns:
+    # the fig-1 pair, a trace whose moduli are inf, and a trace at infinity
+    CASES = [
+        ("1,0,1,1i", TraceConfig(r_min=1e-3, r_max=0.3, n_radii=200), False),
+        ("1,0,1,0.001+1i", TraceConfig(r_min=1e-3, r_max=0.05, n_radii=200), False),
+        ("1e308,1e308,1e308", TraceConfig(r_max=0.9), False),
+        ("1,0,1,1i", TraceConfig(), True),
+    ]
+
+    @pytest.mark.parametrize(
+        "text,cfg,at_infinity", CASES, ids=["fig1a", "fig1b", "inf-mod", "infinity"]
+    )
+    def test_writers_match_the_samples(self, tmp_path, text, cfg, at_infinity):
+        p = parse_poly(text)
+        res = trace_at_infinity(p, cfg) if at_infinity else trace(p, cfg)
+        columns = (res.sample_r, res.sample_theta, res.sample_mod, res.sample_curve)
+        assert res.samples == tuple(map(CurveSample, *columns))
+        assert res.samples is res.samples
+        if text.startswith("1e308"):
+            assert math.inf in res.sample_mod
+        path = tmp_path / "out.csv"
+        write_csv(res, str(path))
+        assert path.read_text(encoding="utf-8") == row_by_row_csv(res)
+        svg = render_svg(res, cfg.r_max)
+        assert re.findall(r'<path d="([^"]*)"', svg) == row_by_row_paths(res)
+        if at_infinity:
+            direct = trace(reciprocal(p), cfg)
+            assert res.inverted and not direct.inverted
+            assert res.samples == direct.samples
+
+    def test_fits_equal_np_polyfit(self, monkeypatch):
+        # every fit of the 12 random-count traces, bit for bit
+        fits = []
+
+        def recorded(x, y, deg):
+            c = _polyfit(x, y, deg)
+            fits.append((x, y, deg, c))
+            return c
+
+        monkeypatch.setattr(maxmod.tracer, "_polyfit", recorded)
+        pool = json.loads(RANDOM_COUNT.read_text())["workloads"]["random_count"]
+        assert len(pool) == 12
+        for entry in pool:
+            p = Polynomial(tuple(complex(re_, im) for re_, im in entry["coeffs"]))
+            trace(p, TraceConfig(r_min=entry["r_min"], r_max=0.3, n_radii=200))
+        assert {deg for *_, deg, _ in fits} == {1, 6}
+        for x, y, deg, c in fits:
+            assert c.tobytes() == np.polyfit(x, y, deg).tobytes()
+
+    def test_rank_deficient_fit_warns(self):
+        x = np.linspace(0.3, 0.3 + 1e-9, 10)
+        y = 0.7 + x
+        with pytest.warns(np.exceptions.RankWarning):
+            want = np.polyfit(x, y, 6)
+        with pytest.warns(np.exceptions.RankWarning):
+            assert _polyfit(x, y, 6).tobytes() == want.tobytes()
+
+    def test_unwrap_bits(self):
+        rng = np.random.default_rng(11)
+        special = np.array([0.0, -0.0, math.pi, -math.pi, math.nextafter(math.pi, 0), 1e-300])
+        for n in range(1, 60):
+            steps = rng.normal(0.0, rng.choice([1e-3, 0.5, 2.0]), n)
+            th = reduce_angle(np.cumsum(steps))
+            th[rng.random(n) < 0.2] = rng.choice(special)
+            assert _unwrap(th).tobytes() == np.unwrap(th).tobytes(), th
+
+
+class TestFixedWork:
+    @staticmethod
+    def count_samples(monkeypatch) -> list:
+        built = []
+        init = CurveSample.__init__
+
+        def counted(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(CurveSample, "__init__", counted)
+        return built
+
+    def test_no_sample_objects_unless_read(self, monkeypatch, tmp_path):
+        built = self.count_samples(monkeypatch)
+        traced = []
+
+        def counted_trace(*args):
+            traced.append(trace(*args))
+            return traced[-1]
+
+        monkeypatch.setattr(maxmod.cli, "trace", counted_trace)
+        argv = ["hunt", "--family", "cubic", "--samples", "4", "--out", str(tmp_path / "h.jsonl")]
+        assert main(argv + ["--quiet"]) == 0
+        assert traced and not built
+        res = trace(parse_poly("1,0,1,1i"), TraceConfig(n_radii=50))
+        assert res.n_components == 2 and res.tangents and not built
+        assert len(res.samples) == len(res.sample_r) == len(built) > 0
+        res.samples  # read again: cached, nothing more is built
+        assert len(built) == len(res.sample_r)
+
+    def test_d1_bound_once_per_radius(self, monkeypatch):
+        radii = []
+        d1_bound = ModulusExpansion.d1_bound
+
+        def counted(self, r):
+            radii.append(np.size(r))
+            return d1_bound(self, r)
+
+        monkeypatch.setattr(ModulusExpansion, "d1_bound", counted)
+        # four maxima on every circle, so one bound per maximum would be 4 n
+        res = trace(parse_poly("1,0,0,0,1"), TraceConfig(r_min=1e-2, n_radii=30))
+        assert res.n_components == 4
+        assert 0 < sum(radii) <= 30
 
 
 class TestTruncatedInput:
