@@ -28,7 +28,6 @@ compensated), and :meth:`mod2` is :meth:`base` plus :meth:`osc_terms`.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -219,24 +218,13 @@ def expand(p: Polynomial) -> ModulusExpansion:
 def _c_pairs(c: np.ndarray) -> np.ndarray:
     """:attr:`ModulusExpansion.c_pairs` of the coefficients ``c``."""
     deg = c.size - 1
-    row, col, hi, lo = _pair_index(deg)
     c_pairs = np.zeros((2 * deg, deg), dtype=complex)
     with np.errstate(over="ignore"):  # an inf product fails the trace's mass check
-        c_pairs[row, col] = c[hi] * np.conj(c[lo])
+        for n in range(1, deg + 1):
+            j = np.arange(deg - n + 1)
+            c_pairs[2 * j + n, n - 1] = c[j + n] * np.conj(c[j])
     c_pairs.setflags(write=False)
     return c_pairs
-
-
-@functools.cache
-def _pair_index(deg: int) -> tuple[np.ndarray, ...]:
-    """Where :func:`_c_pairs` puts each product ``c_{j+n} conj(c_j)``:
-    row ``2j+n``, column ``n-1``, and its factors' indices ``j+n`` and j,
-    for n = 1..deg and j = 0..deg-n."""
-    n, j = np.array([(n, j) for n in range(1, deg + 1) for j in range(deg - n + 1)]).T
-    index = (2 * j + n, n - 1, j + n, j)
-    for a in index:
-        a.setflags(write=False)
-    return index
 
 
 def on_axis(e: ModulusExpansion) -> tuple[float, ModulusExpansion]:

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -376,7 +375,7 @@ def _fit_tangent(rs: np.ndarray, thetas: np.ndarray):
     """
     order = np.argsort(rs)
     rs = np.asarray(rs, dtype=float)[order]
-    th = _unwrap(np.asarray(thetas, dtype=float)[order])
+    th = np.unwrap(np.asarray(thetas, dtype=float)[order])
     window = rs <= 10.0 * rs[0]
     if window.sum() < 8:
         window = np.zeros_like(window)
@@ -387,41 +386,15 @@ def _fit_tangent(rs: np.ndarray, thetas: np.ndarray):
     if t_w.max() - t_w.min() < 1e-12:
         return float(reduce_angle(np.mean(t_w))), None, True
 
-    coef = _polyfit(r_w, t_w, FIT_DEGREE)[::-1]  # c_0, c_1, ..., c_6
+    coef = np.polyfit(r_w, t_w, FIT_DEGREE)[::-1]  # c_0, c_1, ..., c_6
     omega_hat = float(coef[0])
     ee = t_w - omega_hat
     if np.all(ee > 0) or np.all(ee < 0):
-        alpha_hat = float(_polyfit(np.log(r_w), np.log(np.abs(ee)), 1)[0])
+        alpha_hat = float(np.polyfit(np.log(r_w), np.log(np.abs(ee)), 1)[0])
     else:
         n = np.arange(1, FIT_DEGREE + 1)
         alpha_hat = float(n[np.argmax(np.abs(coef[1:]) * r_w[-1] ** n)])
     return float(reduce_angle(omega_hat)), alpha_hat, False
-
-
-def _unwrap(th: np.ndarray) -> np.ndarray:
-    """``np.unwrap(th)``, bit for bit.  Where no step reaches pi, as on
-    nearly every curve, ``np.unwrap`` only adds a zero correction to each
-    angle after the first, turning -0.0 into 0.0; that addition is all
-    that is done then."""
-    if not (np.abs(th[1:] - th[:-1]) < math.pi).all():
-        return np.unwrap(th)
-    th = th.copy()
-    th[1:] += 0.0
-    return th
-
-
-def _polyfit(x: np.ndarray, y: np.ndarray, deg: int) -> np.ndarray:
-    """``np.polyfit(x, y, deg)`` on float vectors, bit for bit, without its
-    argument checks: the Vandermonde columns scaled to unit norm, one
-    ``lstsq`` solve with ``rcond = len(x) eps``, and the scale divided out.
-    A rank-deficient fit warns as ``np.polyfit`` does."""
-    lhs = np.vander(x, deg + 1)
-    scale = np.sqrt((lhs * lhs).sum(axis=0))
-    lhs /= scale
-    c, _, rank, _ = np.linalg.lstsq(lhs, y, x.size * EPS)
-    if rank != deg + 1:
-        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
-    return c / scale
 
 
 def _match_cyclic(a: np.ndarray, b: np.ndarray):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxmod import Polynomial, ZeroPolynomialError, direct_mod2, expand, modulus, parse_poly
+from maxmod import Polynomial, ZeroPolynomialError, direct_mod2, expand, parse_poly
 
 EPS = np.finfo(float).eps
 
@@ -48,23 +48,6 @@ class TestExpand:
     def test_zero_rejected(self):
         with pytest.raises(ZeroPolynomialError):
             expand(Polynomial(()))
-
-    def test_c_pairs_match_the_loop(self):
-        # the products placed from cached index arrays, against a loop over
-        # the frequency n, bit for bit, huge products overflowing alike
-        rng = np.random.default_rng(5)
-        for deg in range(1, 30):
-            c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-            c *= 10.0 ** rng.uniform(-160, 160, deg + 1)
-            c[rng.random(deg + 1) < 0.3] = 0.0
-            want = np.zeros((2 * deg, deg), dtype=complex)
-            with np.errstate(over="ignore", invalid="ignore"):
-                for n in range(1, deg + 1):
-                    j = np.arange(deg - n + 1)
-                    want[2 * j + n, n - 1] = c[j + n] * np.conj(c[j])
-                got = modulus._c_pairs(c)
-            assert got.tobytes() == want.tobytes()
-            assert not got.flags.writeable
 
     def test_ascending_power_order(self):
         e = expand(parse_poly("1,2,0,1i,4"))

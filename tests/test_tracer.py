@@ -1,5 +1,4 @@
 import cmath
-import json
 import math
 import re
 import os
@@ -40,9 +39,7 @@ from maxmod.tracer import (
     CurveSample,
     _fit_tangent,
     _link,
-    _polyfit,
     _scan_circles,
-    _unwrap,
     radius_schedule,
 )
 from maxmod.util import circ_dist, reduce_angle
@@ -1177,9 +1174,6 @@ def row_by_row_paths(res) -> list[str]:
     return ["M " + " L ".join(pts) for pts in points.values()]
 
 
-RANDOM_COUNT = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
-
-
 class TestSampleColumns:
     # the fig-1 pair, a trace whose moduli are inf, and a trace at infinity
     CASES = [
@@ -1209,42 +1203,6 @@ class TestSampleColumns:
             direct = trace(reciprocal(p), cfg)
             assert res.inverted and not direct.inverted
             assert res.samples == direct.samples
-
-    def test_fits_equal_np_polyfit(self, monkeypatch):
-        # every fit of the 12 random-count traces, bit for bit
-        fits = []
-
-        def recorded(x, y, deg):
-            c = _polyfit(x, y, deg)
-            fits.append((x, y, deg, c))
-            return c
-
-        monkeypatch.setattr(maxmod.tracer, "_polyfit", recorded)
-        pool = json.loads(RANDOM_COUNT.read_text())["workloads"]["random_count"]
-        assert len(pool) == 12
-        for entry in pool:
-            p = Polynomial(tuple(complex(re_, im) for re_, im in entry["coeffs"]))
-            trace(p, TraceConfig(r_min=entry["r_min"], r_max=0.3, n_radii=200))
-        assert {deg for *_, deg, _ in fits} == {1, 6}
-        for x, y, deg, c in fits:
-            assert c.tobytes() == np.polyfit(x, y, deg).tobytes()
-
-    def test_rank_deficient_fit_warns(self):
-        x = np.linspace(0.3, 0.3 + 1e-9, 10)
-        y = 0.7 + x
-        with pytest.warns(np.exceptions.RankWarning):
-            want = np.polyfit(x, y, 6)
-        with pytest.warns(np.exceptions.RankWarning):
-            assert _polyfit(x, y, 6).tobytes() == want.tobytes()
-
-    def test_unwrap_bits(self):
-        rng = np.random.default_rng(11)
-        special = np.array([0.0, -0.0, math.pi, -math.pi, math.nextafter(math.pi, 0), 1e-300])
-        for n in range(1, 60):
-            steps = rng.normal(0.0, rng.choice([1e-3, 0.5, 2.0]), n)
-            th = reduce_angle(np.cumsum(steps))
-            th[rng.random(n) < 0.2] = rng.choice(special)
-            assert _unwrap(th).tobytes() == np.unwrap(th).tobytes(), th
 
 
 class TestFixedWork:
