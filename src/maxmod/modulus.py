@@ -7,13 +7,12 @@ With ``p = a_m z^m (1 + q)``, ``c_0 = 1``, ``c_j = a_{m+j} / a_m`` and
     C_n(r) = sum_j c_{j+n} conj(c_j) r^{2j+n}.
 
 An expansion holds only these Fourier data.  :meth:`fourier` gives every
-``C_n`` of a circle by one matrix product (and :meth:`fourier_dr` their
-radius-derivatives), and :meth:`osc` and :meth:`d1d2` are one Horner pass
-in ``w``: O(deg) per angle once the ``C_n`` of the angle's circle are
-formed.  ``osc`` holds no constant term, so nothing cancels against 1 and
-signals of order r^n near the origin keep their relative accuracy.  The
-tracer expands the normalized tail ``1 + q``, whose scale
-``|a_m|^2 r^{2m}`` is 1.
+``C_n`` of a circle by one matrix product, and :meth:`osc` and
+:meth:`d1d2` are one Horner pass in ``w``: O(deg) per angle once the
+``C_n`` of the angle's circle are formed.  ``osc`` holds no constant term,
+so nothing cancels against 1 and signals of order r^n near the origin keep
+their relative accuracy.  The tracer expands the normalized tail ``1 + q``,
+whose scale ``|a_m|^2 r^{2m}`` is 1.
 
 The paper's formula is the same sum term by term,
 
@@ -110,15 +109,6 @@ class ModulusExpansion:
             rp = r[..., None] ** pows
         return _power_product(rp, r, pows, self.c_pairs)
 
-    def fourier_dr(self, r):
-        """``dC_n/dr``, shaped as :meth:`fourier`: the derivatives
-        ``k r^{k-1}`` of the radius powers times :attr:`c_pairs`."""
-        k = np.arange(1, self.c_pairs.shape[0])
-        r = np.asarray(r, dtype=float)
-        with np.errstate(over="ignore"):  # see _power_product
-            drp = k * r[..., None] ** (k - 1)
-        return _power_product(drp, r, k - 1, self.c_pairs[1:], k)
-
     def osc(self, r, theta, cn=None):
         """Theta-dependent cross part; ``mod2 = base + osc``.
 
@@ -175,8 +165,8 @@ class ModulusExpansion:
         return 2.0 * self.scale(r) * _kernels.radial_sum(amps, row, r)
 
 
-def _power_product(rp, r, pows, c, mult=1):
-    """``rp @ c`` for ``rp[..., i] = mult_i r^pows[i]``, complex ``c``.
+def _power_product(rp, r, pows, c):
+    """``rp @ c`` for ``rp[..., i] = r^pows[i]``, complex ``c``.
 
     At a radius where some ``r^pows[i]`` is not a float, the plain product
     would meet ``inf * 0`` or ``inf * tiny`` although every term
@@ -189,7 +179,7 @@ def _power_product(rp, r, pows, c, mult=1):
     if ok.all():
         return (rp @ c.view(float)).view(complex)
     out = (np.where(ok[..., None], rp, 0.0) @ c.view(float)).view(complex)
-    amps = (np.reshape(mult, (-1, 1)) * c).view(float)  # (rows, 2 cols)
+    amps = c.view(float)  # (rows, 2 cols)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN is rejected
         terms = _kernels.power_terms(amps.ravel(), np.repeat(pows, amps.shape[1]), r[~ok][:, None])
         out[~ok] = terms.reshape((-1,) + amps.shape).sum(axis=-2).view(complex)

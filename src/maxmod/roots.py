@@ -1,8 +1,27 @@
 """The root solve of a trace: the critical points of
 ``theta -> |1 + q(r e^{i theta})|^2`` on many circles at once, from each
-circle's Fourier coefficients ``C_n`` and their r-derivatives alone.  The
-entry point is :func:`critical_points`; :func:`_derivative_roots` derives
-the polynomial it solves and :func:`_group_roots` how it is solved.
+circle's Fourier coefficients ``C_n`` alone.  The entry point is
+:func:`critical_points`.
+
+Near 0 the lowest tail term governs ``|1 + q|^2`` (Hayman's result), and on
+most circles one order governs its derivative.  With ``a_n = n |C_n|``,
+``n* = argmax a_n``, ``A = a_{n*}`` and ``phi = n* theta + arg C_{n*}``,
+
+    ``F = d/dtheta |1 + q|^2 = -2 A sin(phi) + E``,  ``|E| <= 2 A x``,
+    ``F' = -2 n* A cos(phi) + E'``,  ``|E'| <= 2 n* A y``,
+
+with ``x = (sum a_n - A) / A`` and ``y = (sum n a_n - n* A) / (n* A)``.  If
+``x^2 + y^2 < 1``, F has exactly 2 n* zeros, one in each window
+``|phi - j pi| < pi/2``: at a window's ends ``|sin(phi)| = 1`` and F has the
+sign of ``-sin(phi)``, opposite at the two ends; F can vanish only where
+``|sin(phi)| <= x``, and there ``|cos(phi)| >= sqrt(1 - x^2) > y``, so F is
+strictly monotone.  The zeros of even j are the maxima.  A circle so
+certified from its own row (:func:`_certified`) is solved in its windows by
+one bracketed Newton iteration over all windows of all certified circles
+(:func:`_window_roots`).  Every other circle is eigen-solved: its critical
+points are the real roots of a polynomial in the half angle
+(:func:`_derivative_roots`), found by a batched eigenvalue solve of its
+companion matrix.
 """
 
 from __future__ import annotations
@@ -12,8 +31,9 @@ import math
 
 import numpy as np
 
+from . import _kernels
 from .errors import RefinementFailureError
-from .util import EPS
+from .util import EPS, reduce_angle
 
 # A root t of the half-angle polynomial (see _derivative_roots), mapped to
 # w = (1+it)/(1-it), is a critical point of its circle when
@@ -24,40 +44,154 @@ from .util import EPS
 # the bound accepts it only for delta below about 5e-13 |d^3/dtheta^3|, on a
 # circle within roundoff of the fold.
 ON_CIRCLE = 1e-6
-# Only anchor circles get an eigenvalue solve (see _group_roots): in each
-# group of circles with one half-angle degree, every ANCHOR_STEP-th circle and
-# the last.  Every other circle starts from an Euler step off its nearest
-# anchor's roots and takes at most ABERTH_MAX_ITER Aberth steps, in blocks of
-# circles whose pairwise (circles x m x m) temporaries hold at most
-# ABERTH_BLOCK elements.  A circle not certified by then is eigen-solved.
-ANCHOR_STEP = 16
-ABERTH_MAX_ITER = 3
-ABERTH_BLOCK = 1 << 15
-# A group whose polynomial has degree at most EIGEN_DEGREE is eigen-solved on
-# every circle: up to degree 3 a batched solve of all its companion matrices
-# costs less than the anchors' solve plus the Euler starts and Aberth passes
-# of the followers, and at degree 4 both cost the same.
+# A circle whose solved polynomial (R of degree 2d, or S of degree d - 1 on
+# real rows, before top orders are dropped; see _derivative_roots) has
+# degree at most EIGEN_DEGREE is eigen-solved without a certificate, and a
+# trace made only of such circles forms no certificate at all.  A batched
+# solve of companion matrices of order 1-3 costs less than the window solve:
+# a magic cubic on its axis (S of degree 2) traced at 160 radii took 3.3 ms
+# so, against 4.0 ms with its certified circles window-solved.
 EIGEN_DEGREE = 3
+# A circle is certified when x^2 + y^2 < CERTIFY (see the module docstring).
+# Any constant below 1 proves the window count in exact arithmetic; the
+# floats need the edge margin.  At a window's end |F| >= 2 A (1 - x), and
+# x < sqrt(CERTIFY) makes that more than A / 10.  The computed F, one Horner
+# pass over D orders, is off by at most about 4 (D + 1) EPS sum a_n
+# <= 8 (D + 1) EPS A, which stays far below A / 10 for every degree a float
+# trace reaches, so the signs at the window ends that bracket each zero are
+# the exact ones.
+CERTIFY = 0.9
+# The window solve stops where |F / 2| <= WINDOW_TOL D EPS sum a_n, within
+# the rounding of its Horner pass, and then takes one more Newton step inside
+# the bracket; or where the bracket is a few ulps wide.  A bisection halves
+# a window of width pi / n* below 16 EPS in under 55 steps.
+WINDOW_TOL = 4.0
+WINDOW_MAX_ITER = 64
 
 
-def critical_points(cn: np.ndarray, radii: np.ndarray, fourier_dr):
+def critical_points(cn: np.ndarray, radii: np.ndarray):
     """Every critical point of ``theta -> |1 + q(r e^{i theta})|^2`` on every
-    circle: the roots of :func:`_derivative_roots` within ``ON_CIRCLE`` of
-    the unit circle.  Row i of ``cn`` holds the ``C_n``, n = 1..D, of the
-    radius ``radii[i]``, and ``fourier_dr(r)`` gives the rows ``dC_n/dr`` at
-    the radii ``r``.
+    circle.  Row i of ``cn`` holds the ``C_n``, n = 1..D, of the radius
+    ``radii[i]``.  A circle whose solved polynomial has degree above
+    ``EIGEN_DEGREE`` and that :func:`_certified` certifies is solved in its
+    windows (:func:`_window_roots`); on every other circle the critical
+    points are the roots of :func:`_derivative_roots` within ``ON_CIRCLE``
+    of the unit circle.
 
     Returns ``(radius_index, theta)``, sorted by radius index, then angle.
     """
+    deg = cn.shape[1]
+    odd = not cn.imag.any()  # every C_n real: see _derivative_roots
+    win = np.zeros(cn.shape[0], dtype=bool)
+    if (deg - 1 if odd else 2 * deg) > EIGEN_DEGREE:
+        nc = np.arange(1, deg + 1) * cn
+        mag = np.abs(nc)
+        kept = _kept_orders(mag)
+        win = ((kept - 1 if odd else 2 * kept) > EIGEN_DEGREE) & _certified(mag)
     ridx, theta = [], []
-    for rows, w in _derivative_roots(cn, radii, fourier_dr):
-        row, col = np.nonzero(np.abs(np.abs(w) - 1.0) < ON_CIRCLE)
-        ridx.append(rows[row])
-        theta.append(np.angle(w[row, col]))
+    if win.any():
+        rows = np.flatnonzero(win)
+        i, th = _window_roots(nc[rows], mag[rows], radii[rows], odd)
+        ridx.append(rows[i])
+        theta.append(th)
+    eig = np.flatnonzero(~win)
+    if eig.size:
+        for rows, w in _derivative_roots(cn[eig], radii[eig]):
+            row, col = np.nonzero(np.abs(np.abs(w) - 1.0) < ON_CIRCLE)
+            ridx.append(eig[rows[row]])
+            theta.append(np.angle(w[row, col]))
     ridx = np.concatenate(ridx)
     theta = np.concatenate(theta)
     order = np.lexsort((theta, ridx))
     return ridx[order], theta[order]
+
+
+def _kept_orders(mag: np.ndarray) -> np.ndarray:
+    """Per row of ``mag`` (``n |C_n|``), the highest order n whose ``n |C_n|``
+    exceeds ``EPS`` times the row's largest (see :func:`_derivative_roots`)."""
+    top = mag.max(axis=1)
+    return mag.shape[1] - np.argmax((mag > EPS * top[:, None])[:, ::-1], axis=1)
+
+
+def _certified(mag: np.ndarray) -> np.ndarray:
+    """The rows of ``mag`` (``a_n = n |C_n|``, column n-1) with
+    ``x^2 + y^2 < CERTIFY``, x and y as in the module docstring.  A row with
+    no finite positive ``a_n`` gives NaN and is not certified."""
+    star = np.argmax(mag, axis=1)
+    a = mag[np.arange(mag.shape[0]), star]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = mag.sum(axis=1) / a - 1.0
+        y = (mag @ np.arange(1.0, mag.shape[1] + 1)) / ((star + 1.0) * a) - 1.0
+    return x * x + y * y < CERTIFY
+
+
+def _window_roots(nc: np.ndarray, mag: np.ndarray, radii: np.ndarray, odd: bool):
+    """The critical points of the certified circles whose rows ``n C_n`` are
+    ``nc`` (``mag`` their moduli) at the radii ``radii``: one zero of F in
+    each window ``|phi - j pi| < pi/2`` of the module docstring.
+
+    All windows of all circles take one vectorized Newton iteration with
+    bisection, started at the window centre ``theta = (j pi - arg C_{n*}) /
+    n*``.  On window j, ``g = (-1)^j F / 2 = (-1)^(j+1) Im sum_n n C_n w^n``
+    is positive at the left end and negative at the right, and ``g' =
+    (-1)^(j+1) Re sum_n n^2 C_n w^n`` is negative where g can vanish; both
+    come from one Horner pass (:func:`~maxmod._kernels.fourier_sum`).  The
+    bracket and the Newton guard are those of the tracer's refinement of
+    maxima: the bracket end on the side of g's sign moves to the iterate,
+    and a Newton step is taken only where ``g' < 0`` and it lands strictly
+    inside the bracket, else the bracket is bisected.  A point whose
+    ``|g|`` is at rounding level takes one more such step and stops.
+
+    Where every ``C_n`` is real (``odd``), F is odd in theta and ``arg
+    C_{n*}`` is 0 or pi, so windows are centred on the axis points 0 and pi,
+    which are exact zeros.  Only the centres ``k pi / n*`` in (0, pi) are
+    solved; each zero x comes back with its exact mirror -x, and the axis
+    points as 0 and -pi, as from :func:`_derivative_roots`.
+
+    Returns ``(row_index, theta)`` in no particular order.
+    """
+    rows = np.arange(nc.shape[0])
+    star = np.argmax(mag, axis=1)
+    n = star + 1.0
+    lead = nc[rows, star]
+    count = star if odd else 2 * (star + 1)  # windows solved per circle
+    i = np.repeat(rows, count)
+    j = np.arange(i.size) - np.repeat(np.cumsum(count) - count, count)
+    if odd:  # centres k pi / n*, k = 1..n*-1; a negative C_{n*} turns phi by pi
+        j += 1
+        centre = j * math.pi / n[i]
+        j += lead.real[i] < 0.0
+    else:
+        centre = (j * math.pi - np.angle(lead)[i]) / n[i]
+    sign = np.where(j % 2 == 0, -1.0, 1.0)  # (-1)^(j+1)
+    half = 0.5 * math.pi / n[i]
+    lo, hi = centre - half, centre + half
+    tol = (WINDOW_TOL * nc.shape[1] * EPS) * mag.sum(axis=1)[i]
+    coef = np.stack([nc, np.arange(1, nc.shape[1] + 1) * nc])
+    x = centre.copy()
+    act = np.arange(x.size)  # unconverged points
+    for _ in range(WINDOW_MAX_ITER):
+        xa = x[act]
+        s1, s2 = _kernels.fourier_sum(coef[:, i[act]], xa)
+        g = sign[act] * s1.imag
+        dg = sign[act] * s2.real
+        la = np.where(g > 0, xa, lo[act])
+        ha = np.where(g <= 0, xa, hi[act])
+        conv = (np.abs(g) <= tol[act]) | ((ha - la) <= 16 * EPS)
+        newt = xa - g / np.where(dg != 0.0, dg, 1.0)
+        ok = (dg < 0.0) & (newt > la) & (newt < ha) & np.isfinite(newt)
+        x[act] = np.where(ok, newt, np.where(conv, xa, 0.5 * (la + ha)))
+        lo[act] = la
+        hi[act] = ha
+        act = act[~conv]
+        if act.size == 0:
+            break
+    else:
+        raise RefinementFailureError(float(radii[i[act[0]]]), float(centre[act[0]]))
+    if not odd:
+        return i, reduce_angle(x)
+    axis = [np.zeros(rows.size), np.full(rows.size, -math.pi)]
+    return np.concatenate([i, i, rows, rows]), np.concatenate([x, -x, *axis])
 
 
 @functools.cache
@@ -78,16 +212,6 @@ def _half_angle_table(d: int) -> np.ndarray:
     return table
 
 
-def _polyval(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The real polynomials ``coef[..., i, :]`` (column k: ``t^k``) at every
-    entry of ``t[i]``, by Horner; shape ``coef.shape[:-1] + t.shape[1:]``."""
-    out = np.zeros(coef.shape[:-1] + t.shape[1:], dtype=t.dtype)
-    for k in range(coef.shape[-1] - 1, -1, -1):
-        out *= t
-        out += coef[..., k, None]
-    return out
-
-
 def _companion_roots(coef: np.ndarray) -> np.ndarray:
     """All roots of the real polynomials ``coef`` (row i: coefficients of
     ``t^0 .. t^m``, ``coef[i, m] != 0``), by one batched eigenvalue solve of
@@ -99,76 +223,9 @@ def _companion_roots(coef: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(comp).astype(complex, copy=False)
 
 
-def _aberth(coef: np.ndarray, t: np.ndarray):
-    """Aberth-Ehrlich iteration on the real polynomials ``coef`` (as in
-    :func:`_companion_roots`), row i started from the m approximations
-    ``t[i]``; only rows not yet certified iterate again, at most
-    ``ABERTH_MAX_ITER`` times.  From the Euler starts of
-    :func:`_derivative_roots` a row is mostly certified after 1-2 steps; a
-    row that is not after 3 is mostly one whose roots cannot be reached
-    from its start (a max-min pair has left the circle), and is better
-    eigen-solved at once than iterated on with its whole block.
-
-    A row is certified when every root is finite and has the backward error
-    ``|R(t_k)| <= 4 m EPS sum_j |R_j| |t_k|^j`` (by Horner on ``|t_k|``):
-    ``t_k`` is then an exact root of R with each coefficient perturbed by at
-    most ``4 m EPS`` relative.  A step-size test cannot stand in for this,
-    since ill-conditioned roots stall at steps of 1e-12 to 1e-8.  The Aberth
-    step is ``t_k -= N_k / (1 - N_k sum_{j != k} 1 / (t_k - t_j))``, with
-    the Newton step ``N_k = R(t_k) / R'(t_k)``.
-
-    Returns the roots, shape ``(rows, m)``, and the certified rows.
-    """
-    m = coef.shape[1] - 1
-    acoef = np.abs(coef)
-    tol = 4.0 * m * EPS
-    diag = np.arange(m)
-    t = t.astype(complex)
-    ok = np.zeros(t.shape[0], dtype=bool)
-    act = np.arange(t.shape[0])  # rows not yet certified
-    # a root far out or a zero derivative overflows or divides by 0; such a
-    # row fails the certificate and gets the eigenvalue solve instead
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for it in range(ABERTH_MAX_ITER + 1):
-            z = t[act]
-            c = coef[act, :, None]
-            ac = acoef[act, :, None]
-            # R, R' and the bound sum_j |R_j| |z|^j by one Horner pass
-            p = np.repeat(c[:, m], m, axis=1).astype(complex)
-            dp = np.zeros_like(p)
-            az = np.abs(z)
-            bound = np.repeat(ac[:, m], m, axis=1)
-            for k in range(m - 1, -1, -1):
-                dp *= z
-                dp += p
-                p *= z
-                p += c[:, k]
-                bound *= az
-                bound += ac[:, k]
-            conv = ((np.abs(p) <= tol * bound) & (bound < np.inf)).all(axis=1)
-            ok[act[conv]] = True
-            if it == ABERTH_MAX_ITER or conv.all():
-                break
-            act, z, p, dp = act[~conv], z[~conv], p[~conv], dp[~conv]
-            # sum_{j != k} 1 / (z_k - z_j) in real arithmetic; the infinite
-            # diagonal adds 0
-            zr, zi = np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)
-            dr = zr[:, :, None] - zr[:, None, :]
-            di = zi[:, :, None] - zi[:, None, :]
-            inv = dr * dr
-            inv += di * di
-            inv[:, diag, diag] = np.inf
-            np.reciprocal(inv, out=inv)
-            pull = np.einsum("bij,bij->bi", dr, inv) - 1j * np.einsum("bij,bij->bi", di, inv)
-            newton = p / dp
-            t[act] = z - newton / (1.0 - newton * pull)
-    return t, ok
-
-
-def _derivative_roots(cn: np.ndarray, radii: np.ndarray, fourier_dr):
+def _derivative_roots(cn: np.ndarray, radii: np.ndarray):
     """Roots ``w`` of ``w^D d/dtheta |1 + q(r w)|^2`` for every circle; row
-    i of ``cn`` holds the ``C_n`` of radius ``radii[i]``, and ``fourier_dr``
-    gives their r-derivatives (see :func:`critical_points`).
+    i of ``cn`` holds the ``C_n`` of radius ``radii[i]``.
 
     With ``p = a_m z^m (1 + q)``, ``c_0 = 1``, ``c_j`` the coefficients of
     ``q`` and ``w = e^{i theta}``, the squared modulus is the trigonometric sum
@@ -208,9 +265,9 @@ def _derivative_roots(cn: np.ndarray, radii: np.ndarray, fourier_dr):
     the ``ON_CIRCLE`` test alike.
 
     Circles of equal d and equal remaining degree m of the solved
-    polynomial form a group, in radius order (:func:`_group_roots`).
-    Returns one ``(radius_indices, roots)`` pair per group, ``roots`` of
-    shape ``(len(radius_indices), 2d)``.
+    polynomial form a group, eigen-solved by one batched call
+    (:func:`_companion_roots`).  Returns one ``(radius_indices, roots)``
+    pair per group, ``roots`` of shape ``(len(radius_indices), 2d)``.
     """
     deg = cn.shape[1]
     nc = np.arange(1, deg + 1) * cn  # column n-1: n C_n
@@ -219,7 +276,7 @@ def _derivative_roots(cn: np.ndarray, radii: np.ndarray, fourier_dr):
     flat = ~((0.0 < top) & (top < np.inf))  # also NaN
     if flat.any():
         raise RefinementFailureError(float(radii[np.argmax(flat)]), 0.0)
-    kept = deg - np.argmax((mag > EPS * top[:, None])[:, ::-1], axis=1)
+    kept = _kept_orders(mag)
     odd = not cn.imag.any()  # every C_n real: R(t) = t S(t^2), solve S in u = t^2
     step = 2.0 if odd else 1.0
 
@@ -236,7 +293,7 @@ def _derivative_roots(cn: np.ndarray, radii: np.ndarray, fourier_dr):
         kept_r = coef.shape[1] - 1 - np.argmax(stays[:, ::-1], axis=1)
         for m in sorted(set(kept_r.tolist())):
             sub = rows[kept_r == m]
-            t = _group_roots(fourier_dr, d, odd, coef[kept_r == m, : m + 1], radii[sub])
+            t = _companion_roots(coef[kept_r == m, : m + 1]) if m else np.empty((sub.size, 0), complex)
             # each root at t = inf (a dropped order; on the quotient also R's
             # top order) is w = -1 - 0i, at the angle -pi that sorts first on
             # its circle; curve ids follow that order
@@ -253,10 +310,10 @@ def _derivative_roots(cn: np.ndarray, radii: np.ndarray, fourier_dr):
 
 def _solve_coef(nc: np.ndarray, d: int, odd: bool) -> np.ndarray:
     """The polynomials :func:`_derivative_roots` solves for the rows ``nc``
-    (``n C_n`` or ``n dC_n/dr``) of d orders, column k holding the
-    coefficient of ``t^k``: R, ``sum_{n=1}^{d} Im(nc[:, n-1] (1+it)^{d+n}
-    (1-it)^{d-n})``, or, where R is ``odd`` (every ``C_n`` real), S, whose
-    column j holds R's coefficient of ``t^(2j+1)``."""
+    (``n C_n``) of d orders, column k holding the coefficient of ``t^k``: R,
+    ``sum_{n=1}^{d} Im(nc[:, n-1] (1+it)^{d+n} (1-it)^{d-n})``, or, where R
+    is ``odd`` (every ``C_n`` real), S, whose column j holds R's coefficient
+    of ``t^(2j+1)``."""
     table = _half_angle_table(d)
     if odd:
         return nc[:, :d].real @ table[:, 1::2]
@@ -272,69 +329,3 @@ def _on_circle(t: np.ndarray) -> np.ndarray:
     a, b = t.real, t.imag
     den = (1.0 + b) ** 2 + a**2
     return ((1.0 - a**2 - b**2) / den) + 1j * (2.0 * a / den)
-
-
-def _group_roots(fourier_dr, d: int, odd: bool, lead: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """All roots of the polynomials ``lead`` (as in :func:`_companion_roots`,
-    of degree m, from d orders ``C_n``; S where ``odd``) of one group of
-    :func:`_derivative_roots`, row i at radius ``r[i]``, in radius order;
-    shape ``(rows, m)``.
-
-    Between folds a circle's critical points move analytically in r, so
-    only the group's anchors, every ``ANCHOR_STEP``-th circle and the last,
-    get a batched eigenvalue solve of real companion matrices
-    (:func:`_companion_roots`).  Every other circle is a predictor-corrector
-    step off its nearest anchor: the predictor is one Euler step of the
-    anchor's roots along ``dt/dr = -R_r(t) / R'(t)`` (:func:`_euler_start`),
-    and the corrector is the Aberth iteration of :func:`_aberth`.  A circle
-    whose roots it cannot certify within ``ABERTH_MAX_ITER`` steps, for
-    instance where a max-min pair has left the circle between the anchor and
-    it, gets the eigenvalue solve too, so every root passed on is certified.
-    Where m is at most ``EIGEN_DEGREE``, or the group has no circle but its
-    first and last, every circle is an anchor.
-    """
-    m = lead.shape[1] - 1
-    if m == 0:
-        return np.empty((lead.shape[0], 0), dtype=complex)
-    if m <= EIGEN_DEGREE or lead.shape[0] <= 2:
-        return _companion_roots(lead)
-    # anchors: every ANCHOR_STEP-th circle of the group and the last; each
-    # other circle starts from its nearest anchor's roots, moved by one
-    # Euler step along dt/dr = -R_r(t) / R'(t)
-    anchor = np.zeros(lead.shape[0], dtype=bool)
-    anchor[::ANCHOR_STEP] = True
-    anchor[-1] = True
-    at = np.flatnonzero(anchor)
-    t = np.empty((lead.shape[0], m), dtype=complex)
-    t[at] = _companion_roots(lead[at])
-    follow = np.flatnonzero(~anchor)
-    right = np.searchsorted(at, follow)  # at[right - 1] < follower < at[right]
-    near = np.where(follow - at[right - 1] <= at[right] - follow, right - 1, right)
-    start = _euler_start(fourier_dr, d, odd, lead[at], t[at], r[at], near, r[follow])
-    block = max(1, ABERTH_BLOCK // (m * m))
-    for s in range(0, follow.size, block):
-        i = follow[s : s + block]
-        t[i], ok = _aberth(lead[i], start[s : s + block])
-        if not ok.all():  # no uncertified root goes on
-            t[i[~ok]] = _companion_roots(lead[i[~ok]])
-    return t
-
-
-def _euler_start(fourier_dr, d: int, odd: bool, lead_a, t_a, r_a, near, r) -> np.ndarray:
-    """Aberth starts of the followers of one group of :func:`_group_roots`:
-    follower i takes the roots ``t_a[near[i]]`` of its anchor's polynomial
-    ``lead_a[near[i]]`` (of degree m, from ``d`` orders ``C_n``) at radius
-    ``r_a[near[i]]`` one Euler step along ``dt/dr = -R_r(t) / R'(t)`` to its
-    radius ``r[i]``.  ``R_r`` is R (S where ``odd``) with every ``C_n``
-    replaced by ``dC_n/dr`` (``fourier_dr(r_a)``); it and ``R'`` are
-    evaluated by Horner at the anchors' roots only.  A start that is not
-    finite, as where a root near ``t = inf`` overflows, is the anchor's root.
-    """
-    m = lead_a.shape[1] - 1
-    both = np.zeros((2,) + lead_a.shape)  # R_r and R' (of degree m - 1)
-    both[0] = _solve_coef(np.arange(1, d + 1) * fourier_dr(r_a)[:, :d], d, odd)[:, : m + 1]
-    both[1, :, :m] = lead_a[:, 1:] * np.arange(1, m + 1)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        r_r, r_t = _polyval(both, t_a)
-        start = t_a[near] - (r - r_a[near])[:, None] * (r_r / r_t)[near]
-    return np.where(np.isfinite(start), start, t_a[near])

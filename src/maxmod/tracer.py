@@ -246,7 +246,7 @@ def _scan_circles(e: ModulusExpansion, radii: np.ndarray):
     if bad.any():
         raise RefinementFailureError(float(radii[np.argmax(bad)]), 0.0)
     cn_rows = e.fourier(radii)
-    ridx, theta = roots.critical_points(cn_rows, radii, e.fourier_dr)
+    ridx, theta = roots.critical_points(cn_rows, radii)
     counts = np.bincount(ridx, minlength=radii.size)
     if counts.min() < 2:  # a smooth periodic function has a maximum and a minimum
         raise RefinementFailureError(float(radii[np.argmin(counts)]), 0.0)
@@ -386,13 +386,18 @@ def _fit_tangent(rs: np.ndarray, thetas: np.ndarray):
     if t_w.max() - t_w.min() < 1e-12:
         return float(reduce_angle(np.mean(t_w))), None, True
 
-    coef = np.polyfit(r_w, t_w, FIT_DEGREE)[::-1]  # c_0, c_1, ..., c_6
+    # a window too narrow to resolve FIT_DEGREE + 1 powers of r gets the
+    # highest degree it does resolve, not a rank-deficient fit
+    coef, _, rank, _, _ = np.polyfit(r_w, t_w, FIT_DEGREE, full=True)
+    if rank < FIT_DEGREE + 1:
+        coef = np.polyfit(r_w, t_w, max(rank - 1, 1), full=True)[0]
+    coef = coef[::-1]  # c_0, c_1, ...
     omega_hat = float(coef[0])
     ee = t_w - omega_hat
     if np.all(ee > 0) or np.all(ee < 0):
         alpha_hat = float(np.polyfit(np.log(r_w), np.log(np.abs(ee)), 1)[0])
     else:
-        n = np.arange(1, FIT_DEGREE + 1)
+        n = np.arange(1, coef.size)
         alpha_hat = float(n[np.argmax(np.abs(coef[1:]) * r_w[-1] ** n)])
     return float(reduce_angle(omega_hat)), alpha_hat, False
 

@@ -32,7 +32,7 @@ from maxmod import (
 )
 from maxmod.cli import _sample_member, main
 from maxmod.modulus import ModulusExpansion, on_axis
-from maxmod.roots import EIGEN_DEGREE, ON_CIRCLE, _derivative_roots, _solve_coef, critical_points
+from maxmod.roots import ON_CIRCLE, _derivative_roots, _solve_coef, critical_points
 from maxmod.svg import render_svg
 from maxmod.tracer import (
     NEWTON_MAX_ITER,
@@ -149,6 +149,11 @@ REAL_POLYS = (
 
 # a real quartic whose two mirror pairs of maxima meet at theta = 0 and pi
 MIRROR_FOLD = "1,0,0.06992531489516031,0,-1.7647331544330163"
+# input 1 of the benchmark's random_count pool: every circle of its trace at
+# r_min = 2e-4 is certified
+RANDOM_COUNT_1 = Polynomial(
+    (1, -1.2144337858137724 + 0.47857789056023176j, 0, 0, 0, -0.02720722689166045 - 0.7449552617790021j)
+)
 
 
 class TestBatchedScan:
@@ -164,9 +169,11 @@ class TestBatchedScan:
     )
     def test_trace_matches_single_radius_scans(self, text, cfg):
         # one batched scan of all radii gives the co-maximal points that a
-        # scan of each radius alone gives.  A batched circle's Newton seed
-        # may come from its neighbours' roots, so the angles agree to the
-        # Newton tolerance and the moduli to a few ulps, not bit for bit
+        # scan of each radius alone gives.  A C_n row formed in a batch can
+        # differ in its last bits from one formed alone, and the trace of an
+        # input with a reflection axis runs on its quotient, so the angles
+        # agree to the Newton tolerance and the moduli to a few ulps, not bit
+        # for bit
         p = parse_poly(text)
         e = expand(p)
         res = trace(p, cfg)
@@ -199,17 +206,16 @@ class TestBatchedScan:
 
     def test_fourier_rows_once_per_radius(self, monkeypatch):
         # the scan forms C_n once per radius for the root solve and every
-        # evaluation at a point, which reads its circle's row; dC_n/dr is
-        # formed for anchor circles only
-        rows = {"fourier": 0, "fourier_dr": 0, "eigen": 0}
-        for name in ("fourier", "fourier_dr"):
-            method = getattr(ModulusExpansion, name)
+        # evaluation at a point, which reads its circle's row; the root solve
+        # reads nothing else of the expansion
+        rows = {"fourier": 0, "eigen": 0}
+        fourier = ModulusExpansion.fourier
 
-            def counted(self, r, _name=name, _method=method):
-                rows[_name] += np.size(r)
-                return _method(self, r)
+        def counted(self, r):
+            rows["fourier"] += np.size(r)
+            return fourier(self, r)
 
-            monkeypatch.setattr(ModulusExpansion, name, counted)
+        monkeypatch.setattr(ModulusExpansion, "fourier", counted)
         companion_roots = maxmod.roots._companion_roots
 
         def solved(coef):
@@ -219,14 +225,15 @@ class TestBatchedScan:
         monkeypatch.setattr(maxmod.roots, "_companion_roots", solved)
         trace(parse_poly(DEGREE_8), TraceConfig(n_radii=200))
         assert rows["fourier"] == 200
-        assert 0 < rows["fourier_dr"] <= rows["eigen"] <= 50
+        assert 0 < rows["eigen"] <= 50
 
     def test_eigen_solves_only_anchor_circles(self, monkeypatch):
-        # the roots of most circles are carried over from an anchor circle;
-        # only anchors and rejected followers reach the eigenvalue solve.  The
-        # magic cubic is traced on its reflection axis, where the solved
-        # polynomial S(u) is quadratic: there every circle is eigen-solved,
-        # as a 2 x 2 companion matrix, which costs less than following it
+        # only circles that the certificate leaves open reach the eigenvalue
+        # solve; certified circles are solved in their windows.  The magic
+        # cubic is traced on its reflection axis, where the solved polynomial
+        # S(u) is quadratic: there every circle is eigen-solved, as a 2 x 2
+        # companion matrix, without a certificate.  Every circle of
+        # random_count's input 1 is certified, so it makes no eigvals call
         solved = []  # (matrices, order) per call
         eigvals = np.linalg.eigvals
 
@@ -238,94 +245,10 @@ class TestBatchedScan:
         trace(parse_poly("1,0,1,1i"), TraceConfig(n_radii=200))
         assert solved == [(200, 2)]
         solved.clear()
+        res = trace(RANDOM_COUNT_1, TraceConfig(r_min=2e-4, r_max=0.3, n_radii=200))
+        assert solved == [] and res.n_components == 1
         trace(parse_poly(DEGREE_8), TraceConfig(n_radii=200))
         assert 0 < sum(rows for rows, _ in solved) <= 50
-
-    def test_uncertified_followers_fall_back(self, monkeypatch):
-        # near |z| = 0.9 max-min pairs of the degree-8 input leave the circle
-        # between anchors: the Aberth roots of some followers fail the
-        # certificate, and their eigenvalue solve keeps the trace whole
-        rejected = []
-        aberth = maxmod.roots._aberth
-
-        def counted(coef, t):
-            roots, ok = aberth(coef, t)
-            rejected.append(int(np.count_nonzero(~ok)))
-            return roots, ok
-
-        monkeypatch.setattr(maxmod.roots, "_aberth", counted)
-        res = trace(parse_poly(DEGREE_8), TraceConfig(r_max=0.9))
-        assert sum(rejected) >= 1
-        assert {s.curve_id for s in res.samples} == {0}
-        assert res.component_ids == (0,) and not res.events
-
-
-class TestPredictor:
-    def test_euler_start_beats_anchor_roots(self, monkeypatch):
-        # the Euler step off the anchor lands closer to the follower's
-        # certified roots than the anchor's roots themselves, for most roots
-        # of seeded polynomials of degree 2-16, a third of them real
-        groups = []
-        euler_start = maxmod.roots._euler_start
-        aberth = maxmod.roots._aberth
-
-        def record_start(fourier_dr, d, odd, lead_a, t_a, r_a, near, r):
-            start = euler_start(fourier_dr, d, odd, lead_a, t_a, r_a, near, r)
-            groups.append((t_a[near], start, []))
-            return start
-
-        def record_roots(coef, t):
-            roots, ok = aberth(coef, t)
-            groups[-1][2].append((roots, ok))
-            return roots, ok
-
-        monkeypatch.setattr(maxmod.roots, "_euler_start", record_start)
-        monkeypatch.setattr(maxmod.roots, "_aberth", record_roots)
-        rng = np.random.default_rng(20261019)
-        for case in range(18):
-            deg = int(rng.integers(2, 17))
-            c = rng.normal(size=deg + 1) + (case % 3 != 0) * 1j * rng.normal(size=deg + 1)
-            c[1:-1] *= rng.random(deg - 1) > 0.3
-            c[0] = 1.0
-            p = Polynomial(tuple(complex(x) for x in c))
-            lo = max(1e-2, 2 * floor_radius(normalize(p)))
-            e, radii = expand(p), np.geomspace(0.9, lo, 100)
-            _derivative_roots(e.fourier(radii), radii, e.fourier_dr)
-        closer = moved = 0
-        for anchor, start, blocks in groups:
-            if not blocks:
-                continue
-            roots = np.concatenate([b[0] for b in blocks])
-            ok = np.concatenate([b[1] for b in blocks])
-            d_anchor = np.abs(anchor - roots)[ok]
-            d_start = np.abs(start - roots)[ok]
-            # a root that does not move (theta = 0 of a real polynomial) is
-            # no test of the step
-            keep = d_anchor > 1e-12 * (1.0 + np.abs(roots[ok]))
-            moved += int(keep.sum())
-            closer += int((d_start[keep] < d_anchor[keep]).sum())
-        assert moved >= 2000
-        assert closer >= 0.75 * moved
-
-    @pytest.mark.parametrize("n_radii,bound", [(40, 16), (200, 26)])
-    def test_crowded_eigen_solved_rows(self, monkeypatch, n_radii, bound):
-        # the degree-23 polynomials S(u) of the real CROWDED (R(t) = t S(t^2)
-        # of degree 47) are where Aberth followers fail most; anchors plus
-        # fallbacks stay few.  Near r = 0.05 only C_2 is kept and S is
-        # linear: those circles are all eigen-solved by design and not counted
-        rows = []
-        companion_roots = maxmod.roots._companion_roots
-
-        def solved(coef):
-            if coef.shape[1] - 1 > EIGEN_DEGREE:
-                rows.append(coef.shape[0])
-            return companion_roots(coef)
-
-        monkeypatch.setattr(maxmod.roots, "_companion_roots", solved)
-        e = expand(parse_poly(CROWDED))
-        radii = np.geomspace(0.95, 0.05, n_radii)
-        _derivative_roots(e.fourier(radii), radii, e.fourier_dr)
-        assert 0 < sum(rows) <= bound
 
 
 def full_solve(e: ModulusExpansion, radii: np.ndarray) -> list[np.ndarray]:
@@ -398,7 +321,7 @@ class TestQuotient:
             assert not quotient.c.imag.any(), p
             lo = max(1e-2, 2 * floor_radius(normalize(p)))
             radii = np.geomspace(0.9, lo, 60)
-            ridx, theta = critical_points(quotient.fourier(radii), radii, quotient.fourier_dr)
+            ridx, theta = critical_points(quotient.fourier(radii), radii)
             theta = reduce_angle(theta + psi)
             n_max, maxima, _, _, _ = _scan_circles(quotient, radii)
             maxima = reduce_angle(maxima + psi)
@@ -470,7 +393,7 @@ class TestQuotient:
         e = expand(p)
         cfg = TraceConfig(r_min=max(1e-3, 2 * floor_radius(normalize(p))), r_max=0.6)
         radii = radius_schedule(cfg)
-        ridx, theta = critical_points(e.fourier(radii), radii, e.fourier_dr)
+        ridx, theta = critical_points(e.fourier(radii), radii)
         n_max, maxima, _, _, _ = _scan_circles(e, radii)
         for i, scan in enumerate(np.split(maxima, np.cumsum(n_max)[:-1])):
             crit = np.where(theta[ridx == i] == -math.pi, math.pi, theta[ridx == i])
@@ -560,6 +483,57 @@ def close_gap(theta: np.ndarray) -> float:
     return float(np.diff(np.concatenate([th, [th[0] + 2 * math.pi]])).min())
 
 
+RANDOM_COUNT_4 = Polynomial(
+    (
+        1,
+        -1.092693775576423 - 1.3780324357666591j,
+        0,
+        0,
+        1.4421459689263467 + 1.363964931950492j,
+        -0.5246771324099359 + 0.3368640744741806j,
+    )
+)
+RANDOM_COUNT_9 = Polynomial((1, 0, 1.7648238028165952 + 0.5995024216046244j, 0, -0.4668918131041815 + 0.643990882248286j))
+
+
+class TestMpmathOracle:
+    @pytest.mark.parametrize(
+        "p,cfg",
+        [
+            (parse_poly("1,0,1,1i"), TraceConfig(r_min=1e-3, r_max=0.3, n_radii=200)),
+            (parse_poly("1,0,1,0.001+1i"), TraceConfig(r_min=1e-3, r_max=0.05, n_radii=200)),
+            (RANDOM_COUNT_1, TraceConfig(r_min=2e-4, r_max=0.3, n_radii=200)),
+            (RANDOM_COUNT_4, TraceConfig(r_min=2e-4, r_max=0.3, n_radii=200)),
+            (RANDOM_COUNT_9, TraceConfig(r_min=2e-4, r_max=0.3, n_radii=200)),
+        ],
+        ids=["fig1-magic", "fig1-perturbed", "random-count-1", "random-count-4", "random-count-9"],
+    )
+    def test_maximizers_match_mpmath(self, p, cfg):
+        # every traced maximizer of fig1's pair and of three random_count
+        # inputs is within 5e-16, plus half an ulp for the last rounding of
+        # the angle, of a 50-digit polish of d/dtheta |p|^2 = 0.  The half ulp
+        # covers the magic cubic, traced on its axis and turned back by psi:
+        # its worst is 5.85e-16 at theta = -3.139.  The other random_count
+        # inputs but input 2 are off by more, up to 3.4e-15 on input 6, yet
+        # within 30 eps d1_bound / |d2|, the rounding of d/dtheta over the
+        # curvature
+        mp = pytest.importorskip("mpmath")
+        res = trace(p, cfg)
+        c = [mp.mpc(z.real, z.imag) for z in p.coeffs]
+        dc = [k * c[k] for k in range(1, len(c))]
+        with mp.workdps(50):
+
+            def d1(r, t):  # -(1/2) d/dtheta |p(r e^{i t})|^2
+                z = r * mp.expj(t)
+                return mp.im(mp.conj(mp.polyval(c[::-1], z)) * z * mp.polyval(dc[::-1], z))
+
+            for s in res.samples:
+                r = mp.mpf(s.r)
+                want = mp.findroot(lambda t: d1(r, t), mp.mpf(s.theta))
+                err = abs(float(mp.mpf(s.theta) - want))
+                assert err <= 5e-16 + 0.5 * np.spacing(abs(s.theta)), (s.r, s.theta, err)
+
+
 class TestCriticalPoints:
     def test_maxima_match_dense_oracle(self):
         # random polynomials of degree 2-12 on circles in [1e-2, 0.9], real
@@ -586,7 +560,7 @@ class TestCriticalPoints:
             e = expand(p)
             n_max, thetas, _, _, _ = _scan_circles(e, radii)
             scans = np.split(thetas, np.cumsum(n_max)[:-1])
-            ridx, theta = critical_points(e.fourier(radii), radii, e.fourier_dr)
+            ridx, theta = critical_points(e.fourier(radii), radii)
             _, d2 = e.d1d2(radii[ridx], theta)
             for i, (r, scan) in enumerate(zip(radii, scans)):
                 is_max = d2[ridx == i] < 0
@@ -601,11 +575,11 @@ class TestCriticalPoints:
                 checked += 1
         assert checked >= 75
 
-    def test_followers_match_circles_solved_alone(self):
-        # a schedule's followers, whose roots are carried over from an anchor
-        # circle, give the critical points that an eigenvalue solve of each
-        # circle alone gives; circles with two critical points within 1e-3,
-        # near a fold, are skipped
+    def test_schedule_matches_circles_solved_alone(self):
+        # a schedule's circles give the critical points that each circle
+        # solved alone gives: whether a circle takes the window or the
+        # eigenvalue solve depends on its own row only; circles with two
+        # critical points within 1e-3, near a fold, are skipped
         rng = np.random.default_rng(20261018)
         checked = 0
         for case in range(24):
@@ -617,11 +591,11 @@ class TestCriticalPoints:
             lo = max(1e-2, 2 * floor_radius(normalize(p)))
             radii = np.geomspace(0.9, lo, 100)
             e = expand(p)
-            ridx, theta = critical_points(e.fourier(radii), radii, e.fourier_dr)
+            ridx, theta = critical_points(e.fourier(radii), radii)
             for i in range(radii.size):
                 got = theta[ridx == i]
                 one = radii[i : i + 1]
-                _, alone = critical_points(e.fourier(one), one, e.fourier_dr)
+                _, alone = critical_points(e.fourier(one), one)
                 if min(close_gap(got), close_gap(alone)) <= 1e-3:
                     continue
                 assert got.size == alone.size, (p, radii[i])
@@ -652,7 +626,7 @@ class TestCriticalPoints:
         # circle gets theta = pi itself (as -pi) from the dropped order
         e = expand(parse_poly(text))
         radii = radius_schedule(TraceConfig(r_min=1e-2, r_max=0.9, n_radii=60))
-        ridx, theta = critical_points(e.fourier(radii), radii, e.fourier_dr)
+        ridx, theta = critical_points(e.fourier(radii), radii)
         assert np.all(np.bincount(ridx[theta == -math.pi], minlength=radii.size) == 1)
 
     @pytest.mark.parametrize(
@@ -669,7 +643,7 @@ class TestCriticalPoints:
         # other root stays far outside it, even across folds
         e = expand(parse_poly(text))
         radii = radius_schedule(cfg)
-        roots = _derivative_roots(e.fourier(radii), radii, e.fourier_dr)
+        roots = _derivative_roots(e.fourier(radii), radii)
         dist = np.concatenate([np.abs(np.abs(w) - 1.0).ravel() for _, w in roots])
         on = dist < ON_CIRCLE
         assert on.any() and np.all(dist[on] <= 1e-10)
@@ -683,7 +657,7 @@ class TestCriticalPoints:
         # the root solve puts it at theta = pi
         e = expand(parse_poly(text))
         radii = np.array([0.3, 0.1])
-        ridx, theta = critical_points(e.fourier(radii), radii, e.fourier_dr)
+        ridx, theta = critical_points(e.fourier(radii), radii)
         for i in range(radii.size):
             got = np.sort(np.abs(theta[ridx == i]))
             assert np.allclose(got, [0.0, math.pi], rtol=0, atol=1e-15)
@@ -693,11 +667,11 @@ class TestCriticalPoints:
         # failure, not an IndexError
         e = expand(parse_poly("1,0,1,1i"))
         radii = np.array([0.2, 0.1])
-        ridx, theta = critical_points(e.fourier(radii), radii, e.fourier_dr)
+        ridx, theta = critical_points(e.fourier(radii), radii)
         _, d2 = e.d1d2(radii[ridx], theta)
         keep = (ridx == 0) | (d2 >= 0)
         monkeypatch.setattr(
-            maxmod.roots, "critical_points", lambda cn, radii, dr: (ridx[keep], theta[keep])
+            maxmod.roots, "critical_points", lambda cn, radii: (ridx[keep], theta[keep])
         )
         with pytest.raises(maxmod.RefinementFailureError) as exc:
             _scan_circles(e, radii)
@@ -1058,6 +1032,18 @@ class TestFitTangent:
             assert not on_ray
             assert circ_dist(omega_hat, omega) <= 1e-9
             assert abs(alpha_hat - alpha) <= 0.05
+
+    @pytest.mark.parametrize("r_min,r_max", [(0.0299, 0.03), (0.29, 0.3)])
+    def test_narrow_window_fits_the_degree_it_resolves(self, r_min, r_max):
+        # 50 radii within 0.3% of each other resolve only 5 powers of r: the
+        # fit takes degree 4 in place of a rank-deficient degree 6, without a
+        # RankWarning (an error under this suite's filterwarnings), and its
+        # tangent stays near the candidate angles (the rank-deficient fit
+        # reported omega_hat = -3.0995, 4.2e-2 off omega_1)
+        res = trace(parse_poly("1,0,1,1i"), TraceConfig(r_min=r_min, r_max=r_max, n_radii=50))
+        assert res.n_components == 2
+        for t in res.tangents:
+            assert t.omega_error <= 1e-3
 
     def test_constant_is_on_ray(self):
         rs = np.geomspace(0.3, 1e-3, 200)
