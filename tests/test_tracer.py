@@ -250,6 +250,31 @@ class TestBatchedScan:
         trace(parse_poly(DEGREE_8), TraceConfig(n_radii=200))
         assert 0 < sum(rows for rows, _ in solved) <= 50
 
+    def test_uncertified_followers_fall_back(self, monkeypatch):
+        # near |z| = 0.9 several orders of the degree-8 input compete: the
+        # certificate leaves some circles open, and their eigenvalue solve
+        # keeps the trace whole, while the certified circles nearer 0 take
+        # the window solve
+        open_rows, windowed = [], []
+        certified = maxmod.roots._certified
+        window_roots = maxmod.roots._window_roots
+
+        def counted(mag):
+            ok = certified(mag)
+            open_rows.append(int(np.count_nonzero(~ok)))
+            return ok
+
+        def counted_window(nc, *args):
+            windowed.append(nc.shape[0])
+            return window_roots(nc, *args)
+
+        monkeypatch.setattr(maxmod.roots, "_certified", counted)
+        monkeypatch.setattr(maxmod.roots, "_window_roots", counted_window)
+        res = trace(parse_poly(DEGREE_8), TraceConfig(r_max=0.9))
+        assert sum(open_rows) >= 1 and sum(windowed) >= 1
+        assert {s.curve_id for s in res.samples} == {0}
+        assert res.component_ids == (0,) and not res.events
+
 
 def full_solve(e: ModulusExpansion, radii: np.ndarray) -> list[np.ndarray]:
     """Test oracle: each circle's critical angles, sorted, from numpy's
@@ -575,11 +600,12 @@ class TestCriticalPoints:
                 checked += 1
         assert checked >= 75
 
-    def test_schedule_matches_circles_solved_alone(self):
-        # a schedule's circles give the critical points that each circle
-        # solved alone gives: whether a circle takes the window or the
-        # eigenvalue solve depends on its own row only; circles with two
-        # critical points within 1e-3, near a fold, are skipped
+    def test_followers_match_circles_solved_alone(self):
+        # every circle of a schedule, the first and those that follow it,
+        # gives the critical points that the circle solved alone gives:
+        # whether a circle takes the window or the eigenvalue solve depends
+        # on its own row only; circles with two critical points within 1e-3,
+        # near a fold, are skipped
         rng = np.random.default_rng(20261018)
         checked = 0
         for case in range(24):
