@@ -147,7 +147,12 @@ def cmd_trace(args) -> int:
             f"(stable below r={result.stable_radius:.6g})  ->  {verdict}"
         )
         for t in result.tangents:
-            alpha = "on ray" if t.on_ray else f"alpha={t.alpha_hat:.3f}"
+            if t.on_ray:
+                alpha = "on ray"
+            elif t.alpha_hat is None:
+                alpha = "alpha unresolved"
+            else:
+                alpha = f"alpha={t.alpha_hat:.3f}"
             print(
                 f"  curve {t.curve_id}: omega_hat={t.omega_hat: .10f} "
                 f"({alpha}), matches omega_{t.matched_j} within {t.omega_error:.2e}"

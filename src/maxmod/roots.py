@@ -1,5 +1,6 @@
 """The root solve of a trace: the critical points of
-``theta -> |1 + q(r e^{i theta})|^2`` on many circles at once, from each
+``theta -> |1 + q(r e^{i theta})|^2`` on many circles at once, each one
+sorted into a maximum or a minimum and every maximum polished, from each
 circle's Fourier coefficients ``C_n`` alone.  The entry point is
 :func:`critical_points`.
 
@@ -18,10 +19,14 @@ sign of ``-sin(phi)``, opposite at the two ends; F can vanish only where
 strictly monotone.  The zeros of even j are the maxima.  A circle so
 certified from its own row (:func:`_certified`) is solved in its windows by
 one bracketed Newton iteration over all windows of all certified circles
-(:func:`_window_roots`).  Every other circle is eigen-solved: its critical
-points are the real roots of a polynomial in the half angle
-(:func:`_derivative_roots`), found by a batched eigenvalue solve of its
-companion matrix.
+(:func:`_window_roots`), and the window's index gives each point's kind: no
+point of such a circle is evaluated again.  Every other circle is
+eigen-solved (:func:`_eigen_points`): its critical points are the real roots
+of a polynomial in the half angle (:func:`_derivative_roots`), found by a
+batched eigenvalue solve of its companion matrix, sorted into maxima and
+minima by the sign of F' at each and checked against F at the midpoints
+between neighbours, and its maxima are polished by the same bracketed
+Newton iteration (:func:`_newton`).
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import RefinementFailureError
-from .util import EPS, reduce_angle
+from .util import EPS, TWO_PI, reduce_angle
 
 # A root t of the half-angle polynomial (see _derivative_roots), mapped to
 # w = (1+it)/(1-it), is a critical point of its circle when
@@ -67,18 +72,32 @@ CERTIFY = 0.9
 # a window of width pi / n* below 16 EPS in under 55 steps.
 WINDOW_TOL = 4.0
 WINDOW_MAX_ITER = 64
+# The polish of an eigen-solved maximum stops when |F| is below NEWTON_TOL
+# times an upper bound for |F| on its circle, or its bracket is a few ulps
+# wide; it fails after NEWTON_MAX_ITER steps.  The same bound for |F'|,
+# times NEWTON_TOL, is the most F' may exceed 0 at a polished maximum.
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 60
 
 
-def critical_points(cn: np.ndarray, radii: np.ndarray):
+def critical_points(cn: np.ndarray, radii: np.ndarray, bounds):
     """Every critical point of ``theta -> |1 + q(r e^{i theta})|^2`` on every
-    circle.  Row i of ``cn`` holds the ``C_n``, n = 1..D, of the radius
-    ``radii[i]``.  A circle whose solved polynomial has degree above
-    ``EIGEN_DEGREE`` and that :func:`_certified` certifies is solved in its
-    windows (:func:`_window_roots`); on every other circle the critical
-    points are the roots of :func:`_derivative_roots` within ``ON_CIRCLE``
-    of the unit circle.
+    circle, with its kind.  Row i of ``cn`` holds the ``C_n``, n = 1..D, of
+    the radius ``radii[i]``.  A circle whose solved polynomial has degree
+    above ``EIGEN_DEGREE`` and that :func:`_certified` certifies is solved in
+    its windows (:func:`_window_roots`); every other circle is eigen-solved
+    and its maxima polished (:func:`_eigen_points`).  ``bounds(rows)``
+    returns, for the circles ``rows`` (indices into ``cn``), upper bounds of
+    ``|F|`` and ``|F'|`` on each; it is called only for eigen-solved
+    circles, so a call whose every circle is certified forms none.
 
-    Returns ``(radius_index, theta)``, sorted by radius index, then angle.
+    Returns ``(radius_index, theta, is_max)``, sorted by radius index, then
+    by the angle before polishing.  Every maximum is polished within its
+    bracket, whose ends are the midpoints to its neighbours on the circle or
+    its window's edges, so the first or last maximum of a circle may lie a
+    little past -pi or pi.
+    Raises :class:`~maxmod.errors.RefinementFailureError` where a circle
+    cannot be solved, sorted or polished.
     """
     deg = cn.shape[1]
     odd = not cn.imag.any()  # every C_n real: see _derivative_roots
@@ -88,22 +107,19 @@ def critical_points(cn: np.ndarray, radii: np.ndarray):
         mag = np.abs(nc)
         kept = _kept_orders(mag)
         win = ((kept - 1 if odd else 2 * kept) > EIGEN_DEGREE) & _certified(mag)
-    ridx, theta = [], []
+    parts = []
     if win.any():
         rows = np.flatnonzero(win)
-        i, th = _window_roots(nc[rows], mag[rows], radii[rows], odd)
-        ridx.append(rows[i])
-        theta.append(th)
+        i, th, is_max = _window_roots(nc[rows], mag[rows], radii[rows], odd)
+        order = np.lexsort((th, i))
+        parts.append((rows[i[order]], th[order], is_max[order]))
     eig = np.flatnonzero(~win)
     if eig.size:
-        for rows, w in _derivative_roots(cn[eig], radii[eig]):
-            row, col = np.nonzero(np.abs(np.abs(w) - 1.0) < ON_CIRCLE)
-            ridx.append(eig[rows[row]])
-            theta.append(np.angle(w[row, col]))
-    ridx = np.concatenate(ridx)
-    theta = np.concatenate(theta)
-    order = np.lexsort((theta, ridx))
-    return ridx[order], theta[order]
+        i, th, is_max = _eigen_points(cn[eig], radii[eig], *bounds(eig))
+        parts.append((eig[i], th, is_max))
+    ridx, theta, is_max = (np.concatenate(x) for x in zip(*parts))
+    order = np.argsort(ridx, kind="stable")  # each part is sorted already
+    return ridx[order], theta[order], is_max[order]
 
 
 def _kept_orders(mag: np.ndarray) -> np.ndarray:
@@ -125,30 +141,89 @@ def _certified(mag: np.ndarray) -> np.ndarray:
     return x * x + y * y < CERTIFY
 
 
+def _slopes(coef: np.ndarray, i: np.ndarray, theta: np.ndarray, sign):
+    """``sign Im s_1`` and ``sign Re s_2`` at ``theta[k]`` on row ``i[k]``,
+    where ``s_m = sum_n coef[m-1, i[k], n-1] w^n`` (one Horner pass,
+    :func:`~maxmod._kernels.fourier_sum`).  With ``coef = [n C_n, n^2 C_n]``
+    and ``sign = -2`` they are F and F'."""
+    s1, s2 = _kernels.fourier_sum(coef[:, i], theta)
+    return sign * s1.imag, sign * s2.real
+
+
+def _newton(coef, i, x0, lo, hi, sign, tol, radii, max_iter: int, polish: bool):
+    """One vectorized Newton iteration with bisection for all points: point
+    k solves ``g = 0`` for ``g, g' = _slopes(coef, i, theta, sign)`` at
+    ``theta`` on row ``i[k]``, from ``x0[k]`` inside the bracket
+    ``[lo[k], hi[k]]``, on whose left end g is positive and on whose right
+    end it is not.  The bracket end on the side of g's sign moves to the
+    iterate, and a Newton step is taken only where ``g' < 0`` and it lands
+    strictly inside the bracket, else the bracket is bisected.  A point has
+    converged where ``|g| <= tol[k]`` or its bracket is a few ulps wide;
+    with ``polish`` it then takes one more such Newton step, else it stays.
+    Only unconverged points are evaluated again.
+
+    Returns the zeros and ``g'`` at the last angle each point evaluated;
+    raises :class:`~maxmod.errors.RefinementFailureError` at the radius
+    (``radii[i[k]]``) and start of the first point that has not converged
+    after ``max_iter`` steps.
+    """
+    x, lo, hi = x0.copy(), lo.copy(), hi.copy()
+    dg_x = np.empty_like(x)
+    act = np.arange(x.size)  # unconverged points
+    for _ in range(max_iter):
+        xa = x[act]
+        g, dg = _slopes(coef, i[act], xa, sign[act])
+        la = np.where(g > 0, xa, lo[act])
+        ha = np.where(g <= 0, xa, hi[act])
+        conv = (np.abs(g) <= tol[act]) | ((ha - la) <= 16 * EPS)
+        newt = xa - g / np.where(dg != 0.0, dg, 1.0)
+        ok = (dg < 0.0) & (newt > la) & (newt < ha) & np.isfinite(newt)
+        if not polish:
+            ok &= ~conv
+        x[act] = np.where(ok, newt, np.where(conv, xa, 0.5 * (la + ha)))
+        lo[act] = la
+        hi[act] = ha
+        dg_x[act] = dg
+        act = act[~conv]
+        if act.size == 0:
+            return x, dg_x
+    raise RefinementFailureError(float(radii[i[act[0]]]), float(x0[act[0]]))
+
+
 def _window_roots(nc: np.ndarray, mag: np.ndarray, radii: np.ndarray, odd: bool):
     """The critical points of the certified circles whose rows ``n C_n`` are
     ``nc`` (``mag`` their moduli) at the radii ``radii``: one zero of F in
-    each window ``|phi - j pi| < pi/2`` of the module docstring.
+    each window ``|phi - j pi| < pi/2`` of the module docstring, a maximum
+    for even j.
 
-    All windows of all circles take one vectorized Newton iteration with
-    bisection, started at the window centre ``theta = (j pi - arg C_{n*}) /
-    n*``.  On window j, ``g = (-1)^j F / 2 = (-1)^(j+1) Im sum_n n C_n w^n``
-    is positive at the left end and negative at the right, and ``g' =
-    (-1)^(j+1) Re sum_n n^2 C_n w^n`` is negative where g can vanish; both
-    come from one Horner pass (:func:`~maxmod._kernels.fourier_sum`).  The
-    bracket and the Newton guard are those of the tracer's refinement of
-    maxima: the bracket end on the side of g's sign moves to the iterate,
-    and a Newton step is taken only where ``g' < 0`` and it lands strictly
-    inside the bracket, else the bracket is bisected.  A point whose
-    ``|g|`` is at rounding level takes one more such step and stops.
+    All windows of all circles take one :func:`_newton` iteration with
+    ``polish``, started at the window centre ``theta = (j pi - arg C_{n*}) /
+    n*`` inside the window.  On window j, ``g = (-1)^j F / 2 = (-1)^(j+1) Im
+    sum_n n C_n w^n`` is positive at the left end and negative at the right,
+    and ``g' = (-1)^(j+1) Re sum_n n^2 C_n w^n`` is negative where g can
+    vanish.  A point stops where ``|g| <= WINDOW_TOL D EPS sum a_n``, at the
+    rounding level of its Horner pass.  A maximum's ``g'`` at the last angle
+    the iteration evaluated is ``F' / 2`` there; the certificate makes it
+    negative, and a maximum where it is not fails.
+
+    The certificate also makes the checks that an eigen-solved circle needs
+    (:func:`_eigen_points`) hold here without an evaluation: the circle has
+    2 n* >= 2 critical points, n* maxima and n* minima, alternating; F is
+    monotone in each window and has the sign of ``-sin(phi)`` at its ends,
+    so ``F > 0`` from a minimum up to the next maximum and ``F < 0`` from a
+    maximum up to the next minimum, and the midpoints between neighbours
+    bracket every maximum.
 
     Where every ``C_n`` is real (``odd``), F is odd in theta and ``arg
     C_{n*}`` is 0 or pi, so windows are centred on the axis points 0 and pi,
     which are exact zeros.  Only the centres ``k pi / n*`` in (0, pi) are
-    solved; each zero x comes back with its exact mirror -x, and the axis
-    points as 0 and -pi, as from :func:`_derivative_roots`.
+    solved; each zero x comes back with its exact mirror -x, of the same
+    kind, and the axis points as 0 and -pi, as from
+    :func:`_derivative_roots`.  The point 0 is in window 0 or 1 and is a
+    maximum iff ``C_{n*} > 0``; -pi is in window ``-n*`` or ``1 - n*`` and
+    is a maximum iff ``(-1)^n* C_{n*} > 0``.
 
-    Returns ``(row_index, theta)`` in no particular order.
+    Returns ``(row_index, theta, is_max)`` in no particular order.
     """
     rows = np.arange(nc.shape[0])
     star = np.argmax(mag, axis=1)
@@ -163,35 +238,101 @@ def _window_roots(nc: np.ndarray, mag: np.ndarray, radii: np.ndarray, odd: bool)
         j += lead.real[i] < 0.0
     else:
         centre = (j * math.pi - np.angle(lead)[i]) / n[i]
-    sign = np.where(j % 2 == 0, -1.0, 1.0)  # (-1)^(j+1)
+    is_max = j % 2 == 0
+    sign = np.where(is_max, -1.0, 1.0)  # (-1)^(j+1)
     half = 0.5 * math.pi / n[i]
-    lo, hi = centre - half, centre + half
     tol = (WINDOW_TOL * nc.shape[1] * EPS) * mag.sum(axis=1)[i]
     coef = np.stack([nc, np.arange(1, nc.shape[1] + 1) * nc])
-    x = centre.copy()
-    act = np.arange(x.size)  # unconverged points
-    for _ in range(WINDOW_MAX_ITER):
-        xa = x[act]
-        s1, s2 = _kernels.fourier_sum(coef[:, i[act]], xa)
-        g = sign[act] * s1.imag
-        dg = sign[act] * s2.real
-        la = np.where(g > 0, xa, lo[act])
-        ha = np.where(g <= 0, xa, hi[act])
-        conv = (np.abs(g) <= tol[act]) | ((ha - la) <= 16 * EPS)
-        newt = xa - g / np.where(dg != 0.0, dg, 1.0)
-        ok = (dg < 0.0) & (newt > la) & (newt < ha) & np.isfinite(newt)
-        x[act] = np.where(ok, newt, np.where(conv, xa, 0.5 * (la + ha)))
-        lo[act] = la
-        hi[act] = ha
-        act = act[~conv]
-        if act.size == 0:
-            break
-    else:
-        raise RefinementFailureError(float(radii[i[act[0]]]), float(centre[act[0]]))
+    x, dg = _newton(coef, i, centre, centre - half, centre + half, sign, tol, radii, WINDOW_MAX_ITER, True)
+    bad = is_max & ~(dg < 0.0)
+    if bad.any():
+        k = np.argmax(bad)
+        raise RefinementFailureError(float(radii[i[k]]), float(x[k]))
     if not odd:
-        return i, reduce_angle(x)
+        return i, reduce_angle(x), is_max
     axis = [np.zeros(rows.size), np.full(rows.size, -math.pi)]
-    return np.concatenate([i, i, rows, rows]), np.concatenate([x, -x, *axis])
+    axis_max = [lead.real > 0.0, (-1.0) ** n * lead.real > 0.0]
+    return (
+        np.concatenate([i, i, rows, rows]),
+        np.concatenate([x, -x, *axis]),
+        np.concatenate([is_max, is_max, *axis_max]),
+    )
+
+
+def _eigen_points(cn: np.ndarray, radii: np.ndarray, d1_bound: np.ndarray, d2_bound: np.ndarray):
+    """The critical points of the circles whose rows ``C_n`` are ``cn``, at
+    the radii ``radii``, eigen-solved: the roots of
+    :func:`_derivative_roots` within ``ON_CIRCLE`` of the unit circle, each
+    circle's in counterclockwise order from about -pi.  ``d1_bound`` and
+    ``d2_bound`` bound ``|F|`` and ``|F'|`` on each circle.
+
+    One Horner pass over ``[n C_n, n^2 C_n]`` (:func:`_slopes`) at the
+    points and at the midpoints between circular neighbours gives F' at
+    each point and F at each midpoint.  A point with ``F' < 0`` is a
+    maximum, one with ``F' >= 0`` a minimum.  A circle fails with fewer than
+    2 points, without a maximum or a minimum, or with a point of neither
+    kind (F' is NaN); a maximum fails unless F is nonnegative at the
+    midpoint before it and nonpositive at the one after, the ends of its
+    bracket.  The maxima are then polished by one :func:`_newton` iteration
+    without ``polish``, stopping at ``|F| <= NEWTON_TOL d1_bound``, and a
+    polished maximum fails where ``F' > NEWTON_TOL d2_bound``.
+
+    Returns ``(row_index, theta, is_max)`` sorted by row, then by the
+    unpolished angle.
+    """
+    ridx, theta = [], []
+    for rows, w in _derivative_roots(cn, radii):
+        row, col = np.nonzero(np.abs(np.abs(w) - 1.0) < ON_CIRCLE)
+        ridx.append(rows[row])
+        theta.append(np.angle(w[row, col]))
+    ridx = np.concatenate(ridx)
+    theta = np.concatenate(theta)
+    order = np.lexsort((theta, ridx))
+    ridx, theta = ridx[order], theta[order]
+    counts = np.bincount(ridx, minlength=radii.size)
+    if counts.min() < 2:  # a smooth periodic function has a maximum and a minimum
+        raise RefinementFailureError(float(radii[np.argmin(counts)]), 0.0)
+    first = np.cumsum(counts) - counts
+    last = first + counts - 1
+    nxt = np.arange(1, theta.size + 1)
+    nxt[last] = first
+    prv = np.arange(-1, theta.size - 1)
+    prv[first] = last
+    after = theta[nxt]
+    after[last] += TWO_PI
+    mid = 0.5 * (theta + after)  # midpoint to the next critical point
+    mid_before = mid[prv]
+    mid_before[first] -= TWO_PI
+
+    n = np.arange(1.0, cn.shape[1] + 1)
+    coef = np.stack([n * cn, n * n * cn])
+    f, d2 = _slopes(coef, np.concatenate([ridx, ridx]), np.concatenate([theta, mid]), -2.0)
+    f_mid = f[theta.size :]
+    d2 = d2[: theta.size]
+    is_max = d2 < 0.0
+    n_max = np.bincount(ridx[is_max], minlength=radii.size)
+    n_min = np.bincount(ridx[d2 >= 0.0], minlength=radii.size)  # NaN is neither
+    bad = (n_max == 0) | (n_min == 0) | (n_max + n_min < counts)
+    if bad.any():
+        raise RefinementFailureError(float(radii[np.argmax(bad)]), 0.0)
+    mx = np.flatnonzero(is_max)
+    bad = (f_mid[prv[mx]] < 0) | (f_mid[mx] > 0)
+    if bad.any():
+        worst = mx[np.argmax(bad)]
+        raise RefinementFailureError(float(radii[ridx[worst]]), float(theta[worst]))
+
+    i = ridx[mx]
+    tol = NEWTON_TOL * np.maximum(d1_bound, 1e-300)
+    sign = np.full(mx.size, -2.0)
+    theta_mx, d2 = _newton(
+        coef, i, theta[mx], mid_before[mx], mid[mx], sign, tol[i], radii, NEWTON_MAX_ITER, False
+    )
+    bad = d2 > NEWTON_TOL * np.maximum(d2_bound, 1e-300)[i]
+    if bad.any():
+        k = np.argmax(bad)
+        raise RefinementFailureError(float(radii[i[k]]), float(theta_mx[k]))
+    theta[mx] = theta_mx
+    return ridx, theta, is_max
 
 
 @functools.cache

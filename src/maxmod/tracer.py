@@ -9,10 +9,13 @@ paper's trigonometric expansion, grouped by frequency, gives each circle's
 Fourier coefficients ``C_n(r)`` of ``|1 + q|^2``
 (``ModulusExpansion.fourier``), from which every evaluation of the trace is
 made.  :func:`maxmod.roots.critical_points` finds the critical points of
-all circles from these rows alone.  One Newton solve (bisection-guarded) on
-the exact theta-derivative then polishes the maxima of all circles; like
-every evaluation at a point, it reads the point's ``C_n`` from its circle's
-row, formed once per radius.
+all circles from these rows alone, tells maxima from minima and polishes
+the maxima: a circle that the leading-order certificate covers gets each
+point's kind from its window and is not evaluated again, and only the
+other circles are sorted by the sign of the second derivative and their
+maxima polished by Newton steps.  The scan then evaluates ``osc`` once per
+critical point, reading the point's ``C_n`` from its circle's row, formed
+once per radius.
 Between folds a circle's maxima move analytically in r and never cross, so
 their cyclic order links the maxima of neighbouring circles into
 trajectories, on flat arrays of all circles at once.  The co-maximal runs
@@ -64,10 +67,6 @@ FIT_DEGREE = 6  # degree of the polynomial theta(r) fitted by _fit_tangent
 # Co-maximality: a maximizer ties with the best one when its value lies within
 # TIE_TOL times the per-circle spread (max - min) of the squared modulus.
 TIE_TOL = 1e-12
-# Newton stops when |d/dtheta| is below NEWTON_TOL times an upper bound for
-# the theta-derivative on the circle, or after NEWTON_MAX_ITER steps.
-NEWTON_TOL = 1e-12
-NEWTON_MAX_ITER = 60
 # TraceConfig.grid lies in 64..MAX_GRID and n_radii in 2..MAX_RADII.
 MAX_GRID = 1 << 16
 MAX_RADII = 100_000
@@ -105,7 +104,9 @@ class CurveSample:
 class TangentFit:
     curve_id: int
     omega_hat: float
-    alpha_hat: float | None  # None when the curve sits exactly on its ray
+    # None when the curve sits exactly on its ray, or when its fit window
+    # spans less than a factor of 2 in r
+    alpha_hat: float | None
     on_ray: bool
     matched_j: int
     matched_omega: float
@@ -175,61 +176,14 @@ def floor_radius(h: HaymanForm) -> float:
     return float((1e6 * EPS * mass * mass / 2.0 * (big / abs(h.a)) * big) ** (1.0 / h.k))
 
 
-def _refine_maxima(
-    e: ModulusExpansion,
-    r: np.ndarray,
-    cn: np.ndarray,
-    x0: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    tol: np.ndarray,
-):
-    """Hybrid Newton/bisection on d/dtheta of the cross sum, one solve for
-    all maxima; maximum i starts at ``x0[i]`` on the circle of radius
-    ``r[i]``, whose ``C_n`` are ``cn[i]``, inside the bracket
-    ``[lo[i], hi[i]]`` on whose left edge the derivative is nonnegative and
-    on whose right edge it is nonpositive.  It has converged where
-    ``|d/dtheta| <= tol[i]`` or the bracket is a few ulps wide.
-    Only unconverged maxima are evaluated again.  Returns the refined angles
-    and the second derivative at each.
-    """
-    lo = lo.copy()
-    hi = hi.copy()
-    x = x0.copy()
-    d2_x = np.empty_like(x)
-    act = np.arange(x.size)  # unconverged maxima
-    for _ in range(NEWTON_MAX_ITER):
-        xa = x[act]
-        f, d2 = e.d1d2(r[act], xa, cn=cn[act])
-        la = np.where(f > 0, xa, lo[act])
-        ha = np.where(f <= 0, xa, hi[act])
-        conv = (np.abs(f) <= tol[act]) | ((ha - la) <= 16 * EPS)
-        newt = xa - f / np.where(d2 != 0.0, d2, 1.0)
-        ok = (d2 < 0.0) & (newt > la) & (newt < ha) & np.isfinite(newt)
-        x[act] = np.where(conv, xa, np.where(ok, newt, 0.5 * (la + ha)))
-        lo[act] = la
-        hi[act] = ha
-        d2_x[act] = d2
-        act = act[~conv]
-        if act.size == 0:
-            break
-    else:
-        raise RefinementFailureError(float(r[act[0]]), float(x0[act[0]]))
-    return x, d2_x
-
-
 def _scan_circles(e: ModulusExpansion, radii: np.ndarray):
     """All refined local maxima of every circle ``|z| = r`` for r in ``radii``.
 
     Each circle's ``C_n`` are formed once: the critical points of all
-    circles come from them (:func:`maxmod.roots.critical_points`), and
-    every evaluation below reads a point's from its circle's row.  One ``d1d2`` call at the
-    critical points and at the midpoints between circular neighbours sorts
-    them into maxima (``d2 < 0``) and minima and checks the bracket of each
-    maximum, whose ends are the midpoints to its two neighbours.  One
-    vectorized Newton/bisection solve then polishes the maxima of all
-    circles.  The spread of a circle is its largest ``osc`` at a maximum
-    minus its smallest at a minimum.
+    circles, their kinds and the polished maxima come from them
+    (:func:`maxmod.roots.critical_points`), and the one ``osc`` evaluation
+    below reads a point's from its circle's row.  The spread of a circle is
+    its largest ``osc`` at a maximum minus its smallest at a minimum.
 
     Returns flat arrays ``(n_max, theta, osc, mod2, comax)``: ``n_max[i]``
     maxima of circle i, followed by those of circle i + 1, each circle's in
@@ -238,75 +192,41 @@ def _scan_circles(e: ModulusExpansion, radii: np.ndarray):
     """
     # the evaluations of |1 + q|^2 and its theta-derivatives sum the
     # n^2 |C_n| <= mass^2, mass = 1 + sum_j j^2 |c_j| r^j, times the scale
-    # (1 on a trace's tail); all of it must stay a float
+    # (1 on a trace's tail); all of it must stay a float, and a scale that
+    # underflows to 0 leaves no angular signal
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN is rejected
+        scale = e.scale(radii)
         j = np.arange(float(e.c.size))
         mass = 1.0 + _kernels.radial_sum(j * j * np.abs(e.c), j, radii)
-        bad = ~np.isfinite(4.0 * mass * mass * np.maximum(e.scale(radii), 1.0))
+        bad = ~np.isfinite(4.0 * mass * mass * np.maximum(scale, 1.0)) | (scale == 0.0)
     if bad.any():
         raise RefinementFailureError(float(radii[np.argmax(bad)]), 0.0)
     cn_rows = e.fourier(radii)
-    ridx, theta = roots.critical_points(cn_rows, radii)
-    counts = np.bincount(ridx, minlength=radii.size)
-    if counts.min() < 2:  # a smooth periodic function has a maximum and a minimum
-        raise RefinementFailureError(float(radii[np.argmin(counts)]), 0.0)
-    first = np.cumsum(counts) - counts
-    last = first + counts - 1
-    nxt = np.arange(1, theta.size + 1)
-    nxt[last] = first
-    prv = np.arange(-1, theta.size - 1)
-    prv[first] = last
-    after = theta[nxt]
-    after[last] += TWO_PI
-    mid = 0.5 * (theta + after)  # midpoint to the next critical point
-    mid_before = mid[prv]
-    mid_before[first] -= TWO_PI
-    r = radii[ridx]
-    cn = cn_rows[ridx]
-    f, d2 = e.d1d2(
-        np.concatenate([r, r]), np.concatenate([theta, mid]), cn=np.concatenate([cn, cn])
-    )
-    f_mid = f[theta.size :]
-    d2 = d2[: theta.size]
-    is_max = d2 < 0.0
+
+    def bounds(rows):  # of |F| and |F'|, F = d/dtheta of the rows' |1 + q|^2
+        r = radii[rows]
+        return e.d1_bound(r) / scale[rows], e.d2_bound(r) / scale[rows]
+
+    ridx, theta, is_max = roots.critical_points(cn_rows, radii, bounds)
     n_max = np.bincount(ridx[is_max], minlength=radii.size)
-    n_min = np.bincount(ridx[d2 >= 0.0], minlength=radii.size)  # NaN is neither
-    bad = (n_max == 0) | (n_min == 0) | (n_max + n_min < counts)
+    n_min = np.bincount(ridx[~is_max], minlength=radii.size)
+    bad = (n_max == 0) | (n_min == 0)  # a smooth periodic function has both
     if bad.any():
         raise RefinementFailureError(float(radii[np.argmax(bad)]), 0.0)
 
     mx = np.flatnonzero(is_max)
-    mn = np.flatnonzero(~is_max)  # every other point is a minimum now
-    bad = (f_mid[prv[mx]] < 0) | (f_mid[mx] > 0)
-    if bad.any():
-        worst = mx[np.argmax(bad)]
-        raise RefinementFailureError(float(r[worst]), float(theta[worst]))
-    ridx_mx = ridx[mx]
-    d1_tol = NEWTON_TOL * np.maximum(e.d1_bound(radii), 1e-300)
-    theta_mx, d2 = _refine_maxima(
-        e, r[mx], cn[mx], theta[mx], mid_before[mx], mid[mx], d1_tol[ridx_mx]
-    )
-
-    # guard: a refined point must be a (weak) maximum
-    d2_tol = NEWTON_TOL * np.maximum(e.d2_bound(radii), 1e-300)
-    bad = d2 > d2_tol[ridx_mx]
-    if bad.any():
-        i = np.argmax(bad)
-        raise RefinementFailureError(float(r[mx[i]]), float(theta_mx[i]))
-
-    osc = e.osc(
-        np.concatenate([r[mx], r[mn]]),
-        np.concatenate([theta_mx, theta[mn]]),
-        cn=np.concatenate([cn[mx], cn[mn]]),
-    )
+    mn = np.flatnonzero(~is_max)
+    order = np.concatenate([mx, mn])
+    osc = e.osc(radii[ridx[order]], theta[order], cn=cn_rows[ridx[order]])
     osc, osc_mn = osc[: mx.size], osc[mx.size :]
+    ridx_mx = ridx[mx]
     starts = np.cumsum(n_max) - n_max
     top = np.maximum.reduceat(osc, starts)
     spread = top - np.minimum.reduceat(osc_mn, np.cumsum(n_min) - n_min)
     tie_threshold = TIE_TOL * spread
     comax = osc >= top[ridx_mx] - tie_threshold[ridx_mx]
     mod2 = e.base(radii)[ridx_mx] + osc
-    return n_max, reduce_angle(theta_mx), osc, mod2, comax
+    return n_max, reduce_angle(theta[mx]), osc, mod2, comax
 
 
 def circle_argmax(e: ModulusExpansion, r: float) -> list[tuple[float, float]]:
@@ -369,7 +289,9 @@ def _fit_tangent(rs: np.ndarray, thetas: np.ndarray):
     r therefore gives omega_hat as its intercept.  alpha_hat is the log-log
     slope of ``|theta - omega_hat|`` against r; where ``theta - omega_hat``
     changes sign inside the window it is the dominant power
-    ``argmax_n |c_n| r_max^n``.
+    ``argmax_n |c_n| r_max^n``.  A window that spans less than a factor of
+    2 in r cannot tell one power of r from the next, and alpha_hat is then
+    None.
 
     Returns (omega_hat, alpha_hat | None, on_ray).
     """
@@ -394,7 +316,9 @@ def _fit_tangent(rs: np.ndarray, thetas: np.ndarray):
     coef = coef[::-1]  # c_0, c_1, ...
     omega_hat = float(coef[0])
     ee = t_w - omega_hat
-    if np.all(ee > 0) or np.all(ee < 0):
+    if r_w[-1] < 2.0 * r_w[0]:
+        alpha_hat = None
+    elif np.all(ee > 0) or np.all(ee < 0):
         alpha_hat = float(np.polyfit(np.log(r_w), np.log(np.abs(ee)), 1)[0])
     else:
         n = np.arange(1, coef.size)

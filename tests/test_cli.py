@@ -327,6 +327,20 @@ class TestTraceCommand:
         assert code == 0
         assert json.loads(out)["trace"]["n_components"] == 1
 
+    def test_narrow_window_leaves_alpha_unresolved(self, capsys):
+        # radii within 3% of each other cannot tell one power of r from the
+        # next: the text names the exponent unresolved and --json gives null,
+        # where the window used to report alpha=0.800 for the magic cubic's
+        # alpha = 1; a window over a decade still reports it
+        argv = ["trace", "--poly", "1,0,1,1i", "--rmin", "0.29", "--rmax", "0.3", "--radii", "50"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.count("(alpha unresolved)") == 2 and "alpha=" not in out
+        code, out, _ = run(capsys, *argv, "--json")
+        tangents = json.loads(out)["trace"]["tangents"]
+        assert code == 0 and [t["alpha_hat"] for t in tangents] == [None, None]
+        code, out, _ = run(capsys, "trace", "--poly", "1,0,1,1i", "--rmin", "0.001", "--radii", "200")
+        assert code == 0 and out.count("(alpha=1.000)") == 2
+
     def test_phantom_discrepancy_exit_4(self, capsys):
         # below the ambiguity radius of the weak odd separator the count is
         # inflated and disagrees with the proven value

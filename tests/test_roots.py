@@ -25,6 +25,23 @@ def eigen_points(cn: np.ndarray, radii: np.ndarray):
     return ridx[order], theta[order]
 
 
+def row_bounds(cn: np.ndarray):
+    """``bounds`` for :func:`roots.critical_points` from the rows alone:
+    ``|F| <= 2 sum n |C_n|`` and ``|F'| <= 2 sum n^2 |C_n|``."""
+    n = np.arange(1, cn.shape[1] + 1)
+    return lambda rows: (2.0 * np.abs(cn[rows]) @ n, 2.0 * np.abs(cn[rows]) @ (n * n))
+
+
+def windowed_rows(cn: np.ndarray) -> np.ndarray:
+    """The rows :func:`roots.critical_points` solves in their windows: those
+    the certificate covers whose solved degree exceeds ``EIGEN_DEGREE``."""
+    n = np.arange(1, cn.shape[1] + 1)
+    mag = n * np.abs(cn)
+    kept = roots._kept_orders(mag)
+    solved = kept - 1 if not cn.imag.any() else 2 * kept
+    return (solved > roots.EIGEN_DEGREE) & roots._certified(mag)
+
+
 def count_windowed(monkeypatch) -> list:
     """Record the number of circles of each call of the window solve."""
     windowed = []
@@ -46,20 +63,24 @@ def test_monomial_rows(monkeypatch, a, k):
     # as S(u), a complex one as R(t), of degree k - 1 or 2k.  The rows have
     # x = y = 0, so every circle whose solved degree exceeds EIGEN_DEGREE
     # takes the window solve; the eigenvalue solve of the same rows finds
-    # the same points
+    # the same points.  The maxima are those of even j, in the window
+    # solve on the axis points 0 and -pi too, for either sign of a and
+    # either parity of k
     windowed = count_windowed(monkeypatch)
     radii = np.geomspace(0.9, 1e-3, 40)
     cn = np.zeros((radii.size, k), dtype=complex)
     cn[:, k - 1] = a * radii**k
     want = reduce_angle((np.arange(2 * k) * math.pi - cmath.phase(a)) / k)
 
-    def check(ridx, theta):
+    def check(ridx, theta, is_max=None):
         assert np.array_equal(np.bincount(ridx, minlength=radii.size), np.full(radii.size, 2 * k))
         for i in range(radii.size):
             dist = circ_dist(theta[ridx == i][:, None], want)
             assert dist.min(axis=1).max() <= 1e-13 and dist.min(axis=0).max() <= 1e-13
+            if is_max is not None:
+                assert np.array_equal(is_max[ridx == i], np.argmin(dist, axis=1) % 2 == 0)
 
-    check(*roots.critical_points(cn, radii))
+    check(*roots.critical_points(cn, radii, row_bounds(cn)))
     m = 2 * k if isinstance(a, complex) else k - 1
     assert windowed == ([radii.size] if m > roots.EIGEN_DEGREE else [])
     check(*eigen_points(cn, radii))
@@ -116,7 +137,7 @@ def test_window_solve_matches_eigen_solve(monkeypatch, deg, real):
     rng = np.random.default_rng(20261019 + deg + 100 * real)
     cn = random_rows(rng, 300, deg, real)
     radii = np.ones(cn.shape[0])
-    ridx, theta = roots.critical_points(cn, radii)
+    ridx, theta, _ = roots.critical_points(cn, radii, row_bounds(cn))
     want_ridx, want = eigen_points(cn, radii)
     assert np.array_equal(ridx, want_ridx)
     assert circ_dist(theta, want).max() <= 1e-13
@@ -142,7 +163,7 @@ def test_window_roots_match_mpmath():
     mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(20261020)
     cn = random_rows(rng, 40, 8, False)
-    ridx, theta = roots.critical_points(cn, np.ones(cn.shape[0]))
+    ridx, theta, _ = roots.critical_points(cn, np.ones(cn.shape[0]), row_bounds(cn))
     n = np.arange(1, cn.shape[1] + 1)
     with mp.workdps(40):
         for i, t in zip(ridx.tolist(), theta.tolist()):
@@ -155,6 +176,58 @@ def test_window_roots_match_mpmath():
             slope = abs(np.sum(n * n * cn[i] * np.exp(1j * n * t)).real)
             bound = np.spacing(abs(t)) + 4 * n.size * EPS * np.sum(n * np.abs(cn[i])) / slope
             assert err <= bound, (i, t, err)
+
+
+@pytest.mark.parametrize("r_max", [0.3, 0.6, 0.9])
+def test_kinds_and_polish_contract(r_max):
+    # seeded polynomials of degree 2-16, a third real, on 100 circles: every
+    # returned kind is the sign of d1d2's second derivative at the point,
+    # maxima and minima alternate, and every maximum of a windowed circle is
+    # a fixed point, bit for bit, of one more step of the eigen-solved
+    # maxima's polish (NEWTON_TOL, no Newton step once converged), so that
+    # polish has nothing left to do there.  Circles with two critical points
+    # within 1e-3, near a fold, are skipped
+    rng = np.random.default_rng(20261021 + int(10 * r_max))
+    checked = fixed = 0
+    for case in range(18):
+        deg = int(rng.integers(2, 17))
+        c = rng.normal(size=deg + 1) + (case % 3 != 0) * 1j * rng.normal(size=deg + 1)
+        c[1:-1] *= rng.random(deg - 1) > 0.3
+        c[0] = 1.0
+        p = maxmod.Polynomial(tuple(complex(x) for x in c))
+        e = maxmod.expand(p)
+        radii = np.geomspace(r_max, max(1e-3, 2 * maxmod.floor_radius(maxmod.normalize(p))), 100)
+        cn = e.fourier(radii)
+        bounds = lambda rows: (e.d1_bound(radii[rows]), e.d2_bound(radii[rows]))
+        ridx, theta, is_max = roots.critical_points(cn, radii, bounds)
+        d2 = e.d1d2(radii[ridx], theta)[1]
+        for i in range(radii.size):
+            at = ridx == i
+            if close_gap(theta[at]) <= 1e-3:
+                continue
+            assert np.array_equal(is_max[at], d2[at] < 0.0), (p, radii[i])
+            assert np.all(is_max[at] != np.roll(is_max[at], 1)), (p, radii[i])
+            checked += 1
+        mx = np.flatnonzero(windowed_rows(cn)[ridx] & is_max)
+        n = np.arange(1.0, cn.shape[1] + 1)
+        x = theta[mx]
+        half = math.pi / (2 * (np.argmax(n * np.abs(cn), axis=1) + 1.0))[ridx[mx]]
+        tol = roots.NEWTON_TOL * e.d1_bound(radii)[ridx[mx]]
+        again, _ = roots._newton(
+            np.stack([n * cn, n * n * cn]), ridx[mx], x, x - half, x + half,
+            np.full(mx.size, -2.0), tol, radii, 1, False,
+        )
+        assert np.array_equal(again, x)
+        fixed += mx.size
+    assert checked >= 1700 and fixed >= 1500
+
+
+def close_gap(theta: np.ndarray) -> float:
+    """Least circular distance between two of the angles ``theta``."""
+    if theta.size < 2:
+        return math.inf
+    th = np.sort(theta)
+    return float(np.diff(np.concatenate([th, [th[0] + 2 * math.pi]])).min())
 
 
 def test_imports_only_errors_and_util():

@@ -32,10 +32,9 @@ from maxmod import (
 )
 from maxmod.cli import _sample_member, main
 from maxmod.modulus import ModulusExpansion, on_axis
-from maxmod.roots import ON_CIRCLE, _derivative_roots, _solve_coef, critical_points
+from maxmod.roots import NEWTON_MAX_ITER, ON_CIRCLE, _derivative_roots, _solve_coef, critical_points
 from maxmod.svg import render_svg
 from maxmod.tracer import (
-    NEWTON_MAX_ITER,
     CurveSample,
     _fit_tangent,
     _link,
@@ -43,6 +42,14 @@ from maxmod.tracer import (
     radius_schedule,
 )
 from maxmod.util import circ_dist, reduce_angle
+
+
+def scan_points(e: ModulusExpansion, radii: np.ndarray):
+    """:func:`critical_points` of the circles of ``e`` at ``radii``, with the
+    bounds the scan passes: ``e``'s own, as its scale is 1."""
+    return critical_points(
+        e.fourier(radii), radii, lambda rows: (e.d1_bound(radii[rows]), e.d2_bound(radii[rows]))
+    )
 
 
 def curve_samples(res, curve_id: int) -> list:
@@ -188,15 +195,18 @@ class TestBatchedScan:
                 assert circ_dist(theta, want_theta[j]) <= 1e-12, (r, theta)
                 assert abs(mod - math.sqrt(alone[j][1])) <= 4 * eps * mod, (r, mod)
 
-    def test_d1d2_calls_do_not_grow_with_radii(self, monkeypatch):
+    def test_evaluation_passes_do_not_grow_with_radii(self, monkeypatch):
+        # every evaluation at a point is one Horner pass over all circles:
+        # the sorting of the magic cubic's eigen-solved points, each step of
+        # the polish of its maxima and the one osc pass
         calls = []
-        d1d2 = ModulusExpansion.d1d2
+        fourier_sum = maxmod._kernels.fourier_sum
 
-        def counted(self, r, theta, **kw):
+        def counted(coef, theta):
             calls.append(np.size(theta))
-            return d1d2(self, r, theta, **kw)
+            return fourier_sum(coef, theta)
 
-        monkeypatch.setattr(ModulusExpansion, "d1d2", counted)
+        monkeypatch.setattr(maxmod._kernels, "fourier_sum", counted)
         counts = {}
         for n in (20, 200):
             calls.clear()
@@ -346,7 +356,7 @@ class TestQuotient:
             assert not quotient.c.imag.any(), p
             lo = max(1e-2, 2 * floor_radius(normalize(p)))
             radii = np.geomspace(0.9, lo, 60)
-            ridx, theta = critical_points(quotient.fourier(radii), radii)
+            ridx, theta, _ = scan_points(quotient, radii)
             theta = reduce_angle(theta + psi)
             n_max, maxima, _, _, _ = _scan_circles(quotient, radii)
             maxima = reduce_angle(maxima + psi)
@@ -418,7 +428,7 @@ class TestQuotient:
         e = expand(p)
         cfg = TraceConfig(r_min=max(1e-3, 2 * floor_radius(normalize(p))), r_max=0.6)
         radii = radius_schedule(cfg)
-        ridx, theta = critical_points(e.fourier(radii), radii)
+        ridx, theta, _ = scan_points(e, radii)
         n_max, maxima, _, _, _ = _scan_circles(e, radii)
         for i, scan in enumerate(np.split(maxima, np.cumsum(n_max)[:-1])):
             crit = np.where(theta[ridx == i] == -math.pi, math.pi, theta[ridx == i])
@@ -585,10 +595,9 @@ class TestCriticalPoints:
             e = expand(p)
             n_max, thetas, _, _, _ = _scan_circles(e, radii)
             scans = np.split(thetas, np.cumsum(n_max)[:-1])
-            ridx, theta = critical_points(e.fourier(radii), radii)
-            _, d2 = e.d1d2(radii[ridx], theta)
+            ridx, _, kind = scan_points(e, radii)
             for i, (r, scan) in enumerate(zip(radii, scans)):
-                is_max = d2[ridx == i] < 0
+                is_max = kind[ridx == i]
                 assert np.all(is_max != np.roll(is_max, 1)), (p, r)
                 bf = oracle_maxima(e, r, grid)
                 gaps = np.diff(np.concatenate([bf, [bf[0] + 2 * math.pi]]))
@@ -617,11 +626,11 @@ class TestCriticalPoints:
             lo = max(1e-2, 2 * floor_radius(normalize(p)))
             radii = np.geomspace(0.9, lo, 100)
             e = expand(p)
-            ridx, theta = critical_points(e.fourier(radii), radii)
+            ridx, theta, _ = scan_points(e, radii)
             for i in range(radii.size):
                 got = theta[ridx == i]
                 one = radii[i : i + 1]
-                _, alone = critical_points(e.fourier(one), one)
+                _, alone, _ = scan_points(e, one)
                 if min(close_gap(got), close_gap(alone)) <= 1e-3:
                     continue
                 assert got.size == alone.size, (p, radii[i])
@@ -652,7 +661,7 @@ class TestCriticalPoints:
         # circle gets theta = pi itself (as -pi) from the dropped order
         e = expand(parse_poly(text))
         radii = radius_schedule(TraceConfig(r_min=1e-2, r_max=0.9, n_radii=60))
-        ridx, theta = critical_points(e.fourier(radii), radii)
+        ridx, theta, _ = scan_points(e, radii)
         assert np.all(np.bincount(ridx[theta == -math.pi], minlength=radii.size) == 1)
 
     @pytest.mark.parametrize(
@@ -683,7 +692,7 @@ class TestCriticalPoints:
         # the root solve puts it at theta = pi
         e = expand(parse_poly(text))
         radii = np.array([0.3, 0.1])
-        ridx, theta = critical_points(e.fourier(radii), radii)
+        ridx, theta, _ = scan_points(e, radii)
         for i in range(radii.size):
             got = np.sort(np.abs(theta[ridx == i]))
             assert np.allclose(got, [0.0, math.pi], rtol=0, atol=1e-15)
@@ -693,11 +702,12 @@ class TestCriticalPoints:
         # failure, not an IndexError
         e = expand(parse_poly("1,0,1,1i"))
         radii = np.array([0.2, 0.1])
-        ridx, theta = critical_points(e.fourier(radii), radii)
-        _, d2 = e.d1d2(radii[ridx], theta)
-        keep = (ridx == 0) | (d2 >= 0)
+        ridx, theta, is_max = scan_points(e, radii)
+        keep = (ridx == 0) | ~is_max
         monkeypatch.setattr(
-            maxmod.roots, "critical_points", lambda cn, radii: (ridx[keep], theta[keep])
+            maxmod.roots,
+            "critical_points",
+            lambda cn, radii, bounds: (ridx[keep], theta[keep], is_max[keep]),
         )
         with pytest.raises(maxmod.RefinementFailureError) as exc:
             _scan_circles(e, radii)
@@ -737,8 +747,8 @@ class TestTrace:
         e = expand(p)
         for s in res.samples:
             (d1,), (d2,) = e.d1d2(s.r, s.theta)
-            assert abs(d1) <= maxmod.tracer.NEWTON_TOL * max(e.d1_bound(s.r), 1e-300)
-            assert d2 <= maxmod.tracer.NEWTON_TOL * e.d2_bound(s.r)
+            assert abs(d1) <= maxmod.roots.NEWTON_TOL * max(e.d1_bound(s.r), 1e-300)
+            assert d2 <= maxmod.roots.NEWTON_TOL * e.d2_bound(s.r)
             assert abs(s.mod**2 - e.mod2(s.r, s.theta)) <= 1e-12 * max(1.0, s.mod**2)
 
     def test_one_sample_per_radius_per_curve(self):
@@ -1071,6 +1081,15 @@ class TestFitTangent:
         for t in res.tangents:
             assert t.omega_error <= 1e-3
 
+    @pytest.mark.parametrize("r_min,alpha", [(0.1501, None), (0.15, 1)])
+    def test_alpha_needs_a_factor_2_window(self, r_min, alpha):
+        # theta = omega + r over a window from r_min to 0.3: its exponent is
+        # reported only where the window spans a factor of 2 in r
+        rs = np.geomspace(0.3, r_min, 50)
+        omega_hat, alpha_hat, on_ray = _fit_tangent(rs, 0.5 + rs)
+        assert not on_ray and omega_hat == pytest.approx(0.5, abs=1e-12)
+        assert alpha_hat == (None if alpha is None else pytest.approx(alpha, abs=1e-6))
+
     def test_constant_is_on_ray(self):
         rs = np.geomspace(0.3, 1e-3, 200)
         omega_hat, alpha_hat, on_ray = _fit_tangent(rs, np.full(rs.size, 0.7))
@@ -1261,6 +1280,66 @@ class TestFixedWork:
         res = trace(parse_poly("1,0,0,0,1"), TraceConfig(r_min=1e-2, n_radii=30))
         assert res.n_components == 4
         assert 0 < sum(radii) <= 30
+
+    def count_evaluations(self, monkeypatch) -> dict:
+        """Record the radii of every bound formed, the calls of ``d1d2`` and
+        the certificate's verdict on every circle."""
+        seen = {"d1_bound": [], "d2_bound": [], "d1d2": 0, "certified": []}
+        for name in ("d1_bound", "d2_bound"):
+            bound = getattr(ModulusExpansion, name)
+
+            def counted(self, r, bound=bound, name=name):
+                seen[name].extend(np.atleast_1d(r).tolist())
+                return bound(self, r)
+
+            monkeypatch.setattr(ModulusExpansion, name, counted)
+        d1d2 = ModulusExpansion.d1d2
+
+        def counted_d1d2(self, *args, **kw):
+            seen["d1d2"] += 1
+            return d1d2(self, *args, **kw)
+
+        monkeypatch.setattr(ModulusExpansion, "d1d2", counted_d1d2)
+        certified = maxmod.roots._certified
+
+        def counted_certified(mag):
+            ok = certified(mag)
+            seen["certified"].extend(ok.tolist())
+            return ok
+
+        monkeypatch.setattr(maxmod.roots, "_certified", counted_certified)
+        return seen
+
+    @pytest.mark.parametrize(
+        "p,cfg",
+        [
+            (parse_poly("1,0,1,0.001+1i"), TraceConfig(r_min=1e-3, r_max=0.05, n_radii=200)),
+            (RANDOM_COUNT_1, TraceConfig(r_min=2e-4, r_max=0.3, n_radii=200)),
+        ],
+        ids=["fig1-perturbed", "random-count-1"],
+    )
+    def test_certified_trace_evaluates_no_kind(self, monkeypatch, p, cfg):
+        # every circle of these traces is certified: each point's kind comes
+        # from its window and each maximum is final, so the trace evaluates
+        # no second derivative and forms no derivative bound
+        seen = self.count_evaluations(monkeypatch)
+        res = trace(p, cfg)
+        assert res.n_components == 1
+        assert seen["certified"] == [True] * cfg.n_radii
+        assert seen["d1d2"] == 0 and seen["d1_bound"] == [] and seen["d2_bound"] == []
+
+    def test_bounds_only_for_eigen_solved_circles(self, monkeypatch):
+        # near |z| = 0.9 the degree-8 input leaves some circles uncertified;
+        # the bounds that polish their maxima are formed for those radii
+        # alone, once each
+        seen = self.count_evaluations(monkeypatch)
+        cfg = TraceConfig(r_max=0.9)
+        trace(parse_poly(DEGREE_8), cfg)
+        radii = radius_schedule(cfg)
+        open_radii = radii[~np.array(seen["certified"])].tolist()
+        assert 0 < len(open_radii) < cfg.n_radii
+        assert seen["d1_bound"] == seen["d2_bound"] == open_radii
+        assert seen["d1d2"] == 0
 
 
 class TestTruncatedInput:
