@@ -15,7 +15,9 @@ point's kind from its window and is not evaluated again, and only the
 other circles are sorted by the sign of the second derivative and their
 maxima polished by Newton steps.  The scan then evaluates ``osc`` once per
 critical point, reading the point's ``C_n`` from its circle's row, formed
-once per radius.
+once per radius.  (Sorting and re-polishing every circle's points here, as
+the scan once did, made random_count traces about 1.2x slower on a shared
+2-core host and changed no output bit.)
 Between folds a circle's maxima move analytically in r and never cross, so
 their cyclic order links the maxima of neighbouring circles into
 trajectories, on flat arrays of all circles at once.  The co-maximal runs
