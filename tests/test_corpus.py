@@ -1,0 +1,42 @@
+"""The committed differential corpus: every input traces to its stored
+outcome.  The discrete fields must match exactly and every sample angle
+within ``ANGLE_TOL``; the mpmath oracle of ``test_tracer.py``, not this
+test, judges accuracy.  ``make_corpus.py`` rebuilds the file."""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from make_corpus import outcome
+from maxmod import Polynomial, TraceConfig
+from maxmod.util import circ_dist
+
+ANGLE_TOL = 1e-12
+CORPUS = json.loads((Path(__file__).with_name("corpus.json")).read_text(encoding="utf-8"))
+
+
+def test_corpus_covers_its_inputs():
+    names = [e["name"] for e in CORPUS]
+    assert len(names) == len(set(names)) >= 330
+    for prefix, least in (("fig1-", 2), ("random-count-", 12), ("hunt-cubic-", 10), ("random-", 300)):
+        assert sum(n.startswith(prefix) for n in names) >= least, prefix
+    assert {"degree-8", "crowded"} <= set(names)
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_outcomes_match(block):
+    # a quarter of the corpus per test, so a failure names fewer inputs
+    failed = []
+    for e in CORPUS[block::4]:
+        p = Polynomial(tuple(complex(re, im) for re, im in e["coeffs"]))
+        r_min, r_max, n_radii = e["cfg"]
+        got = outcome(p, TraceConfig(r_min=r_min, r_max=r_max, n_radii=n_radii))
+        want = e["expect"]
+        theta, want_theta = np.array(got.pop("theta", [])), np.array(want.get("theta", []))
+        if got != {k: v for k, v in want.items() if k != "theta"}:
+            failed.append((e["name"], "discrete"))
+        elif theta.size and circ_dist(theta, want_theta).max() > ANGLE_TOL:
+            failed.append((e["name"], float(circ_dist(theta, want_theta).max())))
+    assert not failed
