@@ -148,22 +148,6 @@ class ModulusExpansion:
         k = -2.0 * self.scale(r)
         return k * s1.imag, k * s2.real
 
-    # -- magnitude bounds used by the tracer -----------------------------
-
-    def d1_bound(self, r):
-        """Upper bound for the first theta-derivative of :meth:`mod2` over a
-        circle, per radius: ``2 scale(r) sum_{n,j} n |c_{j+n} c_j| r^{2j+n}``."""
-        return self._pair_bound(1, r)
-
-    def d2_bound(self, r):
-        """:meth:`d1_bound` with ``n^2`` for n: the second derivative's bound."""
-        return self._pair_bound(2, r)
-
-    def _pair_bound(self, k, r):
-        row, col = np.nonzero(self.c_pairs)  # row 2j+n, column n-1
-        amps = (col + 1.0) ** k * np.abs(self.c_pairs[row, col])
-        return 2.0 * self.scale(r) * _kernels.radial_sum(amps, row, r)
-
 
 def _power_product(rp, r, pows, c):
     """``rp @ c`` for ``rp[..., i] = r^pows[i]``, complex ``c``.

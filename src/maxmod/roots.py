@@ -1,6 +1,6 @@
 """The root solve of a trace: the critical points of
 ``theta -> |1 + q(r e^{i theta})|^2`` on many circles at once, each one
-sorted into a maximum or a minimum and every maximum polished, from each
+sorted into a maximum or a minimum and every point polished, from each
 circle's Fourier coefficients ``C_n`` alone.  The entry point is
 :func:`critical_points`.
 
@@ -17,50 +17,35 @@ with ``x = (sum a_n - A) / A`` and ``y = (sum n a_n - n* A) / (n* A)``.  If
 sign of ``-sin(phi)``, opposite at the two ends; F can vanish only where
 ``|sin(phi)| <= x``, and there ``|cos(phi)| >= sqrt(1 - x^2) > y``, so F is
 strictly monotone.  The zeros of even j are the maxima.  A circle so
-certified from its own row (:func:`_certified`) is solved in its windows by
-one bracketed Newton iteration over all windows of all certified circles
-(:func:`_window_roots`), and the window's index gives each point's kind: no
-point of such a circle is evaluated again.  Every other circle is
-eigen-solved (:func:`_eigen_points`): its critical points are the real roots
-of a polynomial in the half angle (:func:`_derivative_roots`), found by a
-batched eigenvalue solve of its companion matrix, sorted into maxima and
-minima by the sign of F' at each and checked against F at the midpoints
-between neighbours, and its maxima are polished by the same bracketed
-Newton iteration (:func:`_newton`).  Evaluating and polishing every circle's
-points a second time cost about an eighth of a trace: without it the
-benchmark's random_count workload went from 195 to 235 traces/s (medians of
-10 alternating 20 s runs each, shared 2-core host), with every output the
-same bit for bit.
+certified from its own row (:func:`_certified`) gets one bracket per window
+(:func:`_windows`), and the window's index gives each point's kind.
+
+Every other circle is isolated by subdivision (:func:`_isolate`), with
+Taylor tests on pieces ``[m - h, m + h]`` of the circle, where
+``M2 = 2 sum n^2 a_n`` bounds ``|F''|``: a piece holds no zero of F if
+``|F(m)| - |F'(m)| h - M2 h^2 / 2`` exceeds F's rounding, and exactly one,
+simple, if ``|F'(m)| > M2 h`` and F has strict opposite signs at its ends;
+the signs give its kind.  The certificate's windows are the case of one
+piece per zero.
+
+All points of all circles, windows and isolated pieces, maxima and minima,
+are then polished by one bracketed Newton iteration (:func:`_newton`).  On
+the benchmark's random_count workload this one solve took the traces from
+235.4 to 256.6 inputs/s against an eigenvalue solve of the uncertified
+circles whose maxima took a Newton call of their own (medians of 10
+alternating 20 s runs each, 10 of 10 won, shared 2-core host).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from . import _kernels
 from .errors import RefinementFailureError
-from .util import EPS, TWO_PI, reduce_angle
+from .util import EPS, reduce_angle
 
-# A root t of the half-angle polynomial (see _derivative_roots), mapped to
-# w = (1+it)/(1-it), is a critical point of its circle when
-# |abs(w) - 1| < ON_CIRCLE.  Real roots land within a few ulps of the
-# circle.  A max-min pair that has met at a fold and left the circle, with
-# |d/dtheta| >= delta between the two, is a complex pair t, conj(t), which
-# maps to w and 1/conj(w) with |abs(w) - 1| ~ sqrt(2 delta / |d^3/dtheta^3|);
-# the bound accepts it only for delta below about 5e-13 |d^3/dtheta^3|, on a
-# circle within roundoff of the fold.
-ON_CIRCLE = 1e-6
-# A circle whose solved polynomial (R of degree 2d, or S of degree d - 1 on
-# real rows, before top orders are dropped; see _derivative_roots) has
-# degree at most EIGEN_DEGREE is eigen-solved without a certificate, and a
-# trace made only of such circles forms no certificate at all.  A batched
-# solve of companion matrices of order 1-3 costs less than the window solve:
-# a magic cubic on its axis (S of degree 2) traced at 160 radii took 3.3 ms
-# so, against 4.0 ms with its certified circles window-solved.
-EIGEN_DEGREE = 3
 # A circle is certified when x^2 + y^2 < CERTIFY (see the module docstring).
 # Any constant below 1 proves the window count in exact arithmetic; the
 # floats need the edge margin.  At a window's end |F| >= 2 A (1 - x), and
@@ -70,67 +55,75 @@ EIGEN_DEGREE = 3
 # trace reaches, so the signs at the window ends that bracket each zero are
 # the exact ones.
 CERTIFY = 0.9
-# The window solve stops where |F / 2| <= WINDOW_TOL D EPS sum a_n, within
-# the rounding of its Horner pass, and then takes one more Newton step inside
+# The subdivision of an uncertified circle takes F's rounding to be
+# ROUNDING (D + 1) EPS sum a_n, twice the estimate above; like it, an
+# estimate of the Horner pass's error, not a proof.  A circle fails where a
+# piece holds a fold of F within that rounding (see _isolate), or, as a
+# backstop, where a piece is still undecided after ISOLATE_DEPTH splits in
+# three, at a half-width of pi / (4 D 3^ISOLATE_DEPTH) < 1.4e-12 / D.
+ROUNDING = 8.0
+ISOLATE_DEPTH = 24
+# Newton stops where |F / 2| <= WINDOW_TOL D EPS sum a_n, within the
+# rounding of its Horner pass, and then takes one more Newton step inside
 # the bracket; or where the bracket is a few ulps wide.  A bisection halves
 # a window of width pi / n* below 16 EPS in under 55 steps.
 WINDOW_TOL = 4.0
 WINDOW_MAX_ITER = 64
-# The polish of an eigen-solved maximum stops when |F| is below NEWTON_TOL
-# times an upper bound for |F| on its circle, or its bracket is a few ulps
-# wide; it fails after NEWTON_MAX_ITER steps.  The same bound for |F'|,
-# times NEWTON_TOL, is the most F' may exceed 0 at a polished maximum.
-NEWTON_TOL = 1e-12
-NEWTON_MAX_ITER = 60
 
 
-def critical_points(cn: np.ndarray, radii: np.ndarray, bounds):
+def critical_points(cn: np.ndarray, radii: np.ndarray):
     """Every critical point of ``theta -> |1 + q(r e^{i theta})|^2`` on every
     circle, with its kind.  Row i of ``cn`` holds the ``C_n``, n = 1..D, of
-    the radius ``radii[i]``.  A circle whose solved polynomial has degree
-    above ``EIGEN_DEGREE`` and that :func:`_certified` certifies is solved in
-    its windows (:func:`_window_roots`); every other circle is eigen-solved
-    and its maxima polished (:func:`_eigen_points`).  ``bounds(rows)``
-    returns, for the circles ``rows`` (indices into ``cn``), upper bounds of
-    ``|F|`` and ``|F'|`` on each; it is called only for eigen-solved
-    circles, so a call whose every circle is certified forms none.
+    the radius ``radii[i]``.  A circle that :func:`_certified` certifies is
+    bracketed by its windows (:func:`_windows`), every other circle by
+    subdivision (:func:`_isolate`), and all points of all circles are then
+    polished by one :func:`_newton` iteration with ``polish``, started
+    inside their brackets: on bracket j, ``g = +-F / 2`` is positive at the
+    left end and not at the right (``g = F / 2`` for a maximum), and Newton
+    stops where ``|g| <= WINDOW_TOL D EPS sum a_n``, at the rounding level
+    of its Horner pass.  A maximum's ``g'`` at the last angle the iteration
+    evaluated is ``F' / 2`` there; the certificate and the subdivision's
+    inclusion test both make it negative, and a maximum where it is not
+    fails.
+
+    Where every ``C_n`` is real (``odd``), as for a real polynomial or one
+    turned onto its reflection axis (:func:`~maxmod.modulus.on_axis`), F is
+    odd in theta and the axis points 0 and pi are exact zeros.  Only
+    ``(0, pi)`` is solved; each zero x comes back with its exact mirror -x,
+    of the same kind, and the axis points as 0 and -pi.
 
     Returns ``(radius_index, theta, is_max)``, sorted by radius index, then
-    by the angle before polishing.  Every maximum is polished within its
-    bracket, whose ends are the midpoints to its neighbours on the circle or
-    its window's edges, so the first or last maximum of a circle may lie a
-    little past -pi or pi.
-    Raises :class:`~maxmod.errors.RefinementFailureError` where a circle
-    cannot be solved, sorted or polished.
+    by angle in ``(-pi, pi]`` (``-pi`` for the axis point pi).  Raises
+    :class:`~maxmod.errors.RefinementFailureError` where a circle has no
+    finite positive ``C_n``, cannot be isolated or polished.
     """
     deg = cn.shape[1]
-    odd = not cn.imag.any()  # every C_n real: see _derivative_roots
-    win = np.zeros(cn.shape[0], dtype=bool)
-    if (deg - 1 if odd else 2 * deg) > EIGEN_DEGREE:
-        nc = np.arange(1, deg + 1) * cn
-        mag = np.abs(nc)
-        kept = _kept_orders(mag)
-        win = ((kept - 1 if odd else 2 * kept) > EIGEN_DEGREE) & _certified(mag)
-    parts = []
-    if win.any():
-        rows = np.flatnonzero(win)
-        i, th, is_max = _window_roots(nc[rows], mag[rows], radii[rows], odd)
-        order = np.lexsort((th, i))
-        parts.append((rows[i[order]], th[order], is_max[order]))
-    eig = np.flatnonzero(~win)
-    if eig.size:
-        i, th, is_max = _eigen_points(cn[eig], radii[eig], *bounds(eig))
-        parts.append((eig[i], th, is_max))
-    ridx, theta, is_max = (np.concatenate(x) for x in zip(*parts))
-    order = np.argsort(ridx, kind="stable")  # each part is sorted already
-    return ridx[order], theta[order], is_max[order]
-
-
-def _kept_orders(mag: np.ndarray) -> np.ndarray:
-    """Per row of ``mag`` (``n |C_n|``), the highest order n whose ``n |C_n|``
-    exceeds ``EPS`` times the row's largest (see :func:`_derivative_roots`)."""
+    odd = not cn.imag.any()
+    n = np.arange(1, deg + 1)
+    nc = n * cn
+    mag = np.abs(nc)
     top = mag.max(axis=1)
-    return mag.shape[1] - np.argmax((mag > EPS * top[:, None])[:, ::-1], axis=1)
+    flat = ~((0.0 < top) & (top < np.inf))  # also NaN
+    if flat.any():
+        raise RefinementFailureError(float(radii[np.argmax(flat)]), 0.0)
+    coef = np.stack([nc, n * nc])
+    win = _certified(mag)
+    wb, wa = _windows(nc, mag, np.flatnonzero(win), odd)
+    ib, ia = _isolate(coef, mag, radii, np.flatnonzero(~win), odd)
+    i, x0, lo, hi, is_max = (np.concatenate(v) for v in zip(wb, ib))
+    sign = np.where(is_max, -1.0, 1.0)
+    tol = (WINDOW_TOL * deg * EPS) * mag.sum(axis=1)[i]
+    x, dg = _newton(coef, i, x0, lo, hi, sign, tol, radii, WINDOW_MAX_ITER, True)
+    bad = is_max & ~(dg < 0.0)
+    if bad.any():
+        k = np.argmax(bad)
+        raise RefinementFailureError(float(radii[i[k]]), float(x[k]))
+    if odd:  # each zero x in (0, pi), its mirror -x, then the axis points
+        i, x, is_max = (np.concatenate(v) for v in zip((i, x, is_max), (i, -x, is_max), wa, ia))
+    else:
+        x = reduce_angle(x)
+    order = np.lexsort((x, i))
+    return i[order], x[order], is_max[order]
 
 
 def _certified(mag: np.ndarray) -> np.ndarray:
@@ -194,283 +187,136 @@ def _newton(coef, i, x0, lo, hi, sign, tol, radii, max_iter: int, polish: bool):
     raise RefinementFailureError(float(radii[i[act[0]]]), float(x0[act[0]]))
 
 
-def _window_roots(nc: np.ndarray, mag: np.ndarray, radii: np.ndarray, odd: bool):
-    """The critical points of the certified circles whose rows ``n C_n`` are
-    ``nc`` (``mag`` their moduli) at the radii ``radii``: one zero of F in
-    each window ``|phi - j pi| < pi/2`` of the module docstring, a maximum
-    for even j.
+def _windows(nc: np.ndarray, mag: np.ndarray, rows: np.ndarray, odd: bool):
+    """The brackets of the critical points of the certified circles
+    ``rows``, whose rows ``n C_n`` are ``nc[rows]`` (``mag`` their moduli):
+    one window ``|phi - j pi| < pi/2`` of the module docstring per zero, a
+    maximum for even j, with its centre ``theta = (j pi - arg C_{n*}) / n*``
+    as the start.
 
-    All windows of all circles take one :func:`_newton` iteration with
-    ``polish``, started at the window centre ``theta = (j pi - arg C_{n*}) /
-    n*`` inside the window.  On window j, ``g = (-1)^j F / 2 = (-1)^(j+1) Im
-    sum_n n C_n w^n`` is positive at the left end and negative at the right,
-    and ``g' = (-1)^(j+1) Re sum_n n^2 C_n w^n`` is negative where g can
-    vanish.  A point stops where ``|g| <= WINDOW_TOL D EPS sum a_n``, at the
-    rounding level of its Horner pass.  A maximum's ``g'`` at the last angle
-    the iteration evaluated is ``F' / 2`` there; the certificate makes it
-    negative, and a maximum where it is not fails.
+    The certificate makes every check a circle needs hold without an
+    evaluation: the circle has 2 n* >= 2 critical points, n* maxima and n*
+    minima, alternating; F is monotone in each window and has the sign of
+    ``-sin(phi)`` at its ends, so on window j ``g = (-1)^j F / 2`` is
+    positive at the left end and negative at the right, and ``g'`` is
+    negative where g can vanish.
 
-    The certificate also makes the checks that an eigen-solved circle needs
-    (:func:`_eigen_points`) hold here without an evaluation: the circle has
-    2 n* >= 2 critical points, n* maxima and n* minima, alternating; F is
-    monotone in each window and has the sign of ``-sin(phi)`` at its ends,
-    so ``F > 0`` from a minimum up to the next maximum and ``F < 0`` from a
-    maximum up to the next minimum, and the midpoints between neighbours
-    bracket every maximum.
+    Where every ``C_n`` is real (``odd``), ``arg C_{n*}`` is 0 or pi, so
+    windows are centred on the axis points 0 and pi.  Only the centres
+    ``k pi / n*`` in (0, pi) are bracketed.  The point 0 is in window 0 or 1
+    and is a maximum iff ``C_{n*} > 0``; -pi is in window ``-n*`` or
+    ``1 - n*`` and is a maximum iff ``(-1)^n* C_{n*} > 0``.
 
-    Where every ``C_n`` is real (``odd``), F is odd in theta and ``arg
-    C_{n*}`` is 0 or pi, so windows are centred on the axis points 0 and pi,
-    which are exact zeros.  Only the centres ``k pi / n*`` in (0, pi) are
-    solved; each zero x comes back with its exact mirror -x, of the same
-    kind, and the axis points as 0 and -pi, as from
-    :func:`_derivative_roots`.  The point 0 is in window 0 or 1 and is a
-    maximum iff ``C_{n*} > 0``; -pi is in window ``-n*`` or ``1 - n*`` and
-    is a maximum iff ``(-1)^n* C_{n*} > 0``.
-
-    Returns ``(row_index, theta, is_max)`` in no particular order.
+    Returns ``(row, start, lo, hi, is_max)`` of the brackets and
+    ``(row, theta, is_max)`` of the axis points, each in no particular
+    order.
     """
-    rows = np.arange(nc.shape[0])
+    mag = mag[rows]
     star = np.argmax(mag, axis=1)
     n = star + 1.0
     lead = nc[rows, star]
-    count = star if odd else 2 * (star + 1)  # windows solved per circle
-    i = np.repeat(rows, count)
-    j = np.arange(i.size) - np.repeat(np.cumsum(count) - count, count)
+    count = star if odd else 2 * (star + 1)  # windows bracketed per circle
+    k = np.repeat(np.arange(rows.size), count)
+    j = np.arange(k.size) - np.repeat(np.cumsum(count) - count, count)
     if odd:  # centres k pi / n*, k = 1..n*-1; a negative C_{n*} turns phi by pi
         j += 1
-        centre = j * math.pi / n[i]
-        j += lead.real[i] < 0.0
+        centre = j * math.pi / n[k]
+        j += lead.real[k] < 0.0
     else:
-        centre = (j * math.pi - np.angle(lead)[i]) / n[i]
-    is_max = j % 2 == 0
-    sign = np.where(is_max, -1.0, 1.0)  # (-1)^(j+1)
-    half = 0.5 * math.pi / n[i]
-    tol = (WINDOW_TOL * nc.shape[1] * EPS) * mag.sum(axis=1)[i]
-    coef = np.stack([nc, np.arange(1, nc.shape[1] + 1) * nc])
-    x, dg = _newton(coef, i, centre, centre - half, centre + half, sign, tol, radii, WINDOW_MAX_ITER, True)
-    bad = is_max & ~(dg < 0.0)
-    if bad.any():
-        k = np.argmax(bad)
-        raise RefinementFailureError(float(radii[i[k]]), float(x[k]))
+        centre = (j * math.pi - np.angle(lead)[k]) / n[k]
+    half = 0.5 * math.pi / n[k]
+    brackets = (rows[k], centre, centre - half, centre + half, j % 2 == 0)
     if not odd:
-        return i, reduce_angle(x), is_max
-    axis = [np.zeros(rows.size), np.full(rows.size, -math.pi)]
-    axis_max = [lead.real > 0.0, (-1.0) ** n * lead.real > 0.0]
-    return (
-        np.concatenate([i, i, rows, rows]),
-        np.concatenate([x, -x, *axis]),
-        np.concatenate([is_max, is_max, *axis_max]),
+        return brackets, (rows[:0], np.empty(0), np.zeros(0, dtype=bool))
+    axis = (
+        np.concatenate([rows, rows]),
+        np.concatenate([np.zeros(rows.size), np.full(rows.size, -math.pi)]),
+        np.concatenate([lead.real > 0.0, (-1.0) ** n * lead.real > 0.0]),
     )
+    return brackets, axis
 
 
-def _eigen_points(cn: np.ndarray, radii: np.ndarray, d1_bound: np.ndarray, d2_bound: np.ndarray):
-    """The critical points of the circles whose rows ``C_n`` are ``cn``, at
-    the radii ``radii``, eigen-solved: the roots of
-    :func:`_derivative_roots` within ``ON_CIRCLE`` of the unit circle, each
-    circle's in counterclockwise order from about -pi.  ``d1_bound`` and
-    ``d2_bound`` bound ``|F|`` and ``|F'|`` on each circle.
+def _isolate(coef: np.ndarray, mag: np.ndarray, radii: np.ndarray, rows: np.ndarray, odd: bool):
+    """The brackets of the zeros of F on the circles ``rows``, isolated by
+    subdivision; ``coef`` holds ``[n C_n, n^2 C_n]`` of every circle and
+    ``mag`` the ``a_n = n |C_n|``.
 
-    One Horner pass over ``[n C_n, n^2 C_n]`` (:func:`_slopes`) at the
-    points and at the midpoints between circular neighbours gives F' at
-    each point and F at each midpoint.  A point with ``F' < 0`` is a
-    maximum, one with ``F' >= 0`` a minimum.  A circle fails with fewer than
-    2 points, without a maximum or a minimum, or with a point of neither
-    kind (F' is NaN); a maximum fails unless F is nonnegative at the
-    midpoint before it and nonpositive at the one after, the ends of its
-    bracket.  The maxima are then polished by one :func:`_newton` iteration
-    without ``polish``, stopping at ``|F| <= NEWTON_TOL d1_bound``, and a
-    polished maximum fails where ``F' > NEWTON_TOL d2_bound``.
+    A circle starts as 4D pieces of half-width ``h = pi / (4D)`` centred on
+    the multiples of ``2 h``, so the axis points 0 and pi are centres.  One
+    Horner pass over all pieces of all circles gives F and F' at each
+    centre m and F at each end, and with ``M2 = 2 sum n^2 a_n`` and F's
+    rounding ``ROUNDING (D + 1) EPS sum a_n`` (an estimate, see
+    ``CERTIFY``) a piece
 
-    Returns ``(row_index, theta, is_max)`` sorted by row, then by the
-    unpolished angle.
+    - holds no zero if ``|F(m)| - |F'(m)| h - M2 h^2 / 2`` exceeds the
+      rounding, since ``|F''| <= M2``;
+    - holds exactly one, a maximum if F falls through it, if
+      ``|F'(m)| > M2 h``, so that F is strictly monotone on it, and F has
+      strict opposite signs, beyond the rounding, at its two ends;
+    - is split in three otherwise, which keeps every centre a centre.
+
+    Where every ``C_n`` is real (``odd``), F is odd, and only the pieces
+    centred in ``[0, pi]`` are kept: the two centred on the axis points hold
+    their exact zero, found by the second test alone, and their children
+    beyond 0 or pi are dropped.
+
+    A piece on which F stays within the rounding, ``|F(m)| + |F'(m)| h +
+    M2 h^2 / 2`` at most the rounding, holds a fold of F within rounding: no
+    test can decide it or any piece inside it.  Its circle fails at once, at
+    its radius and that piece's centre, and so does a circle with a piece
+    still undecided after ``ISOLATE_DEPTH`` splits.
+
+    Returns ``(row, start, lo, hi, is_max)`` of the pieces holding a zero,
+    with the regula falsi point of the two ends as the start, and
+    ``(row, theta, is_max)`` of the axis points, 0 and -pi.
     """
-    ridx, theta = [], []
-    for rows, w in _derivative_roots(cn, radii):
-        row, col = np.nonzero(np.abs(np.abs(w) - 1.0) < ON_CIRCLE)
-        ridx.append(rows[row])
-        theta.append(np.angle(w[row, col]))
-    ridx = np.concatenate(ridx)
-    theta = np.concatenate(theta)
-    order = np.lexsort((theta, ridx))
-    ridx, theta = ridx[order], theta[order]
-    counts = np.bincount(ridx, minlength=radii.size)
-    if counts.min() < 2:  # a smooth periodic function has a maximum and a minimum
-        raise RefinementFailureError(float(radii[np.argmin(counts)]), 0.0)
-    first = np.cumsum(counts) - counts
-    last = first + counts - 1
-    nxt = np.arange(1, theta.size + 1)
-    nxt[last] = first
-    prv = np.arange(-1, theta.size - 1)
-    prv[first] = last
-    after = theta[nxt]
-    after[last] += TWO_PI
-    mid = 0.5 * (theta + after)  # midpoint to the next critical point
-    mid_before = mid[prv]
-    mid_before[first] -= TWO_PI
-
-    n = np.arange(1.0, cn.shape[1] + 1)
-    coef = np.stack([n * cn, n * n * cn])
-    f, d2 = _slopes(coef, np.concatenate([ridx, ridx]), np.concatenate([theta, mid]), -2.0)
-    f_mid = f[theta.size :]
-    d2 = d2[: theta.size]
-    is_max = d2 < 0.0
-    n_max = np.bincount(ridx[is_max], minlength=radii.size)
-    n_min = np.bincount(ridx[d2 >= 0.0], minlength=radii.size)  # NaN is neither
-    bad = (n_max == 0) | (n_min == 0) | (n_max + n_min < counts)
-    if bad.any():
-        raise RefinementFailureError(float(radii[np.argmax(bad)]), 0.0)
-    mx = np.flatnonzero(is_max)
-    bad = (f_mid[prv[mx]] < 0) | (f_mid[mx] > 0)
-    if bad.any():
-        worst = mx[np.argmax(bad)]
-        raise RefinementFailureError(float(radii[ridx[worst]]), float(theta[worst]))
-
-    i = ridx[mx]
-    tol = NEWTON_TOL * np.maximum(d1_bound, 1e-300)
-    sign = np.full(mx.size, -2.0)
-    theta_mx, d2 = _newton(
-        coef, i, theta[mx], mid_before[mx], mid[mx], sign, tol[i], radii, NEWTON_MAX_ITER, False
-    )
-    bad = d2 > NEWTON_TOL * np.maximum(d2_bound, 1e-300)[i]
-    if bad.any():
-        k = np.argmax(bad)
-        raise RefinementFailureError(float(radii[i[k]]), float(theta_mx[k]))
-    theta[mx] = theta_mx
-    return ridx, theta, is_max
-
-
-@functools.cache
-def _half_angle_table(d: int) -> np.ndarray:
-    """Row n-1, column k: the real factor ``(-1)^(k//2) e_nk`` that takes
-    ``Im x`` (k even) or ``Re x`` (k odd) to the coefficient of ``t^k`` in
-    ``Im(x (1+it)^{d+n} (1-it)^{d-n})``, where
-    ``(1+it)^{d+n} (1-it)^{d-n} = sum_k i^k e_nk t^k``."""
-    table = np.empty((d, 2 * d + 1))
-    for n in range(1, d + 1):
-        for k in range(2 * d + 1):
-            e_nk = sum(
-                math.comb(d + n, j) * math.comb(d - n, k - j) * (-1) ** (k - j)
-                for j in range(max(0, k - d + n), min(k, d + n) + 1)
-            )
-            table[n - 1, k] = (-1) ** (k // 2) * e_nk
-    table.setflags(write=False)
-    return table
-
-
-def _companion_roots(coef: np.ndarray) -> np.ndarray:
-    """All roots of the real polynomials ``coef`` (row i: coefficients of
-    ``t^0 .. t^m``, ``coef[i, m] != 0``), by one batched eigenvalue solve of
-    their companion matrices; shape ``(rows, m)``."""
-    m = coef.shape[1] - 1
-    comp = np.zeros((coef.shape[0], m, m))
-    comp[:, 0, :] = -coef[:, m - 1 :: -1] / coef[:, m, None]
-    comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
-    return np.linalg.eigvals(comp).astype(complex, copy=False)
-
-
-def _derivative_roots(cn: np.ndarray, radii: np.ndarray):
-    """Roots ``w`` of ``w^D d/dtheta |1 + q(r w)|^2`` for every circle; row
-    i of ``cn`` holds the ``C_n`` of radius ``radii[i]``.
-
-    With ``p = a_m z^m (1 + q)``, ``c_0 = 1``, ``c_j`` the coefficients of
-    ``q`` and ``w = e^{i theta}``, the squared modulus is the trigonometric sum
-    ``|1 + q|^2 = C_0 + sum_{n=1}^{D} (C_n w^n + conj(C_n) w^-n)`` with
-    ``C_n(r) = sum_j c_{j+n} conj(c_j) r^{2j+n}`` (:meth:`ModulusExpansion.fourier`),
-    so ``d/dtheta |1 + q|^2 = -2 sum_n n Im(C_n w^n)``.  Per circle, the top
-    orders whose ``n |C_n|`` is at most ``EPS`` times the largest are
-    dropped: they move no critical point and would overflow the companion
-    matrix.  With the remaining degree d and the half-angle variable
-    ``t = tan(theta / 2)``, ``w = (1+it)/(1-it)``, the derivative times
-    ``-(1+t^2)^d / 2`` is the real polynomial of degree 2d
-
-        ``R(t) = sum_{n=1}^{d} n Im(C_n (1+it)^{d+n} (1-it)^{d-n})``,
-
-    whose real roots are the critical points; a complex pair ``t, conj(t)``
-    maps to ``w, 1/conj(w)`` off the circle.  ``t = inf`` is ``theta = pi``:
-    the top coefficient of R is ``sum_n n (-1)^n Im C_n``.  A top order j of
-    R is dropped, and gives the root ``w = -1`` (as ``theta = -pi``), when
-    its coefficient is below ``EPS^(j-k)`` times that of some lower order k:
-    by the Newton polygon a root then lies beyond ``1 / EPS``, where
-    ``w = -1`` to rounding, and the companion matrix could overflow.  The
-    test is against each lower order, not against the largest coefficient,
-    because the binomial factors make R's coefficients span about ``4^d``:
-    ``EPS`` times the largest drops genuine top orders from about ``d = 28``
-    on.
-
-    Where every ``C_n`` is real, as for a real polynomial or one turned onto
-    its reflection axis (:func:`~maxmod.modulus.on_axis`), R is odd:
-    ``R(t) = t S(t^2)``, ``S`` of degree ``d - 1`` in
-    ``u = t^2`` holding R's odd coefficients.  Then S is solved in place of
-    R, with the drop test at ``EPS^(2(j-k))`` (a root beyond ``1 / EPS`` in
-    t is one beyond ``1 / EPS^2`` in u), and the roots are ``t = +-sqrt(u)``
-    and the exact axis points ``t = 0`` (``w = 1``) and ``t = inf``
-    (``w = -1``, from R's top order, exactly 0).  The mirror root
-    ``-sqrt(u)`` is returned as ``conj(w)``: on the circle that is
-    ``1/w = w(-t)``, with the exactly negated angle, and off it both fail
-    the ``ON_CIRCLE`` test alike.
-
-    Circles of equal d and equal remaining degree m of the solved
-    polynomial form a group, eigen-solved by one batched call
-    (:func:`_companion_roots`).  Returns one ``(radius_indices, roots)``
-    pair per group, ``roots`` of shape ``(len(radius_indices), 2d)``.
-    """
-    deg = cn.shape[1]
-    nc = np.arange(1, deg + 1) * cn  # column n-1: n C_n
-    mag = np.abs(nc)
-    top = mag.max(axis=1)
-    flat = ~((0.0 < top) & (top < np.inf))  # also NaN
-    if flat.any():
-        raise RefinementFailureError(float(radii[np.argmax(flat)]), 0.0)
-    kept = _kept_orders(mag)
-    odd = not cn.imag.any()  # every C_n real: R(t) = t S(t^2), solve S in u = t^2
-    step = 2.0 if odd else 1.0
-
-    out = []
-    for d in sorted(set(kept.tolist())):
-        rows = np.flatnonzero(kept == d)
-        coef = _solve_coef(nc[rows], d, odd)  # column k: t^k, or u^k for S
-        # top order j goes when |coef_j| < EPS^(step (j-k)) |coef_k| for some
-        # k < j; order 0 always stays
-        with np.errstate(divide="ignore"):  # an exact zero has height -inf
-            height = np.log2(np.abs(coef)) - step * math.log2(EPS) * np.arange(coef.shape[1])
-        stays = np.ones(coef.shape, dtype=bool)
-        stays[:, 1:] = height[:, 1:] >= np.maximum.accumulate(height, axis=1)[:, :-1]
-        kept_r = coef.shape[1] - 1 - np.argmax(stays[:, ::-1], axis=1)
-        for m in sorted(set(kept_r.tolist())):
-            sub = rows[kept_r == m]
-            t = _companion_roots(coef[kept_r == m, : m + 1]) if m else np.empty((sub.size, 0), complex)
-            # each root at t = inf (a dropped order; on the quotient also R's
-            # top order) is w = -1 - 0i, at the angle -pi that sorts first on
-            # its circle; curve ids follow that order
-            w = np.full((sub.size, 2 * d), complex(-1.0, -0.0))
-            if odd:
-                w[:, :m] = _on_circle(np.sqrt(t))
-                w[:, m : 2 * m] = np.conj(w[:, :m])
-                w[:, 2 * m] = 1.0
-            else:
-                w[:, :m] = _on_circle(t)
-            out.append((sub, w))
-    return out
-
-
-def _solve_coef(nc: np.ndarray, d: int, odd: bool) -> np.ndarray:
-    """The polynomials :func:`_derivative_roots` solves for the rows ``nc``
-    (``n C_n``) of d orders, column k holding the coefficient of ``t^k``: R,
-    ``sum_{n=1}^{d} Im(nc[:, n-1] (1+it)^{d+n} (1-it)^{d-n})``, or, where R
-    is ``odd`` (every ``C_n`` real), S, whose column j holds R's coefficient
-    of ``t^(2j+1)``."""
-    table = _half_angle_table(d)
+    no_axis = (rows[:0], np.empty(0), np.zeros(0, dtype=bool))
+    if rows.size == 0:
+        return (rows, np.empty(0), np.empty(0), np.empty(0), no_axis[2]), no_axis
+    deg = mag.shape[1]
+    err = ROUNDING * (deg + 1) * EPS * mag[rows].sum(axis=1)
+    m2 = 2.0 * (mag[rows] @ np.arange(1.0, deg + 1) ** 2)
+    h = math.pi / (4 * deg)
+    k = np.arange(2 * deg + 1) if odd else np.arange(-2 * deg, 2 * deg)
+    piece = np.repeat(np.arange(rows.size), k.size)  # index into rows
+    m = np.tile(k * (2 * h), rows.size)
     if odd:
-        return nc[:, :d].real @ table[:, 1::2]
-    coef = np.empty((nc.shape[0], 2 * d + 1))
-    coef[:, 0::2] = nc[:, :d].imag @ table[:, 0::2]
-    coef[:, 1::2] = nc[:, :d].real @ table[:, 1::2]
-    return coef
-
-
-def _on_circle(t: np.ndarray) -> np.ndarray:
-    """``w = (1+it)/(1-it)`` in real arithmetic, the same bits in any batch;
-    no root exceeds about 2 / EPS, so no square overflows."""
-    a, b = t.real, t.imag
-    den = (1.0 + b) ** 2 + a**2
-    return ((1.0 - a**2 - b**2) / den) + 1j * (2.0 * a / den)
+        m[k.size - 1 :: k.size] = math.pi
+    found, axis = [], []
+    for depth in range(ISOLATE_DEPTH + 1):
+        p = m.size
+        f, df = _slopes(coef, rows[np.tile(piece, 3)], np.concatenate([m, m - h, m + h]), -2.0)
+        fm, f_lo, f_hi, slope = f[:p], f[p : 2 * p], f[2 * p :], np.abs(df[:p])
+        e, bound = err[piece], m2[piece]
+        falls = (f_lo > e) & (f_hi < -e)
+        one = (slope > bound * h) & (falls | ((f_lo < -e) & (f_hi > e)))
+        reach = slope * h + 0.5 * bound * h * h  # the most F moves from m
+        none = np.abs(fm) - reach > e
+        if odd:
+            on_axis = (m == 0.0) | (m == math.pi)
+            none &= ~on_axis
+            at = one & on_axis
+            axis.append((piece[at], np.where(m[at] == 0.0, 0.0, -math.pi), falls[at]))
+        split = ~(one | none)
+        stuck = split & (np.abs(fm) + reach <= e)  # F within rounding all over
+        if odd:
+            one &= ~on_axis
+        lo = m[one] - h
+        start = lo + 2 * h * f_lo[one] / (f_lo[one] - f_hi[one])  # regula falsi
+        found.append((piece[one], start, lo, m[one] + h, falls[one]))
+        if not split.any():
+            break
+        if depth == ISOLATE_DEPTH or stuck.any():
+            worst = np.argmax(stuck) if stuck.any() else np.argmax(split)
+            raise RefinementFailureError(float(radii[rows[piece[worst]]]), float(m[worst]))
+        h /= 3.0
+        piece = np.repeat(piece[split], 3)
+        m = (m[split, None] + np.array([-2.0 * h, 0.0, 2.0 * h])).ravel()
+        if odd:  # the children of the axis pieces beyond 0 and pi go
+            inside = (m >= 0.0) & (m <= math.pi)
+            piece, m = piece[inside], m[inside]
+    piece, start, lo, hi, is_max = (np.concatenate(v) for v in zip(*found))
+    if not odd:
+        return (rows[piece], start, lo, hi, is_max), no_axis
+    piece_a, theta_a, max_a = (np.concatenate(v) for v in zip(*axis))
+    return (rows[piece], start, lo, hi, is_max), (rows[piece_a], theta_a, max_a)

@@ -9,15 +9,11 @@ paper's trigonometric expansion, grouped by frequency, gives each circle's
 Fourier coefficients ``C_n(r)`` of ``|1 + q|^2``
 (``ModulusExpansion.fourier``), from which every evaluation of the trace is
 made.  :func:`maxmod.roots.critical_points` finds the critical points of
-all circles from these rows alone, tells maxima from minima and polishes
-the maxima: a circle that the leading-order certificate covers gets each
-point's kind from its window and is not evaluated again, and only the
-other circles are sorted by the sign of the second derivative and their
-maxima polished by Newton steps.  The scan then evaluates ``osc`` once per
-critical point, reading the point's ``C_n`` from its circle's row, formed
-once per radius.  (Sorting and re-polishing every circle's points here, as
-the scan once did, made random_count traces about 1.2x slower on a shared
-2-core host and changed no output bit.)
+all circles from these rows alone, with their kinds: a circle that the
+leading-order certificate covers is bracketed by its windows, every other
+circle by subdivision, and every point of every circle is polished in one
+Newton pass.  The scan then evaluates ``osc`` once per critical point,
+reading the point's ``C_n`` from its circle's row, formed once per radius.
 Between folds a circle's maxima move analytically in r and never cross, so
 their cyclic order links the maxima of neighbouring circles into
 trajectories, on flat arrays of all circles at once.  The co-maximal runs
@@ -28,10 +24,11 @@ A polynomial whose coefficients have a reflection axis psi (every
 ``c_l e^{i l psi}`` real, as for every real polynomial with psi = 0 and
 every magic cubic) is traced on its symmetry quotient: the scan runs on
 ``p(e^{i psi} z)`` with its ``c_j`` made exactly real
-(:func:`~maxmod.modulus.on_axis`), where the root solve halves its degree
-and mirror maxima meeting at a fold on the axis tie exactly
-(:func:`_match_cyclic`).  The maxima are then turned back by psi and sorted
-by angle again, so curve ids follow the same order as without the quotient.
+(:func:`~maxmod.modulus.on_axis`), where the root solve brackets only
+``(0, pi)`` and returns exact mirror pairs, and mirror maxima meeting at a
+fold on the axis tie exactly (:func:`_match_cyclic`).  The maxima are then
+turned back by psi and sorted by angle again, so curve ids follow the same
+order as without the quotient.
 
 The tangent fit rests on the implicit function theorem: for
 ``p = 1 + a z^k + ...`` the function ``r^-k d/dtheta |p|^2`` is
@@ -182,7 +179,7 @@ def _scan_circles(e: ModulusExpansion, radii: np.ndarray):
     """All refined local maxima of every circle ``|z| = r`` for r in ``radii``.
 
     Each circle's ``C_n`` are formed once: the critical points of all
-    circles, their kinds and the polished maxima come from them
+    circles, their kinds and their polished angles come from them
     (:func:`maxmod.roots.critical_points`), and the one ``osc`` evaluation
     below reads a point's from its circle's row.  The spread of a circle is
     its largest ``osc`` at a maximum minus its smallest at a minimum.
@@ -204,12 +201,7 @@ def _scan_circles(e: ModulusExpansion, radii: np.ndarray):
     if bad.any():
         raise RefinementFailureError(float(radii[np.argmax(bad)]), 0.0)
     cn_rows = e.fourier(radii)
-
-    def bounds(rows):  # of |F| and |F'|, F = d/dtheta of the rows' |1 + q|^2
-        r = radii[rows]
-        return e.d1_bound(r) / scale[rows], e.d2_bound(r) / scale[rows]
-
-    ridx, theta, is_max = roots.critical_points(cn_rows, radii, bounds)
+    ridx, theta, is_max = roots.critical_points(cn_rows, radii)
     n_max = np.bincount(ridx[is_max], minlength=radii.size)
     n_min = np.bincount(ridx[~is_max], minlength=radii.size)
     bad = (n_max == 0) | (n_min == 0)  # a smooth periodic function has both

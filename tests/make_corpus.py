@@ -74,8 +74,8 @@ def hunt_members() -> list[tuple[Polynomial, TraceConfig]]:
 
     cli.trace = recorded
     try:
-        with_out = HUNT_ARGV + ["--out", str(HERE / ".corpus-hunt.jsonl")]
-        assert cli.main(with_out) == 0
+        if cli.main(HUNT_ARGV + ["--out", str(HERE / ".corpus-hunt.jsonl")]) != 0:
+            raise SystemExit(f"{' '.join(HUNT_ARGV)} failed")
     finally:
         cli.trace = hunt_trace
         (HERE / ".corpus-hunt.jsonl").unlink(missing_ok=True)

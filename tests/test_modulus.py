@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxmod import Polynomial, ZeroPolynomialError, direct_mod2, expand, parse_poly
+from oracles import derivative_bounds
 
 EPS = np.finfo(float).eps
 
@@ -192,9 +193,11 @@ class TestFourier:
         radii = np.geomspace(0.3, 1e-3, 7)
         th = np.linspace(-math.pi, math.pi, 64, endpoint=False)
         # a batch may round unlike one point alone; every frequency is >= 1,
-        # so |osc| <= d1_bound, and each value is within a few ulps of that
-        tol1 = 4 * EPS * e.d1_bound(radii)
-        tol2 = 4 * EPS * e.d2_bound(radii)
+        # so |osc| <= B1, the bound of the first derivative, and each value
+        # is within a few ulps of that
+        b1, b2 = derivative_bounds(e, radii)
+        tol1 = 4 * EPS * b1
+        tol2 = 4 * EPS * b2
         # one row per radius: every row, not only the first, is its radius's
         grid = e.osc(radii[:, None], th)
         assert grid.shape == (7, 64)
@@ -211,9 +214,7 @@ class TestFourier:
             p1, p2 = e.d1d2(float(r), np.array([t]))
             assert abs(d1[i] - p1[0]) <= tol1[k]
             assert abs(d2[i] - p2[0]) <= tol2[k]
-        for name in ("base", "d1_bound", "d2_bound"):
-            got = getattr(e, name)(radii)
-            assert got.tolist() == [getattr(e, name)(float(r)) for r in radii]
+        assert e.base(radii).tolist() == [e.base(float(r)) for r in radii]
 
     @settings(max_examples=300, deadline=None)
     @given(fourier_cases())
@@ -227,8 +228,9 @@ class TestFourier:
 
         d1, d2 = e.d1d2(r, th)
         t1, t2 = term_d1d2(e, r, th)
-        assert np.max(np.abs(d1 - t1)) <= 1e-13 * e.d1_bound(r)
-        assert np.max(np.abs(d2 - t2)) <= 1e-13 * e.d2_bound(r)
+        b1, b2 = derivative_bounds(e, r)
+        assert np.max(np.abs(d1 - t1)) <= 1e-13 * b1
+        assert np.max(np.abs(d2 - t2)) <= 1e-13 * b2
 
         mass2 = sum(abs(c) * r**l for l, c in enumerate(p.coeffs)) ** 2
         for t in th[::17]:

@@ -9,64 +9,43 @@ import pytest
 import maxmod
 from maxmod import roots
 from maxmod.util import EPS, circ_dist, reduce_angle
+from oracles import companion_angles
 
 
-def eigen_points(cn: np.ndarray, radii: np.ndarray):
+def eigen_points(cn: np.ndarray):
     """``(radius_index, theta)`` as :func:`roots.critical_points` returns
-    them, with every circle eigen-solved: the roots of
-    :func:`roots._derivative_roots` within ``ON_CIRCLE`` of the unit circle."""
-    ridx, theta = [], []
-    for rows, w in roots._derivative_roots(cn, radii):
-        row, col = np.nonzero(np.abs(np.abs(w) - 1.0) < roots.ON_CIRCLE)
-        ridx.append(rows[row])
-        theta.append(np.angle(w[row, col]))
-    ridx, theta = np.concatenate(ridx), np.concatenate(theta)
-    order = np.lexsort((theta, ridx))
-    return ridx[order], theta[order]
-
-
-def row_bounds(cn: np.ndarray):
-    """``bounds`` for :func:`roots.critical_points` from the rows alone:
-    ``|F| <= 2 sum n |C_n|`` and ``|F'| <= 2 sum n^2 |C_n|``."""
+    them, with every circle eigen-solved by the companion oracle."""
     n = np.arange(1, cn.shape[1] + 1)
-    return lambda rows: (2.0 * np.abs(cn[rows]) @ n, 2.0 * np.abs(cn[rows]) @ (n * n))
+    theta = [companion_angles(n * row) for row in cn]
+    ridx = np.repeat(np.arange(cn.shape[0]), [t.size for t in theta])
+    return ridx, np.concatenate(theta)
 
 
-def windowed_rows(cn: np.ndarray) -> np.ndarray:
-    """The rows :func:`roots.critical_points` solves in their windows: those
-    the certificate covers whose solved degree exceeds ``EIGEN_DEGREE``."""
-    n = np.arange(1, cn.shape[1] + 1)
-    mag = n * np.abs(cn)
-    kept = roots._kept_orders(mag)
-    solved = kept - 1 if not cn.imag.any() else 2 * kept
-    return (solved > roots.EIGEN_DEGREE) & roots._certified(mag)
+def count_calls(monkeypatch, name: str) -> list:
+    """Record the number of circles of each call of ``roots.<name>``, the
+    window brackets (``_windows``) or the subdivision (``_isolate``)."""
+    circles = []
+    solve = getattr(roots, name)
 
+    def counted(*args):
+        circles.append(args[-2].size)  # the rows it brackets
+        return solve(*args)
 
-def count_windowed(monkeypatch) -> list:
-    """Record the number of circles of each call of the window solve."""
-    windowed = []
-    window_roots = roots._window_roots
-
-    def counted(nc, *args):
-        windowed.append(nc.shape[0])
-        return window_roots(nc, *args)
-
-    monkeypatch.setattr(roots, "_window_roots", counted)
-    return windowed
+    monkeypatch.setattr(roots, name, counted)
+    return circles
 
 
 @pytest.mark.parametrize("a", [0.6, -1.7, 0.8 - 1.3j], ids=["positive", "negative", "complex"])
 @pytest.mark.parametrize("k", range(1, 7))
 def test_monomial_rows(monkeypatch, a, k):
     # q = a z^k has the one coefficient C_k = a r^k and the critical points
-    # (j pi - arg a) / k, j = 0..2k-1, on every circle.  A real a is solved
-    # as S(u), a complex one as R(t), of degree k - 1 or 2k.  The rows have
-    # x = y = 0, so every circle whose solved degree exceeds EIGEN_DEGREE
-    # takes the window solve; the eigenvalue solve of the same rows finds
-    # the same points.  The maxima are those of even j, in the window
-    # solve on the axis points 0 and -pi too, for either sign of a and
-    # either parity of k
-    windowed = count_windowed(monkeypatch)
+    # (j pi - arg a) / k, j = 0..2k-1, on every circle.  The rows have
+    # x = y = 0, so every circle takes the window solve, at every k, and
+    # none is isolated; the companion oracle's eigenvalue solve of the same
+    # rows finds the same points.  The maxima are those of even j, on the
+    # axis points 0 and -pi too, for either sign of a and either parity of k
+    windowed = count_calls(monkeypatch, "_windows")
+    isolated = count_calls(monkeypatch, "_isolate")
     radii = np.geomspace(0.9, 1e-3, 40)
     cn = np.zeros((radii.size, k), dtype=complex)
     cn[:, k - 1] = a * radii**k
@@ -80,10 +59,9 @@ def test_monomial_rows(monkeypatch, a, k):
             if is_max is not None:
                 assert np.array_equal(is_max[ridx == i], np.argmin(dist, axis=1) % 2 == 0)
 
-    check(*roots.critical_points(cn, radii, row_bounds(cn)))
-    m = 2 * k if isinstance(a, complex) else k - 1
-    assert windowed == ([radii.size] if m > roots.EIGEN_DEGREE else [])
-    check(*eigen_points(cn, radii))
+    check(*roots.critical_points(cn, radii))
+    assert windowed == [radii.size] and isolated == [0]
+    check(*eigen_points(cn))
 
 
 def random_rows(rng, count: int, deg: int, real: bool) -> np.ndarray:
@@ -123,36 +101,44 @@ def certificate(cn: np.ndarray) -> np.ndarray:
     return x * x + y * y
 
 
+def certify_none(monkeypatch):
+    """Make every circle of :func:`roots.critical_points` take the
+    subdivision."""
+    monkeypatch.setattr(roots, "_certified", lambda mag: np.zeros(mag.shape[0], dtype=bool))
+
+
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
 @pytest.mark.parametrize("deg", [3, 5, 8])
 def test_window_solve_matches_eigen_solve(monkeypatch, deg, real):
     # on seeded random rows, a third of them within a relative 1e-3 below
     # the certificate's threshold and a sixth above it, the root solve
-    # finds the critical points of the eigenvalue solve: as many on every
-    # circle, within 1e-13, and only certified circles are windowed.  On
-    # degree-12 rows the two differ by up to 1.7e-13, and there the
-    # eigenvalue solve is the one off: the window roots are within 1e-17 of
-    # a 40-digit polish of the same rows
-    windowed = count_windowed(monkeypatch)
+    # finds the critical points of the companion oracle's eigenvalue solve:
+    # as many on every circle, within 1e-13, and only certified circles are
+    # windowed.  Solved again with every circle isolated by subdivision,
+    # the same rows give the same points, bit for bit but for the last
+    # Newton step, and the same kinds
+    windowed = count_calls(monkeypatch, "_windows")
     rng = np.random.default_rng(20261019 + deg + 100 * real)
     cn = random_rows(rng, 300, deg, real)
     radii = np.ones(cn.shape[0])
-    ridx, theta, _ = roots.critical_points(cn, radii, row_bounds(cn))
-    want_ridx, want = eigen_points(cn, radii)
+    ridx, theta, is_max = roots.critical_points(cn, radii)
+    want_ridx, want = eigen_points(cn)
     assert np.array_equal(ridx, want_ridx)
     assert circ_dist(theta, want).max() <= 1e-13
-    # the certified circles whose solved degree exceeds EIGEN_DEGREE, and
-    # only those, were windowed
-    kept = deg - np.argmax((np.abs(cn) > 0)[:, ::-1], axis=1)
-    solved = kept - 1 if real else 2 * kept
-    assert sum(windowed) == np.count_nonzero((solved > roots.EIGEN_DEGREE) & (certificate(cn) < 0.9))
+    assert windowed == [np.count_nonzero(certificate(cn) < 0.9)]
+    certify_none(monkeypatch)
+    sub_ridx, sub, sub_max = roots.critical_points(cn, radii)
+    assert windowed[1] == 0
+    assert np.array_equal(sub_ridx, ridx) and np.array_equal(sub_max, is_max)
+    assert circ_dist(sub, theta).max() <= 1e-15
     if real:
         # exact mirror pairs and the exact axis points 0 and -pi
-        for i in range(cn.shape[0]):
-            got = theta[ridx == i]
-            assert np.count_nonzero(got == 0.0) == 1 and np.count_nonzero(got == -math.pi) == 1
-            got = np.where(got == -math.pi, math.pi, got)
-            assert np.array_equal(np.sort(got), np.sort(np.where(got == math.pi, got, -got)))
+        for got in (theta, sub):
+            for i in range(cn.shape[0]):
+                at = got[ridx == i]
+                assert np.count_nonzero(at == 0.0) == 1 and np.count_nonzero(at == -math.pi) == 1
+                at = np.where(at == -math.pi, math.pi, at)
+                assert np.array_equal(np.sort(at), np.sort(np.where(at == math.pi, at, -at)))
 
 
 def test_window_roots_match_mpmath():
@@ -163,7 +149,7 @@ def test_window_roots_match_mpmath():
     mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(20261020)
     cn = random_rows(rng, 40, 8, False)
-    ridx, theta, _ = roots.critical_points(cn, np.ones(cn.shape[0]), row_bounds(cn))
+    ridx, theta, _ = roots.critical_points(cn, np.ones(cn.shape[0]))
     n = np.arange(1, cn.shape[1] + 1)
     with mp.workdps(40):
         for i, t in zip(ridx.tolist(), theta.tolist()):
@@ -182,13 +168,12 @@ def test_window_roots_match_mpmath():
 def test_kinds_and_polish_contract(r_max):
     # seeded polynomials of degree 2-16, a third real, on 100 circles: every
     # returned kind is the sign of d1d2's second derivative at the point,
-    # maxima and minima alternate, and every maximum of a windowed circle is
-    # a fixed point, bit for bit, of one more step of the eigen-solved
-    # maxima's polish (NEWTON_TOL, no Newton step once converged), so that
-    # polish has nothing left to do there.  Circles with two critical points
-    # within 1e-3, near a fold, are skipped
+    # maxima and minima alternate, and every point, maximum or minimum, of
+    # windowed and isolated circles alike, meets the polish's stopping rule
+    # |F / 2| <= WINDOW_TOL D EPS sum n |C_n|.  Circles with two critical
+    # points within 1e-3, near a fold, are skipped
     rng = np.random.default_rng(20261021 + int(10 * r_max))
-    checked = fixed = 0
+    checked = isolated = 0
     for case in range(18):
         deg = int(rng.integers(2, 17))
         c = rng.normal(size=deg + 1) + (case % 3 != 0) * 1j * rng.normal(size=deg + 1)
@@ -198,9 +183,8 @@ def test_kinds_and_polish_contract(r_max):
         e = maxmod.expand(p)
         radii = np.geomspace(r_max, max(1e-3, 2 * maxmod.floor_radius(maxmod.normalize(p))), 100)
         cn = e.fourier(radii)
-        bounds = lambda rows: (e.d1_bound(radii[rows]), e.d2_bound(radii[rows]))
-        ridx, theta, is_max = roots.critical_points(cn, radii, bounds)
-        d2 = e.d1d2(radii[ridx], theta)[1]
+        ridx, theta, is_max = roots.critical_points(cn, radii)
+        d1, d2 = e.d1d2(radii[ridx], theta)
         for i in range(radii.size):
             at = ridx == i
             if close_gap(theta[at]) <= 1e-3:
@@ -208,18 +192,32 @@ def test_kinds_and_polish_contract(r_max):
             assert np.array_equal(is_max[at], d2[at] < 0.0), (p, radii[i])
             assert np.all(is_max[at] != np.roll(is_max[at], 1)), (p, radii[i])
             checked += 1
-        mx = np.flatnonzero(windowed_rows(cn)[ridx] & is_max)
-        n = np.arange(1.0, cn.shape[1] + 1)
-        x = theta[mx]
-        half = math.pi / (2 * (np.argmax(n * np.abs(cn), axis=1) + 1.0))[ridx[mx]]
-        tol = roots.NEWTON_TOL * e.d1_bound(radii)[ridx[mx]]
-        again, _ = roots._newton(
-            np.stack([n * cn, n * n * cn]), ridx[mx], x, x - half, x + half,
-            np.full(mx.size, -2.0), tol, radii, 1, False,
-        )
-        assert np.array_equal(again, x)
-        fixed += mx.size
-    assert checked >= 1700 and fixed >= 1500
+        n = np.arange(1, cn.shape[1] + 1)
+        tol = roots.WINDOW_TOL * n.size * EPS * (n * np.abs(cn)).sum(axis=1)[ridx]
+        assert np.all(np.abs(d1 / 2) <= tol), p
+        isolated += np.count_nonzero(~roots._certified(n * np.abs(cn)))
+    assert checked >= 1700 and isolated >= 100
+
+
+def test_fold_within_rounding_fails_at_its_radius(monkeypatch):
+    # the real row C_1 = -1/2, C_2 = 1/8 has F = sin(theta) (1 - cos(theta)),
+    # whose triple zero at the axis point 0 defeats every Taylor test: the
+    # root solve raises a refinement failure naming that row's radius, not
+    # the certified row's before it, within ISOLATE_DEPTH splits, and
+    # guesses no kind
+    passes = []
+    slopes = roots._slopes
+
+    def counted(coef, i, theta, sign):
+        passes.append(theta.size)
+        return slopes(coef, i, theta, sign)
+
+    monkeypatch.setattr(roots, "_slopes", counted)
+    cn = np.array([[1.0, 0.1], [-0.5, 0.125]], dtype=complex)
+    with pytest.raises(maxmod.RefinementFailureError) as exc:
+        roots.critical_points(cn, np.array([0.5, 0.37]))
+    assert exc.value.r == 0.37
+    assert 0 < len(passes) <= roots.ISOLATE_DEPTH + 1 and sum(passes) < 1e5
 
 
 def close_gap(theta: np.ndarray) -> float:
@@ -228,6 +226,13 @@ def close_gap(theta: np.ndarray) -> float:
         return math.inf
     th = np.sort(theta)
     return float(np.diff(np.concatenate([th, [th[0] + 2 * math.pi]])).min())
+
+
+def test_no_eigenvalue_solve():
+    # every circle is windowed or isolated: no module of the package solves
+    # an eigenvalue problem
+    for path in Path(maxmod.__file__).parent.glob("*.py"):
+        assert "eigvals" not in path.read_text(encoding="utf-8"), path.name
 
 
 def test_imports_only_errors_and_util():

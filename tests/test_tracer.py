@@ -32,7 +32,7 @@ from maxmod import (
 )
 from maxmod.cli import _sample_member, main
 from maxmod.modulus import ModulusExpansion, on_axis
-from maxmod.roots import NEWTON_MAX_ITER, ON_CIRCLE, _derivative_roots, _solve_coef, critical_points
+from maxmod.roots import WINDOW_MAX_ITER, critical_points
 from maxmod.svg import render_svg
 from maxmod.tracer import (
     CurveSample,
@@ -42,14 +42,12 @@ from maxmod.tracer import (
     radius_schedule,
 )
 from maxmod.util import circ_dist, reduce_angle
+from oracles import ON_CIRCLE, companion_angles, companion_roots, derivative_bounds, half_angle_coef
 
 
 def scan_points(e: ModulusExpansion, radii: np.ndarray):
-    """:func:`critical_points` of the circles of ``e`` at ``radii``, with the
-    bounds the scan passes: ``e``'s own, as its scale is 1."""
-    return critical_points(
-        e.fourier(radii), radii, lambda rows: (e.d1_bound(radii[rows]), e.d2_bound(radii[rows]))
-    )
+    """:func:`critical_points` of the circles of ``e`` at ``radii``."""
+    return critical_points(e.fourier(radii), radii)
 
 
 def curve_samples(res, curve_id: int) -> list:
@@ -197,8 +195,8 @@ class TestBatchedScan:
 
     def test_evaluation_passes_do_not_grow_with_radii(self, monkeypatch):
         # every evaluation at a point is one Horner pass over all circles:
-        # the sorting of the magic cubic's eigen-solved points, each step of
-        # the polish of its maxima and the one osc pass
+        # each step of the polish of the magic cubic's points and the one
+        # osc pass
         calls = []
         fourier_sum = maxmod._kernels.fourier_sum
 
@@ -212,13 +210,13 @@ class TestBatchedScan:
             calls.clear()
             trace(parse_poly("1,0,1,1i"), TraceConfig(n_radii=n))
             counts[n] = len(calls)
-        assert 0 < counts[200] <= counts[20] <= NEWTON_MAX_ITER + 5
+        assert 0 < counts[200] <= counts[20] <= WINDOW_MAX_ITER + 5
 
     def test_fourier_rows_once_per_radius(self, monkeypatch):
         # the scan forms C_n once per radius for the root solve and every
         # evaluation at a point, which reads its circle's row; the root solve
         # reads nothing else of the expansion
-        rows = {"fourier": 0, "eigen": 0}
+        rows = {"fourier": 0, "isolated": 0}
         fourier = ModulusExpansion.fourier
 
         def counted(self, r):
@@ -226,60 +224,37 @@ class TestBatchedScan:
             return fourier(self, r)
 
         monkeypatch.setattr(ModulusExpansion, "fourier", counted)
-        companion_roots = maxmod.roots._companion_roots
+        isolate = maxmod.roots._isolate
 
-        def solved(coef):
-            rows["eigen"] += coef.shape[0]
-            return companion_roots(coef)
+        def isolated(coef, mag, radii, sub, odd):
+            rows["isolated"] += sub.size
+            return isolate(coef, mag, radii, sub, odd)
 
-        monkeypatch.setattr(maxmod.roots, "_companion_roots", solved)
+        monkeypatch.setattr(maxmod.roots, "_isolate", isolated)
         trace(parse_poly(DEGREE_8), TraceConfig(n_radii=200))
         assert rows["fourier"] == 200
-        assert 0 < rows["eigen"] <= 50
-
-    def test_eigen_solves_only_anchor_circles(self, monkeypatch):
-        # only circles that the certificate leaves open reach the eigenvalue
-        # solve; certified circles are solved in their windows.  The magic
-        # cubic is traced on its reflection axis, where the solved polynomial
-        # S(u) is quadratic: there every circle is eigen-solved, as a 2 x 2
-        # companion matrix, without a certificate.  Every circle of
-        # random_count's input 1 is certified, so it makes no eigvals call
-        solved = []  # (matrices, order) per call
-        eigvals = np.linalg.eigvals
-
-        def counted(a):
-            solved.append(a.shape[:2])
-            return eigvals(a)
-
-        monkeypatch.setattr(np.linalg, "eigvals", counted)
-        trace(parse_poly("1,0,1,1i"), TraceConfig(n_radii=200))
-        assert solved == [(200, 2)]
-        solved.clear()
-        res = trace(RANDOM_COUNT_1, TraceConfig(r_min=2e-4, r_max=0.3, n_radii=200))
-        assert solved == [] and res.n_components == 1
-        trace(parse_poly(DEGREE_8), TraceConfig(n_radii=200))
-        assert 0 < sum(rows for rows, _ in solved) <= 50
+        assert 0 < rows["isolated"] <= 50
 
     def test_uncertified_followers_fall_back(self, monkeypatch):
         # near |z| = 0.9 several orders of the degree-8 input compete: the
-        # certificate leaves some circles open, and their eigenvalue solve
-        # keeps the trace whole, while the certified circles nearer 0 take
-        # the window solve
+        # certificate leaves some circles open, and their subdivision keeps
+        # the trace whole, while the certified circles nearer 0 take the
+        # window solve
         open_rows, windowed = [], []
         certified = maxmod.roots._certified
-        window_roots = maxmod.roots._window_roots
+        windows = maxmod.roots._windows
 
         def counted(mag):
             ok = certified(mag)
             open_rows.append(int(np.count_nonzero(~ok)))
             return ok
 
-        def counted_window(nc, *args):
-            windowed.append(nc.shape[0])
-            return window_roots(nc, *args)
+        def counted_window(nc, mag, rows, odd):
+            windowed.append(rows.size)
+            return windows(nc, mag, rows, odd)
 
         monkeypatch.setattr(maxmod.roots, "_certified", counted)
-        monkeypatch.setattr(maxmod.roots, "_window_roots", counted_window)
+        monkeypatch.setattr(maxmod.roots, "_windows", counted_window)
         res = trace(parse_poly(DEGREE_8), TraceConfig(r_max=0.9))
         assert sum(open_rows) >= 1 and sum(windowed) >= 1
         assert {s.curve_id for s in res.samples} == {0}
@@ -287,25 +262,11 @@ class TestBatchedScan:
 
 
 def full_solve(e: ModulusExpansion, radii: np.ndarray) -> list[np.ndarray]:
-    """Test oracle: each circle's critical angles, sorted, from numpy's
-    companion solve of the full half-angle polynomial R(t) of degree 2d,
-    circle by circle, with the tracer's rules for dropped orders but no
-    quotient."""
-    eps = np.finfo(float).eps
+    """Test oracle: each circle's critical angles, sorted, from the companion
+    solve of the full half-angle polynomial R(t) of degree 2d, circle by
+    circle, without the quotient (:func:`oracles.companion_angles`)."""
     cn = e.fourier(radii)
-    nc = np.arange(1, cn.shape[1] + 1) * cn
-    out = []
-    for row in nc:
-        d = int(np.flatnonzero(np.abs(row) > eps * np.abs(row).max())[-1]) + 1
-        coef = _solve_coef(row[None, :d], d, False)[0]
-        j = 2 * d
-        while j > 0 and any(abs(coef[j]) < eps ** (j - k) * abs(coef[k]) for k in range(j)):
-            j -= 1
-        t = np.polynomial.polynomial.polyroots(coef[: j + 1]) if j else np.empty(0)
-        w = (1 + 1j * t) / (1 - 1j * t)
-        theta = np.angle(w[np.abs(np.abs(w) - 1) < ON_CIRCLE])
-        out.append(np.sort(np.concatenate([theta, np.full(2 * d - j, -math.pi)])))
-    return out
+    return [companion_angles(np.arange(1, cn.shape[1] + 1) * row) for row in cn]
 
 
 def symmetric_poly(rng, deg: int) -> Polynomial:
@@ -333,14 +294,15 @@ class TestQuotient:
         ["real", "symmetric-quartic", "symmetric-quintic", "linear"],
     )
     def test_quotient_matches_full_solve(self, case):
-        # the roots t = +-sqrt(u) of S(u), with t = 0 and t = inf, are the
-        # critical points that a companion solve of the full R(t) gives on the
-        # same circles, and the scan's polished maxima are those of R's roots
-        # after Newton steps on the exact derivative; circles with two
-        # critical points within 1e-3, near a fold, are skipped.  Above
-        # r = 0.75 the coefficients of S and R of the degree-32 input span up
-        # to 1e18, and the unpolished roots agree to only 1e-7 (5.1e-8
-        # measured at r = 0.9); only the maxima are polished
+        # the critical points solved on the quotient, each x in (0, pi) with
+        # its mirror -x and the axis points 0 and -pi, are those that a
+        # companion solve of the full R(t) gives on the same circles after
+        # Newton steps on the exact derivative, within 1e-9, and the scan's
+        # maxima are those polished roots of negative second derivative,
+        # within 1e-12; circles with two critical points within 1e-3, near a
+        # fold, are skipped.  Above r = 0.75 the coefficients of R of the
+        # degree-32 input span up to 1e18, and its unpolished roots are off
+        # by up to 5.1e-8 (r = 0.9); every critical point is polished
         rng = np.random.default_rng(20261020)
         if case == "real":
             polys = [parse_poly(text) for text in REAL_POLYS]
@@ -366,12 +328,11 @@ class TestQuotient:
                 if min(close_gap(got), close_gap(want)) <= 1e-3:
                     continue
                 assert got.size == want.size, (p, radii[i])
-                tol = 1e-9 if radii[i] <= 0.75 else 1e-7
-                assert circ_dist(got[:, None], want).min(axis=1).max() <= tol, (p, radii[i])
                 r = np.full(want.size, radii[i])
                 for _ in range(4):
                     f, d2 = e.d1d2(r, want)
                     want = want - f / d2
+                assert circ_dist(got[:, None], want).min(axis=1).max() <= 1e-9, (p, radii[i])
                 want = want[e.d1d2(r, want)[1] < 0.0]
                 got = maxima[mr == i]
                 assert got.size == want.size, (p, radii[i])
@@ -381,7 +342,8 @@ class TestQuotient:
 
     def test_axis_maxima_within_their_conditioning(self):
         # on_axis changes each c_l by up to 8 (l + 1) eps relative.  A
-        # maximum is fixed in floats only to about eps d1_bound / |d2|, the
+        # maximum is fixed in floats only to about eps B1 / |d2|, B1 the
+        # bound of d/dtheta on its circle (oracles.derivative_bounds), the
         # rounding of d/dtheta over the curvature there; next to a pitchfork
         # on the axis |d2| is small.  On this seeded symmetric quartic, at
         # r = 0.2915, two co-maximal maxima 0.0063 rad apart have
@@ -414,7 +376,7 @@ class TestQuotient:
                 want = float(mp.findroot(lambda t: d1(s.r, t), mp.mpf(s.theta)))
                 d2 = e.d1d2(np.array([s.r]), np.array([s.theta]))[1][0]
                 err = abs(s.theta - want)
-                assert err <= 1e-12 + eps * e.d1_bound(s.r) / abs(d2), (s.r, s.theta, err)
+                assert err <= 1e-12 + eps * derivative_bounds(e, s.r)[0] / abs(d2), (s.r, s.theta, err)
                 off_by.append(err)
         assert max(off_by) <= 1e-11
         assert sum(err > 1e-12 for err in off_by) == 2
@@ -455,7 +417,7 @@ class TestQuotient:
             assert np.all(np.abs(q.c.real - want.real) <= 8 * eps * (ls + 1) * np.abs(e.c))
             th = np.linspace(-math.pi, math.pi, 17)
             for r in (0.1, 0.7):
-                scale = e.d1_bound(r)
+                scale = derivative_bounds(e, r)[0]
                 assert np.allclose(q.osc(r, th), e.osc(r, th + psi), rtol=0, atol=1e-13 * scale)
                 assert np.allclose(q.osc_terms(r, th), e.osc_terms(r, th + psi), atol=1e-13 * scale)
 
@@ -528,6 +490,16 @@ RANDOM_COUNT_4 = Polynomial(
         -0.5246771324099359 + 0.3368640744741806j,
     )
 )
+RANDOM_COUNT_7 = Polynomial(
+    (
+        1,
+        -0.5535380410466126 - 0.8460866359712435j,
+        0.7218231302929948 - 1.8026243378987195j,
+        0.06100465484004649 + 0.862460209832096j,
+        0,
+        -0.3049446789809854 - 1.596173788033229j,
+    )
+)
 RANDOM_COUNT_9 = Polynomial((1, 0, 1.7648238028165952 + 0.5995024216046244j, 0, -0.4668918131041815 + 0.643990882248286j))
 
 
@@ -550,8 +522,8 @@ class TestMpmathOracle:
         # covers the magic cubic, traced on its axis and turned back by psi:
         # its worst is 5.85e-16 at theta = -3.139.  The other random_count
         # inputs but input 2 are off by more, up to 3.4e-15 on input 6, yet
-        # within 30 eps d1_bound / |d2|, the rounding of d/dtheta over the
-        # curvature
+        # within 30 eps B1 / |d2|, the rounding of d/dtheta over the
+        # curvature (B1 as in test_axis_maxima_within_their_conditioning)
         mp = pytest.importorskip("mpmath")
         res = trace(p, cfg)
         c = [mp.mpc(z.real, z.imag) for z in p.coeffs]
@@ -612,7 +584,7 @@ class TestCriticalPoints:
     def test_followers_match_circles_solved_alone(self):
         # every circle of a schedule, the first and those that follow it,
         # gives the critical points that the circle solved alone gives:
-        # whether a circle takes the window or the eigenvalue solve depends
+        # whether a circle takes the window solve or the subdivision depends
         # on its own row only; circles with two critical points within 1e-3,
         # near a fold, are skipped
         rng = np.random.default_rng(20261018)
@@ -642,6 +614,7 @@ class TestCriticalPoints:
     def test_half_angle_coefficients(self, d):
         # R(t) = sum_n Im(nc_n (1+it)^{d+n} (1-it)^{d-n}), expanded term by
         # term with numpy's polynomial products, against the table product
+        # of the companion oracle
         rng = np.random.default_rng(d)
         nc = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
         P = np.polynomial.polynomial
@@ -651,7 +624,7 @@ class TestCriticalPoints:
             poly = P.polymul(P.polypow([1, 1j], d + n), P.polypow([1, -1j], d - n))
             want += (nc[:, n - 1, None] * poly).imag
             scale += np.abs(nc[:, n - 1, None]) * np.abs(poly)
-        got = _solve_coef(nc, d, False)
+        got = half_angle_coef(nc, d)
         assert np.all(np.abs(got - want) <= 8 * d * np.finfo(float).eps * scale)
 
     @pytest.mark.parametrize("text", REAL_POLYS)
@@ -674,12 +647,14 @@ class TestCriticalPoints:
         ids=["event-trace", "degree-8-rmax-0.9", "crowded"],
     )
     def test_on_circle_margin(self, text, cfg):
-        # roots on the unit circle come back far inside ON_CIRCLE, and every
-        # other root stays far outside it, even across folds
+        # the companion oracle's roots on the unit circle come back far
+        # inside its ON_CIRCLE, and every other root stays far outside it,
+        # even across folds
         e = expand(parse_poly(text))
         radii = radius_schedule(cfg)
-        roots = _derivative_roots(e.fourier(radii), radii)
-        dist = np.concatenate([np.abs(np.abs(w) - 1.0).ravel() for _, w in roots])
+        cn = e.fourier(radii)
+        n = np.arange(1, cn.shape[1] + 1)
+        dist = np.concatenate([np.abs(np.abs(companion_roots(n * row)) - 1.0) for row in cn])
         on = dist < ON_CIRCLE
         assert on.any() and np.all(dist[on] <= 1e-10)
         assert np.all(dist[~on] >= 1e-3)
@@ -707,7 +682,7 @@ class TestCriticalPoints:
         monkeypatch.setattr(
             maxmod.roots,
             "critical_points",
-            lambda cn, radii, bounds: (ridx[keep], theta[keep], is_max[keep]),
+            lambda cn, radii: (ridx[keep], theta[keep], is_max[keep]),
         )
         with pytest.raises(maxmod.RefinementFailureError) as exc:
             _scan_circles(e, radii)
@@ -747,8 +722,9 @@ class TestTrace:
         e = expand(p)
         for s in res.samples:
             (d1,), (d2,) = e.d1d2(s.r, s.theta)
-            assert abs(d1) <= maxmod.roots.NEWTON_TOL * max(e.d1_bound(s.r), 1e-300)
-            assert d2 <= maxmod.roots.NEWTON_TOL * e.d2_bound(s.r)
+            b1, b2 = derivative_bounds(e, s.r)
+            assert abs(d1) <= 1e-12 * max(b1, 1e-300)
+            assert d2 <= 1e-12 * b2
             assert abs(s.mod**2 - e.mod2(s.r, s.theta)) <= 1e-12 * max(1.0, s.mod**2)
 
     def test_one_sample_per_radius_per_curve(self):
@@ -1267,32 +1243,11 @@ class TestFixedWork:
         res.samples  # read again: cached, nothing more is built
         assert len(built) == len(res.sample_r)
 
-    def test_d1_bound_once_per_radius(self, monkeypatch):
-        radii = []
-        d1_bound = ModulusExpansion.d1_bound
-
-        def counted(self, r):
-            radii.append(np.size(r))
-            return d1_bound(self, r)
-
-        monkeypatch.setattr(ModulusExpansion, "d1_bound", counted)
-        # four maxima on every circle, so one bound per maximum would be 4 n
-        res = trace(parse_poly("1,0,0,0,1"), TraceConfig(r_min=1e-2, n_radii=30))
-        assert res.n_components == 4
-        assert 0 < sum(radii) <= 30
-
     def count_evaluations(self, monkeypatch) -> dict:
-        """Record the radii of every bound formed, the calls of ``d1d2`` and
-        the certificate's verdict on every circle."""
-        seen = {"d1_bound": [], "d2_bound": [], "d1d2": 0, "certified": []}
-        for name in ("d1_bound", "d2_bound"):
-            bound = getattr(ModulusExpansion, name)
-
-            def counted(self, r, bound=bound, name=name):
-                seen[name].extend(np.atleast_1d(r).tolist())
-                return bound(self, r)
-
-            monkeypatch.setattr(ModulusExpansion, name, counted)
+        """Record the calls of ``d1d2``, the certificate's verdict on every
+        circle, the circles of every subdivision, the calls of the root
+        solve's Newton iteration and the radii of every ``fourier`` call."""
+        seen = {"d1d2": 0, "certified": [], "isolated": [], "newton": 0, "fourier": []}
         d1d2 = ModulusExpansion.d1d2
 
         def counted_d1d2(self, *args, **kw):
@@ -1300,6 +1255,13 @@ class TestFixedWork:
             return d1d2(self, *args, **kw)
 
         monkeypatch.setattr(ModulusExpansion, "d1d2", counted_d1d2)
+        fourier = ModulusExpansion.fourier
+
+        def counted_fourier(self, r):
+            seen["fourier"].extend(np.atleast_1d(r).tolist())
+            return fourier(self, r)
+
+        monkeypatch.setattr(ModulusExpansion, "fourier", counted_fourier)
         certified = maxmod.roots._certified
 
         def counted_certified(mag):
@@ -1308,6 +1270,20 @@ class TestFixedWork:
             return ok
 
         monkeypatch.setattr(maxmod.roots, "_certified", counted_certified)
+        isolate = maxmod.roots._isolate
+
+        def counted_isolate(coef, mag, radii, rows, odd):
+            seen["isolated"].append(rows.size)
+            return isolate(coef, mag, radii, rows, odd)
+
+        monkeypatch.setattr(maxmod.roots, "_isolate", counted_isolate)
+        newton = maxmod.roots._newton
+
+        def counted_newton(*args):
+            seen["newton"] += 1
+            return newton(*args)
+
+        monkeypatch.setattr(maxmod.roots, "_newton", counted_newton)
         return seen
 
     @pytest.mark.parametrize(
@@ -1320,26 +1296,39 @@ class TestFixedWork:
     )
     def test_certified_trace_evaluates_no_kind(self, monkeypatch, p, cfg):
         # every circle of these traces is certified: each point's kind comes
-        # from its window and each maximum is final, so the trace evaluates
-        # no second derivative and forms no derivative bound
+        # from its window, so the trace evaluates no second derivative
         seen = self.count_evaluations(monkeypatch)
         res = trace(p, cfg)
         assert res.n_components == 1
-        assert seen["certified"] == [True] * cfg.n_radii
-        assert seen["d1d2"] == 0 and seen["d1_bound"] == [] and seen["d2_bound"] == []
-
-    def test_bounds_only_for_eigen_solved_circles(self, monkeypatch):
-        # near |z| = 0.9 the degree-8 input leaves some circles uncertified;
-        # the bounds that polish their maxima are formed for those radii
-        # alone, once each
-        seen = self.count_evaluations(monkeypatch)
-        cfg = TraceConfig(r_max=0.9)
-        trace(parse_poly(DEGREE_8), cfg)
-        radii = radius_schedule(cfg)
-        open_radii = radii[~np.array(seen["certified"])].tolist()
-        assert 0 < len(open_radii) < cfg.n_radii
-        assert seen["d1_bound"] == seen["d2_bound"] == open_radii
+        assert seen["certified"] == [True] * cfg.n_radii and seen["isolated"] == [0]
         assert seen["d1d2"] == 0
+
+    @pytest.mark.parametrize(
+        "p,cfg,isolated",
+        [
+            (RANDOM_COUNT_7, TraceConfig(r_min=2e-4, r_max=0.3, n_radii=200), 31),
+            (parse_poly("1,0,1,1i"), TraceConfig(n_radii=200), 0),
+        ],
+        ids=["random-count-7", "fig1-magic"],
+    )
+    def test_one_newton_pass(self, monkeypatch, p, cfg, isolated):
+        # the windows of certified circles and the isolated zeros of the
+        # others, maxima and minima, are polished by one Newton call, and the
+        # trace forms C_n for its radii once and for nothing else.  31 circles
+        # of random_count's input 7 are isolated; the magic cubic, traced on
+        # its axis, is certified on every circle at any degree.  No
+        # eigenvalue solve is left
+        seen = self.count_evaluations(monkeypatch)
+
+        def eigvals(a):
+            raise AssertionError("eigenvalue solve")
+
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        res = trace(p, cfg)
+        assert res.n_components == (2 if isolated == 0 else 1)
+        assert seen["newton"] == 1
+        assert seen["fourier"] == radius_schedule(cfg).tolist()
+        assert seen["isolated"] == [isolated] and seen["d1d2"] == 0
 
 
 class TestTruncatedInput:
