@@ -207,9 +207,9 @@ def _windows(nc: np.ndarray, mag: np.ndarray, rows: np.ndarray, odd: bool):
     and is a maximum iff ``C_{n*} > 0``; -pi is in window ``-n*`` or
     ``1 - n*`` and is a maximum iff ``(-1)^n* C_{n*} > 0``.
 
-    Returns ``(row, start, lo, hi, is_max)`` of the brackets and
-    ``(row, theta, is_max)`` of the axis points, each in no particular
-    order.
+    Returns ``(row, start, lo, hi, is_max)`` of the brackets and, on odd
+    rows, ``(row, theta, is_max)`` of the axis points (else None), each in
+    no particular order.
     """
     mag = mag[rows]
     star = np.argmax(mag, axis=1)
@@ -227,7 +227,7 @@ def _windows(nc: np.ndarray, mag: np.ndarray, rows: np.ndarray, odd: bool):
     half = 0.5 * math.pi / n[k]
     brackets = (rows[k], centre, centre - half, centre + half, j % 2 == 0)
     if not odd:
-        return brackets, (rows[:0], np.empty(0), np.zeros(0, dtype=bool))
+        return brackets, None
     axis = (
         np.concatenate([rows, rows]),
         np.concatenate([np.zeros(rows.size), np.full(rows.size, -math.pi)]),
@@ -267,12 +267,13 @@ def _isolate(coef: np.ndarray, mag: np.ndarray, radii: np.ndarray, rows: np.ndar
     still undecided after ``ISOLATE_DEPTH`` splits.
 
     Returns ``(row, start, lo, hi, is_max)`` of the pieces holding a zero,
-    with the regula falsi point of the two ends as the start, and
-    ``(row, theta, is_max)`` of the axis points, 0 and -pi.
+    with the regula falsi point of the two ends as the start, and, on odd
+    rows, ``(row, theta, is_max)`` of the axis points, 0 and -pi (else
+    None).
     """
-    no_axis = (rows[:0], np.empty(0), np.zeros(0, dtype=bool))
     if rows.size == 0:
-        return (rows, np.empty(0), np.empty(0), np.empty(0), no_axis[2]), no_axis
+        empty = np.empty(0)
+        return (rows, empty, empty, empty, empty.astype(bool)), (rows, empty, empty.astype(bool))
     deg = mag.shape[1]
     err = ROUNDING * (deg + 1) * EPS * mag[rows].sum(axis=1)
     m2 = 2.0 * (mag[rows] @ np.arange(1.0, deg + 1) ** 2)
@@ -317,6 +318,6 @@ def _isolate(coef: np.ndarray, mag: np.ndarray, radii: np.ndarray, rows: np.ndar
             piece, m = piece[inside], m[inside]
     piece, start, lo, hi, is_max = (np.concatenate(v) for v in zip(*found))
     if not odd:
-        return (rows[piece], start, lo, hi, is_max), no_axis
+        return (rows[piece], start, lo, hi, is_max), None
     piece_a, theta_a, max_a = (np.concatenate(v) for v in zip(*axis))
     return (rows[piece], start, lo, hi, is_max), (rows[piece_a], theta_a, max_a)

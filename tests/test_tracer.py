@@ -302,7 +302,7 @@ class TestQuotient:
         # within 1e-12; circles with two critical points within 1e-3, near a
         # fold, are skipped.  Above r = 0.75 the coefficients of R of the
         # degree-32 input span up to 1e18, and its unpolished roots are off
-        # by up to 5.1e-8 (r = 0.9); every critical point is polished
+        # by up to 1.6e-8 (r = 0.9); every critical point is polished
         rng = np.random.default_rng(20261020)
         if case == "real":
             polys = [parse_poly(text) for text in REAL_POLYS]
@@ -1304,14 +1304,14 @@ class TestFixedWork:
         assert seen["d1d2"] == 0
 
     @pytest.mark.parametrize(
-        "p,cfg,isolated",
+        "p,cfg,isolated,components",
         [
-            (RANDOM_COUNT_7, TraceConfig(r_min=2e-4, r_max=0.3, n_radii=200), 31),
-            (parse_poly("1,0,1,1i"), TraceConfig(n_radii=200), 0),
+            (RANDOM_COUNT_7, TraceConfig(r_min=2e-4, r_max=0.3, n_radii=200), 31, 1),
+            (parse_poly("1,0,1,1i"), TraceConfig(n_radii=200), 0, 2),
         ],
         ids=["random-count-7", "fig1-magic"],
     )
-    def test_one_newton_pass(self, monkeypatch, p, cfg, isolated):
+    def test_one_newton_pass(self, monkeypatch, p, cfg, isolated, components):
         # the windows of certified circles and the isolated zeros of the
         # others, maxima and minima, are polished by one Newton call, and the
         # trace forms C_n for its radii once and for nothing else.  31 circles
@@ -1325,7 +1325,7 @@ class TestFixedWork:
 
         monkeypatch.setattr(np.linalg, "eigvals", eigvals)
         res = trace(p, cfg)
-        assert res.n_components == (2 if isolated == 0 else 1)
+        assert res.n_components == components
         assert seen["newton"] == 1
         assert seen["fourier"] == radius_schedule(cfg).tolist()
         assert seen["isolated"] == [isolated] and seen["d1d2"] == 0
