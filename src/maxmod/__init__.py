@@ -22,7 +22,7 @@ from .errors import (
     TruncatedSeriesError,
     ZeroPolynomialError,
 )
-from .modulus import ModulusExpansion, direct_mod2, expand
+from .modulus import ModulusExpansion, expand
 from .poly import (
     HaymanForm,
     MonomialVerdict,
@@ -38,8 +38,6 @@ from .tracer import (
     TraceConfig,
     TraceResult,
     ambiguity_radius,
-    brute_force_mset,
-    circle_argmax,
     floor_radius,
     trace,
     trace_at_infinity,
@@ -70,11 +68,8 @@ __all__ = [
     "TraceResult",
     "ZeroPolynomialError",
     "ambiguity_radius",
-    "brute_force_mset",
-    "circle_argmax",
     "classify",
     "cubic_magic",
-    "direct_mod2",
     "expand",
     "floor_radius",
     "format_poly",

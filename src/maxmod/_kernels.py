@@ -1,36 +1,24 @@
-"""Numeric kernels of the modulus evaluations, in NumPy.
+"""Numeric kernels of the modulus evaluation, in NumPy.
 
 ``fourier_sum`` evaluates ``sum_{n=1}^{D} C_n e^{i n theta}`` by one Horner
 pass in ``w = e^{i theta}``, O(deg) work per angle; with the Fourier
 coefficients ``C_n`` of ``|1 + q|^2`` it gives the theta-dependent part of
-the squared modulus and its theta-derivatives.  ``osc_sum`` is the
-compensated cosine-term sum of the paper's expansion, O(deg^2) per angle,
-used only as the oracle the Fourier path is tested against.
-``radial_sum`` and ``radial_sum_sq`` evaluate the theta-free sums
-``sum_t a_t r^{p_t}`` and ``sum_t (a_t r^{p_t})^2`` for one radius or many,
-and ``power_terms`` the products ``a r^p 2^s`` they sum, one by one.
+the squared modulus and its theta-derivatives.  ``radial_sum`` and
+``radial_sum_sq`` evaluate the theta-free sums ``sum_t a_t r^{p_t}`` and
+``sum_t (a_t r^{p_t})^2`` for one radius or many, and ``power_terms`` the
+products ``a r^p 2^s`` they sum, one by one.  The compensated cosine-term
+sum of the paper's expansion, which the Horner pass is tested against, is
+a test oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BACKEND", "osc_sum", "fourier_sum", "power_terms", "radial_sum", "radial_sum_sq"]
+__all__ = ["BACKEND", "fourier_sum", "power_terms", "radial_sum", "radial_sum_sq"]
 
 BACKEND = "numpy"
 _SQRT_HALF = 0.5**0.5
-
-
-def osc_sum(ap: np.ndarray, freqs: np.ndarray, phas: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Compensated sum of ``ap[t] * cos(freqs[t]*theta + phas[t])`` per theta."""
-    s = np.zeros(thetas.shape[0])
-    comp = np.zeros_like(s)
-    for t in range(ap.shape[0]):
-        x = ap[t] * np.cos(freqs[t] * thetas + phas[t])
-        tot = s + x
-        comp += np.where(np.abs(s) >= np.abs(x), (s - tot) + x, (x - tot) + s)
-        s = tot
-    return s + comp
 
 
 def fourier_sum(coef: np.ndarray, thetas: np.ndarray) -> np.ndarray:

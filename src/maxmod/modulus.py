@@ -1,27 +1,28 @@
-"""Exact evaluation of |p(r e^{i theta})|^2 and its theta-derivatives.
+"""Exact evaluation of ``|1 + q(r e^{i theta})|^2``, the one evaluator of
+the package.
 
 With ``p = a_m z^m (1 + q)``, ``c_0 = 1``, ``c_j = a_{m+j} / a_m`` and
 ``w = e^{i theta}``,
 
-    |p|^2 = |a_m|^2 r^{2m} (C_0 + 2 Re sum_{n=1}^{D} C_n w^n),
+    |1 + q|^2 = C_0 + 2 Re sum_{n=1}^{D} C_n w^n,
     C_n(r) = sum_j c_{j+n} conj(c_j) r^{2j+n}.
 
-An expansion holds only these Fourier data.  :meth:`fourier` gives every
-``C_n`` of a circle by one matrix product, and :meth:`osc` and
-:meth:`d1d2` are one Horner pass in ``w``: O(deg) per angle once the
-``C_n`` of the angle's circle are formed.  ``osc`` holds no constant term,
-so nothing cancels against 1 and signals of order r^n near the origin keep
-their relative accuracy.  The tracer expands the normalized tail ``1 + q``,
-whose scale ``|a_m|^2 r^{2m}`` is 1.
+An expansion holds only these Fourier data.  :meth:`~ModulusExpansion.fourier`
+gives every ``C_n`` of a circle by one matrix product, and
+:meth:`~ModulusExpansion.osc` is one Horner pass in ``w``: O(deg) per angle
+once the ``C_n`` of the angle's circle are formed.  ``osc`` holds no
+constant term, so nothing cancels against 1 and signals of order r^n near
+the origin keep their relative accuracy.  The factor ``|a_m|^2 r^{2m}`` of
+``|p|^2`` moves no maximizer, so the tracer compares values of
+``|1 + q|^2`` alone.
 
 The paper's formula is the same sum term by term,
 
     |p|^2 = sum_l |a_l|^2 r^{2l}
           + sum_{j<l} 2|a_j||a_l| r^{j+l} cos((l-j) theta + arg a_l - arg a_j).
 
-Its terms are derived from the ``c_j`` on demand and serve only as the
-oracle: :meth:`osc_terms` sums the cross terms (in ascending power of r,
-compensated), and :meth:`mod2` is :meth:`base` plus :meth:`osc_terms`.
+It is not evaluated here: the term expansion, its compensated sum and
+direct Horner evaluation of ``p`` are the test oracles of ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from . import _kernels
 from .errors import ZeroPolynomialError
 from .poly import Polynomial, lead_ratios
-from .util import EPS, reduce_angle
+from .util import EPS
 
 # on_axis accepts a reflection axis psi when every |Im(c_l e^{i l psi})| is at
 # most AXIS_ULPS (l + 1) EPS |c_l|
@@ -44,58 +45,26 @@ AXIS_ULPS = 8
 
 @dataclass(frozen=True)
 class ModulusExpansion:
-    """Fourier data of ``|p(r e^{i theta})|^2`` for ``p = a_m z^m (1 + q)``."""
+    """Fourier data of ``|1 + q(r e^{i theta})|^2``."""
 
-    m: int  # lowest exponent with a nonzero coefficient
-    lead_abs2: float  # |a_m|^2
     c: np.ndarray  # c_0 = 1, then c_j = a_{m+j} / a_m for j = 1..D
     c_pairs: np.ndarray  # (2D, D): c_{j+n} conj(c_j) at row 2j+n, column n-1
 
-    # -- the paper's terms, derived for the oracle -----------------------
-
     @property
-    def diagonal(self) -> list[tuple[float, float]]:
-        """``(2l, |a_l|^2)`` per nonzero coefficient, the terms ``|a_l|^2 r^{2l}``."""
-        j = np.flatnonzero(self.c)
-        amps = self.lead_abs2 * np.abs(self.c[j]) ** 2
-        return list(zip((2.0 * (j + self.m)).tolist(), amps.tolist()))
-
-    def _cross_terms(self) -> np.ndarray:
-        """Rows ``(j + l, 2|a_j||a_l|, l - j, arg a_l - arg a_j)``, one column
-        per pair j < l of nonzero coefficients, by power, then frequency."""
-        j = np.flatnonzero(self.c)
-        mag, arg = np.abs(self.c[j]), np.angle(self.c[j])
-        lo, hi = np.triu_indices(j.size, k=1)
-        amps = 2.0 * self.lead_abs2 * mag[lo] * mag[hi]
-        terms = np.array([j[lo] + j[hi] + 2.0 * self.m, amps, j[hi] - j[lo], arg[hi] - arg[lo]])
-        return terms[:, np.lexsort((terms[2], terms[0]))]
-
-    cross_pows = property(lambda self: self._cross_terms()[0])  # j+l
-    cross_amps = property(lambda self: self._cross_terms()[1])  # 2|a_j||a_l|
-    cross_freqs = property(lambda self: self._cross_terms()[2])  # l-j
-    cross_phas = property(lambda self: self._cross_terms()[3])  # arg a_l - arg a_j
-
-    @property
-    def cross(self) -> list[tuple[float, float, float, float]]:
-        """``(j + l, 2|a_j||a_l|, l - j, arg a_l - arg a_j)`` per cross term."""
-        return list(zip(*self._cross_terms().tolist()))
-
-    # -- evaluation -----------------------------------------------------
-
-    def mod2(self, r: float, theta):
-        """``|p(r e^{i theta})|^2``; theta may be a scalar or an array."""
-        return self.base(r) + self.osc_terms(r, theta)
+    def cross_amps(self) -> np.ndarray:
+        """``2|c_j||c_l|`` per pair j < l of nonzero ``c_j``.  Only
+        ``perfbench/layers.py`` reads it, for its size; it goes with
+        ROADMAP item 1."""
+        mag = np.abs(self.c[np.flatnonzero(self.c)])
+        lo, hi = np.triu_indices(mag.size, k=1)
+        return 2.0 * mag[lo] * mag[hi]
 
     def base(self, r):
-        """Theta-independent part of :meth:`mod2`, per radius, as
-        ``scale(r) sum_j (|c_j| r^j)^2``: no ``|c_j|^2`` is formed alone, so a
-        tiny coefficient counts at a radius that makes its term a float."""
+        """Theta-independent part of ``|1 + q|^2``, per radius, as
+        ``sum_j (|c_j| r^j)^2``: no ``|c_j|^2`` is formed alone, so a tiny
+        coefficient counts at a radius that makes its term a float."""
         j = np.flatnonzero(self.c)
-        return self.scale(r) * _kernels.radial_sum_sq(np.abs(self.c[j]), j, r)
-
-    def scale(self, r):
-        """``|a_m|^2 r^{2m}``, the factor of ``|1 + q|^2`` in :meth:`mod2`."""
-        return self.lead_abs2 * r ** (2 * self.m)
+        return _kernels.radial_sum_sq(np.abs(self.c[j]), j, r)
 
     def fourier(self, r):
         """``C_n(r)`` for n = 1..D along a last axis added to ``r``: the
@@ -110,7 +79,8 @@ class ModulusExpansion:
         return _power_product(rp, r, pows, self.c_pairs)
 
     def osc(self, r, theta, cn=None):
-        """Theta-dependent cross part; ``mod2 = base + osc``.
+        """Theta-dependent part of ``|1 + q|^2``, ``2 Re sum_n C_n w^n``;
+        ``|1 + q|^2 = base + osc``.
 
         ``r`` is a scalar or an array that broadcasts against ``theta``:
         shape (R, 1) against (G,) evaluates R circles at G angles, and equal
@@ -123,30 +93,8 @@ class ModulusExpansion:
         th = np.atleast_1d(np.asarray(theta, dtype=float))
         if cn is None:
             cn = self.fourier(r)
-        out = 2.0 * self.scale(r) * _kernels.fourier_sum(cn, th).real
+        out = 2.0 * _kernels.fourier_sum(cn, th).real
         return float(out[0]) if scalar else out
-
-    def osc_terms(self, r: float, theta):
-        """:meth:`osc` as the paper's cross-term sum; the oracle, O(deg^2)."""
-        th = np.atleast_1d(np.asarray(reduce_angle(theta), dtype=float))
-        pows, amps, freqs, phas = self._cross_terms()
-        out = _kernels.osc_sum(amps * r**pows, freqs, phas, th)
-        if np.ndim(theta) == 0:
-            return float(out[0])
-        return out
-
-    def d1d2(self, r, theta, cn=None):
-        """First and second theta-derivative arrays of :meth:`mod2`,
-        ``-2 scale Im sum_n n C_n w^n`` and ``-2 scale Re sum_n n^2 C_n w^n``
-        by one Horner pass; ``r`` and ``cn`` are as in :meth:`osc`."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        if cn is None:
-            cn = self.fourier(r)
-        n = np.arange(1.0, cn.shape[-1] + 1)
-        s1, s2 = _kernels.fourier_sum(np.stack([n * cn, n * n * cn]), th)
-        k = -2.0 * self.scale(r)
-        return k * s1.imag, k * s2.real
 
 
 def _power_product(rp, r, pows, c):
@@ -171,12 +119,12 @@ def _power_product(rp, r, pows, c):
 
 
 def expand(p: Polynomial) -> ModulusExpansion:
-    """The Fourier data of ``|p|^2``: the coefficients ``c_j`` of the
-    factored form ``a_m z^m (1 + q)`` (divided out by
+    """The Fourier data of ``|1 + q|^2`` for ``p = a_m z^m (1 + q)``: the
+    coefficients ``c_j`` of ``1 + q`` (divided out by
     :func:`~maxmod.poly.lead_ratios`, as in
     :func:`~maxmod.poly.normalize`) and their products
     ``c_{j+n} conj(c_j)``, from which :meth:`ModulusExpansion.fourier` forms
-    the ``C_n``.  ``|a_m|^2`` is ``inf`` where it is not a float.
+    the ``C_n``.
     """
     if p.is_zero:
         raise ZeroPolynomialError("cannot expand the zero polynomial")
@@ -184,9 +132,7 @@ def expand(p: Polynomial) -> ModulusExpansion:
     # a monomial has q = 0
     c = np.array((1.0,) + lead_ratios(p.coeffs[m + 1 :] or (0j,), p.coeffs[m]), dtype=complex)
     c.setflags(write=False)
-    with np.errstate(over="ignore"):
-        lead_abs2 = float(np.abs(p.coeffs[m]) ** 2)
-    return ModulusExpansion(m=m, lead_abs2=lead_abs2, c=c, c_pairs=_c_pairs(c))
+    return ModulusExpansion(c=c, c_pairs=_c_pairs(c))
 
 
 def _c_pairs(c: np.ndarray) -> np.ndarray:
@@ -242,10 +188,3 @@ def on_axis(e: ModulusExpansion) -> tuple[float, ModulusExpansion]:
             real.setflags(write=False)
             return psi, replace(e, c=real, c_pairs=_c_pairs(real))
     return 0.0, e
-
-
-def direct_mod2(p: Polynomial, r: float, theta: float) -> float:
-    """Oracle: Horner evaluation of ``p`` at ``r e^{i theta}``, then |.|^2."""
-    z = r * cmath.exp(1j * theta)
-    v = p(z)
-    return v.real * v.real + v.imag * v.imag

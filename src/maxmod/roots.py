@@ -77,11 +77,11 @@ def critical_points(cn: np.ndarray, radii: np.ndarray):
     the radius ``radii[i]``.  A circle that :func:`_certified` certifies is
     bracketed by its windows (:func:`_windows`), every other circle by
     subdivision (:func:`_isolate`), and all points of all circles are then
-    polished by one :func:`_newton` iteration with ``polish``, started
-    inside their brackets: on bracket j, ``g = +-F / 2`` is positive at the
-    left end and not at the right (``g = F / 2`` for a maximum), and Newton
-    stops where ``|g| <= WINDOW_TOL D EPS sum a_n``, at the rounding level
-    of its Horner pass.  A maximum's ``g'`` at the last angle the iteration
+    polished by one :func:`_newton` iteration, started inside their
+    brackets: on bracket j, ``g = +-F / 2`` is positive at the left end and
+    not at the right (``g = F / 2`` for a maximum), and Newton stops where
+    ``|g| <= WINDOW_TOL D EPS sum a_n``, at the rounding level of its
+    Horner pass.  A maximum's ``g'`` at the last angle the iteration
     evaluated is ``F' / 2`` there; the certificate and the subdivision's
     inclusion test both make it negative, and a maximum where it is not
     fails.
@@ -113,7 +113,7 @@ def critical_points(cn: np.ndarray, radii: np.ndarray):
     i, x0, lo, hi, is_max = (np.concatenate(v) for v in zip(wb, ib))
     sign = np.where(is_max, -1.0, 1.0)
     tol = (WINDOW_TOL * deg * EPS) * mag.sum(axis=1)[i]
-    x, dg = _newton(coef, i, x0, lo, hi, sign, tol, radii, WINDOW_MAX_ITER, True)
+    x, dg = _newton(coef, i, x0, lo, hi, sign, tol, radii)
     bad = is_max & ~(dg < 0.0)
     if bad.any():
         k = np.argmax(bad)
@@ -147,7 +147,7 @@ def _slopes(coef: np.ndarray, i: np.ndarray, theta: np.ndarray, sign):
     return sign * s1.imag, sign * s2.real
 
 
-def _newton(coef, i, x0, lo, hi, sign, tol, radii, max_iter: int, polish: bool):
+def _newton(coef, i, x0, lo, hi, sign, tol, radii):
     """One vectorized Newton iteration with bisection for all points: point
     k solves ``g = 0`` for ``g, g' = _slopes(coef, i, theta, sign)`` at
     ``theta`` on row ``i[k]``, from ``x0[k]`` inside the bracket
@@ -155,19 +155,19 @@ def _newton(coef, i, x0, lo, hi, sign, tol, radii, max_iter: int, polish: bool):
     end it is not.  The bracket end on the side of g's sign moves to the
     iterate, and a Newton step is taken only where ``g' < 0`` and it lands
     strictly inside the bracket, else the bracket is bisected.  A point has
-    converged where ``|g| <= tol[k]`` or its bracket is a few ulps wide;
-    with ``polish`` it then takes one more such Newton step, else it stays.
-    Only unconverged points are evaluated again.
+    converged where ``|g| <= tol[k]`` or its bracket is a few ulps wide,
+    and then takes one more such Newton step.  Only unconverged points are
+    evaluated again.
 
     Returns the zeros and ``g'`` at the last angle each point evaluated;
     raises :class:`~maxmod.errors.RefinementFailureError` at the radius
     (``radii[i[k]]``) and start of the first point that has not converged
-    after ``max_iter`` steps.
+    after ``WINDOW_MAX_ITER`` steps.
     """
     x, lo, hi = x0.copy(), lo.copy(), hi.copy()
     dg_x = np.empty_like(x)
     act = np.arange(x.size)  # unconverged points
-    for _ in range(max_iter):
+    for _ in range(WINDOW_MAX_ITER):
         xa = x[act]
         g, dg = _slopes(coef, i[act], xa, sign[act])
         la = np.where(g > 0, xa, lo[act])
@@ -175,8 +175,6 @@ def _newton(coef, i, x0, lo, hi, sign, tol, radii, max_iter: int, polish: bool):
         conv = (np.abs(g) <= tol[act]) | ((ha - la) <= 16 * EPS)
         newt = xa - g / np.where(dg != 0.0, dg, 1.0)
         ok = (dg < 0.0) & (newt > la) & (newt < ha) & np.isfinite(newt)
-        if not polish:
-            ok &= ~conv
         x[act] = np.where(ok, newt, np.where(conv, xa, 0.5 * (la + ha)))
         lo[act] = la
         hi[act] = ha

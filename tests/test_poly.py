@@ -163,7 +163,6 @@ class TestNormalize:
         assert h.tail.coeffs[1] == 0.5 - 0.5j
         p = Polynomial((1.5e308 + 1.5e308j, 1))
         e = expand(p)
-        assert e.lead_abs2 == math.inf
         assert e.c.tolist() == list(normalize(p).tail.coeffs)
 
     @settings(max_examples=60, deadline=None)

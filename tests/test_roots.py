@@ -9,7 +9,7 @@ import pytest
 import maxmod
 from maxmod import roots
 from maxmod.util import EPS, circ_dist, reduce_angle
-from oracles import companion_angles
+from oracles import companion_angles, term_expansion
 
 
 def eigen_points(cn: np.ndarray):
@@ -173,7 +173,7 @@ def test_kinds_and_polish_contract(r_max):
         c[1:-1] *= rng.random(deg - 1) > 0.3
         c[0] = 1.0
         p = maxmod.Polynomial(tuple(complex(x) for x in c))
-        e = maxmod.expand(p)
+        e = term_expansion(p)
         radii = np.geomspace(r_max, max(1e-3, 2 * maxmod.floor_radius(maxmod.normalize(p))), 100)
         cn = e.fourier(radii)
         ridx, theta, is_max = roots.critical_points(cn, radii)

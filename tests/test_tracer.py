@@ -17,10 +17,7 @@ from maxmod import (
     Polynomial,
     TraceConfig,
     ambiguity_radius,
-    brute_force_mset,
-    circle_argmax,
     classify,
-    direct_mod2,
     expand,
     floor_radius,
     normalize,
@@ -42,7 +39,18 @@ from maxmod.tracer import (
     radius_schedule,
 )
 from maxmod.util import circ_dist, reduce_angle
-from oracles import ON_CIRCLE, companion_angles, companion_roots, derivative_bounds, half_angle_coef
+from oracles import (
+    ON_CIRCLE,
+    TermExpansion,
+    brute_force_mset,
+    circle_argmax,
+    companion_angles,
+    companion_roots,
+    derivative_bounds,
+    direct_mod2,
+    half_angle_coef,
+    term_expansion,
+)
 
 
 def scan_points(e: ModulusExpansion, radii: np.ndarray):
@@ -313,7 +321,7 @@ class TestQuotient:
             polys = [symmetric_poly(rng, deg) for _ in range(8)]
         checked = 0
         for p in polys:
-            e = expand(p)
+            e = term_expansion(p)
             psi, quotient = on_axis(e)
             assert not quotient.c.imag.any(), p
             lo = max(1e-2, 2 * floor_radius(normalize(p)))
@@ -359,7 +367,7 @@ class TestQuotient:
             -0.05382095967737926 + 0.6857184298464637j,
         )
         p = Polynomial(coeffs)
-        e = expand(p)
+        e = term_expansion(p)
         assert on_axis(e)[0] != 0.0
         res = trace(p, TraceConfig(r_max=0.3))
         c = [mp.mpc(z.real, z.imag) for z in coeffs]
@@ -376,7 +384,8 @@ class TestQuotient:
                 want = float(mp.findroot(lambda t: d1(s.r, t), mp.mpf(s.theta)))
                 d2 = e.d1d2(np.array([s.r]), np.array([s.theta]))[1][0]
                 err = abs(s.theta - want)
-                assert err <= 1e-12 + eps * derivative_bounds(e, s.r)[0] / abs(d2), (s.r, s.theta, err)
+                b1 = e.scale(s.r) * derivative_bounds(e, s.r)[0]
+                assert err <= 1e-12 + eps * b1 / abs(d2), (s.r, s.theta, err)
                 off_by.append(err)
         assert max(off_by) <= 1e-11
         assert sum(err > 1e-12 for err in off_by) == 2
@@ -409,7 +418,7 @@ class TestQuotient:
         eps = np.finfo(float).eps
         for deg in (1, 2, 3, 5, 12):
             p = symmetric_poly(rng, deg)
-            e = expand(p)
+            e = term_expansion(p)
             psi, q = on_axis(e)
             assert psi != 0.0 and not q.c.imag.any()
             ls = np.arange(deg + 1)
@@ -417,7 +426,7 @@ class TestQuotient:
             assert np.all(np.abs(q.c.real - want.real) <= 8 * eps * (ls + 1) * np.abs(e.c))
             th = np.linspace(-math.pi, math.pi, 17)
             for r in (0.1, 0.7):
-                scale = derivative_bounds(e, r)[0]
+                scale = e.scale(r) * derivative_bounds(e, r)[0]
                 assert np.allclose(q.osc(r, th), e.osc(r, th + psi), rtol=0, atol=1e-13 * scale)
                 assert np.allclose(q.osc_terms(r, th), e.osc_terms(r, th + psi), atol=1e-13 * scale)
 
@@ -428,7 +437,7 @@ class TestQuotient:
         rng = np.random.default_rng(8)
         th = np.linspace(-math.pi, math.pi, 64, endpoint=False)
         for deg in (1, 2, 3, 5, 12):
-            psi, q = on_axis(expand(symmetric_poly(rng, deg)))
+            psi, q = on_axis(term_expansion(symmetric_poly(rng, deg)))
             assert psi != 0.0
             assert set(np.abs(q.cross_phas).tolist()) <= {0.0, math.pi}
             for r in (0.1, 0.7):
@@ -465,7 +474,7 @@ class TestQuotient:
             assert not on_axis(expand(p))[1].c.imag.any(), p
 
 
-def oracle_maxima(e: ModulusExpansion, r: float, grid: int) -> np.ndarray:
+def oracle_maxima(e: TermExpansion, r: float, grid: int) -> np.ndarray:
     """Circular local maxima of the cross-term sum on a uniform grid."""
     th = -math.pi + 2 * math.pi * np.arange(grid) / grid
     x = e.osc_terms(r, th)
@@ -564,7 +573,7 @@ class TestCriticalPoints:
             cases.append((parse_poly(text), np.array([0.02, 0.1, 0.3, 0.8])))
         checked = 0
         for p, radii in cases:
-            e = expand(p)
+            e = term_expansion(p)
             n_max, thetas, _, _, _ = _scan_circles(e, radii)
             scans = np.split(thetas, np.cumsum(n_max)[:-1])
             ridx, _, kind = scan_points(e, radii)
@@ -719,7 +728,7 @@ class TestTrace:
         p = parse_poly("1,0,1,1i")
         cfg = TraceConfig(r_min=1e-3, r_max=0.3, n_radii=60)
         res = trace(p, cfg)
-        e = expand(p)
+        e = term_expansion(p)
         for s in res.samples:
             (d1,), (d2,) = e.d1d2(s.r, s.theta)
             b1, b2 = derivative_bounds(e, s.r)
@@ -1244,17 +1253,10 @@ class TestFixedWork:
         assert len(built) == len(res.sample_r)
 
     def count_evaluations(self, monkeypatch) -> dict:
-        """Record the calls of ``d1d2``, the certificate's verdict on every
-        circle, the circles of every subdivision, the calls of the root
-        solve's Newton iteration and the radii of every ``fourier`` call."""
-        seen = {"d1d2": 0, "certified": [], "isolated": [], "newton": 0, "fourier": []}
-        d1d2 = ModulusExpansion.d1d2
-
-        def counted_d1d2(self, *args, **kw):
-            seen["d1d2"] += 1
-            return d1d2(self, *args, **kw)
-
-        monkeypatch.setattr(ModulusExpansion, "d1d2", counted_d1d2)
+        """Record the certificate's verdict on every circle, the circles of
+        every subdivision, the calls of the root solve's Newton iteration and
+        the radii of every ``fourier`` call."""
+        seen = {"certified": [], "isolated": [], "newton": 0, "fourier": []}
         fourier = ModulusExpansion.fourier
 
         def counted_fourier(self, r):
@@ -1296,12 +1298,11 @@ class TestFixedWork:
     )
     def test_certified_trace_evaluates_no_kind(self, monkeypatch, p, cfg):
         # every circle of these traces is certified: each point's kind comes
-        # from its window, so the trace evaluates no second derivative
+        # from its window, and no circle is isolated
         seen = self.count_evaluations(monkeypatch)
         res = trace(p, cfg)
         assert res.n_components == 1
         assert seen["certified"] == [True] * cfg.n_radii and seen["isolated"] == [0]
-        assert seen["d1d2"] == 0
 
     @pytest.mark.parametrize(
         "p,cfg,isolated,components",
@@ -1328,7 +1329,7 @@ class TestFixedWork:
         assert res.n_components == components
         assert seen["newton"] == 1
         assert seen["fourier"] == radius_schedule(cfg).tolist()
-        assert seen["isolated"] == [isolated] and seen["d1d2"] == 0
+        assert seen["isolated"] == [isolated]
 
 
 class TestTruncatedInput:
