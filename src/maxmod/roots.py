@@ -16,24 +16,21 @@ with ``x = (sum a_n - A) / A`` and ``y = (sum n a_n - n* A) / (n* A)``.  If
 ``|phi - j pi| < pi/2``: at a window's ends ``|sin(phi)| = 1`` and F has the
 sign of ``-sin(phi)``, opposite at the two ends; F can vanish only where
 ``|sin(phi)| <= x``, and there ``|cos(phi)| >= sqrt(1 - x^2) > y``, so F is
-strictly monotone.  The zeros of even j are the maxima.  A circle so
-certified from its own row (:func:`_certified`) gets one bracket per window
-(:func:`_windows`), and the window's index gives each point's kind.
+strictly monotone.  The zeros of even j are the maxima.
 
-Every other circle is isolated by subdivision (:func:`_isolate`), with
-Taylor tests on pieces ``[m - h, m + h]`` of the circle, where
-``M2 = 2 sum n^2 a_n`` bounds ``|F''|``: a piece holds no zero of F if
+Every circle's zeros of F are bracketed on one path (:func:`_brackets`),
+by pieces ``[m - h, m + h]`` of the circle that each hold exactly one zero
+of a known kind.  A circle so certified from its own row
+(:func:`_certified`) starts with its windows as its pieces, and they are
+decided without an evaluation.  Every other circle starts with 4D pieces,
+which are decided or split by Taylor tests, where ``M2 = 2 sum n^2 a_n``
+bounds ``|F''|``: a piece holds no zero of F if
 ``|F(m)| - |F'(m)| h - M2 h^2 / 2`` exceeds F's rounding, and exactly one,
 simple, if ``|F'(m)| > M2 h`` and F has strict opposite signs at its ends;
-the signs give its kind.  The certificate's windows are the case of one
-piece per zero.
+the signs give its kind.
 
-All points of all circles, windows and isolated pieces, maxima and minima,
-are then polished by one bracketed Newton iteration (:func:`_newton`).  On
-the benchmark's random_count workload this one solve took the traces from
-235.4 to 256.6 inputs/s against an eigenvalue solve of the uncertified
-circles whose maxima took a Newton call of their own (medians of 10
-alternating 20 s runs each, 10 of 10 won, shared 2-core host).
+All points of all circles, maxima and minima, are then polished by one
+bracketed Newton iteration (:func:`_newton`).
 """
 
 from __future__ import annotations
@@ -58,7 +55,7 @@ CERTIFY = 0.9
 # The subdivision of an uncertified circle takes F's rounding to be
 # ROUNDING (D + 1) EPS sum a_n, twice the estimate above; like it, an
 # estimate of the Horner pass's error, not a proof.  A circle fails where a
-# piece holds a fold of F within that rounding (see _isolate), or, as a
+# piece holds a fold of F within that rounding (see _brackets), or, as a
 # backstop, where a piece is still undecided after ISOLATE_DEPTH splits in
 # three, at a half-width of pi / (4 D 3^ISOLATE_DEPTH) < 1.4e-12 / D.
 ROUNDING = 8.0
@@ -74,9 +71,9 @@ WINDOW_MAX_ITER = 64
 def critical_points(cn: np.ndarray, radii: np.ndarray):
     """Every critical point of ``theta -> |1 + q(r e^{i theta})|^2`` on every
     circle, with its kind.  Row i of ``cn`` holds the ``C_n``, n = 1..D, of
-    the radius ``radii[i]``.  A circle that :func:`_certified` certifies is
-    bracketed by its windows (:func:`_windows`), every other circle by
-    subdivision (:func:`_isolate`), and all points of all circles are then
+    the radius ``radii[i]``.  :func:`_brackets` brackets each zero of F, by
+    a window on a circle that :func:`_certified` certifies and by
+    subdivision on every other, and all points of all circles are then
     polished by one :func:`_newton` iteration, started inside their
     brackets: on bracket j, ``g = +-F / 2`` is positive at the left end and
     not at the right (``g = F / 2`` for a maximum), and Newton stops where
@@ -106,35 +103,37 @@ def critical_points(cn: np.ndarray, radii: np.ndarray):
     flat = ~((0.0 < top) & (top < np.inf))  # also NaN
     if flat.any():
         raise RefinementFailureError(float(radii[np.argmax(flat)]), 0.0)
+    total = mag.sum(axis=1)
     coef = np.stack([nc, n * nc])
-    win = _certified(mag)
-    wb, wa = _windows(nc, mag, np.flatnonzero(win), odd)
-    ib, ia = _isolate(coef, mag, radii, np.flatnonzero(~win), odd)
-    i, x0, lo, hi, is_max = (np.concatenate(v) for v in zip(wb, ib))
+    i, m, h, x0, is_max = _brackets(coef, mag, total, radii, odd)
+    if odd:  # the pieces centred on the axis points hold their exact zeros
+        on_axis = (m == 0.0) | (m == math.pi)
+        axis = i[on_axis], np.where(m[on_axis] == 0.0, 0.0, -math.pi), is_max[on_axis]
+        i, m, h, x0, is_max = (v[~on_axis] for v in (i, m, h, x0, is_max))
     sign = np.where(is_max, -1.0, 1.0)
-    tol = (WINDOW_TOL * deg * EPS) * mag.sum(axis=1)[i]
-    x, dg = _newton(coef, i, x0, lo, hi, sign, tol, radii)
+    tol = (WINDOW_TOL * deg * EPS) * total[i]
+    x, dg = _newton(coef, i, x0, m - h, m + h, sign, tol, radii)
     bad = is_max & ~(dg < 0.0)
     if bad.any():
         k = np.argmax(bad)
         raise RefinementFailureError(float(radii[i[k]]), float(x[k]))
     if odd:  # each zero x in (0, pi), its mirror -x, then the axis points
-        i, x, is_max = (np.concatenate(v) for v in zip((i, x, is_max), (i, -x, is_max), wa, ia))
+        i, x, is_max = (np.concatenate(v) for v in zip((i, x, is_max), (i, -x, is_max), axis))
     else:
         x = reduce_angle(x)
     order = np.lexsort((x, i))
     return i[order], x[order], is_max[order]
 
 
-def _certified(mag: np.ndarray) -> np.ndarray:
-    """The rows of ``mag`` (``a_n = n |C_n|``, column n-1) with
-    ``x^2 + y^2 < CERTIFY``, x and y as in the module docstring.  A row with
-    no finite positive ``a_n`` gives NaN and is not certified."""
+def _certified(mag: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """The rows of ``mag`` (``a_n = n |C_n|``, column n-1; ``total`` their
+    sums) with ``x^2 + y^2 < CERTIFY``, x and y as in the module docstring.
+    Every ``a_n`` is finite and each row has a positive one:
+    :func:`critical_points` has rejected the other rows."""
     star = np.argmax(mag, axis=1)
     a = mag[np.arange(mag.shape[0]), star]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = mag.sum(axis=1) / a - 1.0
-        y = (mag @ np.arange(1.0, mag.shape[1] + 1)) / ((star + 1.0) * a) - 1.0
+    x = total / a - 1.0
+    y = (mag @ np.arange(1.0, mag.shape[1] + 1)) / ((star + 1.0) * a) - 1.0
     return x * x + y * y < CERTIFY
 
 
@@ -185,78 +184,34 @@ def _newton(coef, i, x0, lo, hi, sign, tol, radii):
     raise RefinementFailureError(float(radii[i[act[0]]]), float(x0[act[0]]))
 
 
-def _windows(nc: np.ndarray, mag: np.ndarray, rows: np.ndarray, odd: bool):
-    """The brackets of the critical points of the certified circles
-    ``rows``, whose rows ``n C_n`` are ``nc[rows]`` (``mag`` their moduli):
-    one window ``|phi - j pi| < pi/2`` of the module docstring per zero, a
-    maximum for even j, with its centre ``theta = (j pi - arg C_{n*}) / n*``
-    as the start.
+def _brackets(coef, mag, total, radii, odd):
+    """The brackets of the zeros of F on every circle: pieces
+    ``[m - h, m + h]`` of the circle that hold one zero each, with its kind
+    and a start inside.  ``coef`` holds ``[n C_n, n^2 C_n]`` of every
+    circle, ``mag`` the ``a_n = n |C_n|`` and ``total`` their sums.
 
-    The certificate makes every check a circle needs hold without an
-    evaluation: the circle has 2 n* >= 2 critical points, n* maxima and n*
-    minima, alternating; F is monotone in each window and has the sign of
-    ``-sin(phi)`` at its ends, so on window j ``g = (-1)^j F / 2`` is
-    positive at the left end and negative at the right, and ``g'`` is
-    negative where g can vanish.
+    The pieces of a circle that :func:`_certified` certifies are its windows
+    ``|phi - j pi| < pi/2`` of the module docstring, centred on
+    ``m = (j pi - arg C_{n*}) / n*`` with ``h = pi / (2 n*)``.  The
+    certificate decides them without an evaluation: F is monotone in each
+    window and has the sign of ``-sin(phi)`` at its ends, so each holds one
+    zero, a maximum for even j, whose ``g = (-1)^j F / 2`` is positive at
+    the left end and negative at the right, with ``g'`` negative where g can
+    vanish.  The centre is the start.
 
-    Where every ``C_n`` is real (``odd``), ``arg C_{n*}`` is 0 or pi, so
-    windows are centred on the axis points 0 and pi.  Only the centres
-    ``k pi / n*`` in (0, pi) are bracketed.  The point 0 is in window 0 or 1
-    and is a maximum iff ``C_{n*} > 0``; -pi is in window ``-n*`` or
-    ``1 - n*`` and is a maximum iff ``(-1)^n* C_{n*} > 0``.
-
-    Returns ``(row, start, lo, hi, is_max)`` of the brackets and, on odd
-    rows, ``(row, theta, is_max)`` of the axis points (else None), each in
-    no particular order.
-    """
-    mag = mag[rows]
-    star = np.argmax(mag, axis=1)
-    n = star + 1.0
-    lead = nc[rows, star]
-    count = star if odd else 2 * (star + 1)  # windows bracketed per circle
-    k = np.repeat(np.arange(rows.size), count)
-    j = np.arange(k.size) - np.repeat(np.cumsum(count) - count, count)
-    if odd:  # centres k pi / n*, k = 1..n*-1; a negative C_{n*} turns phi by pi
-        j += 1
-        centre = j * math.pi / n[k]
-        j += lead.real[k] < 0.0
-    else:
-        centre = (j * math.pi - np.angle(lead)[k]) / n[k]
-    half = 0.5 * math.pi / n[k]
-    brackets = (rows[k], centre, centre - half, centre + half, j % 2 == 0)
-    if not odd:
-        return brackets, None
-    axis = (
-        np.concatenate([rows, rows]),
-        np.concatenate([np.zeros(rows.size), np.full(rows.size, -math.pi)]),
-        np.concatenate([lead.real > 0.0, (-1.0) ** n * lead.real > 0.0]),
-    )
-    return brackets, axis
-
-
-def _isolate(coef: np.ndarray, mag: np.ndarray, radii: np.ndarray, rows: np.ndarray, odd: bool):
-    """The brackets of the zeros of F on the circles ``rows``, isolated by
-    subdivision; ``coef`` holds ``[n C_n, n^2 C_n]`` of every circle and
-    ``mag`` the ``a_n = n |C_n|``.
-
-    A circle starts as 4D pieces of half-width ``h = pi / (4D)`` centred on
-    the multiples of ``2 h``, so the axis points 0 and pi are centres.  One
-    Horner pass over all pieces of all circles gives F and F' at each
-    centre m and F at each end, and with ``M2 = 2 sum n^2 a_n`` and F's
-    rounding ``ROUNDING (D + 1) EPS sum a_n`` (an estimate, see
-    ``CERTIFY``) a piece
+    Every other circle starts as 4D pieces of ``h = pi / (4D)`` centred on
+    the multiples of ``2 h``.  One Horner pass per level over the pieces of
+    all these circles gives F and F' at each centre m and F at each end, and
+    with ``M2 = 2 sum n^2 a_n`` and F's rounding ``ROUNDING (D + 1) EPS sum
+    a_n`` (an estimate, see ``CERTIFY``) a piece
 
     - holds no zero if ``|F(m)| - |F'(m)| h - M2 h^2 / 2`` exceeds the
       rounding, since ``|F''| <= M2``;
     - holds exactly one, a maximum if F falls through it, if
       ``|F'(m)| > M2 h``, so that F is strictly monotone on it, and F has
-      strict opposite signs, beyond the rounding, at its two ends;
+      strict opposite signs, beyond the rounding, at its two ends; the
+      regula falsi point of the ends is its start;
     - is split in three otherwise, which keeps every centre a centre.
-
-    Where every ``C_n`` is real (``odd``), F is odd, and only the pieces
-    centred in ``[0, pi]`` are kept: the two centred on the axis points hold
-    their exact zero, found by the second test alone, and their children
-    beyond 0 or pi are dropped.
 
     A piece on which F stays within the rounding, ``|F(m)| + |F'(m)| h +
     M2 h^2 / 2`` at most the rounding, holds a fold of F within rounding: no
@@ -264,16 +219,34 @@ def _isolate(coef: np.ndarray, mag: np.ndarray, radii: np.ndarray, rows: np.ndar
     its radius and that piece's centre, and so does a circle with a piece
     still undecided after ``ISOLATE_DEPTH`` splits.
 
-    Returns ``(row, start, lo, hi, is_max)`` of the pieces holding a zero,
-    with the regula falsi point of the two ends as the start, and, on odd
-    rows, ``(row, theta, is_max)`` of the axis points, 0 and -pi (else
-    None).
+    Where every ``C_n`` is real (``odd``), F is odd and ``arg C_{n*}`` is 0
+    or pi, and only the pieces centred in ``[0, pi]`` are kept: the windows
+    centred on ``j pi / n*``, j = 0..n*, and the 2D + 1 pieces of the
+    subdivision.  Those centred on 0 and pi hold their exact zero there; the
+    subdivision never excludes them and drops their children beyond 0 or pi.
+
+    Returns ``(row, m, h, start, is_max)`` of the pieces, those of the
+    certified circles first.
     """
-    if rows.size == 0:
-        empty = np.empty(0)
-        return (rows, empty, empty, empty, empty.astype(bool)), (rows, empty, empty.astype(bool))
+    certified = _certified(mag, total)
+    rows = np.flatnonzero(certified)
+    star = np.argmax(mag[rows], axis=1)
+    n = star + 1.0
+    lead = coef[0, rows, star]
+    count = star + 2 if odd else 2 * (star + 1)  # windows per circle
+    k = np.repeat(np.arange(rows.size), count)
+    j = np.arange(k.size) - np.repeat(np.cumsum(count) - count, count)
+    if odd:  # centres j pi / n*, j = 0..n*, the last exactly pi
+        centre = j * math.pi / n[k]
+        centre[np.cumsum(count) - 1] = math.pi
+        j += lead.real[k] < 0.0  # a negative C_{n*} turns phi by pi
+    else:
+        centre = (j * math.pi - np.angle(lead)[k]) / n[k]
+    found = [(rows[k], centre, 0.5 * math.pi / n[k], centre, j % 2 == 0)]
+
+    rows = np.flatnonzero(~certified)
     deg = mag.shape[1]
-    err = ROUNDING * (deg + 1) * EPS * mag[rows].sum(axis=1)
+    err = ROUNDING * (deg + 1) * EPS * total[rows]
     m2 = 2.0 * (mag[rows] @ np.arange(1.0, deg + 1) ** 2)
     h = math.pi / (4 * deg)
     k = np.arange(2 * deg + 1) if odd else np.arange(-2 * deg, 2 * deg)
@@ -281,8 +254,8 @@ def _isolate(coef: np.ndarray, mag: np.ndarray, radii: np.ndarray, rows: np.ndar
     m = np.tile(k * (2 * h), rows.size)
     if odd:
         m[k.size - 1 :: k.size] = math.pi
-    found, axis = [], []
-    for depth in range(ISOLATE_DEPTH + 1):
+    depth = 0
+    while m.size:
         p = m.size
         f, df = _slopes(coef, rows[np.tile(piece, 3)], np.concatenate([m, m - h, m + h]), -2.0)
         fm, f_lo, f_hi, slope = f[:p], f[p : 2 * p], f[2 * p :], np.abs(df[:p])
@@ -292,30 +265,20 @@ def _isolate(coef: np.ndarray, mag: np.ndarray, radii: np.ndarray, rows: np.ndar
         reach = slope * h + 0.5 * bound * h * h  # the most F moves from m
         none = np.abs(fm) - reach > e
         if odd:
-            on_axis = (m == 0.0) | (m == math.pi)
-            none &= ~on_axis
-            at = one & on_axis
-            axis.append((piece[at], np.where(m[at] == 0.0, 0.0, -math.pi), falls[at]))
+            none &= (m != 0.0) & (m != math.pi)
         split = ~(one | none)
         stuck = split & (np.abs(fm) + reach <= e)  # F within rounding all over
-        if odd:
-            one &= ~on_axis
-        lo = m[one] - h
-        start = lo + 2 * h * f_lo[one] / (f_lo[one] - f_hi[one])  # regula falsi
-        found.append((piece[one], start, lo, m[one] + h, falls[one]))
-        if not split.any():
-            break
-        if depth == ISOLATE_DEPTH or stuck.any():
+        if stuck.any() or (depth == ISOLATE_DEPTH and split.any()):
             worst = np.argmax(stuck) if stuck.any() else np.argmax(split)
             raise RefinementFailureError(float(radii[rows[piece[worst]]]), float(m[worst]))
+        lo = m[one] - h
+        start = lo + 2 * h * f_lo[one] / (f_lo[one] - f_hi[one])  # regula falsi
+        found.append((rows[piece[one]], m[one], np.full(lo.size, h), start, falls[one]))
         h /= 3.0
         piece = np.repeat(piece[split], 3)
         m = (m[split, None] + np.array([-2.0 * h, 0.0, 2.0 * h])).ravel()
         if odd:  # the children of the axis pieces beyond 0 and pi go
             inside = (m >= 0.0) & (m <= math.pi)
             piece, m = piece[inside], m[inside]
-    piece, start, lo, hi, is_max = (np.concatenate(v) for v in zip(*found))
-    if not odd:
-        return (rows[piece], start, lo, hi, is_max), None
-    piece_a, theta_a, max_a = (np.concatenate(v) for v in zip(*axis))
-    return (rows[piece], start, lo, hi, is_max), (rows[piece_a], theta_a, max_a)
+        depth += 1
+    return tuple(np.concatenate(v) for v in zip(*found))

@@ -145,7 +145,8 @@ class TestDerivatives:
         n = 1 << 12
         th = np.linspace(0.0, 2 * math.pi, n + 1)
         vals, _ = e.d1d2(0.7, th)
-        assert abs(np.trapezoid(vals, dx=2 * math.pi / n)) <= 1e-10
+        # the periodic trapezoid rule: theta = 0 and 2 pi are one point
+        assert abs(vals[:-1].sum() * (2 * math.pi / n)) <= 1e-10
 
 
 class TestReflectionIdentity:

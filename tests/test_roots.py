@@ -21,31 +21,16 @@ def eigen_points(cn: np.ndarray):
     return ridx, np.concatenate(theta)
 
 
-def count_calls(monkeypatch, name: str) -> list:
-    """Record the number of circles of each call of ``roots.<name>``, the
-    window brackets (``_windows``) or the subdivision (``_isolate``)."""
-    circles = []
-    solve = getattr(roots, name)
-
-    def counted(*args):
-        circles.append(args[-2].size)  # the rows it brackets
-        return solve(*args)
-
-    monkeypatch.setattr(roots, name, counted)
-    return circles
-
-
 @pytest.mark.parametrize("a", [0.6, -1.7, 0.8 - 1.3j], ids=["positive", "negative", "complex"])
 @pytest.mark.parametrize("k", range(1, 7))
-def test_monomial_rows(monkeypatch, a, k):
+def test_monomial_rows(root_solve, a, k):
     # q = a z^k has the one coefficient C_k = a r^k and the critical points
     # (j pi - arg a) / k, j = 0..2k-1, on every circle.  The rows have
-    # x = y = 0, so every circle takes the window solve, at every k, and
-    # none is isolated; the companion oracle's eigenvalue solve of the same
-    # rows finds the same points.  The maxima are those of even j, on the
-    # axis points 0 and -pi too, for either sign of a and either parity of k
-    windowed = count_calls(monkeypatch, "_windows")
-    isolated = count_calls(monkeypatch, "_isolate")
+    # x = y = 0, so every circle is certified and takes its windows, at
+    # every k, and none is isolated: F is evaluated only inside Newton.  The
+    # companion oracle's eigenvalue solve of the same rows finds the same
+    # points.  The maxima are those of even j, on the axis points 0 and -pi
+    # too, for either sign of a and either parity of k
     radii = np.geomspace(0.9, 1e-3, 40)
     cn = np.zeros((radii.size, k), dtype=complex)
     cn[:, k - 1] = a * radii**k
@@ -60,7 +45,8 @@ def test_monomial_rows(monkeypatch, a, k):
                 assert np.array_equal(is_max[ridx == i], np.argmin(dist, axis=1) % 2 == 0)
 
     check(*roots.critical_points(cn, radii))
-    assert windowed == [radii.size] and isolated == [0]
+    assert len(root_solve["certified"]) == 1 and root_solve["certified"][0].all()
+    assert root_solve["subdivided"] == [set()] and root_solve["outside"] == 0
     check(*eigen_points(cn))
 
 
@@ -103,14 +89,15 @@ def certificate(cn: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
 @pytest.mark.parametrize("deg", [3, 5, 8])
-def test_window_solve_matches_eigen_solve(monkeypatch, deg, real):
+def test_window_solve_matches_eigen_solve(root_solve, monkeypatch, deg, real):
     # on seeded random rows, a third of them within a relative 1e-3 below
     # the certificate's threshold and a sixth above it, the root solve
     # finds the critical points of the companion oracle's eigenvalue solve:
-    # as many on every circle, within 1e-13, and only certified circles are
-    # windowed.  Solved again with every circle isolated by subdivision,
-    # the same rows give the same kinds and the same points within 1e-15
-    windowed = count_calls(monkeypatch, "_windows")
+    # as many on every circle, within 1e-13.  The certified circles are
+    # those of the certificate's definition, and only the others are
+    # evaluated before the Newton polish, to be isolated.  Solved again with
+    # every circle isolated by subdivision, the same rows give the same
+    # kinds and the same points within 1e-15
     rng = np.random.default_rng(20261019 + deg + 100 * real)
     cn = random_rows(rng, 300, deg, real)
     radii = np.ones(cn.shape[0])
@@ -118,10 +105,13 @@ def test_window_solve_matches_eigen_solve(monkeypatch, deg, real):
     want_ridx, want = eigen_points(cn)
     assert np.array_equal(ridx, want_ridx)
     assert circ_dist(theta, want).max() <= 1e-13
-    assert windowed == [np.count_nonzero(certificate(cn) < 0.9)]
-    monkeypatch.setattr(roots, "_certified", lambda mag: np.zeros(mag.shape[0], dtype=bool))
+    certified = certificate(cn) < 0.9
+    assert len(root_solve["certified"]) == 1
+    assert np.array_equal(root_solve["certified"][0], certified)
+    assert root_solve["subdivided"] == [set(np.flatnonzero(~certified).tolist())]
+    monkeypatch.setattr(roots, "_certified", lambda mag, total: np.zeros(mag.shape[0], dtype=bool))
     sub_ridx, sub, sub_max = roots.critical_points(cn, radii)
-    assert windowed[1] == 0
+    assert root_solve["subdivided"][1] == set(range(cn.shape[0]))
     assert np.array_equal(sub_ridx, ridx) and np.array_equal(sub_max, is_max)
     assert circ_dist(sub, theta).max() <= 1e-15
     if real:
@@ -186,9 +176,10 @@ def test_kinds_and_polish_contract(r_max):
             assert np.all(is_max[at] != np.roll(is_max[at], 1)), (p, radii[i])
             checked += 1
         n = np.arange(1, cn.shape[1] + 1)
-        tol = roots.WINDOW_TOL * n.size * EPS * (n * np.abs(cn)).sum(axis=1)[ridx]
+        total = (n * np.abs(cn)).sum(axis=1)
+        tol = roots.WINDOW_TOL * n.size * EPS * total[ridx]
         assert np.all(np.abs(d1 / 2) <= tol), p
-        isolated += np.count_nonzero(~roots._certified(n * np.abs(cn)))
+        isolated += np.count_nonzero(~roots._certified(n * np.abs(cn), total))
     assert checked >= 1700 and isolated >= 100
 
 

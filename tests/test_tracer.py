@@ -220,11 +220,11 @@ class TestBatchedScan:
             counts[n] = len(calls)
         assert 0 < counts[200] <= counts[20] <= WINDOW_MAX_ITER + 5
 
-    def test_fourier_rows_once_per_radius(self, monkeypatch):
+    def test_fourier_rows_once_per_radius(self, monkeypatch, root_solve):
         # the scan forms C_n once per radius for the root solve and every
         # evaluation at a point, which reads its circle's row; the root solve
         # reads nothing else of the expansion
-        rows = {"fourier": 0, "isolated": 0}
+        rows = {"fourier": 0}
         fourier = ModulusExpansion.fourier
 
         def counted(self, r):
@@ -232,39 +232,20 @@ class TestBatchedScan:
             return fourier(self, r)
 
         monkeypatch.setattr(ModulusExpansion, "fourier", counted)
-        isolate = maxmod.roots._isolate
-
-        def isolated(coef, mag, radii, sub, odd):
-            rows["isolated"] += sub.size
-            return isolate(coef, mag, radii, sub, odd)
-
-        monkeypatch.setattr(maxmod.roots, "_isolate", isolated)
         trace(parse_poly(DEGREE_8), TraceConfig(n_radii=200))
         assert rows["fourier"] == 200
-        assert 0 < rows["isolated"] <= 50
+        assert 0 < sum(map(len, root_solve["subdivided"])) <= 50
 
-    def test_uncertified_followers_fall_back(self, monkeypatch):
+    def test_uncertified_followers_fall_back(self, root_solve):
         # near |z| = 0.9 several orders of the degree-8 input compete: the
         # certificate leaves some circles open, and their subdivision keeps
         # the trace whole, while the certified circles nearer 0 take the
-        # window solve
-        open_rows, windowed = [], []
-        certified = maxmod.roots._certified
-        windows = maxmod.roots._windows
-
-        def counted(mag):
-            ok = certified(mag)
-            open_rows.append(int(np.count_nonzero(~ok)))
-            return ok
-
-        def counted_window(nc, mag, rows, odd):
-            windowed.append(rows.size)
-            return windows(nc, mag, rows, odd)
-
-        monkeypatch.setattr(maxmod.roots, "_certified", counted)
-        monkeypatch.setattr(maxmod.roots, "_windows", counted_window)
+        # window solve, with no evaluation before the Newton polish
         res = trace(parse_poly(DEGREE_8), TraceConfig(r_max=0.9))
-        assert sum(open_rows) >= 1 and sum(windowed) >= 1
+        certified = np.concatenate(root_solve["certified"])
+        assert np.count_nonzero(~certified) >= 1 and np.count_nonzero(certified) >= 1
+        open_rows = [set(np.flatnonzero(~ok).tolist()) for ok in root_solve["certified"]]
+        assert root_solve["subdivided"] == open_rows
         assert {s.curve_id for s in res.samples} == {0}
         assert res.component_ids == (0,) and not res.events
 
@@ -1252,11 +1233,10 @@ class TestFixedWork:
         res.samples  # read again: cached, nothing more is built
         assert len(built) == len(res.sample_r)
 
-    def count_evaluations(self, monkeypatch) -> dict:
-        """Record the certificate's verdict on every circle, the circles of
-        every subdivision, the calls of the root solve's Newton iteration and
-        the radii of every ``fourier`` call."""
-        seen = {"certified": [], "isolated": [], "newton": 0, "fourier": []}
+    def count_evaluations(self, monkeypatch, seen: dict) -> dict:
+        """Add the radii of every ``fourier`` call (``fourier``) to the
+        record ``seen`` of the ``root_solve`` fixture."""
+        seen["fourier"] = []
         fourier = ModulusExpansion.fourier
 
         def counted_fourier(self, r):
@@ -1264,28 +1244,6 @@ class TestFixedWork:
             return fourier(self, r)
 
         monkeypatch.setattr(ModulusExpansion, "fourier", counted_fourier)
-        certified = maxmod.roots._certified
-
-        def counted_certified(mag):
-            ok = certified(mag)
-            seen["certified"].extend(ok.tolist())
-            return ok
-
-        monkeypatch.setattr(maxmod.roots, "_certified", counted_certified)
-        isolate = maxmod.roots._isolate
-
-        def counted_isolate(coef, mag, radii, rows, odd):
-            seen["isolated"].append(rows.size)
-            return isolate(coef, mag, radii, rows, odd)
-
-        monkeypatch.setattr(maxmod.roots, "_isolate", counted_isolate)
-        newton = maxmod.roots._newton
-
-        def counted_newton(*args):
-            seen["newton"] += 1
-            return newton(*args)
-
-        monkeypatch.setattr(maxmod.roots, "_newton", counted_newton)
         return seen
 
     @pytest.mark.parametrize(
@@ -1296,13 +1254,15 @@ class TestFixedWork:
         ],
         ids=["fig1-perturbed", "random-count-1"],
     )
-    def test_certified_trace_evaluates_no_kind(self, monkeypatch, p, cfg):
+    def test_certified_trace_evaluates_no_kind(self, monkeypatch, root_solve, p, cfg):
         # every circle of these traces is certified: each point's kind comes
-        # from its window, and no circle is isolated
-        seen = self.count_evaluations(monkeypatch)
+        # from its window, no circle is isolated, and F is evaluated only
+        # inside Newton
+        seen = self.count_evaluations(monkeypatch, root_solve)
         res = trace(p, cfg)
         assert res.n_components == 1
-        assert seen["certified"] == [True] * cfg.n_radii and seen["isolated"] == [0]
+        assert np.concatenate(seen["certified"]).tolist() == [True] * cfg.n_radii
+        assert seen["subdivided"] == [set()] and seen["outside"] == 0
 
     @pytest.mark.parametrize(
         "p,cfg,isolated,components",
@@ -1312,14 +1272,14 @@ class TestFixedWork:
         ],
         ids=["random-count-7", "fig1-magic"],
     )
-    def test_one_newton_pass(self, monkeypatch, p, cfg, isolated, components):
+    def test_one_newton_pass(self, monkeypatch, root_solve, p, cfg, isolated, components):
         # the windows of certified circles and the isolated zeros of the
         # others, maxima and minima, are polished by one Newton call, and the
         # trace forms C_n for its radii once and for nothing else.  31 circles
         # of random_count's input 7 are isolated; the magic cubic, traced on
         # its axis, is certified on every circle at any degree.  No
         # eigenvalue solve is left
-        seen = self.count_evaluations(monkeypatch)
+        seen = self.count_evaluations(monkeypatch, root_solve)
 
         def eigvals(a):
             raise AssertionError("eigenvalue solve")
@@ -1327,9 +1287,9 @@ class TestFixedWork:
         monkeypatch.setattr(np.linalg, "eigvals", eigvals)
         res = trace(p, cfg)
         assert res.n_components == components
-        assert seen["newton"] == 1
+        assert len(seen["subdivided"]) == 1  # one Newton call
         assert seen["fourier"] == radius_schedule(cfg).tolist()
-        assert seen["isolated"] == [isolated]
+        assert len(seen["subdivided"][0]) == isolated
 
 
 class TestTruncatedInput:
