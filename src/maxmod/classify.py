@@ -25,7 +25,9 @@ from .util import reduce_angle
 
 # Tolerances for the exact algebraic tests.  Doubles lose ~1e-16 per arg;
 # axis-aligned user input lands within 1e-12, so 1e-9 separates "intended
-# exactly" from "merely close".  Residuals in (EPS_ARG, NEAR_ARG] produce a
+# exactly" from "merely close".  Both argument tolerances are in radians, as
+# is EPS_MAG on |Re b'| / |b'|: a resonance residual, which is in units of
+# pi, is compared times pi.  Residuals in (EPS_ARG, NEAR_ARG] produce a
 # near-exceptional warning instead of a verdict.
 EPS_ARG = 1e-9
 NEAR_ARG = 1e-6
@@ -44,7 +46,7 @@ class ExceptionalWitness:
     m: int
     m_prime: int
     sigma: int
-    residual: float
+    residual: float  # distance of m' from the integer m_prime, in units of pi
 
 
 @dataclass(frozen=True)
@@ -120,12 +122,12 @@ def _exceptional_scan(h: HaymanForm):
         arg_b = cmath.phase(b)
         for m in range(1, 2 * k - 2):
             m_prime = sigma * (m * math.pi - arg_a) / (k * math.pi) + arg_b / math.pi
-            residual = abs(m_prime - round(m_prime))
-            if residual <= EPS_ARG:
+            residual = abs(m_prime - round(m_prime))  # in units of pi
+            if math.pi * residual <= EPS_ARG:
                 witnesses.append(
                     ExceptionalWitness(m=m, m_prime=round(m_prime), sigma=sigma, residual=residual)
                 )
-            elif residual <= NEAR_ARG:
+            elif math.pi * residual <= NEAR_ARG:
                 near.append(
                     f"near-exceptional: m={m} sigma={sigma} residual={residual:.3e}"
                 )

@@ -34,6 +34,7 @@ from .tracer import (
     MAX_RADII,
     TraceConfig,
     ambiguity_radius,
+    count_components,
     floor_radius,
     trace,
     trace_at_infinity,
@@ -219,9 +220,9 @@ def _hunt_one(family: str, p: Polynomial, on_locus: bool) -> dict:
     h = normalize(p)
     r_min = max(2e-4, 1.5 * floor_radius(h), 3.0 * ambiguity_radius(h))
     r_min = min(r_min, 0.02)
-    result = trace(p, TraceConfig(r_min=r_min, r_max=0.3, n_radii=160))
-    record["n_components"] = result.n_components
-    record["conjecture_holds"] = agreement_verdict(c, result.n_components) != DISCREPANT
+    n_components = count_components(p, TraceConfig(r_min=r_min, r_max=0.3, n_radii=160))
+    record["n_components"] = n_components
+    record["conjecture_holds"] = agreement_verdict(c, n_components) != DISCREPANT
     return record
 
 

@@ -19,6 +19,10 @@ their cyclic order links the maxima of neighbouring circles into
 trajectories, on flat arrays of all circles at once.  The co-maximal runs
 along the trajectories are the curves, which are counted, fitted for
 tangent direction and exponent, and checked for rotational symmetry.
+Each maximum of a circle lies on its own trajectory, so the curves that
+reach the smallest circle are as many as its co-maximal maxima: the count
+needs the scan alone, and :func:`count_components`, which ``hunt`` reads,
+stops there.
 
 A polynomial whose coefficients have a reflection axis psi (every
 ``c_l e^{i l psi}`` real, as for every real polynomial with psi = 0 and
@@ -380,19 +384,15 @@ def _chain_heads(ptr: np.ndarray) -> np.ndarray:
     return ptr
 
 
-def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
-    """Trace the maximum modulus set of ``p`` over the radius schedule.
+def _scan(p: Polynomial, cfg: TraceConfig):
+    """The checks of a trace, then its scan.
 
-    Finds the co-maximal points of every radius in one batched scan
-    (:func:`_scan_circles`), links the maxima
-    of neighbouring circles by cyclic order (:func:`_link`), largest radius
-    first, and reports the co-maximal runs along each linked trajectory as
-    curves: component count, tangent fits, rotational symmetry and
-    birth/death events.  A mid-schedule birth or a non-monotone death is
-    marked not legitimate.  The scan runs on the normalized tail
-    ``1 + q`` of ``p = c z^m (1 + q)``; a polynomial with a reflection axis
-    is scanned and linked on its axis and turned back before the curves are
-    formed.
+    Rejects a truncated series, a monomial and an ``r_min`` below the floor,
+    then scans the normalized tail of ``p`` on every radius of the schedule
+    (:func:`_scan_circles`), on its reflection axis if it has one.  Returns
+    ``(h, radii, psi, n_max, theta, osc, mod2, comax)``: the normal form, the
+    schedule, the axis (0.0 for none) and the flat arrays of the scan, in
+    the axis frame.
     """
     if p.truncated:
         raise TruncatedSeriesError("tracing needs the full polynomial, not a truncation")
@@ -404,10 +404,47 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
         raise FloorViolationError(cfg.r_min, required)
 
     e = expand(h.tail)  # c z^m moves no maximizer; |1 + q|^2 is a float where |p|^2 may not be
-    omega = omega_angles(h)
     radii = radius_schedule(cfg)
     psi, e = on_axis(e)  # trace p(e^{i psi} z), whose c_j are real, if p has an axis
-    n_max, theta, osc, mod2, comax = _scan_circles(e, radii)
+    return (h, radii, psi, *_scan_circles(e, radii))
+
+
+def _n_last(n_max: np.ndarray, comax: np.ndarray) -> int:
+    """The co-maximal count of the last (smallest) circle of a scan.
+
+    That is the trace's component count: each maximum of a circle lies on
+    its own trajectory, so the co-maximal points of the last circle lie on
+    as many different curves."""
+    return int(np.count_nonzero(comax[comax.size - n_max[-1] :]))
+
+
+def count_components(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> int:
+    """``trace(p, cfg).n_components``, from the scan alone.
+
+    Runs the checks and the scan of every circle of the schedule, so it
+    raises what :func:`trace` raises, at the same radius, but links no
+    maxima and fits, pairs and samples no curve.
+    """
+    _, _, _, n_max, _, _, _, comax = _scan(p, cfg)
+    return _n_last(n_max, comax)
+
+
+def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
+    """Trace the maximum modulus set of ``p`` over the radius schedule.
+
+    Finds the co-maximal points of every radius in one batched scan
+    (:func:`_scan`), links the maxima
+    of neighbouring circles by cyclic order (:func:`_link`), largest radius
+    first, and reports the co-maximal runs along each linked trajectory as
+    curves: component count, tangent fits, rotational symmetry and
+    birth/death events.  A mid-schedule birth or a non-monotone death is
+    marked not legitimate.  The scan runs on the normalized tail
+    ``1 + q`` of ``p = c z^m (1 + q)``; a polynomial with a reflection axis
+    is scanned and linked on its axis and turned back before the curves are
+    formed.
+    """
+    h, radii, psi, n_max, theta, osc, mod2, comax = _scan(p, cfg)
+    omega = omega_angles(h)
 
     # -- link maxima across radii (descending) into trajectories and curves --
     prev = _link(n_max, theta)
@@ -478,7 +515,7 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
     first = np.cumsum(per_curve) - per_curve
 
     component_ids = tuple(np.flatnonzero(np.bincount(curve[comax & (ridx == last)])).tolist())
-    n_components = len(component_ids)
+    n_components = _n_last(n_max, comax)
     counts = np.bincount(ridx[comax], minlength=radii.size)
     off = np.flatnonzero(counts[:last] != n_components)
     stable_radius = float(radii[off[-1] + 1 if off.size else 0])

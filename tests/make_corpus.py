@@ -64,22 +64,25 @@ def entry(name: str, p: Polynomial, cfg: TraceConfig) -> dict:
 
 
 def hunt_members() -> list[tuple[Polynomial, TraceConfig]]:
-    """The ``(p, cfg)`` of every trace the hunt command ``HUNT_ARGV`` runs."""
-    traced = []
-    hunt_trace = cli.trace
+    """The ``(p, cfg)`` of every member the hunt command ``HUNT_ARGV``
+    counts the curves of (``count_components``, the trace's scan)."""
+    members = []
+    hunt_count = cli.count_components
 
     def recorded(p, cfg):
-        traced.append((p, cfg))
-        return hunt_trace(p, cfg)
+        members.append((p, cfg))
+        return hunt_count(p, cfg)
 
-    cli.trace = recorded
+    cli.count_components = recorded
     try:
         if cli.main(HUNT_ARGV + ["--out", str(HERE / ".corpus-hunt.jsonl")]) != 0:
             raise SystemExit(f"{' '.join(HUNT_ARGV)} failed")
     finally:
-        cli.trace = hunt_trace
+        cli.count_components = hunt_count
         (HERE / ".corpus-hunt.jsonl").unlink(missing_ok=True)
-    return traced
+    if not members:
+        raise SystemExit(f"{' '.join(HUNT_ARGV)} counted no member's curves")
+    return members
 
 
 def random_inputs() -> list[tuple[Polynomial, TraceConfig]]:

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from make_corpus import outcome
-from maxmod import Polynomial, TraceConfig
+from maxmod import MaxmodError, Polynomial, TraceConfig
+from maxmod.tracer import count_components
 from maxmod.util import circ_dist
 
 ANGLE_TOL = 1e-12
@@ -39,4 +40,20 @@ def test_outcomes_match(block):
             failed.append((e["name"], "discrete"))
         elif theta.size and circ_dist(theta, want_theta).max() > ANGLE_TOL:
             failed.append((e["name"], float(circ_dist(theta, want_theta).max())))
+    assert not failed
+
+
+def test_count_matches_every_trace():
+    # the scan's count is the trace's component count; where a trace fails,
+    # the count fails with the same error class
+    failed = []
+    for e in CORPUS:
+        p = Polynomial(tuple(complex(re, im) for re, im in e["coeffs"]))
+        r_min, r_max, n_radii = e["cfg"]
+        try:
+            got = {"error": None, "n_components": count_components(p, TraceConfig(r_min, r_max, n_radii))}
+        except MaxmodError as ex:
+            got = {"error": type(ex).__name__}
+        if got != {k: e["expect"][k] for k in ("error", "n_components") if k in e["expect"]}:
+            failed.append(e["name"])
     assert not failed

@@ -36,6 +36,7 @@ from maxmod.tracer import (
     _fit_tangent,
     _link,
     _scan_circles,
+    count_components,
     radius_schedule,
 )
 from maxmod.util import circ_dist, reduce_angle
@@ -1217,16 +1218,24 @@ class TestFixedWork:
 
     def test_no_sample_objects_unless_read(self, monkeypatch, tmp_path):
         built = self.count_samples(monkeypatch)
-        traced = []
+        traced, counted = [], []
 
         def counted_trace(*args):
-            traced.append(trace(*args))
-            return traced[-1]
+            traced.append(args)
+            return trace(*args)
 
+        def counted_count(*args):
+            counted.append(count_components(*args))
+            return counted[-1]
+
+        # hunt reads only each member's count: it counts from the scan and
+        # traces nothing
         monkeypatch.setattr(maxmod.cli, "trace", counted_trace)
+        monkeypatch.setattr(maxmod.tracer, "trace", counted_trace)
+        monkeypatch.setattr(maxmod.cli, "count_components", counted_count)
         argv = ["hunt", "--family", "cubic", "--samples", "4", "--out", str(tmp_path / "h.jsonl")]
         assert main(argv + ["--quiet"]) == 0
-        assert traced and not built
+        assert counted and not traced and not built
         res = trace(parse_poly("1,0,1,1i"), TraceConfig(n_radii=50))
         assert res.n_components == 2 and res.tangents and not built
         assert len(res.samples) == len(res.sample_r) == len(built) > 0
@@ -1290,6 +1299,41 @@ class TestFixedWork:
         assert len(seen["subdivided"]) == 1  # one Newton call
         assert seen["fourier"] == radius_schedule(cfg).tolist()
         assert len(seen["subdivided"][0]) == isolated
+
+
+class TestCountComponents:
+    """``count_components`` is the component count of ``trace`` from the
+    scan alone, and fails where ``trace`` fails."""
+
+    def test_count_links_and_fits_nothing(self, monkeypatch):
+        # test_corpus.py checks the count against every stored trace
+        p, cfg = parse_poly("1,0,1,0,0,0.5"), TraceConfig(r_min=5e-5, r_max=0.3, n_radii=120)
+        n = trace(p, cfg).n_components
+        for name in ("_link", "_chain_heads", "_fit_tangent", "omega_angles"):
+            monkeypatch.setattr(maxmod.tracer, name, None)
+        assert count_components(p, cfg) == n == 2
+
+    @pytest.mark.parametrize(
+        "p,cfg",
+        [
+            (parse_poly("1,0,1,1i"), TraceConfig(r_min=1e-9, r_max=0.3)),
+            (parse_poly("0,0,3"), TraceConfig()),
+            (Polynomial((1, 0, 1, 1j), truncated=True), TraceConfig(r_min=1e-2, r_max=0.2, n_radii=20)),
+            # the scan's mass 1 + sum j^2 |c_j| r^j is no float on any circle: r_max fails first
+            (parse_poly("1e-160,0,1,1"), TraceConfig(r_min=1e81, r_max=1e84, n_radii=8)),
+        ],
+        ids=["floor", "monomial", "truncated", "refinement-at-rmax"],
+    )
+    def test_fails_as_trace_fails(self, p, cfg):
+        with pytest.raises(maxmod.MaxmodError) as want:
+            trace(p, cfg)
+        with pytest.raises(maxmod.MaxmodError) as got:
+            count_components(p, cfg)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert vars(got.value) == vars(want.value)  # the radius, where there is one
+        if isinstance(want.value, maxmod.RefinementFailureError):
+            assert want.value.r == cfg.r_max
 
 
 class TestTruncatedInput:
