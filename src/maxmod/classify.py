@@ -28,7 +28,8 @@ from .util import reduce_angle
 # exactly" from "merely close".  Both argument tolerances are in radians, as
 # is EPS_MAG on |Re b'| / |b'|: a resonance residual, which is in units of
 # pi, is compared times pi.  Residuals in (EPS_ARG, NEAR_ARG] produce a
-# near-exceptional warning instead of a verdict.
+# near-exceptional warning instead of a verdict; like a witness, the warning
+# states the residual in units of pi.
 EPS_ARG = 1e-9
 NEAR_ARG = 1e-6
 EPS_T = 1e-9
@@ -128,8 +129,9 @@ def _exceptional_scan(h: HaymanForm):
                     ExceptionalWitness(m=m, m_prime=round(m_prime), sigma=sigma, residual=residual)
                 )
             elif math.pi * residual <= NEAR_ARG:
+                # the residual stays last: callers read the float after "residual="
                 near.append(
-                    f"near-exceptional: m={m} sigma={sigma} residual={residual:.3e}"
+                    f"near-exceptional: m={m} sigma={sigma}, in units of pi: residual={residual:.3e}"
                 )
     return bool(witnesses), tuple(witnesses), tuple(near)
 

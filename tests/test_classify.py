@@ -108,7 +108,10 @@ class TestExceptional:
         b = cmath.exp(1j * (math.pi / 2 + 3e-8))
         c = classify(Polynomial((1, 0, 1, b)))
         assert not c.exceptional
-        assert any("near-exceptional" in w for w in c.warnings)
+        (w,) = [w for w in c.warnings if "near-exceptional" in w]
+        # 3e-8 rad off the locus, stated in units of pi as the last field
+        assert "in units of pi" in w
+        assert float(w.split("residual=")[1]) == pytest.approx(3e-8 / math.pi, rel=1e-3)
 
 
 class TestCubicMagic:
