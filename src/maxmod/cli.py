@@ -203,7 +203,8 @@ def _sample_member(family: str, rng: np.random.Generator, on_locus: bool) -> tup
     return Polynomial(tuple(coeffs)), on_locus
 
 
-def _hunt_one(family: str, p: Polynomial, on_locus: bool) -> dict:
+def _hunt_record(family: str, p: Polynomial, on_locus: bool) -> tuple[dict, Classification]:
+    """The record of one member, without its count, and its classification."""
     c = classify(p)
     record = {
         "family": family,
@@ -215,15 +216,15 @@ def _hunt_one(family: str, p: Polynomial, on_locus: bool) -> dict:
         "n_components": None,
         "conjecture_holds": None,
     }
-    if not c.exceptional:
-        return record
+    return record, c
+
+
+def _hunt_config(p: Polynomial) -> TraceConfig:
+    """The 160 radii on which an exceptional member's curves are counted."""
     h = normalize(p)
     r_min = max(2e-4, 1.5 * floor_radius(h), 3.0 * ambiguity_radius(h))
     r_min = min(r_min, 0.02)
-    n_components = count_components(p, TraceConfig(r_min=r_min, r_max=0.3, n_radii=160))
-    record["n_components"] = n_components
-    record["conjecture_holds"] = agreement_verdict(c, n_components) != DISCREPANT
-    return record
+    return TraceConfig(r_min=r_min, r_max=0.3, n_radii=160)
 
 
 def cmd_hunt(args) -> int:
@@ -235,7 +236,17 @@ def cmd_hunt(args) -> int:
         raise ConfigError(f"need --samples <= {MAX_SAMPLES}, got {args.samples}")
     rng = np.random.default_rng(args.seed)
     members = [_sample_member(args.family, rng, on_locus=(i % 2 == 1)) for i in range(args.samples)]
-    records = [_hunt_one(args.family, p, locus) for p, locus in members]
+    records, exceptional = [], []
+    for p, locus in members:
+        record, c = _hunt_record(args.family, p, locus)
+        records.append(record)
+        if c.exceptional:
+            exceptional.append((record, c, p))
+    # one call counts every exceptional member, with one root solve per row group
+    counts = count_components([(p, _hunt_config(p)) for _, _, p in exceptional])
+    for (record, c, _), n_components in zip(exceptional, counts):
+        record["n_components"] = n_components
+        record["conjecture_holds"] = agreement_verdict(c, n_components) != DISCREPANT
     with open(args.out, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(canonical_json(rec) + "\n")

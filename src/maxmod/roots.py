@@ -94,8 +94,7 @@ def critical_points(cn: np.ndarray, radii: np.ndarray):
     :class:`~maxmod.errors.RefinementFailureError` where a circle has no
     finite positive ``C_n``, cannot be isolated or polished.
     """
-    deg = cn.shape[1]
-    odd = not cn.imag.any()
+    deg, odd = row_group(cn)
     n = np.arange(1, deg + 1)
     nc = n * cn
     mag = np.abs(nc)
@@ -123,6 +122,14 @@ def critical_points(cn: np.ndarray, radii: np.ndarray):
         x = reduce_angle(x)
     order = np.lexsort((x, i))
     return i[order], x[order], is_max[order]
+
+
+def row_group(cn: np.ndarray) -> tuple[int, bool]:
+    """All that :func:`critical_points` reads of its rows ``cn`` as a whole:
+    their width D and whether every ``C_n`` is real.  Everything else it
+    does row by row, so rows of one group, stacked, are solved as each
+    would be alone; only which failing row raises first can differ."""
+    return cn.shape[1], not cn.imag.any()
 
 
 def _certified(mag: np.ndarray, total: np.ndarray) -> np.ndarray:

@@ -21,8 +21,13 @@ along the trajectories are the curves, which are counted, fitted for
 tangent direction and exponent, and checked for rotational symmetry.
 Each maximum of a circle lies on its own trajectory, so the curves that
 reach the smallest circle are as many as its co-maximal maxima: the count
-needs the scan alone, and :func:`count_components`, which ``hunt`` reads,
-stops there.
+needs the root solve of every circle, whose failures it must raise, but
+``osc`` and co-maximality of the smallest circle alone.
+:func:`count_components`, which ``hunt`` reads, stops there, and counts
+many polynomials in one call: their rows are stacked by width D and by
+whether they are all real (:func:`maxmod.roots.row_group`), which is all
+the root solve reads of a stack beyond each row, and each stack is solved
+at once.  A trace keeps one polynomial per call.
 
 A polynomial whose coefficients have a reflection axis psi (every
 ``c_l e^{i l psi}`` real, as for every real polynomial with psi = 0 and
@@ -57,6 +62,7 @@ from .classify import omega_angles, predict_J
 from .errors import (
     ConfigError,
     FloorViolationError,
+    MaxmodError,
     MonomialAllPlaneError,
     RefinementFailureError,
     TruncatedSeriesError,
@@ -73,6 +79,9 @@ TIE_TOL = 1e-12
 # TraceConfig.grid lies in 64..MAX_GRID and n_radii in 2..MAX_RADII.
 MAX_GRID = 1 << 16
 MAX_RADII = 100_000
+# count_components stacks the rows of at most COUNT_BATCH members for its
+# root solves, so their memory stays bounded
+COUNT_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -179,20 +188,10 @@ def floor_radius(h: HaymanForm) -> float:
     return float((1e6 * EPS * mass * mass / 2.0 * (big / abs(h.a)) * big) ** (1.0 / h.k))
 
 
-def _scan_circles(e: ModulusExpansion, radii: np.ndarray):
-    """All refined local maxima of every circle ``|z| = r`` for r in ``radii``.
-
-    Each circle's ``C_n`` are formed once: the critical points of all
-    circles, their kinds and their polished angles come from them
-    (:func:`maxmod.roots.critical_points`), and the one ``osc`` evaluation
-    below reads a point's from its circle's row.  The spread of a circle is
-    its largest ``osc`` at a maximum minus its smallest at a minimum.
-
-    Returns flat arrays ``(n_max, theta, osc, mod2, comax)``: ``n_max[i]``
-    maxima of circle i, followed by those of circle i + 1, each circle's in
-    counterclockwise order from about -pi; ``comax`` marks the co-maximal
-    ones.
-    """
+def _rows(e: ModulusExpansion, radii: np.ndarray) -> np.ndarray:
+    """The ``C_n`` rows of the circles ``|z| = r`` for r in ``radii``
+    (``e.fourier``), which are all the root solve reads, after the check
+    that every evaluation of them stays a float."""
     # the evaluations of |1 + q|^2 and its theta-derivatives sum the
     # n^2 |C_n| <= mass^2, mass = 1 + sum_j j^2 |c_j| r^j; all of it must
     # stay a float
@@ -202,27 +201,65 @@ def _scan_circles(e: ModulusExpansion, radii: np.ndarray):
         bad = ~np.isfinite(4.0 * mass * mass)
     if bad.any():
         raise RefinementFailureError(float(radii[np.argmax(bad)]), 0.0)
-    cn_rows = e.fourier(radii)
-    ridx, theta, is_max = roots.critical_points(cn_rows, radii)
+    return e.fourier(radii)
+
+
+def _circle_counts(radii: np.ndarray, ridx: np.ndarray, is_max: np.ndarray):
+    """The maxima and minima per circle, ``(n_max, n_min)``, of the critical
+    points of :func:`maxmod.roots.critical_points`; a circle without both
+    fails at its radius, since a smooth periodic function has both."""
     n_max = np.bincount(ridx[is_max], minlength=radii.size)
     n_min = np.bincount(ridx[~is_max], minlength=radii.size)
-    bad = (n_max == 0) | (n_min == 0)  # a smooth periodic function has both
+    bad = (n_max == 0) | (n_min == 0)
     if bad.any():
         raise RefinementFailureError(float(radii[np.argmax(bad)]), 0.0)
+    return n_max, n_min
 
+
+def _maxima(e, cn, radii, ridx, theta, is_max, n_max, n_min):
+    """The maxima of whole circles with their ``osc`` and co-maximality.
+
+    ``ridx``, ``theta`` and ``is_max`` are the critical points of the
+    circles of ``radii`` as :func:`maxmod.roots.critical_points` returns
+    them, ``ridx`` indexing ``radii`` and their ``C_n`` rows ``cn``, and
+    ``n_max`` and ``n_min`` count them per circle.  The one ``osc``
+    evaluation reads a point's ``C_n`` from its circle's row.  The spread of a circle is its largest ``osc`` at a
+    maximum minus its smallest at a minimum, and a maximum is co-maximal
+    within ``TIE_TOL`` times that of its circle's largest.
+
+    Returns flat arrays ``(theta, osc, comax)`` of the maxima, by circle,
+    each circle's in counterclockwise order from about -pi.
+    """
     mx = np.flatnonzero(is_max)
     mn = np.flatnonzero(~is_max)
     order = np.concatenate([mx, mn])
-    osc = e.osc(radii[ridx[order]], theta[order], cn=cn_rows[ridx[order]])
+    osc = e.osc(radii[ridx[order]], theta[order], cn=cn[ridx[order]])
     osc, osc_mn = osc[: mx.size], osc[mx.size :]
     ridx_mx = ridx[mx]
-    starts = np.cumsum(n_max) - n_max
-    top = np.maximum.reduceat(osc, starts)
+    top = np.maximum.reduceat(osc, np.cumsum(n_max) - n_max)
     spread = top - np.minimum.reduceat(osc_mn, np.cumsum(n_min) - n_min)
     tie_threshold = TIE_TOL * spread
     comax = osc >= top[ridx_mx] - tie_threshold[ridx_mx]
-    mod2 = e.base(radii)[ridx_mx] + osc
-    return n_max, reduce_angle(theta[mx]), osc, mod2, comax
+    return reduce_angle(theta[mx]), osc, comax
+
+
+def _scan_circles(e: ModulusExpansion, radii: np.ndarray):
+    """All refined local maxima of every circle ``|z| = r`` for r in ``radii``.
+
+    Each circle's ``C_n`` are formed once (:func:`_rows`): the critical
+    points of all circles, their kinds and their polished angles come from
+    them (:func:`maxmod.roots.critical_points`), and :func:`_maxima` reads
+    them again for ``osc``.
+
+    Returns flat arrays ``(n_max, theta, osc, comax)``: ``n_max[i]`` maxima
+    of circle i, followed by those of circle i + 1, each circle's in
+    counterclockwise order from about -pi; ``comax`` marks the co-maximal
+    ones.
+    """
+    cn = _rows(e, radii)
+    ridx, theta, is_max = roots.critical_points(cn, radii)
+    n_max, n_min = _circle_counts(radii, ridx, is_max)
+    return (n_max, *_maxima(e, cn, radii, ridx, theta, is_max, n_max, n_min))
 
 
 def ambiguity_radius(h: HaymanForm) -> float:
@@ -384,15 +421,13 @@ def _chain_heads(ptr: np.ndarray) -> np.ndarray:
     return ptr
 
 
-def _scan(p: Polynomial, cfg: TraceConfig):
-    """The checks of a trace, then its scan.
+def _prepare(p: Polynomial, cfg: TraceConfig):
+    """The checks of a trace and what its scan reads.
 
-    Rejects a truncated series, a monomial and an ``r_min`` below the floor,
-    then scans the normalized tail of ``p`` on every radius of the schedule
-    (:func:`_scan_circles`), on its reflection axis if it has one.  Returns
-    ``(h, radii, psi, n_max, theta, osc, mod2, comax)``: the normal form, the
-    schedule, the axis (0.0 for none) and the flat arrays of the scan, in
-    the axis frame.
+    Rejects a truncated series, a monomial and an ``r_min`` below the floor.
+    Returns ``(h, radii, psi, e)``: the normal form, the schedule, the
+    reflection axis (0.0 for none) and the expansion of the normalized tail
+    of ``p``, turned onto that axis.
     """
     if p.truncated:
         raise TruncatedSeriesError("tracing needs the full polynomial, not a truncation")
@@ -406,7 +441,7 @@ def _scan(p: Polynomial, cfg: TraceConfig):
     e = expand(h.tail)  # c z^m moves no maximizer; |1 + q|^2 is a float where |p|^2 may not be
     radii = radius_schedule(cfg)
     psi, e = on_axis(e)  # trace p(e^{i psi} z), whose c_j are real, if p has an axis
-    return (h, radii, psi, *_scan_circles(e, radii))
+    return h, radii, psi, e
 
 
 def _n_last(n_max: np.ndarray, comax: np.ndarray) -> int:
@@ -418,22 +453,72 @@ def _n_last(n_max: np.ndarray, comax: np.ndarray) -> int:
     return int(np.count_nonzero(comax[comax.size - n_max[-1] :]))
 
 
-def count_components(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> int:
-    """``trace(p, cfg).n_components``, from the scan alone.
+def _count_solved(e, cn, radii, ridx, theta, is_max) -> int:
+    """The component count of one polynomial from the critical points of
+    its circles: every circle must have a maximum and a minimum
+    (:func:`_circle_counts`), and only the last circle's maxima are
+    evaluated (:func:`_maxima`) and counted (:func:`_n_last`)."""
+    n_max, n_min = _circle_counts(radii, ridx, is_max)
+    at = ridx.size - n_max[-1] - n_min[-1]  # the last circle's points come last
+    last = slice(radii.size - 1, None)
+    pts = ridx[at:] - last.start, theta[at:], is_max[at:]
+    comax = _maxima(e, cn[last], radii[last], *pts, n_max[last], n_min[last])[2]
+    return _n_last(n_max[last], comax)
 
-    Runs the checks and the scan of every circle of the schedule, so it
-    raises what :func:`trace` raises, at the same radius, but links no
-    maxima and fits, pairs and samples no curve.
+
+def _count_batch(members) -> list[int]:
+    """The component counts of ``members`` with one root solve per row
+    group (:func:`maxmod.roots.row_group`).  Every member is checked and
+    gets its rows (:func:`_prepare`, :func:`_rows`); the rows of a group
+    are stacked and solved at once, and each member's points are cut from
+    the stack."""
+    groups: dict[tuple[int, bool], list] = {}
+    for k, (p, cfg) in enumerate(members):
+        _, radii, _, e = _prepare(p, cfg)
+        cn = _rows(e, radii)
+        groups.setdefault(roots.row_group(cn), []).append((k, e, cn, radii))
+    counts = [0] * len(members)
+    for group in groups.values():
+        ks, es, cns, radiis = zip(*group)
+        ridx, theta, is_max = roots.critical_points(np.concatenate(cns), np.concatenate(radiis))
+        ends = np.cumsum([r.size for r in radiis])
+        cuts = np.searchsorted(ridx, ends).tolist()  # ridx is sorted
+        for k, e, cn, radii, end, a, b in zip(ks, es, cns, radiis, ends.tolist(), [0] + cuts, cuts):
+            pts = ridx[a:b] - (end - radii.size), theta[a:b], is_max[a:b]
+            counts[k] = _count_solved(e, cn, radii, *pts)
+    return counts
+
+
+def count_components(members) -> list[int]:
+    """``trace(p, cfg).n_components`` of every ``(p, cfg)`` in ``members``,
+    in order, from the root solve alone.
+
+    Each member runs the checks of a trace and the mass check, and forms
+    its rows, as a trace does.  Up to ``COUNT_BATCH`` members at a time are
+    then solved by one :func:`maxmod.roots.critical_points` call per row
+    group (:func:`_count_batch`); every circle of every member must still
+    have a maximum and a minimum, but only each member's last circle, the
+    one the count reads, is evaluated, and no maxima are linked, fitted,
+    paired or sampled.  If that raises, the members are counted again one
+    at a time, so the call raises what :func:`trace` raises for the first
+    member that fails, at the same radius.
     """
-    _, _, _, n_max, _, _, _, comax = _scan(p, cfg)
-    return _n_last(n_max, comax)
+    counts = []
+    for at in range(0, len(members), COUNT_BATCH):
+        chunk = members[at : at + COUNT_BATCH]
+        try:
+            counts += _count_batch(chunk)
+        except MaxmodError:
+            for member in chunk:
+                counts += _count_batch([member])
+    return counts
 
 
 def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
     """Trace the maximum modulus set of ``p`` over the radius schedule.
 
     Finds the co-maximal points of every radius in one batched scan
-    (:func:`_scan`), links the maxima
+    (:func:`_scan_circles`), links the maxima
     of neighbouring circles by cyclic order (:func:`_link`), largest radius
     first, and reports the co-maximal runs along each linked trajectory as
     curves: component count, tangent fits, rotational symmetry and
@@ -443,13 +528,15 @@ def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
     is scanned and linked on its axis and turned back before the curves are
     formed.
     """
-    h, radii, psi, n_max, theta, osc, mod2, comax = _scan(p, cfg)
+    h, radii, psi, e = _prepare(p, cfg)
+    n_max, theta, osc, comax = _scan_circles(e, radii)
+    ridx = np.repeat(np.arange(radii.size), n_max)
+    mod2 = e.base(radii)[ridx] + osc
     omega = omega_angles(h)
 
     # -- link maxima across radii (descending) into trajectories and curves --
     prev = _link(n_max, theta)
     flat = np.arange(theta.size)
-    ridx = np.repeat(np.arange(radii.size), n_max)
     if psi:
         # back from the axis frame, where mirror maxima tie exactly in _link;
         # each circle's maxima are sorted by angle again and the links follow

@@ -65,13 +65,14 @@ def entry(name: str, p: Polynomial, cfg: TraceConfig) -> dict:
 
 def hunt_members() -> list[tuple[Polynomial, TraceConfig]]:
     """The ``(p, cfg)`` of every member the hunt command ``HUNT_ARGV``
-    counts the curves of (``count_components``, the trace's scan)."""
+    counts the curves of (``count_components``, the trace's root solve),
+    in the order of its calls."""
     members = []
     hunt_count = cli.count_components
 
-    def recorded(p, cfg):
-        members.append((p, cfg))
-        return hunt_count(p, cfg)
+    def recorded(counted):
+        members.extend(counted)
+        return hunt_count(counted)
 
     cli.count_components = recorded
     try:

@@ -238,5 +238,6 @@ def circle_argmax(e: ModulusExpansion, r: float) -> list[tuple[float, float]]:
     Returns ``(theta, mod2)`` pairs for every maximizer whose value lies
     within ``TIE_TOL * (max - min)`` of the refined global maximum.
     """
-    _, theta, _, mod2, comax = _scan_circles(e, np.array([r], dtype=float))
+    _, theta, osc, comax = _scan_circles(e, np.array([r], dtype=float))
+    mod2 = e.base(r) + osc
     return [(float(t), float(m)) for t, m in zip(theta[comax], mod2[comax])]

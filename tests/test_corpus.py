@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from make_corpus import outcome
-from maxmod import MaxmodError, Polynomial, TraceConfig
+from maxmod import MaxmodError, Polynomial, TraceConfig, roots, tracer
 from maxmod.tracer import count_components
 from maxmod.util import circ_dist
 
@@ -43,17 +43,47 @@ def test_outcomes_match(block):
     assert not failed
 
 
-def test_count_matches_every_trace():
-    # the scan's count is the trace's component count; where a trace fails,
-    # the count fails with the same error class
-    failed = []
-    for e in CORPUS:
+def members_of(entries) -> list:
+    """The ``(p, cfg)`` of the corpus entries."""
+    out = []
+    for e in entries:
         p = Polynomial(tuple(complex(re, im) for re, im in e["coeffs"]))
         r_min, r_max, n_radii = e["cfg"]
+        out.append((p, TraceConfig(r_min, r_max, n_radii)))
+    return out
+
+
+def test_count_matches_every_trace():
+    # the count of each entry alone is the trace's component count; where a
+    # trace fails, the count fails with the same error class
+    failed = []
+    for e, member in zip(CORPUS, members_of(CORPUS)):
         try:
-            got = {"error": None, "n_components": count_components(p, TraceConfig(r_min, r_max, n_radii))}
+            got = {"error": None, "n_components": count_components([member])[0]}
         except MaxmodError as ex:
             got = {"error": type(ex).__name__}
         if got != {k: e["expect"][k] for k in ("error", "n_components") if k in e["expect"]}:
             failed.append(e["name"])
     assert not failed
+
+
+@pytest.mark.parametrize("batch", [tracer.COUNT_BATCH, 1000], ids=["default", "all-at-once"])
+def test_one_count_of_the_whole_corpus(monkeypatch, batch):
+    # one call counts every entry whose trace succeeds, across row groups of
+    # every width and both all-real tests, to the stored component counts,
+    # in chunks of the default size and with every row group in one stack
+    monkeypatch.setattr(tracer, "COUNT_BATCH", batch)
+    entries = [e for e in CORPUS if e["expect"]["error"] is None]
+    groups = set()
+    solve = roots.critical_points
+
+    def grouped(cn, radii):
+        groups.add((cn.shape[1], not cn.imag.any()))
+        return solve(cn, radii)
+
+    monkeypatch.setattr(roots, "critical_points", grouped)
+    got = count_components(members_of(entries))
+    failed = [e["name"] for e, n in zip(entries, got) if n != e["expect"]["n_components"]]
+    assert not failed
+    assert len(got) == len(entries) >= 330
+    assert len(groups) >= 30 and {odd for _, odd in groups} == {False, True}

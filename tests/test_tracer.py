@@ -310,7 +310,7 @@ class TestQuotient:
             radii = np.geomspace(0.9, lo, 60)
             ridx, theta, _ = scan_points(quotient, radii)
             theta = reduce_angle(theta + psi)
-            n_max, maxima, _, _, _ = _scan_circles(quotient, radii)
+            n_max, maxima, _, _ = _scan_circles(quotient, radii)
             maxima = reduce_angle(maxima + psi)
             mr = np.repeat(np.arange(radii.size), n_max)
             for i, want in enumerate(full_solve(e, radii)):
@@ -382,7 +382,7 @@ class TestQuotient:
         cfg = TraceConfig(r_min=max(1e-3, 2 * floor_radius(normalize(p))), r_max=0.6)
         radii = radius_schedule(cfg)
         ridx, theta, _ = scan_points(e, radii)
-        n_max, maxima, _, _, _ = _scan_circles(e, radii)
+        n_max, maxima, _, _ = _scan_circles(e, radii)
         for i, scan in enumerate(np.split(maxima, np.cumsum(n_max)[:-1])):
             crit = np.where(theta[ridx == i] == -math.pi, math.pi, theta[ridx == i])
             assert np.array_equal(np.sort(crit), mirror(crit))
@@ -556,7 +556,7 @@ class TestCriticalPoints:
         checked = 0
         for p, radii in cases:
             e = term_expansion(p)
-            n_max, thetas, _, _, _ = _scan_circles(e, radii)
+            n_max, thetas, _, _ = _scan_circles(e, radii)
             scans = np.split(thetas, np.cumsum(n_max)[:-1])
             ridx, _, kind = scan_points(e, radii)
             for i, (r, scan) in enumerate(zip(radii, scans)):
@@ -837,7 +837,7 @@ def fake_scan(monkeypatch, circles, oscs=None):
     oscs = oscs or [[1.0] * len(c) for c in circles]
     osc = np.array([x for c in oscs for x in c], dtype=float)
     comax = np.concatenate([np.array(c) == max(c) for c in oscs])
-    scan = (n_max, theta, osc, osc + 1.0, comax)
+    scan = (n_max, theta, osc, comax)
     monkeypatch.setattr(maxmod.tracer, "_scan_circles", lambda e, radii: scan)
     return TraceConfig(r_min=1e-2, r_max=0.3, n_radii=len(circles))
 
@@ -1224,18 +1224,18 @@ class TestFixedWork:
             traced.append(args)
             return trace(*args)
 
-        def counted_count(*args):
-            counted.append(count_components(*args))
+        def counted_count(members):
+            counted.append(count_components(members))
             return counted[-1]
 
-        # hunt reads only each member's count: it counts from the scan and
-        # traces nothing
+        # hunt reads only each member's count: it counts its members in one
+        # call and traces nothing
         monkeypatch.setattr(maxmod.cli, "trace", counted_trace)
         monkeypatch.setattr(maxmod.tracer, "trace", counted_trace)
         monkeypatch.setattr(maxmod.cli, "count_components", counted_count)
         argv = ["hunt", "--family", "cubic", "--samples", "4", "--out", str(tmp_path / "h.jsonl")]
         assert main(argv + ["--quiet"]) == 0
-        assert counted and not traced and not built
+        assert len(counted) == 1 and counted[0] and not traced and not built
         res = trace(parse_poly("1,0,1,1i"), TraceConfig(n_radii=50))
         assert res.n_components == 2 and res.tangents and not built
         assert len(res.samples) == len(res.sample_r) == len(built) > 0
@@ -1301,6 +1301,41 @@ class TestFixedWork:
         assert len(seen["subdivided"][0]) == isolated
 
 
+    def test_hunt_solves_once_and_evaluates_last_circles(self, monkeypatch, tmp_path):
+        # the 4 exceptional members of an 8-sample cubic hunt, magic cubics
+        # on their axes, share one row group and one root solve (4 solves,
+        # one per member, before the counts were batched); osc is evaluated
+        # only at the critical points of each member's last circle
+        solves, evaluated, counted = [], [], []
+        solve, osc, count = maxmod.roots.critical_points, ModulusExpansion.osc, count_components
+
+        def counted_solve(cn, radii):
+            solves.append(solve(cn, radii))
+            return solves[-1]
+
+        def counted_osc(self, r, theta, cn=None):
+            evaluated.append(np.broadcast_to(r, np.shape(theta)).copy())
+            return osc(self, r, theta, cn)
+
+        def counted_count(members):
+            counted.extend(members)
+            return count(members)
+
+        monkeypatch.setattr(maxmod.roots, "critical_points", counted_solve)
+        monkeypatch.setattr(ModulusExpansion, "osc", counted_osc)
+        monkeypatch.setattr(maxmod.cli, "count_components", counted_count)
+        argv = ["hunt", "--family", "cubic", "--samples", "8", "--out", str(tmp_path / "h.jsonl")]
+        assert main(argv + ["--quiet"]) == 0
+        assert len(counted) == 4 and len(solves) == 1
+        n_radii = {cfg.n_radii for _, cfg in counted}.pop()
+        ridx = solves[0][0]
+        last = ridx % n_radii == n_radii - 1
+        assert np.unique(ridx[last] // n_radii).tolist() == [0, 1, 2, 3]
+        radii = np.concatenate(evaluated)
+        assert radii.size == np.count_nonzero(last)
+        assert set(radii.tolist()) == {radius_schedule(cfg)[-1] for _, cfg in counted}
+
+
 class TestCountComponents:
     """``count_components`` is the component count of ``trace`` from the
     scan alone, and fails where ``trace`` fails."""
@@ -1311,7 +1346,7 @@ class TestCountComponents:
         n = trace(p, cfg).n_components
         for name in ("_link", "_chain_heads", "_fit_tangent", "omega_angles"):
             monkeypatch.setattr(maxmod.tracer, name, None)
-        assert count_components(p, cfg) == n == 2
+        assert count_components([(p, cfg)]) == [n] == [2]
 
     @pytest.mark.parametrize(
         "p,cfg",
@@ -1328,12 +1363,82 @@ class TestCountComponents:
         with pytest.raises(maxmod.MaxmodError) as want:
             trace(p, cfg)
         with pytest.raises(maxmod.MaxmodError) as got:
-            count_components(p, cfg)
+            count_components([(p, cfg)])
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
         assert vars(got.value) == vars(want.value)  # the radius, where there is one
         if isinstance(want.value, maxmod.RefinementFailureError):
             assert want.value.r == cfg.r_max
+
+
+    def test_batch_matches_members_counted_alone(self, monkeypatch, tmp_path):
+        # one call counts members of four row groups, each at its own r_min,
+        # to the counts each gets alone and that its trace gets: the magic
+        # cubic (real rows on its axis, D = 3), a complex and a real quartic
+        # of a quartic hunt (D = 4), and random_count's inputs 7, which has
+        # 31 subdivided circles, and 1 (complex, D = 5, stacked together)
+        hunted, count = [], count_components
+
+        def recorded(members):
+            hunted.extend(members)
+            return count(members)
+
+        monkeypatch.setattr(maxmod.cli, "count_components", recorded)
+        argv = ["hunt", "--family", "quartic", "--samples", "40", "--seed", "3"]
+        assert main(argv + ["--out", str(tmp_path / "q.jsonl"), "--quiet"]) == 0
+        quartics = {}
+        for p, cfg in hunted:
+            quartics.setdefault(on_axis(expand(normalize(p).tail))[0] != 0.0, (p, cfg))
+        members = [
+            (parse_poly("1,0,1,1i"), TraceConfig(r_min=1e-3, r_max=0.3, n_radii=160)),
+            (RANDOM_COUNT_7, TraceConfig(r_min=2e-4, r_max=0.3, n_radii=200)),
+            quartics[False],
+            quartics[True],
+            (RANDOM_COUNT_1, TraceConfig(r_min=5e-4, r_max=0.3, n_radii=120)),
+        ]
+        groups = []
+        solve = maxmod.roots.critical_points
+
+        def grouped(cn, radii):
+            groups.append((cn.shape[1], not cn.imag.any(), radii.size))
+            return solve(cn, radii)
+
+        monkeypatch.setattr(maxmod.roots, "critical_points", grouped)
+        got = count_components(members)
+        assert sorted(groups) == [(3, True, 160), (4, False, 160), (4, True, 160), (5, False, 320)]
+        alone = [count_components([member])[0] for member in members]
+        assert got == alone == [trace(p, cfg).n_components for p, cfg in members]
+        assert got == [2, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["solve-first", "floor-first"])
+    def test_batch_fails_as_members_counted_alone(self, monkeypatch, reverse):
+        # one member fails inside the batched root solve, where the circle
+        # r = 0.1 is left without a maximum, the other at its floor check:
+        # the call raises the error of the first failing member in order, as
+        # counting them one at a time does
+        solve = maxmod.roots.critical_points
+
+        def no_maximum_at(cn, radii):
+            ridx, theta, is_max = solve(cn, radii)
+            keep = (radii[ridx] != 0.1) | ~is_max
+            return ridx[keep], theta[keep], is_max[keep]
+
+        monkeypatch.setattr(maxmod.roots, "critical_points", no_maximum_at)
+        members = [
+            (parse_poly("1,0,1,1i"), TraceConfig(r_min=0.1, r_max=0.2, n_radii=2)),
+            (parse_poly("1,0,1,1i"), TraceConfig(r_min=1e-9, r_max=0.3)),
+        ]
+        members = members[::-1] if reverse else members
+        with pytest.raises(maxmod.MaxmodError) as want:
+            for member in members:
+                count_components([member])
+        with pytest.raises(maxmod.MaxmodError) as got:
+            count_components(members)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert vars(got.value) == vars(want.value)
+        first = maxmod.FloorViolationError if reverse else maxmod.RefinementFailureError
+        assert type(got.value) is first
 
 
 class TestTruncatedInput:
