@@ -223,9 +223,10 @@ def _maxima(e, cn, radii, ridx, theta, is_max, n_max, n_min):
     circles of ``radii`` as :func:`maxmod.roots.critical_points` returns
     them, ``ridx`` indexing ``radii`` and their ``C_n`` rows ``cn``, and
     ``n_max`` and ``n_min`` count them per circle.  The one ``osc``
-    evaluation reads a point's ``C_n`` from its circle's row.  The spread of a circle is its largest ``osc`` at a
-    maximum minus its smallest at a minimum, and a maximum is co-maximal
-    within ``TIE_TOL`` times that of its circle's largest.
+    evaluation reads a point's ``C_n`` from its circle's row.  The spread
+    of a circle is its largest ``osc`` at a maximum minus its smallest at a
+    minimum, and a maximum is co-maximal within ``TIE_TOL`` times that of
+    its circle's largest.
 
     Returns flat arrays ``(theta, osc, comax)`` of the maxima, by circle,
     each circle's in counterclockwise order from about -pi.
@@ -479,12 +480,13 @@ def _count_batch(members) -> list[int]:
         groups.setdefault(roots.row_group(cn), []).append((k, e, cn, radii))
     counts = [0] * len(members)
     for group in groups.values():
-        ks, es, cns, radiis = zip(*group)
-        ridx, theta, is_max = roots.critical_points(np.concatenate(cns), np.concatenate(radiis))
-        ends = np.cumsum([r.size for r in radiis])
-        cuts = np.searchsorted(ridx, ends).tolist()  # ridx is sorted
-        for k, e, cn, radii, end, a, b in zip(ks, es, cns, radiis, ends.tolist(), [0] + cuts, cuts):
-            pts = ridx[a:b] - (end - radii.size), theta[a:b], is_max[a:b]
+        _, _, cns, schedules = zip(*group)
+        ridx, theta, is_max = roots.critical_points(np.concatenate(cns), np.concatenate(schedules))
+        ends = np.cumsum([r.size for r in schedules]).tolist()  # of each member's rows
+        cuts = [0] + np.searchsorted(ridx, ends).tolist()  # of its points; ridx is sorted
+        for i, (k, e, cn, radii) in enumerate(group):
+            a, b = cuts[i], cuts[i + 1]
+            pts = ridx[a:b] - (ends[i] - radii.size), theta[a:b], is_max[a:b]
             counts[k] = _count_solved(e, cn, radii, *pts)
     return counts
 
