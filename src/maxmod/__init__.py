@@ -25,7 +25,6 @@ from .errors import (
 from .modulus import ModulusExpansion, expand
 from .poly import (
     HaymanForm,
-    MonomialVerdict,
     Polynomial,
     format_poly,
     normalize,
@@ -57,7 +56,6 @@ __all__ = [
     "MaxmodError",
     "ModulusExpansion",
     "MonomialAllPlaneError",
-    "MonomialVerdict",
     "NotCubicFamilyError",
     "PolyParseError",
     "Polynomial",

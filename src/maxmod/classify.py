@@ -8,7 +8,9 @@ survivor weights ``t_j = 2|b| cos(n omega_j + arg b)``.  For non-exceptional
 inputs the survivor recursion is exact and the number of curves equals the
 inner degree; for exceptional ones it is a heuristic.  The inner degree and
 the core degree, up to which the resonance test scans, are read from the
-normalized form (:func:`~maxmod.poly.normalize`).
+normalized form (:func:`~maxmod.poly.normalize`).  :func:`classify` reads
+the count off the inner degree and runs no recursion; the recursion serves
+``ambiguity_radius`` and, as an oracle, the tests.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MonomialAllPlaneError, NotCubicFamilyError
-from .poly import HaymanForm, MonomialVerdict, Polynomial, normalize
+from .errors import NotCubicFamilyError
+from .poly import HaymanForm, Polynomial, normalize
 from .util import reduce_angle
 
 # Tolerances for the exact algebraic tests.  Doubles lose ~1e-16 per arg;
@@ -164,8 +166,8 @@ def predict_J(h: HaymanForm) -> PredictedJ:
     inputs) and, for each term ``b z^n`` in ascending degree, keeps the
     candidates maximizing ``t_j = 2|b| cos(n omega_j + arg b)`` up to a tie
     tolerance.  Exact for non-exceptional inputs, where the result is one
-    residue class mod k/mu with mu elements (:func:`classify` checks it);
-    a heuristic for exceptional ones.
+    residue class mod k/mu with mu elements (the tests check it on their
+    corpus); a heuristic for exceptional ones.
     """
     k = h.k
     omega = _omega_list(h)
@@ -192,34 +194,22 @@ def predict_J(h: HaymanForm) -> PredictedJ:
     return PredictedJ(j_set=tuple(j_set), t_history=tuple(history))
 
 
-def classify(p: Polynomial) -> Classification:
-    """Full coefficient-level report for a polynomial.
+def classify(p: Polynomial | HaymanForm) -> Classification:
+    """Full coefficient-level report for a polynomial or its normal form.
 
-    ``mu`` and ``N`` come from :func:`~maxmod.poly.normalize`, and the
-    resonance scan runs once.  The survivor recursion (:func:`predict_J`)
-    runs once for a non-exceptional input and not at all for an exceptional
-    one, whose report does not read it.  For a non-exceptional input the
-    survivor set is proven to be one residue class mod k/mu with mu
-    elements, and any other set is an internal error.  ``omega`` holds the
-    bits of :func:`omega_angles`, folded on Python floats.  Monomial inputs
-    are rejected: their maximum modulus set is the whole plane and there is
+    Everything is read off the normal form (:func:`~maxmod.poly.normalize`,
+    which returns a form unchanged): ``mu`` and ``N``, one resonance scan,
+    and the truncation of ``tail``.  The count of a non-exceptional input is
+    ``mu``, proven, so no survivor recursion (:func:`predict_J`) runs.
+    ``omega`` holds the bits of :func:`omega_angles`, folded on Python
+    floats.  A monomial raises :class:`MonomialAllPlaneError` from
+    ``normalize``: its maximum modulus set is the whole plane and there is
     nothing to classify.
     """
     h = normalize(p)
-    if isinstance(h, MonomialVerdict):
-        raise MonomialAllPlaneError("the maximum modulus set of a monomial is the whole plane")
     k, mu = h.k, h.mu
     exceptional, witnesses, near = _exceptional_scan(h)
-    if not exceptional:
-        j_set = list(predict_J(h).j_set)
-        step = k // mu
-        expected = set(range(min(j_set), k, step)) if j_set else set()
-        if len(j_set) != mu or set(j_set) != expected:
-            raise RuntimeError(
-                "internal error: proven survivor set is not one residue class "
-                f"of size mu: J={j_set}, mu={mu}, k={k}"
-            )
-    if p.truncated:
+    if h.tail.truncated:
         near = near + (
             "truncated series: exact only if the omitted terms lie above the core degree",
         )

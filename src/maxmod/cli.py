@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from . import __version__
 from .classify import MAGIC, Classification, classify
 from .errors import ConfigError, MaxmodError, PolyParseError
 from .poly import (
+    HaymanForm,
     Polynomial,
     format_poly,
     json_float,
@@ -37,7 +39,6 @@ from .tracer import (
     count_components,
     floor_radius,
     trace,
-    trace_at_infinity,
     write_csv,
 )
 from .util import canonical_json
@@ -101,12 +102,10 @@ def cmd_classify(args) -> int:
 def cmd_trace(args) -> int:
     p = _load_poly(args)
     cfg = TraceConfig(r_min=args.rmin, r_max=args.rmax, n_radii=args.radii, grid=args.grid)
-    if args.infinity:
-        result = trace_at_infinity(p, cfg)  # rejects a monomial reciprocal
-        c = classify(reciprocal(p))
-    else:
-        c = classify(p)
-        result = trace(p, cfg)
+    # near infinity, the near-origin structure of z^n p(1/z), with w = 1/z
+    h = normalize(reciprocal(p) if args.infinity else p)
+    c = classify(h)
+    result = replace(trace(h, cfg), inverted=args.infinity)
 
     verdict = agreement_verdict(c, result.n_components)
     artifacts: dict[str, str | None] = {"csv": None, "svg": None}
@@ -203,25 +202,8 @@ def _sample_member(family: str, rng: np.random.Generator, on_locus: bool) -> tup
     return Polynomial(tuple(coeffs)), on_locus
 
 
-def _hunt_record(family: str, p: Polynomial, on_locus: bool) -> tuple[dict, Classification]:
-    """The record of one member, without its count, and its classification."""
-    c = classify(p)
-    record = {
-        "family": family,
-        "coeffs": [[z.real, z.imag] for z in p.coeffs],
-        "on_locus": on_locus,
-        "exceptional": c.exceptional,
-        "magic": c.magic,
-        "mu": c.mu,
-        "n_components": None,
-        "conjecture_holds": None,
-    }
-    return record, c
-
-
-def _hunt_config(p: Polynomial) -> TraceConfig:
+def _hunt_config(h: HaymanForm) -> TraceConfig:
     """The 160 radii on which an exceptional member's curves are counted."""
-    h = normalize(p)
     r_min = max(2e-4, 1.5 * floor_radius(h), 3.0 * ambiguity_radius(h))
     r_min = min(r_min, 0.02)
     return TraceConfig(r_min=r_min, r_max=0.3, n_radii=160)
@@ -238,12 +220,24 @@ def cmd_hunt(args) -> int:
     members = [_sample_member(args.family, rng, on_locus=(i % 2 == 1)) for i in range(args.samples)]
     records, exceptional = [], []
     for p, locus in members:
-        record, c = _hunt_record(args.family, p, locus)
-        records.append(record)
+        h = normalize(p)  # the one normal form that classify, config and count read
+        c = classify(h)
+        records.append(
+            {
+                "family": args.family,
+                "coeffs": [[z.real, z.imag] for z in p.coeffs],
+                "on_locus": locus,
+                "exceptional": c.exceptional,
+                "magic": c.magic,
+                "mu": c.mu,
+                "n_components": None,
+                "conjecture_holds": None,
+            }
+        )
         if c.exceptional:
-            exceptional.append((record, c, p))
+            exceptional.append((records[-1], c, h))
     # one call counts every exceptional member, with one root solve per row group
-    counts = count_components([(p, _hunt_config(p)) for _, _, p in exceptional])
+    counts = count_components([(h, _hunt_config(h)) for _, _, h in exceptional])
     for (record, c, _), n_components in zip(exceptional, counts):
         record["n_components"] = n_components
         record["conjecture_holds"] = agreement_verdict(c, n_components) != DISCREPANT

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,14 +147,16 @@ def _c_pairs(c: np.ndarray) -> np.ndarray:
     return c_pairs
 
 
-def on_axis(e: ModulusExpansion) -> tuple[float, ModulusExpansion]:
-    """A reflection axis ``psi`` of ``|p|^2`` and the expansion of
-    ``p(e^{i psi} z)``, whose ``c_j`` are exactly real; ``(0.0, e)`` when
-    the ``c_j`` of ``e`` are real already or have no axis.
+def on_axis(tail: Polynomial) -> tuple[float, Polynomial]:
+    """A reflection axis ``psi`` of ``|1 + q|^2`` for the normalized tail
+    ``1 + q`` and the turned tail ``1 + q(e^{i psi} z)``, whose coefficients
+    are exactly real; ``(0.0, tail)`` when the coefficients of ``tail`` are
+    real already or have no axis.  Found on the tail's coefficients, before
+    anything is expanded, so the turned tail is expanded once.
 
-    ``|p(r e^{i theta})|^2`` is symmetric about ``theta = psi`` when every
-    ``c_l e^{i l psi}`` is real.  The lowest tail order k fixes psi modulo
-    ``pi / k``: the candidates are ``psi = (j pi - arg c_k) / k``,
+    ``|1 + q(r e^{i theta})|^2`` is symmetric about ``theta = psi`` when
+    every ``c_l e^{i l psi}`` is real.  The lowest tail order k fixes psi
+    modulo ``pi / k``: the candidates are ``psi = (j pi - arg c_k) / k``,
     j = 0..k-1.  One is accepted when every ``|Im(c_l e^{i l psi})|`` is at
     most ``AXIS_ULPS (l + 1) EPS |c_l|``.  The rounding of ``arg c_k``, of
     ``j pi`` and of the division leaves a computed axis a few ``EPS`` off an
@@ -168,23 +170,20 @@ def on_axis(e: ModulusExpansion) -> tuple[float, ModulusExpansion]:
     that bound.  Every evaluation, the oracle's terms included, reads the
     new ``c_j``, so nothing else turns.
     """
-    if not e.c.imag.any():
-        return 0.0, e
-    c = e.c.tolist()
-    tail = [l for l in range(1, len(c)) if c[l]]
-    k = tail[0]
+    c = tail.coeffs
+    if not any(z.imag for z in c):
+        return 0.0, tail
+    nz = [l for l in range(1, len(c)) if c[l]]
+    k = nz[0]
     for j in range(k):
         psi = (j * math.pi - cmath.phase(c[k])) / k
-        rot = []
-        for l in tail:  # most inputs fail at their second tail order
+        turned = [0j] * len(c)
+        turned[0] = c[0]
+        for l in nz:  # most inputs fail at their second tail order
             z = c[l] * cmath.exp(1j * l * psi)
             if abs(z.imag) > AXIS_ULPS * EPS * (l + 1) * abs(c[l]):
                 break
-            rot.append(z.real)
+            turned[l] = complex(z.real)
         else:
-            real = np.zeros(len(c), dtype=complex)
-            real[0] = 1.0
-            real[tail] = rot
-            real.setflags(write=False)
-            return psi, replace(e, c=real, c_pairs=_c_pairs(real))
-    return 0.0, e
+            return psi, Polynomial(tuple(turned), truncated=tail.truncated)
+    return 0.0, tail

@@ -15,7 +15,13 @@ import re
 import reprlib
 from dataclasses import dataclass
 
-from .errors import CoefficientRangeError, PolyParseError, TruncatedSeriesError, ZeroPolynomialError
+from .errors import (
+    CoefficientRangeError,
+    MonomialAllPlaneError,
+    PolyParseError,
+    TruncatedSeriesError,
+    ZeroPolynomialError,
+)
 
 
 @dataclass(frozen=True)
@@ -62,13 +68,6 @@ class Polynomial:
 
 
 @dataclass(frozen=True)
-class MonomialVerdict:
-    """Input was ``c * z^n``: its maximum modulus set is the whole plane."""
-
-    is_monomial: bool = True
-
-
-@dataclass(frozen=True)
 class HaymanForm:
     """Factored form ``prefactor_scalar * z^prefactor_power * tail`` where
     ``tail = 1 + a z^k + ...`` with ``a != 0`` and ``k >= 1``.
@@ -76,7 +75,9 @@ class HaymanForm:
     ``mu`` is the inner degree, the gcd of the positive exponents that carry
     a nonzero tail coefficient.  ``N`` is the core degree, the least such
     exponent up to which their gcd is already ``mu``; the tail up to
-    ``z^N`` is the core polynomial.
+    ``z^N`` is the core polynomial.  ``tail.truncated`` is that of the
+    input.  This is the one value per input that ``classify``, ``trace``
+    and ``count_components`` read; each takes it in place of a polynomial.
     """
 
     prefactor_scalar: complex
@@ -88,21 +89,24 @@ class HaymanForm:
     tail: Polynomial
 
 
-def normalize(p: Polynomial) -> HaymanForm | MonomialVerdict:
+def normalize(p: Polynomial | HaymanForm) -> HaymanForm:
     """Factor out ``c * z^m`` so the remaining tail starts ``1 + a z^k + ...``,
     and record the tail's inner degree ``mu`` and core degree ``N`` from one
-    walk over its nonzero exponents.
+    walk over its nonzero exponents.  A :class:`HaymanForm` is returned
+    unchanged, so a caller that has normalized once passes the form on.
 
-    Returns a :class:`MonomialVerdict` when ``p`` has a single nonzero term.
-    Raises :class:`ZeroPolynomialError` on the zero polynomial and
+    Raises :class:`MonomialAllPlaneError` when ``p`` has a single nonzero
+    term, :class:`ZeroPolynomialError` on the zero polynomial and
     :class:`CoefficientRangeError` when a nonzero coefficient divided by
     ``c`` is not a finite nonzero float.
     """
+    if isinstance(p, HaymanForm):
+        return p
     if p.is_zero:
         raise ZeroPolynomialError("cannot normalize the zero polynomial")
     nz = p.nonzero_exponents()
     if len(nz) == 1:
-        return MonomialVerdict()
+        raise MonomialAllPlaneError("the maximum modulus set of a monomial is the whole plane")
     m = nz[0]
     c = p.coeffs[m]
     ratios = lead_ratios(p.coeffs[m + 1 :], c)

@@ -63,13 +63,12 @@ from .errors import (
     ConfigError,
     FloorViolationError,
     MaxmodError,
-    MonomialAllPlaneError,
     RefinementFailureError,
     TruncatedSeriesError,
 )
 from . import _kernels, roots
 from .modulus import ModulusExpansion, expand, on_axis
-from .poly import HaymanForm, MonomialVerdict, Polynomial, frexp_complex, normalize, reciprocal
+from .poly import HaymanForm, Polynomial, frexp_complex, normalize, reciprocal
 from .util import EPS, TWO_PI, circ_dist, reduce_angle
 
 FIT_DEGREE = 6  # degree of the polynomial theta(r) fitted by _fit_tangent
@@ -422,27 +421,26 @@ def _chain_heads(ptr: np.ndarray) -> np.ndarray:
     return ptr
 
 
-def _prepare(p: Polynomial, cfg: TraceConfig):
+def _prepare(p: Polynomial | HaymanForm, cfg: TraceConfig):
     """The checks of a trace and what its scan reads.
 
-    Rejects a truncated series, a monomial and an ``r_min`` below the floor.
-    Returns ``(h, radii, psi, e)``: the normal form, the schedule, the
-    reflection axis (0.0 for none) and the expansion of the normalized tail
-    of ``p``, turned onto that axis.
+    Normalizes ``p`` unless it is a normal form already, which rejects a
+    monomial, then rejects a truncated series and an ``r_min`` below the
+    floor.  The reflection axis is found on the tail's coefficients
+    (:func:`~maxmod.modulus.on_axis`) before the one expansion, of the
+    turned tail.  Returns ``(h, radii, psi, e)``: the normal form, the
+    schedule, the axis (0.0 for none) and that expansion.
     """
-    if p.truncated:
-        raise TruncatedSeriesError("tracing needs the full polynomial, not a truncation")
     h = normalize(p)
-    if isinstance(h, MonomialVerdict):
-        raise MonomialAllPlaneError("cannot trace a monomial: its maximum set is the plane")
+    if h.tail.truncated:
+        raise TruncatedSeriesError("tracing needs the full polynomial, not a truncation")
     required = floor_radius(h)
     if cfg.r_min < required:
         raise FloorViolationError(cfg.r_min, required)
 
-    e = expand(h.tail)  # c z^m moves no maximizer; |1 + q|^2 is a float where |p|^2 may not be
-    radii = radius_schedule(cfg)
-    psi, e = on_axis(e)  # trace p(e^{i psi} z), whose c_j are real, if p has an axis
-    return h, radii, psi, e
+    psi, tail = on_axis(h.tail)  # trace p(e^{i psi} z), whose c_j are real, if p has an axis
+    e = expand(tail)  # c z^m moves no maximizer; |1 + q|^2 is a float where |p|^2 may not be
+    return h, radius_schedule(cfg), psi, e
 
 
 def _n_last(n_max: np.ndarray, comax: np.ndarray) -> int:
@@ -493,7 +491,8 @@ def _count_batch(members) -> list[int]:
 
 def count_components(members) -> list[int]:
     """``trace(p, cfg).n_components`` of every ``(p, cfg)`` in ``members``,
-    in order, from the root solve alone.
+    in order, from the root solve alone; ``p`` is a polynomial or its
+    normal form.
 
     Each member runs the checks of a trace and the mass check, and forms
     its rows, as a trace does.  Up to ``COUNT_BATCH`` members at a time are
@@ -516,8 +515,9 @@ def count_components(members) -> list[int]:
     return counts
 
 
-def trace(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceResult:
-    """Trace the maximum modulus set of ``p`` over the radius schedule.
+def trace(p: Polynomial | HaymanForm, cfg: TraceConfig = TraceConfig()) -> TraceResult:
+    """Trace the maximum modulus set of ``p``, a polynomial or its normal
+    form, over the radius schedule.
 
     Finds the co-maximal points of every radius in one batched scan
     (:func:`_scan_circles`), links the maxima

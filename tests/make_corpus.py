@@ -21,7 +21,17 @@ from pathlib import Path
 
 import numpy as np
 
-from maxmod import MaxmodError, Polynomial, TraceConfig, cli, floor_radius, normalize, parse_poly, trace
+from maxmod import (
+    HaymanForm,
+    MaxmodError,
+    Polynomial,
+    TraceConfig,
+    cli,
+    floor_radius,
+    normalize,
+    parse_poly,
+    trace,
+)
 
 CORPUS_SEED = 20261019
 RANDOM_TRACES = 300
@@ -63,10 +73,10 @@ def entry(name: str, p: Polynomial, cfg: TraceConfig) -> dict:
     }
 
 
-def hunt_members() -> list[tuple[Polynomial, TraceConfig]]:
-    """The ``(p, cfg)`` of every member the hunt command ``HUNT_ARGV``
+def hunt_members() -> list[tuple[HaymanForm, TraceConfig]]:
+    """The ``(h, cfg)`` of every member the hunt command ``HUNT_ARGV``
     counts the curves of (``count_components``, the trace's root solve),
-    in the order of its calls."""
+    in the order of its calls: the member's normal form and radii."""
     members = []
     hunt_count = cli.count_components
 
@@ -112,8 +122,9 @@ def build() -> list[dict]:
     for i, e in enumerate(ref["workloads"]["random_count"]):
         p = Polynomial(tuple(complex(re, im) for re, im in e["coeffs"]))
         entries.append(entry(f"random-count-{i}", p, TraceConfig(r_min=e["r_min"], r_max=0.3, n_radii=200)))
-    for i, (p, cfg) in enumerate(hunt_members()):
-        entries.append(entry(f"hunt-cubic-{i}", p, cfg))
+    for i, (h, cfg) in enumerate(hunt_members()):
+        # a cubic member leads with the coefficient 1: its tail is its coefficients, bit for bit
+        entries.append(entry(f"hunt-cubic-{i}", h.tail, cfg))
     for i, (p, cfg) in enumerate(random_inputs()):
         entries.append(entry(f"random-{i}", p, cfg))
     entries.append(entry("degree-8", parse_poly("1,1,1i,1,-1,1i,0.5,1,2"), TraceConfig(r_max=0.9)))

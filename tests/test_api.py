@@ -1,5 +1,5 @@
 """The package's public names: every exported name resolves, and the
-helpers folded into ``normalize`` and ``classify`` stay gone."""
+helpers and types folded into ``normalize`` and ``classify`` stay gone."""
 
 import ast
 import sys
@@ -14,6 +14,7 @@ REMOVED = (
     "brute_force_mset",
     "direct_mod2",
     "circle_argmax",
+    "MonomialVerdict",  # normalize raises MonomialAllPlaneError on a monomial
 )
 
 

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,6 +218,20 @@ class TestPredictJ:
         step = k // mu
         assert set(pj.j_set) == {pj.j_set[0] + i * step for i in range(mu)}
 
+    def test_corpus_survivors_are_one_residue_class(self):
+        # the oracle of classify's proven count: on every non-exceptional
+        # input of the trace corpus, mu > 1 included, the survivor set is
+        # one residue class mod k/mu with mu elements
+        corpus = json.loads((Path(__file__).with_name("corpus.json")).read_text(encoding="utf-8"))
+        forms = [normalize(Polynomial(tuple(complex(*z) for z in e["coeffs"]))) for e in corpus]
+        forms = [h for h in forms if not classify(h).exceptional]
+        assert len(forms) == 291 and sum(h.mu > 1 for h in forms) == 16
+        for h in forms:
+            j_set = predict_J(h).j_set
+            step = h.k // h.mu
+            assert len(j_set) == h.mu, h.tail
+            assert set(j_set) == set(range(min(j_set), h.k, step)), h.tail
+
 
 class TestClassify:
     def test_magic_cubic(self):
@@ -321,11 +336,13 @@ class TestCoefficientFactsOnce:
         assert calls["predict_J"] == 0
         assert calls["nonzero_exponents"] <= 2
 
-    def test_one_recursion_when_not_exceptional(self, monkeypatch):
-        # a non-exceptional input runs the recursion once, and the exponents
-        # are walked at most twice (once in normalize, once in predict_J)
+    def test_no_recursion_when_not_exceptional(self, monkeypatch):
+        # the count of a non-exceptional input is mu, proven: no recursion
+        # runs, and the exponents are walked once, in normalize.  The
+        # recursion's residue class is checked by
+        # TestPredictJ.test_corpus_survivors_are_one_residue_class
         c, calls = self.count_calls(monkeypatch, "1,0,1,1,0,2,0,0.5,1")
         assert not c.exceptional and (c.mu, c.N) == (1, 3)
         assert calls["_exceptional_scan"] == 1
-        assert calls["predict_J"] == 1
-        assert calls["nonzero_exponents"] <= 2
+        assert calls["predict_J"] == 0
+        assert calls["nonzero_exponents"] == 1

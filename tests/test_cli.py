@@ -3,12 +3,14 @@ import contextlib
 import io
 import json
 import math
+import sys
 import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maxmod
 from maxmod.cli import agreement_verdict, main
 from maxmod.classify import classify
 from maxmod.poly import parse_poly
@@ -695,3 +697,45 @@ class TestAgreementVerdict:
         assert agreement_verdict(c_unk, 2) == "CONFIRMED"
         assert agreement_verdict(c_unk, 4) == "CONJECTURE_CONSISTENT"
         assert agreement_verdict(c_unk, 3) == "DISCREPANT"
+
+
+class TestOneNormalFormPerInput:
+    """Fixed work per input: a command normalizes each polynomial once and
+    passes the form on, a trace or count builds one expansion, and classify
+    runs no survivor recursion."""
+
+    @staticmethod
+    def count_work(monkeypatch, argv) -> dict:
+        """Run ``argv`` and count the normalizations of a polynomial (not
+        the identity return on a normal form), the ``c_pairs`` builds and
+        the survivor recursions that classify makes."""
+        calls = {"normalize": 0, "_c_pairs": 0, "predict_J": 0}
+
+        def counted(name, func, when=lambda *args: True):
+            def wrapper(*args):
+                calls[name] += when(*args)
+                return func(*args)
+
+            return wrapper
+
+        normalize = maxmod.poly.normalize
+        real = counted("normalize", normalize, lambda p: isinstance(p, maxmod.Polynomial))
+        for module in (maxmod.cli, maxmod.tracer, sys.modules["maxmod.classify"]):
+            monkeypatch.setattr(module, "normalize", real)
+        monkeypatch.setattr(maxmod.modulus, "_c_pairs", counted("_c_pairs", maxmod.modulus._c_pairs))
+        classify_mod = sys.modules["maxmod.classify"]
+        monkeypatch.setattr(classify_mod, "predict_J", counted("predict_J", classify_mod.predict_J))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        return calls
+
+    def test_cubic_hunt(self, monkeypatch, tmp_path):
+        # 100 members, 50 of them exceptional and counted
+        argv = ["hunt", "--family", "cubic", "--samples", "100", "--seed", "20260809"]
+        calls = self.count_work(monkeypatch, argv + ["--out", str(tmp_path / "h.jsonl")])
+        assert calls == {"normalize": 100, "_c_pairs": 50, "predict_J": 0}
+
+    @pytest.mark.parametrize("infinity", [[], ["--infinity"]], ids=["origin", "infinity"])
+    def test_trace(self, monkeypatch, infinity):
+        calls = self.count_work(monkeypatch, ["trace", "--poly", "1,0,1,1i", "--radii", "20", *infinity])
+        assert calls == {"normalize": 1, "_c_pairs": 1, "predict_J": 0}

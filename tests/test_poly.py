@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from maxmod import (
     CoefficientRangeError,
     HaymanForm,
-    MonomialVerdict,
+    MonomialAllPlaneError,
     Polynomial,
     PolyParseError,
     ZeroPolynomialError,
@@ -131,7 +131,12 @@ class TestPolynomial:
 
 class TestNormalize:
     def test_monomial(self):
-        assert isinstance(normalize(Polynomial((0, 0, 3))), MonomialVerdict)
+        with pytest.raises(MonomialAllPlaneError, match="whole plane"):
+            normalize(Polynomial((0, 0, 3)))
+
+    def test_normal_form_returned_unchanged(self):
+        h = normalize(Polynomial((2, 0, 2, 2j), truncated=True))
+        assert normalize(h) is h and h.tail.truncated
 
     def test_scalar_division(self):
         h = normalize(Polynomial((2, 0, 2, 2j)))

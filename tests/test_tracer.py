@@ -4,6 +4,7 @@ import re
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,15 @@ from oracles import (
 def scan_points(e: ModulusExpansion, radii: np.ndarray):
     """:func:`critical_points` of the circles of ``e`` at ``radii``."""
     return critical_points(e.fourier(radii), radii)
+
+
+def turned(p: Polynomial, e: ModulusExpansion):
+    """``(psi, q)``: the axis that :func:`on_axis` finds on the normal form
+    of ``p``, and the expansion ``e`` of ``p`` with the coefficients of the
+    turned tail, keeping the type and scale of ``e``."""
+    psi, tail = on_axis(normalize(p).tail)
+    t = expand(tail)
+    return psi, replace(e, c=t.c, c_pairs=t.c_pairs)
 
 
 def curve_samples(res, curve_id: int) -> list:
@@ -304,7 +314,7 @@ class TestQuotient:
         checked = 0
         for p in polys:
             e = term_expansion(p)
-            psi, quotient = on_axis(e)
+            psi, quotient = turned(p, e)
             assert not quotient.c.imag.any(), p
             lo = max(1e-2, 2 * floor_radius(normalize(p)))
             radii = np.geomspace(0.9, lo, 60)
@@ -350,7 +360,7 @@ class TestQuotient:
         )
         p = Polynomial(coeffs)
         e = term_expansion(p)
-        assert on_axis(e)[0] != 0.0
+        assert on_axis(normalize(p).tail)[0] != 0.0
         res = trace(p, TraceConfig(r_max=0.3))
         c = [mp.mpc(z.real, z.imag) for z in coeffs]
         dc = [k * c[k] for k in range(1, len(c))]
@@ -401,7 +411,7 @@ class TestQuotient:
         for deg in (1, 2, 3, 5, 12):
             p = symmetric_poly(rng, deg)
             e = term_expansion(p)
-            psi, q = on_axis(e)
+            psi, q = turned(p, e)
             assert psi != 0.0 and not q.c.imag.any()
             ls = np.arange(deg + 1)
             want = e.c * np.exp(1j * ls * psi)
@@ -419,7 +429,8 @@ class TestQuotient:
         rng = np.random.default_rng(8)
         th = np.linspace(-math.pi, math.pi, 64, endpoint=False)
         for deg in (1, 2, 3, 5, 12):
-            psi, q = on_axis(term_expansion(symmetric_poly(rng, deg)))
+            p = symmetric_poly(rng, deg)
+            psi, q = turned(p, term_expansion(p))
             assert psi != 0.0
             assert set(np.abs(q.cross_phas).tolist()) <= {0.0, math.pi}
             for r in (0.1, 0.7):
@@ -442,18 +453,18 @@ class TestQuotient:
         # the full solve
         p = parse_poly(text)
         p = Polynomial(p.coeffs[:-1] + (p.coeffs[-1] * cmath.exp(1j * turn),))
-        e = expand(p)
-        psi, q = on_axis(e)
-        assert psi == 0.0 and q is e
+        tail = normalize(p).tail
+        psi, q = on_axis(tail)
+        assert psi == 0.0 and q is tail
 
     def test_hunt_cubics_are_traced_on_the_axis(self):
         # every magic-locus cubic of the hunt has a reflection axis, as does
         # fig1's magic cubic
         rng = np.random.default_rng(20260809)
-        assert on_axis(expand(parse_poly("1,0,1,1i")))[0] != 0.0
+        assert on_axis(normalize(parse_poly("1,0,1,1i")).tail)[0] != 0.0
         for _ in range(200):
             p, _ = _sample_member("cubic", rng, on_locus=True)
-            assert not on_axis(expand(p))[1].c.imag.any(), p
+            assert not any(z.imag for z in on_axis(normalize(p).tail)[1].coeffs), p
 
 
 def oracle_maxima(e: TermExpansion, r: float, grid: int) -> np.ndarray:
@@ -955,7 +966,7 @@ class TestLink:
         # two curves die
         p = parse_poly(MIRROR_FOLD)
         q = Polynomial(tuple(c * cmath.exp(-0.7j * l) for l, c in enumerate(p.coeffs)))
-        assert on_axis(expand(q))[0] == pytest.approx(0.7, abs=1e-15)
+        assert on_axis(normalize(q).tail)[0] == pytest.approx(0.7, abs=1e-15)
         cfg = TraceConfig(r_max=0.3)
         a, b = trace(p, cfg), trace(q, cfg)
         assert len(b.events) == 2 and b.events[0].r == a.events[0].r
@@ -982,7 +993,7 @@ class TestLink:
                 complex(-0.3277147424095459, 0.5656897223253656),
             )
         )
-        psi = on_axis(expand(p))[0]
+        psi = on_axis(normalize(p).tail)[0]
         r_min = max(1e-3, 2 * floor_radius(normalize(p)))
         res = trace(p, TraceConfig(r_min=r_min, r_max=0.9))
         (death,) = res.events
@@ -1387,8 +1398,8 @@ class TestCountComponents:
         argv = ["hunt", "--family", "quartic", "--samples", "40", "--seed", "3"]
         assert main(argv + ["--out", str(tmp_path / "q.jsonl"), "--quiet"]) == 0
         quartics = {}
-        for p, cfg in hunted:
-            quartics.setdefault(on_axis(expand(normalize(p).tail))[0] != 0.0, (p, cfg))
+        for h, cfg in hunted:
+            quartics.setdefault(on_axis(h.tail)[0] != 0.0, (h, cfg))
         members = [
             (parse_poly("1,0,1,1i"), TraceConfig(r_min=1e-3, r_max=0.3, n_radii=160)),
             (RANDOM_COUNT_7, TraceConfig(r_min=2e-4, r_max=0.3, n_radii=200)),
