@@ -26,6 +26,7 @@ from .modulus import ModulusExpansion, expand
 from .poly import (
     HaymanForm,
     Polynomial,
+    floor_radius,
     format_poly,
     normalize,
     parse_poly,
@@ -37,7 +38,6 @@ from .tracer import (
     TraceConfig,
     TraceResult,
     ambiguity_radius,
-    floor_radius,
     trace,
     trace_at_infinity,
     write_csv,

@@ -3,12 +3,16 @@
 ``fourier_sum`` evaluates ``sum_{n=1}^{D} C_n e^{i n theta}`` by one Horner
 pass in ``w = e^{i theta}``, O(deg) work per angle; with the Fourier
 coefficients ``C_n`` of ``|1 + q|^2`` it gives the theta-dependent part of
-the squared modulus and its theta-derivatives.  ``radial_sum`` and
-``radial_sum_sq`` evaluate the theta-free sums ``sum_t a_t r^{p_t}`` and
-``sum_t (a_t r^{p_t})^2`` for one radius or many, and ``power_terms`` the
-products ``a r^p 2^s`` they sum, one by one.  The compensated cosine-term
-sum of the paper's expansion, which the Horner pass is tested against, is
-a test oracle (``tests/oracles.py``).
+the squared modulus and its theta-derivatives.  It is the package's one
+Horner loop.  Its coefficients are laid out order-major, ``(D, ..., rows)``,
+so each Horner step reads one order, ``coef[n - 1]``; where each angle reads
+its own row, that order's values are gathered for the angles by ``take``,
+one order per step, and no ``(..., angles, D)`` block is ever formed.
+``radial_sum`` and ``radial_sum_sq`` evaluate the theta-free sums
+``sum_t a_t r^{p_t}`` and ``sum_t (a_t r^{p_t})^2`` for one radius or many,
+and ``power_terms`` the products ``a r^p 2^s`` they sum, one by one.  The
+compensated cosine-term sum of the paper's expansion, which the Horner pass
+is tested against, is a test oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -21,16 +25,25 @@ BACKEND = "numpy"
 _SQRT_HALF = 0.5**0.5
 
 
-def fourier_sum(coef: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """``sum_{n=1}^{D} coef[..., n-1] w^n`` with ``w = e^{i theta}``, by Horner.
+def fourier_sum(coef: np.ndarray, thetas: np.ndarray, rows=None) -> np.ndarray:
+    """``sum_{n=1}^{D} coef[n-1] w^n`` with ``w = e^{i theta}``, by Horner.
 
-    The leading axes of ``coef`` broadcast against ``thetas``, so ``coef``
-    of shape (R, 1, D) against (G,) gives R rows of G angles.
+    ``coef`` is order-major: ``coef[n-1]`` holds the order-n coefficients.
+    Without ``rows``, each ``coef[n-1]`` broadcasts against ``thetas``, so
+    ``coef`` of shape (D, R, 1) against (G,) gives R rows of G angles.  With
+    ``rows``, one index per angle into the last axis of ``coef``, angle k
+    reads ``coef[n-1, ..., rows[k]]``: ``coef`` of shape (D, 2, R) gives
+    (2, G).  Each Horner step then gathers its one order for the angles
+    (``take``), so no temporary is larger than the result.
     """
     w = np.exp(1j * thetas)
-    acc = coef[..., -1] * w
-    for n in range(coef.shape[-1] - 2, -1, -1):
-        acc += coef[..., n]
+
+    def order(n):
+        return coef[n] if rows is None else coef[n].take(rows, axis=-1)
+
+    acc = order(coef.shape[0] - 1) * w
+    for n in range(coef.shape[0] - 2, -1, -1):
+        acc += order(n)
         acc *= w
     return acc
 

@@ -37,7 +37,6 @@ from .tracer import (
     TraceConfig,
     ambiguity_radius,
     count_components,
-    floor_radius,
     trace,
     write_csv,
 )
@@ -204,7 +203,7 @@ def _sample_member(family: str, rng: np.random.Generator, on_locus: bool) -> tup
 
 def _hunt_config(h: HaymanForm) -> TraceConfig:
     """The 160 radii on which an exceptional member's curves are counted."""
-    r_min = max(2e-4, 1.5 * floor_radius(h), 3.0 * ambiguity_radius(h))
+    r_min = max(2e-4, 1.5 * h.floor, 3.0 * ambiguity_radius(h))
     r_min = min(r_min, 0.02)
     return TraceConfig(r_min=r_min, r_max=0.3, n_radii=160)
 

@@ -93,7 +93,7 @@ class ModulusExpansion:
         th = np.atleast_1d(np.asarray(theta, dtype=float))
         if cn is None:
             cn = self.fourier(r)
-        out = 2.0 * _kernels.fourier_sum(cn, th).real
+        out = 2.0 * _kernels.fourier_sum(np.moveaxis(cn, -1, 0), th).real
         return float(out[0]) if scalar else out
 
 

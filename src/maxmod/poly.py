@@ -9,6 +9,7 @@ the canonical form ``1 + a z^k + higher order terms``.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import re
@@ -22,6 +23,7 @@ from .errors import (
     TruncatedSeriesError,
     ZeroPolynomialError,
 )
+from .util import EPS
 
 
 @dataclass(frozen=True)
@@ -60,12 +62,6 @@ class Polynomial:
     def nonzero_exponents(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.coeffs) if c != 0)
 
-    def __call__(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
 
 @dataclass(frozen=True)
 class HaymanForm:
@@ -78,6 +74,7 @@ class HaymanForm:
     ``z^N`` is the core polynomial.  ``tail.truncated`` is that of the
     input.  This is the one value per input that ``classify``, ``trace``
     and ``count_components`` read; each takes it in place of a polynomial.
+    Its :attr:`floor` is computed on first read and kept.
     """
 
     prefactor_scalar: complex
@@ -87,6 +84,28 @@ class HaymanForm:
     mu: int
     N: int
     tail: Polynomial
+
+    @functools.cached_property
+    def floor(self) -> float:
+        """:func:`floor_radius` of the form, computed on first read and kept
+        with it: a hunt reads it for a member's radii and again when the
+        member's trace checks them."""
+        return floor_radius(self)
+
+
+def floor_radius(h: HaymanForm) -> float:
+    """Smallest radius at which the angular signal dominates roundoff.
+
+    The theta-dependent signal scales like ``2|a| r^k`` while evaluation
+    noise scales with the square of the coefficient mass, hence the floor
+    ``2|a| r^k >= 1e6 * eps * (sum |a_l|)^2``.  The mass is scaled by its
+    largest modulus so that no intermediate overflows; a floor beyond the
+    float range is ``inf``.
+    """
+    mags = [abs(c) for c in h.tail.coeffs]
+    big = max(mags)
+    mass = sum(m / big for m in mags)
+    return float((1e6 * EPS * mass * mass / 2.0 * (big / abs(h.a)) * big) ** (1.0 / h.k))
 
 
 def normalize(p: Polynomial | HaymanForm) -> HaymanForm:

@@ -103,7 +103,7 @@ def critical_points(cn: np.ndarray, radii: np.ndarray):
     if flat.any():
         raise RefinementFailureError(float(radii[np.argmax(flat)]), 0.0)
     total = mag.sum(axis=1)
-    coef = np.stack([nc, n * nc])
+    coef = np.stack([nc.T, (n * nc).T], axis=1)  # order-major, see _slopes
     i, m, h, x0, is_max = _brackets(coef, mag, total, radii, odd)
     if odd:  # the pieces centred on the axis points hold their exact zeros
         on_axis = (m == 0.0) | (m == math.pi)
@@ -146,10 +146,13 @@ def _certified(mag: np.ndarray, total: np.ndarray) -> np.ndarray:
 
 def _slopes(coef: np.ndarray, i: np.ndarray, theta: np.ndarray, sign):
     """``sign Im s_1`` and ``sign Re s_2`` at ``theta[k]`` on row ``i[k]``,
-    where ``s_m = sum_n coef[m-1, i[k], n-1] w^n`` (one Horner pass,
-    :func:`~maxmod._kernels.fourier_sum`).  With ``coef = [n C_n, n^2 C_n]``
-    and ``sign = -2`` they are F and F'."""
-    s1, s2 = _kernels.fourier_sum(coef[:, i], theta)
+    where ``s_m = sum_n coef[n-1, m-1, i[k]] w^n``.  ``coef`` is laid out
+    order-major, (D, 2, rows), and one Horner pass
+    (:func:`~maxmod._kernels.fourier_sum`) gathers each order's two values
+    for every point by ``take``, one order per step, so the pass holds
+    (2, points) arrays, never a (2, points, D) block.  With
+    ``coef[n-1] = [n C_n, n^2 C_n]`` and ``sign = -2`` they are F and F'."""
+    s1, s2 = _kernels.fourier_sum(coef, theta, i)
     return sign * s1.imag, sign * s2.real
 
 
@@ -195,7 +198,8 @@ def _brackets(coef, mag, total, radii, odd):
     """The brackets of the zeros of F on every circle: pieces
     ``[m - h, m + h]`` of the circle that hold one zero each, with its kind
     and a start inside.  ``coef`` holds ``[n C_n, n^2 C_n]`` of every
-    circle, ``mag`` the ``a_n = n |C_n|`` and ``total`` their sums.
+    circle, order-major as :func:`_slopes` reads it, ``mag`` the
+    ``a_n = n |C_n|`` and ``total`` their sums.
 
     The pieces of a circle that :func:`_certified` certifies are its windows
     ``|phi - j pi| < pi/2`` of the module docstring, centred on
@@ -239,7 +243,7 @@ def _brackets(coef, mag, total, radii, odd):
     rows = np.flatnonzero(certified)
     star = np.argmax(mag[rows], axis=1)
     n = star + 1.0
-    lead = coef[0, rows, star]
+    lead = coef[star, 0, rows]
     count = star + 2 if odd else 2 * (star + 1)  # windows per circle
     k = np.repeat(np.arange(rows.size), count)
     j = np.arange(k.size) - np.repeat(np.cumsum(count) - count, count)

@@ -69,7 +69,7 @@ from .errors import (
 from . import _kernels, roots
 from .modulus import ModulusExpansion, expand, on_axis
 from .poly import HaymanForm, Polynomial, frexp_complex, normalize, reciprocal
-from .util import EPS, TWO_PI, circ_dist, reduce_angle
+from .util import TWO_PI, circ_dist, reduce_angle
 
 FIT_DEGREE = 6  # degree of the polynomial theta(r) fitted by _fit_tangent
 # Co-maximality: a maximizer ties with the best one when its value lies within
@@ -170,21 +170,6 @@ class TraceResult:
 def radius_schedule(cfg: TraceConfig) -> np.ndarray:
     """Geometric schedule from r_max down to r_min, inclusive."""
     return np.geomspace(cfg.r_max, cfg.r_min, cfg.n_radii)
-
-
-def floor_radius(h: HaymanForm) -> float:
-    """Smallest radius at which the angular signal dominates roundoff.
-
-    The theta-dependent signal scales like ``2|a| r^k`` while evaluation
-    noise scales with the square of the coefficient mass, hence the floor
-    ``2|a| r^k >= 1e6 * eps * (sum |a_l|)^2``.  The mass is scaled by its
-    largest modulus so that no intermediate overflows; a floor beyond the
-    float range is ``inf``.
-    """
-    mags = [abs(c) for c in h.tail.coeffs]
-    big = max(mags)
-    mass = sum(m / big for m in mags)
-    return float((1e6 * EPS * mass * mass / 2.0 * (big / abs(h.a)) * big) ** (1.0 / h.k))
 
 
 def _rows(e: ModulusExpansion, radii: np.ndarray) -> np.ndarray:
@@ -434,7 +419,7 @@ def _prepare(p: Polynomial | HaymanForm, cfg: TraceConfig):
     h = normalize(p)
     if h.tail.truncated:
         raise TruncatedSeriesError("tracing needs the full polynomial, not a truncation")
-    required = floor_radius(h)
+    required = h.floor  # computed once per form: a hunt has read it for the schedule
     if cfg.r_min < required:
         raise FloorViolationError(cfg.r_min, required)
 

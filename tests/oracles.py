@@ -194,7 +194,7 @@ class TermExpansion(ModulusExpansion):
         if cn is None:
             cn = self.fourier(r)
         n = np.arange(1.0, cn.shape[-1] + 1)
-        s1, s2 = _kernels.fourier_sum(np.stack([n * cn, n * n * cn]), th)
+        s1, s2 = _kernels.fourier_sum(np.moveaxis(np.stack([n * cn, n * n * cn]), -1, 0), th)
         k = -2.0 * self.scale(r)
         return k * s1.imag, k * s2.real
 
@@ -212,7 +212,9 @@ def term_expansion(p: Polynomial) -> TermExpansion:
 def direct_mod2(p: Polynomial, r: float, theta: float) -> float:
     """Horner evaluation of ``p`` at ``r e^{i theta}``, then |.|^2."""
     z = r * cmath.exp(1j * theta)
-    v = p(z)
+    v = 0j
+    for c in reversed(p.coeffs):
+        v = v * z + c
     return v.real * v.real + v.imag * v.imag
 
 

@@ -701,15 +701,15 @@ class TestAgreementVerdict:
 
 class TestOneNormalFormPerInput:
     """Fixed work per input: a command normalizes each polynomial once and
-    passes the form on, a trace or count builds one expansion, and classify
-    runs no survivor recursion."""
+    passes the form on, a trace or count builds one expansion and computes
+    one floor, and classify runs no survivor recursion."""
 
     @staticmethod
     def count_work(monkeypatch, argv) -> dict:
         """Run ``argv`` and count the normalizations of a polynomial (not
-        the identity return on a normal form), the ``c_pairs`` builds and
-        the survivor recursions that classify makes."""
-        calls = {"normalize": 0, "_c_pairs": 0, "predict_J": 0}
+        the identity return on a normal form), the ``c_pairs`` builds, the
+        floors computed and the survivor recursions that classify makes."""
+        calls = {"normalize": 0, "_c_pairs": 0, "floor_radius": 0, "predict_J": 0}
 
         def counted(name, func, when=lambda *args: True):
             def wrapper(*args):
@@ -723,6 +723,7 @@ class TestOneNormalFormPerInput:
         for module in (maxmod.cli, maxmod.tracer, sys.modules["maxmod.classify"]):
             monkeypatch.setattr(module, "normalize", real)
         monkeypatch.setattr(maxmod.modulus, "_c_pairs", counted("_c_pairs", maxmod.modulus._c_pairs))
+        monkeypatch.setattr(maxmod.poly, "floor_radius", counted("floor_radius", maxmod.poly.floor_radius))
         classify_mod = sys.modules["maxmod.classify"]
         monkeypatch.setattr(classify_mod, "predict_J", counted("predict_J", classify_mod.predict_J))
         with contextlib.redirect_stdout(io.StringIO()):
@@ -730,12 +731,13 @@ class TestOneNormalFormPerInput:
         return calls
 
     def test_cubic_hunt(self, monkeypatch, tmp_path):
-        # 100 members, 50 of them exceptional and counted
+        # 100 members, 50 of them exceptional and counted; each counted
+        # member's floor sets its radii and checks them, computed once
         argv = ["hunt", "--family", "cubic", "--samples", "100", "--seed", "20260809"]
         calls = self.count_work(monkeypatch, argv + ["--out", str(tmp_path / "h.jsonl")])
-        assert calls == {"normalize": 100, "_c_pairs": 50, "predict_J": 0}
+        assert calls == {"normalize": 100, "_c_pairs": 50, "floor_radius": 50, "predict_J": 0}
 
     @pytest.mark.parametrize("infinity", [[], ["--infinity"]], ids=["origin", "infinity"])
     def test_trace(self, monkeypatch, infinity):
         calls = self.count_work(monkeypatch, ["trace", "--poly", "1,0,1,1i", "--radii", "20", *infinity])
-        assert calls == {"normalize": 1, "_c_pairs": 1, "predict_J": 0}
+        assert calls == {"normalize": 1, "_c_pairs": 1, "floor_radius": 1, "predict_J": 0}

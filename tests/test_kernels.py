@@ -1,9 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 
-from maxmod import _kernels
+from maxmod import _kernels, expand, parse_poly
 from oracles import osc_sum
+
+EPS = np.finfo(float).eps
 
 
 def random_terms(rng, n):
@@ -56,3 +59,61 @@ def test_radial_sums_without_intermediate_overflow():
         assert _kernels.radial_sum(np.array([1e300]), np.array([2.0]), 1e-300) == 1e-300
         assert _kernels.radial_sum_sq(np.array([1e-300]), np.array([1.0]), 1e300) == 1.0
         assert _kernels.radial_sum(np.array([2.0]), np.array([3.0]), 0.0) == 0.0
+
+
+def random_orders(rng, shape):
+    """Complex coefficients of the order-major layout ``shape``, whose
+    orders differ in scale by up to e^6."""
+    scale = np.exp(rng.uniform(-3, 3, (shape[0],) + (1,) * (len(shape) - 1)))
+    return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * scale
+
+
+def test_fourier_sum_rows_gather_bit_for_bit():
+    # one order gathered per Horner step gives the bits of the pass over a
+    # block gathered for all orders at once
+    rng = np.random.default_rng(7)
+    for deg in (1, 3, 8):
+        coef = random_orders(rng, (deg, 2, 9))
+        rows = rng.integers(0, 9, 50)
+        th = rng.uniform(-math.pi, math.pi, 50)
+        got = _kernels.fourier_sum(coef, th, rows)
+        assert got.shape == (2, 50)
+        assert np.array_equal(got, _kernels.fourier_sum(coef[..., rows], th))
+
+
+def test_fourier_sum_matches_per_angle_sum():
+    # against sum_n coef[n-1] e^{i n theta} per angle in 200-bit arithmetic,
+    # within a few ulps of the coefficients' total modulus
+    rng = np.random.default_rng(11)
+    for deg in (1, 3, 8, 12):
+        coef = random_orders(rng, (deg, 2, 5))
+        rows = rng.integers(0, 5, 12)
+        th = rng.uniform(-math.pi, math.pi, 12)
+        got = _kernels.fourier_sum(coef, th, rows)
+        for k in range(th.size):
+            for m in range(2):
+                col = coef[:, m, rows[k]]
+                with mpmath.workprec(200):
+                    w = [mpmath.expj(n * mpmath.mpf(th[k])) for n in range(1, deg + 1)]
+                    want = complex(mpmath.fsum(mpmath.mpc(c) * z for c, z in zip(col.tolist(), w)))
+                assert abs(got[m, k] - want) <= 4 * EPS * np.abs(col).sum(), (deg, k, m)
+
+
+def test_fourier_sum_broadcast_keeps_osc_shapes():
+    # without rows, (D, R, 1) against (G,) angles gives R rows of G angles,
+    # row by row the bits of one row alone; osc keeps its shapes
+    rng = np.random.default_rng(3)
+    coef = random_orders(rng, (4, 6, 1))
+    th = rng.uniform(-math.pi, math.pi, 10)
+    grid = _kernels.fourier_sum(coef, th)
+    assert grid.shape == (6, 10)
+    for i in range(6):
+        assert np.array_equal(grid[i], _kernels.fourier_sum(coef[:, i, 0], th))
+    e = expand(parse_poly("1,0,1,1i,0.5"))
+    radii = np.array([0.3, 0.1, 0.01])
+    osc = e.osc(radii[:, None], th)
+    assert osc.shape == (3, 10)
+    for i, r in enumerate(radii):
+        assert np.array_equal(osc[i], e.osc(float(r), th))
+    assert isinstance(e.osc(0.1, 0.5), float)
+    assert e.osc(0.1, th[:1]).shape == (1,)

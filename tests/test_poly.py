@@ -23,6 +23,7 @@ from maxmod import (
     reciprocal,
 )
 from maxmod.poly import json_float
+from oracles import direct_mod2
 
 
 def coeff_strategy():
@@ -124,9 +125,9 @@ class TestPolynomial:
         p = Polynomial((0, 0))
         assert p.is_zero and p.degree == -1
 
-    def test_evaluation(self):
-        p = Polynomial((1, 0, 1, 1j))
-        assert p(1.0) == 2 + 1j
+    def test_direct_evaluation_oracle(self):
+        # the oracle's Horner evaluation of p: |p(1)|^2 = |2 + i|^2
+        assert direct_mod2(Polynomial((1, 0, 1, 1j)), 1.0, 0.0) == 5.0
 
 
 class TestNormalize:

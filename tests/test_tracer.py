@@ -219,9 +219,9 @@ class TestBatchedScan:
         calls = []
         fourier_sum = maxmod._kernels.fourier_sum
 
-        def counted(coef, theta):
+        def counted(coef, theta, rows=None):
             calls.append(np.size(theta))
-            return fourier_sum(coef, theta)
+            return fourier_sum(coef, theta, rows)
 
         monkeypatch.setattr(maxmod._kernels, "fourier_sum", counted)
         counts = {}
