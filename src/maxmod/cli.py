@@ -104,7 +104,9 @@ def cmd_trace(args) -> int:
     # near infinity, the near-origin structure of z^n p(1/z), with w = 1/z
     h = normalize(reciprocal(p) if args.infinity else p)
     c = classify(h)
-    result = replace(trace(h, cfg), inverted=args.infinity)
+    result = trace(h, cfg)
+    if args.infinity:
+        result = replace(result, inverted=True)
 
     verdict = agreement_verdict(c, result.n_components)
     artifacts: dict[str, str | None] = {"csv": None, "svg": None}

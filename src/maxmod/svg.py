@@ -7,7 +7,9 @@ artifacts.  One ``<path>`` element per component curve.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 
 from .tracer import TraceResult
 
@@ -55,12 +57,16 @@ def render_svg(result: TraceResult, r_max: float) -> str:
             f'stroke="#999999" stroke-width="{axis_stroke}"/>'
         )
 
-    curves: dict[int, list[str]] = {cid: [] for cid in result.component_ids}
-    for r, t, cid in zip(result.sample_r, result.sample_theta, result.sample_curve):
-        if cid in curves:
-            curves[cid].append("%.6g %.6g" % (r * math.cos(t), -r * math.sin(t)))
-    for cid, pts in curves.items():
-        data = "M " + " L ".join(pts)
+    # the samples are grouped by curve id, so each curve is one slice
+    r, theta, curve = result.sample_r, result.sample_theta, result.sample_curve
+    for cid in result.component_ids:
+        a = bisect.bisect_left(curve, cid)
+        b = bisect.bisect_right(curve, cid, a)
+        rs, ts = r[a:b], theta[a:b]
+        xy = [None] * (2 * (b - a))
+        xy[0::2] = map(operator.mul, rs, map(math.cos, ts))
+        xy[1::2] = map(operator.mul, map(operator.neg, rs), map(math.sin, ts))
+        data = "M " + " L ".join(["%.6g %.6g"] * (b - a)) % tuple(xy)
         color = PALETTE[cid % len(PALETTE)]
         parts.append(
             f'<path d="{data}" fill="none" stroke="{color}" stroke-width="{curve_stroke}" '

@@ -52,8 +52,10 @@ argmax, and dropping it keeps co-maximality decisions accurate at the
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,7 +71,7 @@ from .errors import (
 from . import _kernels, roots
 from .modulus import ModulusExpansion, expand, on_axis
 from .poly import HaymanForm, Polynomial, frexp_complex, normalize, reciprocal
-from .util import TWO_PI, circ_dist, reduce_angle
+from .util import EPS, TWO_PI, circ_dist, reduce_angle
 
 FIT_DEGREE = 6  # degree of the polynomial theta(r) fitted by _fit_tangent
 # Co-maximality: a maximizer ties with the best one when its value lies within
@@ -273,6 +275,18 @@ def ambiguity_radius(h: HaymanForm) -> float:
     return r_amb
 
 
+def _polyfit(x: np.ndarray, y: np.ndarray, deg: int):
+    """The coefficients, highest power first, and the rank of
+    ``np.polyfit(x, y, deg, full=True)``, by its own arithmetic: the
+    Vandermonde matrix with unit-norm columns, solved by ``lstsq`` at
+    ``rcond = len(x) EPS``, then divided by the column norms."""
+    lhs = np.vander(x, deg + 1)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    coef, _, rank, _ = np.linalg.lstsq(lhs, y, x.size * EPS)
+    return coef / scale, rank
+
+
 def _fit_tangent(rs: np.ndarray, thetas: np.ndarray):
     """Fit theta(r) over the smallest decade of radii.
 
@@ -287,33 +301,38 @@ def _fit_tangent(rs: np.ndarray, thetas: np.ndarray):
     2 in r cannot tell one power of r from the next, and alpha_hat is then
     None.
 
+    ``rs`` must be strictly descending, as :func:`trace` passes each curve,
+    so the window is the head of the reversed arrays.  Its angles are
+    unwrapped only where they span pi: below that no step reaches pi, and
+    ``np.unwrap`` would only add +0.0, which turns a -0.0 into 0.0 and
+    changes no value.
+
     Returns (omega_hat, alpha_hat | None, on_ray).
     """
-    order = np.argsort(rs)
-    rs = np.asarray(rs, dtype=float)[order]
-    th = np.unwrap(np.asarray(thetas, dtype=float)[order])
-    window = rs <= 10.0 * rs[0]
-    if window.sum() < 8:
-        window = np.zeros_like(window)
-        window[: min(8, rs.size)] = True
-    r_w = rs[window]
-    t_w = th[window]
+    rs = rs[::-1]
+    m = max(rs.searchsorted(10.0 * rs[0], "right"), min(8, rs.size))
+    r_w = rs[:m]
+    t_w = thetas[::-1][:m]
+    span = t_w.max() - t_w.min()
+    if span >= math.pi:
+        t_w = np.unwrap(t_w)
+        span = t_w.max() - t_w.min()
 
-    if t_w.max() - t_w.min() < 1e-12:
+    if span < 1e-12:
         return float(reduce_angle(np.mean(t_w))), None, True
 
     # a window too narrow to resolve FIT_DEGREE + 1 powers of r gets the
     # highest degree it does resolve, not a rank-deficient fit
-    coef, _, rank, _, _ = np.polyfit(r_w, t_w, FIT_DEGREE, full=True)
+    coef, rank = _polyfit(r_w, t_w, FIT_DEGREE)
     if rank < FIT_DEGREE + 1:
-        coef = np.polyfit(r_w, t_w, max(rank - 1, 1), full=True)[0]
+        coef = _polyfit(r_w, t_w, max(rank - 1, 1))[0]
     coef = coef[::-1]  # c_0, c_1, ...
     omega_hat = float(coef[0])
     ee = t_w - omega_hat
     if r_w[-1] < 2.0 * r_w[0]:
         alpha_hat = None
-    elif np.all(ee > 0) or np.all(ee < 0):
-        alpha_hat = float(np.polyfit(np.log(r_w), np.log(np.abs(ee)), 1)[0])
+    elif (ee > 0).all() or (ee < 0).all():
+        alpha_hat = float(_polyfit(np.log(r_w), np.log(np.abs(ee)), 1)[0][0])
     else:
         n = np.arange(1, coef.size)
         alpha_hat = float(n[np.argmax(np.abs(coef[1:]) * r_w[-1] ** n)])
@@ -664,11 +683,23 @@ def trace_at_infinity(p: Polynomial, cfg: TraceConfig = TraceConfig()) -> TraceR
 def write_csv(result: TraceResult, path: str) -> None:
     """One row per sample: ``r,theta,re,im,mod,curve_id`` (17 significant
     digits), in the order of the sample columns: by curve id, then
-    descending r."""
-    columns = (result.sample_r, result.sample_theta, result.sample_mod, result.sample_curve)
+    descending r.  Each curve's rows are formatted by one ``%`` over its
+    interleaved cells, so no Python code runs per row."""
+    row = "%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
+    r, theta, mod = result.sample_r, result.sample_theta, result.sample_mod
+    curve = result.sample_curve
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("r,theta,re,im,mod,curve_id\n")
-        fh.writelines(
-            "%.17g,%.17g,%.17g,%.17g,%.17g,%d\n" % (r, t, r * math.cos(t), r * math.sin(t), m, cid)
-            for r, t, m, cid in zip(*columns)
-        )
+        a = 0
+        while a < len(curve):
+            b = bisect.bisect_right(curve, curve[a], a)
+            rs, ts = r[a:b], theta[a:b]
+            cells = [None] * (6 * (b - a))
+            cells[0::6] = rs
+            cells[1::6] = ts
+            cells[2::6] = map(operator.mul, rs, map(math.cos, ts))
+            cells[3::6] = map(operator.mul, rs, map(math.sin, ts))
+            cells[4::6] = mod[a:b]
+            cells[5::6] = curve[a:b]
+            fh.write((row * (b - a)) % tuple(cells))
+            a = b

@@ -11,7 +11,10 @@ The package evaluates ``|1 + q|^2`` only from its Fourier coefficients
   ``p = a_m z^m (1 + q)``, formed from ``p`` itself (:func:`term_expansion`);
 - :func:`direct_mod2` evaluates ``p`` by Horner;
 - :func:`brute_force_mset` scans a dense grid of the term sum for the
-  maximizers of a circle.
+  maximizers of a circle;
+- :func:`polyfit_tangent` is the tangent fit on ``np.polyfit`` and
+  ``np.unwrap`` that ``maxmod.tracer._fit_tangent`` replaces by the same
+  arithmetic, called directly.
 
 ``companion_angles`` finds a circle's critical points as the real roots of
 a polynomial in the half angle, by a companion-matrix eigenvalue solve: the
@@ -32,7 +35,7 @@ import numpy as np
 
 from maxmod import Polynomial, _kernels, expand
 from maxmod.modulus import ModulusExpansion
-from maxmod.tracer import TIE_TOL, _scan_circles
+from maxmod.tracer import FIT_DEGREE, TIE_TOL, _scan_circles
 from maxmod.util import TWO_PI, reduce_angle
 
 EPS = np.finfo(float).eps
@@ -243,3 +246,37 @@ def circle_argmax(e: ModulusExpansion, r: float) -> list[tuple[float, float]]:
     _, theta, osc, comax = _scan_circles(e, np.array([r], dtype=float))
     mod2 = e.base(r) + osc
     return [(float(t), float(m)) for t, m in zip(theta[comax], mod2[comax])]
+
+
+def polyfit_tangent(rs: np.ndarray, thetas: np.ndarray):
+    """``(omega_hat, alpha_hat | None, on_ray)`` of the samples of one curve,
+    as ``maxmod.tracer._fit_tangent`` defines them, through ``np.polyfit``:
+    the samples sorted by r and unwrapped, then fitted over the smallest
+    decade of radii (at least 8 samples)."""
+    order = np.argsort(rs)
+    rs = np.asarray(rs, dtype=float)[order]
+    th = np.unwrap(np.asarray(thetas, dtype=float)[order])
+    window = rs <= 10.0 * rs[0]
+    if window.sum() < 8:
+        window = np.zeros_like(window)
+        window[: min(8, rs.size)] = True
+    r_w = rs[window]
+    t_w = th[window]
+
+    if t_w.max() - t_w.min() < 1e-12:
+        return float(reduce_angle(np.mean(t_w))), None, True
+
+    coef, _, rank, _, _ = np.polyfit(r_w, t_w, FIT_DEGREE, full=True)
+    if rank < FIT_DEGREE + 1:
+        coef = np.polyfit(r_w, t_w, max(rank - 1, 1), full=True)[0]
+    coef = coef[::-1]
+    omega_hat = float(coef[0])
+    ee = t_w - omega_hat
+    if r_w[-1] < 2.0 * r_w[0]:
+        alpha_hat = None
+    elif np.all(ee > 0) or np.all(ee < 0):
+        alpha_hat = float(np.polyfit(np.log(r_w), np.log(np.abs(ee)), 1)[0])
+    else:
+        n = np.arange(1, coef.size)
+        alpha_hat = float(n[np.argmax(np.abs(coef[1:]) * r_w[-1] ** n)])
+    return float(reduce_angle(omega_hat)), alpha_hat, False

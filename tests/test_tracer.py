@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import re
 import os
@@ -33,9 +34,11 @@ from maxmod.modulus import ModulusExpansion, on_axis
 from maxmod.roots import WINDOW_MAX_ITER, critical_points
 from maxmod.svg import render_svg
 from maxmod.tracer import (
+    FIT_DEGREE,
     CurveSample,
     _fit_tangent,
     _link,
+    _polyfit,
     _scan_circles,
     count_components,
     radius_schedule,
@@ -51,6 +54,7 @@ from oracles import (
     derivative_bounds,
     direct_mod2,
     half_angle_coef,
+    polyfit_tangent,
     term_expansion,
 )
 
@@ -1111,6 +1115,85 @@ class TestFitTangent:
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
+class TestPolyfit:
+    # _polyfit is the arithmetic of np.polyfit(full=True) without its
+    # wrapper: coefficients and rank agree bit for bit, so a numpy release
+    # that changes polyfit's arithmetic fails here
+    @staticmethod
+    def assert_polyfit(x, y, deg) -> int:
+        coef, rank = _polyfit(x, y, deg)
+        want, _, want_rank, _, _ = np.polyfit(x, y, deg, full=True)
+        assert rank == want_rank
+        assert coef.dtype == want.dtype and coef.tobytes() == want.tobytes()
+        return rank
+
+    def test_random_windows(self):
+        # windows of one decade of r, as _fit_tangent takes them
+        rng = np.random.default_rng(28)
+        for _ in range(200):
+            r0 = 10.0 ** rng.uniform(-4.0, -0.5)
+            x = np.sort(rng.uniform(r0, 10.0 * r0, int(rng.integers(8, 120))))
+            y = rng.uniform(-math.pi, math.pi) + x * rng.normal(size=x.size)
+            for deg in (1, FIT_DEGREE):
+                self.assert_polyfit(x, y, deg)
+
+    @pytest.mark.parametrize("r_min,r_max", [(0.0299, 0.03), (0.29, 0.3)])
+    def test_narrow_rank_deficient_windows(self, r_min, r_max):
+        # the windows of test_narrow_window_fits_the_degree_it_resolves: the
+        # degree-6 fit is rank-deficient, and so is the fallback's rank
+        res = trace(parse_poly("1,0,1,1i"), TraceConfig(r_min=r_min, r_max=r_max, n_radii=50))
+        r, theta, curve = map(np.array, (res.sample_r, res.sample_theta, res.sample_curve))
+        for cid in np.unique(curve):
+            x, y = r[curve == cid][::-1], theta[curve == cid][::-1]
+            rank = self.assert_polyfit(x, y, FIT_DEGREE)
+            assert rank < FIT_DEGREE + 1
+            self.assert_polyfit(x, y, max(rank - 1, 1))
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    def test_log_log_line(self, alpha):
+        rs = np.geomspace(1e-3, 1e-2, 60)
+        self.assert_polyfit(np.log(rs), np.log(0.7 * rs**alpha * (1.0 + rs)), 1)
+
+    def test_fit_matches_the_polyfit_oracle_on_the_corpus(self, monkeypatch):
+        # every tangent fit of the committed corpus, bit for bit (repr tells
+        # -0.0 from 0.0), against the fit on np.polyfit and np.unwrap
+        fits = []
+
+        def checked(rs, thetas):
+            got = _fit_tangent(rs, thetas)
+            fits.append((repr(got), repr(polyfit_tangent(rs, thetas))))
+            return got
+
+        monkeypatch.setattr(maxmod.tracer, "_fit_tangent", checked)
+        corpus = json.loads(Path(__file__).with_name("corpus.json").read_text(encoding="utf-8"))
+        for e in corpus:
+            p = Polynomial(tuple(complex(re_, im) for re_, im in e["coeffs"]))
+            try:
+                trace(p, TraceConfig(*e["cfg"]))
+            except maxmod.MaxmodError:
+                pass
+        assert len(fits) >= 400
+        assert [got for got, _ in fits] == [want for _, want in fits]
+
+    def test_unwraps_a_window_across_pi(self):
+        # a curve crossing theta = pi: reduced angles jump by 2 pi, and the
+        # fit unwraps them as the oracle does
+        rs = np.geomspace(0.3, 1e-3, 200)
+        thetas = reduce_angle(math.pi - 0.02 + 3.0 * rs)
+        got = _fit_tangent(rs, thetas)
+        assert repr(got) == repr(polyfit_tangent(rs, thetas))
+        assert circ_dist(got[0], math.pi - 0.02) <= 1e-9
+
+    def test_signed_zero_curve_on_the_ray(self):
+        # the oracle's np.unwrap adds +0.0 to every angle after the first;
+        # the fit skips it, and a curve of angles -0.0 still lies on the ray
+        # theta = +0.0, as the mean of its window is
+        rs = np.geomspace(0.3, 1e-3, 200)
+        thetas = np.full(rs.size, -0.0)
+        got = _fit_tangent(rs, thetas)
+        assert repr(got) == repr(polyfit_tangent(rs, thetas)) == "(0.0, None, True)"
+
+
 class TestAtInfinity:
     def test_self_reciprocal_binomial(self):
         cfg = TraceConfig(r_min=1e-2, r_max=0.2, n_radii=30)
@@ -1184,18 +1267,31 @@ def row_by_row_paths(res) -> list[str]:
 
 
 class TestSampleColumns:
-    # the fig-1 pair, a trace whose moduli are inf, and a trace at infinity
+    # the fig-1 pair, a trace whose moduli are inf, a trace at infinity, a
+    # mu = 2 trace of 4 curves, and random_count's third input, whose curve
+    # 0 ends before the smallest circle and is no component; shape is
+    # (mu, curves, components) where the case needs it
     CASES = [
-        ("1,0,1,1i", TraceConfig(r_min=1e-3, r_max=0.3, n_radii=200), False),
-        ("1,0,1,0.001+1i", TraceConfig(r_min=1e-3, r_max=0.05, n_radii=200), False),
-        ("1e308,1e308,1e308", TraceConfig(r_max=0.9), False),
-        ("1,0,1,1i", TraceConfig(), True),
+        ("1,0,1,1i", TraceConfig(r_min=1e-3, r_max=0.3, n_radii=200), False, None),
+        ("1,0,1,0.001+1i", TraceConfig(r_min=1e-3, r_max=0.05, n_radii=200), False, None),
+        ("1e308,1e308,1e308", TraceConfig(r_max=0.9), False, None),
+        ("1,0,1,1i", TraceConfig(), True, None),
+        ("1,0,0,0,1,0,1i", TraceConfig(r_min=0.006), False, (2, 4, 4)),
+        (
+            "1,0,0,-0.13130494047210575+1.043230273018472i,0,"
+            "-0.5088782240616221-0.4253850897981204i,0,0,1.6541005952855439-0.03564306074054223i",
+            TraceConfig(r_min=0.001894807281767068),
+            False,
+            (1, 2, 1),
+        ),
     ]
 
     @pytest.mark.parametrize(
-        "text,cfg,at_infinity", CASES, ids=["fig1a", "fig1b", "inf-mod", "infinity"]
+        "text,cfg,at_infinity,shape",
+        CASES,
+        ids=["fig1a", "fig1b", "inf-mod", "infinity", "mu2", "non-component"],
     )
-    def test_writers_match_the_samples(self, tmp_path, text, cfg, at_infinity):
+    def test_writers_match_the_samples(self, tmp_path, text, cfg, at_infinity, shape):
         p = parse_poly(text)
         res = trace_at_infinity(p, cfg) if at_infinity else trace(p, cfg)
         columns = (res.sample_r, res.sample_theta, res.sample_mod, res.sample_curve)
@@ -1205,9 +1301,16 @@ class TestSampleColumns:
             assert math.inf in res.sample_mod
         path = tmp_path / "out.csv"
         write_csv(res, str(path))
-        assert path.read_text(encoding="utf-8") == row_by_row_csv(res)
+        text_csv = path.read_text(encoding="utf-8")
+        assert text_csv == row_by_row_csv(res)
         svg = render_svg(res, cfg.r_max)
         assert re.findall(r'<path d="([^"]*)"', svg) == row_by_row_paths(res)
+        # every curve keeps its rows in the CSV; the SVG draws components only
+        ids = [int(line.rsplit(",", 1)[1]) for line in text_csv.splitlines()[1:]]
+        assert ids == list(res.sample_curve)
+        assert svg.count("<path") == len(res.component_ids)
+        if shape:
+            assert (res.mu, len(set(res.sample_curve)), len(res.component_ids)) == shape
         if at_infinity:
             direct = trace(reciprocal(p), cfg)
             assert res.inverted and not direct.inverted
