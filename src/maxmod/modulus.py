@@ -28,6 +28,7 @@ direct Horner evaluation of ``p`` are the test oracles of ``tests/oracles.py``.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -136,15 +137,27 @@ def expand(p: Polynomial) -> ModulusExpansion:
 
 
 def _c_pairs(c: np.ndarray) -> np.ndarray:
-    """:attr:`ModulusExpansion.c_pairs` of the coefficients ``c``."""
+    """:attr:`ModulusExpansion.c_pairs` of the coefficients ``c``, by one
+    scatter of the products ``c_l conj(c_j)``, j < l, to row ``j + l`` and
+    column ``l - j - 1`` (:func:`_pair_index`)."""
     deg = c.size - 1
+    j, l, row, col = _pair_index(deg)
     c_pairs = np.zeros((2 * deg, deg), dtype=complex)
     with np.errstate(over="ignore"):  # an inf product fails the trace's mass check
-        for n in range(1, deg + 1):
-            j = np.arange(deg - n + 1)
-            c_pairs[2 * j + n, n - 1] = c[j + n] * np.conj(c[j])
+        c_pairs[row, col] = c[l] * np.conj(c[j])
     c_pairs.setflags(write=False)
     return c_pairs
+
+
+@functools.lru_cache(maxsize=32)
+def _pair_index(deg: int):
+    """The pairs ``j < l`` of ``0..deg`` and their places in ``c_pairs``:
+    ``(j, l, j + l, l - j - 1)``, read-only, by degree alone."""
+    j, l = np.triu_indices(deg + 1, k=1)
+    index = (j, l, j + l, l - j - 1)
+    for a in index:
+        a.setflags(write=False)
+    return index
 
 
 def on_axis(tail: Polynomial) -> tuple[float, Polynomial]:

@@ -27,7 +27,16 @@ needs the root solve of every circle, whose failures it must raise, but
 many polynomials in one call: their rows are stacked by width D and by
 whether they are all real (:func:`maxmod.roots.row_group`), which is all
 the root solve reads of a stack beyond each row, and each stack is solved
-at once.  A trace keeps one polynomial per call.
+at once.  The counts are finished per stack too: one check that every
+circle has a maximum and a minimum, and one ``osc`` pass over the last
+circles of all its members.  A trace keeps one polynomial per call.
+
+A trace and a count set each input up in a fixed number of array
+operations, whatever its degree and schedule: the schedule is
+``np.geomspace``'s arithmetic without its wrapper, the products
+``c_{j+n} conj(c_j)`` of the expansion are one scatter, and the check that
+the rows stay floats is made at the largest radius alone unless it fails
+there.
 
 A polynomial whose coefficients have a reflection axis psi (every
 ``c_l e^{i l psi}`` real, as for every real polynomial with psi = 0 and
@@ -170,8 +179,17 @@ class TraceResult:
 
 
 def radius_schedule(cfg: TraceConfig) -> np.ndarray:
-    """Geometric schedule from r_max down to r_min, inclusive."""
-    return np.geomspace(cfg.r_max, cfg.r_min, cfg.n_radii)
+    """Geometric schedule from r_max down to r_min, inclusive.
+
+    ``np.geomspace(r_max, r_min, n_radii)``'s own arithmetic without its
+    wrapper: ``10`` to the power of a ``linspace`` of the two logarithms,
+    then both ends set exactly.  The ends are 0-d arrays, so the logarithms
+    are numpy's ``log10``, as in ``geomspace``: ``math.log10`` differs from
+    it in the last bit on one input in five between 1e-4 and 1."""
+    hi, lo = np.array(cfg.r_max, dtype=float), np.array(cfg.r_min, dtype=float)
+    radii = np.power(10.0, np.linspace(np.log10(hi), np.log10(lo), cfg.n_radii))
+    radii[0], radii[-1] = hi, lo
+    return radii
 
 
 def _rows(e: ModulusExpansion, radii: np.ndarray) -> np.ndarray:
@@ -180,13 +198,20 @@ def _rows(e: ModulusExpansion, radii: np.ndarray) -> np.ndarray:
     that every evaluation of them stays a float."""
     # the evaluations of |1 + q|^2 and its theta-derivatives sum the
     # n^2 |C_n| <= mass^2, mass = 1 + sum_j j^2 |c_j| r^j; all of it must
-    # stay a float
+    # stay a float.  mass grows with r, and each computed value is within
+    # about (D + 5) EPS of the exact one, so where 8 mass^2 is a float at
+    # the largest radius, 4 mass^2 is one at every radius: the factor 2
+    # covers the rounding for any degree.  Only where it is not is every
+    # radius checked, so the error names the first radius that fails.
+    j = np.arange(float(e.c.size))
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN is rejected
-        j = np.arange(float(e.c.size))
-        mass = 1.0 + _kernels.radial_sum(j * j * np.abs(e.c), j, radii)
-        bad = ~np.isfinite(4.0 * mass * mass)
-    if bad.any():
-        raise RefinementFailureError(float(radii[np.argmax(bad)]), 0.0)
+        amps = j * j * np.abs(e.c)
+        top = 1.0 + _kernels.radial_sum(amps, j, radii.max())
+        if not 8.0 * top * top < math.inf:  # also NaN
+            mass = 1.0 + _kernels.radial_sum(amps, j, radii)
+            bad = ~np.isfinite(4.0 * mass * mass)
+            if bad.any():
+                raise RefinementFailureError(float(radii[np.argmax(bad)]), 0.0)
     return e.fourier(radii)
 
 
@@ -398,7 +423,7 @@ def _link(n_max: np.ndarray, theta: np.ndarray) -> np.ndarray:
     prev = np.full(theta.size, -1)
     steps = np.arange(1, n_max.size)
     same = n_max[1:] == n_max[:-1]
-    for m in np.unique(n_max[1:][same]).tolist():
+    for m in sorted(set(n_max[1:][same].tolist())):  # np.unique would import numpy.ma
         at = steps[same & (n_max[1:] == m)]
         i = np.arange(m)
         a = theta[starts[at - 1, None] + i]
@@ -447,34 +472,13 @@ def _prepare(p: Polynomial | HaymanForm, cfg: TraceConfig):
     return h, radius_schedule(cfg), psi, e
 
 
-def _n_last(n_max: np.ndarray, comax: np.ndarray) -> int:
-    """The co-maximal count of the last (smallest) circle of a scan.
-
-    That is the trace's component count: each maximum of a circle lies on
-    its own trajectory, so the co-maximal points of the last circle lie on
-    as many different curves."""
-    return int(np.count_nonzero(comax[comax.size - n_max[-1] :]))
-
-
-def _count_solved(e, cn, radii, ridx, theta, is_max) -> int:
-    """The component count of one polynomial from the critical points of
-    its circles: every circle must have a maximum and a minimum
-    (:func:`_circle_counts`), and only the last circle's maxima are
-    evaluated (:func:`_maxima`) and counted (:func:`_n_last`)."""
-    n_max, n_min = _circle_counts(radii, ridx, is_max)
-    at = ridx.size - n_max[-1] - n_min[-1]  # the last circle's points come last
-    last = slice(radii.size - 1, None)
-    pts = ridx[at:] - last.start, theta[at:], is_max[at:]
-    comax = _maxima(e, cn[last], radii[last], *pts, n_max[last], n_min[last])[2]
-    return _n_last(n_max[last], comax)
-
-
 def _count_batch(members) -> list[int]:
     """The component counts of ``members`` with one root solve per row
     group (:func:`maxmod.roots.row_group`).  Every member is checked and
     gets its rows (:func:`_prepare`, :func:`_rows`); the rows of a group
-    are stacked and solved at once, and each member's points are cut from
-    the stack."""
+    are stacked and solved at once.  The stack's circles are then checked
+    by one :func:`_circle_counts`, and the members' last circles, one
+    circle each, are evaluated and counted by one :func:`_maxima`."""
     groups: dict[tuple[int, bool], list] = {}
     for k, (p, cfg) in enumerate(members):
         _, radii, _, e = _prepare(p, cfg)
@@ -482,14 +486,22 @@ def _count_batch(members) -> list[int]:
         groups.setdefault(roots.row_group(cn), []).append((k, e, cn, radii))
     counts = [0] * len(members)
     for group in groups.values():
-        _, _, cns, schedules = zip(*group)
-        ridx, theta, is_max = roots.critical_points(np.concatenate(cns), np.concatenate(schedules))
-        ends = np.cumsum([r.size for r in schedules]).tolist()  # of each member's rows
-        cuts = [0] + np.searchsorted(ridx, ends).tolist()  # of its points; ridx is sorted
-        for i, (k, e, cn, radii) in enumerate(group):
-            a, b = cuts[i], cuts[i + 1]
-            pts = ridx[a:b] - (ends[i] - radii.size), theta[a:b], is_max[a:b]
-            counts[k] = _count_solved(e, cn, radii, *pts)
+        ks, es, cns, schedules = zip(*group)
+        cn, radii = np.concatenate(cns), np.concatenate(schedules)
+        ridx, theta, is_max = roots.critical_points(cn, radii)
+        n_max, n_min = _circle_counts(radii, ridx, is_max)
+        last = np.cumsum([r.size for r in schedules]) - 1  # each member's last row
+        member = np.full(radii.size, -1)
+        member[last] = np.arange(last.size)
+        member = member[ridx]  # of each point on a last circle, else -1
+        at = member >= 0
+        member, theta, is_max = member[at], theta[at], is_max[at]
+        # osc reads only the rows it is handed, so any member's expansion serves
+        pts = member, theta, is_max, n_max[last], n_min[last]
+        comax = _maxima(es[0], cn[last], radii[last], *pts)[2]
+        found = np.bincount(member[is_max][comax], minlength=last.size)
+        for k, n in zip(ks, found.tolist()):
+            counts[k] = n
     return counts
 
 
@@ -503,8 +515,8 @@ def count_components(members) -> list[int]:
     then solved by one :func:`maxmod.roots.critical_points` call per row
     group (:func:`_count_batch`); every circle of every member must still
     have a maximum and a minimum, but only each member's last circle, the
-    one the count reads, is evaluated, and no maxima are linked, fitted,
-    paired or sampled.  If that raises, the members are counted again one
+    one the count reads, is evaluated, in one pass per row group, and no
+    maxima are linked, fitted, paired or sampled.  If that raises, the members are counted again one
     at a time, so the call raises what :func:`trace` raises for the first
     member that fails, at the same radius.
     """
@@ -608,7 +620,9 @@ def trace(p: Polynomial | HaymanForm, cfg: TraceConfig = TraceConfig()) -> Trace
     first = np.cumsum(per_curve) - per_curve
 
     component_ids = tuple(np.flatnonzero(np.bincount(curve[comax & (ridx == last)])).tolist())
-    n_components = _n_last(n_max, comax)
+    # each maximum of a circle lies on its own trajectory, so the co-maximal
+    # maxima of the last circle lie on as many different curves
+    n_components = int(np.count_nonzero(comax[comax.size - n_max[-1] :]))
     counts = np.bincount(ridx[comax], minlength=radii.size)
     off = np.flatnonzero(counts[:last] != n_components)
     stable_radius = float(radii[off[-1] + 1 if off.size else 0])

@@ -14,7 +14,12 @@ The package evaluates ``|1 + q|^2`` only from its Fourier coefficients
   maximizers of a circle;
 - :func:`polyfit_tangent` is the tangent fit on ``np.polyfit`` and
   ``np.unwrap`` that ``maxmod.tracer._fit_tangent`` replaces by the same
-  arithmetic, called directly.
+  arithmetic, called directly;
+- :func:`c_pairs_loop`, :func:`mass_check_every_radius` and
+  :func:`fourier_sum_exp` are the per-order loop of the products
+  ``c_{j+n} conj(c_j)``, the mass check of every radius and the Horner
+  pass on ``w = np.exp(1j theta)``, which the package forms by one scatter,
+  one check at the largest radius and ``cos + i sin``.
 
 ``companion_angles`` finds a circle's critical points as the real roots of
 a polynomial in the half angle, by a companion-matrix eigenvalue solve: the
@@ -280,3 +285,38 @@ def polyfit_tangent(rs: np.ndarray, thetas: np.ndarray):
         n = np.arange(1, coef.size)
         alpha_hat = float(n[np.argmax(np.abs(coef[1:]) * r_w[-1] ** n)])
     return float(reduce_angle(omega_hat)), alpha_hat, False
+
+
+def c_pairs_loop(c: np.ndarray) -> np.ndarray:
+    """``ModulusExpansion.c_pairs`` of the coefficients ``c`` by its
+    definition, one order n at a time: ``c_{j+n} conj(c_j)`` at row
+    ``2j + n``, column ``n - 1``."""
+    deg = c.size - 1
+    c_pairs = np.zeros((2 * deg, deg), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, deg + 1):
+            j = np.arange(deg - n + 1)
+            c_pairs[2 * j + n, n - 1] = c[j + n] * np.conj(c[j])
+    return c_pairs
+
+
+def mass_check_every_radius(e: ModulusExpansion, radii: np.ndarray) -> float | None:
+    """The first radius of ``radii`` at which ``4 mass^2``, ``mass = 1 +
+    sum_j j^2 |c_j| r^j``, is no float, each radius checked on its own, or
+    None: where ``maxmod.tracer._rows`` must raise."""
+    j = np.arange(float(e.c.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = 1.0 + _kernels.radial_sum(j * j * np.abs(e.c), j, radii)
+        bad = ~np.isfinite(4.0 * mass * mass)
+    return float(radii[np.argmax(bad)]) if bad.any() else None
+
+
+def fourier_sum_exp(coef: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """``sum_{n=1}^{D} coef[n-1] w^n`` by Horner on ``w = np.exp(1j theta)``,
+    ``coef`` order-major and broadcast against ``thetas``."""
+    w = np.exp(1j * thetas)
+    acc = coef[-1] * w
+    for n in range(coef.shape[0] - 2, -1, -1):
+        acc += coef[n]
+        acc *= w
+    return acc

@@ -3,8 +3,11 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -741,3 +744,24 @@ class TestOneNormalFormPerInput:
     def test_trace(self, monkeypatch, infinity):
         calls = self.count_work(monkeypatch, ["trace", "--poly", "1,0,1,1i", "--radii", "20", *infinity])
         assert calls == {"normalize": 1, "_c_pairs": 1, "floor_radius": 1, "predict_J": 0}
+
+
+def test_commands_leave_numpy_ma_unimported(tmp_path):
+    # no command needs numpy.ma, which takes 10-20 ms to import: trace with
+    # every writer, both hunts and classify run in a fresh interpreter
+    code = (
+        "import sys\n"
+        "from maxmod.cli import main\n"
+        "codes = [\n"
+        "    main(['trace', '--poly', '1,0,1,1i', '--json', '--csv', 't.csv', '--svg', 't.svg']),\n"
+        "    main(['trace', '--infinity', '--poly', '1,0,1,1i', '--quiet']),\n"
+        "    main(['hunt', '--family', 'cubic', '--samples', '8', '--out', 'h.jsonl']),\n"
+        "    main(['hunt', '--family', 'quartic', '--samples', '40', '--out', 'q.jsonl']),\n"
+        "    main(['classify', '--poly', '1,0,1,1i', '--json']),\n"
+        "]\n"
+        "assert codes == [0] * 5, codes\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    src = str(Path(maxmod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, cwd=tmp_path, stdout=subprocess.DEVNULL)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxmod import Polynomial, ZeroPolynomialError, expand, parse_poly
-from oracles import derivative_bounds, direct_mod2, term_expansion
+from maxmod.modulus import _c_pairs
+from oracles import c_pairs_loop, derivative_bounds, direct_mod2, term_expansion
 
 EPS = np.finfo(float).eps
 
@@ -53,6 +54,24 @@ class TestExpand:
     def test_ascending_power_order(self):
         e = term_expansion(parse_poly("1,2,0,1i,4"))
         assert np.all(np.diff(e.cross_pows) >= 0)
+
+
+class TestCPairs:
+    def test_scatter_matches_order_loop(self):
+        # one scatter of c_l conj(c_j), j < l, gives the bits of the loop
+        # over the orders n = l - j, on every degree 1-30: complex, real and
+        # sparse coefficients, and products beyond the float range
+        rng = np.random.default_rng(30)
+        for deg in range(1, 31):
+            c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+            sparse = np.where(rng.random(deg + 1) < 0.5, 0.0, c)
+            huge = c * 10.0 ** rng.uniform(150, 300, deg + 1)
+            for cs in (c, c.real.astype(complex), sparse, huge):
+                cs[0] = 1.0
+                got = _c_pairs(cs)
+                assert got.shape == (2 * deg, deg) and not got.flags.writeable
+                assert np.array_equal(got.view(np.uint64), c_pairs_loop(cs).view(np.uint64)), deg
+        assert np.isinf(_c_pairs(huge)).any()
 
 
 class TestMod2:

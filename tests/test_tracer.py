@@ -39,6 +39,7 @@ from maxmod.tracer import (
     _fit_tangent,
     _link,
     _polyfit,
+    _rows,
     _scan_circles,
     count_components,
     radius_schedule,
@@ -54,6 +55,7 @@ from oracles import (
     derivative_bounds,
     direct_mod2,
     half_angle_coef,
+    mass_check_every_radius,
     polyfit_tangent,
     term_expansion,
 )
@@ -110,6 +112,23 @@ class TestConfig:
         assert rs[0] == pytest.approx(0.3) and rs[-1] == pytest.approx(1e-3)
         ratios = rs[1:] / rs[:-1]
         assert np.allclose(ratios, ratios[0])
+
+    def test_schedule_is_geomspace_bit_for_bit(self):
+        # the schedule is np.geomspace's arithmetic without its wrapper, on
+        # 10000 random schedules over the whole float range, from ratios
+        # within an ulp of 1 to 600 decades, and on integral ends
+        rng = np.random.default_rng(29)
+        hi = 10.0 ** rng.uniform(-300, 300, 10_000)
+        decades = 600.0 * rng.uniform(0, 1, hi.size) ** 4
+        lo = np.minimum(np.maximum(hi * 10.0**-decades, 1e-307), np.nextafter(hi, 0.0))
+        lo[:100] = np.nextafter(hi[:100], 0.0)
+        n = rng.integers(2, 2000, hi.size)
+        n[:10] = maxmod.tracer.MAX_RADII
+        configs = [TraceConfig(r_min=a, r_max=b, n_radii=int(k)) for a, b, k in zip(lo, hi, n)]
+        configs += [TraceConfig(r_min=1, r_max=1000, n_radii=7), TraceConfig(r_min=1e-3, r_max=1, n_radii=2)]
+        for cfg in configs:
+            want = np.geomspace(cfg.r_max, cfg.r_min, cfg.n_radii)
+            assert np.array_equal(radius_schedule(cfg).view(np.uint64), want.view(np.uint64)), cfg
 
 
 class TestCircleArgmax:
@@ -1418,10 +1437,12 @@ class TestFixedWork:
     def test_hunt_solves_once_and_evaluates_last_circles(self, monkeypatch, tmp_path):
         # the 4 exceptional members of an 8-sample cubic hunt, magic cubics
         # on their axes, share one row group and one root solve (4 solves,
-        # one per member, before the counts were batched); osc is evaluated
+        # one per member, before the counts were batched); the group's
+        # circles are checked by one circle count, and osc is evaluated once,
         # only at the critical points of each member's last circle
-        solves, evaluated, counted = [], [], []
+        solves, evaluated, counted, checked = [], [], [], []
         solve, osc, count = maxmod.roots.critical_points, ModulusExpansion.osc, count_components
+        circle_counts = maxmod.tracer._circle_counts
 
         def counted_solve(cn, radii):
             solves.append(solve(cn, radii))
@@ -1435,12 +1456,18 @@ class TestFixedWork:
             counted.extend(members)
             return count(members)
 
+        def counted_circles(radii, ridx, is_max):
+            checked.append(radii.size)
+            return circle_counts(radii, ridx, is_max)
+
         monkeypatch.setattr(maxmod.roots, "critical_points", counted_solve)
         monkeypatch.setattr(ModulusExpansion, "osc", counted_osc)
         monkeypatch.setattr(maxmod.cli, "count_components", counted_count)
+        monkeypatch.setattr(maxmod.tracer, "_circle_counts", counted_circles)
         argv = ["hunt", "--family", "cubic", "--samples", "8", "--out", str(tmp_path / "h.jsonl")]
         assert main(argv + ["--quiet"]) == 0
-        assert len(counted) == 4 and len(solves) == 1
+        assert len(counted) == 4 and len(solves) == 1 and len(evaluated) == 1
+        assert checked == [sum(cfg.n_radii for _, cfg in counted)]
         n_radii = {cfg.n_radii for _, cfg in counted}.pop()
         ridx = solves[0][0]
         last = ridx % n_radii == n_radii - 1
@@ -1448,6 +1475,48 @@ class TestFixedWork:
         radii = np.concatenate(evaluated)
         assert radii.size == np.count_nonzero(last)
         assert set(radii.tolist()) == {radius_schedule(cfg)[-1] for _, cfg in counted}
+
+    def test_hunt_finishes_counts_per_row_group(self, monkeypatch, tmp_path):
+        # a 2000-sample quartic hunt mixes real and complex rows of one
+        # width in its chunks of COUNT_BATCH members: each chunk runs one
+        # root solve, one circle-count check and one osc evaluation per row
+        # group in it, and every count is its member's trace count
+        calls = {"solve": 0, "circles": 0, "osc": 0}
+        hunted, found = [], []
+        solve, osc, count = maxmod.roots.critical_points, ModulusExpansion.osc, count_components
+        circle_counts = maxmod.tracer._circle_counts
+
+        def counted(name, f):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+
+            return wrapped
+
+        def recorded(members):
+            counts = count(members)
+            hunted.extend(members)
+            found.extend(counts)
+            return counts
+
+        monkeypatch.setattr(maxmod.roots, "critical_points", counted("solve", solve))
+        monkeypatch.setattr(maxmod.tracer, "_circle_counts", counted("circles", circle_counts))
+        monkeypatch.setattr(ModulusExpansion, "osc", counted("osc", osc))
+        monkeypatch.setattr(maxmod.cli, "count_components", recorded)
+        argv = ["hunt", "--family", "quartic", "--samples", "2000", "--seed", "99"]
+        assert main(argv + ["--out", str(tmp_path / "q.jsonl"), "--quiet"]) == 0
+        work = dict(calls)
+        kinds, groups = set(), 0
+        for at in range(0, len(hunted), maxmod.tracer.COUNT_BATCH):
+            chunk = set()
+            for p, cfg in hunted[at : at + maxmod.tracer.COUNT_BATCH]:
+                _, radii, _, e = maxmod.tracer._prepare(p, cfg)
+                chunk.add(maxmod.roots.row_group(_rows(e, radii)))
+            kinds |= chunk
+            groups += len(chunk)
+        assert kinds == {(4, False), (4, True)} and groups > len(hunted) / maxmod.tracer.COUNT_BATCH
+        assert work == {"solve": groups, "circles": groups, "osc": groups}
+        assert found == [trace(p, cfg).n_components for p, cfg in hunted]
 
 
 class TestCountComponents:
@@ -1553,6 +1622,45 @@ class TestCountComponents:
         assert vars(got.value) == vars(want.value)
         first = maxmod.FloorViolationError if reverse else maxmod.RefinementFailureError
         assert type(got.value) is first
+
+
+class TestMassCheck:
+    """``_rows`` checks the mass ``1 + sum_j j^2 |c_j| r^j`` at the largest
+    radius and every radius only where that fails, and raises where the
+    check of every radius (``mass_check_every_radius``) finds the first
+    radius whose ``4 mass^2`` is no float."""
+
+    @pytest.mark.parametrize(
+        "poly,cfg",
+        [
+            ("1,1e200,1e200", TraceConfig()),
+            ("1,1e308,1e308", TraceConfig()),
+            ("1,0,1,1i", TraceConfig(r_max=1e60, n_radii=4)),  # test_radius_far_beyond_one_fails_cleanly
+            ("1,0,1,1i", TraceConfig(r_max=1e308, n_radii=4)),
+            ("1e-160,0,1,1", TraceConfig(r_min=1e81, r_max=1e84, n_radii=8)),
+        ],
+    )
+    def test_raises_where_every_radius_checked_fails(self, poly, cfg):
+        e = expand(normalize(parse_poly(poly)).tail)
+        radii = radius_schedule(cfg)
+        want = mass_check_every_radius(e, radii)
+        assert want is not None
+        with pytest.raises(maxmod.RefinementFailureError) as got:
+            _rows(e, radii)
+        assert (got.value.r, got.value.theta_seed) == (want, 0.0)
+
+    def test_margin_falls_back_to_every_radius(self):
+        # 4 mass^2 is a float and 8 mass^2 is not at r = 1: the check of
+        # every radius runs, passes, and the rows come back; a radius out of
+        # order fails where it lies
+        e = expand(Polynomial((1, 5.5e153)))
+        radii = np.array([1.0, 0.5, 1e-3])
+        assert mass_check_every_radius(e, radii) is None
+        assert np.array_equal(_rows(e, radii), e.fourier(radii))
+        radii = np.array([1e-3, 2.0, 1.0])
+        with pytest.raises(maxmod.RefinementFailureError) as got:
+            _rows(e, radii)
+        assert got.value.r == mass_check_every_radius(e, radii) == 2.0
 
 
 class TestTruncatedInput:
