@@ -36,7 +36,7 @@ def fourier_sum(coef: np.ndarray, thetas: np.ndarray, rows=None) -> np.ndarray:
     (2, G).  Each Horner step then gathers its one order for the angles
     (``take``), so no temporary is larger than the result.
     """
-    w = _unit(thetas)
+    w = np.exp(1j * thetas)
 
     def order(n):
         return coef[n] if rows is None else coef[n].take(rows, axis=-1)
@@ -46,19 +46,6 @@ def fourier_sum(coef: np.ndarray, thetas: np.ndarray, rows=None) -> np.ndarray:
         acc += order(n)
         acc *= w
     return acc
-
-
-def _unit(thetas) -> np.ndarray:
-    """``e^{i theta}``, written as ``cos + i sin`` into one complex array:
-    bit for bit ``np.exp(1j * thetas)``, and faster from a few hundred
-    angles on.  Adding 0.0 to the sines turns their one difference,
-    ``sin(-0.0) = -0.0`` where ``exp`` gives ``+0.0``, into the same zero."""
-    w = np.empty(np.shape(thetas), dtype=complex)
-    np.cos(thetas, out=w.real)
-    sin = w.imag
-    np.sin(thetas, out=sin)
-    sin += 0.0
-    return w
 
 
 def power_terms(amps, pows, r, shift=0) -> np.ndarray:

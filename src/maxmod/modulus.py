@@ -87,7 +87,9 @@ class ModulusExpansion:
         shape (R, 1) against (G,) evaluates R circles at G angles, and equal
         shapes give one radius per angle.  ``cn``, if given, holds
         ``fourier(r)`` (one row per radius, already formed), so only the
-        O(deg) Horner pass is left per angle.
+        O(deg) Horner pass is left per angle; it then reads nothing of
+        ``self``, and one call may evaluate rows of several expansions of
+        the same width, as a hunt's count does.
         """
         scalar = np.ndim(r) == 0 and np.ndim(theta) == 0
         r = np.atleast_1d(np.asarray(r, dtype=float))

@@ -496,7 +496,7 @@ def _count_batch(members) -> list[int]:
         member = member[ridx]  # of each point on a last circle, else -1
         at = member >= 0
         member, theta, is_max = member[at], theta[at], is_max[at]
-        # osc reads only the rows it is handed, so any member's expansion serves
+        # osc with cn reads only those rows, not the expansion: any member's serves
         pts = member, theta, is_max, n_max[last], n_min[last]
         comax = _maxima(es[0], cn[last], radii[last], *pts)[2]
         found = np.bincount(member[is_max][comax], minlength=last.size)
@@ -516,9 +516,10 @@ def count_components(members) -> list[int]:
     group (:func:`_count_batch`); every circle of every member must still
     have a maximum and a minimum, but only each member's last circle, the
     one the count reads, is evaluated, in one pass per row group, and no
-    maxima are linked, fitted, paired or sampled.  If that raises, the members are counted again one
-    at a time, so the call raises what :func:`trace` raises for the first
-    member that fails, at the same radius.
+    maxima are linked, fitted, paired or sampled.  If that raises, the
+    members are counted again one at a time, so the call raises what
+    :func:`trace` raises for the first member that fails, at the same
+    radius.
     """
     counts = []
     for at in range(0, len(members), COUNT_BATCH):

@@ -15,11 +15,10 @@ The package evaluates ``|1 + q|^2`` only from its Fourier coefficients
 - :func:`polyfit_tangent` is the tangent fit on ``np.polyfit`` and
   ``np.unwrap`` that ``maxmod.tracer._fit_tangent`` replaces by the same
   arithmetic, called directly;
-- :func:`c_pairs_loop`, :func:`mass_check_every_radius` and
-  :func:`fourier_sum_exp` are the per-order loop of the products
-  ``c_{j+n} conj(c_j)``, the mass check of every radius and the Horner
-  pass on ``w = np.exp(1j theta)``, which the package forms by one scatter,
-  one check at the largest radius and ``cos + i sin``.
+- :func:`c_pairs_loop` and :func:`mass_check_every_radius` are the
+  per-order loop of the products ``c_{j+n} conj(c_j)`` and the mass check
+  of every radius, which the package forms by one scatter and one check at
+  the largest radius.
 
 ``companion_angles`` finds a circle's critical points as the real roots of
 a polynomial in the half angle, by a companion-matrix eigenvalue solve: the
@@ -309,14 +308,3 @@ def mass_check_every_radius(e: ModulusExpansion, radii: np.ndarray) -> float | N
         mass = 1.0 + _kernels.radial_sum(j * j * np.abs(e.c), j, radii)
         bad = ~np.isfinite(4.0 * mass * mass)
     return float(radii[np.argmax(bad)]) if bad.any() else None
-
-
-def fourier_sum_exp(coef: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """``sum_{n=1}^{D} coef[n-1] w^n`` by Horner on ``w = np.exp(1j theta)``,
-    ``coef`` order-major and broadcast against ``thetas``."""
-    w = np.exp(1j * thetas)
-    acc = coef[-1] * w
-    for n in range(coef.shape[0] - 2, -1, -1):
-        acc += coef[n]
-        acc *= w
-    return acc

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 
 from maxmod import _kernels, expand, parse_poly
-from oracles import fourier_sum_exp, osc_sum
+from oracles import osc_sum
 
 EPS = np.finfo(float).eps
 
@@ -117,21 +117,3 @@ def test_fourier_sum_broadcast_keeps_osc_shapes():
         assert np.array_equal(osc[i], e.osc(float(r), th))
     assert isinstance(e.osc(0.1, 0.5), float)
     assert e.osc(0.1, th[:1]).shape == (1,)
-
-
-def test_fourier_sum_unit_roots_match_exp_bit_for_bit():
-    # w is formed as cos + i sin, bit for bit np.exp(1j theta) on every
-    # angle: the signed zeros, pi, tiny and subnormal angles and angles far
-    # outside (-pi, pi] included, and so is the Horner pass on it
-    rng = np.random.default_rng(29)
-    special = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, 1e-300, -1e-300, 5e-324, -5e-324, 1e-8]
-    th = np.concatenate([
-        special,
-        rng.uniform(-math.pi, math.pi, 100_000),
-        rng.uniform(-100.0, 100.0, 20_000),
-        rng.uniform(-1e-6, 1e-6, 10_000),
-    ])
-    assert np.array_equal(_kernels._unit(th).view(np.uint64), np.exp(1j * th).view(np.uint64))
-    coef = random_orders(rng, (6, 1))
-    got = _kernels.fourier_sum(coef, th)
-    assert np.array_equal(got.view(np.uint64), fourier_sum_exp(coef, th).view(np.uint64))

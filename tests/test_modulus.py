@@ -121,6 +121,16 @@ class TestMod2:
         r, th = 0.4, 1.1
         assert e.base(r) + e.osc(r, th) == pytest.approx(e.mod2(r, th), rel=1e-15)
 
+    def test_osc_of_given_rows_reads_nothing_of_the_expansion(self):
+        # a hunt's count evaluates the rows of every member of a row group
+        # through one member's expansion
+        a, b = expand(parse_poly("1,0,1,1i")), expand(parse_poly("2,-1,0.5,3"))
+        radii = np.array([[0.05], [0.4]])
+        th = np.linspace(-math.pi, math.pi, 33)
+        for r in (0.3, radii):
+            cn = b.fourier(r)
+            assert np.array_equal(a.osc(r, th, cn=cn), b.osc(r, th))
+
 
 class TestDerivatives:
     def test_zero_radius(self):
