@@ -6,8 +6,6 @@ from .classify import (
     ExceptionalWitness,
     PredictedJ,
     classify,
-    cubic_magic,
-    omega_angles,
     predict_J,
 )
 from .errors import (
@@ -16,7 +14,6 @@ from .errors import (
     FloorViolationError,
     MaxmodError,
     MonomialAllPlaneError,
-    NotCubicFamilyError,
     PolyParseError,
     RefinementFailureError,
     TruncatedSeriesError,
@@ -56,7 +53,6 @@ __all__ = [
     "MaxmodError",
     "ModulusExpansion",
     "MonomialAllPlaneError",
-    "NotCubicFamilyError",
     "PolyParseError",
     "Polynomial",
     "PredictedJ",
@@ -67,12 +63,10 @@ __all__ = [
     "ZeroPolynomialError",
     "ambiguity_radius",
     "classify",
-    "cubic_magic",
     "expand",
     "floor_radius",
     "format_poly",
     "normalize",
-    "omega_angles",
     "parse_poly",
     "poly_from_json",
     "predict_J",

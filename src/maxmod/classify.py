@@ -1,16 +1,24 @@
 """Coefficient-level classification of the maximum-modulus set near 0.
 
 For ``p = 1 + a z^k + ...`` the candidate tangent directions are the k
-angles ``omega_j = (2 j pi - arg a) / k``.  Which candidates actually carry
-a maximum curve is decided by an argument-resonance test on the
-coefficients (the *exceptional* condition) and, term by term, by the
-survivor weights ``t_j = 2|b| cos(n omega_j + arg b)``.  For non-exceptional
-inputs the survivor recursion is exact and the number of curves equals the
-inner degree; for exceptional ones it is a heuristic.  The inner degree and
-the core degree, up to which the resonance test scans, are read from the
+angles ``omega_j = (2 j pi - arg a) / k`` (:attr:`HaymanForm.omega
+<maxmod.poly.HaymanForm.omega>`).  Which candidates actually carry a
+maximum curve is decided by an argument-resonance test on the coefficients
+(the *exceptional* condition) and, term by term, by the survivor weights
+``t_j = 2|b| cos(n omega_j + arg b)``.  For non-exceptional inputs the
+survivor recursion is exact and the number of curves equals the inner
+degree; for exceptional ones it is a heuristic.  The inner degree and the
+core degree, up to which the resonance test scans, are read from the
 normalized form (:func:`~maxmod.poly.normalize`).  :func:`classify` reads
 the count off the inner degree and runs no recursion; the recursion serves
 ``ambiguity_radius`` and, as an oracle, the tests.
+
+Magic is read off the same resonance scan.  A tail of degree at most 3
+resonates only as ``1 + a z^2 + b z^3`` with ``m = 1``, which is the
+paper's magic cubic ``Re(b a^{-3/2}) = 0``, so an exceptional polynomial of
+that degree is MAGIC.  A truncated series or a tail of degree 4 and more
+that resonates is UNKNOWN: the paper proves nothing there, and this module
+never guesses.
 """
 
 from __future__ import annotations
@@ -19,23 +27,18 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import NotCubicFamilyError
 from .poly import HaymanForm, Polynomial, normalize
-from .util import reduce_angle
 
 # Tolerances for the exact algebraic tests.  Doubles lose ~1e-16 per arg;
 # axis-aligned user input lands within 1e-12, so 1e-9 separates "intended
-# exactly" from "merely close".  Both argument tolerances are in radians, as
-# is EPS_MAG on |Re b'| / |b'|: a resonance residual, which is in units of
-# pi, is compared times pi.  Residuals in (EPS_ARG, NEAR_ARG] produce a
-# near-exceptional warning instead of a verdict; like a witness, the warning
-# states the residual in units of pi.
+# exactly" from "merely close".  Both argument tolerances are in radians: a
+# resonance residual, which is in units of pi, is compared times pi.
+# Residuals in (EPS_ARG, NEAR_ARG] produce a near-exceptional warning instead
+# of a verdict; like a witness, the warning states the residual in units of
+# pi.
 EPS_ARG = 1e-9
 NEAR_ARG = 1e-6
 EPS_T = 1e-9
-EPS_MAG = 1e-9
 
 MAGIC = "MAGIC"
 NOT_MAGIC = "NOT_MAGIC"
@@ -87,29 +90,6 @@ class Classification:
         return out
 
 
-def _omega_list(h: HaymanForm) -> list[float]:
-    """The k candidate angles as Python floats, each folded by the scalar
-    path of :func:`~maxmod.util.reduce_angle`."""
-    arg_a = cmath.phase(h.a)
-    k = h.k
-    return [reduce_angle((2.0 * j * math.pi - arg_a) / k) for j in range(k)]
-
-
-def omega_angles(h: HaymanForm) -> np.ndarray:
-    """Candidate tangent angles ``(2 j pi - arg a)/k`` reduced to (-pi, pi],
-    as a read-only array.
-
-    Each angle is formed and folded on Python floats.  The operations and
-    their order are those of the array formula
-    ``reduce_angle((2 pi j - arg a)/k)`` over ``j = 0, ..., k-1``, and the
-    scalar fold agrees with the array fold bit for bit, so the angles are
-    the array formula's bits.
-    """
-    out = np.array(_omega_list(h))
-    out.setflags(write=False)
-    return out
-
-
 def _exceptional_scan(h: HaymanForm):
     """All resonance triples (m, m', sigma), sigma up to the core degree,
     plus near-miss warnings.  Empty m-range for k = 1, so such inputs are
@@ -138,27 +118,6 @@ def _exceptional_scan(h: HaymanForm):
     return bool(witnesses), tuple(witnesses), tuple(near)
 
 
-def cubic_magic(h: HaymanForm) -> str:
-    """Magic verdict for quadratics and cubics.
-
-    Quadratics and cubics with k in {1, 3} are never magic.  A cubic with
-    k = 2, i.e. ``1 + a z^2 + b z^3``, is magic iff ``Re(b a^{-3/2}) = 0``;
-    either square-root branch gives the same verdict since the branches
-    negate ``b a^{-3/2}``.  Only the phase matters, so ``a`` and ``b`` are
-    divided by their moduli first and ``a^{-3/2}`` cannot overflow.
-    """
-    deg = h.tail.degree
-    if deg == 2:
-        return NOT_MAGIC
-    if deg != 3:
-        raise NotCubicFamilyError(f"tail degree {deg} is outside the quadratic/cubic family")
-    if h.k in (1, 3):
-        return NOT_MAGIC
-    b = h.tail.coeffs[3]
-    b_prime = b / abs(b) * (h.a / abs(h.a)) ** -1.5
-    return MAGIC if abs(b_prime.real) <= EPS_MAG * abs(b_prime) else NOT_MAGIC
-
-
 def predict_J(h: HaymanForm) -> PredictedJ:
     """Survivor recursion over all tail terms above degree k.
 
@@ -170,7 +129,7 @@ def predict_J(h: HaymanForm) -> PredictedJ:
     corpus); a heuristic for exceptional ones.
     """
     k = h.k
-    omega = _omega_list(h)
+    omega = h.omega
     j_set = list(range(k))
     history = []
     for n in h.tail.nonzero_exponents():
@@ -201,10 +160,12 @@ def classify(p: Polynomial | HaymanForm) -> Classification:
     which returns a form unchanged): ``mu`` and ``N``, one resonance scan,
     and the truncation of ``tail``.  The count of a non-exceptional input is
     ``mu``, proven, so no survivor recursion (:func:`predict_J`) runs.
-    ``omega`` holds the bits of :func:`omega_angles`, folded on Python
-    floats.  A monomial raises :class:`MonomialAllPlaneError` from
-    ``normalize``: its maximum modulus set is the whole plane and there is
-    nothing to classify.
+    ``magic`` is NOT_MAGIC where the scan finds no resonance, MAGIC where it
+    finds one on a polynomial tail of degree at most 3, and UNKNOWN on
+    every other exceptional input.  ``omega`` is the form's
+    :attr:`~maxmod.poly.HaymanForm.omega`.  A monomial raises
+    :class:`MonomialAllPlaneError` from ``normalize``: its maximum modulus
+    set is the whole plane and there is nothing to classify.
     """
     h = normalize(p)
     k, mu = h.k, h.mu
@@ -214,13 +175,15 @@ def classify(p: Polynomial | HaymanForm) -> Classification:
             "truncated series: exact only if the omitted terms lie above the core degree",
         )
 
-    if h.tail.degree in (2, 3):
-        magic = cubic_magic(h)
-    elif not exceptional:
+    if not exceptional:
         magic = NOT_MAGIC
+    elif h.tail.degree <= 3 and not h.tail.truncated:
+        # the resonance of 1 + a z^2 + b z^3, the only one below degree 4,
+        # is the magic cubic's Re(b a^{-3/2}) = 0; the terms a series omits
+        # may undo the doubling
+        magic = MAGIC
     else:
-        # identifying magic inputs beyond the cubic family is an open
-        # problem; never guess
+        # the paper proves nothing beyond cubics; never guess
         magic = UNKNOWN
 
     predicted_count: int | tuple[int, ...]
@@ -233,7 +196,7 @@ def classify(p: Polynomial | HaymanForm) -> Classification:
     return Classification(
         mu=mu,
         N=h.N,
-        omega=tuple(_omega_list(h)),
+        omega=h.omega,
         exceptional=exceptional,
         witnesses=witnesses,
         magic=magic,

@@ -57,10 +57,6 @@ class MonomialAllPlaneError(MaxmodError):
     exit_code = 3
 
 
-class NotCubicFamilyError(MaxmodError):
-    code = "NotCubicFamily"
-
-
 class TruncatedSeriesError(MaxmodError):
     """Operation needs a genuine polynomial, not a truncated series."""
 

@@ -23,7 +23,7 @@ from .errors import (
     TruncatedSeriesError,
     ZeroPolynomialError,
 )
-from .util import EPS
+from .util import EPS, reduce_angle
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,8 @@ class Polynomial:
 
     ``truncated`` marks the sequence as the initial part of a longer Taylor
     series.  Classification works on such inputs (exactly, provided the
-    omitted terms sit above the core degree) but tracing refuses them.
+    omitted terms sit above the core degree, and leaving the magic of an
+    exceptional series UNKNOWN) but tracing refuses them.
     """
 
     coeffs: tuple[complex, ...]
@@ -74,7 +75,8 @@ class HaymanForm:
     ``z^N`` is the core polynomial.  ``tail.truncated`` is that of the
     input.  This is the one value per input that ``classify``, ``trace``
     and ``count_components`` read; each takes it in place of a polynomial.
-    Its :attr:`floor` is computed on first read and kept.
+    Its candidate angles :attr:`omega` and its :attr:`floor` are computed
+    on first read and kept.
     """
 
     prefactor_scalar: complex
@@ -84,6 +86,21 @@ class HaymanForm:
     mu: int
     N: int
     tail: Polynomial
+
+    @functools.cached_property
+    def omega(self) -> tuple[float, ...]:
+        """The k candidate tangent angles ``(2 j pi - arg a)/k``, j = 0..k-1,
+        reduced to (-pi, pi]: ``classify`` reports them, the survivor
+        recursion weighs them and a trace matches its tangents to them.
+
+        Each angle is formed and folded on Python floats (the scalar path
+        of :func:`~maxmod.util.reduce_angle`).  The operations and their
+        order are those of the array formula over ``j = 0, ..., k-1``, and
+        the scalar fold agrees with the array fold bit for bit, so the
+        angles are the array formula's bits.
+        """
+        arg_a, k = cmath.phase(self.a), self.k
+        return tuple([reduce_angle((2.0 * j * math.pi - arg_a) / k) for j in range(k)])
 
     @functools.cached_property
     def floor(self) -> float:

@@ -69,7 +69,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classify import omega_angles, predict_J
+from .classify import predict_J
 from .errors import (
     ConfigError,
     FloorViolationError,
@@ -236,11 +236,12 @@ def _maxima(e, cn, radii, ridx, theta, is_max, n_max, n_min):
     ``n_max`` and ``n_min`` count them per circle.  The one ``osc``
     evaluation reads a point's ``C_n`` from its circle's row.  The spread
     of a circle is its largest ``osc`` at a maximum minus its smallest at a
-    minimum, and a maximum is co-maximal within ``TIE_TOL`` times that of
-    its circle's largest.
+    minimum.  A maximum is co-maximal within ``TIE_TOL`` times that of its
+    circle's largest, and its deficit is that largest ``osc`` minus its own.
 
-    Returns flat arrays ``(theta, osc, comax)`` of the maxima, by circle,
-    each circle's in counterclockwise order from about -pi.
+    Returns flat arrays ``(ridx, theta, osc, deficit, comax)`` of the
+    maxima, by circle, each circle's in counterclockwise order from about
+    -pi.
     """
     mx = np.flatnonzero(is_max)
     mn = np.flatnonzero(~is_max)
@@ -251,8 +252,9 @@ def _maxima(e, cn, radii, ridx, theta, is_max, n_max, n_min):
     top = np.maximum.reduceat(osc, np.cumsum(n_max) - n_max)
     spread = top - np.minimum.reduceat(osc_mn, np.cumsum(n_min) - n_min)
     tie_threshold = TIE_TOL * spread
-    comax = osc >= top[ridx_mx] - tie_threshold[ridx_mx]
-    return reduce_angle(theta[mx]), osc, comax
+    peak = top[ridx_mx]
+    comax = osc >= peak - tie_threshold[ridx_mx]
+    return ridx_mx, reduce_angle(theta[mx]), osc, peak - osc, comax
 
 
 def _scan_circles(e: ModulusExpansion, radii: np.ndarray):
@@ -263,10 +265,10 @@ def _scan_circles(e: ModulusExpansion, radii: np.ndarray):
     them (:func:`maxmod.roots.critical_points`), and :func:`_maxima` reads
     them again for ``osc``.
 
-    Returns flat arrays ``(n_max, theta, osc, comax)``: ``n_max[i]`` maxima
-    of circle i, followed by those of circle i + 1, each circle's in
-    counterclockwise order from about -pi; ``comax`` marks the co-maximal
-    ones.
+    Returns ``n_max`` and the flat arrays ``(ridx, theta, osc, deficit,
+    comax)`` of :func:`_maxima`: ``n_max[i]`` maxima of circle i, followed
+    by those of circle i + 1, each circle's in counterclockwise order from
+    about -pi; ``comax`` marks the co-maximal ones.
     """
     cn = _rows(e, radii)
     ridx, theta, is_max = roots.critical_points(cn, radii)
@@ -498,8 +500,8 @@ def _count_batch(members) -> list[int]:
         member, theta, is_max = member[at], theta[at], is_max[at]
         # osc with cn reads only those rows, not the expansion: any member's serves
         pts = member, theta, is_max, n_max[last], n_min[last]
-        comax = _maxima(es[0], cn[last], radii[last], *pts)[2]
-        found = np.bincount(member[is_max][comax], minlength=last.size)
+        member, *_, comax = _maxima(es[0], cn[last], radii[last], *pts)
+        found = np.bincount(member[comax], minlength=last.size)
         for k, n in zip(ks, found.tolist()):
             counts[k] = n
     return counts
@@ -548,10 +550,8 @@ def trace(p: Polynomial | HaymanForm, cfg: TraceConfig = TraceConfig()) -> Trace
     formed.
     """
     h, radii, psi, e = _prepare(p, cfg)
-    n_max, theta, osc, comax = _scan_circles(e, radii)
-    ridx = np.repeat(np.arange(radii.size), n_max)
+    n_max, ridx, theta, osc, deficit, comax = _scan_circles(e, radii)
     mod2 = e.base(radii)[ridx] + osc
-    omega = omega_angles(h)
 
     # -- link maxima across radii (descending) into trajectories and curves --
     prev = _link(n_max, theta)
@@ -561,7 +561,7 @@ def trace(p: Polynomial | HaymanForm, cfg: TraceConfig = TraceConfig()) -> Trace
         # each circle's maxima are sorted by angle again and the links follow
         theta = reduce_angle(theta + psi)
         order = np.lexsort((theta, ridx))
-        theta, osc, mod2, comax, prev = (x[order] for x in (theta, osc, mod2, comax, prev))
+        theta, mod2, deficit, comax, prev = (x[order] for x in (theta, mod2, deficit, comax, prev))
         moved = np.empty_like(order)
         moved[order] = flat
         prev = np.where(prev >= 0, moved[prev], -1)
@@ -579,7 +579,6 @@ def trace(p: Polynomial | HaymanForm, cfg: TraceConfig = TraceConfig()) -> Trace
 
     # -- events: per radius, curves of ended trajectories die first (by
     # trajectory), then births and deaths in angle order --------------------
-    deficit = np.maximum.reduceat(osc, np.cumsum(n_max) - n_max)[ridx] - osc
     raw = []  # (radius index, 0 | 1, order key, kind, curve id, legitimate)
     for j in np.flatnonzero(comax & (nxt < 0) & (ridx < last)).tolist():
         raw.append((int(ridx[j]) + 1, 0, int(traj[j]), "death", int(curve[j]), None))
@@ -634,7 +633,7 @@ def trace(p: Polynomial | HaymanForm, cfg: TraceConfig = TraceConfig()) -> Trace
         if n < 8:
             continue
         omega_hat, alpha_hat, on_ray = _fit_tangent(sample_r[a : a + n], sample_theta[a : a + n])
-        devs = circ_dist(omega_hat, omega)
+        devs = circ_dist(omega_hat, h.omega)
         j = int(np.argmin(devs))
         tangents.append(
             TangentFit(
@@ -643,7 +642,7 @@ def trace(p: Polynomial | HaymanForm, cfg: TraceConfig = TraceConfig()) -> Trace
                 alpha_hat=alpha_hat,
                 on_ray=on_ray,
                 matched_j=j,
-                matched_omega=float(omega[j]),
+                matched_omega=h.omega[j],
                 omega_error=float(devs[j]),
             )
         )

@@ -18,7 +18,9 @@ The package evaluates ``|1 + q|^2`` only from its Fourier coefficients
 - :func:`c_pairs_loop` and :func:`mass_check_every_radius` are the
   per-order loop of the products ``c_{j+n} conj(c_j)`` and the mass check
   of every radius, which the package forms by one scatter and one check at
-  the largest radius.
+  the largest radius;
+- :func:`cubic_magic` is the paper's closed form ``Re(b a^{-3/2}) = 0`` of
+  a magic cubic, which ``maxmod.classify`` reads off its resonance scan.
 
 ``companion_angles`` finds a circle's critical points as the real roots of
 a polynomial in the half angle, by a companion-matrix eigenvalue solve: the
@@ -37,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from maxmod import Polynomial, _kernels, expand
+from maxmod import HaymanForm, Polynomial, _kernels, expand
+from maxmod.classify import MAGIC, NOT_MAGIC
 from maxmod.modulus import ModulusExpansion
 from maxmod.tracer import FIT_DEGREE, TIE_TOL, _scan_circles
 from maxmod.util import TWO_PI, reduce_angle
@@ -47,6 +50,8 @@ EPS = np.finfo(float).eps
 # critical point when |abs(w) - 1| < ON_CIRCLE; real roots land within a
 # few ulps of the circle
 ON_CIRCLE = 1e-6
+# cubic_magic's bound on |Re b'| / |b'|, in radians as classify's EPS_ARG
+EPS_MAG = 1e-9
 
 
 @functools.cache
@@ -247,7 +252,7 @@ def circle_argmax(e: ModulusExpansion, r: float) -> list[tuple[float, float]]:
     Returns ``(theta, mod2)`` pairs for every maximizer whose value lies
     within ``TIE_TOL * (max - min)`` of the refined global maximum.
     """
-    _, theta, osc, comax = _scan_circles(e, np.array([r], dtype=float))
+    _, _, theta, osc, _, comax = _scan_circles(e, np.array([r], dtype=float))
     mod2 = e.base(r) + osc
     return [(float(t), float(m)) for t, m in zip(theta[comax], mod2[comax])]
 
@@ -308,3 +313,25 @@ def mass_check_every_radius(e: ModulusExpansion, radii: np.ndarray) -> float | N
         mass = 1.0 + _kernels.radial_sum(j * j * np.abs(e.c), j, radii)
         bad = ~np.isfinite(4.0 * mass * mass)
     return float(radii[np.argmax(bad)]) if bad.any() else None
+
+
+def cubic_magic(h: HaymanForm) -> str:
+    """Magic verdict of the paper's closed form for quadratics and cubics.
+
+    Quadratics and cubics with k in {1, 3} are never magic.  A cubic with
+    k = 2, i.e. ``1 + a z^2 + b z^3``, is magic iff ``Re(b a^{-3/2}) = 0``;
+    either square-root branch gives the same verdict since the branches
+    negate ``b a^{-3/2}``.  Only the phase matters, so ``a`` and ``b`` are
+    divided by their moduli first and ``a^{-3/2}`` cannot overflow.  A tail
+    of degree 4 or more raises ``ValueError``.
+    """
+    deg = h.tail.degree
+    if deg == 2:
+        return NOT_MAGIC
+    if deg != 3:
+        raise ValueError(f"tail degree {deg} is outside the quadratic/cubic family")
+    if h.k in (1, 3):
+        return NOT_MAGIC
+    b = h.tail.coeffs[3]
+    b_prime = b / abs(b) * (h.a / abs(h.a)) ** -1.5
+    return MAGIC if abs(b_prime.real) <= EPS_MAG * abs(b_prime) else NOT_MAGIC

@@ -15,6 +15,9 @@ REMOVED = (
     "direct_mod2",
     "circle_argmax",
     "MonomialVerdict",  # normalize raises MonomialAllPlaneError on a monomial
+    "cubic_magic",  # the closed form is the oracle of tests/oracles.py
+    "NotCubicFamilyError",  # only cubic_magic raised it
+    "omega_angles",  # the candidate angles are HaymanForm.omega
 )
 
 
@@ -32,6 +35,7 @@ def test_removed_helpers_are_absent():
         assert not hasattr(maxmod, name), name
         assert not hasattr(maxmod.poly, name), name
         assert not hasattr(sys.modules["maxmod.classify"], name), name
+        assert not hasattr(maxmod.errors, name), name
 
 
 def test_mu_and_core_degree_live_on_the_normal_form():
@@ -68,6 +72,7 @@ def test_oracles_live_in_tests():
         "direct_mod2",
         "brute_force_mset",
         "circle_argmax",
+        "cubic_magic",
     }
     for path in Path(maxmod.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))

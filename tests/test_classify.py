@@ -11,17 +11,31 @@ from hypothesis import strategies as st
 
 from maxmod import (
     MonomialAllPlaneError,
-    NotCubicFamilyError,
     Polynomial,
+    TraceConfig,
     classify,
-    cubic_magic,
     normalize,
-    omega_angles,
     parse_poly,
     predict_J,
+    trace,
 )
 from maxmod.classify import MAGIC, NOT_MAGIC, UNKNOWN
 from maxmod.util import canonical_json, circ_dist, reduce_angle
+
+from oracles import cubic_magic
+
+# Two cubics within float rounding of the 1e-9 edge, where the closed form
+# Re(b a^{-3/2}) = 0 and the resonance residual round to opposite sides:
+# classify, which reads magic off the resonance, is not exceptional and not
+# magic on the first, and both on the second.
+EDGE_CUBICS = (
+    "1,0,0.52+1.628i,-0.9487162793135887-0.31612880502317525i",
+    "1,0,1.149+0.677i,0.7164285760637021-0.697660444198563i",
+)
+# a cubic prefix on the resonance, whose quartic continuation traces to one
+# curve (from hunt --family quartic --seed 99)
+MAGIC_PREFIX = "1,0,-0.8300660225374361+1.2693990778175988i,-0.04656710453432083+0.5579051013880815i"
+CONTINUATION = MAGIC_PREFIX + ",-0.6791154105070409+0.5975263901720731i"
 
 
 def unit_arg():
@@ -33,23 +47,25 @@ def polar(rho, phi):
 
 
 class TestOmegaAngles:
+    """The candidate angles ``HaymanForm.omega``."""
+
     def test_a1_k2(self):
-        w = omega_angles(normalize(parse_poly("1,0,1")))
+        w = normalize(parse_poly("1,0,1")).omega
         assert np.allclose(w, [0.0, math.pi], atol=0)
 
     def test_ai_k1(self):
-        w = omega_angles(normalize(parse_poly("1,1i")))
+        w = normalize(parse_poly("1,1i")).omega
         assert np.allclose(w, [-math.pi / 2])
 
     def test_aneg_k2(self):
-        w = omega_angles(normalize(parse_poly("1,0,-1")))
+        w = normalize(parse_poly("1,0,-1")).omega
         assert np.allclose(w, [-math.pi / 2, math.pi / 2])
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 9), st.floats(0.5, 2), unit_arg())
     def test_spacing_and_range(self, k, rho, phi):
         coeffs = [1.0 + 0j] + [0j] * (k - 1) + [polar(rho, phi)]
-        w = omega_angles(normalize(Polynomial(tuple(coeffs))))
+        w = np.array(normalize(Polynomial(tuple(coeffs))).omega)
         assert len(w) == k
         assert np.all(w > -math.pi) and np.all(w <= math.pi)
         raw = (2 * np.arange(k) * math.pi - cmath.phase(polar(rho, phi))) / k
@@ -66,11 +82,12 @@ class TestOmegaAngles:
             h = normalize(Polynomial((1,) + (0,) * (k - 1) + (a,)))
             j = np.arange(k, dtype=float)
             want = np.atleast_1d(reduce_angle((2.0 * j * math.pi - cmath.phase(h.a)) / k))
-            w = omega_angles(h)
-            assert w.dtype == np.float64 and not w.flags.writeable
-            assert w.tobytes() == want.tobytes()
+            w = h.omega
+            assert type(w) is tuple and all(type(x) is float for x in w)
+            assert np.array(w).tobytes() == want.tobytes()
+            assert h.omega is w  # computed once per form
             omega = classify(h.tail).omega
-            assert omega == tuple(w.tolist())
+            assert omega == w
             assert np.array(omega).tobytes() == want.tobytes()
 
 
@@ -115,32 +132,69 @@ class TestExceptional:
         assert float(w.split("residual=")[1]) == pytest.approx(3e-8 / math.pi, rel=1e-3)
 
 
+def magic_of(text: str) -> str:
+    """The closed form's verdict on a quadratic or cubic, after checking
+    that classify, which reads magic off its resonance scan, agrees."""
+    h = normalize(parse_poly(text))
+    want = cubic_magic(h)
+    assert classify(h).magic == want, text
+    return want
+
+
 class TestCubicMagic:
+    """The oracle ``cubic_magic`` of tests/oracles.py, the paper's closed
+    form, against ``classify``."""
+
     def test_magic(self):
-        assert cubic_magic(normalize(parse_poly("1,0,1,1i"))) == MAGIC
+        assert magic_of("1,0,1,1i") == MAGIC
 
     def test_perturbed_not_magic(self):
-        assert cubic_magic(normalize(parse_poly("1,0,1,0.001+1i"))) == NOT_MAGIC
+        assert magic_of("1,0,1,0.001+1i") == NOT_MAGIC
 
     def test_real_not_magic(self):
-        assert cubic_magic(normalize(parse_poly("1,0,1,1"))) == NOT_MAGIC
+        assert magic_of("1,0,1,1") == NOT_MAGIC
 
     def test_tiny_a_does_not_overflow(self):
         # a = 1e-308, so a^(-3/2) is not a float; only the phase of b a^(-3/2) matters
-        assert cubic_magic(normalize(parse_poly("1e300,0,1e-8,1e200i"))) == MAGIC
-        assert cubic_magic(normalize(parse_poly("1e300,0,1e-8,1e200"))) == NOT_MAGIC
+        assert magic_of("1e300,0,1e-8,1e200i") == MAGIC
+        assert magic_of("1e300,0,1e-8,1e200") == NOT_MAGIC
 
     def test_quadratic_never_magic(self):
-        assert cubic_magic(normalize(parse_poly("1,0.5i,2"))) == NOT_MAGIC
-        assert cubic_magic(normalize(parse_poly("1,0,2i"))) == NOT_MAGIC
+        assert magic_of("1,0.5i,2") == NOT_MAGIC
+        assert magic_of("1,0,2i") == NOT_MAGIC
 
     def test_k1_k3_cubics_not_magic(self):
-        assert cubic_magic(normalize(parse_poly("1,1,0,1"))) == NOT_MAGIC
-        assert cubic_magic(normalize(parse_poly("1,0,0,1"))) == NOT_MAGIC
+        assert magic_of("1,1,0,1") == NOT_MAGIC
+        assert magic_of("1,0,0,1") == NOT_MAGIC
 
     def test_outside_family(self):
-        with pytest.raises(NotCubicFamilyError):
-            cubic_magic(normalize(parse_poly("1,0,1,0,1")))
+        # the closed form has no verdict on a quartic; classify has none
+        # either where the quartic resonates
+        with pytest.raises(ValueError):
+            cubic_magic(normalize(parse_poly("1,0,1,1i,1")))
+        c = classify(parse_poly("1,0,1,1i,1"))
+        assert c.exceptional and c.magic == UNKNOWN and c.conjecture_count is None
+
+    @pytest.mark.parametrize("branch", [0, 1, None], ids=["branch-0", "branch-1", "off-locus"])
+    def test_seeded_cubics_agree(self, branch):
+        # 1 + a z^2 + b z^3 on either branch arg b = 3/2 arg a + pi/2 + m' pi
+        # of the locus, or with b of any phase, and seeded cubics with
+        # k in {1, 3} and quadratics
+        rng = np.random.default_rng(20261020 + (3 if branch is None else branch))
+        magic = 0
+        for _ in range(300):
+            rho_a, phi_a, rho_b = rng.uniform(0.5, 2.0), rng.uniform(-math.pi, math.pi), rng.uniform(0.5, 2.0)
+            if branch is None:
+                phi_b = rng.uniform(-math.pi, math.pi)
+            else:
+                phi_b = 1.5 * phi_a + math.pi / 2 + (branch + 2 * int(rng.integers(-1, 2))) * math.pi
+            a, b = polar(rho_a, phi_a), polar(rho_b, phi_b)
+            for coeffs in ((1, 0, a, b), (1, a, 0, b), (1, a, b, 0), (1, 0, 0, b), (1, a, b)):
+                h = normalize(Polynomial(coeffs))
+                want = cubic_magic(h)
+                assert classify(h).magic == want, coeffs
+                magic += want == MAGIC
+        assert magic == (0 if branch is None else 300)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0.5, 2), unit_arg(), st.floats(0.5, 2), st.integers(0, 3))
@@ -150,7 +204,7 @@ class TestCubicMagic:
         phi_b = 1.5 * phi_a + math.pi / 2 + m_prime * math.pi
         b = polar(rho_b, phi_b)
         h = normalize(Polynomial((1, 0, a, b)))
-        assert cubic_magic(h) == MAGIC
+        assert cubic_magic(h) == MAGIC and classify(h).magic == MAGIC
         b1 = b * a**-1.5
         b2 = b * (-(a**-1.5))
         assert (abs(b1.real) <= 1e-9 * abs(b1)) == (abs(b2.real) <= 1e-9 * abs(b2))
@@ -165,6 +219,42 @@ class TestCubicMagic:
         flag = classify(Polynomial((1, 0, a, b))).exceptional
         b_prime = b * a**-1.5
         assert flag == (abs(b_prime.real) <= 1e-9 * abs(b_prime))
+
+
+class TestMagicIsResonance:
+    """Below degree 4, classify's magic is its resonance test."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.just(0j), st.builds(polar, st.floats(1e-3, 1e3), unit_arg())),
+            min_size=1,
+            max_size=3,
+        ),
+        st.booleans(),
+    )
+    @example(tail=[0j, complex(1, 0), complex(0, 1)], on_locus=False)
+    def test_magic_iff_exceptional(self, tail, on_locus):
+        # any polynomial tail 1 + a_1 z + a_2 z^2 + a_3 z^3; on_locus turns
+        # a_3 of 1 + a z^2 + b z^3 onto the resonance
+        if on_locus and len(tail) == 3 and tail[0] == 0 and tail[1] != 0 and tail[2] != 0:
+            phi_b = 1.5 * cmath.phase(tail[1]) + math.pi / 2
+            tail = [0j, tail[1], polar(abs(tail[2]), phi_b)]
+        if not any(tail):
+            return  # a monomial
+        c = classify(Polynomial((1,) + tuple(tail)))
+        assert (c.magic == MAGIC) == c.exceptional
+        assert c.magic != UNKNOWN
+        assert c.conjecture_count == (2 * c.mu if c.exceptional else None)
+
+    @pytest.mark.parametrize("text", EDGE_CUBICS, ids=["not-exceptional", "exceptional"])
+    def test_edge_of_the_tolerance(self, text):
+        # the closed form rounds to the other side here; classify's verdict
+        # follows its resonance test alone
+        c = classify(parse_poly(text))
+        assert (c.magic == MAGIC) == c.exceptional == (text == EDGE_CUBICS[1])
+        assert c.conjecture_count == (2 if c.exceptional else None)
+        assert (cubic_magic(normalize(parse_poly(text))) == MAGIC) != c.exceptional
 
 
 class TestPredictJ:
@@ -296,10 +386,31 @@ class TestClassify:
 
 class TestTruncatedClassification:
     def test_classifies_with_warning(self):
+        # the resonance of a truncated magic cubic stays a fact of the
+        # series; its magic does not, so the verdict is UNKNOWN
         p = Polynomial((1, 0, 1, 1j), truncated=True)
         c = classify(p)
-        assert c.mu == 1 and c.magic == MAGIC
+        assert c.mu == 1 and c.exceptional and c.magic == UNKNOWN
+        assert c.conjecture_count is None
         assert any("truncated" in w for w in c.warnings)
+
+    def test_exceptional_prefix_is_unknown(self):
+        # a magic cubic as a polynomial, UNKNOWN as the prefix of a series:
+        # its quartic continuation resonates the same way, yet traces to one
+        # curve, not two
+        cubic = classify(parse_poly(MAGIC_PREFIX))
+        series = classify(Polynomial(parse_poly(MAGIC_PREFIX).coeffs, truncated=True))
+        quartic = classify(parse_poly(CONTINUATION))
+        assert (cubic.magic, cubic.conjecture_count) == (MAGIC, 2)
+        assert (series.magic, series.conjecture_count) == (UNKNOWN, None)
+        assert series.witnesses == quartic.witnesses == cubic.witnesses
+        assert quartic.magic == UNKNOWN
+        cfg = TraceConfig(r_min=2e-4, r_max=0.3, n_radii=200)
+        assert trace(parse_poly(CONTINUATION), cfg).n_components == 1
+
+    def test_non_exceptional_prefix_is_not_magic(self):
+        c = classify(Polynomial((1, 0, 1, 1), truncated=True))
+        assert not c.exceptional and c.magic == NOT_MAGIC
 
 
 class TestCoefficientFactsOnce:

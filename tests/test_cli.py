@@ -1,5 +1,6 @@
 import cmath
 import contextlib
+import functools
 import io
 import json
 import math
@@ -107,6 +108,22 @@ class TestClassifyCommand:
         f.write_text('{"coeffs": [[1,0],[0,0],[1,0],[0,1]]}')
         code, out, _ = run(capsys, "classify", "--poly-file", str(f))
         assert code == 0 and json.loads(out)["magic"] == "MAGIC"
+
+    @pytest.mark.parametrize(
+        "poly",
+        ["1,0,1,1i", "1,0,-0.8300660225374361+1.2693990778175988i,-0.04656710453432083+0.5579051013880815i"],
+        ids=["magic-cubic", "hunted-prefix"],
+    )
+    def test_truncated_exceptional_cubic_is_unknown_json(self, capsys, poly):
+        # a magic cubic read as the prefix of a series: its resonance still
+        # holds, its magic is left open and no doubled count is conjectured
+        code, out, _ = run(capsys, "classify", "--truncated", "--poly", poly, "--json")
+        doc = json.loads(out)
+        assert code == 0 and doc["exceptional"] is True
+        assert doc["magic"] == "UNKNOWN" and doc["conjecture_count"] is None
+        assert doc["warnings"] == ["truncated series: exact only if the omitted terms lie above the core degree"]
+        _, out, _ = run(capsys, "classify", "--poly", poly, "--json")
+        assert json.loads(out) == {**doc, "magic": "MAGIC", "conjecture_count": 2, "warnings": []}
 
 
 class TestTraceCommand:
@@ -704,15 +721,17 @@ class TestAgreementVerdict:
 
 class TestOneNormalFormPerInput:
     """Fixed work per input: a command normalizes each polynomial once and
-    passes the form on, a trace or count builds one expansion and computes
-    one floor, and classify runs no survivor recursion."""
+    passes the form on, forms its candidate angles once, a trace or count
+    builds one expansion and computes one floor, and classify runs no
+    survivor recursion."""
 
     @staticmethod
     def count_work(monkeypatch, argv) -> dict:
         """Run ``argv`` and count the normalizations of a polynomial (not
-        the identity return on a normal form), the ``c_pairs`` builds, the
-        floors computed and the survivor recursions that classify makes."""
-        calls = {"normalize": 0, "_c_pairs": 0, "floor_radius": 0, "predict_J": 0}
+        the identity return on a normal form), the candidate-angle
+        computations, the ``c_pairs`` builds, the floors computed and the
+        survivor recursions that classify makes."""
+        calls = {"normalize": 0, "omega": 0, "_c_pairs": 0, "floor_radius": 0, "predict_J": 0}
 
         def counted(name, func, when=lambda *args: True):
             def wrapper(*args):
@@ -725,6 +744,9 @@ class TestOneNormalFormPerInput:
         real = counted("normalize", normalize, lambda p: isinstance(p, maxmod.Polynomial))
         for module in (maxmod.cli, maxmod.tracer, sys.modules["maxmod.classify"]):
             monkeypatch.setattr(module, "normalize", real)
+        omega = functools.cached_property(counted("omega", maxmod.HaymanForm.omega.func))
+        omega.__set_name__(maxmod.HaymanForm, "omega")
+        monkeypatch.setattr(maxmod.HaymanForm, "omega", omega)
         monkeypatch.setattr(maxmod.modulus, "_c_pairs", counted("_c_pairs", maxmod.modulus._c_pairs))
         monkeypatch.setattr(maxmod.poly, "floor_radius", counted("floor_radius", maxmod.poly.floor_radius))
         classify_mod = sys.modules["maxmod.classify"]
@@ -735,15 +757,18 @@ class TestOneNormalFormPerInput:
 
     def test_cubic_hunt(self, monkeypatch, tmp_path):
         # 100 members, 50 of them exceptional and counted; each counted
-        # member's floor sets its radii and checks them, computed once
+        # member's floor sets its radii and checks them, computed once, and
+        # its angles serve classify and the survivors of its radii
         argv = ["hunt", "--family", "cubic", "--samples", "100", "--seed", "20260809"]
         calls = self.count_work(monkeypatch, argv + ["--out", str(tmp_path / "h.jsonl")])
-        assert calls == {"normalize": 100, "_c_pairs": 50, "floor_radius": 50, "predict_J": 0}
+        assert calls == {"normalize": 100, "omega": 100, "_c_pairs": 50, "floor_radius": 50, "predict_J": 0}
 
     @pytest.mark.parametrize("infinity", [[], ["--infinity"]], ids=["origin", "infinity"])
     def test_trace(self, monkeypatch, infinity):
-        calls = self.count_work(monkeypatch, ["trace", "--poly", "1,0,1,1i", "--radii", "20", *infinity])
-        assert calls == {"normalize": 1, "_c_pairs": 1, "floor_radius": 1, "predict_J": 0}
+        # the angles serve the classification and the tangent matches
+        argv = ["trace", "--poly", "1,0,1,1i", "--radii", "20", "--json", *infinity]
+        calls = self.count_work(monkeypatch, argv)
+        assert calls == {"normalize": 1, "omega": 1, "_c_pairs": 1, "floor_radius": 1, "predict_J": 0}
 
 
 def test_commands_leave_numpy_ma_unimported(tmp_path):

@@ -137,10 +137,7 @@ class TestCircleArgmax:
         coeffs = [1.0 + 0j] + [0j] * (k - 1) + [a]
         p = Polynomial(tuple(coeffs))
         e = expand(p)
-        h = normalize(p)
-        from maxmod import omega_angles
-
-        omega = omega_angles(h)
+        omega = normalize(p).omega
         for r in (0.05, 0.2):
             pts = circle_argmax(e, r)
             assert len(pts) == k
@@ -343,7 +340,7 @@ class TestQuotient:
             radii = np.geomspace(0.9, lo, 60)
             ridx, theta, _ = scan_points(quotient, radii)
             theta = reduce_angle(theta + psi)
-            n_max, maxima, _, _ = _scan_circles(quotient, radii)
+            n_max, _, maxima, *_ = _scan_circles(quotient, radii)
             maxima = reduce_angle(maxima + psi)
             mr = np.repeat(np.arange(radii.size), n_max)
             for i, want in enumerate(full_solve(e, radii)):
@@ -415,7 +412,7 @@ class TestQuotient:
         cfg = TraceConfig(r_min=max(1e-3, 2 * floor_radius(normalize(p))), r_max=0.6)
         radii = radius_schedule(cfg)
         ridx, theta, _ = scan_points(e, radii)
-        n_max, maxima, _, _ = _scan_circles(e, radii)
+        n_max, _, maxima, *_ = _scan_circles(e, radii)
         for i, scan in enumerate(np.split(maxima, np.cumsum(n_max)[:-1])):
             crit = np.where(theta[ridx == i] == -math.pi, math.pi, theta[ridx == i])
             assert np.array_equal(np.sort(crit), mirror(crit))
@@ -590,7 +587,7 @@ class TestCriticalPoints:
         checked = 0
         for p, radii in cases:
             e = term_expansion(p)
-            n_max, thetas, _, _ = _scan_circles(e, radii)
+            n_max, _, thetas, *_ = _scan_circles(e, radii)
             scans = np.split(thetas, np.cumsum(n_max)[:-1])
             ridx, _, kind = scan_points(e, radii)
             for i, (r, scan) in enumerate(zip(radii, scans)):
@@ -867,11 +864,13 @@ def fake_scan(monkeypatch, circles, oscs=None):
     r_max down, instead of scanning its circles.  ``oscs`` gives their
     values (all 1 by default); the largest of each circle are co-maximal."""
     n_max = np.array([len(c) for c in circles])
+    ridx = np.repeat(np.arange(n_max.size), n_max)
     theta = np.array([t for c in circles for t in c], dtype=float)
     oscs = oscs or [[1.0] * len(c) for c in circles]
     osc = np.array([x for c in oscs for x in c], dtype=float)
-    comax = np.concatenate([np.array(c) == max(c) for c in oscs])
-    scan = (n_max, theta, osc, comax)
+    deficit = np.array([max(c) - x for c in oscs for x in c], dtype=float)
+    comax = deficit == 0
+    scan = (n_max, ridx, theta, osc, deficit, comax)
     monkeypatch.setattr(maxmod.tracer, "_scan_circles", lambda e, radii: scan)
     return TraceConfig(r_min=1e-2, r_max=0.3, n_radii=len(circles))
 
@@ -1527,8 +1526,11 @@ class TestCountComponents:
         # test_corpus.py checks the count against every stored trace
         p, cfg = parse_poly("1,0,1,0,0,0.5"), TraceConfig(r_min=5e-5, r_max=0.3, n_radii=120)
         n = trace(p, cfg).n_components
-        for name in ("_link", "_chain_heads", "_fit_tangent", "omega_angles"):
+        for name in ("_link", "_chain_heads", "_fit_tangent"):
             monkeypatch.setattr(maxmod.tracer, name, None)
+        # nor does it read the candidate angles of the form
+        unread = property(lambda h: pytest.fail("a count read the candidate angles"))
+        monkeypatch.setattr(maxmod.HaymanForm, "omega", unread)
         assert count_components([(p, cfg)]) == [n] == [2]
 
     @pytest.mark.parametrize(
