@@ -96,15 +96,17 @@ def _exceptional_scan(h: HaymanForm):
     never exceptional."""
     k = h.k
     arg_a = cmath.phase(h.a)
+    k_pi = k * math.pi
+    coeffs = h.tail.coeffs
     witnesses = []
     near = []
     for sigma in range(k + 1, h.N + 1):
-        b = h.tail.coeffs[sigma]
+        b = coeffs[sigma]
         if b == 0:
             continue
-        arg_b = cmath.phase(b)
+        arg_b_pi = cmath.phase(b) / math.pi
         for m in range(1, 2 * k - 2):
-            m_prime = sigma * (m * math.pi - arg_a) / (k * math.pi) + arg_b / math.pi
+            m_prime = sigma * (m * math.pi - arg_a) / k_pi + arg_b_pi
             residual = abs(m_prime - round(m_prime))  # in units of pi
             if math.pi * residual <= EPS_ARG:
                 witnesses.append(

@@ -9,7 +9,6 @@ the canonical form ``1 + a z^k + higher order terms``.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 import re
@@ -23,7 +22,7 @@ from .errors import (
     TruncatedSeriesError,
     ZeroPolynomialError,
 )
-from .util import EPS, reduce_angle
+from .util import EPS, TWO_PI, cached_attribute
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,7 @@ class Polynomial:
         return not self.coeffs
 
     def nonzero_exponents(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.coeffs) if c != 0)
+        return tuple([i for i, c in enumerate(self.coeffs) if c != 0])
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,9 @@ class HaymanForm:
     input.  This is the one value per input that ``classify``, ``trace``
     and ``count_components`` read; each takes it in place of a polynomial.
     Its candidate angles :attr:`omega` and its :attr:`floor` are computed
-    on first read and kept.
+    on first read and kept in the instance ``__dict__``
+    (:class:`~maxmod.util.cached_attribute`): equality, hashing and
+    pickling still see the fields above, and the form stays frozen.
     """
 
     prefactor_scalar: complex
@@ -87,22 +88,28 @@ class HaymanForm:
     N: int
     tail: Polynomial
 
-    @functools.cached_property
+    @cached_attribute
     def omega(self) -> tuple[float, ...]:
         """The k candidate tangent angles ``(2 j pi - arg a)/k``, j = 0..k-1,
         reduced to (-pi, pi]: ``classify`` reports them, the survivor
         recursion weighs them and a trace matches its tangents to them.
 
-        Each angle is formed and folded on Python floats (the scalar path
-        of :func:`~maxmod.util.reduce_angle`).  The operations and their
-        order are those of the array formula over ``j = 0, ..., k-1``, and
-        the scalar fold agrees with the array fold bit for bit, so the
-        angles are the array formula's bits.
+        Each angle is formed on Python floats with the operations, in their
+        order, of the array formula over ``j = 0, ..., k-1``, and folded in
+        place by :func:`~maxmod.util.reduce_angle`'s rule.  ``arg a`` lies
+        in [-pi, pi] and j <= k - 1, so the unfolded angle lies in
+        [-pi, 2 pi), rounding included (its bound ``(2 - 1/k) pi (1 + 2
+        eps)`` stays below 2 pi for any k below 2^50).  There ``fmod`` by 2
+        pi returns the angle itself, and the fold is one comparison: -2 pi
+        above pi, +2 pi at -pi or below (only k = 1 with a negative real a
+        gets there), none otherwise.  So the angles are the array
+        formula's bits, the sign of a zero included.
         """
-        arg_a, k = cmath.phase(self.a), self.k
-        return tuple([reduce_angle((2.0 * j * math.pi - arg_a) / k) for j in range(k)])
+        arg_a, k, pi = cmath.phase(self.a), self.k, math.pi
+        angles = [(2.0 * j * pi - arg_a) / k for j in range(k)]
+        return tuple([t - TWO_PI if t > pi else t - -TWO_PI if t <= -pi else t for t in angles])
 
-    @functools.cached_property
+    @cached_attribute
     def floor(self) -> float:
         """:func:`floor_radius` of the form, computed on first read and kept
         with it: a hunt reads it for a member's radii and again when the
@@ -138,14 +145,15 @@ def normalize(p: Polynomial | HaymanForm) -> HaymanForm:
     """
     if isinstance(p, HaymanForm):
         return p
-    if p.is_zero:
+    coeffs = p.coeffs
+    if not coeffs:
         raise ZeroPolynomialError("cannot normalize the zero polynomial")
     nz = p.nonzero_exponents()
     if len(nz) == 1:
         raise MonomialAllPlaneError("the maximum modulus set of a monomial is the whole plane")
     m = nz[0]
-    c = p.coeffs[m]
-    ratios = lead_ratios(p.coeffs[m + 1 :], c)
+    c = coeffs[m]
+    ratios = lead_ratios(coeffs[m + 1 :], c)
     # every nonzero coefficient must stay a finite nonzero ratio
     if len(ratios) - ratios.count(0j) != len(nz) - 1 or not all(map(cmath.isfinite, ratios)):
         raise CoefficientRangeError(
@@ -158,7 +166,7 @@ def normalize(p: Polynomial | HaymanForm) -> HaymanForm:
     exps = [e - m for e in nz[1:]]  # the tail's positive exponents
     gcds = list(itertools.accumulate(exps, math.gcd))
     k, mu = exps[0], gcds[-1]
-    return HaymanForm(c, m, k=k, a=tail.coeffs[k], mu=mu, N=exps[gcds.index(mu)], tail=tail)
+    return HaymanForm(c, m, k=k, a=ratios[k - 1], mu=mu, N=exps[gcds.index(mu)], tail=tail)
 
 
 def frexp_complex(z: complex) -> tuple[complex, int]:
@@ -179,7 +187,7 @@ def lead_ratios(coeffs, lead: complex) -> tuple[complex, ...]:
         lead, e = frexp_complex(lead)
         s = math.ldexp(1.0, -e)
         coeffs = [complex(c.real * s, c.imag * s) for c in coeffs]
-    return tuple(c / lead + 0j for c in coeffs)
+    return tuple([c / lead + 0j for c in coeffs])
 
 
 def reciprocal(p: Polynomial) -> Polynomial:
@@ -261,7 +269,8 @@ def json_float(literal: str) -> float:
 def poly_from_json(data) -> Polynomial:
     """Build a polynomial from ``{"coeffs": [[re, im], ...]}``.
 
-    An optional ``"truncated": true`` marks a truncated Taylor series.
+    An optional ``"truncated": true`` marks a truncated Taylor series; the
+    flag must be a JSON boolean, and a missing flag means false.
     """
     if not isinstance(data, dict) or "coeffs" not in data:
         raise PolyParseError("the JSON document", None, 'expected an object with a "coeffs" array')
@@ -280,7 +289,11 @@ def poly_from_json(data) -> Polynomial:
             reason = "expected a [re, im] pair of finite numbers"
             raise PolyParseError(reprlib.repr(pair), i, reason)
         coeffs.append(z)
-    return Polynomial(tuple(coeffs), truncated=bool(data.get("truncated", False)))
+    truncated = data.get("truncated", False)
+    if not isinstance(truncated, bool):
+        reason = f"expected true or false, got {reprlib.repr(truncated)}"
+        raise PolyParseError('the "truncated" flag', None, reason)
+    return Polynomial(tuple(coeffs), truncated=truncated)
 
 
 def _fmt_real(v: float) -> str:

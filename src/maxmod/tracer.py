@@ -62,7 +62,6 @@ argmax, and dropping it keeps co-maximality decisions accurate at the
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -80,7 +79,7 @@ from .errors import (
 from . import _kernels, roots
 from .modulus import ModulusExpansion, expand, on_axis
 from .poly import HaymanForm, Polynomial, frexp_complex, normalize, reciprocal
-from .util import EPS, TWO_PI, circ_dist, reduce_angle
+from .util import EPS, TWO_PI, cached_attribute, circ_dist, reduce_angle
 
 FIT_DEGREE = 6  # degree of the polynomial theta(r) fitted by _fit_tangent
 # Co-maximality: a maximizer ties with the best one when its value lies within
@@ -168,7 +167,7 @@ class TraceResult:
     mu: int
     inverted: bool = False  # samples w stand for 1/w, with mod |w^n p(1/w)|
 
-    @functools.cached_property
+    @cached_attribute
     def samples(self) -> tuple[CurveSample, ...]:
         """The sample columns as :class:`CurveSample` rows, in their order;
         built on first read, so a caller that reads only counts and tangents

@@ -1,17 +1,20 @@
-"""Build ``corpus.json``: seeded trace inputs and each one's outcome.
+"""Build ``corpus.json``, seeded trace inputs and each one's outcome, and
+``classify_corpus.json``, seeded classify inputs and the exact JSON that
+``classify`` prints for each.
 
 Run from the repository root when the program's outcomes change on purpose:
 
     PYTHONPATH=src python3 tests/make_corpus.py
 
-``test_corpus.py`` traces every input again and compares.  The inputs are
-fig1's pair, the benchmark's random_count pool (read from
-``perfbench/reference.json``), the traced members of one cubic hunt, about
-300 seeded polynomials of degree 2-16, a third of them real, and inputs that
-once failed.  Each outcome holds the error class or the discrete result
-(``n_components``, ``component_ids``, ``stable_radius``, the co-maximal
-count per radius, the events with their radius index) and every sample
-angle.
+``test_corpus.py`` traces and classifies every input again and compares.
+The trace inputs are fig1's pair, the benchmark's random_count pool (read
+from ``perfbench/reference.json``), the traced members of one cubic hunt,
+about 300 seeded polynomials of degree 2-16, a third of them real, and
+inputs that once failed.  Each outcome holds the error class or the
+discrete result (``n_components``, ``component_ids``, ``stable_radius``,
+the co-maximal count per radius, the events with their radius index) and
+every sample angle.  :func:`classify_inputs` describes the classify
+inputs.
 """
 
 from __future__ import annotations
@@ -26,16 +29,20 @@ from maxmod import (
     MaxmodError,
     Polynomial,
     TraceConfig,
+    classify,
     cli,
     floor_radius,
     normalize,
     parse_poly,
     trace,
 )
+from maxmod.util import canonical_json
 
 CORPUS_SEED = 20261019
 RANDOM_TRACES = 300
 RANDOM_RADII = 50
+CLASSIFY_SEED = 20261020
+CLASSIFY_INPUTS = 400
 HUNT_ARGV = ["hunt", "--family", "cubic", "--samples", "40", "--seed", "20260809", "--quiet"]
 HERE = Path(__file__).resolve().parent
 
@@ -133,6 +140,79 @@ def build() -> list[dict]:
     return entries
 
 
+def classify_outcome(p: Polynomial) -> str | dict:
+    """What ``classify --json`` prints for ``p``, or the class of the error
+    ``classify`` raises."""
+    try:
+        return canonical_json(classify(p).to_json_dict())
+    except MaxmodError as ex:
+        return {"error": type(ex).__name__}
+
+
+def _on_locus(rng: np.random.Generator, c: np.ndarray, least: int, off: float) -> None:
+    """Turn the phases of ``least``-2 coefficients of ``c`` (which leads
+    with 1, so ``c`` is its own tail) onto the resonance locus of a scan
+    exponent, each ``off`` radians away from it."""
+    h = normalize(Polynomial(tuple(complex(x) for x in c)))
+    sigmas = [e for e in range(h.k + 1, h.N + 1) if c[e] != 0]
+    if h.k < 2 or not sigmas:
+        return  # k = 1 never resonates; a two-term tail has nothing to turn
+    arg_a = float(np.angle(c[h.k]))
+    for sigma in rng.choice(sigmas, size=min(len(sigmas), int(rng.integers(least, 3))), replace=False):
+        phase = cli._locus_phase(rng, k=h.k, sigma=int(sigma), arg_a=arg_a) + off
+        c[sigma] = abs(c[sigma]) * np.exp(1j * phase)
+
+
+def classify_inputs() -> list[tuple[str, Polynomial]]:
+    """Seeded tails of degree 2-12, every third real, about 30% of the
+    middle coefficients 0.  Each is a polynomial in ``z^mu``, mu = 1, 2 or
+    3 in turn by threes; every tenth is a cubic ``1 + a z^2 + b z^3``.  On
+    the complex ones, 0-2 tail terms sit on the resonance locus
+    (``cli._locus_phase``); on every seventh, 1-2 terms sit 1e-8 off it,
+    which the scan warns of, and on the cubics at least one sits on it
+    (where k >= 2 and the core has a term above z^k).  Every fifth is a
+    truncated series; every 25th has ratios near 1e150 or 1e-150 and every
+    11th a factor ``c z^m``, m = 0-3, in front.  One input per error class
+    ends the list."""
+    rng = np.random.default_rng(CLASSIFY_SEED)
+    out = []
+    for case in range(CLASSIFY_INPUTS):
+        cubic, near = case % 10 == 1, case % 7 == 0
+        mu = 1 if cubic else 1 + case // 3 % 3
+        base = 3 if cubic else int(rng.integers(1 if mu > 1 else 2, 12 // mu + 1))
+        b = rng.normal(size=base + 1) + (case % 3 != 0) * 1j * rng.normal(size=base + 1)
+        b[1:-1] *= rng.random(base - 1) > 0.3
+        b[0] = 1.0
+        if cubic:
+            b[1] = 0.0
+        c = np.zeros(base * mu + 1, dtype=complex)
+        c[::mu] = b
+        if case % 3 != 0:
+            _on_locus(rng, c, int(cubic or near), 1e-8 if near else 0.0)
+        if case % 25 == 0:
+            c[0] = (1e-150, 1e150)[case % 2]
+        if case % 11 == 0:
+            c = np.concatenate([np.zeros(case % 4), c * complex(rng.normal(), rng.normal())])
+        p = Polynomial(tuple(complex(x) for x in c), truncated=case % 5 == 0)
+        out.append((f"classify-{case}", p))
+    out.append(("error-zero", Polynomial(())))
+    out.append(("error-monomial", parse_poly("0,0,3")))
+    out.append(("error-range", parse_poly("1e-300,1e300")))
+    return out
+
+
+def build_classify() -> list[dict]:
+    return [
+        {
+            "name": name,
+            "coeffs": [[z.real, z.imag] for z in p.coeffs],
+            "truncated": p.truncated,
+            "expect": classify_outcome(p),
+        }
+        for name, p in classify_inputs()
+    ]
+
+
 def dumps(entries: list[dict]) -> str:
     """JSON with one entry per line, so a changed outcome shows as one
     changed line."""
@@ -140,6 +220,7 @@ def dumps(entries: list[dict]) -> str:
 
 
 if __name__ == "__main__":
-    path = HERE / "corpus.json"
-    path.write_text(dumps(build()), encoding="utf-8")
-    print(f"wrote {path}")
+    for name, entries in (("corpus.json", build()), ("classify_corpus.json", build_classify())):
+        path = HERE / name
+        path.write_text(dumps(entries), encoding="utf-8")
+        print(f"wrote {path}")

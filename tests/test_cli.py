@@ -436,6 +436,10 @@ class TestTraceCommand:
             (("hunt", "--family", "cubic", "--samples", "-1", "--out", "{file}"), None),
             (("classify", "--poly", "1,1e-400"), None),
             (("classify", "--poly-file", "{file}"), b'{"coeffs": [[1,0],[1e-400,0]]}'),
+            (("classify", "--poly-file", "{file}"), b'{"coeffs": [[1,0],[0,0],[1,0],[0,1]], "truncated": "false"}'),
+            (("classify", "--poly-file", "{file}"), b'{"coeffs": [[1,0],[0,0],[1,0],[0,1]], "truncated": 1}'),
+            (("classify", "--poly-file", "{file}"), b'{"coeffs": [[1,0],[0,0],[1,0],[0,1]], "truncated": [1]}'),
+            (("classify", "--poly-file", "{file}"), b'{"coeffs": [[1,0],[0,0],[1,0],[0,1]], "truncated": null}'),
         ],
         ids=[
             "rmin-above-rmax",
@@ -465,6 +469,10 @@ class TestTraceCommand:
             "hunt-negative-samples",
             "coeff-underflow",
             "json-underflow",
+            "truncated-string",
+            "truncated-int",
+            "truncated-array",
+            "truncated-null",
         ],
     )
     def test_bad_input_exit_2(self, capsys, tmp_path, argv, content):
@@ -522,6 +530,10 @@ class TestTraceCommand:
             (b'{"coeffs": 5}', 'cannot parse the JSON document: "coeffs" must be an array'),
             (None, "cannot parse the input: none given; provide --poly or --poly-file"),
             (
+                b'{"coeffs": [[1,0],[1,0]], "truncated": "false"}',
+                "cannot parse the \"truncated\" flag: expected true or false, got 'false'",
+            ),
+            (
                 json.dumps({"coeffs": [list(range(3000))]}).encode(),
                 "cannot parse coefficient '[0, 1, 2, 3, 4, 5, ...]' at position 0: "
                 "expected a [re, im] pair",
@@ -534,6 +546,7 @@ class TestTraceCommand:
             "long-list",
             "coeffs-5",
             "none",
+            "truncated-string",
             "long-pair",
         ],
     )

@@ -1,7 +1,8 @@
-"""The committed differential corpus: every input traces to its stored
-outcome.  The discrete fields must match exactly and every sample angle
-within ``ANGLE_TOL``; the mpmath oracle of ``test_tracer.py``, not this
-test, judges accuracy.  ``make_corpus.py`` rebuilds the file."""
+"""The committed differential corpora: every input traces to its stored
+outcome, and classifies to the stored bytes.  A trace's discrete fields
+must match exactly and every sample angle within ``ANGLE_TOL``; the mpmath
+oracle of ``test_tracer.py``, not this test, judges accuracy.
+``make_corpus.py`` rebuilds both files."""
 
 import json
 from pathlib import Path
@@ -9,13 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from make_corpus import outcome
+from make_corpus import classify_outcome, outcome
 from maxmod import MaxmodError, Polynomial, TraceConfig, roots, tracer
 from maxmod.tracer import count_components
 from maxmod.util import circ_dist
 
 ANGLE_TOL = 1e-12
 CORPUS = json.loads((Path(__file__).with_name("corpus.json")).read_text(encoding="utf-8"))
+CLASSIFY_CORPUS = json.loads(Path(__file__).with_name("classify_corpus.json").read_text(encoding="utf-8"))
 
 
 def test_corpus_covers_its_inputs():
@@ -87,3 +89,25 @@ def test_one_count_of_the_whole_corpus(monkeypatch, batch):
     assert not failed
     assert len(got) == len(entries) >= 330
     assert len(groups) >= 30 and {odd for _, odd in groups} == {False, True}
+
+
+def test_classify_corpus_covers_its_inputs():
+    outcomes = [e["expect"] for e in CLASSIFY_CORPUS]
+    errors = {o["error"] for o in outcomes if isinstance(o, dict)}
+    assert errors == {"ZeroPolynomialError", "MonomialAllPlaneError", "CoefficientRangeError"}
+    got = [json.loads(o) for o in outcomes if isinstance(o, str)]
+    assert len(got) >= 400
+    assert {c["mu"] for c in got} >= {1, 2, 3}
+    assert {c["magic"] for c in got} == {"MAGIC", "NOT_MAGIC", "UNKNOWN"}
+    warned = [w.split(":")[0] for c in got for w in c["warnings"]]
+    assert warned.count("near-exceptional") >= 5 and warned.count("truncated series") >= 50
+
+
+def test_classify_corpus_bytes():
+    # classify --json prints these bytes for each input, or raises the error
+    failed = []
+    for e in CLASSIFY_CORPUS:
+        p = Polynomial(tuple(complex(re, im) for re, im in e["coeffs"]), truncated=e["truncated"])
+        if classify_outcome(p) != e["expect"]:
+            failed.append(e["name"])
+    assert not failed

@@ -1,6 +1,8 @@
 import cmath
+import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from maxmod import (
     reciprocal,
 )
 from maxmod.poly import json_float
+from maxmod.tracer import TraceResult
+from maxmod.util import cached_attribute
 from oracles import direct_mod2
 
 
@@ -226,6 +230,33 @@ class TestNormalize:
         ]
 
 
+class TestCachedFacts:
+    """``HaymanForm.omega`` and ``HaymanForm.floor`` are kept on the form
+    once read, and the form stays a frozen value."""
+
+    def test_a_read_form_is_still_its_value(self):
+        p = parse_poly("2,0,1,1i,0.5")
+        h = normalize(p)
+        omega, floor = h.omega, h.floor
+        assert h.omega is omega and h.floor == floor
+        fresh = normalize(p)
+        assert h == fresh and hash(h) == hash(fresh)
+        back = pickle.loads(pickle.dumps(h))
+        assert back == h and hash(back) == hash(h)
+        assert back.omega == omega and back.floor == floor
+        for name, value in (("k", 3), ("omega", ()), ("floor", 1.0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(h, name, value)
+        assert h.omega is omega
+
+    @pytest.mark.parametrize("owner,name", [(HaymanForm, "omega"), (HaymanForm, "floor"), (TraceResult, "samples")])
+    def test_one_descriptor(self, owner, name):
+        # the names of functools.cached_property, which tests wrap
+        d = vars(owner)[name]
+        assert type(d) is cached_attribute
+        assert d.attrname == name and d.func.__name__ == name
+
+
 class TestInnerDegree:
     @pytest.mark.parametrize(
         "coeffs,mu",
@@ -315,3 +346,13 @@ class TestTruncatedFlag:
     def test_json_reads_flag(self):
         p = poly_from_json({"coeffs": [[1, 0], [0, 0], [1, 0]], "truncated": True})
         assert p.truncated
+
+    def test_json_flag_is_a_boolean(self):
+        # a missing flag is false; anything but a JSON boolean is an error,
+        # where "false" once marked a series as truncated
+        coeffs = [[1, 0], [0, 0], [1, 0]]
+        assert not poly_from_json({"coeffs": coeffs}).truncated
+        assert not poly_from_json({"coeffs": coeffs, "truncated": False}).truncated
+        for flag in ("false", "true", 0, 1, [1], None):
+            with pytest.raises(PolyParseError, match='"truncated" flag'):
+                poly_from_json({"coeffs": coeffs, "truncated": flag})
