@@ -4,9 +4,7 @@ polynomials near the origin (and, via reciprocals, near infinity)."""
 from .classify import (
     Classification,
     ExceptionalWitness,
-    PredictedJ,
     classify,
-    predict_J,
 )
 from .errors import (
     CoefficientRangeError,
@@ -55,7 +53,6 @@ __all__ = [
     "MonomialAllPlaneError",
     "PolyParseError",
     "Polynomial",
-    "PredictedJ",
     "RefinementFailureError",
     "TraceConfig",
     "TruncatedSeriesError",
@@ -69,7 +66,6 @@ __all__ = [
     "normalize",
     "parse_poly",
     "poly_from_json",
-    "predict_J",
     "reciprocal",
     "trace",
     "trace_at_infinity",

@@ -4,14 +4,15 @@ For ``p = 1 + a z^k + ...`` the candidate tangent directions are the k
 angles ``omega_j = (2 j pi - arg a) / k`` (:attr:`HaymanForm.omega
 <maxmod.poly.HaymanForm.omega>`).  Which candidates actually carry a
 maximum curve is decided by an argument-resonance test on the coefficients
-(the *exceptional* condition) and, term by term, by the survivor weights
-``t_j = 2|b| cos(n omega_j + arg b)``.  For non-exceptional inputs the
-survivor recursion is exact and the number of curves equals the inner
-degree; for exceptional ones it is a heuristic.  The inner degree and the
-core degree, up to which the resonance test scans, are read from the
-normalized form (:func:`~maxmod.poly.normalize`).  :func:`classify` reads
-the count off the inner degree and runs no recursion; the recursion serves
-``ambiguity_radius`` and, as an oracle, the tests.
+(the *exceptional* condition).  For non-exceptional inputs the number of
+curves equals the inner degree, proven; the inner degree and the core
+degree, up to which the resonance test scans, are read from the normalized
+form (:func:`~maxmod.poly.normalize`).  :func:`classify` reads the count
+off the inner degree and runs no survivor recursion: the recursion over the
+weights ``t_j = 2|b| cos(n omega_j + arg b)`` is the tests' oracle of that
+count (``tests/oracles.py``), and
+:func:`~maxmod.tracer.ambiguity_radius` computes the gaps of its weights
+itself.
 
 Magic is read off the same resonance scan.  A tail of degree at most 3
 resonates only as ``1 + a z^2 + b z^3`` with ``m = 1``, which is the
@@ -38,7 +39,6 @@ from .poly import HaymanForm, Polynomial, normalize
 # pi.
 EPS_ARG = 1e-9
 NEAR_ARG = 1e-6
-EPS_T = 1e-9
 
 MAGIC = "MAGIC"
 NOT_MAGIC = "NOT_MAGIC"
@@ -53,21 +53,6 @@ class ExceptionalWitness:
     m_prime: int
     sigma: int
     residual: float  # distance of m' from the integer m_prime, in units of pi
-
-
-@dataclass(frozen=True)
-class TermFilter:
-    """Effect of one tail term ``b z^n`` on the survivor set."""
-
-    n: int
-    t_values: tuple[tuple[int, float], ...]  # (j, t_j) over the entering set
-    retained: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PredictedJ:
-    j_set: tuple[int, ...]
-    t_history: tuple[TermFilter, ...]
 
 
 @dataclass(frozen=True)
@@ -120,48 +105,13 @@ def _exceptional_scan(h: HaymanForm):
     return bool(witnesses), tuple(witnesses), tuple(near)
 
 
-def predict_J(h: HaymanForm) -> PredictedJ:
-    """Survivor recursion over all tail terms above degree k.
-
-    Starts from the full candidate set {0,...,k-1} (exact for two-term
-    inputs) and, for each term ``b z^n`` in ascending degree, keeps the
-    candidates maximizing ``t_j = 2|b| cos(n omega_j + arg b)`` up to a tie
-    tolerance.  Exact for non-exceptional inputs, where the result is one
-    residue class mod k/mu with mu elements (the tests check it on their
-    corpus); a heuristic for exceptional ones.
-    """
-    k = h.k
-    omega = h.omega
-    j_set = list(range(k))
-    history = []
-    for n in h.tail.nonzero_exponents():
-        if n <= k:
-            continue
-        b = h.tail.coeffs[n]
-        arg_b = cmath.phase(b)
-        # compare cosines: the positive factor 2|b| may overflow to inf
-        cos = [math.cos(n * omega[j] + arg_b) for j in j_set]
-        cos_max = max(cos)
-        retained = [j for j, c in zip(j_set, cos) if c >= cos_max - EPS_T]
-        two_abs_b = 2.0 * abs(b)
-        history.append(
-            TermFilter(
-                n=n,
-                t_values=tuple((j, two_abs_b * c) for j, c in zip(j_set, cos)),
-                retained=tuple(retained),
-            )
-        )
-        j_set = retained
-    return PredictedJ(j_set=tuple(j_set), t_history=tuple(history))
-
-
 def classify(p: Polynomial | HaymanForm) -> Classification:
     """Full coefficient-level report for a polynomial or its normal form.
 
     Everything is read off the normal form (:func:`~maxmod.poly.normalize`,
     which returns a form unchanged): ``mu`` and ``N``, one resonance scan,
     and the truncation of ``tail``.  The count of a non-exceptional input is
-    ``mu``, proven, so no survivor recursion (:func:`predict_J`) runs.
+    ``mu``, proven, so no survivor recursion runs.
     ``magic`` is NOT_MAGIC where the scan finds no resonance, MAGIC where it
     finds one on a polynomial tail of degree at most 3, and UNKNOWN on
     every other exceptional input.  ``omega`` is the form's

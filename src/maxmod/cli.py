@@ -51,6 +51,8 @@ DISCREPANT = "DISCREPANT"
 
 
 def _load_poly(args) -> Polynomial:
+    if args.poly is not None and args.poly_file is not None:
+        raise ConfigError("give --poly or --poly-file, not both")
     if args.poly:
         p = parse_poly(args.poly)
     elif args.poly_file:

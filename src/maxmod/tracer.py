@@ -62,13 +62,13 @@ argmax, and dropping it keeps co-maximality decisions accurate at the
 from __future__ import annotations
 
 import bisect
+import cmath
 import math
 import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classify import predict_J
 from .errors import (
     ConfigError,
     FloorViolationError,
@@ -85,6 +85,9 @@ FIT_DEGREE = 6  # degree of the polynomial theta(r) fitted by _fit_tangent
 # Co-maximality: a maximizer ties with the best one when its value lies within
 # TIE_TOL times the per-circle spread (max - min) of the squared modulus.
 TIE_TOL = 1e-12
+# ambiguity_radius keeps a candidate whose survivor cosine lies within EPS_T
+# of the largest
+EPS_T = 1e-9
 # TraceConfig.grid lies in 64..MAX_GRID and n_radii in 2..MAX_RADII.
 MAX_GRID = 1 << 16
 MAX_RADII = 100_000
@@ -95,9 +98,9 @@ COUNT_BATCH = 8
 
 @dataclass(frozen=True)
 class TraceConfig:
-    """Radius schedule of a trace run: ``n_radii`` radii, 2..``MAX_RADII``,
-    from ``r_max`` down to ``r_min``.  ``grid`` has no effect on the trace:
-    it is only checked to lie in 64..``MAX_GRID``."""
+    """Radius schedule of a trace run: ``n_radii`` radii, an integer in
+    2..``MAX_RADII``, from ``r_max`` down to ``r_min``.  ``grid`` has no
+    effect on the trace: it is only checked to lie in 64..``MAX_GRID``."""
 
     r_min: float = 1e-3
     r_max: float = 0.3
@@ -107,7 +110,11 @@ class TraceConfig:
     def __post_init__(self):
         if not (0 < self.r_min < self.r_max < math.inf):
             raise ConfigError("need 0 < r_min < r_max < inf")
-        if not (2 <= self.n_radii <= MAX_RADII):
+        try:
+            n_radii = operator.index(self.n_radii)  # an int or a numpy integer
+        except TypeError:
+            raise ConfigError(f"need an integer n_radii, got {self.n_radii!r}") from None
+        if not (2 <= n_radii <= MAX_RADII):
             raise ConfigError(f"need 2 <= n_radii <= {MAX_RADII}")
         if not (64 <= self.grid <= MAX_GRID):
             raise ConfigError(f"need 64 <= grid <= {MAX_GRID}")
@@ -278,26 +285,41 @@ def _scan_circles(e: ModulusExpansion, radii: np.ndarray):
 def ambiguity_radius(h: HaymanForm) -> float:
     """Radius below which excluded candidates fall inside the tie tolerance.
 
-    The deficit of a candidate excluded by the term ``b z^n`` scales like
-    ``gap * r^n`` while the tie threshold scales like ``TIE_TOL * 4|a| r^k``;
-    counting components below the crossover would see phantom curves.  The
-    threshold carries a safety factor of 100.  Returns 0.0 when no candidate
-    is ever excluded.
+    One pass of the survivor recursion: the survivors start as the k
+    candidates omega_j, and each tail term ``b z^n`` above degree k, in
+    ascending degree, keeps those whose ``cos(n omega_j + arg b)`` lies
+    within ``EPS_T`` of the largest.  The tests keep the recursion with its
+    history as the oracle of classify's count (``tests/oracles.py``); this
+    loop reads off only the gaps.  The deficit of a candidate that the term
+    excludes scales like ``gap * r^n``, ``gap`` being the largest retained
+    ``t = 2|b| cos(n omega_j + arg b)`` minus its own, while the tie
+    threshold scales like ``TIE_TOL * 4|a| r^k``; counting components below
+    the crossover would see phantom curves.  The threshold carries a safety
+    factor of 100.  Returns 0.0 when no candidate is ever excluded.
     """
-    pj = predict_J(h)
+    k, omega, coeffs = h.k, h.omega, h.tail.coeffs
     thresh_coeff = 100.0 * TIE_TOL * 4.0 * abs(h.a)
     r_amb = 0.0
-    alive: set[int] = set(range(h.k))
-    for tf in pj.t_history:
-        t = dict(tf.t_values)
-        excluded = alive - set(tf.retained)
-        if excluded:
-            t_max = max(t[j] for j in tf.retained)
-            for j in excluded:
-                gap = t_max - t[j]
-                if gap > 0:
-                    r_amb = max(r_amb, (thresh_coeff / gap) ** (1.0 / (tf.n - h.k)))
-        alive = set(tf.retained)
+    alive = list(range(k))
+    for n in h.tail.nonzero_exponents():
+        if n <= k:
+            continue
+        b = coeffs[n]
+        arg_b = cmath.phase(b)
+        # compare cosines: the positive factor 2|b| may overflow to inf
+        cos = [math.cos(n * omega[j] + arg_b) for j in alive]
+        cos_max = max(cos)
+        kept = [c >= cos_max - EPS_T for c in cos]
+        if all(kept):
+            continue
+        two_abs_b = 2.0 * abs(b)
+        t = [two_abs_b * c for c in cos]
+        t_max = max(tj for tj, keep in zip(t, kept) if keep)
+        for tj, keep in zip(t, kept):
+            gap = t_max - tj
+            if not keep and gap > 0:
+                r_amb = max(r_amb, (thresh_coeff / gap) ** (1.0 / (n - k)))
+        alive = [j for j, keep in zip(alive, kept) if keep]
     return r_amb
 
 

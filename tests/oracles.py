@@ -20,7 +20,11 @@ The package evaluates ``|1 + q|^2`` only from its Fourier coefficients
   of every radius, which the package forms by one scatter and one check at
   the largest radius;
 - :func:`cubic_magic` is the paper's closed form ``Re(b a^{-3/2}) = 0`` of
-  a magic cubic, which ``maxmod.classify`` reads off its resonance scan.
+  a magic cubic, which ``maxmod.classify`` reads off its resonance scan;
+- :func:`predict_J` is the survivor recursion with its history, the oracle
+  of the count ``mu`` that ``maxmod.classify`` reads off the normal form,
+  and :func:`history_radius` derives ``maxmod.tracer.ambiguity_radius``
+  from that history.
 
 ``companion_angles`` finds a circle's critical points as the real roots of
 a polynomial in the half angle, by a companion-matrix eigenvalue solve: the
@@ -42,7 +46,7 @@ import numpy as np
 from maxmod import HaymanForm, Polynomial, _kernels, expand
 from maxmod.classify import MAGIC, NOT_MAGIC
 from maxmod.modulus import ModulusExpansion
-from maxmod.tracer import FIT_DEGREE, TIE_TOL, _scan_circles
+from maxmod.tracer import EPS_T, FIT_DEGREE, TIE_TOL, _scan_circles
 from maxmod.util import TWO_PI, reduce_angle
 
 EPS = np.finfo(float).eps
@@ -335,3 +339,74 @@ def cubic_magic(h: HaymanForm) -> str:
     b = h.tail.coeffs[3]
     b_prime = b / abs(b) * (h.a / abs(h.a)) ** -1.5
     return MAGIC if abs(b_prime.real) <= EPS_MAG * abs(b_prime) else NOT_MAGIC
+
+
+@dataclass(frozen=True)
+class TermFilter:
+    """Effect of one tail term ``b z^n`` on the survivor set."""
+
+    n: int
+    t_values: tuple[tuple[int, float], ...]  # (j, t_j) over the entering set
+    retained: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class PredictedJ:
+    j_set: tuple[int, ...]
+    t_history: tuple[TermFilter, ...]
+
+
+def predict_J(h: HaymanForm) -> PredictedJ:
+    """Survivor recursion over all tail terms above degree k.
+
+    Starts from the full candidate set {0,...,k-1} (exact for two-term
+    inputs) and, for each term ``b z^n`` in ascending degree, keeps the
+    candidates maximizing ``t_j = 2|b| cos(n omega_j + arg b)`` up to a tie
+    tolerance.  Exact for non-exceptional inputs, where the result is one
+    residue class mod k/mu with mu elements; a heuristic for exceptional
+    ones.
+    """
+    k = h.k
+    omega = h.omega
+    j_set = list(range(k))
+    history = []
+    for n in h.tail.nonzero_exponents():
+        if n <= k:
+            continue
+        b = h.tail.coeffs[n]
+        arg_b = cmath.phase(b)
+        # compare cosines: the positive factor 2|b| may overflow to inf
+        cos = [math.cos(n * omega[j] + arg_b) for j in j_set]
+        cos_max = max(cos)
+        retained = [j for j, c in zip(j_set, cos) if c >= cos_max - EPS_T]
+        two_abs_b = 2.0 * abs(b)
+        history.append(
+            TermFilter(
+                n=n,
+                t_values=tuple((j, two_abs_b * c) for j, c in zip(j_set, cos)),
+                retained=tuple(retained),
+            )
+        )
+        j_set = retained
+    return PredictedJ(j_set=tuple(j_set), t_history=tuple(history))
+
+
+def history_radius(h: HaymanForm) -> float:
+    """``maxmod.tracer.ambiguity_radius`` read off :func:`predict_J`'s
+    history: per term, each excluded candidate's gap to the largest retained
+    ``t_j`` gives the radius ``(100 TIE_TOL 4|a| / gap)^(1/(n-k))``, and the
+    largest such radius is returned, 0.0 where none is excluded."""
+    thresh_coeff = 100.0 * TIE_TOL * 4.0 * abs(h.a)
+    r_amb = 0.0
+    alive: set[int] = set(range(h.k))
+    for tf in predict_J(h).t_history:
+        t = dict(tf.t_values)
+        excluded = alive - set(tf.retained)
+        if excluded:
+            t_max = max(t[j] for j in tf.retained)
+            for j in excluded:
+                gap = t_max - t[j]
+                if gap > 0:
+                    r_amb = max(r_amb, (thresh_coeff / gap) ** (1.0 / (tf.n - h.k)))
+        alive = set(tf.retained)
+    return r_amb

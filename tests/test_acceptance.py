@@ -21,13 +21,12 @@ from maxmod import (
     floor_radius,
     normalize,
     parse_poly,
-    predict_J,
     reciprocal,
     trace,
 )
 from maxmod.cli import main as cli_main
 from maxmod.util import circ_dist, reduce_angle
-from oracles import circle_argmax, direct_mod2, term_expansion
+from oracles import circle_argmax, direct_mod2, predict_J, term_expansion
 
 EPS = np.finfo(float).eps
 

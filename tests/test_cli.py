@@ -84,6 +84,15 @@ class TestClassifyCommand:
         assert code == 2 and not out
         assert err.startswith("error[ParseError]") and "provide --poly or --poly-file" in err
 
+    @pytest.mark.parametrize("command", ["classify", "trace"])
+    def test_poly_and_poly_file_exit_2(self, capsys, tmp_path, command):
+        # the file was ignored before, even a missing one
+        (tmp_path / "p.json").write_text('{"coeffs": [[1,0],[1,0]]}')
+        for name in ("missing.json", "p.json"):
+            code, out, err = run(capsys, command, "--poly", "1,1", "--poly-file", str(tmp_path / name))
+            assert code == 2 and not out
+            assert err.startswith("error[Config]") and "not both" in err
+
     def test_poly_file_entry_not_a_pair_exit_2(self, capsys, tmp_path):
         f = tmp_path / "p.json"
         f.write_text('{"coeffs": [[1]]}')
@@ -735,16 +744,16 @@ class TestAgreementVerdict:
 class TestOneNormalFormPerInput:
     """Fixed work per input: a command normalizes each polynomial once and
     passes the form on, forms its candidate angles once, a trace or count
-    builds one expansion and computes one floor, and classify runs no
-    survivor recursion."""
+    builds one expansion and computes one floor, and only a hunt's counted
+    members read the survivors, through their ambiguity radius."""
 
     @staticmethod
     def count_work(monkeypatch, argv) -> dict:
         """Run ``argv`` and count the normalizations of a polynomial (not
         the identity return on a normal form), the candidate-angle
         computations, the ``c_pairs`` builds, the floors computed and the
-        survivor recursions that classify makes."""
-        calls = {"normalize": 0, "omega": 0, "_c_pairs": 0, "floor_radius": 0, "predict_J": 0}
+        ambiguity radii, the one survivor loop of the package."""
+        calls = {"normalize": 0, "omega": 0, "_c_pairs": 0, "floor_radius": 0, "ambiguity_radius": 0}
 
         def counted(name, func, when=lambda *args: True):
             def wrapper(*args):
@@ -762,8 +771,8 @@ class TestOneNormalFormPerInput:
         monkeypatch.setattr(maxmod.HaymanForm, "omega", omega)
         monkeypatch.setattr(maxmod.modulus, "_c_pairs", counted("_c_pairs", maxmod.modulus._c_pairs))
         monkeypatch.setattr(maxmod.poly, "floor_radius", counted("floor_radius", maxmod.poly.floor_radius))
-        classify_mod = sys.modules["maxmod.classify"]
-        monkeypatch.setattr(classify_mod, "predict_J", counted("predict_J", classify_mod.predict_J))
+        radius = counted("ambiguity_radius", maxmod.cli.ambiguity_radius)
+        monkeypatch.setattr(maxmod.cli, "ambiguity_radius", radius)
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0
         return calls
@@ -774,14 +783,26 @@ class TestOneNormalFormPerInput:
         # its angles serve classify and the survivors of its radii
         argv = ["hunt", "--family", "cubic", "--samples", "100", "--seed", "20260809"]
         calls = self.count_work(monkeypatch, argv + ["--out", str(tmp_path / "h.jsonl")])
-        assert calls == {"normalize": 100, "omega": 100, "_c_pairs": 50, "floor_radius": 50, "predict_J": 0}
+        assert calls == {
+            "normalize": 100,
+            "omega": 100,
+            "_c_pairs": 50,
+            "floor_radius": 50,
+            "ambiguity_radius": 50,
+        }
 
     @pytest.mark.parametrize("infinity", [[], ["--infinity"]], ids=["origin", "infinity"])
     def test_trace(self, monkeypatch, infinity):
         # the angles serve the classification and the tangent matches
         argv = ["trace", "--poly", "1,0,1,1i", "--radii", "20", "--json", *infinity]
         calls = self.count_work(monkeypatch, argv)
-        assert calls == {"normalize": 1, "omega": 1, "_c_pairs": 1, "floor_radius": 1, "predict_J": 0}
+        assert calls == {
+            "normalize": 1,
+            "omega": 1,
+            "_c_pairs": 1,
+            "floor_radius": 1,
+            "ambiguity_radius": 0,
+        }
 
 
 def test_commands_leave_numpy_ma_unimported(tmp_path):

@@ -55,6 +55,7 @@ from oracles import (
     derivative_bounds,
     direct_mod2,
     half_angle_coef,
+    history_radius,
     mass_check_every_radius,
     polyfit_tangent,
     term_expansion,
@@ -100,6 +101,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             TraceConfig(grid=131072)
 
+    @pytest.mark.parametrize("n_radii", [200.0, 2.5, "200", None])
+    def test_n_radii_must_be_an_integer(self, n_radii):
+        # a float reached numpy's geomspace before, which raised TypeError
+        with pytest.raises(ConfigError, match="integer n_radii"):
+            TraceConfig(n_radii=n_radii)
+
+    def test_numpy_integer_n_radii(self):
+        cfg = TraceConfig(n_radii=np.int64(20))
+        assert radius_schedule(cfg).size == 20
+        assert trace(parse_poly("1,0,1,1"), cfg).n_components == 1
+
     def test_config_error_is_a_value_error(self):
         with pytest.raises(ConfigError) as info:
             TraceConfig(r_min=0.0)
@@ -129,6 +141,49 @@ class TestConfig:
         for cfg in configs:
             want = np.geomspace(cfg.r_max, cfg.r_min, cfg.n_radii)
             assert np.array_equal(radius_schedule(cfg).view(np.uint64), want.view(np.uint64)), cfg
+
+
+class TestAmbiguityRadius:
+    """``ambiguity_radius`` computes the survivor gaps in its own loop; it
+    equals, bit for bit, the radius read off the history of the survivor
+    oracle ``predict_J``."""
+
+    @staticmethod
+    def assert_matches_history(forms, min_nonzero):
+        got = [ambiguity_radius(h) for h in forms]
+        assert got == [history_radius(h) for h in forms]
+        assert sum(r > 0 for r in got) >= min_nonzero
+
+    def test_weak_odd_separator(self):
+        h = normalize(parse_poly("1,0,1,0,0,0.5"))
+        assert ambiguity_radius(h) == history_radius(h) > 0
+
+    def test_nothing_excluded(self):
+        for text in ("1,0,0,2i", "1,0,1,1i", "1,1"):
+            assert ambiguity_radius(normalize(parse_poly(text))) == 0.0
+
+    def test_trace_corpus(self):
+        corpus = json.loads(Path(__file__).with_name("corpus.json").read_text(encoding="utf-8"))
+        forms = [normalize(Polynomial(tuple(complex(*z) for z in e["coeffs"]))) for e in corpus]
+        self.assert_matches_history(forms, 70)
+
+    @pytest.mark.parametrize("family, seed", [("cubic", 5), ("quartic", 99)])
+    def test_hunt_members(self, family, seed):
+        rng = np.random.default_rng(seed)
+        members = [_sample_member(family, rng, on_locus=i % 2 == 1)[0] for i in range(2000)]
+        self.assert_matches_history([normalize(p) for p in members], 900)
+
+    def test_random_tails(self):
+        # degree 2-12, about 40% of the coefficients zero
+        rng = np.random.default_rng(7)
+        forms = []
+        for _ in range(2000):
+            deg = int(rng.integers(2, 13))
+            c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+            c[rng.random(deg + 1) < 0.4] = 0
+            c[0], c[deg] = 1, c[deg] or 1
+            forms.append(normalize(Polynomial(tuple(complex(z) for z in c))))
+        self.assert_matches_history(forms, 400)
 
 
 class TestCircleArgmax:
