@@ -31,6 +31,19 @@ the signs give its kind.
 
 All points of all circles, maxima and minima, are then polished by one
 bracketed Newton iteration (:func:`_newton`).
+
+A certified circle cannot fail.  Each window brackets one simple zero of F
+with strict signs at its ends, so the bracketed Newton iteration converges
+on it within its ``WINDOW_MAX_ITER`` steps (bisection alone brings a window
+below 16 EPS in under 55).  At the maximum of an even window
+``|sin(phi)| <= x``, so ``F' <= -2 n* A (sqrt(1 - x^2) - y)``, and
+``sqrt(1 - x^2) - y > 0.05`` wherever ``x^2 + y^2 < CERTIFY``: F' is
+negative with a margin far beyond its rounding.  And the 2 n* windows hold
+both kinds.  Every failure of a root solve therefore comes from a row
+without a finite positive ``C_n`` or from an uncertified circle.  A caller
+that needs the points of a few circles but every circle's failures, as a
+component count does, solves those circles and the uncertified ones
+(:func:`certified`) alone.
 """
 
 from __future__ import annotations
@@ -68,7 +81,7 @@ WINDOW_TOL = 4.0
 WINDOW_MAX_ITER = 64
 
 
-def critical_points(cn: np.ndarray, radii: np.ndarray):
+def critical_points(cn: np.ndarray, radii: np.ndarray, mirror: bool = True):
     """Every critical point of ``theta -> |1 + q(r e^{i theta})|^2`` on every
     circle, with its kind.  Row i of ``cn`` holds the ``C_n``, n = 1..D, of
     the radius ``radii[i]``.  :func:`_brackets` brackets each zero of F, by
@@ -87,7 +100,9 @@ def critical_points(cn: np.ndarray, radii: np.ndarray):
     turned onto its reflection axis (:func:`~maxmod.modulus.on_axis`), F is
     odd in theta and the axis points 0 and pi are exact zeros.  Only
     ``(0, pi)`` is solved; each zero x comes back with its exact mirror -x,
-    of the same kind, and the axis points as 0 and -pi.
+    of the same kind, and the axis points as 0 and -pi.  With ``mirror``
+    false, all-real rows are solved on the whole circle, as complex rows
+    are: as they would be within a stack of complex rows.
 
     Returns ``(radius_index, theta, is_max)``, sorted by radius index, then
     by angle in ``(-pi, pi]`` (``-pi`` for the axis point pi).  Raises
@@ -95,14 +110,8 @@ def critical_points(cn: np.ndarray, radii: np.ndarray):
     finite positive ``C_n``, cannot be isolated or polished.
     """
     deg, odd = row_group(cn)
-    n = np.arange(1, deg + 1)
-    nc = n * cn
-    mag = np.abs(nc)
-    top = mag.max(axis=1)
-    flat = ~((0.0 < top) & (top < np.inf))  # also NaN
-    if flat.any():
-        raise RefinementFailureError(float(radii[np.argmax(flat)]), 0.0)
-    total = mag.sum(axis=1)
+    odd = odd and mirror
+    n, nc, mag, total = _orders(cn, radii)
     coef = np.stack([nc.T, (n * nc).T], axis=1)  # order-major, see _slopes
     i, m, h, x0, is_max = _brackets(coef, mag, total, radii, odd)
     if odd:  # the pieces centred on the axis points hold their exact zeros
@@ -132,11 +141,36 @@ def row_group(cn: np.ndarray) -> tuple[int, bool]:
     return cn.shape[1], not cn.imag.any()
 
 
+def certified(cn: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """The rows of ``cn`` that the certificate covers (:func:`_certified`),
+    on which :func:`critical_points` cannot fail (see the module
+    docstring).  Raises what :func:`critical_points` raises first, a
+    :class:`~maxmod.errors.RefinementFailureError` at the first row without
+    a finite positive ``C_n``."""
+    *_, mag, total = _orders(cn, radii)
+    return _certified(mag, total)
+
+
+def _orders(cn: np.ndarray, radii: np.ndarray):
+    """``n``, ``n C_n`` and ``a_n = n |C_n|`` of the rows ``cn``, n = 1..D,
+    and each row's sum of the ``a_n``.  Raises a
+    :class:`~maxmod.errors.RefinementFailureError` at the radius of the
+    first row without a finite positive ``a_n``."""
+    n = np.arange(1, cn.shape[1] + 1)
+    nc = n * cn
+    mag = np.abs(nc)
+    top = mag.max(axis=1)
+    flat = ~((0.0 < top) & (top < np.inf))  # also NaN
+    if flat.any():
+        raise RefinementFailureError(float(radii[np.argmax(flat)]), 0.0)
+    return n, nc, mag, mag.sum(axis=1)
+
+
 def _certified(mag: np.ndarray, total: np.ndarray) -> np.ndarray:
     """The rows of ``mag`` (``a_n = n |C_n|``, column n-1; ``total`` their
     sums) with ``x^2 + y^2 < CERTIFY``, x and y as in the module docstring.
-    Every ``a_n`` is finite and each row has a positive one:
-    :func:`critical_points` has rejected the other rows."""
+    Every ``a_n`` is finite and each row has a positive one: :func:`_orders`
+    has rejected the other rows."""
     star = np.argmax(mag, axis=1)
     a = mag[np.arange(mag.shape[0]), star]
     x = total / a - 1.0

@@ -21,15 +21,26 @@ along the trajectories are the curves, which are counted, fitted for
 tangent direction and exponent, and checked for rotational symmetry.
 Each maximum of a circle lies on its own trajectory, so the curves that
 reach the smallest circle are as many as its co-maximal maxima: the count
-needs the root solve of every circle, whose failures it must raise, but
-``osc`` and co-maximality of the smallest circle alone.
+needs the points, ``osc`` and co-maximality of the smallest circle alone,
+but must raise every failure of the trace's root solve.  A circle that
+the leading-order certificate covers cannot fail (:mod:`maxmod.roots`):
+its windows bracket one simple zero each with strict end signs, so Newton
+converges within its steps, F' is negative at each maximum with a margin
+``sqrt(1 - x^2) - y > 0.05``, and both kinds are present.  So a count
+solves only the uncertified circles and the smallest one, once the
+certificate is read on every circle behind the check for a row without a
+finite positive ``C_n``; its checks fail in the trace's order (floor or
+truncation, mass, that row, an uncertified circle, the smallest circle).
 :func:`count_components`, which ``hunt`` reads, stops there, and counts
 many polynomials in one call: their rows are stacked by width D and by
 whether they are all real (:func:`maxmod.roots.row_group`), which is all
-the root solve reads of a stack beyond each row, and each stack is solved
-at once.  The counts are finished per stack too: one check that every
-circle has a maximum and a minimum, and one ``osc`` pass over the last
-circles of all its members.  A trace keeps one polynomial per call.
+the root solve reads of a stack beyond each row.  Each stack's certificate
+is read at once, and its selected circles are solved at once, as they
+would be in their members' traces: complex rows that the selection left
+all real stay complex.  The counts are finished per stack too: one check
+that every solved circle has a maximum and a minimum, and one ``osc`` pass
+over the last circles of all its members.  A trace keeps one polynomial
+per call.
 
 A trace and a count set each input up in a fixed number of array
 operations, whatever its degree and schedule: the schedule is
@@ -64,6 +75,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
+import numbers
 import operator
 from dataclasses import dataclass, replace
 
@@ -99,8 +111,9 @@ COUNT_BATCH = 8
 @dataclass(frozen=True)
 class TraceConfig:
     """Radius schedule of a trace run: ``n_radii`` radii, an integer in
-    2..``MAX_RADII``, from ``r_max`` down to ``r_min``.  ``grid`` has no
-    effect on the trace: it is only checked to lie in 64..``MAX_GRID``."""
+    2..``MAX_RADII``, from ``r_max`` down to ``r_min``, real numbers with
+    ``0 < r_min < r_max < inf``.  ``grid`` has no effect on the trace: it
+    is only checked to lie in 64..``MAX_GRID``."""
 
     r_min: float = 1e-3
     r_max: float = 0.3
@@ -108,6 +121,10 @@ class TraceConfig:
     grid: int = 4096
 
     def __post_init__(self):
+        for name in ("r_min", "r_max"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):  # a float or a numpy float too
+                raise ConfigError(f"need a real {name}, got {value!r}")
         if not (0 < self.r_min < self.r_max < math.inf):
             raise ConfigError("need 0 < r_min < r_max < inf")
         try:
@@ -498,22 +515,33 @@ def _prepare(p: Polynomial | HaymanForm, cfg: TraceConfig):
 def _count_batch(members) -> list[int]:
     """The component counts of ``members`` with one root solve per row
     group (:func:`maxmod.roots.row_group`).  Every member is checked and
-    gets its rows (:func:`_prepare`, :func:`_rows`); the rows of a group
-    are stacked and solved at once.  The stack's circles are then checked
-    by one :func:`_circle_counts`, and the members' last circles, one
-    circle each, are evaluated and counted by one :func:`_maxima`."""
+    gets its rows (:func:`_prepare`, :func:`_rows`), and the rows of a
+    group are stacked.  The certificate is read on every row of the stack
+    (:func:`maxmod.roots.certified`, which rejects a row without a finite
+    positive ``C_n`` first), and only the uncertified circles and each
+    member's last circle are solved, at once: a certified circle cannot
+    fail.  The solved circles are then checked by one
+    :func:`_circle_counts`, and the members' last circles, one circle each,
+    are evaluated and counted by one :func:`_maxima`."""
     groups: dict[tuple[int, bool], list] = {}
     for k, (p, cfg) in enumerate(members):
         _, radii, _, e = _prepare(p, cfg)
         cn = _rows(e, radii)
         groups.setdefault(roots.row_group(cn), []).append((k, e, cn, radii))
     counts = [0] * len(members)
-    for group in groups.values():
+    for (_, real), group in groups.items():
         ks, es, cns, schedules = zip(*group)
         cn, radii = np.concatenate(cns), np.concatenate(schedules)
-        ridx, theta, is_max = roots.critical_points(cn, radii)
-        n_max, n_min = _circle_counts(radii, ridx, is_max)
         last = np.cumsum([r.size for r in schedules]) - 1  # each member's last row
+        solve = ~roots.certified(cn, radii)
+        solve[last] = True
+        cn, radii = cn[solve], radii[solve]
+        last = np.cumsum(solve)[last] - 1
+        # each circle is solved as in its member's trace: complex rows that
+        # the selection left all real (underflow at tiny r) stay complex
+        mirror = {} if real or cn.imag.any() else {"mirror": False}
+        ridx, theta, is_max = roots.critical_points(cn, radii, **mirror)
+        n_max, n_min = _circle_counts(radii, ridx, is_max)
         member = np.full(radii.size, -1)
         member[last] = np.arange(last.size)
         member = member[ridx]  # of each point on a last circle, else -1
@@ -535,14 +563,16 @@ def count_components(members) -> list[int]:
 
     Each member runs the checks of a trace and the mass check, and forms
     its rows, as a trace does.  Up to ``COUNT_BATCH`` members at a time are
-    then solved by one :func:`maxmod.roots.critical_points` call per row
-    group (:func:`_count_batch`); every circle of every member must still
-    have a maximum and a minimum, but only each member's last circle, the
-    one the count reads, is evaluated, in one pass per row group, and no
-    maxima are linked, fitted, paired or sampled.  If that raises, the
-    members are counted again one at a time, so the call raises what
-    :func:`trace` raises for the first member that fails, at the same
-    radius.
+    then counted by one :func:`maxmod.roots.critical_points` call per row
+    group (:func:`_count_batch`), which solves only the circles that can
+    fail, those the certificate leaves open, and each member's last circle,
+    the one the count reads: a certified circle has its maxima and minima
+    and cannot fail.  Every solved circle must have a maximum and a
+    minimum, only the last circles are evaluated, in one pass per row
+    group, and no maxima are linked, fitted, paired or sampled.  If that
+    raises, the members are counted again one at a time, so the call
+    raises what :func:`trace` raises for the first member that fails, at
+    the same radius.
     """
     counts = []
     for at in range(0, len(members), COUNT_BATCH):

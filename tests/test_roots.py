@@ -124,6 +124,50 @@ def test_window_solve_matches_eigen_solve(root_solve, monkeypatch, deg, real):
                 assert np.array_equal(np.sort(at), np.sort(np.where(at == math.pi, at, -at)))
 
 
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("deg", [2, 5, 11, 24])
+def test_certified_circle_cannot_fail(monkeypatch, deg, real):
+    # what a count rests on when it solves no certified circle: on seeded
+    # rows that the certificate covers, a third of them within a relative
+    # 1e-9 to 1e-3 below its threshold, each scaled by a factor from 1e-150
+    # to 1e150, the root solve never raises.  Every circle has 2 n* points,
+    # n* + 1 of them in [0, pi] on real rows, among them 0 and -pi (for pi);
+    # maxima and minima alternate, and each maximum lies in an even window
+    # |phi - j pi| < pi/2 of phi = n* theta + arg C_{n*}, each minimum in
+    # an odd one.  F is evaluated only inside Newton, which converges in
+    # far fewer than its WINDOW_MAX_ITER steps (8 measured on these rows)
+    steps = []
+    slopes = roots._slopes
+
+    def counted(coef, i, theta, sign):
+        steps.append(theta.size)
+        return slopes(coef, i, theta, sign)
+
+    rng = np.random.default_rng(20261021 + deg + 100 * real)
+    cn = random_rows(rng, 400, deg, real)
+    cn *= 10.0 ** rng.uniform(-150, 150, cn.shape[0])[:, None]
+    radii = np.arange(1.0, cn.shape[0] + 1)
+    ok = roots.certified(cn, radii)
+    assert np.array_equal(ok, certificate(cn) < 0.9) and np.count_nonzero(ok) >= 300
+    cn, radii = cn[ok], radii[ok]
+    monkeypatch.setattr(roots, "_slopes", counted)
+    ridx, theta, is_max = roots.critical_points(cn, radii)
+    assert 0 < len(steps) <= 16
+    n = np.arange(1, cn.shape[1] + 1)
+    star = np.argmax(n * np.abs(cn), axis=1) + 1
+    assert np.array_equal(np.bincount(ridx, minlength=cn.shape[0]), 2 * star)
+    lead = cn[np.arange(cn.shape[0]), star - 1]
+    phi = star[ridx] * theta + np.angle(lead)[ridx]
+    assert np.all(np.where(is_max, 1.0, -1.0) * np.cos(phi) > 0.0)
+    for i in range(cn.shape[0]):
+        kinds = is_max[ridx == i]
+        assert np.all(kinds != np.roll(kinds, 1))
+        if real:
+            at = theta[ridx == i]
+            assert 0.0 in at and -math.pi in at
+            assert np.count_nonzero((at >= 0.0) | (at == -math.pi)) == star[i] + 1
+
+
 def test_window_roots_match_mpmath():
     # the window roots are zeros of the rows' own F to within its rounding:
     # a 40-digit polish moves each by at most one ulp plus 4 D EPS sum a_n

@@ -67,6 +67,15 @@ def scan_points(e: ModulusExpansion, radii: np.ndarray):
     return critical_points(e.fourier(radii), radii)
 
 
+def solved_circles(p, cfg: TraceConfig) -> np.ndarray:
+    """The radii of the circles that a count of ``(p, cfg)`` solves: those
+    that the certificate leaves open, and the last."""
+    _, radii, _, e = maxmod.tracer._prepare(p, cfg)
+    solve = ~maxmod.roots.certified(_rows(e, radii), radii)
+    solve[-1] = True
+    return radii[solve]
+
+
 def turned(p: Polynomial, e: ModulusExpansion):
     """``(psi, q)``: the axis that :func:`on_axis` finds on the normal form
     of ``p``, and the expansion ``e`` of ``p`` with the coefficients of the
@@ -106,6 +115,16 @@ class TestConfig:
         # a float reached numpy's geomspace before, which raised TypeError
         with pytest.raises(ConfigError, match="integer n_radii"):
             TraceConfig(n_radii=n_radii)
+
+    @pytest.mark.parametrize(
+        "radii", [{"r_min": "0.001"}, {"r_max": None}, {"r_min": 1j}, {"r_max": "0.3"}]
+    )
+    def test_radii_must_be_real(self, radii):
+        # the comparison 0 < r_min < r_max raised a bare TypeError before;
+        # numpy floats and ints still pass (test_schedule_is_geomspace_bit_for_bit)
+        name = next(iter(radii))
+        with pytest.raises(ConfigError, match=f"real {name}"):
+            TraceConfig(**radii)
 
     def test_numpy_integer_n_radii(self):
         cfg = TraceConfig(n_radii=np.int64(20))
@@ -1491,9 +1510,11 @@ class TestFixedWork:
     def test_hunt_solves_once_and_evaluates_last_circles(self, monkeypatch, tmp_path):
         # the 4 exceptional members of an 8-sample cubic hunt, magic cubics
         # on their axes, share one row group and one root solve (4 solves,
-        # one per member, before the counts were batched); the group's
-        # circles are checked by one circle count, and osc is evaluated once,
-        # only at the critical points of each member's last circle
+        # one per member, before the counts were batched) of the circles
+        # that the certificate leaves open and each member's last circle,
+        # 22 of their 640; the solved circles are checked by one circle
+        # count, and osc is evaluated once, only at the critical points of
+        # each member's last circle
         solves, evaluated, counted, checked = [], [], [], []
         solve, osc, count = maxmod.roots.critical_points, ModulusExpansion.osc, count_components
         circle_counts = maxmod.tracer._circle_counts
@@ -1521,11 +1542,11 @@ class TestFixedWork:
         argv = ["hunt", "--family", "cubic", "--samples", "8", "--out", str(tmp_path / "h.jsonl")]
         assert main(argv + ["--quiet"]) == 0
         assert len(counted) == 4 and len(solves) == 1 and len(evaluated) == 1
-        assert checked == [sum(cfg.n_radii for _, cfg in counted)]
-        n_radii = {cfg.n_radii for _, cfg in counted}.pop()
+        sizes = [solved_circles(p, cfg).size for p, cfg in counted]
+        assert checked == [sum(sizes)] == [22] and sum(cfg.n_radii for _, cfg in counted) == 640
         ridx = solves[0][0]
-        last = ridx % n_radii == n_radii - 1
-        assert np.unique(ridx[last] // n_radii).tolist() == [0, 1, 2, 3]
+        last = np.isin(ridx, np.cumsum(sizes) - 1)
+        assert np.unique(ridx[last]).tolist() == (np.cumsum(sizes) - 1).tolist()
         radii = np.concatenate(evaluated)
         assert radii.size == np.count_nonzero(last)
         assert set(radii.tolist()) == {radius_schedule(cfg)[-1] for _, cfg in counted}
@@ -1611,12 +1632,74 @@ class TestCountComponents:
             assert want.value.r == cfg.r_max
 
 
+    def test_fails_as_trace_fails_on_an_uncertified_circle(self, monkeypatch, root_solve):
+        # random_count's input 7 has 31 circles that the certificate leaves
+        # open: its count solves exactly those and its last circle, in one
+        # root solve.  Where one of them, not the last, is left without a
+        # maximum, the count raises what the trace raises, at that radius
+        p, cfg = RANDOM_COUNT_7, TraceConfig(r_min=2e-4, r_max=0.3, n_radii=200)
+        radii = radius_schedule(cfg)
+        assert trace(p, cfg).n_components == 1
+        (certified,) = root_solve["certified"]
+        uncertified = np.flatnonzero(~certified)
+        assert uncertified.size == 31 and certified[-1]
+        solved, solve = [], maxmod.roots.critical_points
+
+        def recorded(cn, radii):
+            solved.append(radii)
+            return solve(cn, radii)
+
+        monkeypatch.setattr(maxmod.roots, "critical_points", recorded)
+        assert count_components([(p, cfg)]) == [1]
+        assert len(solved) == 1
+        assert solved[0].tolist() == radii[uncertified].tolist() + [radii[-1]]
+        r_bad = radii[uncertified[uncertified.size // 2]]
+
+        def no_maximum_at(cn, radii):
+            ridx, theta, is_max = solve(cn, radii)
+            keep = (radii[ridx] != r_bad) | ~is_max
+            return ridx[keep], theta[keep], is_max[keep]
+
+        monkeypatch.setattr(maxmod.roots, "critical_points", no_maximum_at)
+        with pytest.raises(maxmod.MaxmodError) as want:
+            trace(p, cfg)
+        with pytest.raises(maxmod.MaxmodError) as got:
+            count_components([(p, cfg)])
+        assert type(got.value) is type(want.value) is maxmod.RefinementFailureError
+        assert str(got.value) == str(want.value)
+        assert vars(got.value) == vars(want.value)
+        assert want.value.r == r_bad
+
+    def test_selection_keeps_the_complex_path(self, monkeypatch):
+        # the rows of 1 + z + 1e-300i z^3 are complex at r = 0.3, but every
+        # circle is certified and at r = 1e-9, the last, C_2 and C_3
+        # underflow to 0: the one solved row is real.  It is solved on the
+        # whole circle, as in the trace, not as mirror pairs on (0, pi)
+        p, cfg = parse_poly("1,1,0,1e-300i"), TraceConfig(r_min=1e-9, r_max=0.3, n_radii=50)
+        _, radii, _, e = maxmod.tracer._prepare(p, cfg)
+        rows = _rows(e, radii)
+        assert rows.imag.any() and not rows[-1].imag.any()
+        assert maxmod.roots.certified(rows, radii).all()
+        ridx, theta, _ = critical_points(rows, radii)
+        solved, solve = [], maxmod.roots.critical_points
+
+        def recorded(cn, radii, **kwargs):
+            solved.append(solve(cn, radii, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(maxmod.roots, "critical_points", recorded)
+        assert count_components([(p, cfg)]) == [trace(p, cfg).n_components] == [1]
+        assert solved[0][1].tolist() == theta[ridx == radii.size - 1].tolist() == [0.0, math.pi]
+
     def test_batch_matches_members_counted_alone(self, monkeypatch, tmp_path):
         # one call counts members of four row groups, each at its own r_min,
         # to the counts each gets alone and that its trace gets: the magic
         # cubic (real rows on its axis, D = 3), a complex and a real quartic
         # of a quartic hunt (D = 4), and random_count's inputs 7, which has
-        # 31 subdivided circles, and 1 (complex, D = 5, stacked together)
+        # 31 subdivided circles, and 1 (complex, D = 5, stacked together).
+        # Each group solves only its members' uncertified circles and last
+        # circles: 1 of the magic cubic's 160, 10 and 1 of the quartics',
+        # and 31 + 1 + 1 of random_count's 320
         hunted, count = [], count_components
 
         def recorded(members):
@@ -1645,7 +1728,7 @@ class TestCountComponents:
 
         monkeypatch.setattr(maxmod.roots, "critical_points", grouped)
         got = count_components(members)
-        assert sorted(groups) == [(3, True, 160), (4, False, 160), (4, True, 160), (5, False, 320)]
+        assert sorted(groups) == [(3, True, 1), (4, False, 10), (4, True, 1), (5, False, 33)]
         alone = [count_components([member])[0] for member in members]
         assert got == alone == [trace(p, cfg).n_components for p, cfg in members]
         assert got == [2, 1, 1, 1, 1]
