@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .poly import HaymanForm, Polynomial, normalize
+from .util import frozen_instance
 
 # Tolerances for the exact algebraic tests.  Doubles lose ~1e-16 per arg;
 # axis-aligned user input lands within 1e-12, so 1e-9 separates "intended
@@ -94,9 +95,10 @@ def _exceptional_scan(h: HaymanForm):
             m_prime = sigma * (m * math.pi - arg_a) / k_pi + arg_b_pi
             residual = abs(m_prime - round(m_prime))  # in units of pi
             if math.pi * residual <= EPS_ARG:
-                witnesses.append(
-                    ExceptionalWitness(m=m, m_prime=round(m_prime), sigma=sigma, residual=residual)
+                witness = frozen_instance(
+                    ExceptionalWitness, m=m, m_prime=round(m_prime), sigma=sigma, residual=residual
                 )
+                witnesses.append(witness)
             elif math.pi * residual <= NEAR_ARG:
                 # the residual stays last: callers read the float after "residual="
                 near.append(
@@ -117,7 +119,10 @@ def classify(p: Polynomial | HaymanForm) -> Classification:
     every other exceptional input.  ``omega`` is the form's
     :attr:`~maxmod.poly.HaymanForm.omega`.  A monomial raises
     :class:`MonomialAllPlaneError` from ``normalize``: its maximum modulus
-    set is the whole plane and there is nothing to classify.
+    set is the whole plane and there is nothing to classify.  The report
+    and its witnesses are built with one write of their fields
+    (:func:`~maxmod.util.frozen_instance`), not by the generated
+    constructors, and are the same values.
     """
     h = normalize(p)
     k, mu = h.k, h.mu
@@ -145,7 +150,8 @@ def classify(p: Polynomial | HaymanForm) -> Classification:
         predicted_count = tuple(range(mu, k + 1, mu))
     conjecture_count = 2 * mu if magic == MAGIC else None
 
-    return Classification(
+    return frozen_instance(
+        Classification,
         mu=mu,
         N=h.N,
         omega=h.omega,

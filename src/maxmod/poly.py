@@ -22,7 +22,7 @@ from .errors import (
     TruncatedSeriesError,
     ZeroPolynomialError,
 )
-from .util import EPS, TWO_PI, cached_attribute
+from .util import EPS, TWO_PI, cached_attribute, frozen_instance
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,11 @@ class HaymanForm:
     on first read and kept in the instance ``__dict__``
     (:class:`~maxmod.util.cached_attribute`): equality, hashing and
     pickling still see the fields above, and the form stays frozen.
+    :func:`normalize` builds the form and its tail with one write of their
+    fields (:func:`~maxmod.util.frozen_instance`), since it has checked
+    what the generated constructors would: the tail's ratios are complex
+    and its last one is nonzero, or it raises.  A form built by the
+    constructor is the same value.
     """
 
     prefactor_scalar: complex
@@ -161,12 +166,23 @@ def normalize(p: Polynomial | HaymanForm) -> HaymanForm:
             "nonzero float"
         )
     # the leading tail coefficient is analytically 1; complex division c/c
-    # rounds, so set it exactly
-    tail = Polynomial((1.0 + 0j,) + ratios, truncated=p.truncated)
+    # rounds, so set it exactly.  The ratios are complex and the last one is
+    # nonzero (p's last coefficient is), so the tail needs no conversion or
+    # trimming from Polynomial.__post_init__.
+    tail = frozen_instance(Polynomial, coeffs=(1.0 + 0j,) + ratios, truncated=p.truncated)
     exps = [e - m for e in nz[1:]]  # the tail's positive exponents
     gcds = list(itertools.accumulate(exps, math.gcd))
     k, mu = exps[0], gcds[-1]
-    return HaymanForm(c, m, k=k, a=ratios[k - 1], mu=mu, N=exps[gcds.index(mu)], tail=tail)
+    return frozen_instance(
+        HaymanForm,
+        prefactor_scalar=c,
+        prefactor_power=m,
+        k=k,
+        a=ratios[k - 1],
+        mu=mu,
+        N=exps[gcds.index(mu)],
+        tail=tail,
+    )
 
 
 def frexp_complex(z: complex) -> tuple[complex, int]:

@@ -1,5 +1,13 @@
-"""Small shared helpers: machine epsilon, angle reduction, canonical JSON and
-a cached attribute."""
+"""Small shared helpers: machine epsilon, angle reduction, canonical JSON, a
+cached attribute and the one-write build of a frozen dataclass.
+
+Both of the last two write a frozen instance's ``__dict__`` directly:
+:class:`cached_attribute` adds a computed fact on its first read, and
+:func:`frozen_instance` builds the values the package derives from input it
+has already checked (a normal form, its tail, a classification and its
+witnesses) with one write of all their fields, skipping the generated
+``__init__`` and ``__post_init__``.  Equality, hashing, ``repr``, pickling
+and the frozen ``__setattr__`` see the same instance either way."""
 
 from __future__ import annotations
 
@@ -98,3 +106,22 @@ class cached_attribute:
             return self
         value = instance.__dict__[self.attrname] = self.func(instance)
         return value
+
+
+def frozen_instance(cls, /, **fields):
+    """An instance of the dataclass ``cls`` built with one write of
+    ``fields`` to its ``__dict__``.
+
+    The generated ``__init__`` of a frozen dataclass makes one
+    ``object.__setattr__`` call per field and then runs ``__post_init__``;
+    this makes neither, so nothing is converted or checked.  It is for
+    values the package derives from input it has already checked:
+    ``fields`` must name each field of ``cls`` once, hold what the
+    constructor would have stored, and ``cls`` must not use slots.  The
+    instance then equals, hashes, prints and pickles as the constructor's
+    would and stays frozen.  Callers outside the package use the
+    constructor and its checks.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj

@@ -1,6 +1,8 @@
 import cmath
+import dataclasses
 import json
 import math
+import pickle
 import sys
 from pathlib import Path
 
@@ -10,6 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxmod import (
+    Classification,
+    ExceptionalWitness,
+    HaymanForm,
     MonomialAllPlaneError,
     Polynomial,
     TraceConfig,
@@ -454,3 +459,45 @@ class TestCoefficientFactsOnce:
         assert not c.exceptional and (c.mu, c.N) == (1, 3)
         assert calls["_exceptional_scan"] == 1
         assert calls["nonzero_exponents"] == 1
+
+
+class TestBuiltInOneWrite:
+    """``normalize`` builds the form and its tail, ``classify`` the report
+    and its witnesses, with one write of their fields
+    (``util.frozen_instance``), not by the generated constructors.  Over
+    every input of the classify corpus that classifies, each is the value
+    the constructor builds from the same fields, and each holds exactly
+    its dataclass fields, so a field added to a class but not where the
+    package builds it fails here."""
+
+    CORPUS = json.loads(Path(__file__).with_name("classify_corpus.json").read_text(encoding="utf-8"))
+
+    @staticmethod
+    def check_value(x):
+        names = [f.name for f in dataclasses.fields(x)]
+        assert vars(x).keys() == set(names)  # no cached attribute read yet
+        y = type(x)(**vars(x))  # the generated constructor, with its checks
+        assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+        assert pickle.loads(pickle.dumps(x)) == x
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, names[0], getattr(x, names[0]))
+
+    def test_values_equal_the_constructors(self):
+        inputs = [e for e in self.CORPUS if isinstance(e["expect"], str)]
+        assert len(inputs) >= 400
+        witnessed = 0
+        for e in inputs:
+            p = Polynomial(tuple(complex(re, im) for re, im in e["coeffs"]), truncated=e["truncated"])
+            h = normalize(p)
+            assert type(h) is HaymanForm and type(h.tail) is Polynomial
+            self.check_value(h.tail)
+            assert all(type(z) is complex for z in h.tail.coeffs) and h.tail.coeffs[-1] != 0
+            self.check_value(h)
+            c = classify(h)
+            assert type(c) is Classification
+            self.check_value(c)
+            for w in c.witnesses:
+                assert type(w) is ExceptionalWitness
+                self.check_value(w)
+            witnessed += bool(c.witnesses)
+        assert witnessed >= 50

@@ -744,16 +744,27 @@ class TestAgreementVerdict:
 class TestOneNormalFormPerInput:
     """Fixed work per input: a command normalizes each polynomial once and
     passes the form on, forms its candidate angles once, a trace or count
-    builds one expansion and computes one floor, and only a hunt's counted
-    members read the survivors, through their ambiguity radius."""
+    builds one expansion and computes one floor, only a hunt's counted
+    members read the survivors, through their ambiguity radius, and the
+    checks of the ``Polynomial`` constructor run on the polynomials that
+    enter the package, not on the tails that ``normalize`` builds."""
 
     @staticmethod
     def count_work(monkeypatch, argv) -> dict:
         """Run ``argv`` and count the normalizations of a polynomial (not
         the identity return on a normal form), the candidate-angle
-        computations, the ``c_pairs`` builds, the floors computed and the
-        ambiguity radii, the one survivor loop of the package."""
-        calls = {"normalize": 0, "omega": 0, "_c_pairs": 0, "floor_radius": 0, "ambiguity_radius": 0}
+        computations, the ``c_pairs`` builds, the floors computed, the
+        ambiguity radii, the one survivor loop of the package, and the
+        ``Polynomial.__post_init__`` calls, one per polynomial built by the
+        generated constructor."""
+        calls = {
+            "normalize": 0,
+            "omega": 0,
+            "_c_pairs": 0,
+            "floor_radius": 0,
+            "ambiguity_radius": 0,
+            "__post_init__": 0,
+        }
 
         def counted(name, func, when=lambda *args: True):
             def wrapper(*args):
@@ -773,6 +784,8 @@ class TestOneNormalFormPerInput:
         monkeypatch.setattr(maxmod.poly, "floor_radius", counted("floor_radius", maxmod.poly.floor_radius))
         radius = counted("ambiguity_radius", maxmod.cli.ambiguity_radius)
         monkeypatch.setattr(maxmod.cli, "ambiguity_radius", radius)
+        post_init = counted("__post_init__", maxmod.Polynomial.__post_init__)
+        monkeypatch.setattr(maxmod.Polynomial, "__post_init__", post_init)
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0
         return calls
@@ -780,7 +793,10 @@ class TestOneNormalFormPerInput:
     def test_cubic_hunt(self, monkeypatch, tmp_path):
         # 100 members, 50 of them exceptional and counted; each counted
         # member's floor sets its radii and checks them, computed once, and
-        # its angles serve classify and the survivors of its radii
+        # its angles serve classify and the survivors of its radii.  A
+        # Polynomial is constructed for each of the 100 sampled members and
+        # for the tail of each counted member turned onto the real axis
+        # (modulus.on_axis, 50); the 100 normalized tails are not
         argv = ["hunt", "--family", "cubic", "--samples", "100", "--seed", "20260809"]
         calls = self.count_work(monkeypatch, argv + ["--out", str(tmp_path / "h.jsonl")])
         assert calls == {
@@ -789,11 +805,15 @@ class TestOneNormalFormPerInput:
             "_c_pairs": 50,
             "floor_radius": 50,
             "ambiguity_radius": 50,
+            "__post_init__": 150,
         }
 
     @pytest.mark.parametrize("infinity", [[], ["--infinity"]], ids=["origin", "infinity"])
     def test_trace(self, monkeypatch, infinity):
-        # the angles serve the classification and the tangent matches
+        # the angles serve the classification and the tangent matches.  A
+        # Polynomial is constructed for the parsed input, for its reciprocal
+        # at infinity and for the tail turned onto the real axis
+        # (modulus.on_axis); the normalized tail is not
         argv = ["trace", "--poly", "1,0,1,1i", "--radii", "20", "--json", *infinity]
         calls = self.count_work(monkeypatch, argv)
         assert calls == {
@@ -802,6 +822,7 @@ class TestOneNormalFormPerInput:
             "_c_pairs": 1,
             "floor_radius": 1,
             "ambiguity_radius": 0,
+            "__post_init__": 3 if infinity else 2,
         }
 
 

@@ -1,7 +1,7 @@
 import math
 
-import mpmath
 import numpy as np
+import pytest
 
 from maxmod import _kernels, expand, parse_poly
 from oracles import osc_sum
@@ -84,6 +84,7 @@ def test_fourier_sum_rows_gather_bit_for_bit():
 def test_fourier_sum_matches_per_angle_sum():
     # against sum_n coef[n-1] e^{i n theta} per angle in 200-bit arithmetic,
     # within a few ulps of the coefficients' total modulus
+    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(11)
     for deg in (1, 3, 8, 12):
         coef = random_orders(rng, (deg, 2, 5))
