@@ -40,10 +40,15 @@ below 16 EPS in under 55).  At the maximum of an even window
 ``sqrt(1 - x^2) - y > 0.05`` wherever ``x^2 + y^2 < CERTIFY``: F' is
 negative with a margin far beyond its rounding.  And the 2 n* windows hold
 both kinds.  Every failure of a root solve therefore comes from a row
-without a finite positive ``C_n`` or from an uncertified circle.  A caller
-that needs the points of a few circles but every circle's failures, as a
-component count does, solves those circles and the uncertified ones
-(:func:`certified`) alone.
+without a finite positive ``C_n`` or from an uncertified circle.
+
+A solve reads its rows as a whole only for their width D and for whether
+every ``C_n`` is real; everything else it does row by row.  So a row gives
+the same points within any stack of rows of its width and all-real test.
+A component count reads one circle of each polynomial, and solves that
+one row of many polynomials in one call
+(:func:`maxmod.tracer.count_components`); no caller reads the
+certificate outside a solve.
 """
 
 from __future__ import annotations
@@ -109,8 +114,8 @@ def critical_points(cn: np.ndarray, radii: np.ndarray, mirror: bool = True):
     :class:`~maxmod.errors.RefinementFailureError` where a circle has no
     finite positive ``C_n``, cannot be isolated or polished.
     """
-    deg, odd = row_group(cn)
-    odd = odd and mirror
+    deg = cn.shape[1]
+    odd = mirror and not cn.imag.any()
     n, nc, mag, total = _orders(cn, radii)
     coef = np.stack([nc.T, (n * nc).T], axis=1)  # order-major, see _slopes
     i, m, h, x0, is_max = _brackets(coef, mag, total, radii, odd)
@@ -131,24 +136,6 @@ def critical_points(cn: np.ndarray, radii: np.ndarray, mirror: bool = True):
         x = reduce_angle(x)
     order = np.lexsort((x, i))
     return i[order], x[order], is_max[order]
-
-
-def row_group(cn: np.ndarray) -> tuple[int, bool]:
-    """All that :func:`critical_points` reads of its rows ``cn`` as a whole:
-    their width D and whether every ``C_n`` is real.  Everything else it
-    does row by row, so rows of one group, stacked, are solved as each
-    would be alone; only which failing row raises first can differ."""
-    return cn.shape[1], not cn.imag.any()
-
-
-def certified(cn: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """The rows of ``cn`` that the certificate covers (:func:`_certified`),
-    on which :func:`critical_points` cannot fail (see the module
-    docstring).  Raises what :func:`critical_points` raises first, a
-    :class:`~maxmod.errors.RefinementFailureError` at the first row without
-    a finite positive ``C_n``."""
-    *_, mag, total = _orders(cn, radii)
-    return _certified(mag, total)
 
 
 def _orders(cn: np.ndarray, radii: np.ndarray):

@@ -20,30 +20,24 @@ trajectories, on flat arrays of all circles at once.  The co-maximal runs
 along the trajectories are the curves, which are counted, fitted for
 tangent direction and exponent, and checked for rotational symmetry.
 Each maximum of a circle lies on its own trajectory, so the curves that
-reach the smallest circle are as many as its co-maximal maxima: the count
-needs the points, ``osc`` and co-maximality of the smallest circle alone,
-but must raise every failure of the trace's root solve.  A circle that
-the leading-order certificate covers cannot fail (:mod:`maxmod.roots`):
-its windows bracket one simple zero each with strict end signs, so Newton
-converges within its steps, F' is negative at each maximum with a margin
-``sqrt(1 - x^2) - y > 0.05``, and both kinds are present.  So a count
-solves only the uncertified circles and the smallest one, once the
-certificate is read on every circle behind the check for a row without a
-finite positive ``C_n``; its checks fail in the trace's order (floor or
-truncation, mass, that row, an uncertified circle, the smallest circle).
-:func:`count_components`, which ``hunt`` reads, stops there, and counts
+reach the smallest circle are as many as its co-maximal maxima.
+:func:`count_components`, which ``hunt`` reads, counts them there and
+solves no other circle: each member runs the trace's checks (a monomial,
+a truncation, the floor at ``r_min``) and forms the one ``C_n`` row of
+``r_min``, mass check included, with the arithmetic its trace forms that
+row with.  So where the trace succeeds, the count is its
+``n_components``; where a check or the circle ``r_min`` fails, the count
+raises the trace's error, at ``r_min`` for that circle; and where only a
+circle above ``r_min`` would fail, the count is still a count.  It counts
 many polynomials in one call: their rows are stacked by width D and by
-whether they are all real (:func:`maxmod.roots.row_group`), which is all
-the root solve reads of a stack beyond each row.  Each stack's certificate
-is read at once, and its selected circles are solved at once, as they
-would be in their members' traces: complex rows that the selection left
-all real stay complex.  The counts are finished per stack too: one check
-that every solved circle has a maximum and a minimum, and one ``osc`` pass
-over the last circles of all its members.  A trace keeps one polynomial
-per call.
+whether the turned tail's coefficients are real, and each stack has one
+root solve, one check that every circle has a maximum and a minimum and
+one ``osc`` pass.  A row is solved as in its member's trace, so a complex
+member whose row at ``r_min`` underflows to real is still solved on the
+whole circle.  A trace keeps one polynomial per call.
 
 A trace and a count set each input up in a fixed number of array
-operations, whatever its degree and schedule: the schedule is
+operations, whatever its degree and schedule: a trace's schedule is
 ``np.geomspace``'s arithmetic without its wrapper, the products
 ``c_{j+n} conj(c_j)`` of the expansion are one scatter, and the check that
 the rows stay floats is made at the largest radius alone unless it fails
@@ -103,8 +97,9 @@ EPS_T = 1e-9
 # TraceConfig.grid lies in 64..MAX_GRID and n_radii in 2..MAX_RADII.
 MAX_GRID = 1 << 16
 MAX_RADII = 100_000
-# count_components stacks the rows of at most COUNT_BATCH members for its
-# root solves, so their memory stays bounded
+# count_components stacks the rows of at most COUNT_BATCH members, one row
+# each, for its root solves; a chunk that fails is counted again member by
+# member, so the call raises the error of the first member that fails
 COUNT_BATCH = 8
 
 
@@ -497,8 +492,8 @@ def _prepare(p: Polynomial | HaymanForm, cfg: TraceConfig):
     monomial, then rejects a truncated series and an ``r_min`` below the
     floor.  The reflection axis is found on the tail's coefficients
     (:func:`~maxmod.modulus.on_axis`) before the one expansion, of the
-    turned tail.  Returns ``(h, radii, psi, e)``: the normal form, the
-    schedule, the axis (0.0 for none) and that expansion.
+    turned tail.  Returns ``(h, psi, e)``: the normal form, the axis (0.0
+    for none) and that expansion.
     """
     h = normalize(p)
     if h.tail.truncated:
@@ -509,70 +504,66 @@ def _prepare(p: Polynomial | HaymanForm, cfg: TraceConfig):
 
     psi, tail = on_axis(h.tail)  # trace p(e^{i psi} z), whose c_j are real, if p has an axis
     e = expand(tail)  # c z^m moves no maximizer; |1 + q|^2 is a float where |p|^2 may not be
-    return h, radius_schedule(cfg), psi, e
+    return h, psi, e
 
 
 def _count_batch(members) -> list[int]:
-    """The component counts of ``members`` with one root solve per row
-    group (:func:`maxmod.roots.row_group`).  Every member is checked and
-    gets its rows (:func:`_prepare`, :func:`_rows`), and the rows of a
-    group are stacked.  The certificate is read on every row of the stack
-    (:func:`maxmod.roots.certified`, which rejects a row without a finite
-    positive ``C_n`` first), and only the uncertified circles and each
-    member's last circle are solved, at once: a certified circle cannot
-    fail.  The solved circles are then checked by one
-    :func:`_circle_counts`, and the members' last circles, one circle each,
-    are evaluated and counted by one :func:`_maxima`."""
+    """The component counts of ``members``, each from its one circle
+    ``r_min``, with one root solve per row group.  Every member is checked
+    as its trace is (:func:`_prepare`) and gets the row of ``r_min``
+    (:func:`_rows`, mass check included).  The rows are grouped by width
+    and by whether the turned tail's coefficients are real, which is what
+    its trace's root solve finds of the rows of its whole schedule.  Each
+    group's rows are solved at once, checked by one :func:`_circle_counts`
+    and evaluated and counted by one :func:`_maxima`."""
     groups: dict[tuple[int, bool], list] = {}
     for k, (p, cfg) in enumerate(members):
-        _, radii, _, e = _prepare(p, cfg)
-        cn = _rows(e, radii)
-        groups.setdefault(roots.row_group(cn), []).append((k, e, cn, radii))
+        _, _, e = _prepare(p, cfg)
+        r_min = float(cfg.r_min)
+        # a product of one row takes another BLAS path (a matrix-vector
+        # product) than the trace's many rows and rounds differently, so
+        # r_min is formed twice and its row has the bits of the trace's
+        cn = _rows(e, np.full(2, r_min))[0]
+        real = not e.c.imag.any()
+        groups.setdefault((cn.size, real), []).append((k, e, cn, r_min))
     counts = [0] * len(members)
     for (_, real), group in groups.items():
-        ks, es, cns, schedules = zip(*group)
-        cn, radii = np.concatenate(cns), np.concatenate(schedules)
-        last = np.cumsum([r.size for r in schedules]) - 1  # each member's last row
-        solve = ~roots.certified(cn, radii)
-        solve[last] = True
-        cn, radii = cn[solve], radii[solve]
-        last = np.cumsum(solve)[last] - 1
-        # each circle is solved as in its member's trace: complex rows that
-        # the selection left all real (underflow at tiny r) stay complex
-        mirror = {} if real or cn.imag.any() else {"mirror": False}
-        ridx, theta, is_max = roots.critical_points(cn, radii, **mirror)
+        ks, es, cn, radii = zip(*group)
+        cn, radii = np.array(cn), np.array(radii)
+        # rows of a complex tail that underflow to real (at tiny r) are
+        # solved on the whole circle, as in their trace
+        ridx, theta, is_max = roots.critical_points(cn, radii, mirror=real)
         n_max, n_min = _circle_counts(radii, ridx, is_max)
-        member = np.full(radii.size, -1)
-        member[last] = np.arange(last.size)
-        member = member[ridx]  # of each point on a last circle, else -1
-        at = member >= 0
-        member, theta, is_max = member[at], theta[at], is_max[at]
         # osc with cn reads only those rows, not the expansion: any member's serves
-        pts = member, theta, is_max, n_max[last], n_min[last]
-        member, *_, comax = _maxima(es[0], cn[last], radii[last], *pts)
-        found = np.bincount(member[comax], minlength=last.size)
-        for k, n in zip(ks, found.tolist()):
+        ridx, *_, comax = _maxima(es[0], cn, radii, ridx, theta, is_max, n_max, n_min)
+        for k, n in zip(ks, np.bincount(ridx[comax], minlength=radii.size).tolist()):
             counts[k] = n
     return counts
 
 
 def count_components(members) -> list[int]:
     """``trace(p, cfg).n_components`` of every ``(p, cfg)`` in ``members``,
-    in order, from the root solve alone; ``p`` is a polynomial or its
-    normal form.
+    in order, from the one circle ``r_min`` that the count reads; ``p`` is
+    a polynomial or its normal form.
 
-    Each member runs the checks of a trace and the mass check, and forms
-    its rows, as a trace does.  Up to ``COUNT_BATCH`` members at a time are
-    then counted by one :func:`maxmod.roots.critical_points` call per row
-    group (:func:`_count_batch`), which solves only the circles that can
-    fail, those the certificate leaves open, and each member's last circle,
-    the one the count reads: a certified circle has its maxima and minima
-    and cannot fail.  Every solved circle must have a maximum and a
-    minimum, only the last circles are evaluated, in one pass per row
-    group, and no maxima are linked, fitted, paired or sampled.  If that
-    raises, the members are counted again one at a time, so the call
-    raises what :func:`trace` raises for the first member that fails, at
-    the same radius.
+    Each member runs the checks of a trace, then forms the ``C_n`` row of
+    ``r_min`` alone, with the mass check of that radius, as its trace forms
+    it.  Up to ``COUNT_BATCH`` members at a time are then counted by one
+    :func:`maxmod.roots.critical_points` call per row group
+    (:func:`_count_batch`), one row per member.  No other circle is formed
+    or solved, and no maxima are linked, fitted, paired or sampled.  So:
+
+    - where :func:`trace` succeeds, the count is its ``n_components``;
+    - where a check of the trace fails, the count raises the trace's error;
+    - where the circle ``r_min`` fails, the count raises that failure at
+      ``r_min``, as the trace does unless a larger circle fails first; a
+      mass check that fails at ``r_min`` fails at every radius, and the
+      trace raises it at ``r_max``;
+    - where only a circle above ``r_min`` would fail, the result is a
+      count, not an error.
+
+    If a chunk raises, its members are counted again one at a time, so the
+    call raises the error of the first member that fails.
     """
     counts = []
     for at in range(0, len(members), COUNT_BATCH):
@@ -600,7 +591,8 @@ def trace(p: Polynomial | HaymanForm, cfg: TraceConfig = TraceConfig()) -> Trace
     is scanned and linked on its axis and turned back before the curves are
     formed.
     """
-    h, radii, psi, e = _prepare(p, cfg)
+    h, psi, e = _prepare(p, cfg)
+    radii = radius_schedule(cfg)
     n_max, ridx, theta, osc, deficit, comax = _scan_circles(e, radii)
     mod2 = e.base(radii)[ridx] + osc
 

@@ -79,9 +79,9 @@ def test_one_count_of_the_whole_corpus(monkeypatch, batch):
     groups = set()
     solve = roots.critical_points
 
-    def grouped(cn, radii):
+    def grouped(cn, radii, **kwargs):
         groups.add((cn.shape[1], not cn.imag.any()))
-        return solve(cn, radii)
+        return solve(cn, radii, **kwargs)
 
     monkeypatch.setattr(roots, "critical_points", grouped)
     got = count_components(members_of(entries))
@@ -89,6 +89,29 @@ def test_one_count_of_the_whole_corpus(monkeypatch, batch):
     assert not failed
     assert len(got) == len(entries) >= 330
     assert len(groups) >= 30 and {odd for _, odd in groups} == {False, True}
+
+
+def test_count_rows_are_the_trace_rows(monkeypatch):
+    # the one row a count forms for each entry, at r_min, is bit for bit
+    # the last row of the entry's trace, mass check included
+    entries = [e for e in CORPUS if e["expect"]["error"] is None]
+    handed = []
+    solve = roots.critical_points
+
+    def recorded(cn, radii, **kwargs):
+        handed.extend(zip(radii.tolist(), cn))
+        return solve(cn, radii, **kwargs)
+
+    monkeypatch.setattr(roots, "critical_points", recorded)
+    monkeypatch.setattr(tracer, "COUNT_BATCH", 1)  # one row per solve, in member order
+    members = members_of(entries)
+    count_components(members)
+    assert len(handed) == len(members)
+    for (r, row), (p, cfg) in zip(handed, members):
+        e = tracer._prepare(p, cfg)[2]
+        radii = tracer.radius_schedule(cfg)
+        assert r == radii[-1]
+        assert tracer._rows(e, radii)[-1].tobytes() == row.tobytes()
 
 
 def test_classify_corpus_covers_its_inputs():

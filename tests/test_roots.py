@@ -127,8 +127,8 @@ def test_window_solve_matches_eigen_solve(root_solve, monkeypatch, deg, real):
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
 @pytest.mark.parametrize("deg", [2, 5, 11, 24])
 def test_certified_circle_cannot_fail(monkeypatch, deg, real):
-    # what a count rests on when it solves no certified circle: on seeded
-    # rows that the certificate covers, a third of them within a relative
+    # the module docstring's claim that a certified circle cannot fail: on
+    # seeded rows that the certificate covers, a third of them within a relative
     # 1e-9 to 1e-3 below its threshold, each scaled by a factor from 1e-150
     # to 1e150, the root solve never raises.  Every circle has 2 n* points,
     # n* + 1 of them in [0, pi] on real rows, among them 0 and -pi (for pi);
@@ -147,7 +147,7 @@ def test_certified_circle_cannot_fail(monkeypatch, deg, real):
     cn = random_rows(rng, 400, deg, real)
     cn *= 10.0 ** rng.uniform(-150, 150, cn.shape[0])[:, None]
     radii = np.arange(1.0, cn.shape[0] + 1)
-    ok = roots.certified(cn, radii)
+    ok = roots._certified(*roots._orders(cn, radii)[2:])
     assert np.array_equal(ok, certificate(cn) < 0.9) and np.count_nonzero(ok) >= 300
     cn, radii = cn[ok], radii[ok]
     monkeypatch.setattr(roots, "_slopes", counted)

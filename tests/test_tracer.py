@@ -68,12 +68,9 @@ def scan_points(e: ModulusExpansion, radii: np.ndarray):
 
 
 def solved_circles(p, cfg: TraceConfig) -> np.ndarray:
-    """The radii of the circles that a count of ``(p, cfg)`` solves: those
-    that the certificate leaves open, and the last."""
-    _, radii, _, e = maxmod.tracer._prepare(p, cfg)
-    solve = ~maxmod.roots.certified(_rows(e, radii), radii)
-    solve[-1] = True
-    return radii[solve]
+    """The radii of the circles that a count of ``(p, cfg)`` solves: the
+    last one alone, ``r_min``."""
+    return radius_schedule(cfg)[-1:]
 
 
 def turned(p: Polynomial, e: ModulusExpansion):
@@ -1510,17 +1507,17 @@ class TestFixedWork:
     def test_hunt_solves_once_and_evaluates_last_circles(self, monkeypatch, tmp_path):
         # the 4 exceptional members of an 8-sample cubic hunt, magic cubics
         # on their axes, share one row group and one root solve (4 solves,
-        # one per member, before the counts were batched) of the circles
-        # that the certificate leaves open and each member's last circle,
-        # 22 of their 640; the solved circles are checked by one circle
-        # count, and osc is evaluated once, only at the critical points of
-        # each member's last circle
+        # one per member, before the counts were batched) of each member's
+        # last circle alone, 4 of their 640 (22 while the circles that the
+        # certificate leaves open were solved too); the solved circles are
+        # checked by one circle count, and osc is evaluated once, only at
+        # the critical points of each member's last circle
         solves, evaluated, counted, checked = [], [], [], []
         solve, osc, count = maxmod.roots.critical_points, ModulusExpansion.osc, count_components
         circle_counts = maxmod.tracer._circle_counts
 
-        def counted_solve(cn, radii):
-            solves.append(solve(cn, radii))
+        def counted_solve(cn, radii, **kwargs):
+            solves.append(solve(cn, radii, **kwargs))
             return solves[-1]
 
         def counted_osc(self, r, theta, cn=None):
@@ -1543,13 +1540,50 @@ class TestFixedWork:
         assert main(argv + ["--quiet"]) == 0
         assert len(counted) == 4 and len(solves) == 1 and len(evaluated) == 1
         sizes = [solved_circles(p, cfg).size for p, cfg in counted]
-        assert checked == [sum(sizes)] == [22] and sum(cfg.n_radii for _, cfg in counted) == 640
+        assert checked == [sum(sizes)] == [4] and sum(cfg.n_radii for _, cfg in counted) == 640
         ridx = solves[0][0]
         last = np.isin(ridx, np.cumsum(sizes) - 1)
         assert np.unique(ridx[last]).tolist() == (np.cumsum(sizes) - 1).tolist()
         radii = np.concatenate(evaluated)
         assert radii.size == np.count_nonzero(last)
         assert set(radii.tolist()) == {radius_schedule(cfg)[-1] for _, cfg in counted}
+
+    def test_hunt_forms_and_certifies_only_the_counted_circles(self, monkeypatch, tmp_path):
+        # an 8-sample cubic hunt forms C_n rows only at its members' r_min,
+        # and the certificate is read only inside the root solve: no
+        # package code before it reads the certificate of any circle
+        formed, read, counted, inside = [], [], [], []
+        solve, certified = maxmod.roots.critical_points, maxmod.roots._certified
+        fourier, count = ModulusExpansion.fourier, count_components
+
+        def counted_solve(*args, **kwargs):
+            inside.append(True)
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def counted_certified(mag, total):
+            read.append(bool(inside))
+            return certified(mag, total)
+
+        def counted_fourier(self, r):
+            formed.extend(np.atleast_1d(r).tolist())
+            return fourier(self, r)
+
+        def counted_count(members):
+            counted.extend(members)
+            return count(members)
+
+        monkeypatch.setattr(maxmod.roots, "critical_points", counted_solve)
+        monkeypatch.setattr(maxmod.roots, "_certified", counted_certified)
+        monkeypatch.setattr(ModulusExpansion, "fourier", counted_fourier)
+        monkeypatch.setattr(maxmod.cli, "count_components", counted_count)
+        argv = ["hunt", "--family", "cubic", "--samples", "8", "--out", str(tmp_path / "h.jsonl")]
+        assert main(argv + ["--quiet"]) == 0
+        assert len(counted) == 4 and formed
+        assert set(formed) == {float(cfg.r_min) for _, cfg in counted}
+        assert read and all(read)
 
     def test_hunt_finishes_counts_per_row_group(self, monkeypatch, tmp_path):
         # a 2000-sample quartic hunt mixes real and complex rows of one
@@ -1585,8 +1619,8 @@ class TestFixedWork:
         for at in range(0, len(hunted), maxmod.tracer.COUNT_BATCH):
             chunk = set()
             for p, cfg in hunted[at : at + maxmod.tracer.COUNT_BATCH]:
-                _, radii, _, e = maxmod.tracer._prepare(p, cfg)
-                chunk.add(maxmod.roots.row_group(_rows(e, radii)))
+                e = maxmod.tracer._prepare(p, cfg)[2]  # width D, turned tail real
+                chunk.add((e.c.size - 1, not e.c.imag.any()))
             kinds |= chunk
             groups += len(chunk)
         assert kinds == {(4, False), (4, True)} and groups > len(hunted) / maxmod.tracer.COUNT_BATCH
@@ -1615,10 +1649,8 @@ class TestCountComponents:
             (parse_poly("1,0,1,1i"), TraceConfig(r_min=1e-9, r_max=0.3)),
             (parse_poly("0,0,3"), TraceConfig()),
             (Polynomial((1, 0, 1, 1j), truncated=True), TraceConfig(r_min=1e-2, r_max=0.2, n_radii=20)),
-            # the scan's mass 1 + sum j^2 |c_j| r^j is no float on any circle: r_max fails first
-            (parse_poly("1e-160,0,1,1"), TraceConfig(r_min=1e81, r_max=1e84, n_radii=8)),
         ],
-        ids=["floor", "monomial", "truncated", "refinement-at-rmax"],
+        ids=["floor", "monomial", "truncated"],
     )
     def test_fails_as_trace_fails(self, p, cfg):
         with pytest.raises(maxmod.MaxmodError) as want:
@@ -1627,16 +1659,37 @@ class TestCountComponents:
             count_components([(p, cfg)])
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
-        assert vars(got.value) == vars(want.value)  # the radius, where there is one
-        if isinstance(want.value, maxmod.RefinementFailureError):
-            assert want.value.r == cfg.r_max
+        assert vars(got.value) == vars(want.value)
+
+    def test_fails_at_r_min_where_the_mass_check_fails(self):
+        # the scan's mass 1 + sum j^2 |c_j| r^j is no float on any circle:
+        # the trace fails first at r_max, the count at r_min, the one
+        # circle it forms
+        p, cfg = parse_poly("1e-160,0,1,1"), TraceConfig(r_min=1e81, r_max=1e84, n_radii=8)
+        with pytest.raises(maxmod.RefinementFailureError) as want:
+            trace(p, cfg)
+        with pytest.raises(maxmod.RefinementFailureError) as got:
+            count_components([(p, cfg)])
+        assert (want.value.r, want.value.theta_seed) == (cfg.r_max, 0.0)
+        assert (got.value.r, got.value.theta_seed) == (cfg.r_min, 0.0)
+
+    def test_counts_where_only_r_max_fails(self):
+        # the mass of the magic cubic is no float at r = 1e60, the trace's
+        # first circle, and a float at r_min = 1e-3: the trace fails at
+        # r_max, and the count, which forms no circle above r_min, counts
+        p, cfg = parse_poly("1,0,1,1i"), TraceConfig(r_max=1e60, n_radii=4)
+        with pytest.raises(maxmod.RefinementFailureError) as want:
+            trace(p, cfg)
+        assert want.value.r == cfg.r_max
+        assert count_components([(p, cfg)]) == [2]
 
 
     def test_fails_as_trace_fails_on_an_uncertified_circle(self, monkeypatch, root_solve):
         # random_count's input 7 has 31 circles that the certificate leaves
-        # open: its count solves exactly those and its last circle, in one
-        # root solve.  Where one of them, not the last, is left without a
-        # maximum, the count raises what the trace raises, at that radius
+        # open, r_min not among them; its count solves r_min alone.  Where
+        # one of the open circles is left without a maximum, the trace
+        # raises at that radius and the count, which does not solve it,
+        # still counts.  Where r_min is, both raise the same error there
         p, cfg = RANDOM_COUNT_7, TraceConfig(r_min=2e-4, r_max=0.3, n_radii=200)
         radii = radius_schedule(cfg)
         assert trace(p, cfg).n_components == 1
@@ -1645,22 +1698,30 @@ class TestCountComponents:
         assert uncertified.size == 31 and certified[-1]
         solved, solve = [], maxmod.roots.critical_points
 
-        def recorded(cn, radii):
+        def recorded(cn, radii, **kwargs):
             solved.append(radii)
-            return solve(cn, radii)
+            return solve(cn, radii, **kwargs)
 
         monkeypatch.setattr(maxmod.roots, "critical_points", recorded)
         assert count_components([(p, cfg)]) == [1]
-        assert len(solved) == 1
-        assert solved[0].tolist() == radii[uncertified].tolist() + [radii[-1]]
+        assert len(solved) == 1 and solved[0].tolist() == [radii[-1]]
+
+        def no_maximum_at(r_bad):
+            def solved_without(cn, radii, **kwargs):
+                ridx, theta, is_max = solve(cn, radii, **kwargs)
+                keep = (radii[ridx] != r_bad) | ~is_max
+                return ridx[keep], theta[keep], is_max[keep]
+
+            return solved_without
+
         r_bad = radii[uncertified[uncertified.size // 2]]
+        monkeypatch.setattr(maxmod.roots, "critical_points", no_maximum_at(r_bad))
+        with pytest.raises(maxmod.RefinementFailureError) as want:
+            trace(p, cfg)
+        assert want.value.r == r_bad
+        assert count_components([(p, cfg)]) == [1]
 
-        def no_maximum_at(cn, radii):
-            ridx, theta, is_max = solve(cn, radii)
-            keep = (radii[ridx] != r_bad) | ~is_max
-            return ridx[keep], theta[keep], is_max[keep]
-
-        monkeypatch.setattr(maxmod.roots, "critical_points", no_maximum_at)
+        monkeypatch.setattr(maxmod.roots, "critical_points", no_maximum_at(radii[-1]))
         with pytest.raises(maxmod.MaxmodError) as want:
             trace(p, cfg)
         with pytest.raises(maxmod.MaxmodError) as got:
@@ -1668,7 +1729,7 @@ class TestCountComponents:
         assert type(got.value) is type(want.value) is maxmod.RefinementFailureError
         assert str(got.value) == str(want.value)
         assert vars(got.value) == vars(want.value)
-        assert want.value.r == r_bad
+        assert want.value.r == cfg.r_min
 
     def test_selection_keeps_the_complex_path(self, monkeypatch):
         # the rows of 1 + z + 1e-300i z^3 are complex at r = 0.3, but every
@@ -1676,10 +1737,10 @@ class TestCountComponents:
         # underflow to 0: the one solved row is real.  It is solved on the
         # whole circle, as in the trace, not as mirror pairs on (0, pi)
         p, cfg = parse_poly("1,1,0,1e-300i"), TraceConfig(r_min=1e-9, r_max=0.3, n_radii=50)
-        _, radii, _, e = maxmod.tracer._prepare(p, cfg)
+        e, radii = maxmod.tracer._prepare(p, cfg)[2], radius_schedule(cfg)
         rows = _rows(e, radii)
         assert rows.imag.any() and not rows[-1].imag.any()
-        assert maxmod.roots.certified(rows, radii).all()
+        assert maxmod.roots._certified(*maxmod.roots._orders(rows, radii)[2:]).all()
         ridx, theta, _ = critical_points(rows, radii)
         solved, solve = [], maxmod.roots.critical_points
 
@@ -1697,9 +1758,9 @@ class TestCountComponents:
         # cubic (real rows on its axis, D = 3), a complex and a real quartic
         # of a quartic hunt (D = 4), and random_count's inputs 7, which has
         # 31 subdivided circles, and 1 (complex, D = 5, stacked together).
-        # Each group solves only its members' uncertified circles and last
-        # circles: 1 of the magic cubic's 160, 10 and 1 of the quartics',
-        # and 31 + 1 + 1 of random_count's 320
+        # Each group solves one row per member, its last circle: 1 of the
+        # magic cubic's 160, 1 and 1 of the quartics', and 1 + 1 of
+        # random_count's 320
         hunted, count = [], count_components
 
         def recorded(members):
@@ -1722,13 +1783,13 @@ class TestCountComponents:
         groups = []
         solve = maxmod.roots.critical_points
 
-        def grouped(cn, radii):
+        def grouped(cn, radii, **kwargs):
             groups.append((cn.shape[1], not cn.imag.any(), radii.size))
-            return solve(cn, radii)
+            return solve(cn, radii, **kwargs)
 
         monkeypatch.setattr(maxmod.roots, "critical_points", grouped)
         got = count_components(members)
-        assert sorted(groups) == [(3, True, 1), (4, False, 10), (4, True, 1), (5, False, 33)]
+        assert sorted(groups) == [(3, True, 1), (4, False, 1), (4, True, 1), (5, False, 2)]
         alone = [count_components([member])[0] for member in members]
         assert got == alone == [trace(p, cfg).n_components for p, cfg in members]
         assert got == [2, 1, 1, 1, 1]
@@ -1741,8 +1802,8 @@ class TestCountComponents:
         # counting them one at a time does
         solve = maxmod.roots.critical_points
 
-        def no_maximum_at(cn, radii):
-            ridx, theta, is_max = solve(cn, radii)
+        def no_maximum_at(cn, radii, **kwargs):
+            ridx, theta, is_max = solve(cn, radii, **kwargs)
             keep = (radii[ridx] != 0.1) | ~is_max
             return ridx[keep], theta[keep], is_max[keep]
 
