@@ -205,11 +205,9 @@ def _sample_member(family: str, rng: np.random.Generator, on_locus: bool) -> tup
     return Polynomial(tuple(coeffs)), on_locus
 
 
-def _hunt_config(h: HaymanForm) -> TraceConfig:
-    """The 160 radii on which an exceptional member's curves are counted."""
-    r_min = max(2e-4, 1.5 * h.floor, 3.0 * ambiguity_radius(h))
-    r_min = min(r_min, 0.02)
-    return TraceConfig(r_min=r_min, r_max=0.3, n_radii=160)
+def _hunt_radius(h: HaymanForm) -> float:
+    """The radius at which an exceptional member's curves are counted."""
+    return min(max(2e-4, 1.5 * h.floor, 3.0 * ambiguity_radius(h)), 0.02)
 
 
 def cmd_hunt(args) -> int:
@@ -223,7 +221,7 @@ def cmd_hunt(args) -> int:
     members = [_sample_member(args.family, rng, on_locus=(i % 2 == 1)) for i in range(args.samples)]
     records, exceptional = [], []
     for p, locus in members:
-        h = normalize(p)  # the one normal form that classify, config and count read
+        h = normalize(p)  # the one normal form that classify, radius and count read
         c = classify(h)
         records.append(
             {
@@ -240,7 +238,7 @@ def cmd_hunt(args) -> int:
         if c.exceptional:
             exceptional.append((records[-1], c, h))
     # one call counts every exceptional member, with one root solve per row group
-    counts = count_components([(h, _hunt_config(h)) for _, _, h in exceptional])
+    counts = count_components([(h, _hunt_radius(h)) for _, _, h in exceptional])
     for (record, c, _), n_components in zip(exceptional, counts):
         record["n_components"] = n_components
         record["conjecture_holds"] = agreement_verdict(c, n_components) != DISCREPANT

@@ -117,8 +117,8 @@ class HaymanForm:
     @cached_attribute
     def floor(self) -> float:
         """:func:`floor_radius` of the form, computed on first read and kept
-        with it: a hunt reads it for a member's radii and again when the
-        member's trace checks them."""
+        with it: a hunt reads it for a member's radius and again when the
+        member's count checks that radius."""
         return floor_radius(self)
 
 

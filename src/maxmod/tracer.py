@@ -21,20 +21,22 @@ along the trajectories are the curves, which are counted, fitted for
 tangent direction and exponent, and checked for rotational symmetry.
 Each maximum of a circle lies on its own trajectory, so the curves that
 reach the smallest circle are as many as its co-maximal maxima.
-:func:`count_components`, which ``hunt`` reads, counts them there and
-solves no other circle: each member runs the trace's checks (a monomial,
-a truncation, the floor at ``r_min``) and forms the one ``C_n`` row of
-``r_min``, mass check included, with the arithmetic its trace forms that
-row with.  So where the trace succeeds, the count is its
+:func:`count_components`, which ``hunt`` reads, takes a polynomial and
+that radius ``r_min`` alone, counts the curves there and solves no other
+circle: each member runs the trace's checks (a monomial, a truncation, the
+floor at ``r_min``) and forms the one ``C_n`` row of ``r_min``, mass check
+included, with the arithmetic a trace forms that row with.  So where a
+trace whose schedule ends at ``r_min`` succeeds, the count is its
 ``n_components``; where a check or the circle ``r_min`` fails, the count
 raises the trace's error, at ``r_min`` for that circle; and where only a
 circle above ``r_min`` would fail, the count is still a count.  It counts
 many polynomials in one call: their rows are stacked by width D and by
 whether the turned tail's coefficients are real, and each stack has one
-root solve, one check that every circle has a maximum and a minimum and
-one ``osc`` pass.  A row is solved as in its member's trace, so a complex
-member whose row at ``r_min`` underflows to real is still solved on the
-whole circle.  A trace keeps one polynomial per call.
+scan, as a trace's circles have: one root solve, one check that every
+circle has a maximum and a minimum and one ``osc`` pass.  A row is solved
+as in its member's trace, so a complex member whose row at ``r_min``
+underflows to real is still solved on the whole circle.  A trace keeps
+one polynomial per call.
 
 A trace and a count set each input up in a fixed number of array
 operations, whatever its degree and schedule: a trace's schedule is
@@ -99,7 +101,11 @@ MAX_GRID = 1 << 16
 MAX_RADII = 100_000
 # count_components stacks the rows of at most COUNT_BATCH members, one row
 # each, for its root solves; a chunk that fails is counted again member by
-# member, so the call raises the error of the first member that fails
+# member, so the call raises the error of the first member that fails.  The
+# chunks keep a count's memory flat in the number of members: on the 31193
+# exceptional members of hunt --family quartic --samples 100000 --seed 1,
+# one chunk of all of them raised count_components' tracemalloc peak from
+# 0.6 MB to 39.6 MB and the process's peak RSS from 233 MB to 274 MB
 COUNT_BATCH = 8
 
 
@@ -233,34 +239,32 @@ def _rows(e: ModulusExpansion, radii: np.ndarray) -> np.ndarray:
     return e.fourier(radii)
 
 
-def _circle_counts(radii: np.ndarray, ridx: np.ndarray, is_max: np.ndarray):
-    """The maxima and minima per circle, ``(n_max, n_min)``, of the critical
-    points of :func:`maxmod.roots.critical_points`; a circle without both
-    fails at its radius, since a smooth periodic function has both."""
+def _scan(e: ModulusExpansion, cn: np.ndarray, radii: np.ndarray, mirror: bool = True):
+    """All refined local maxima of every circle ``|z| = r`` for r in
+    ``radii``, with their ``osc`` and co-maximality, from the circles'
+    ``C_n`` rows ``cn`` (:func:`_rows`).
+
+    The critical points of all circles, their kinds and their polished
+    angles come from the rows (:func:`maxmod.roots.critical_points`, with
+    ``mirror``); a circle without both a maximum and a minimum fails at its
+    radius, since a smooth periodic function has both.  The one ``osc``
+    evaluation reads a point's ``C_n`` from its circle's row, not from
+    ``e``.  The spread of a circle is its largest ``osc`` at a maximum
+    minus its smallest at a minimum.  A maximum is co-maximal within
+    ``TIE_TOL`` times that of its circle's largest, and its deficit is that
+    largest ``osc`` minus its own.
+
+    Returns ``n_max`` and the flat arrays ``(ridx, theta, osc, deficit,
+    comax)`` of the maxima: ``n_max[i]`` maxima of circle i, followed by
+    those of circle i + 1, each circle's in counterclockwise order from
+    about -pi; ``comax`` marks the co-maximal ones.
+    """
+    ridx, theta, is_max = roots.critical_points(cn, radii, mirror=mirror)
     n_max = np.bincount(ridx[is_max], minlength=radii.size)
     n_min = np.bincount(ridx[~is_max], minlength=radii.size)
     bad = (n_max == 0) | (n_min == 0)
     if bad.any():
         raise RefinementFailureError(float(radii[np.argmax(bad)]), 0.0)
-    return n_max, n_min
-
-
-def _maxima(e, cn, radii, ridx, theta, is_max, n_max, n_min):
-    """The maxima of whole circles with their ``osc`` and co-maximality.
-
-    ``ridx``, ``theta`` and ``is_max`` are the critical points of the
-    circles of ``radii`` as :func:`maxmod.roots.critical_points` returns
-    them, ``ridx`` indexing ``radii`` and their ``C_n`` rows ``cn``, and
-    ``n_max`` and ``n_min`` count them per circle.  The one ``osc``
-    evaluation reads a point's ``C_n`` from its circle's row.  The spread
-    of a circle is its largest ``osc`` at a maximum minus its smallest at a
-    minimum.  A maximum is co-maximal within ``TIE_TOL`` times that of its
-    circle's largest, and its deficit is that largest ``osc`` minus its own.
-
-    Returns flat arrays ``(ridx, theta, osc, deficit, comax)`` of the
-    maxima, by circle, each circle's in counterclockwise order from about
-    -pi.
-    """
     mx = np.flatnonzero(is_max)
     mn = np.flatnonzero(~is_max)
     order = np.concatenate([mx, mn])
@@ -272,26 +276,7 @@ def _maxima(e, cn, radii, ridx, theta, is_max, n_max, n_min):
     tie_threshold = TIE_TOL * spread
     peak = top[ridx_mx]
     comax = osc >= peak - tie_threshold[ridx_mx]
-    return ridx_mx, reduce_angle(theta[mx]), osc, peak - osc, comax
-
-
-def _scan_circles(e: ModulusExpansion, radii: np.ndarray):
-    """All refined local maxima of every circle ``|z| = r`` for r in ``radii``.
-
-    Each circle's ``C_n`` are formed once (:func:`_rows`): the critical
-    points of all circles, their kinds and their polished angles come from
-    them (:func:`maxmod.roots.critical_points`), and :func:`_maxima` reads
-    them again for ``osc``.
-
-    Returns ``n_max`` and the flat arrays ``(ridx, theta, osc, deficit,
-    comax)`` of :func:`_maxima`: ``n_max[i]`` maxima of circle i, followed
-    by those of circle i + 1, each circle's in counterclockwise order from
-    about -pi; ``comax`` marks the co-maximal ones.
-    """
-    cn = _rows(e, radii)
-    ridx, theta, is_max = roots.critical_points(cn, radii)
-    n_max, n_min = _circle_counts(radii, ridx, is_max)
-    return (n_max, *_maxima(e, cn, radii, ridx, theta, is_max, n_max, n_min))
+    return n_max, ridx_mx, reduce_angle(theta[mx]), osc, peak - osc, comax
 
 
 def ambiguity_radius(h: HaymanForm) -> float:
@@ -450,7 +435,7 @@ def _link(n_max: np.ndarray, theta: np.ndarray) -> np.ndarray:
     of least total circular displacement; all steps of equal M are solved
     at once.  Where the count changes, :func:`_match_cyclic` links
     ``min(M_prev, M_cur)`` pairs and the other maxima are born or die.
-    ``n_max`` and ``theta`` are the flat arrays of :func:`_scan_circles`.
+    ``n_max`` and ``theta`` are the flat arrays of :func:`_scan`.
 
     Returns the flat index of the linked maximum on the circle before, or -1.
     """
@@ -485,8 +470,9 @@ def _chain_heads(ptr: np.ndarray) -> np.ndarray:
     return ptr
 
 
-def _prepare(p: Polynomial | HaymanForm, cfg: TraceConfig):
-    """The checks of a trace and what its scan reads.
+def _prepare(p: Polynomial | HaymanForm, r_min: float):
+    """The checks of a trace whose smallest radius is ``r_min`` and what its
+    scan reads.
 
     Normalizes ``p`` unless it is a normal form already, which rejects a
     monomial, then rejects a truncated series and an ``r_min`` below the
@@ -498,9 +484,9 @@ def _prepare(p: Polynomial | HaymanForm, cfg: TraceConfig):
     h = normalize(p)
     if h.tail.truncated:
         raise TruncatedSeriesError("tracing needs the full polynomial, not a truncation")
-    required = h.floor  # computed once per form: a hunt has read it for the schedule
-    if cfg.r_min < required:
-        raise FloorViolationError(cfg.r_min, required)
+    required = h.floor  # computed once per form: a hunt has read it for its radius
+    if r_min < required:
+        raise FloorViolationError(r_min, required)
 
     psi, tail = on_axis(h.tail)  # trace p(e^{i psi} z), whose c_j are real, if p has an axis
     e = expand(tail)  # c z^m moves no maximizer; |1 + q|^2 is a float where |p|^2 may not be
@@ -513,38 +499,37 @@ def _count_batch(members) -> list[int]:
     as its trace is (:func:`_prepare`) and gets the row of ``r_min``
     (:func:`_rows`, mass check included).  The rows are grouped by width
     and by whether the turned tail's coefficients are real, which is what
-    its trace's root solve finds of the rows of its whole schedule.  Each
-    group's rows are solved at once, checked by one :func:`_circle_counts`
-    and evaluated and counted by one :func:`_maxima`."""
-    groups: dict[tuple[int, bool], list] = {}
-    for k, (p, cfg) in enumerate(members):
-        _, _, e = _prepare(p, cfg)
-        r_min = float(cfg.r_min)
+    its trace's root solve finds of the rows of its whole schedule, and
+    each group's rows are scanned at once (:func:`_scan`)."""
+    groups: dict[tuple[int, bool], tuple] = {}
+    for k, (p, r_min) in enumerate(members):
+        _, _, e = _prepare(p, r_min)
+        r_min = float(r_min)
         # a product of one row takes another BLAS path (a matrix-vector
         # product) than the trace's many rows and rounds differently, so
         # r_min is formed twice and its row has the bits of the trace's
         cn = _rows(e, np.full(2, r_min))[0]
         real = not e.c.imag.any()
-        groups.setdefault((cn.size, real), []).append((k, e, cn, r_min))
+        # osc with cn reads only the rows, not the expansion: the group's first serves
+        groups.setdefault((cn.size, real), (e, []))[1].append((k, cn, r_min))
     counts = [0] * len(members)
-    for (_, real), group in groups.items():
-        ks, es, cn, radii = zip(*group)
-        cn, radii = np.array(cn), np.array(radii)
+    for (_, real), (e, group) in groups.items():
+        ks, cn, radii = zip(*group)
+        radii = np.array(radii)
         # rows of a complex tail that underflow to real (at tiny r) are
         # solved on the whole circle, as in their trace
-        ridx, theta, is_max = roots.critical_points(cn, radii, mirror=real)
-        n_max, n_min = _circle_counts(radii, ridx, is_max)
-        # osc with cn reads only those rows, not the expansion: any member's serves
-        ridx, *_, comax = _maxima(es[0], cn, radii, ridx, theta, is_max, n_max, n_min)
+        _, ridx, *_, comax = _scan(e, np.array(cn), radii, mirror=real)
         for k, n in zip(ks, np.bincount(ridx[comax], minlength=radii.size).tolist()):
             counts[k] = n
     return counts
 
 
 def count_components(members) -> list[int]:
-    """``trace(p, cfg).n_components`` of every ``(p, cfg)`` in ``members``,
-    in order, from the one circle ``r_min`` that the count reads; ``p`` is
-    a polynomial or its normal form.
+    """The number of curves of the maximum modulus set through the circle
+    ``|z| = r_min`` of every ``(p, r_min)`` in ``members``, in order; ``p``
+    is a polynomial or its normal form.  It is ``trace(p,
+    cfg).n_components`` for every ``cfg`` whose schedule ends at ``r_min``
+    and whose trace succeeds.
 
     Each member runs the checks of a trace, then forms the ``C_n`` row of
     ``r_min`` alone, with the mass check of that radius, as its trace forms
@@ -553,11 +538,10 @@ def count_components(members) -> list[int]:
     (:func:`_count_batch`), one row per member.  No other circle is formed
     or solved, and no maxima are linked, fitted, paired or sampled.  So:
 
-    - where :func:`trace` succeeds, the count is its ``n_components``;
     - where a check of the trace fails, the count raises the trace's error;
     - where the circle ``r_min`` fails, the count raises that failure at
-      ``r_min``, as the trace does unless a larger circle fails first; a
-      mass check that fails at ``r_min`` fails at every radius, and the
+      ``r_min``, as a trace does unless a larger circle fails first; a
+      mass check that fails at ``r_min`` fails at every radius, and a
       trace raises it at ``r_max``;
     - where only a circle above ``r_min`` would fail, the result is a
       count, not an error.
@@ -581,7 +565,7 @@ def trace(p: Polynomial | HaymanForm, cfg: TraceConfig = TraceConfig()) -> Trace
     form, over the radius schedule.
 
     Finds the co-maximal points of every radius in one batched scan
-    (:func:`_scan_circles`), links the maxima
+    (:func:`_scan`), links the maxima
     of neighbouring circles by cyclic order (:func:`_link`), largest radius
     first, and reports the co-maximal runs along each linked trajectory as
     curves: component count, tangent fits, rotational symmetry and
@@ -591,9 +575,9 @@ def trace(p: Polynomial | HaymanForm, cfg: TraceConfig = TraceConfig()) -> Trace
     is scanned and linked on its axis and turned back before the curves are
     formed.
     """
-    h, psi, e = _prepare(p, cfg)
+    h, psi, e = _prepare(p, cfg.r_min)
     radii = radius_schedule(cfg)
-    n_max, ridx, theta, osc, deficit, comax = _scan_circles(e, radii)
+    n_max, ridx, theta, osc, deficit, comax = _scan(e, _rows(e, radii), radii)
     mod2 = e.base(radii)[ridx] + osc
 
     # -- link maxima across radii (descending) into trajectories and curves --
@@ -665,8 +649,8 @@ def trace(p: Polynomial | HaymanForm, cfg: TraceConfig = TraceConfig()) -> Trace
     component_ids = tuple(np.flatnonzero(np.bincount(curve[comax & (ridx == last)])).tolist())
     # each maximum of a circle lies on its own trajectory, so the co-maximal
     # maxima of the last circle lie on as many different curves
-    n_components = int(np.count_nonzero(comax[comax.size - n_max[-1] :]))
     counts = np.bincount(ridx[comax], minlength=radii.size)
+    n_components = int(counts[last])
     off = np.flatnonzero(counts[:last] != n_components)
     stable_radius = float(radii[off[-1] + 1 if off.size else 0])
 

@@ -80,10 +80,16 @@ def entry(name: str, p: Polynomial, cfg: TraceConfig) -> dict:
     }
 
 
+def hunt_schedule(r_min: float) -> TraceConfig:
+    """160 radii from 0.3 down to a hunt member's counted radius ``r_min``:
+    the schedule on which the corpus and the tests trace the member."""
+    return TraceConfig(r_min=r_min, r_max=0.3, n_radii=160)
+
+
 def hunt_members() -> list[tuple[HaymanForm, TraceConfig]]:
     """The ``(h, cfg)`` of every member the hunt command ``HUNT_ARGV``
-    counts the curves of (``count_components``, the trace's root solve),
-    in the order of its calls: the member's normal form and radii."""
+    counts the curves of (``count_components``), in the order of its
+    calls: the member's normal form and :func:`hunt_schedule`."""
     members = []
     hunt_count = cli.count_components
 
@@ -100,7 +106,7 @@ def hunt_members() -> list[tuple[HaymanForm, TraceConfig]]:
         (HERE / ".corpus-hunt.jsonl").unlink(missing_ok=True)
     if not members:
         raise SystemExit(f"{' '.join(HUNT_ARGV)} counted no member's curves")
-    return members
+    return [(h, hunt_schedule(r_min)) for h, r_min in members]
 
 
 def random_inputs() -> list[tuple[Polynomial, TraceConfig]]:

@@ -46,7 +46,7 @@ import numpy as np
 from maxmod import HaymanForm, Polynomial, _kernels, expand
 from maxmod.classify import MAGIC, NOT_MAGIC
 from maxmod.modulus import ModulusExpansion
-from maxmod.tracer import EPS_T, FIT_DEGREE, TIE_TOL, _scan_circles
+from maxmod.tracer import EPS_T, FIT_DEGREE, TIE_TOL, _rows, _scan
 from maxmod.util import TWO_PI, reduce_angle
 
 EPS = np.finfo(float).eps
@@ -251,12 +251,13 @@ def brute_force_mset(p: Polynomial, r: float, grid: int) -> np.ndarray:
 def circle_argmax(e: ModulusExpansion, r: float) -> list[tuple[float, float]]:
     """Newton-refined global maximizers of ``|1 + q|^2`` (of ``|p|^2`` for
     a :class:`TermExpansion`) on the circle |z| = r: the tracer's scan
-    (``maxmod.tracer._scan_circles``) of the one radius r.
+    (``maxmod.tracer._scan``) of the one radius r.
 
     Returns ``(theta, mod2)`` pairs for every maximizer whose value lies
     within ``TIE_TOL * (max - min)`` of the refined global maximum.
     """
-    _, _, theta, osc, _, comax = _scan_circles(e, np.array([r], dtype=float))
+    radii = np.array([r], dtype=float)
+    _, _, theta, osc, _, comax = _scan(e, _rows(e, radii), radii)
     mod2 = e.base(r) + osc
     return [(float(t), float(m)) for t, m in zip(theta[comax], mod2[comax])]
 

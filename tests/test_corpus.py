@@ -59,9 +59,9 @@ def test_count_matches_every_trace():
     # the count of each entry alone is the trace's component count; where a
     # trace fails, the count fails with the same error class
     failed = []
-    for e, member in zip(CORPUS, members_of(CORPUS)):
+    for e, (p, cfg) in zip(CORPUS, members_of(CORPUS)):
         try:
-            got = {"error": None, "n_components": count_components([member])[0]}
+            got = {"error": None, "n_components": count_components([(p, cfg.r_min)])[0]}
         except MaxmodError as ex:
             got = {"error": type(ex).__name__}
         if got != {k: e["expect"][k] for k in ("error", "n_components") if k in e["expect"]}:
@@ -84,7 +84,7 @@ def test_one_count_of_the_whole_corpus(monkeypatch, batch):
         return solve(cn, radii, **kwargs)
 
     monkeypatch.setattr(roots, "critical_points", grouped)
-    got = count_components(members_of(entries))
+    got = count_components([(p, cfg.r_min) for p, cfg in members_of(entries)])
     failed = [e["name"] for e, n in zip(entries, got) if n != e["expect"]["n_components"]]
     assert not failed
     assert len(got) == len(entries) >= 330
@@ -105,10 +105,10 @@ def test_count_rows_are_the_trace_rows(monkeypatch):
     monkeypatch.setattr(roots, "critical_points", recorded)
     monkeypatch.setattr(tracer, "COUNT_BATCH", 1)  # one row per solve, in member order
     members = members_of(entries)
-    count_components(members)
+    count_components([(p, cfg.r_min) for p, cfg in members])
     assert len(handed) == len(members)
     for (r, row), (p, cfg) in zip(handed, members):
-        e = tracer._prepare(p, cfg)[2]
+        e = tracer._prepare(p, cfg.r_min)[2]
         radii = tracer.radius_schedule(cfg)
         assert r == radii[-1]
         assert tracer._rows(e, radii)[-1].tobytes() == row.tobytes()

@@ -40,11 +40,12 @@ from maxmod.tracer import (
     _link,
     _polyfit,
     _rows,
-    _scan_circles,
+    _scan,
     count_components,
     radius_schedule,
 )
 from maxmod.util import circ_dist, reduce_angle
+from make_corpus import hunt_schedule
 from oracles import (
     ON_CIRCLE,
     TermExpansion,
@@ -65,12 +66,6 @@ from oracles import (
 def scan_points(e: ModulusExpansion, radii: np.ndarray):
     """:func:`critical_points` of the circles of ``e`` at ``radii``."""
     return critical_points(e.fourier(radii), radii)
-
-
-def solved_circles(p, cfg: TraceConfig) -> np.ndarray:
-    """The radii of the circles that a count of ``(p, cfg)`` solves: the
-    last one alone, ``r_min``."""
-    return radius_schedule(cfg)[-1:]
 
 
 def turned(p: Polynomial, e: ModulusExpansion):
@@ -411,7 +406,7 @@ class TestQuotient:
             radii = np.geomspace(0.9, lo, 60)
             ridx, theta, _ = scan_points(quotient, radii)
             theta = reduce_angle(theta + psi)
-            n_max, _, maxima, *_ = _scan_circles(quotient, radii)
+            n_max, _, maxima, *_ = _scan(quotient, _rows(quotient, radii), radii)
             maxima = reduce_angle(maxima + psi)
             mr = np.repeat(np.arange(radii.size), n_max)
             for i, want in enumerate(full_solve(e, radii)):
@@ -483,7 +478,7 @@ class TestQuotient:
         cfg = TraceConfig(r_min=max(1e-3, 2 * floor_radius(normalize(p))), r_max=0.6)
         radii = radius_schedule(cfg)
         ridx, theta, _ = scan_points(e, radii)
-        n_max, _, maxima, *_ = _scan_circles(e, radii)
+        n_max, _, maxima, *_ = _scan(e, _rows(e, radii), radii)
         for i, scan in enumerate(np.split(maxima, np.cumsum(n_max)[:-1])):
             crit = np.where(theta[ridx == i] == -math.pi, math.pi, theta[ridx == i])
             assert np.array_equal(np.sort(crit), mirror(crit))
@@ -558,7 +553,7 @@ class TestQuotient:
             assert not any(z.imag for z in on_axis(normalize(p).tail)[1].coeffs), p
 
 
-def oracle_maxima(e: TermExpansion, r: float, grid: int) -> np.ndarray:
+def grid_peaks(e: TermExpansion, r: float, grid: int) -> np.ndarray:
     """Circular local maxima of the cross-term sum on a uniform grid."""
     th = -math.pi + 2 * math.pi * np.arange(grid) / grid
     x = e.osc_terms(r, th)
@@ -658,13 +653,13 @@ class TestCriticalPoints:
         checked = 0
         for p, radii in cases:
             e = term_expansion(p)
-            n_max, _, thetas, *_ = _scan_circles(e, radii)
+            n_max, _, thetas, *_ = _scan(e, _rows(e, radii), radii)
             scans = np.split(thetas, np.cumsum(n_max)[:-1])
             ridx, _, kind = scan_points(e, radii)
             for i, (r, scan) in enumerate(zip(radii, scans)):
                 is_max = kind[ridx == i]
                 assert np.all(is_max != np.roll(is_max, 1)), (p, r)
-                bf = oracle_maxima(e, r, grid)
+                bf = grid_peaks(e, r, grid)
                 gaps = np.diff(np.concatenate([bf, [bf[0] + 2 * math.pi]]))
                 if bf.size > 1 and gaps.min() <= 4 * step:
                     continue
@@ -775,10 +770,10 @@ class TestCriticalPoints:
         monkeypatch.setattr(
             maxmod.roots,
             "critical_points",
-            lambda cn, radii: (ridx[keep], theta[keep], is_max[keep]),
+            lambda cn, radii, mirror: (ridx[keep], theta[keep], is_max[keep]),
         )
         with pytest.raises(maxmod.RefinementFailureError) as exc:
-            _scan_circles(e, radii)
+            _scan(e, _rows(e, radii), radii)
         assert exc.value.r == 0.1
 
 
@@ -942,7 +937,7 @@ def fake_scan(monkeypatch, circles, oscs=None):
     deficit = np.array([max(c) - x for c in oscs for x in c], dtype=float)
     comax = deficit == 0
     scan = (n_max, ridx, theta, osc, deficit, comax)
-    monkeypatch.setattr(maxmod.tracer, "_scan_circles", lambda e, radii: scan)
+    monkeypatch.setattr(maxmod.tracer, "_scan", lambda e, cn, radii: scan)
     return TraceConfig(r_min=1e-2, r_max=0.3, n_radii=len(circles))
 
 
@@ -1508,13 +1503,11 @@ class TestFixedWork:
         # the 4 exceptional members of an 8-sample cubic hunt, magic cubics
         # on their axes, share one row group and one root solve (4 solves,
         # one per member, before the counts were batched) of each member's
-        # last circle alone, 4 of their 640 (22 while the circles that the
-        # certificate leaves open were solved too); the solved circles are
-        # checked by one circle count, and osc is evaluated once, only at
-        # the critical points of each member's last circle
+        # circle r_min alone; the solved circles are scanned once, and osc
+        # is evaluated once, only at the critical points of those circles
         solves, evaluated, counted, checked = [], [], [], []
         solve, osc, count = maxmod.roots.critical_points, ModulusExpansion.osc, count_components
-        circle_counts = maxmod.tracer._circle_counts
+        scan = maxmod.tracer._scan
 
         def counted_solve(cn, radii, **kwargs):
             solves.append(solve(cn, radii, **kwargs))
@@ -1528,25 +1521,23 @@ class TestFixedWork:
             counted.extend(members)
             return count(members)
 
-        def counted_circles(radii, ridx, is_max):
+        def counted_scan(e, cn, radii, **kwargs):
             checked.append(radii.size)
-            return circle_counts(radii, ridx, is_max)
+            return scan(e, cn, radii, **kwargs)
 
         monkeypatch.setattr(maxmod.roots, "critical_points", counted_solve)
         monkeypatch.setattr(ModulusExpansion, "osc", counted_osc)
         monkeypatch.setattr(maxmod.cli, "count_components", counted_count)
-        monkeypatch.setattr(maxmod.tracer, "_circle_counts", counted_circles)
+        monkeypatch.setattr(maxmod.tracer, "_scan", counted_scan)
         argv = ["hunt", "--family", "cubic", "--samples", "8", "--out", str(tmp_path / "h.jsonl")]
         assert main(argv + ["--quiet"]) == 0
         assert len(counted) == 4 and len(solves) == 1 and len(evaluated) == 1
-        sizes = [solved_circles(p, cfg).size for p, cfg in counted]
-        assert checked == [sum(sizes)] == [4] and sum(cfg.n_radii for _, cfg in counted) == 640
+        assert checked == [len(counted)] == [4]  # one circle per member
         ridx = solves[0][0]
-        last = np.isin(ridx, np.cumsum(sizes) - 1)
-        assert np.unique(ridx[last]).tolist() == (np.cumsum(sizes) - 1).tolist()
+        assert np.unique(ridx).tolist() == list(range(len(counted)))
         radii = np.concatenate(evaluated)
-        assert radii.size == np.count_nonzero(last)
-        assert set(radii.tolist()) == {radius_schedule(cfg)[-1] for _, cfg in counted}
+        assert radii.size == ridx.size
+        assert set(radii.tolist()) == {r_min for _, r_min in counted}
 
     def test_hunt_forms_and_certifies_only_the_counted_circles(self, monkeypatch, tmp_path):
         # an 8-sample cubic hunt forms C_n rows only at its members' r_min,
@@ -1582,18 +1573,18 @@ class TestFixedWork:
         argv = ["hunt", "--family", "cubic", "--samples", "8", "--out", str(tmp_path / "h.jsonl")]
         assert main(argv + ["--quiet"]) == 0
         assert len(counted) == 4 and formed
-        assert set(formed) == {float(cfg.r_min) for _, cfg in counted}
+        assert set(formed) == {float(r_min) for _, r_min in counted}
         assert read and all(read)
 
     def test_hunt_finishes_counts_per_row_group(self, monkeypatch, tmp_path):
         # a 2000-sample quartic hunt mixes real and complex rows of one
         # width in its chunks of COUNT_BATCH members: each chunk runs one
-        # root solve, one circle-count check and one osc evaluation per row
-        # group in it, and every count is its member's trace count
-        calls = {"solve": 0, "circles": 0, "osc": 0}
+        # scan, with one root solve and one osc evaluation, per row group in
+        # it, and every count is its member's trace count
+        calls = {"solve": 0, "scan": 0, "osc": 0}
         hunted, found = [], []
         solve, osc, count = maxmod.roots.critical_points, ModulusExpansion.osc, count_components
-        circle_counts = maxmod.tracer._circle_counts
+        scan = maxmod.tracer._scan
 
         def counted(name, f):
             def wrapped(*args, **kwargs):
@@ -1609,7 +1600,7 @@ class TestFixedWork:
             return counts
 
         monkeypatch.setattr(maxmod.roots, "critical_points", counted("solve", solve))
-        monkeypatch.setattr(maxmod.tracer, "_circle_counts", counted("circles", circle_counts))
+        monkeypatch.setattr(maxmod.tracer, "_scan", counted("scan", scan))
         monkeypatch.setattr(ModulusExpansion, "osc", counted("osc", osc))
         monkeypatch.setattr(maxmod.cli, "count_components", recorded)
         argv = ["hunt", "--family", "quartic", "--samples", "2000", "--seed", "99"]
@@ -1618,14 +1609,14 @@ class TestFixedWork:
         kinds, groups = set(), 0
         for at in range(0, len(hunted), maxmod.tracer.COUNT_BATCH):
             chunk = set()
-            for p, cfg in hunted[at : at + maxmod.tracer.COUNT_BATCH]:
-                e = maxmod.tracer._prepare(p, cfg)[2]  # width D, turned tail real
+            for p, r_min in hunted[at : at + maxmod.tracer.COUNT_BATCH]:
+                e = maxmod.tracer._prepare(p, r_min)[2]  # width D, turned tail real
                 chunk.add((e.c.size - 1, not e.c.imag.any()))
             kinds |= chunk
             groups += len(chunk)
         assert kinds == {(4, False), (4, True)} and groups > len(hunted) / maxmod.tracer.COUNT_BATCH
-        assert work == {"solve": groups, "circles": groups, "osc": groups}
-        assert found == [trace(p, cfg).n_components for p, cfg in hunted]
+        assert work == {"solve": groups, "scan": groups, "osc": groups}
+        assert found == [trace(p, hunt_schedule(r_min)).n_components for p, r_min in hunted]
 
 
 class TestCountComponents:
@@ -1641,7 +1632,7 @@ class TestCountComponents:
         # nor does it read the candidate angles of the form
         unread = property(lambda h: pytest.fail("a count read the candidate angles"))
         monkeypatch.setattr(maxmod.HaymanForm, "omega", unread)
-        assert count_components([(p, cfg)]) == [n] == [2]
+        assert count_components([(p, cfg.r_min)]) == [n] == [2]
 
     @pytest.mark.parametrize(
         "p,cfg",
@@ -1656,7 +1647,7 @@ class TestCountComponents:
         with pytest.raises(maxmod.MaxmodError) as want:
             trace(p, cfg)
         with pytest.raises(maxmod.MaxmodError) as got:
-            count_components([(p, cfg)])
+            count_components([(p, cfg.r_min)])
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
         assert vars(got.value) == vars(want.value)
@@ -1669,7 +1660,7 @@ class TestCountComponents:
         with pytest.raises(maxmod.RefinementFailureError) as want:
             trace(p, cfg)
         with pytest.raises(maxmod.RefinementFailureError) as got:
-            count_components([(p, cfg)])
+            count_components([(p, cfg.r_min)])
         assert (want.value.r, want.value.theta_seed) == (cfg.r_max, 0.0)
         assert (got.value.r, got.value.theta_seed) == (cfg.r_min, 0.0)
 
@@ -1681,7 +1672,7 @@ class TestCountComponents:
         with pytest.raises(maxmod.RefinementFailureError) as want:
             trace(p, cfg)
         assert want.value.r == cfg.r_max
-        assert count_components([(p, cfg)]) == [2]
+        assert count_components([(p, cfg.r_min)]) == [2]
 
 
     def test_fails_as_trace_fails_on_an_uncertified_circle(self, monkeypatch, root_solve):
@@ -1703,7 +1694,7 @@ class TestCountComponents:
             return solve(cn, radii, **kwargs)
 
         monkeypatch.setattr(maxmod.roots, "critical_points", recorded)
-        assert count_components([(p, cfg)]) == [1]
+        assert count_components([(p, cfg.r_min)]) == [1]
         assert len(solved) == 1 and solved[0].tolist() == [radii[-1]]
 
         def no_maximum_at(r_bad):
@@ -1719,13 +1710,13 @@ class TestCountComponents:
         with pytest.raises(maxmod.RefinementFailureError) as want:
             trace(p, cfg)
         assert want.value.r == r_bad
-        assert count_components([(p, cfg)]) == [1]
+        assert count_components([(p, cfg.r_min)]) == [1]
 
         monkeypatch.setattr(maxmod.roots, "critical_points", no_maximum_at(radii[-1]))
         with pytest.raises(maxmod.MaxmodError) as want:
             trace(p, cfg)
         with pytest.raises(maxmod.MaxmodError) as got:
-            count_components([(p, cfg)])
+            count_components([(p, cfg.r_min)])
         assert type(got.value) is type(want.value) is maxmod.RefinementFailureError
         assert str(got.value) == str(want.value)
         assert vars(got.value) == vars(want.value)
@@ -1737,7 +1728,7 @@ class TestCountComponents:
         # underflow to 0: the one solved row is real.  It is solved on the
         # whole circle, as in the trace, not as mirror pairs on (0, pi)
         p, cfg = parse_poly("1,1,0,1e-300i"), TraceConfig(r_min=1e-9, r_max=0.3, n_radii=50)
-        e, radii = maxmod.tracer._prepare(p, cfg)[2], radius_schedule(cfg)
+        e, radii = maxmod.tracer._prepare(p, cfg.r_min)[2], radius_schedule(cfg)
         rows = _rows(e, radii)
         assert rows.imag.any() and not rows[-1].imag.any()
         assert maxmod.roots._certified(*maxmod.roots._orders(rows, radii)[2:]).all()
@@ -1749,7 +1740,7 @@ class TestCountComponents:
             return solved[-1]
 
         monkeypatch.setattr(maxmod.roots, "critical_points", recorded)
-        assert count_components([(p, cfg)]) == [trace(p, cfg).n_components] == [1]
+        assert count_components([(p, cfg.r_min)]) == [trace(p, cfg).n_components] == [1]
         assert solved[0][1].tolist() == theta[ridx == radii.size - 1].tolist() == [0.0, math.pi]
 
     def test_batch_matches_members_counted_alone(self, monkeypatch, tmp_path):
@@ -1771,8 +1762,8 @@ class TestCountComponents:
         argv = ["hunt", "--family", "quartic", "--samples", "40", "--seed", "3"]
         assert main(argv + ["--out", str(tmp_path / "q.jsonl"), "--quiet"]) == 0
         quartics = {}
-        for h, cfg in hunted:
-            quartics.setdefault(on_axis(h.tail)[0] != 0.0, (h, cfg))
+        for h, r_min in hunted:
+            quartics.setdefault(on_axis(h.tail)[0] != 0.0, (h, hunt_schedule(r_min)))
         members = [
             (parse_poly("1,0,1,1i"), TraceConfig(r_min=1e-3, r_max=0.3, n_radii=160)),
             (RANDOM_COUNT_7, TraceConfig(r_min=2e-4, r_max=0.3, n_radii=200)),
@@ -1788,11 +1779,36 @@ class TestCountComponents:
             return solve(cn, radii, **kwargs)
 
         monkeypatch.setattr(maxmod.roots, "critical_points", grouped)
-        got = count_components(members)
+        got = count_components([(p, cfg.r_min) for p, cfg in members])
         assert sorted(groups) == [(3, True, 1), (4, False, 1), (4, True, 1), (5, False, 2)]
-        alone = [count_components([member])[0] for member in members]
+        alone = [count_components([(p, cfg.r_min)])[0] for p, cfg in members]
         assert got == alone == [trace(p, cfg).n_components for p, cfg in members]
         assert got == [2, 1, 1, 1, 1]
+
+    def test_count_reads_no_schedule_above_r_min(self):
+        # the count takes r_min alone: on every corpus entry whose trace
+        # succeeds, it is the component count of every trace ending at
+        # r_min, for schedules from r_max down to r_min with few and many
+        # radii, wherever that trace succeeds
+        corpus = json.loads(Path(__file__).with_name("corpus.json").read_text(encoding="utf-8"))
+        checked, failed = 0, []
+        for entry in corpus:
+            if entry["expect"]["error"] is not None:
+                continue
+            p = Polynomial(tuple(complex(re, im) for re, im in entry["coeffs"]))
+            r_min, r_max, _ = entry["cfg"]
+            (n,) = count_components([(p, r_min)])
+            for top in (r_max, 0.05, 2 * r_min):
+                for n_radii in (2, 37, 160):
+                    try:
+                        got = trace(p, TraceConfig(r_min, top, n_radii)).n_components
+                    except maxmod.MaxmodError:
+                        continue
+                    checked += 1
+                    if got != n:
+                        failed.append((entry["name"], top, n_radii, got, n))
+        assert not failed
+        assert checked >= 3000
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["solve-first", "floor-first"])
     def test_batch_fails_as_members_counted_alone(self, monkeypatch, reverse):
@@ -1808,10 +1824,7 @@ class TestCountComponents:
             return ridx[keep], theta[keep], is_max[keep]
 
         monkeypatch.setattr(maxmod.roots, "critical_points", no_maximum_at)
-        members = [
-            (parse_poly("1,0,1,1i"), TraceConfig(r_min=0.1, r_max=0.2, n_radii=2)),
-            (parse_poly("1,0,1,1i"), TraceConfig(r_min=1e-9, r_max=0.3)),
-        ]
+        members = [(parse_poly("1,0,1,1i"), 0.1), (parse_poly("1,0,1,1i"), 1e-9)]
         members = members[::-1] if reverse else members
         with pytest.raises(maxmod.MaxmodError) as want:
             for member in members:
