@@ -45,10 +45,10 @@ without a finite positive ``C_n`` or from an uncertified circle.
 A solve reads its rows as a whole only for their width D and for whether
 every ``C_n`` is real; everything else it does row by row.  So a row gives
 the same points within any stack of rows of its width and all-real test.
-A component count reads one circle of each polynomial, and solves that
-one row of many polynomials in one call
-(:func:`maxmod.tracer.count_components`); no caller reads the
-certificate outside a solve.
+A trace and a component count, which solves one row of each of many
+polynomials in one call (:func:`maxmod.tracer.count_components`), ask for
+mirror pairs only where the expansion is real, so they solve a row alike;
+no caller reads the certificate outside a solve.
 """
 
 from __future__ import annotations

@@ -33,17 +33,16 @@ circle above ``r_min`` would fail, the count is still a count.  It counts
 many polynomials in one call: their rows are stacked by width D and by
 whether the turned tail's coefficients are real, and each stack has one
 scan, as a trace's circles have: one root solve, one check that every
-circle has a maximum and a minimum and one ``osc`` pass.  A row is solved
-as in its member's trace, so a complex member whose row at ``r_min``
-underflows to real is still solved on the whole circle.  A trace keeps
-one polynomial per call.
+circle has a maximum and a minimum and one ``osc`` pass.  Every scan
+solves mirror pairs only where its expansion is real, so a complex member
+whose row at ``r_min`` underflows to real is still solved on the whole
+circle, as in its trace.  A trace keeps one polynomial per call.
 
 A trace and a count set each input up in a fixed number of array
 operations, whatever its degree and schedule: a trace's schedule is
 ``np.geomspace``'s arithmetic without its wrapper, the products
 ``c_{j+n} conj(c_j)`` of the expansion are one scatter, and the check that
-the rows stay floats is made at the largest radius alone unless it fails
-there.
+the rows stay floats is one check at the largest radius.
 
 A polynomial whose coefficients have a reflection axis psi (every
 ``c_l e^{i l psi}`` real, as for every real polynomial with psi = 0 and
@@ -102,11 +101,22 @@ MAX_RADII = 100_000
 # count_components stacks the rows of at most COUNT_BATCH members, one row
 # each, for its root solves; a chunk that fails is counted again member by
 # member, so the call raises the error of the first member that fails.  The
-# chunks keep a count's memory flat in the number of members: on the 31193
-# exceptional members of hunt --family quartic --samples 100000 --seed 1,
-# one chunk of all of them raised count_components' tracemalloc peak from
-# 0.6 MB to 39.6 MB and the process's peak RSS from 233 MB to 274 MB
-COUNT_BATCH = 8
+# chunks keep memory flat in the number of members: on the 31193 exceptional
+# members of hunt --family quartic --samples 100000 --seed 1, one chunk of
+# all raised peak RSS from 233 MB to 274 MB; chunks of 64 count them in
+# 2.2 s, chunks of 8 in 4.0 s, both at 233 MB (2-core Xeon, numpy 2.4.6)
+COUNT_BATCH = 64
+
+
+def _check_radii(**radii) -> None:
+    """``TraceConfig``'s rule for its radii, named in ascending order: real
+    numbers with ``0 < r_min < r_max < inf``, or ``0 < r_min < inf`` alone."""
+    for name, value in radii.items():
+        if not isinstance(value, numbers.Real):  # a float or a numpy float too
+            raise ConfigError(f"need a real {name}, got {value!r}")
+    chain = (0, *radii.values(), math.inf)
+    if not all(map(operator.lt, chain, chain[1:])):  # also NaN
+        raise ConfigError(f"need 0 < {' < '.join(radii)} < inf")
 
 
 @dataclass(frozen=True)
@@ -122,12 +132,7 @@ class TraceConfig:
     grid: int = 4096
 
     def __post_init__(self):
-        for name in ("r_min", "r_max"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real):  # a float or a numpy float too
-                raise ConfigError(f"need a real {name}, got {value!r}")
-        if not (0 < self.r_min < self.r_max < math.inf):
-            raise ConfigError("need 0 < r_min < r_max < inf")
+        _check_radii(r_min=self.r_min, r_max=self.r_max)
         try:
             n_radii = operator.index(self.n_radii)  # an int or a numpy integer
         except TypeError:
@@ -219,47 +224,42 @@ def radius_schedule(cfg: TraceConfig) -> np.ndarray:
 def _rows(e: ModulusExpansion, radii: np.ndarray) -> np.ndarray:
     """The ``C_n`` rows of the circles ``|z| = r`` for r in ``radii``
     (``e.fourier``), which are all the root solve reads, after the check
-    that every evaluation of them stays a float."""
+    that every evaluation of them stays a float, which fails at the largest
+    radius: every caller passes it first."""
     # the evaluations of |1 + q|^2 and its theta-derivatives sum the
     # n^2 |C_n| <= mass^2, mass = 1 + sum_j j^2 |c_j| r^j; all of it must
-    # stay a float.  mass grows with r, and each computed value is within
-    # about (D + 5) EPS of the exact one, so where 8 mass^2 is a float at
-    # the largest radius, 4 mass^2 is one at every radius: the factor 2
-    # covers the rounding for any degree.  Only where it is not is every
-    # radius checked, so the error names the first radius that fails.
+    # stay a float.  mass grows with r, so one check at the largest radius
+    # covers every radius, and the factor 4 covers the rounding
     j = np.arange(float(e.c.size))
+    r = float(radii.max())
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN is rejected
-        amps = j * j * np.abs(e.c)
-        top = 1.0 + _kernels.radial_sum(amps, j, radii.max())
-        if not 8.0 * top * top < math.inf:  # also NaN
-            mass = 1.0 + _kernels.radial_sum(amps, j, radii)
-            bad = ~np.isfinite(4.0 * mass * mass)
-            if bad.any():
-                raise RefinementFailureError(float(radii[np.argmax(bad)]), 0.0)
+        mass = 1.0 + _kernels.radial_sum(j * j * np.abs(e.c), j, r)
+        if not 4.0 * mass * mass < math.inf:  # also NaN
+            raise RefinementFailureError(r, 0.0)
     return e.fourier(radii)
 
 
-def _scan(e: ModulusExpansion, cn: np.ndarray, radii: np.ndarray, mirror: bool = True):
+def _scan(e: ModulusExpansion, cn: np.ndarray, radii: np.ndarray):
     """All refined local maxima of every circle ``|z| = r`` for r in
     ``radii``, with their ``osc`` and co-maximality, from the circles'
     ``C_n`` rows ``cn`` (:func:`_rows`).
 
     The critical points of all circles, their kinds and their polished
-    angles come from the rows (:func:`maxmod.roots.critical_points`, with
-    ``mirror``); a circle without both a maximum and a minimum fails at its
-    radius, since a smooth periodic function has both.  The one ``osc``
-    evaluation reads a point's ``C_n`` from its circle's row, not from
-    ``e``.  The spread of a circle is its largest ``osc`` at a maximum
-    minus its smallest at a minimum.  A maximum is co-maximal within
-    ``TIE_TOL`` times that of its circle's largest, and its deficit is that
-    largest ``osc`` minus its own.
+    angles come from the rows (:func:`maxmod.roots.critical_points`), as
+    mirror pairs only where ``e`` is real; a circle without both a maximum
+    and a minimum fails at its radius, since a smooth periodic function has
+    both.  The one ``osc`` evaluation reads a point's ``C_n`` from its
+    circle's row, not from ``e``.  The spread of a circle is its largest
+    ``osc`` at a maximum minus its smallest at a minimum.  A maximum is
+    co-maximal within ``TIE_TOL`` times that of its circle's largest, and
+    its deficit is that largest ``osc`` minus its own.
 
     Returns ``n_max`` and the flat arrays ``(ridx, theta, osc, deficit,
     comax)`` of the maxima: ``n_max[i]`` maxima of circle i, followed by
     those of circle i + 1, each circle's in counterclockwise order from
     about -pi; ``comax`` marks the co-maximal ones.
     """
-    ridx, theta, is_max = roots.critical_points(cn, radii, mirror=mirror)
+    ridx, theta, is_max = roots.critical_points(cn, radii, mirror=not e.c.imag.any())
     n_max = np.bincount(ridx[is_max], minlength=radii.size)
     n_min = np.bincount(ridx[~is_max], minlength=radii.size)
     bad = (n_max == 0) | (n_min == 0)
@@ -496,29 +496,27 @@ def _prepare(p: Polynomial | HaymanForm, r_min: float):
 def _count_batch(members) -> list[int]:
     """The component counts of ``members``, each from its one circle
     ``r_min``, with one root solve per row group.  Every member is checked
-    as its trace is (:func:`_prepare`) and gets the row of ``r_min``
-    (:func:`_rows`, mass check included).  The rows are grouped by width
-    and by whether the turned tail's coefficients are real, which is what
-    its trace's root solve finds of the rows of its whole schedule, and
-    each group's rows are scanned at once (:func:`_scan`)."""
+    as its trace is (:func:`_check_radii`, :func:`_prepare`) and gets the
+    row of ``r_min`` (:func:`_rows`, mass check included).  The rows are
+    grouped by width and by whether the turned tail is real, as
+    :func:`_scan` tests the group's first expansion, and each group's rows
+    are scanned at once."""
     groups: dict[tuple[int, bool], tuple] = {}
     for k, (p, r_min) in enumerate(members):
+        _check_radii(r_min=r_min)
         _, _, e = _prepare(p, r_min)
         r_min = float(r_min)
         # a product of one row takes another BLAS path (a matrix-vector
         # product) than the trace's many rows and rounds differently, so
         # r_min is formed twice and its row has the bits of the trace's
         cn = _rows(e, np.full(2, r_min))[0]
-        real = not e.c.imag.any()
         # osc with cn reads only the rows, not the expansion: the group's first serves
-        groups.setdefault((cn.size, real), (e, []))[1].append((k, cn, r_min))
+        groups.setdefault((cn.size, not e.c.imag.any()), (e, []))[1].append((k, cn, r_min))
     counts = [0] * len(members)
-    for (_, real), (e, group) in groups.items():
+    for e, group in groups.values():
         ks, cn, radii = zip(*group)
         radii = np.array(radii)
-        # rows of a complex tail that underflow to real (at tiny r) are
-        # solved on the whole circle, as in their trace
-        _, ridx, *_, comax = _scan(e, np.array(cn), radii, mirror=real)
+        _, ridx, *_, comax = _scan(e, np.array(cn), radii)
         for k, n in zip(ks, np.bincount(ridx[comax], minlength=radii.size).tolist()):
             counts[k] = n
     return counts
@@ -538,6 +536,7 @@ def count_components(members) -> list[int]:
     (:func:`_count_batch`), one row per member.  No other circle is formed
     or solved, and no maxima are linked, fitted, paired or sampled.  So:
 
+    - where ``r_min`` breaks ``TraceConfig``'s rule, it raises ``ConfigError``;
     - where a check of the trace fails, the count raises the trace's error;
     - where the circle ``r_min`` fails, the count raises that failure at
       ``r_min``, as a trace does unless a larger circle fails first; a

@@ -1652,6 +1652,24 @@ class TestCountComponents:
         assert str(got.value) == str(want.value)
         assert vars(got.value) == vars(want.value)
 
+    @pytest.mark.parametrize("r_min", [math.nan, math.inf, 0.0, -1.0, 1e-3j, "1e-3", None])
+    def test_r_min_breaking_the_config_rule_fails_as_config(self, r_min):
+        # a count's r_min is checked by TraceConfig's rule before the member
+        # is normalized: NaN and inf failed in the root solve before, 0 and
+        # -1 at the floor check, a non-real r_min in the comparison with it
+        with pytest.raises(ConfigError) as info:
+            TraceConfig(r_min=r_min)
+        want = "need a real r_min" if not isinstance(r_min, float) else "need 0 < r_min < inf"
+        with pytest.raises(ConfigError, match=want):
+            count_components([(parse_poly("1,0,1,1i"), r_min)])
+        assert info.value.exit_code == 2
+        # the first member that fails decides, in a chunk and alone
+        members = [(parse_poly("0,0,3"), 1e-3), (parse_poly("1,0,1,1i"), r_min)]
+        with pytest.raises(maxmod.MonomialAllPlaneError):
+            count_components(members)
+        with pytest.raises(ConfigError):
+            count_components(members[::-1])
+
     def test_fails_at_r_min_where_the_mass_check_fails(self):
         # the scan's mass 1 + sum j^2 |c_j| r^j is no float on any circle:
         # the trace fails first at r_max, the count at r_min, the one
@@ -1726,7 +1744,9 @@ class TestCountComponents:
         # the rows of 1 + z + 1e-300i z^3 are complex at r = 0.3, but every
         # circle is certified and at r = 1e-9, the last, C_2 and C_3
         # underflow to 0: the one solved row is real.  It is solved on the
-        # whole circle, as in the trace, not as mirror pairs on (0, pi)
+        # whole circle, as in the trace, not as mirror pairs on (0, pi): the
+        # expansion is complex, so the count's solve and the trace's both
+        # get mirror=False
         p, cfg = parse_poly("1,1,0,1e-300i"), TraceConfig(r_min=1e-9, r_max=0.3, n_radii=50)
         e, radii = maxmod.tracer._prepare(p, cfg.r_min)[2], radius_schedule(cfg)
         rows = _rows(e, radii)
@@ -1736,12 +1756,14 @@ class TestCountComponents:
         solved, solve = [], maxmod.roots.critical_points
 
         def recorded(cn, radii, **kwargs):
-            solved.append(solve(cn, radii, **kwargs))
-            return solved[-1]
+            solved.append((kwargs, solve(cn, radii, **kwargs)))
+            return solved[-1][1]
 
         monkeypatch.setattr(maxmod.roots, "critical_points", recorded)
         assert count_components([(p, cfg.r_min)]) == [trace(p, cfg).n_components] == [1]
-        assert solved[0][1].tolist() == theta[ridx == radii.size - 1].tolist() == [0.0, math.pi]
+        (count_kwargs, counted), (trace_kwargs, _) = solved
+        assert count_kwargs == trace_kwargs == {"mirror": False}
+        assert counted[1].tolist() == theta[ridx == radii.size - 1].tolist() == [0.0, math.pi]
 
     def test_batch_matches_members_counted_alone(self, monkeypatch, tmp_path):
         # one call counts members of four row groups, each at its own r_min,
@@ -1839,10 +1861,10 @@ class TestCountComponents:
 
 
 class TestMassCheck:
-    """``_rows`` checks the mass ``1 + sum_j j^2 |c_j| r^j`` at the largest
-    radius and every radius only where that fails, and raises where the
-    check of every radius (``mass_check_every_radius``) finds the first
-    radius whose ``4 mass^2`` is no float."""
+    """``_rows`` checks the mass ``1 + sum_j j^2 |c_j| r^j`` once, at the
+    largest radius, where ``4 mass^2`` must be a float.  On a descending
+    schedule that radius is the first one at which the check of every
+    radius (``mass_check_every_radius``) finds ``4 mass^2`` no float."""
 
     @pytest.mark.parametrize(
         "poly,cfg",
@@ -1863,10 +1885,10 @@ class TestMassCheck:
             _rows(e, radii)
         assert (got.value.r, got.value.theta_seed) == (want, 0.0)
 
-    def test_margin_falls_back_to_every_radius(self):
-        # 4 mass^2 is a float and 8 mass^2 is not at r = 1: the check of
-        # every radius runs, passes, and the rows come back; a radius out of
-        # order fails where it lies
+    def test_largest_radius_decides_within_the_margin(self):
+        # 4 mass^2 is a float and 8 mass^2 is not at r = 1: the check at the
+        # largest radius passes, as the check of every radius does, and the
+        # rows come back; a radius out of order fails where it lies
         e = expand(Polynomial((1, 5.5e153)))
         radii = np.array([1.0, 0.5, 1e-3])
         assert mass_check_every_radius(e, radii) is None
@@ -1875,6 +1897,17 @@ class TestMassCheck:
         with pytest.raises(maxmod.RefinementFailureError) as got:
             _rows(e, radii)
         assert got.value.r == mass_check_every_radius(e, radii) == 2.0
+
+    def test_raises_at_the_largest_radius_in_any_order(self):
+        # 4 mass^2 is no float at r = 2 nor at r = 3: whatever the order of
+        # the radii, the check raises at the largest, not at the first
+        # radius that fails
+        e = expand(Polynomial((1, 5.5e153)))
+        for radii in ([1e-3, 2.0, 3.0], [3.0, 2.0, 1e-3], [2.0, 1e-3, 3.0]):
+            with pytest.raises(maxmod.RefinementFailureError) as got:
+                _rows(e, np.array(radii))
+            assert (got.value.r, got.value.theta_seed) == (3.0, 0.0)
+        assert mass_check_every_radius(e, np.array([1e-3, 2.0, 3.0])) == 2.0
 
 
 class TestTruncatedInput:
