@@ -21,28 +21,13 @@ along the trajectories are the curves, which are counted, fitted for
 tangent direction and exponent, and checked for rotational symmetry.
 Each maximum of a circle lies on its own trajectory, so the curves that
 reach the smallest circle are as many as its co-maximal maxima.
-:func:`count_components`, which ``hunt`` reads, takes a polynomial and
-that radius ``r_min`` alone, counts the curves there and solves no other
-circle: each member runs the trace's checks (a monomial, a truncation, the
-floor at ``r_min``) and forms the one ``C_n`` row of ``r_min``, mass check
-included, with the arithmetic a trace forms that row with.  So where a
-trace whose schedule ends at ``r_min`` succeeds, the count is its
-``n_components``; where a check or the circle ``r_min`` fails, the count
-raises the trace's error, at ``r_min`` for that circle; and where only a
-circle above ``r_min`` would fail, the count is still a count.  It counts
-many polynomials in one call: their rows are stacked by width D and by
-whether the turned tail's coefficients are real, and each stack has one
-scan, as a trace's circles have: one root solve, one check that every
-circle has a maximum and a minimum and one ``osc`` pass.  Every scan
-solves mirror pairs only where its expansion is real, so a complex member
-whose row at ``r_min`` underflows to real is still solved on the whole
-circle, as in its trace.  A trace keeps one polynomial per call.
+:func:`count_components`, which ``hunt`` reads, counts them on that one
+circle alone, with a trace's checks and arithmetic.
 
 A trace and a count set each input up in a fixed number of array
-operations, whatever its degree and schedule: a trace's schedule is
-``np.geomspace``'s arithmetic without its wrapper, the products
-``c_{j+n} conj(c_j)`` of the expansion are one scatter, and the check that
-the rows stay floats is one check at the largest radius.
+operations, whatever its degree: the products ``c_{j+n} conj(c_j)`` of
+the expansion are one scatter, and the check that the rows stay floats is
+one check at the largest radius.
 
 A polynomial whose coefficients have a reflection axis psi (every
 ``c_l e^{i l psi}`` real, as for every real polynomial with psi = 0 and
@@ -124,7 +109,7 @@ class TraceConfig:
     """Radius schedule of a trace run: ``n_radii`` radii, an integer in
     2..``MAX_RADII``, from ``r_max`` down to ``r_min``, real numbers with
     ``0 < r_min < r_max < inf``.  ``grid`` has no effect on the trace: it
-    is only checked to lie in 64..``MAX_GRID``."""
+    is only checked to be an integer in 64..``MAX_GRID``."""
 
     r_min: float = 1e-3
     r_max: float = 0.3
@@ -133,14 +118,14 @@ class TraceConfig:
 
     def __post_init__(self):
         _check_radii(r_min=self.r_min, r_max=self.r_max)
-        try:
-            n_radii = operator.index(self.n_radii)  # an int or a numpy integer
-        except TypeError:
-            raise ConfigError(f"need an integer n_radii, got {self.n_radii!r}") from None
-        if not (2 <= n_radii <= MAX_RADII):
-            raise ConfigError(f"need 2 <= n_radii <= {MAX_RADII}")
-        if not (64 <= self.grid <= MAX_GRID):
-            raise ConfigError(f"need 64 <= grid <= {MAX_GRID}")
+        for name, lo, hi in (("n_radii", 2, MAX_RADII), ("grid", 64, MAX_GRID)):
+            value = getattr(self, name)
+            try:
+                value = operator.index(value)  # an int or a numpy integer
+            except TypeError:
+                raise ConfigError(f"need an integer {name}, got {value!r}") from None
+            if not (lo <= value <= hi):
+                raise ConfigError(f"need {lo} <= {name} <= {hi}")
 
 
 @dataclass(frozen=True)
@@ -208,17 +193,8 @@ class TraceResult:
 
 
 def radius_schedule(cfg: TraceConfig) -> np.ndarray:
-    """Geometric schedule from r_max down to r_min, inclusive.
-
-    ``np.geomspace(r_max, r_min, n_radii)``'s own arithmetic without its
-    wrapper: ``10`` to the power of a ``linspace`` of the two logarithms,
-    then both ends set exactly.  The ends are 0-d arrays, so the logarithms
-    are numpy's ``log10``, as in ``geomspace``: ``math.log10`` differs from
-    it in the last bit on one input in five between 1e-4 and 1."""
-    hi, lo = np.array(cfg.r_max, dtype=float), np.array(cfg.r_min, dtype=float)
-    radii = np.power(10.0, np.linspace(np.log10(hi), np.log10(lo), cfg.n_radii))
-    radii[0], radii[-1] = hi, lo
-    return radii
+    """Geometric schedule from r_max down to r_min, inclusive."""
+    return np.geomspace(cfg.r_max, cfg.r_min, cfg.n_radii)
 
 
 def _rows(e: ModulusExpansion, radii: np.ndarray) -> np.ndarray:

@@ -4,10 +4,9 @@ cached attribute and the one-write build of a frozen dataclass.
 Both of the last two write a frozen instance's ``__dict__`` directly:
 :class:`cached_attribute` adds a computed fact on its first read, and
 :func:`frozen_instance` builds the values the package derives from input it
-has already checked (a normal form, its tail, a classification and its
-witnesses) with one write of all their fields, skipping the generated
-``__init__`` and ``__post_init__``.  Equality, hashing, ``repr``, pickling
-and the frozen ``__setattr__`` see the same instance either way."""
+has already checked with one write of all their fields.  Equality,
+hashing, ``repr``, pickling and the frozen ``__setattr__`` see the same
+instance either way."""
 
 from __future__ import annotations
 
@@ -29,19 +28,9 @@ def reduce_angle(theta):
     ``reduce_angle(-x) == -reduce_angle(x)`` unless the result is pi, the
     image of -pi.  ``fmod`` by the float 2 pi is exact and odd, and folding
     its result into (-pi, pi] adds or subtracts 2 pi once, exactly by
-    Sterbenz's lemma.  A finite float (``float`` or ``np.float64``) is
-    folded with ``math.fmod`` and one comparison chain, an array or a
-    non-finite scalar with ``np.fmod`` and ``searchsorted``; both pick the
-    same fold for the same ``fmod`` result, so they agree bit for bit,
-    the sign of a zero included.
+    Sterbenz's lemma; the fold keeps the sign of a zero.  A scalar comes
+    back as a ``float``, NaN for a non-finite one.
     """
-    if isinstance(theta, float) and math.isfinite(theta):
-        r = math.fmod(theta, TWO_PI)
-        if r <= -math.pi:
-            return r - -TWO_PI
-        if r > math.pi:
-            return r - TWO_PI
-        return r  # the array path's r - 0.0, which is r, -0.0 included
     r = np.fmod(theta, TWO_PI)
     # r <= -pi, -pi < r <= pi and pi < r subtract -2 pi, 0.0 and 2 pi;
     # r - 0.0 keeps the sign of a zero

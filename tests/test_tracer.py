@@ -101,6 +101,10 @@ class TestConfig:
             TraceConfig(grid=32)
         with pytest.raises(ValueError):
             TraceConfig(grid=131072)
+        # grid takes n_radii's rule: an integer, then its range
+        for grid in ("x", None, 4096.5):
+            with pytest.raises(ConfigError, match="integer grid"):
+                TraceConfig(grid=grid)
 
     @pytest.mark.parametrize("n_radii", [200.0, 2.5, "200", None])
     def test_n_radii_must_be_an_integer(self, n_radii):
@@ -137,9 +141,9 @@ class TestConfig:
         assert np.allclose(ratios, ratios[0])
 
     def test_schedule_is_geomspace_bit_for_bit(self):
-        # the schedule is np.geomspace's arithmetic without its wrapper, on
-        # 10000 random schedules over the whole float range, from ratios
-        # within an ulp of 1 to 600 decades, and on integral ends
+        # the schedule is np.geomspace's, on 10000 random schedules over the
+        # whole float range, from ratios within an ulp of 1 to 600 decades,
+        # and on integral ends
         rng = np.random.default_rng(29)
         hi = 10.0 ** rng.uniform(-300, 300, 10_000)
         decades = 600.0 * rng.uniform(0, 1, hi.size) ** 4

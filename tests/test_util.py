@@ -10,7 +10,7 @@ from maxmod.util import TWO_PI, circ_dist, reduce_angle
 in_range = st.floats(min_value=-math.pi, max_value=math.pi).filter(lambda x: x != -math.pi)
 angles = st.floats(min_value=-1e6, max_value=1e6)
 huge = st.floats(min_value=-1e300, max_value=1e300)
-# the fold's edges and the zeros: where the scalar and the array path could
+# the fold's edges and the zeros: where a scalar's fold and an array's could
 # first part ways
 EDGES = [
     0.0,
@@ -57,8 +57,8 @@ class TestReduceAngle:
 
 
 class TestScalarFold:
-    """A finite float is folded on Python floats; an array with NumPy.  The
-    two must agree bit for bit, the sign of a zero included."""
+    """A scalar comes back as a float with the bits that the same angle
+    gets inside an array, the sign of a zero included."""
 
     @staticmethod
     def assert_same_bits(x):
@@ -81,7 +81,7 @@ class TestScalarFold:
 
     @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
     def test_non_finite_gives_nan(self, x):
-        # math.fmod raises ValueError on inf, so inf must take the array path
+        # np.fmod of inf is NaN, with an invalid-value warning
         with np.errstate(invalid="ignore"):
             assert math.isnan(reduce_angle(x))
             assert math.isnan(reduce_angle(np.float64(x)))
