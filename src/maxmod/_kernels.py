@@ -37,13 +37,12 @@ def fourier_sum(coef: np.ndarray, thetas: np.ndarray, rows=None) -> np.ndarray:
     (``take``), so no temporary is larger than the result.
     """
     w = np.exp(1j * thetas)
-
-    def order(n):
-        return coef[n] if rows is None else coef[n].take(rows, axis=-1)
-
-    acc = order(coef.shape[0] - 1) * w
-    for n in range(coef.shape[0] - 2, -1, -1):
-        acc += order(n)
+    orders = iter(coef[::-1])  # order D first
+    if rows is not None:
+        orders = (c.take(rows, axis=-1) for c in orders)
+    acc = next(orders) * w
+    for c in orders:
+        acc += c
         acc *= w
     return acc
 
@@ -64,7 +63,8 @@ def power_terms(amps, pows, r, shift=0) -> np.ndarray:
 
 def radial_sum(amps: np.ndarray, pows: np.ndarray, r):
     """``sum_t amps[t] r^pows[t]``, terms by :func:`power_terms`: a float for
-    scalar ``r``, else one value per element of ``r``."""
+    scalar ``r``, else one value per element of ``r``.  ``amps`` may be a
+    stack, (B, T) against ``r`` of shape (B,): one sum per member."""
     out = np.sum(power_terms(amps, pows, np.asarray(r, dtype=float)[..., None]), axis=-1)
     return float(out) if np.ndim(r) == 0 else out
 

@@ -46,7 +46,9 @@ AXIS_ULPS = 8
 
 @dataclass(frozen=True)
 class ModulusExpansion:
-    """Fourier data of ``|1 + q(r e^{i theta})|^2``."""
+    """Fourier data of ``|1 + q(r e^{i theta})|^2``.  The arrays may carry a
+    leading stack axis of B expansions of one width, for :meth:`fourier`
+    alone: a hunt's count forms the rows of a row group so."""
 
     c: np.ndarray  # c_0 = 1, then c_j = a_{m+j} / a_m for j = 1..D
     c_pairs: np.ndarray  # (2D, D): c_{j+n} conj(c_j) at row 2j+n, column n-1
@@ -72,8 +74,10 @@ class ModulusExpansion:
         radius powers ``r^0 .. r^{2D-1}`` times :attr:`c_pairs`.  The powers
         are real, so the product is taken on the real and imaginary parts
         side by side (a float view of ``c_pairs``), about 5x faster than a
-        complex one."""
-        pows = np.arange(self.c_pairs.shape[0])
+        complex one.  A stack of B expansions takes ``r`` of shape (B, R),
+        the radii of each, and gives (B, R, D) by one stacked product: each
+        member's R rows are one matrix product, as for a single expansion."""
+        pows = np.arange(self.c_pairs.shape[-2])
         r = np.asarray(r, dtype=float)
         with np.errstate(over="ignore"):  # see _power_product
             rp = r[..., None] ** pows
@@ -101,23 +105,30 @@ class ModulusExpansion:
 
 
 def _power_product(rp, r, pows, c):
-    """``rp @ c`` for ``rp[..., i] = r^pows[i]``, complex ``c``.
+    """``rp @ c`` for ``rp[..., i] = r^pows[i]``, complex ``c``, which may
+    be a stack (B, rows, cols) against ``r`` of shape (B, R).
 
     At a radius where some ``r^pows[i]`` is not a float, the plain product
     would meet ``inf * 0`` or ``inf * tiny`` although every term
     ``r^pows[i] c[i, n]`` may be one.  That radius's row is formed term by
     term instead (``_kernels.power_terms``, which sums binary exponents
-    apart from mantissas), so only a genuinely huge ``C_n`` is ``inf``;
-    every other radius keeps the plain product and its bits.
+    apart from mantissas) from its own member's ``c``, so only a genuinely
+    huge ``C_n`` is ``inf``; every other radius keeps the plain product and
+    its bits.
     """
+    amps = c.view(float)  # (..., rows, 2 cols)
     ok = np.isfinite(rp).all(axis=-1)
     if ok.all():
-        return (rp @ c.view(float)).view(complex)
-    out = (np.where(ok[..., None], rp, 0.0) @ c.view(float)).view(complex)
-    amps = c.view(float)  # (rows, 2 cols)
+        return (rp @ amps).view(complex)
+    out = (np.where(ok[..., None], rp, 0.0) @ amps).view(complex)
+    # each radius's own amps: the stack axes of c lead those of r
+    amps = np.expand_dims(amps, tuple(range(amps.ndim - 2, r.ndim)))
+    amps = np.broadcast_to(amps, r.shape + amps.shape[-2:])[~ok]
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN is rejected
-        terms = _kernels.power_terms(amps.ravel(), np.repeat(pows, amps.shape[1]), r[~ok][:, None])
-        out[~ok] = terms.reshape((-1,) + amps.shape).sum(axis=-2).view(complex)
+        terms = _kernels.power_terms(
+            amps.reshape(amps.shape[0], -1), np.repeat(pows, amps.shape[-1]), r[~ok][:, None]
+        )
+        out[~ok] = terms.reshape(amps.shape).sum(axis=-2).view(complex)
     return out
 
 

@@ -117,7 +117,9 @@ def critical_points(cn: np.ndarray, radii: np.ndarray, mirror: bool = True):
     deg = cn.shape[1]
     odd = mirror and not cn.imag.any()
     n, nc, mag, total = _orders(cn, radii)
-    coef = np.stack([nc.T, (n * nc).T], axis=1)  # order-major, see _slopes
+    coef = np.empty((deg, 2, cn.shape[0]), dtype=complex)  # order-major, see _slopes
+    coef[:, 0] = nc.T
+    np.multiply(n[:, None], nc.T, out=coef[:, 1])
     i, m, h, x0, is_max = _brackets(coef, mag, total, radii, odd)
     if odd:  # the pieces centred on the axis points hold their exact zeros
         on_axis = (m == 0.0) | (m == math.pi)
@@ -158,7 +160,7 @@ def _certified(mag: np.ndarray, total: np.ndarray) -> np.ndarray:
     sums) with ``x^2 + y^2 < CERTIFY``, x and y as in the module docstring.
     Every ``a_n`` is finite and each row has a positive one: :func:`_orders`
     has rejected the other rows."""
-    star = np.argmax(mag, axis=1)
+    star = mag.argmax(axis=1)
     a = mag[np.arange(mag.shape[0]), star]
     x = total / a - 1.0
     y = (mag @ np.arange(1.0, mag.shape[1] + 1)) / ((star + 1.0) * a) - 1.0
@@ -184,35 +186,38 @@ def _newton(coef, i, x0, lo, hi, sign, tol, radii):
     ``[lo[k], hi[k]]``, on whose left end g is positive and on whose right
     end it is not.  The bracket end on the side of g's sign moves to the
     iterate, and a Newton step is taken only where ``g' < 0`` and it lands
-    strictly inside the bracket, else the bracket is bisected.  A point has
-    converged where ``|g| <= tol[k]`` or its bracket is a few ulps wide,
-    and then takes one more such Newton step.  Only unconverged points are
-    evaluated again.
+    strictly inside the bracket, else the bracket is bisected; a step that
+    is not finite (``g' = 0``, or an overflow) lands inside no bracket.  A
+    point has converged where ``|g| <= tol[k]`` or its bracket is a few
+    ulps wide, and then takes one more such Newton step.  The iteration
+    carries the state of the unconverged points alone (index, iterate,
+    bracket, sign, tolerance) and writes each point back once it converges.
 
     Returns the zeros and ``g'`` at the last angle each point evaluated;
     raises :class:`~maxmod.errors.RefinementFailureError` at the radius
     (``radii[i[k]]``) and start of the first point that has not converged
     after ``WINDOW_MAX_ITER`` steps.
     """
-    x, lo, hi = x0.copy(), lo.copy(), hi.copy()
-    dg_x = np.empty_like(x)
-    act = np.arange(x.size)  # unconverged points
-    for _ in range(WINDOW_MAX_ITER):
-        xa = x[act]
-        g, dg = _slopes(coef, i[act], xa, sign[act])
-        la = np.where(g > 0, xa, lo[act])
-        ha = np.where(g <= 0, xa, hi[act])
-        conv = (np.abs(g) <= tol[act]) | ((ha - la) <= 16 * EPS)
-        newt = xa - g / np.where(dg != 0.0, dg, 1.0)
-        ok = (dg < 0.0) & (newt > la) & (newt < ha) & np.isfinite(newt)
-        x[act] = np.where(ok, newt, np.where(conv, xa, 0.5 * (la + ha)))
-        lo[act] = la
-        hi[act] = ha
-        dg_x[act] = dg
-        act = act[~conv]
-        if act.size == 0:
-            return x, dg_x
-    raise RefinementFailureError(float(radii[i[act[0]]]), float(x0[act[0]]))
+    x, dg_x = np.empty_like(x0), np.empty_like(x0)
+    k, xa = np.arange(x0.size), x0  # the unconverged points and their state
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(WINDOW_MAX_ITER):
+            if not k.size:
+                break
+            g, dg = _slopes(coef, i, xa, sign)
+            lo = np.where(g > 0, xa, lo)
+            hi = np.where(g <= 0, xa, hi)
+            conv = (np.abs(g) <= tol) | ((hi - lo) <= 16 * EPS)
+            newt = xa - g / dg
+            ok = (dg < 0.0) & (newt > lo) & (newt < hi)
+            xa = np.where(ok, newt, np.where(conv, xa, 0.5 * (lo + hi)))
+            if conv.any():
+                x[k[conv]], dg_x[k[conv]] = xa[conv], dg[conv]
+                act = ~conv
+                k, i, xa, lo, hi, sign, tol = (v[act] for v in (k, i, xa, lo, hi, sign, tol))
+    if k.size:
+        raise RefinementFailureError(float(radii[i[0]]), float(x0[k[0]]))
+    return x, dg_x
 
 
 def _brackets(coef, mag, total, radii, odd):
@@ -258,25 +263,29 @@ def _brackets(coef, mag, total, radii, odd):
     subdivision never excludes them and drops their children beyond 0 or pi.
 
     Returns ``(row, m, h, start, is_max)`` of the pieces, those of the
-    certified circles first.
+    certified circles first; where every circle is certified, its windows
+    as they are, with no subdivision set up.
     """
     certified = _certified(mag, total)
-    rows = np.flatnonzero(certified)
-    star = np.argmax(mag[rows], axis=1)
+    rows = certified.nonzero()[0]
+    star = mag[rows].argmax(axis=1)
     n = star + 1.0
     lead = coef[star, 0, rows]
     count = star + 2 if odd else 2 * (star + 1)  # windows per circle
-    k = np.repeat(np.arange(rows.size), count)
-    j = np.arange(k.size) - np.repeat(np.cumsum(count) - count, count)
+    end = count.cumsum()
+    k = np.arange(rows.size).repeat(count)
+    j = np.arange(k.size) - (end - count).repeat(count)
     if odd:  # centres j pi / n*, j = 0..n*, the last exactly pi
         centre = j * math.pi / n[k]
-        centre[np.cumsum(count) - 1] = math.pi
+        centre[end - 1] = math.pi
         j += lead.real[k] < 0.0  # a negative C_{n*} turns phi by pi
     else:
         centre = (j * math.pi - np.angle(lead)[k]) / n[k]
     found = [(rows[k], centre, 0.5 * math.pi / n[k], centre, j % 2 == 0)]
+    if rows.size == certified.size:  # no circle to subdivide
+        return found[0]
 
-    rows = np.flatnonzero(~certified)
+    rows = (~certified).nonzero()[0]
     deg = mag.shape[1]
     err = ROUNDING * (deg + 1) * EPS * total[rows]
     m2 = 2.0 * (mag[rows] @ np.arange(1.0, deg + 1) ** 2)

@@ -27,7 +27,8 @@ circle alone, with a trace's checks and arithmetic.
 A trace and a count set each input up in a fixed number of array
 operations, whatever its degree: the products ``c_{j+n} conj(c_j)`` of
 the expansion are one scatter, and the check that the rows stay floats is
-one check at the largest radius.
+one check at the largest radius.  A count stacks the expansions of each
+row group and forms all their rows, and checks their masses, in one pass.
 
 A polynomial whose coefficients have a reflection axis psi (every
 ``c_l e^{i l psi}`` real, as for every real polynomial with psi = 0 and
@@ -84,12 +85,13 @@ EPS_T = 1e-9
 MAX_GRID = 1 << 16
 MAX_RADII = 100_000
 # count_components stacks the rows of at most COUNT_BATCH members, one row
-# each, for its root solves; a chunk that fails is counted again member by
-# member, so the call raises the error of the first member that fails.  The
-# chunks keep memory flat in the number of members: on the 31193 exceptional
-# members of hunt --family quartic --samples 100000 --seed 1, one chunk of
-# all raised peak RSS from 233 MB to 274 MB; chunks of 64 count them in
-# 2.2 s, chunks of 8 in 4.0 s, both at 233 MB (2-core Xeon, numpy 2.4.6)
+# each, for its row formations and root solves; a chunk that fails is counted
+# again member by member, so the call raises the error of the first member
+# that fails.  The chunks keep memory flat in the number of members: on the
+# 31193 exceptional members of hunt --family quartic --samples 100000
+# --seed 1, one chunk of all raised peak RSS from 234 MB to 310 MB; chunks of
+# 64 count them in 1.2 s, chunks of 8 in 5.1 s, both at 234 MB (2-core Xeon,
+# numpy 2.4.6)
 COUNT_BATCH = 64
 
 
@@ -201,17 +203,21 @@ def _rows(e: ModulusExpansion, radii: np.ndarray) -> np.ndarray:
     """The ``C_n`` rows of the circles ``|z| = r`` for r in ``radii``
     (``e.fourier``), which are all the root solve reads, after the check
     that every evaluation of them stays a float, which fails at the largest
-    radius: every caller passes it first."""
+    radius: every caller passes it first.  A stack of expansions
+    (:class:`~maxmod.modulus.ModulusExpansion`) takes ``radii`` of shape
+    (B, R) and is checked member by member, in one pass; the first member
+    that fails raises, at its largest radius."""
     # the evaluations of |1 + q|^2 and its theta-derivatives sum the
     # n^2 |C_n| <= mass^2, mass = 1 + sum_j j^2 |c_j| r^j; all of it must
     # stay a float.  mass grows with r, so one check at the largest radius
     # covers every radius, and the factor 4 covers the rounding
-    j = np.arange(float(e.c.size))
-    r = float(radii.max())
+    j = np.arange(float(e.c.shape[-1]))
+    r = np.atleast_1d(radii.max(axis=-1))
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN is rejected
         mass = 1.0 + _kernels.radial_sum(j * j * np.abs(e.c), j, r)
-        if not 4.0 * mass * mass < math.inf:  # also NaN
-            raise RefinementFailureError(r, 0.0)
+        bad = ~(4.0 * mass * mass < math.inf)  # also NaN
+    if bad.any():
+        raise RefinementFailureError(float(r[np.argmax(bad)]), 0.0)
     return e.fourier(radii)
 
 
@@ -236,19 +242,19 @@ def _scan(e: ModulusExpansion, cn: np.ndarray, radii: np.ndarray):
     about -pi; ``comax`` marks the co-maximal ones.
     """
     ridx, theta, is_max = roots.critical_points(cn, radii, mirror=not e.c.imag.any())
+    is_min = ~is_max
     n_max = np.bincount(ridx[is_max], minlength=radii.size)
-    n_min = np.bincount(ridx[~is_max], minlength=radii.size)
+    n_min = np.bincount(ridx[is_min], minlength=radii.size)
     bad = (n_max == 0) | (n_min == 0)
     if bad.any():
         raise RefinementFailureError(float(radii[np.argmax(bad)]), 0.0)
-    mx = np.flatnonzero(is_max)
-    mn = np.flatnonzero(~is_max)
-    order = np.concatenate([mx, mn])
+    mx = is_max.nonzero()[0]
+    order = np.concatenate([mx, is_min.nonzero()[0]])
     osc = e.osc(radii[ridx[order]], theta[order], cn=cn[ridx[order]])
     osc, osc_mn = osc[: mx.size], osc[mx.size :]
     ridx_mx = ridx[mx]
-    top = np.maximum.reduceat(osc, np.cumsum(n_max) - n_max)
-    spread = top - np.minimum.reduceat(osc_mn, np.cumsum(n_min) - n_min)
+    top = np.maximum.reduceat(osc, n_max.cumsum() - n_max)
+    spread = top - np.minimum.reduceat(osc_mn, n_min.cumsum() - n_min)
     tie_threshold = TIE_TOL * spread
     peak = top[ridx_mx]
     comax = osc >= peak - tie_threshold[ridx_mx]
@@ -471,28 +477,33 @@ def _prepare(p: Polynomial | HaymanForm, r_min: float):
 
 def _count_batch(members) -> list[int]:
     """The component counts of ``members``, each from its one circle
-    ``r_min``, with one root solve per row group.  Every member is checked
-    as its trace is (:func:`_check_radii`, :func:`_prepare`) and gets the
-    row of ``r_min`` (:func:`_rows`, mass check included).  The rows are
-    grouped by width and by whether the turned tail is real, as
-    :func:`_scan` tests the group's first expansion, and each group's rows
-    are scanned at once."""
-    groups: dict[tuple[int, bool], tuple] = {}
+    ``r_min``, with one row formation and one root solve per row group.
+    Per member there are only the checks of its trace
+    (:func:`_check_radii`, :func:`_prepare`, which normalizes, finds the
+    axis and expands).  The expansions are grouped by width and by whether
+    the turned tail is real, as :func:`_scan` tests the group's first
+    expansion, and each group is stacked into one expansion with a leading
+    axis: one :func:`_rows` call checks every member's mass at its
+    ``r_min`` and forms all their rows, and :func:`_scan` solves and scans
+    them at once."""
+    groups: dict[tuple[int, bool], list] = {}
     for k, (p, r_min) in enumerate(members):
         _check_radii(r_min=r_min)
         _, _, e = _prepare(p, r_min)
-        r_min = float(r_min)
+        groups.setdefault((e.c.size, not e.c.imag.any()), []).append((k, e, float(r_min)))
+    counts = [0] * len(members)
+    for group in groups.values():
+        ks, es, radii = zip(*group)
+        stack = ModulusExpansion(np.array([e.c for e in es]), np.array([e.c_pairs for e in es]))
+        radii = np.array(radii)
         # a product of one row takes another BLAS path (a matrix-vector
         # product) than the trace's many rows and rounds differently, so
-        # r_min is formed twice and its row has the bits of the trace's
-        cn = _rows(e, np.full(2, r_min))[0]
+        # each r_min is formed twice: the stacked (B, 2, 2D) @ (B, 2D, 2D)
+        # is one two-row matrix product per member, and each row has the
+        # bits of its trace's
+        cn = _rows(stack, radii[:, None].repeat(2, axis=1))[:, 0]
         # osc with cn reads only the rows, not the expansion: the group's first serves
-        groups.setdefault((cn.size, not e.c.imag.any()), (e, []))[1].append((k, cn, r_min))
-    counts = [0] * len(members)
-    for e, group in groups.values():
-        ks, cn, radii = zip(*group)
-        radii = np.array(radii)
-        _, ridx, *_, comax = _scan(e, np.array(cn), radii)
+        _, ridx, *_, comax = _scan(es[0], cn, radii)
         for k, n in zip(ks, np.bincount(ridx[comax], minlength=radii.size).tolist()):
             counts[k] = n
     return counts
@@ -505,12 +516,14 @@ def count_components(members) -> list[int]:
     cfg).n_components`` for every ``cfg`` whose schedule ends at ``r_min``
     and whose trace succeeds.
 
-    Each member runs the checks of a trace, then forms the ``C_n`` row of
-    ``r_min`` alone, with the mass check of that radius, as its trace forms
-    it.  Up to ``COUNT_BATCH`` members at a time are then counted by one
-    :func:`maxmod.roots.critical_points` call per row group
-    (:func:`_count_batch`), one row per member.  No other circle is formed
-    or solved, and no maxima are linked, fitted, paired or sampled.  So:
+    Each member runs the checks of a trace and is expanded.  Up to
+    ``COUNT_BATCH`` members at a time are then grouped into row groups, and
+    each group forms the ``C_n`` row of every member's ``r_min`` alone, with
+    the mass check of that radius, in one stacked pass, bit for bit as the
+    member's trace forms that row, and counts them by one
+    :func:`maxmod.roots.critical_points` call (:func:`_count_batch`).  No
+    other circle is formed or solved, and no maxima are linked, fitted,
+    paired or sampled.  So:
 
     - where ``r_min`` breaks ``TraceConfig``'s rule, it raises ``ConfigError``;
     - where a check of the trace fails, the count raises the trace's error;
@@ -521,8 +534,9 @@ def count_components(members) -> list[int]:
     - where only a circle above ``r_min`` would fail, the result is a
       count, not an error.
 
-    If a chunk raises, its members are counted again one at a time, so the
-    call raises the error of the first member that fails.
+    If a chunk raises, a failing mass check of one member of a stack
+    included, its members are counted again one at a time, so the call
+    raises the error of the first member that fails.
     """
     counts = []
     for at in range(0, len(members), COUNT_BATCH):

@@ -114,6 +114,34 @@ def test_count_rows_are_the_trace_rows(monkeypatch):
         assert tracer._rows(e, radii)[-1].tobytes() == row.tobytes()
 
 
+def test_stacked_count_rows_are_the_trace_rows(monkeypatch):
+    # in chunks of the default COUNT_BATCH, whose row groups mix widths and
+    # both all-real tests and stack up to COUNT_BATCH members, the rows a
+    # count forms are still bit for bit the last rows of the entries'
+    # traces: the same rows at the same radii, in the order of the groups
+    entries = [e for e in CORPUS if e["expect"]["error"] is None]
+    handed, solves = [], []
+    solve = roots.critical_points
+
+    def recorded(cn, radii, **kwargs):
+        handed.extend((r, row.tobytes()) for r, row in zip(radii.tolist(), cn))
+        solves.append((cn.shape[1], not cn.imag.any(), radii.size))
+        return solve(cn, radii, **kwargs)
+
+    monkeypatch.setattr(roots, "critical_points", recorded)
+    members = members_of(entries)
+    count_components([(p, cfg.r_min) for p, cfg in members])
+    want = []
+    for p, cfg in members:
+        e = tracer._prepare(p, cfg.r_min)[2]
+        radii = tracer.radius_schedule(cfg)
+        want.append((radii[-1], tracer._rows(e, radii)[-1].tobytes()))
+    assert sorted(handed) == sorted(want)
+    assert len({(width, real) for width, real, _ in solves}) >= 30
+    assert {real for _, real, size in solves if size > 1} == {False, True}
+    assert max(size for *_, size in solves) > 8
+
+
 def test_classify_corpus_covers_its_inputs():
     outcomes = [e["expect"] for e in CLASSIFY_CORPUS]
     errors = {o["error"] for o in outcomes if isinstance(o, dict)}

@@ -168,6 +168,72 @@ def test_certified_circle_cannot_fail(monkeypatch, deg, real):
             assert np.count_nonzero((at >= 0.0) | (at == -math.pi)) == star[i] + 1
 
 
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("kind", ["certified", "subdivided", "mixed"])
+def test_row_gives_the_same_points_within_any_stack(kind, real):
+    # the module docstring's claim that a row gives the same points within
+    # any stack of rows of its width and all-real test: each seeded row,
+    # solved alone, gets bit for bit the angles and kinds it gets inside
+    # seeded stacks of 2 to 40 rows in any order, of rows the certificate
+    # covers, rows it leaves to the subdivision, or both.  Real rows are
+    # solved as mirror pairs in all-real stacks; in a stack that holds a
+    # complex row they are solved on the whole circle, as alone with
+    # mirror=False
+    rng = np.random.default_rng(20261022 + 10 * real + len(kind))
+    cn = random_rows(rng, 240, 5, real)
+    certified = certificate(cn) < 0.9
+    cn = {"certified": cn[certified], "subdivided": cn[~certified], "mixed": cn}[kind]
+    radii = np.arange(1.0, cn.shape[0] + 1)
+    alone = [roots.critical_points(cn[k : k + 1], radii[k : k + 1]) for k in range(cn.shape[0])]
+    whole = [roots.critical_points(cn[k : k + 1], radii[k : k + 1], mirror=False) for k in range(cn.shape[0])]
+    other = random_rows(rng, 6, 5, False)[:1]  # a complex row
+    stacks = 0
+    for size in (2, 7, 40):
+        for with_complex in (False, True):
+            pick = rng.permutation(cn.shape[0])[: min(size, cn.shape[0])]
+            rows, at_radii = cn[pick], radii[pick]
+            if with_complex:
+                rows, at_radii = np.concatenate([rows, other]), np.append(at_radii, 0.5)
+            ridx, theta, is_max = roots.critical_points(rows, at_radii)
+            want = whole if real and with_complex else alone
+            for s, k in enumerate(pick):
+                at = ridx == s
+                assert theta[at].tobytes() == want[k][1].tobytes(), (kind, size, k)
+                assert np.array_equal(is_max[at], want[k][2])
+            stacks += 1
+    assert stacks == 6 and cn.shape[0] >= 30
+
+
+def test_all_real_stack_with_nothing_to_polish(monkeypatch):
+    # real rows led by C_1: every circle's two windows are centred on the
+    # axis points 0 and pi, which hold their exact zeros, so the Newton
+    # polish gets no point at all; each row alone and in the stack gives
+    # the maximum and the minimum on the axis, bit for bit alike
+    polished = []
+    newton = roots._newton
+
+    def recorded(coef, i, x0, *args):
+        polished.append(x0.size)
+        return newton(coef, i, x0, *args)
+
+    monkeypatch.setattr(roots, "_newton", recorded)
+    rng = np.random.default_rng(20261023)
+    cn = np.zeros((24, 4), dtype=complex)
+    cn[:, 0] = rng.choice([-1.0, 1.0], 24) * 10.0 ** rng.uniform(-100, 100, 24)
+    cn[:, 1:] = 0.005 * rng.normal(size=(24, 3)) * np.abs(cn[:, :1])
+    radii = np.arange(1.0, 25.0)
+    assert (certificate(cn) < 0.9).all()
+    ridx, theta, is_max = roots.critical_points(cn, radii)
+    assert np.array_equal(ridx, np.repeat(np.arange(24), 2))
+    assert np.array_equal(theta, np.tile([-math.pi, 0.0], 24))
+    assert np.array_equal(is_max, np.where(cn[:, :1].real > 0, [False, True], [True, False]).ravel())
+    for k in range(24):
+        got = roots.critical_points(cn[k : k + 1], radii[k : k + 1])
+        assert got[1].tobytes() == theta[ridx == k].tobytes()
+        assert np.array_equal(got[2], is_max[ridx == k])
+    assert polished == [0] * 25
+
+
 def test_window_roots_match_mpmath():
     # the window roots are zeros of the rows' own F to within its rounding:
     # a 40-digit polish moves each by at most one ulp plus 4 D EPS sum a_n

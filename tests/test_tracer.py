@@ -1563,7 +1563,9 @@ class TestFixedWork:
             return certified(mag, total)
 
         def counted_fourier(self, r):
-            formed.extend(np.atleast_1d(r).tolist())
+            # a count forms a row group's rows in one stacked call, with
+            # radii of shape (members, 2)
+            formed.extend(np.ravel(r).tolist())
             return fourier(self, r)
 
         def counted_count(members):
@@ -1912,6 +1914,104 @@ class TestMassCheck:
                 _rows(e, np.array(radii))
             assert (got.value.r, got.value.theta_seed) == (3.0, 0.0)
         assert mass_check_every_radius(e, np.array([1e-3, 2.0, 3.0])) == 2.0
+
+
+def stacked_members(rng, count: int) -> list:
+    """``count`` seeded members ``(p, r_min)`` of degree 2-6, half of them
+    real: half at a radius in [1e-3, 0.3] above the floor, half turned
+    into ``p(z / s)``, with ``s^deg`` in [1e200, 1e300], at ``r_min = u s``,
+    u in [20, 60], where ``r_min^(2 deg - 1)``, the highest power a row
+    reads, leaves the float range.  Only members that count alone are
+    kept."""
+    out = []
+    while len(out) < count:
+        deg = int(rng.integers(2, 7))
+        a = rng.normal(size=deg + 1) + (len(out) % 2) * 1j * rng.normal(size=deg + 1)
+        a[0] = 1.0
+        a[1:deg] *= rng.random(deg - 1) > 0.3
+        r = 10.0 ** rng.uniform(-3, -0.5)
+        if len(out) % 4 >= 2:
+            s = 10.0 ** rng.uniform(200 / deg, 300 / deg)
+            a = a / s ** np.arange(deg + 1)
+            r = rng.uniform(20, 60) * s
+        p = Polynomial(tuple(complex(x) for x in a))
+        member = (p, max(r, 2.0 * floor_radius(normalize(p))))
+        try:
+            count_components([member])
+        except maxmod.MaxmodError:
+            continue
+        out.append(member)
+    return out
+
+
+class TestStackedRows:
+    """A count stacks the expansions of each row group and forms all their
+    rows of ``r_min``, mass checks included, in one :func:`_rows` call."""
+
+    def test_group_rows_are_each_members_rows(self, monkeypatch):
+        # on seeded members of widths 2-6, real and complex, at radii whose
+        # powers are floats and at radii whose powers are not, each row of a
+        # stacked group is bit for bit the row its member forms alone,
+        # _rows(e, np.full(2, r_min))[0], in chunks of the default size and
+        # with every row group in one stack
+        rows = maxmod.tracer._rows
+        members = stacked_members(np.random.default_rng(20261022), 160)
+        want = {}
+        for p, r in members:
+            e = maxmod.tracer._prepare(p, r)[2]
+            want[e.c.tobytes(), r] = rows(e, np.full(2, r))[0].tobytes()
+        for batch in (maxmod.tracer.COUNT_BATCH, len(members)):
+            formed = []
+
+            def recorded(e, radii):
+                formed.append((e, radii, rows(e, radii)))
+                return formed[-1][2]
+
+            monkeypatch.setattr(maxmod.tracer, "_rows", recorded)
+            monkeypatch.setattr(maxmod.tracer, "COUNT_BATCH", batch)
+            count_components(members)
+            checked = overflow = 0
+            for stack, radii, out in formed:
+                assert radii.shape == (stack.c.shape[0], 2) and out.shape[:2] == radii.shape
+                for c, (r, again), row in zip(stack.c, radii.tolist(), out[:, 0]):
+                    assert r == again and row.tobytes() == want[c.tobytes(), r]
+                    with np.errstate(over="ignore"):
+                        overflow += not np.isfinite(np.float64(r) ** (2 * c.size - 3))
+                    checked += 1
+            assert checked == len(members) and overflow >= 20
+            assert max(radii.shape[0] for _, radii, _ in formed) >= 10
+
+    def test_one_failing_mass_check_fails_its_member_at_r_min(self, monkeypatch):
+        # the mass of 1e-160 + z^2 + z^3 is no float at r = 1e81 nor 1e82,
+        # that of the magic cubic is at 1e-3: the four members share one row
+        # group (D = 3, real on the axis), whose one stacked mass check
+        # fails, at the first failing member's radius.  Counted again member
+        # by member, the call raises that member's error at its r_min, as
+        # counting it alone does
+        bad, magic = parse_poly("1e-160,0,1,1"), parse_poly("1,0,1,1i")
+        members = [(magic, 1e-3), (bad, 1e81), (magic, 2e-3), (bad, 1e82)]
+        group = [maxmod.tracer._prepare(p, r)[2] for p, r in members]
+        assert {(e.c.size, not e.c.imag.any()) for e in group} == {(4, True)}
+        stack = ModulusExpansion(np.array([e.c for e in group]), np.array([e.c_pairs for e in group]))
+        radii = np.array([r for _, r in members])[:, None].repeat(2, axis=1)
+        with pytest.raises(maxmod.RefinementFailureError) as direct:
+            _rows(stack, radii)
+        assert (direct.value.r, direct.value.theta_seed) == (1e81, 0.0)
+
+        stacks, rows = [], maxmod.tracer._rows
+
+        def recorded(e, radii):
+            stacks.append(radii[:, 0].tolist())
+            return rows(e, radii)
+
+        monkeypatch.setattr(maxmod.tracer, "_rows", recorded)
+        with pytest.raises(maxmod.RefinementFailureError) as got:
+            count_components(members)
+        assert stacks == [[1e-3, 1e81, 2e-3, 1e82], [1e-3], [1e81]]
+        with pytest.raises(maxmod.RefinementFailureError) as alone:
+            count_components([(bad, 1e81)])
+        assert (got.value.r, got.value.theta_seed) == (1e81, 0.0)
+        assert str(got.value) == str(alone.value) and vars(got.value) == vars(alone.value)
 
 
 class TestTruncatedInput:
