@@ -9,8 +9,8 @@ With ``p = a_m z^m (1 + q)``, ``c_0 = 1``, ``c_j = a_{m+j} / a_m`` and
 
 An expansion holds only these Fourier data.  :meth:`~ModulusExpansion.fourier`
 gives every ``C_n`` of a circle by one matrix product, and
-:meth:`~ModulusExpansion.osc` is one Horner pass in ``w``: O(deg) per angle
-once the ``C_n`` of the angle's circle are formed.  ``osc`` holds no
+:meth:`~ModulusExpansion.osc` is one Horner pass in ``w`` over them: O(deg)
+per angle once the ``C_n`` of the angle's circle are formed.  ``osc`` holds no
 constant term, so nothing cancels against 1 and signals of order r^n near
 the origin keep their relative accuracy.  The factor ``|a_m|^2 r^{2m}`` of
 ``|p|^2`` moves no maximizer, so the tracer compares values of
@@ -46,9 +46,11 @@ AXIS_ULPS = 8
 
 @dataclass(frozen=True)
 class ModulusExpansion:
-    """Fourier data of ``|1 + q(r e^{i theta})|^2``.  The arrays may carry a
-    leading stack axis of B expansions of one width, for :meth:`fourier`
-    alone: a hunt's count forms the rows of a row group so."""
+    """Fourier data of ``|1 + q(r e^{i theta})|^2``.  The tracer reads it
+    for its ``C_n`` rows (:meth:`fourier`) and its realness alone, and scans
+    the rows without it.  The arrays may carry a leading stack axis of B
+    expansions of one width, for :meth:`fourier` alone: a hunt's count forms
+    the rows of a row group so."""
 
     c: np.ndarray  # c_0 = 1, then c_j = a_{m+j} / a_m for j = 1..D
     c_pairs: np.ndarray  # (2D, D): c_{j+n} conj(c_j) at row 2j+n, column n-1
@@ -83,24 +85,20 @@ class ModulusExpansion:
             rp = r[..., None] ** pows
         return _power_product(rp, r, pows, self.c_pairs)
 
-    def osc(self, r, theta, cn=None):
+    def osc(self, r, theta):
         """Theta-dependent part of ``|1 + q|^2``, ``2 Re sum_n C_n w^n``;
         ``|1 + q|^2 = base + osc``.
 
         ``r`` is a scalar or an array that broadcasts against ``theta``:
         shape (R, 1) against (G,) evaluates R circles at G angles, and equal
-        shapes give one radius per angle.  ``cn``, if given, holds
-        ``fourier(r)`` (one row per radius, already formed), so only the
-        O(deg) Horner pass is left per angle; it then reads nothing of
-        ``self``, and one call may evaluate rows of several expansions of
-        the same width, as a hunt's count does.
+        shapes give one radius per angle.  A scan makes the same Horner pass
+        over rows it has formed already, without the expansion
+        (``maxmod.tracer._scan``).
         """
         scalar = np.ndim(r) == 0 and np.ndim(theta) == 0
         r = np.atleast_1d(np.asarray(r, dtype=float))
         th = np.atleast_1d(np.asarray(theta, dtype=float))
-        if cn is None:
-            cn = self.fourier(r)
-        out = 2.0 * _kernels.fourier_sum(np.moveaxis(cn, -1, 0), th).real
+        out = 2.0 * _kernels.fourier_sum(np.moveaxis(self.fourier(r), -1, 0), th).real
         return float(out[0]) if scalar else out
 
 

@@ -283,7 +283,8 @@ def json_float(literal: str) -> float:
 
 
 def poly_from_json(data) -> Polynomial:
-    """Build a polynomial from ``{"coeffs": [[re, im], ...]}``.
+    """Build a polynomial from ``{"coeffs": [[re, im], ...]}``, where ``re``
+    and ``im`` are JSON numbers: a string or a boolean is rejected.
 
     An optional ``"truncated": true`` marks a truncated Taylor series; the
     flag must be a JSON boolean, and a missing flag means false.
@@ -296,9 +297,9 @@ def poly_from_json(data) -> Polynomial:
     for i, pair in enumerate(data["coeffs"]):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise PolyParseError(reprlib.repr(pair), i, "expected a [re, im] pair")
-        try:
+        try:  # JSON numbers only: float() also reads "1" and true
             z = complex(float(pair[0]), float(pair[1]))
-            finite = cmath.isfinite(z)
+            finite = cmath.isfinite(z) and not any(isinstance(v, (str, bool)) for v in pair)
         except (TypeError, ValueError, OverflowError):
             finite = False
         if not finite:

@@ -42,13 +42,15 @@ negative with a margin far beyond its rounding.  And the 2 n* windows hold
 both kinds.  Every failure of a root solve therefore comes from a row
 without a finite positive ``C_n`` or from an uncertified circle.
 
-A solve reads its rows as a whole only for their width D and for whether
-every ``C_n`` is real; everything else it does row by row.  So a row gives
-the same points within any stack of rows of its width and all-real test.
-A trace and a component count, which solves one row of each of many
-polynomials in one call (:func:`maxmod.tracer.count_components`), ask for
-mirror pairs only where the expansion is real, so they solve a row alike;
-no caller reads the certificate outside a solve.
+A solve reads only its rows, their radii (to name a failure) and
+``mirror``: the rows as a whole only for their width D and for whether
+every ``C_n`` is real, everything else row by row, ``n*`` and ``A`` once
+(:func:`_orders`).  So a row gives the same points within any stack of rows
+of its width and all-real test.  A trace and a component count, which
+solves one row of each of many polynomials in one call, hand their rows to
+one scan (:func:`maxmod.tracer._scan`) that asks for mirror pairs only
+where the expansion is real, so they solve a row alike; no caller reads
+the certificate outside a solve.
 """
 
 from __future__ import annotations
@@ -116,11 +118,11 @@ def critical_points(cn: np.ndarray, radii: np.ndarray, mirror: bool = True):
     """
     deg = cn.shape[1]
     odd = mirror and not cn.imag.any()
-    n, nc, mag, total = _orders(cn, radii)
+    n, nc, mag, total, star, a = _orders(cn, radii)
     coef = np.empty((deg, 2, cn.shape[0]), dtype=complex)  # order-major, see _slopes
     coef[:, 0] = nc.T
     np.multiply(n[:, None], nc.T, out=coef[:, 1])
-    i, m, h, x0, is_max = _brackets(coef, mag, total, radii, odd)
+    i, m, h, x0, is_max = _brackets(coef, mag, total, star, a, radii, odd)
     if odd:  # the pieces centred on the axis points hold their exact zeros
         on_axis = (m == 0.0) | (m == math.pi)
         axis = i[on_axis], np.where(m[on_axis] == 0.0, 0.0, -math.pi), is_max[on_axis]
@@ -142,26 +144,25 @@ def critical_points(cn: np.ndarray, radii: np.ndarray, mirror: bool = True):
 
 def _orders(cn: np.ndarray, radii: np.ndarray):
     """``n``, ``n C_n`` and ``a_n = n |C_n|`` of the rows ``cn``, n = 1..D,
-    and each row's sum of the ``a_n``.  Raises a
-    :class:`~maxmod.errors.RefinementFailureError` at the radius of the
-    first row without a finite positive ``a_n``."""
+    and per row the sum of the ``a_n``, ``n* - 1 = argmax a_n`` and
+    ``A = a_{n*}``.  Raises a :class:`~maxmod.errors.RefinementFailureError`
+    at the radius of the first row without a finite positive ``a_n``."""
     n = np.arange(1, cn.shape[1] + 1)
     nc = n * cn
     mag = np.abs(nc)
-    top = mag.max(axis=1)
-    flat = ~((0.0 < top) & (top < np.inf))  # also NaN
+    star = mag.argmax(axis=1)
+    top = mag[np.arange(mag.shape[0]), star]
+    flat = ~((0.0 < top) & (top < np.inf))  # also NaN, which argmax picks
     if flat.any():
         raise RefinementFailureError(float(radii[np.argmax(flat)]), 0.0)
-    return n, nc, mag, mag.sum(axis=1)
+    return n, nc, mag, mag.sum(axis=1), star, top
 
 
-def _certified(mag: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """The rows of ``mag`` (``a_n = n |C_n|``, column n-1; ``total`` their
-    sums) with ``x^2 + y^2 < CERTIFY``, x and y as in the module docstring.
-    Every ``a_n`` is finite and each row has a positive one: :func:`_orders`
-    has rejected the other rows."""
-    star = mag.argmax(axis=1)
-    a = mag[np.arange(mag.shape[0]), star]
+def _certified(mag, total, star, a) -> np.ndarray:
+    """The rows with ``x^2 + y^2 < CERTIFY``, x and y as in the module
+    docstring, of :func:`_orders`' ``a_n = n |C_n|`` (column n-1), their
+    sums, ``n* - 1`` and ``A``.  Every ``a_n`` is finite and each row has a
+    positive one: :func:`_orders` has rejected the other rows."""
     x = total / a - 1.0
     y = (mag @ np.arange(1.0, mag.shape[1] + 1)) / ((star + 1.0) * a) - 1.0
     return x * x + y * y < CERTIFY
@@ -220,12 +221,12 @@ def _newton(coef, i, x0, lo, hi, sign, tol, radii):
     return x, dg_x
 
 
-def _brackets(coef, mag, total, radii, odd):
+def _brackets(coef, mag, total, star, a, radii, odd):
     """The brackets of the zeros of F on every circle: pieces
     ``[m - h, m + h]`` of the circle that hold one zero each, with its kind
     and a start inside.  ``coef`` holds ``[n C_n, n^2 C_n]`` of every
-    circle, order-major as :func:`_slopes` reads it, ``mag`` the
-    ``a_n = n |C_n|`` and ``total`` their sums.
+    circle, order-major as :func:`_slopes` reads it; ``mag``, ``total``,
+    ``star`` and ``a`` are those of :func:`_certified`.
 
     The pieces of a circle that :func:`_certified` certifies are its windows
     ``|phi - j pi| < pi/2`` of the module docstring, centred on
@@ -266,9 +267,9 @@ def _brackets(coef, mag, total, radii, odd):
     certified circles first; where every circle is certified, its windows
     as they are, with no subdivision set up.
     """
-    certified = _certified(mag, total)
+    certified = _certified(mag, total, star, a)
     rows = certified.nonzero()[0]
-    star = mag[rows].argmax(axis=1)
+    star = star[rows]
     n = star + 1.0
     lead = coef[star, 0, rows]
     count = star + 2 if odd else 2 * (star + 1)  # windows per circle

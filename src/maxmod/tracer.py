@@ -12,8 +12,9 @@ made.  :func:`maxmod.roots.critical_points` finds the critical points of
 all circles from these rows alone, with their kinds: a circle that the
 leading-order certificate covers is bracketed by its windows, every other
 circle by subdivision, and every point of every circle is polished in one
-Newton pass.  The scan then evaluates ``osc`` once per critical point,
-reading the point's ``C_n`` from its circle's row, formed once per radius.
+Newton pass.  The scan (:func:`_scan`) reads only the rows, their radii and
+whether the expansion is real: one Horner pass over the rows gives ``osc``
+at every critical point, each reading its circle's row.
 Between folds a circle's maxima move analytically in r and never cross, so
 their cyclic order links the maxima of neighbouring circles into
 trajectories, on flat arrays of all circles at once.  The co-maximal runs
@@ -45,8 +46,8 @@ The tangent fit rests on the implicit function theorem: for
 ``-2k|a| sin(k theta + arg a) + O(r)``, whose zeros omega_j are simple, so
 each maximizer branch is a power series ``theta(r) = omega_j + c_1 r + ...``.
 
-All angular comparisons are made on the theta-dependent part (method
-``osc`` of the expansion): the theta-free diagonal never influences an
+All angular comparisons are made on the theta-dependent part ``osc`` of
+``|1 + q|^2``: the theta-free diagonal never influences an
 argmax, and dropping it keeps co-maximality decisions accurate at the
 ``1e-12 * spread`` level even where the full value is dominated by 1.
 """
@@ -99,7 +100,7 @@ def _check_radii(**radii) -> None:
     """``TraceConfig``'s rule for its radii, named in ascending order: real
     numbers with ``0 < r_min < r_max < inf``, or ``0 < r_min < inf`` alone."""
     for name, value in radii.items():
-        if not isinstance(value, numbers.Real):  # a float or a numpy float too
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):  # numpy floats pass
             raise ConfigError(f"need a real {name}, got {value!r}")
     chain = (0, *radii.values(), math.inf)
     if not all(map(operator.lt, chain, chain[1:])):  # also NaN
@@ -221,44 +222,41 @@ def _rows(e: ModulusExpansion, radii: np.ndarray) -> np.ndarray:
     return e.fourier(radii)
 
 
-def _scan(e: ModulusExpansion, cn: np.ndarray, radii: np.ndarray):
+def _scan(cn: np.ndarray, radii: np.ndarray, real: bool):
     """All refined local maxima of every circle ``|z| = r`` for r in
     ``radii``, with their ``osc`` and co-maximality, from the circles'
-    ``C_n`` rows ``cn`` (:func:`_rows`).
+    ``C_n`` rows ``cn`` (:func:`_rows`) alone; ``real`` tells whether the
+    expansion's ``c_j`` are real.
 
     The critical points of all circles, their kinds and their polished
     angles come from the rows (:func:`maxmod.roots.critical_points`), as
-    mirror pairs only where ``e`` is real; a circle without both a maximum
-    and a minimum fails at its radius, since a smooth periodic function has
-    both.  The one ``osc`` evaluation reads a point's ``C_n`` from its
-    circle's row, not from ``e``.  The spread of a circle is its largest
-    ``osc`` at a maximum minus its smallest at a minimum.  A maximum is
-    co-maximal within ``TIE_TOL`` times that of its circle's largest, and
-    its deficit is that largest ``osc`` minus its own.
+    mirror pairs only where ``real``; a circle without both a maximum and a
+    minimum fails at its radius, since a smooth periodic function has both.
+    ``osc`` at every point is one Horner pass over the rows
+    (:func:`~maxmod._kernels.fourier_sum`), each point reading its circle's
+    row.  The spread of a circle is its largest ``osc`` at a maximum minus
+    its smallest at a minimum, and a maximum is co-maximal within
+    ``TIE_TOL`` times that of its circle's largest.
 
-    Returns ``n_max`` and the flat arrays ``(ridx, theta, osc, deficit,
-    comax)`` of the maxima: ``n_max[i]`` maxima of circle i, followed by
-    those of circle i + 1, each circle's in counterclockwise order from
-    about -pi; ``comax`` marks the co-maximal ones.
+    Returns ``n_max`` and the flat arrays ``(ridx, theta, osc, comax)`` of
+    the maxima: ``n_max[i]`` maxima of circle i, followed by those of circle
+    i + 1, each circle's in counterclockwise order from -pi, as the root
+    solve gives them (``-pi`` for an axis point pi); ``comax`` marks the
+    co-maximal ones.
     """
-    ridx, theta, is_max = roots.critical_points(cn, radii, mirror=not e.c.imag.any())
+    ridx, theta, is_max = roots.critical_points(cn, radii, mirror=real)
     is_min = ~is_max
     n_max = np.bincount(ridx[is_max], minlength=radii.size)
     n_min = np.bincount(ridx[is_min], minlength=radii.size)
     bad = (n_max == 0) | (n_min == 0)
     if bad.any():
         raise RefinementFailureError(float(radii[np.argmax(bad)]), 0.0)
-    mx = is_max.nonzero()[0]
-    order = np.concatenate([mx, is_min.nonzero()[0]])
-    osc = e.osc(radii[ridx[order]], theta[order], cn=cn[ridx[order]])
-    osc, osc_mn = osc[: mx.size], osc[mx.size :]
-    ridx_mx = ridx[mx]
+    osc = 2.0 * _kernels.fourier_sum(cn.T, theta, ridx).real
+    osc, osc_mn, ridx_mx = osc[is_max], osc[is_min], ridx[is_max]
     top = np.maximum.reduceat(osc, n_max.cumsum() - n_max)
     spread = top - np.minimum.reduceat(osc_mn, n_min.cumsum() - n_min)
-    tie_threshold = TIE_TOL * spread
-    peak = top[ridx_mx]
-    comax = osc >= peak - tie_threshold[ridx_mx]
-    return n_max, ridx_mx, reduce_angle(theta[mx]), osc, peak - osc, comax
+    comax = osc >= top[ridx_mx] - (TIE_TOL * spread)[ridx_mx]
+    return n_max, ridx_mx, theta[is_max], osc, comax
 
 
 def ambiguity_radius(h: HaymanForm) -> float:
@@ -481,18 +479,17 @@ def _count_batch(members) -> list[int]:
     Per member there are only the checks of its trace
     (:func:`_check_radii`, :func:`_prepare`, which normalizes, finds the
     axis and expands).  The expansions are grouped by width and by whether
-    the turned tail is real, as :func:`_scan` tests the group's first
-    expansion, and each group is stacked into one expansion with a leading
-    axis: one :func:`_rows` call checks every member's mass at its
-    ``r_min`` and forms all their rows, and :func:`_scan` solves and scans
-    them at once."""
+    the turned tail is real, which the group's key hands to :func:`_scan`,
+    and each group is stacked into one expansion with a leading axis: one
+    :func:`_rows` call checks every member's mass at its ``r_min`` and forms
+    all their rows, and :func:`_scan` solves and scans the rows at once."""
     groups: dict[tuple[int, bool], list] = {}
     for k, (p, r_min) in enumerate(members):
         _check_radii(r_min=r_min)
         _, _, e = _prepare(p, r_min)
         groups.setdefault((e.c.size, not e.c.imag.any()), []).append((k, e, float(r_min)))
     counts = [0] * len(members)
-    for group in groups.values():
+    for (_, real), group in groups.items():
         ks, es, radii = zip(*group)
         stack = ModulusExpansion(np.array([e.c for e in es]), np.array([e.c_pairs for e in es]))
         radii = np.array(radii)
@@ -502,8 +499,7 @@ def _count_batch(members) -> list[int]:
         # is one two-row matrix product per member, and each row has the
         # bits of its trace's
         cn = _rows(stack, radii[:, None].repeat(2, axis=1))[:, 0]
-        # osc with cn reads only the rows, not the expansion: the group's first serves
-        _, ridx, *_, comax = _scan(es[0], cn, radii)
+        _, ridx, _, _, comax = _scan(cn, radii, real)
         for k, n in zip(ks, np.bincount(ridx[comax], minlength=radii.size).tolist()):
             counts[k] = n
     return counts
@@ -566,8 +562,11 @@ def trace(p: Polynomial | HaymanForm, cfg: TraceConfig = TraceConfig()) -> Trace
     """
     h, psi, e = _prepare(p, cfg.r_min)
     radii = radius_schedule(cfg)
-    n_max, ridx, theta, osc, deficit, comax = _scan(e, _rows(e, radii), radii)
+    n_max, ridx, theta, osc, comax = _scan(_rows(e, radii), radii, not e.c.imag.any())
+    theta = reduce_angle(theta)
     mod2 = e.base(radii)[ridx] + osc
+    # how far each maximum lies below its circle's largest
+    deficit = np.maximum.reduceat(osc, n_max.cumsum() - n_max)[ridx] - osc
 
     # -- link maxima across radii (descending) into trajectories and curves --
     prev = _link(n_max, theta)

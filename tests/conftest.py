@@ -1,7 +1,9 @@
+import types
+
 import numpy as np
 import pytest
 
-from maxmod import roots
+from maxmod import _kernels, roots, tracer
 
 
 @pytest.fixture
@@ -16,8 +18,8 @@ def root_solve(monkeypatch) -> dict:
     rows, polishing = set(), []
     certified, slopes, newton = roots._certified, roots._slopes, roots._newton
 
-    def counted_certified(mag, total):
-        ok = certified(mag, total)
+    def counted_certified(*orders):
+        ok = certified(*orders)
         seen["certified"].append(ok)
         return ok
 
@@ -40,3 +42,19 @@ def root_solve(monkeypatch) -> dict:
     monkeypatch.setattr(roots, "_slopes", counted_slopes)
     monkeypatch.setattr(roots, "_newton", counted_newton)
     return seen
+
+
+@pytest.fixture
+def scan_pass(monkeypatch):
+    """``scan_pass(hook)`` routes the tracer's own calls of
+    ``_kernels.fourier_sum``, which are the scan's ``osc`` passes over the
+    rows (``tracer._scan``), through ``hook``, and returns the kernel; the
+    root solve's calls are not routed."""
+
+    def route(hook):
+        kernels = types.SimpleNamespace(**vars(_kernels))
+        kernels.fourier_sum = hook
+        monkeypatch.setattr(tracer, "_kernels", kernels)
+        return _kernels.fourier_sum
+
+    return route

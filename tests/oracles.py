@@ -188,9 +188,9 @@ class TermExpansion(ModulusExpansion):
         """Theta-independent part of :meth:`mod2`, per radius."""
         return self.scale(r) * super().base(r)
 
-    def osc(self, r, theta, cn=None):
+    def osc(self, r, theta):
         """Theta-dependent part of :meth:`mod2`, by the package's Horner pass."""
-        return self.scale(r) * super().osc(r, theta, cn)
+        return self.scale(r) * super().osc(r, theta)
 
     def osc_terms(self, r: float, theta):
         """:meth:`osc` as the paper's cross-term sum; the oracle, O(deg^2)."""
@@ -201,14 +201,13 @@ class TermExpansion(ModulusExpansion):
             return float(out[0])
         return out
 
-    def d1d2(self, r, theta, cn=None):
+    def d1d2(self, r, theta):
         """First and second theta-derivative arrays of :meth:`mod2`,
         ``-2 scale Im sum_n n C_n w^n`` and ``-2 scale Re sum_n n^2 C_n w^n``
-        by one Horner pass; ``r`` and ``cn`` are as in :meth:`osc`."""
+        by one Horner pass; ``r`` is as in :meth:`osc`."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
         th = np.atleast_1d(np.asarray(theta, dtype=float))
-        if cn is None:
-            cn = self.fourier(r)
+        cn = self.fourier(r)
         n = np.arange(1.0, cn.shape[-1] + 1)
         s1, s2 = _kernels.fourier_sum(np.moveaxis(np.stack([n * cn, n * n * cn]), -1, 0), th)
         k = -2.0 * self.scale(r)
@@ -254,12 +253,16 @@ def circle_argmax(e: ModulusExpansion, r: float) -> list[tuple[float, float]]:
     (``maxmod.tracer._scan``) of the one radius r.
 
     Returns ``(theta, mod2)`` pairs for every maximizer whose value lies
-    within ``TIE_TOL * (max - min)`` of the refined global maximum.
+    within ``TIE_TOL * (max - min)`` of the refined global maximum.  The
+    scan reads the rows alone, so ``mod2`` is ``e.base(r) + e.osc(r, theta)``
+    at the maximizers: the same Horner pass over the same row, on the scale
+    of ``e``.
     """
     radii = np.array([r], dtype=float)
-    _, _, theta, osc, _, comax = _scan(e, _rows(e, radii), radii)
-    mod2 = e.base(r) + osc
-    return [(float(t), float(m)) for t, m in zip(theta[comax], mod2[comax])]
+    _, _, theta, _, comax = _scan(_rows(e, radii), radii, not e.c.imag.any())
+    theta = theta[comax]
+    mod2 = e.base(r) + e.osc(r, theta)
+    return [(float(t), float(m)) for t, m in zip(reduce_angle(theta), mod2)]
 
 
 def polyfit_tangent(rs: np.ndarray, thetas: np.ndarray):

@@ -449,6 +449,8 @@ class TestTraceCommand:
             (("classify", "--poly-file", "{file}"), b'{"coeffs": [[1,0],[0,0],[1,0],[0,1]], "truncated": 1}'),
             (("classify", "--poly-file", "{file}"), b'{"coeffs": [[1,0],[0,0],[1,0],[0,1]], "truncated": [1]}'),
             (("classify", "--poly-file", "{file}"), b'{"coeffs": [[1,0],[0,0],[1,0],[0,1]], "truncated": null}'),
+            (("classify", "--poly-file", "{file}"), b'{"coeffs": [["1",0],[1,0]]}'),
+            (("classify", "--poly-file", "{file}"), b'{"coeffs": [[1,0],[true,false]]}'),
         ],
         ids=[
             "rmin-above-rmax",
@@ -482,6 +484,8 @@ class TestTraceCommand:
             "truncated-int",
             "truncated-array",
             "truncated-null",
+            "coeff-numeric-string",
+            "coeff-bool",
         ],
     )
     def test_bad_input_exit_2(self, capsys, tmp_path, argv, content):

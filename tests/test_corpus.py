@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from make_corpus import classify_outcome, outcome
-from maxmod import MaxmodError, Polynomial, TraceConfig, roots, tracer
+from maxmod import MaxmodError, Polynomial, TraceConfig, _kernels, roots, tracer
 from maxmod.tracer import count_components
 from maxmod.util import circ_dist
 
@@ -140,6 +140,33 @@ def test_stacked_count_rows_are_the_trace_rows(monkeypatch):
     assert len({(width, real) for width, real, _ in solves}) >= 30
     assert {real for _, real, size in solves if size > 1} == {False, True}
     assert max(size for *_, size in solves) > 8
+
+
+def test_scan_osc_is_the_broadcast_pass(scan_pass):
+    # on every circle of every entry whose trace succeeds, the scan's osc
+    # pass, one Horner pass over the rows that gathers one order per step,
+    # gives the bits of the broadcast pass over the gathered rows
+    # cn[ridx] at every critical point, maxima and minima
+    passes = []
+
+    def recorded(coef, theta, rows):
+        passes.append((theta, rows, fourier_sum(coef, theta, rows)))
+        return passes[-1][2]
+
+    fourier_sum = scan_pass(recorded)
+    entries = [e for e in CORPUS if e["expect"]["error"] is None]
+    for p, cfg in members_of(entries):
+        e = tracer._prepare(p, cfg.r_min)[2]
+        radii = tracer.radius_schedule(cfg)
+        cn, real = tracer._rows(e, radii), not e.c.imag.any()
+        osc = tracer._scan(cn, radii, real)[3]
+        (theta, ridx, got), = passes
+        passes.clear()
+        want = _kernels.fourier_sum(np.moveaxis(cn[ridx], -1, 0), theta)
+        assert got.tobytes() == want.tobytes()
+        is_max = roots.critical_points(cn, radii, mirror=real)[2]
+        assert osc.tobytes() == (2 * want.real)[is_max].tobytes()
+    assert len(entries) >= 330
 
 
 def test_classify_corpus_covers_its_inputs():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxmod import Polynomial, ZeroPolynomialError, expand, parse_poly
+from maxmod import Polynomial, ZeroPolynomialError, _kernels, expand, parse_poly
 from maxmod.modulus import _c_pairs
 from oracles import c_pairs_loop, derivative_bounds, direct_mod2, term_expansion
 
@@ -121,15 +121,19 @@ class TestMod2:
         r, th = 0.4, 1.1
         assert e.base(r) + e.osc(r, th) == pytest.approx(e.mod2(r, th), rel=1e-15)
 
-    def test_osc_of_given_rows_reads_nothing_of_the_expansion(self):
+    def test_osc_of_stacked_rows_is_each_expansions_osc(self):
         # a hunt's count evaluates the rows of every member of a row group
-        # through one member's expansion
+        # by one Horner pass over the stacked rows, which reads no
+        # expansion (tracer._scan): each point, reading its own row, gets
+        # its expansion's osc bit for bit
         a, b = expand(parse_poly("1,0,1,1i")), expand(parse_poly("2,-1,0.5,3"))
         radii = np.array([[0.05], [0.4]])
         th = np.linspace(-math.pi, math.pi, 33)
-        for r in (0.3, radii):
-            cn = b.fourier(r)
-            assert np.array_equal(a.osc(r, th, cn=cn), b.osc(r, th))
+        cn = np.concatenate([a.fourier(radii)[:, 0], b.fourier(radii)[:, 0]])
+        rows = np.arange(4).repeat(th.size)
+        got = 2.0 * _kernels.fourier_sum(cn.T, np.tile(th, 4), rows).real
+        want = np.concatenate([a.osc(radii, th), b.osc(radii, th)]).ravel()
+        assert np.array_equal(got, want)
 
 
 class TestDerivatives:

@@ -105,6 +105,9 @@ class TestConfig:
         for grid in ("x", None, 4096.5):
             with pytest.raises(ConfigError, match="integer grid"):
                 TraceConfig(grid=grid)
+        # a bool is an int to Python, but no radius
+        with pytest.raises(ConfigError, match="need a real r_min"):
+            TraceConfig(r_min=True, r_max=2.0)
 
     @pytest.mark.parametrize("n_radii", [200.0, 2.5, "200", None])
     def test_n_radii_must_be_an_integer(self, n_radii):
@@ -410,7 +413,7 @@ class TestQuotient:
             radii = np.geomspace(0.9, lo, 60)
             ridx, theta, _ = scan_points(quotient, radii)
             theta = reduce_angle(theta + psi)
-            n_max, _, maxima, *_ = _scan(quotient, _rows(quotient, radii), radii)
+            n_max, _, maxima, *_ = _scan(_rows(quotient, radii), radii, True)
             maxima = reduce_angle(maxima + psi)
             mr = np.repeat(np.arange(radii.size), n_max)
             for i, want in enumerate(full_solve(e, radii)):
@@ -482,7 +485,8 @@ class TestQuotient:
         cfg = TraceConfig(r_min=max(1e-3, 2 * floor_radius(normalize(p))), r_max=0.6)
         radii = radius_schedule(cfg)
         ridx, theta, _ = scan_points(e, radii)
-        n_max, _, maxima, *_ = _scan(e, _rows(e, radii), radii)
+        n_max, _, maxima, *_ = _scan(_rows(e, radii), radii, True)
+        maxima = reduce_angle(maxima)  # the axis point pi as pi, as a trace folds it
         for i, scan in enumerate(np.split(maxima, np.cumsum(n_max)[:-1])):
             crit = np.where(theta[ridx == i] == -math.pi, math.pi, theta[ridx == i])
             assert np.array_equal(np.sort(crit), mirror(crit))
@@ -657,7 +661,7 @@ class TestCriticalPoints:
         checked = 0
         for p, radii in cases:
             e = term_expansion(p)
-            n_max, _, thetas, *_ = _scan(e, _rows(e, radii), radii)
+            n_max, _, thetas, *_ = _scan(_rows(e, radii), radii, not e.c.imag.any())
             scans = np.split(thetas, np.cumsum(n_max)[:-1])
             ridx, _, kind = scan_points(e, radii)
             for i, (r, scan) in enumerate(zip(radii, scans)):
@@ -777,7 +781,7 @@ class TestCriticalPoints:
             lambda cn, radii, mirror: (ridx[keep], theta[keep], is_max[keep]),
         )
         with pytest.raises(maxmod.RefinementFailureError) as exc:
-            _scan(e, _rows(e, radii), radii)
+            _scan(_rows(e, radii), radii, False)
         assert exc.value.r == 0.1
 
 
@@ -940,8 +944,8 @@ def fake_scan(monkeypatch, circles, oscs=None):
     osc = np.array([x for c in oscs for x in c], dtype=float)
     deficit = np.array([max(c) - x for c in oscs for x in c], dtype=float)
     comax = deficit == 0
-    scan = (n_max, ridx, theta, osc, deficit, comax)
-    monkeypatch.setattr(maxmod.tracer, "_scan", lambda e, cn, radii: scan)
+    scan = (n_max, ridx, theta, osc, comax)
+    monkeypatch.setattr(maxmod.tracer, "_scan", lambda cn, radii, real: scan)
     return TraceConfig(r_min=1e-2, r_max=0.3, n_radii=len(circles))
 
 
@@ -1503,40 +1507,41 @@ class TestFixedWork:
         assert len(seen["subdivided"][0]) == isolated
 
 
-    def test_hunt_solves_once_and_evaluates_last_circles(self, monkeypatch, tmp_path):
+    def test_hunt_solves_once_and_evaluates_last_circles(self, monkeypatch, scan_pass, tmp_path):
         # the 4 exceptional members of an 8-sample cubic hunt, magic cubics
         # on their axes, share one row group and one root solve (4 solves,
         # one per member, before the counts were batched) of each member's
         # circle r_min alone; the solved circles are scanned once, and osc
-        # is evaluated once, only at the critical points of those circles
+        # is evaluated once, only at the critical points of those circles:
+        # one Horner pass of the scan over the rows (scan_pass)
         solves, evaluated, counted, checked = [], [], [], []
-        solve, osc, count = maxmod.roots.critical_points, ModulusExpansion.osc, count_components
+        solve, count = maxmod.roots.critical_points, count_components
         scan = maxmod.tracer._scan
 
         def counted_solve(cn, radii, **kwargs):
             solves.append(solve(cn, radii, **kwargs))
             return solves[-1]
 
-        def counted_osc(self, r, theta, cn=None):
-            evaluated.append(np.broadcast_to(r, np.shape(theta)).copy())
-            return osc(self, r, theta, cn)
+        def counted_pass(coef, theta, rows):
+            evaluated.append(checked[-1][rows])
+            return fourier_sum(coef, theta, rows)
 
         def counted_count(members):
             counted.extend(members)
             return count(members)
 
-        def counted_scan(e, cn, radii, **kwargs):
-            checked.append(radii.size)
-            return scan(e, cn, radii, **kwargs)
+        def counted_scan(cn, radii, real):
+            checked.append(radii)
+            return scan(cn, radii, real)
 
+        fourier_sum = scan_pass(counted_pass)
         monkeypatch.setattr(maxmod.roots, "critical_points", counted_solve)
-        monkeypatch.setattr(ModulusExpansion, "osc", counted_osc)
         monkeypatch.setattr(maxmod.cli, "count_components", counted_count)
         monkeypatch.setattr(maxmod.tracer, "_scan", counted_scan)
         argv = ["hunt", "--family", "cubic", "--samples", "8", "--out", str(tmp_path / "h.jsonl")]
         assert main(argv + ["--quiet"]) == 0
         assert len(counted) == 4 and len(solves) == 1 and len(evaluated) == 1
-        assert checked == [len(counted)] == [4]  # one circle per member
+        assert [r.size for r in checked] == [len(counted)] == [4]  # one circle per member
         ridx = solves[0][0]
         assert np.unique(ridx).tolist() == list(range(len(counted)))
         radii = np.concatenate(evaluated)
@@ -1558,9 +1563,9 @@ class TestFixedWork:
             finally:
                 inside.pop()
 
-        def counted_certified(mag, total):
+        def counted_certified(*orders):
             read.append(bool(inside))
-            return certified(mag, total)
+            return certified(*orders)
 
         def counted_fourier(self, r):
             # a count forms a row group's rows in one stacked call, with
@@ -1582,14 +1587,15 @@ class TestFixedWork:
         assert set(formed) == {float(r_min) for _, r_min in counted}
         assert read and all(read)
 
-    def test_hunt_finishes_counts_per_row_group(self, monkeypatch, tmp_path):
+    def test_hunt_finishes_counts_per_row_group(self, monkeypatch, scan_pass, tmp_path):
         # a 2000-sample quartic hunt mixes real and complex rows of one
         # width in its chunks of COUNT_BATCH members: each chunk runs one
-        # scan, with one root solve and one osc evaluation, per row group in
-        # it, and every count is its member's trace count
+        # scan, with one root solve and one osc evaluation (the scan's Horner
+        # pass over the rows, scan_pass), per row group in it, and every
+        # count is its member's trace count
         calls = {"solve": 0, "scan": 0, "osc": 0}
         hunted, found = [], []
-        solve, osc, count = maxmod.roots.critical_points, ModulusExpansion.osc, count_components
+        solve, count = maxmod.roots.critical_points, count_components
         scan = maxmod.tracer._scan
 
         def counted(name, f):
@@ -1607,7 +1613,7 @@ class TestFixedWork:
 
         monkeypatch.setattr(maxmod.roots, "critical_points", counted("solve", solve))
         monkeypatch.setattr(maxmod.tracer, "_scan", counted("scan", scan))
-        monkeypatch.setattr(ModulusExpansion, "osc", counted("osc", osc))
+        scan_pass(counted("osc", maxmod._kernels.fourier_sum))
         monkeypatch.setattr(maxmod.cli, "count_components", recorded)
         argv = ["hunt", "--family", "quartic", "--samples", "2000", "--seed", "99"]
         assert main(argv + ["--out", str(tmp_path / "q.jsonl"), "--quiet"]) == 0
@@ -1658,7 +1664,7 @@ class TestCountComponents:
         assert str(got.value) == str(want.value)
         assert vars(got.value) == vars(want.value)
 
-    @pytest.mark.parametrize("r_min", [math.nan, math.inf, 0.0, -1.0, 1e-3j, "1e-3", None])
+    @pytest.mark.parametrize("r_min", [math.nan, math.inf, 0.0, -1.0, 1e-3j, "1e-3", None, True])
     def test_r_min_breaking_the_config_rule_fails_as_config(self, r_min):
         # a count's r_min is checked by TraceConfig's rule before the member
         # is normalized: NaN and inf failed in the root solve before, 0 and
